@@ -400,9 +400,10 @@ func BenchmarkShardedPairBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedPEPS times span-sharded PEPS across worker counts on the
-// rich user's full profile (single-span at this workload size: the sweep
-// tracks the serial-degeneration overhead, which must stay at parity).
+// BenchmarkShardedPEPS times sharded PEPS across worker counts on the
+// rich user's full profile (its signature classes fill less than two
+// minimum word ranges at this workload size, so every width runs the serial
+// kernel: the sweep must stay at parity).
 func BenchmarkShardedPEPS(b *testing.B) {
 	l := benchSetup(b)
 	prefs := l.ProfileFor(l.Rich, benchProfileCap)

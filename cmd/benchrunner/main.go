@@ -160,7 +160,7 @@ type routeStatJSON struct {
 }
 
 // shardsJSON is the partition-sharding worker sweep: per worker count, the
-// warm pair-table build, cold profile materialization, and span-sharded
+// warm pair-table build, cold profile materialization, and sharded
 // PEPS timings, plus the machine's CPU budget (the hard ceiling on any
 // speedup) and the sharded-vs-serial equivalence verdict.
 type shardsJSON struct {

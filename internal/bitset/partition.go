@@ -2,10 +2,9 @@ package bitset
 
 // This file is the partition layer of the compressed bitset: every
 // 64k-key container span is an independent unit of work, and the sharded
-// evaluation paths (internal/combine's pair-table build, the span-sharded
-// PEPS DFS, relstore's partitioned scan kernels, and the delta maintainer's
-// span-restricted pair recount) slice, combine, and merge sets one span at
-// a time. Because containers partition the key space, every set operation
+// evaluation paths (internal/combine's pair-table build, relstore's
+// partitioned scan kernels, and the delta maintainer's span-restricted pair
+// recount) slice, combine, and merge sets one span at a time. Because containers partition the key space, every set operation
 // distributes over spans exactly: And(s, o) = ⊎_span And(Shard(s, span),
 // Shard(o, span)), and |s ∩ o| = Σ_span AndCardSpan — which is what makes
 // the sharded results bit-identical to the serial ones.

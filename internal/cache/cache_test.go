@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,6 +104,20 @@ func TestCacheRemoveWhere(t *testing.T) {
 	}
 }
 
+// awaitWaiters returns once n arrivals have joined key's in-flight call.
+func awaitWaiters(g *flightGroup, key entryKey, n int) {
+	for {
+		g.mu.Lock()
+		c := g.m[key]
+		joined := c != nil && c.waiters >= n
+		g.mu.Unlock()
+		if joined {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestFlightGroupDedup: N concurrent calls for one key run fn exactly once;
 // everyone shares the leader's value.
 func TestFlightGroupDedup(t *testing.T) {
@@ -134,11 +149,9 @@ func TestFlightGroupDedup(t *testing.T) {
 			}
 		}()
 	}
-	// Let every goroutine enqueue before the leader finishes. The leader
-	// blocks on release; waiters block on its WaitGroup.
-	for calls.Load() == 0 {
-		runtime.Gosched()
-	}
+	// The leader holds the flight open until the other n-1 have joined it:
+	// a straggler arriving after the flight ended would lead its own.
+	awaitWaiters(&g, key, n-1)
 	close(release)
 	wg.Wait()
 	if c := calls.Load(); c != 1 {
@@ -151,5 +164,56 @@ func TestFlightGroupDedup(t *testing.T) {
 	_, leader, _ := g.do(context.Background(), key, func() ([]combine.ScoredTuple, error) { return nil, nil })
 	if !leader {
 		t.Fatalf("post-flight call should lead a fresh flight")
+	}
+}
+
+// TestFlightLeaderPanicReleasesKey: a leader whose fn panics re-raises on its
+// own goroutine, parked waiters get an error naming the panic instead of
+// blocking forever, and the key is free for the next call.
+func TestFlightLeaderPanicReleasesKey(t *testing.T) {
+	var g flightGroup
+	key := entryKey{fp: fpOf(13), k: 5, kind: kindResult}
+	started := make(chan struct{}) // closed once the leader is inside fn
+	release := make(chan struct{})
+
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _, _ = g.do(context.Background(), key, func() ([]combine.ScoredTuple, error) {
+			close(started)
+			<-release
+			panic("evaluator exploded")
+		})
+	}()
+	<-started
+
+	const waiters = 5
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, _, err := g.do(context.Background(), key, func() ([]combine.ScoredTuple, error) {
+				t.Error("waiter must not lead while the flight is up")
+				return nil, nil
+			})
+			errs <- err
+		}()
+	}
+	awaitWaiters(&g, key, waiters)
+	close(release)
+
+	if r := <-leaderPanic; r != "evaluator exploded" {
+		t.Fatalf("leader recovered %v, want the original panic value", r)
+	}
+	for i := 0; i < waiters; i++ {
+		err := <-errs
+		if err == nil || !strings.Contains(err.Error(), "evaluator exploded") {
+			t.Fatalf("waiter err = %v, want one naming the panic", err)
+		}
+	}
+	val, leader, err := g.do(context.Background(), key, func() ([]combine.ScoredTuple, error) {
+		return []combine.ScoredTuple{{PID: 1, Intensity: 1}}, nil
+	})
+	if !leader || err != nil || len(val) != 1 {
+		t.Fatalf("post-panic call: val=%v leader=%v err=%v, want a fresh leading flight", val, leader, err)
 	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"hypre/internal/combine"
@@ -18,15 +19,22 @@ import (
 // deliberately NOT cancellable — its work is shared, so it always completes
 // and publishes even when every waiter (or its own caller's context) has
 // given up; the next request for the fingerprint then hits the cache.
+//
+// A leader whose evaluation panics still ends its flight: the key is
+// released, parked waiters receive an error naming the panic, and the panic
+// continues up the leader's own stack (net/http turns it into that one
+// request's failure). Without this the map entry would outlive the leader
+// and every later request for the fingerprint would park on it forever.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[entryKey]*flightCall
 }
 
 type flightCall struct {
-	done chan struct{} // closed when val/err are set
-	val  []combine.ScoredTuple
-	err  error
+	done    chan struct{} // closed when val/err are set
+	val     []combine.ScoredTuple
+	err     error
+	waiters int // arrivals that joined this flight; guarded by flightGroup.mu
 }
 
 // do runs fn once per concurrent key: the leader (leader=true) executes fn,
@@ -39,6 +47,7 @@ func (g *flightGroup) do(ctx context.Context, key entryKey, fn func() ([]combine
 		g.m = make(map[entryKey]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
+		c.waiters++
 		g.mu.Unlock()
 		select {
 		case <-c.done:
@@ -51,11 +60,21 @@ func (g *flightGroup) do(ctx context.Context, key entryKey, fn func() ([]combine
 	g.m[key] = c
 	g.mu.Unlock()
 
+	// The key is released before done closes, so whoever observes the
+	// flight's outcome and asks again leads a fresh flight.
+	defer func() {
+		r := recover()
+		if r != nil {
+			c.val, c.err = nil, fmt.Errorf("cache: single-flight leader panicked: %v", r)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	c.val, c.err = fn()
-	close(c.done)
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
 	return c.val, true, c.err
 }

@@ -1,6 +1,8 @@
 package combine
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -160,5 +162,53 @@ func BenchmarkBitmapAndCard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.AndCard(y)
+	}
+}
+
+// classBenchProfile is a 40-preference profile over bigShardDB's columns:
+// disjoint atoms (a venue, a score bucket, a two-year window) under a few
+// broad predicates, intensities descending — the shape of a positive profile
+// extracted from the citation workload, where a profile's predicates credit
+// most of the store but distinguish only ~10³ signature classes.
+func classBenchProfile(tb testing.TB) []hypre.ScoredPred {
+	tb.Helper()
+	preds := []string{
+		`dblp.year>=2010`, `dblp.score>=7.5`, `NOT (dblp.venue="CHI")`,
+		`dblp.venue IN ("VLDB","SIGMOD")`, `dblp.year BETWEEN 1995 AND 2005`,
+		`dblp.score<2.5`, `dblp.venue IN ("KDD","WWW")`, `dblp.year<2000`,
+		`dblp.score BETWEEN 4 AND 6`,
+	}
+	for _, v := range []string{"VLDB", "SIGMOD", "ICDE", "KDD", "WWW", "CHI"} {
+		preds = append(preds, fmt.Sprintf(`dblp.venue=%q`, v))
+	}
+	for s := 0; s < 10; s++ {
+		preds = append(preds, fmt.Sprintf(`dblp.score>=%d AND dblp.score<%d`, s, s+1))
+	}
+	for y := 1990; y < 2020; y += 2 {
+		preds = append(preds, fmt.Sprintf(`dblp.year BETWEEN %d AND %d`, y, y+1))
+	}
+	out := make([]hypre.ScoredPred, len(preds))
+	for i, p := range preds {
+		out[i] = mustSP(tb, p, 0.9*math.Pow(0.93, float64(i)))
+	}
+	return out
+}
+
+// BenchmarkPEPSShardedClasses times the signature-class kernel alone (the
+// predicate bitmaps and the pair table are built once, outside the loop) on
+// a 32k-row joinless store under a 40-preference profile.
+func BenchmarkPEPSShardedClasses(b *testing.B) {
+	ev := NewEvaluator(bigShardDB(b, 32000, 5), flatBaseQuery, "dblp.pid")
+	prefs := classBenchProfile(b)
+	pt, err := BuildPairTable(prefs, ev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PEPSSharded(prefs, pt, ev, 100, Complete); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"hypre/internal/relstore"
 )
 
-func mustSP(t *testing.T, pred string, intensity float64) hypre.ScoredPred {
+func mustSP(t testing.TB, pred string, intensity float64) hypre.ScoredPred {
 	t.Helper()
 	p, err := hypre.NewScoredPred(pred, intensity)
 	if err != nil {

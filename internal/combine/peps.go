@@ -1,8 +1,9 @@
 package combine
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"hypre/internal/hypre"
 )
@@ -107,11 +108,14 @@ func (t *topTracker) kth(k int) (float64, int) {
 }
 
 // tuples materializes the ranked result: (intensity desc, pid asc),
-// truncated at limit — the same order collectTuples produced.
+// truncated at limit — the same order collectTuples produced. Only tuples at
+// or above the limit-th intensity can be in it (all of them when fewer than
+// limit were credited, kth's -1), so only those are copied and sorted.
 func (t *topTracker) tuples(limit int) []ScoredTuple {
-	out := make([]ScoredTuple, 0, t.n)
+	kth, _ := t.kth(limit)
+	out := make([]ScoredTuple, 0, min(limit, t.n))
 	for i, v := range t.best {
-		if v >= 0 {
+		if v >= max(kth, 0) {
 			out = append(out, ScoredTuple{PID: t.dict.PID(i), Intensity: v})
 		}
 	}
@@ -122,12 +126,13 @@ func (t *topTracker) tuples(limit int) []ScoredTuple {
 	return out
 }
 
+// sortScoredTuples orders by (intensity desc, pid asc).
 func sortScoredTuples(out []ScoredTuple) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Intensity != out[j].Intensity {
-			return out[i].Intensity > out[j].Intensity
+	slices.SortFunc(out, func(a, b ScoredTuple) int {
+		if c := cmp.Compare(b.Intensity, a.Intensity); c != 0 {
+			return c
 		}
-		return out[i].PID < out[j].PID
+		return cmp.Compare(a.PID, b.PID)
 	})
 }
 

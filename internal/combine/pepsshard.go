@@ -2,89 +2,177 @@ package combine
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"hypre/internal/bitset"
 	"hypre/internal/hypre"
 )
 
-// This file is the partition-sharded PEPS: the chain DFS distributes over
-// the 64k-key container spans of the predicate bitmaps, because for any
-// fixed chain its tuple set is the disjoint union of its span-restricted
-// intersections. Each span runs the full anchor expansion against
-// zero-copy shard views, crediting a span-local tracker; anchors are
-// barriers — after each one the global k-th bound is folded across spans so
-// the anchor-boundary early exit fires at exactly the same anchor as the
-// serial algorithm. Within a span, a chain whose optimistic extension bound
-// (the incremental k-th bound against the remaining preferences' headroom)
-// cannot reach the k-th intensity proven at the last barrier is dead and is
-// not expanded — strictly-below credits cannot alter the final top-k list,
-// so Tuples and AnchorsUsed stay byte-identical to PEPS (the equivalence
-// suite enforces it; see the cap caveat on PEPSSharded). CombosExpanded
-// counts span-local expansions and the expansion safety cap applies per
-// span, so those two figures are partition-granular rather than global.
+// This file is PEPS over preference-signature classes. Two tuples matched by
+// exactly the same subset of the profile's predicates (the same signature)
+// are indistinguishable to PEPS: every chain credits both or neither, so they
+// end with the same intensity. The kernel therefore partitions the credited
+// tuples into signature classes once, and runs the chain DFS on one flat
+// word mask over class ids per preference instead of on the tuple bitmaps: a
+// chain step is a word-wise AND over ⌈classes/64⌉ words, a credit walks the
+// set bits of a mask, and a class of w tuples counts w times wherever the
+// serial algorithm counts tuples (the credited total, the k-th intensity).
+// A profile distinguishes far fewer classes than it credits tuples (~1.5k
+// against ~28k on the 32k-paper benchmark store), which is where the time
+// goes. Tuples reappear only at the end: one pass over the class assignment
+// keeps those whose class reached the k-th intensity, and only they are
+// sorted.
+//
+// Anchors are barriers, as in the serial algorithm: after each one the
+// weighted k-th intensity is folded so the anchor-boundary early exit fires
+// at exactly the same anchor. A chain whose optimistic extension bound (its
+// product against the remaining preferences' headroom) cannot reach the k-th
+// intensity proven at the last barrier is dead and is not expanded —
+// strictly-below credits cannot alter the final top-k list, so Tuples and
+// AnchorsUsed stay byte-identical to PEPS (the equivalence suites enforce
+// it; see the cap caveat on PEPSSharded).
+//
+// Fan-out is over contiguous word ranges of the class universe: a chain's
+// class set is the disjoint union of its range-restricted intersections, so
+// each range runs the full anchor expansion on its own words and credits
+// only its own classes. A universe splits only into ranges of at least
+// minShardWords words; below two such ranges the per-anchor goroutine
+// hand-off costs more than the DFS it would divide, and the run is serial.
+//
+// PEPS itself deliberately does not share this kernel: it stays the
+// tuple-level oracle PEPSSharded is checked against.
 
-// spanPEPS is one partition's private slice of the sharded DFS: shard views
-// of every predicate bitmap, the span-local best-intensity tracker (dense
-// ids offset by the span base), per-depth scratch bitmaps, and the local
-// work counters.
-type spanPEPS struct {
-	base       int
-	sbms       []*Bitmap
-	best       []float64 // per (dense id - base); -1 = unseen
-	n          int       // distinct tuples credited in this span
-	scratch    []*Bitmap
+// minShardWords is the smallest class-mask word range worth a worker of its
+// own (64 words = 4096 classes).
+const minShardWords = 64
+
+// classPartition is the signature-class view of a family of sets over one
+// dense id universe.
+type classPartition struct {
+	classOf []int32    // dense id -> class id; -1 for ids in no set
+	weight  []int      // class id -> number of member ids
+	masks   [][]uint64 // per set: bit c is set iff class c lies inside the set
+}
+
+// classify partitions the ids of a universe by which of the sets contain
+// them, by partition refinement: every id starts in the root class ("in no
+// set so far"), and set i moves each of its ids from its current class into
+// that class's child for i, created on first use — O(Σ|set|), no hashing. A
+// class left without members is dead; the survivors are numbered compactly
+// in creation order, which is fixed by the order of sets and of ids within
+// them. A surviving class's members lie in exactly the sets that created it
+// and its ancestors, which is what the masks record.
+func classify(sets []*bitset.Set, universe int) classPartition {
+	// sig is one node of the refinement tree; stamp == i marks child as the
+	// class's child for set i.
+	type sig struct{ parent, born, stamp, child int32 }
+	classOf := make([]int32, universe) // refinement-tree node ids until the final pass
+	tree := []sig{{parent: -1, born: -1, stamp: -1}}
+	for i, s := range sets {
+		// Set i gives each node at most one child; with room for them all the
+		// tree does not move while ids do.
+		tree = slices.Grow(tree, len(tree))
+		s.ForEach(func(id int) bool {
+			from := classOf[id]
+			c := &tree[from]
+			if c.stamp != int32(i) {
+				c.stamp, c.child = int32(i), int32(len(tree))
+				tree = append(tree, sig{parent: from, born: int32(i), stamp: -1})
+			}
+			classOf[id] = c.child
+			return true
+		})
+	}
+
+	size := make([]int, len(tree))
+	for _, c := range classOf {
+		size[c]++
+	}
+	compact := make([]int32, len(tree))
+	var weight []int
+	for c, n := range size {
+		compact[c] = -1
+		if c > 0 && n > 0 {
+			compact[c] = int32(len(weight))
+			weight = append(weight, n)
+		}
+	}
+	words := (len(weight) + 63) / 64
+	flat := make([]uint64, len(sets)*words)
+	masks := make([][]uint64, len(sets))
+	for i := range masks {
+		masks[i] = flat[i*words : (i+1)*words]
+	}
+	for c, cc := range compact {
+		if cc >= 0 {
+			for a := int32(c); a != 0; a = tree[a].parent {
+				masks[tree[a].born][cc>>6] |= 1 << (cc & 63)
+			}
+		}
+	}
+	for id, c := range classOf {
+		classOf[id] = compact[c]
+	}
+	return classPartition{classOf: classOf, weight: weight, masks: masks}
+}
+
+// classShard is one word range of the class universe: views of every
+// preference mask, of the best-intensity tracker and of the class weights
+// (all indexed from the range's first class), per-depth scratch masks, and
+// the local work counters.
+type classShard struct {
+	masks      [][]uint64
+	best       []float64 // -1 = not credited yet
+	weight     []int
+	n          int      // tuples credited in this range
+	scratch    []uint64 // one mask per chain depth
 	expansions int
 	combos     int
 }
 
-func newSpanPEPS(span bitset.Span, sets []*bitset.Set, dictSize int) *spanPEPS {
-	base := bitset.SpanBase(span)
-	width := min(bitset.SpanWidth, dictSize-base)
-	st := &spanPEPS{
-		base: base,
-		sbms: make([]*Bitmap, len(sets)),
-		best: make([]float64, width),
-	}
-	for i, s := range sets {
-		st.sbms[i] = wrapSet(s.Shard(span))
-	}
-	for i := range st.best {
-		st.best[i] = -1
-	}
-	return st
+func (st *classShard) scratchAt(depth int) []uint64 {
+	w := len(st.masks[0])
+	return st.scratch[depth*w : (depth+1)*w]
 }
 
-func (st *spanPEPS) scratchAt(depth int) *Bitmap {
-	for len(st.scratch) <= depth {
-		st.scratch = append(st.scratch, NewBitmap())
+// andWords stores a ∩ b in dst and reports whether it is non-empty.
+func andWords(dst, a, b []uint64) bool {
+	a, b = a[:len(dst)], b[:len(dst)]
+	var acc uint64
+	for w := range dst {
+		x := a[w] & b[w]
+		dst[w] = x
+		acc |= x
 	}
-	return st.scratch[depth]
+	return acc != 0
 }
 
-// update credits every span-local tuple of bm with intensity if it beats
-// the tuple's current best.
-func (st *spanPEPS) update(bm *Bitmap, intensity float64) {
-	bm.ForEach(func(i int) {
-		k := i - st.base
-		if st.best[k] < intensity {
-			if st.best[k] < 0 {
-				st.n++
+// update credits every class of mask with intensity if it beats the class's
+// current best.
+func (st *classShard) update(mask []uint64, intensity float64) {
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			c := w<<6 | bits.TrailingZeros64(word)
+			if st.best[c] < intensity {
+				if st.best[c] < 0 {
+					st.n += st.weight[c]
+				}
+				st.best[c] = intensity
 			}
-			st.best[k] = intensity
 		}
-	})
+	}
 }
 
-// expandAnchor runs one anchor's seeds to exhaustion within this span.
+// expandAnchor runs one anchor's seeds to exhaustion within this range.
 // kthLB is the k-th best intensity proven at the last anchor barrier (-1
 // before k tuples exist): chains whose optimistic bound cannot strictly
 // reach it are dead.
-func (st *spanPEPS) expandAnchor(prefs []hypre.ScoredPred, pt *PairTable,
+func (st *classShard) expandAnchor(prefs []hypre.ScoredPred, pairs [][]PairEntry,
 	seeds []PairEntry, tailProd []float64, kthLB float64) {
-	var dfs func(last int, bm *Bitmap, depth int, prod float64)
-	dfs = func(last int, bm *Bitmap, depth int, prod float64) {
+	var dfs func(last int, mask []uint64, depth int, prod float64)
+	dfs = func(last int, mask []uint64, depth int, prod float64) {
 		if st.expansions >= maxChainExpansions {
 			return
 		}
@@ -98,13 +186,12 @@ func (st *spanPEPS) expandAnchor(prefs []hypre.ScoredPred, pt *PairTable,
 			return
 		}
 		st.expansions++
-		st.update(bm, 1-prod)
+		st.update(mask, 1-prod)
 		st.combos++
-		for _, e := range pt.CombsOfTwo(last) {
+		for _, e := range pairs[last] {
 			next := e.J
 			child := st.scratchAt(depth)
-			child.AndInto(bm, st.sbms[next])
-			if child.Len() == 0 {
+			if !andWords(child, mask, st.masks[next]) {
 				continue
 			}
 			dfs(next, child, depth+1, prod*(1-prefs[next].Intensity))
@@ -112,67 +199,84 @@ func (st *spanPEPS) expandAnchor(prefs []hypre.ScoredPred, pt *PairTable,
 	}
 	for _, e := range seeds {
 		seed := st.scratchAt(0)
-		seed.AndInto(st.sbms[e.I], st.sbms[e.J])
+		andWords(seed, st.masks[e.I], st.masks[e.J])
 		seedProd := (1 - prefs[e.I].Intensity) * (1 - prefs[e.J].Intensity)
 		dfs(e.J, seed, 1, seedProd)
 	}
 }
 
-// kthAcross folds the span trackers into the global k-th highest best
-// intensity plus the number of distinct tuples collected — the same values
-// the serial tracker's kth computes, because span credits are disjoint.
-func kthAcross(states []*spanPEPS, k int) (float64, int) {
-	n := 0
-	for _, st := range states {
-		n += st.n
-	}
-	if n < k {
-		return -1, n
-	}
-	heap := make([]float64, 0, k)
-	for _, st := range states {
-		for _, v := range st.best {
-			if v < 0 {
-				continue
-			}
-			if len(heap) < k {
-				heap = append(heap, v)
-				siftUp(heap, len(heap)-1)
-			} else if v > heap[0] {
-				heap[0] = v
-				siftDown(heap, 0)
+// weightedKth returns the k-th highest best intensity over the credited
+// tuples, class c standing for weight[c] tuples at best[c]; the caller has
+// checked that at least k are credited. The heap is a min-heap, by best, of
+// the highest classes that together still hold k tuples — at most k entries,
+// and most classes are turned away by one comparison with its root.
+func weightedKth(best []float64, weight []int, k int) float64 {
+	var heap []int32
+	held := 0
+	less := func(i, j int) bool { return best[heap[i]] < best[heap[j]] }
+	for c, v := range best {
+		if v < 0 || held >= k && v <= best[heap[0]] {
+			continue
+		}
+		heap = append(heap, int32(c))
+		held += weight[c]
+		for i := len(heap) - 1; i > 0 && less(i, (i-1)/2); i = (i - 1) / 2 {
+			heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
+		}
+		for held-weight[heap[0]] >= k {
+			held -= weight[heap[0]]
+			last := len(heap) - 1
+			heap[0] = heap[last]
+			heap = heap[:last]
+			for i := 0; ; {
+				m := i
+				if l := 2*i + 1; l < last && less(l, m) {
+					m = l
+				}
+				if r := 2*i + 2; r < last && less(r, m) {
+					m = r
+				}
+				if m == i {
+					break
+				}
+				heap[i], heap[m] = heap[m], heap[i]
+				i = m
 			}
 		}
 	}
-	return heap[0], n
+	return best[heap[0]]
 }
 
-// PEPSSharded is PEPS fanned out over the container-span partitions of the
-// profile's predicate bitmaps, ev.Workers wide. Tuples and AnchorsUsed are
-// byte-identical to PEPS as long as the maxChainExpansions safety cap does
-// not bind: the cap is enforced per span here (and dead branches consume
-// none of it), so an adversarial profile that trips the serial cap gets
-// MORE complete results from the sharded run, not the same truncation.
-// CombosExpanded tallies span-local expansions (a chain empty in one span
-// is pruned there even when other spans expand it), so it is comparable
-// only between sharded runs. Domains under 64k dense ids hold a single
-// span: the run is then serial, plus the branch-dead bound — never slower
-// than parity with PEPS.
+// PEPSSharded is PEPS run over the profile's signature classes, fanned out
+// over word ranges of the class universe, at most ev.Workers wide. Tuples and
+// AnchorsUsed are byte-identical to PEPS as long as the maxChainExpansions
+// safety cap does not bind: the cap is enforced per range here (and dead
+// branches consume none of it), so an adversarial profile that trips the
+// serial cap gets MORE complete results from this run, not the same
+// truncation. CombosExpanded tallies range-local expansions (a chain empty
+// in one range is pruned there even when other ranges expand it, and dead
+// branches are not expanded at all), so it is comparable only between
+// PEPSSharded runs of the same width.
 func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant Variant) (TopKResult, error) {
 	var res TopKResult
 	if k <= 0 || len(prefs) == 0 {
 		return res, nil
 	}
 
-	bms := make([]*Bitmap, len(prefs))
 	sets := make([]*bitset.Set, len(prefs))
 	for i, p := range prefs {
 		b, err := ev.PredBitmap(p)
 		if err != nil {
 			return res, err
 		}
-		bms[i] = b
 		sets[i] = b.s
+	}
+	cp := classify(sets, ev.dict.Size())
+	classes := len(cp.weight)
+	words := (classes + 63) / 64
+	best := make([]float64, classes)
+	for c := range best {
+		best[c] = -1
 	}
 
 	// suffixBound[a] = f∧ over prefs[a:], the anchor-boundary exit bound;
@@ -189,48 +293,50 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 		suffixBound[a] = 1 - tailProd[a]
 	}
 
-	spans := bitset.SpanUnion(sets...)
-	states := make([]*spanPEPS, len(spans))
-	dictSize := ev.dict.Size()
-	for si, span := range spans {
-		states[si] = newSpanPEPS(span, sets, dictSize)
+	shards := make([]*classShard, ev.workerCount(words/minShardWords))
+	for si := range shards {
+		lo, hi := si*words/len(shards), (si+1)*words/len(shards)
+		st := &classShard{
+			masks:   make([][]uint64, len(prefs)),
+			best:    best[lo*64 : min(hi*64, classes)],
+			weight:  cp.weight[lo*64 : min(hi*64, classes)],
+			scratch: make([]uint64, len(prefs)*(hi-lo)),
+		}
+		for i, m := range cp.masks {
+			st.masks[i] = m[lo:hi]
+		}
+		shards[si] = st
 	}
-	workers := ev.workerCount(len(states))
-	runSpans := func(fn func(st *spanPEPS)) {
-		if workers <= 1 || len(states) <= 1 {
-			for _, st := range states {
-				fn(st)
-			}
+	runShards := func(fn func(st *classShard)) {
+		if len(shards) == 1 {
+			fn(shards[0])
 			return
 		}
-		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, st := range shards {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(states) {
-						return
-					}
-					fn(states[i])
-				}
+				fn(st)
 			}()
 		}
 		wg.Wait()
 	}
 
-	// Singles participate with their own intensity, gated on the global
-	// cardinality exactly like the serial pass (an empty shard view of a
-	// non-empty predicate is a no-op credit).
-	runSpans(func(st *spanPEPS) {
+	// Singles participate with their own intensity (f∧ of one member); an
+	// empty predicate has an empty mask and credits nothing.
+	runShards(func(st *classShard) {
 		for i := range prefs {
-			if bms[i].Len() > 0 {
-				st.update(st.sbms[i], 1-(1-prefs[i].Intensity))
-			}
+			st.update(st.masks[i], 1-(1-prefs[i].Intensity))
 		}
 	})
+
+	// pairs[i] = the table's pairs whose first member is i, looked up once
+	// instead of once per chain step.
+	pairs := make([][]PairEntry, len(prefs))
+	for i := range pairs {
+		pairs[i] = pt.CombsOfTwo(i)
+	}
 
 	kthLB := -1.0
 	for a := 0; a < len(prefs); a++ {
@@ -238,9 +344,9 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 		anchor := prefs[a].Intensity
 
 		// Working set: pairs anchored at a, filtered per variant — global
-		// state, shared read-only by every span.
+		// state, shared read-only by every range.
 		var seeds []PairEntry
-		for _, e := range pt.CombsOfTwo(a) {
+		for _, e := range pairs[a] {
 			switch variant {
 			case Approximate:
 				if e.Intensity <= anchor {
@@ -257,31 +363,35 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 			seeds = append(seeds, e)
 		}
 
-		runSpans(func(st *spanPEPS) {
-			st.expandAnchor(prefs, pt, seeds, tailProd, kthLB)
+		runShards(func(st *classShard) {
+			st.expandAnchor(prefs, pairs, seeds, tailProd, kthLB)
 		})
 
-		// Anchor barrier: fold the global k-th bound and exit exactly when
-		// the serial tracker would.
-		if kth, n := kthAcross(states, k); n >= k {
-			kthLB = kth
-			if a+1 < len(prefs) && suffixBound[a+1] <= kth {
+		// Anchor barrier: fold the k-th bound and exit exactly when the
+		// serial tracker would.
+		credited := 0
+		for _, st := range shards {
+			credited += st.n
+		}
+		if credited >= k {
+			kthLB = weightedKth(best, cp.weight, k)
+			if a+1 < len(prefs) && suffixBound[a+1] <= kthLB {
 				break
 			}
 		}
 	}
 
-	total := 0
-	for _, st := range states {
-		total += st.n
+	for _, st := range shards {
 		res.CombosExpanded += st.combos
 	}
-	out := make([]ScoredTuple, 0, total)
-	for _, st := range states {
-		for i, v := range st.best {
-			if v >= 0 {
-				out = append(out, ScoredTuple{PID: ev.dict.PID(st.base + i), Intensity: v})
-			}
+	// Every anchor ends at a barrier, so kthLB is the final k-th intensity
+	// (-1 with fewer than k credited, when every credited tuple is kept):
+	// only tuples at or above it can be in the answer.
+	out := []ScoredTuple{}
+	floor := max(kthLB, 0)
+	for id, c := range cp.classOf {
+		if c >= 0 && best[c] >= floor {
+			out = append(out, ScoredTuple{PID: ev.dict.PID(id), Intensity: best[c]})
 		}
 	}
 	sortScoredTuples(out)

@@ -156,7 +156,7 @@ func assertSameTopK(t *testing.T, tag string, want, got TopKResult) {
 // TestShardedEvalMultiSpanMatchesSerial is the multi-span acceptance
 // property: over a store whose dense dictionary crosses container
 // boundaries, sharded MaterializeAll, the span-sharded pair-table build,
-// and span-sharded PEPS are byte-identical to the serial path across shard
+// and sharded PEPS are byte-identical to the serial path across shard
 // counts {1, 2, NumCPU, 64}.
 func TestShardedEvalMultiSpanMatchesSerial(t *testing.T) {
 	db := bigShardDB(t, bigShardRows, 3)
@@ -203,6 +203,26 @@ func TestShardedEvalMultiSpanMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+
+	// That profile tells only a few hundred signature classes apart, so its
+	// class masks never split. Same sweep over a two-span store whose profile
+	// tells 2^14−1 apart: the class universe is then several minimum word
+	// ranges wide and PEPSSharded's own fan-out runs, every class with
+	// members in both spans.
+	wideDB, wideProfile := bitsDB(t, 14, 65536+9000), bitsProfile(t, 14)
+	ev := bigShardEvaluator(t, wideDB, 1)
+	sets := make([]*bitset.Set, len(wideProfile))
+	for i, p := range wideProfile {
+		b, err := ev.PredBitmap(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[i] = b.s
+	}
+	if words := len(classify(sets, ev.Dict().Size()).masks[0]); words < 4*minShardWords {
+		t.Fatalf("fixture too narrow: class masks of %d words do not split four ways", words)
+	}
+	assertShardedMatchesPEPS(t, "wide classes", wideDB, wideProfile, []int{10, 500})
 }
 
 // TestShardedEvalRandomProfiles fuzzes the sharded paths on the Table 6

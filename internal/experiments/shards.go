@@ -14,7 +14,7 @@ type ShardPoint struct {
 	Workers     int
 	PairBuild   time.Duration // warm pair-count sweep (span × anchor tasks)
 	Materialize time.Duration // cold bulk materialization (fresh evaluator)
-	PEPS        time.Duration // span-sharded PEPS at K
+	PEPS        time.Duration // PEPSSharded at K
 }
 
 // ShardsResult reports how the sharded evaluation layer scales with worker
@@ -34,7 +34,7 @@ type ShardsResult struct {
 
 // RunShards sweeps worker counts over the three sharded hot paths —
 // BuildPairTable's (span × anchor) count sweep on a warm cache, cold
-// MaterializeAll, and span-sharded PEPS — taking the best of reps runs per
+// MaterializeAll, and PEPSSharded — taking the best of reps runs per
 // point, and verifies each point's pair table and top-k ranking are
 // byte-identical to the serial algorithms.
 func RunShards(l *Lab, uid int64, workerCounts []int, k, profileCap, reps int) (*ShardsResult, error) {
