@@ -284,48 +284,6 @@ func BenchmarkOneShotMaterialized(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateStream is the online-mutation cycle: per iteration, a
-// private clone of the workload absorbs seeded insert/update/delete
-// batches, and after each batch the top-k query is answered both through
-// incremental delta maintenance and through rematerialize-from-scratch
-// (the runner asserts the rankings stay byte-identical).
-func BenchmarkUpdateStream(b *testing.B) {
-	l := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunUpdateStream(l, l.Modest, 4, 32, 100, benchProfileCap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Matched {
-			b.Fatal("incremental ranking diverged from rematerialization")
-		}
-	}
-}
-
-// BenchmarkCacheServe replays the Zipf serving workload through the
-// result/plan cache end to end (off phase, on phase, single-flight burst,
-// churn under the maintainer) and fails on any cached-vs-uncached answer
-// divergence.
-func BenchmarkCacheServe(b *testing.B) {
-	l := benchSetup(b)
-	cfg := experiments.DefaultCacheServeConfig()
-	cfg.Queries = 120
-	cfg.ChurnBatches = 2
-	cfg.ChurnOps = 24
-	cfg.Reps = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCacheServe(l, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Matched {
-			b.Fatal("cached answers diverged from uncached evaluation")
-		}
-	}
-}
-
 // BenchmarkCacheServeHitPath prices the observability tier on the hottest
 // serving route — a warm result-cache hit — in three configurations: plain
 // (nothing attached: the zero-overhead-when-disabled claim, no clock reads

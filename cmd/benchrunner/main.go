@@ -6,302 +6,45 @@
 //
 //	benchrunner [-exp all|table10,fig28,...] [-papers N] [-authors N]
 //	            [-venues N] [-seed N] [-cap N] [-k N] [-runs N]
-//	            [-benchjson FILE]
 //
-// The timed experiments (fig39 PEPS sweep, ablation pair-cache pricing)
-// additionally land in a machine-readable BENCH_*.json file so the
-// performance trajectory can be tracked across PRs; -benchjson "" disables
-// the file.
+// Performance is measured elsewhere: bench/run.sh drives the serving stack
+// and the PEPS library path as named workloads (see bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"runtime"
-	"strconv"
+	"slices"
 	"strings"
-	"time"
 
-	"hypre/internal/cache"
 	"hypre/internal/experiments"
-	"hypre/internal/metrics"
-	"hypre/internal/obs"
 	"hypre/internal/workload"
 )
 
-// benchReport is the machine-readable perf record benchrunner writes.
-// Durations are nanoseconds.
-type benchReport struct {
-	Config      map[string]int64       `json:"config"`
-	Fig39       []fig39JSON            `json:"fig39_peps_time,omitempty"`
-	PairCache   []pairCacheJSON        `json:"ablation_pair_cache,omitempty"`
-	PEPS        []pepsVariantsJSON     `json:"ablation_peps_variants,omitempty"`
-	Materialize []materializeJSON      `json:"materialize_profile,omitempty"`
-	Updates     []updatesJSON          `json:"update_stream,omitempty"`
-	Stream      []streamJSON           `json:"stream,omitempty"`
-	BitmapMem   []bitmapMemJSON        `json:"bitmap_mem,omitempty"`
-	Shards      []shardsJSON           `json:"shards,omitempty"`
-	OneShot     []oneshotJSON          `json:"oneshot,omitempty"`
-	CacheServe  []cacheserveJSON       `json:"cacheserve,omitempty"`
-	Serve       []serveJSON            `json:"serve,omitempty"`
-	Extra       map[string]interface{} `json:"extra,omitempty"`
+// expIDs are the experiment ids -exp accepts, in the order they print.
+var expIDs = []string{
+	"table10", "table11", "table12", "fig13", "fig17", "fig18", "fig26",
+	"fig28", "fig29", "fig32", "fig35", "fig37", "fig39", "ablation",
 }
 
-// machineJSON stamps each experiment record with the CPU budget the run
-// actually had: medians taken under a different core count or GOMAXPROCS
-// are not comparable, and the regression gate diffs these files across PRs.
-// Every record also carries its reps count, so the methodology (best-of-N
-// vs single sample) travels with the number.
-type machineJSON struct {
-	CPUs       int `json:"cpus"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-func machineStamp() machineJSON {
-	return machineJSON{CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-}
-
-// oneshotJSON is the cold one-shot comparison: the streaming block-iterator
-// path versus materialize-first, same answer required, plus how much of the
-// scan the TA threshold skipped.
-type oneshotJSON struct {
-	machineJSON
-	UID                   int64 `json:"uid"`
-	Prefs                 int   `json:"prefs"`
-	K                     int   `json:"k"`
-	StreamBestNs          int64 `json:"oneshot_stream_best_ns"`
-	StreamP50Ns           int64 `json:"oneshot_stream_p50_ns"`
-	StreamP99Ns           int64 `json:"oneshot_stream_p99_ns"`
-	StreamAllocBytes      int64 `json:"oneshot_stream_alloc_bytes"`
-	MaterializeBestNs     int64 `json:"oneshot_materialize_best_ns"`
-	MaterializeP50Ns      int64 `json:"oneshot_materialize_p50_ns"`
-	MaterializeP99Ns      int64 `json:"oneshot_materialize_p99_ns"`
-	MaterializeAllocBytes int64 `json:"oneshot_materialize_alloc_bytes"`
-	BlocksScanned         int   `json:"blocks_scanned"`
-	BlocksTotal           int   `json:"blocks_total"`
-	EarlyExit             bool  `json:"early_exit"`
-	Matched               bool  `json:"matched"`
-	Reps                  int   `json:"reps"`
-}
-
-// cacheserveJSON is the serving-tier comparison: the same Zipf-skewed
-// profile-query sequence replayed uncached and through the result/plan
-// cache, plus the single-flight burst and the churn-phase counter state.
-type cacheserveJSON struct {
-	machineJSON
-	Queries       int                   `json:"queries"`
-	DistinctUsers int                   `json:"distinct_users"`
-	Workers       int                   `json:"workers"`
-	K             int                   `json:"k"`
-	ZipfS         float64               `json:"zipf_s"`
-	TopShare      float64               `json:"top4_share"`
-	OffP50Ns      int64                 `json:"cacheserve_off_p50_ns"`
-	OffP99Ns      int64                 `json:"cacheserve_off_p99_ns"`
-	OnP50Ns       int64                 `json:"cacheserve_on_p50_ns"`
-	OnP99Ns       int64                 `json:"cacheserve_on_p99_ns"`
-	MedianSpeedup float64               `json:"median_speedup"`
-	HitRate       float64               `json:"hit_rate"`
-	ServedRate    float64               `json:"served_rate"`
-	DedupRequests int                   `json:"dedup_requests"`
-	DedupLeaders  int                   `json:"dedup_leaders"`
-	DedupFactor   float64               `json:"dedup_factor"`
-	Cache         metrics.CacheSnapshot `json:"cache"`
-	Routes        []routeStatJSON       `json:"routes,omitempty"`
-	TraceQueries  int                   `json:"trace_queries"`
-	TraceCoverMin float64               `json:"trace_coverage_min"`
-	TraceCoverOK  bool                  `json:"trace_coverage_ok"`
-	Matched       bool                  `json:"matched"`
-	Reps          int                   `json:"reps"`
-}
-
-// serveJSON is the end-to-end HTTP serving record: the real internal/serve
-// App booted in-process and driven over actual HTTP — closed-loop throughput
-// with a mutation sidecar, then an open-loop burst against an admission gate.
-// The shed rate is configuration-pinned (offered vs admitted rate), so it is
-// machine-comparable even though the throughput numbers are not.
-type serveJSON struct {
-	machineJSON
-	Sessions  int     `json:"sessions"`
-	Queries   int     `json:"queries"`
-	Workers   int     `json:"workers"`
-	K         int     `json:"k"`
-	OpsSec    float64 `json:"serve_ops_sec"`
-	P50Ns     int64   `json:"serve_p50_ns"`
-	P99Ns     int64   `json:"serve_p99_ns"`
-	MutateOps int     `json:"mutate_ops"`
-	HitRate   float64 `json:"hit_rate"`
-
-	BurstOffered   int     `json:"burst_offered"`
-	BurstOfferedPS float64 `json:"burst_offered_ops_sec"`
-	AdmitRatePS    float64 `json:"admit_rate_ops_sec"`
-	ShedRate       float64 `json:"serve_shed_rate"`
-	GoodputPS      float64 `json:"serve_goodput_ops_sec"`
-	BurstP99Ns     int64   `json:"serve_burst_p99_ns"`
-	QueueP99Ns     int64   `json:"burst_queue_p99_ns"`
-	SLONs          int64   `json:"slo_ns"`
-	P99BudgetNs    int64   `json:"p99_budget_ns"`
-	SLOOK          bool    `json:"slo_ok"`
-	RetryAfterOK   bool    `json:"retry_after_ok"`
-	Matched        bool    `json:"matched"`
-	Reps           int     `json:"reps"`
-}
-
-// routeStatJSON is one route class's latency summary from the serving
-// histograms (hit / miss / shared / bypass).
-type routeStatJSON struct {
-	Route string `json:"route"`
-	Count int64  `json:"count"`
-	P50Ns int64  `json:"p50_ns"`
-	P99Ns int64  `json:"p99_ns"`
-}
-
-// shardsJSON is the partition-sharding worker sweep: per worker count, the
-// warm pair-table build, cold profile materialization, and sharded
-// PEPS timings, plus the machine's CPU budget (the hard ceiling on any
-// speedup) and the sharded-vs-serial equivalence verdict.
-type shardsJSON struct {
-	machineJSON
-	UID     int64            `json:"uid"`
-	Prefs   int              `json:"prefs"`
-	Pairs   int              `json:"pairs"`
-	Spans   int              `json:"spans"`
-	K       int              `json:"k"`
-	Reps    int              `json:"reps"`
-	Matched bool             `json:"matched"`
-	Points  []shardPointJSON `json:"points"`
-}
-
-type shardPointJSON struct {
-	Workers       int   `json:"workers"`
-	PairBuildNs   int64 `json:"pair_build_ns"`
-	MaterializeNs int64 `json:"materialize_ns"`
-	PEPSNs        int64 `json:"peps_ns"`
-}
-
-// bitmapMemJSON is the per-user compressed-vs-dense bitmap footprint of the
-// evaluator cache (bitset.SizeBytes rollup) plus the store-side masks.
-type bitmapMemJSON struct {
-	machineJSON
-	UID         int64 `json:"uid"`
-	Preds       int   `json:"preds"`
-	DictEntries int   `json:"dict_entries"`
-	Reps        int   `json:"reps"`
-
-	CompressedBytes int64   `json:"compressed_bytes"`
-	DenseBytes      int64   `json:"dense_bytes"`
-	Ratio           float64 `json:"dense_over_compressed"`
-
-	SparsePreds           int     `json:"sparse_preds"`
-	SparseCompressedBytes int64   `json:"sparse_compressed_bytes"`
-	SparseDenseBytes      int64   `json:"sparse_dense_bytes"`
-	SparseRatio           float64 `json:"sparse_dense_over_compressed"`
-
-	StoreMaskBytes int64 `json:"store_mask_bytes"`
-}
-
-type materializeJSON struct {
-	machineJSON
-	UID     int64 `json:"uid"`
-	Prefs   int   `json:"prefs"`
-	Queries int   `json:"queries"`
-	BestNs  int64 `json:"best_ns"`
-	MeanNs  int64 `json:"mean_ns"`
-	Reps    int   `json:"reps"`
-}
-
-type updatesJSON struct {
-	machineJSON
-	UID         int64 `json:"uid"`
-	Prefs       int   `json:"prefs"`
-	Batches     int   `json:"batches"`
-	OpsPerBatch int   `json:"ops_per_batch"`
-	K           int   `json:"k"`
-	Reps        int   `json:"reps"`
-	// Maintenance cost alone: delta Sync vs MaterializeAll+BuildPairTable.
-	MaintIncrementalNs   int64 `json:"maint_incremental_ns"`
-	MaintRematerializeNs int64 `json:"maint_rematerialize_ns"`
-	// Maintenance + the (byte-identical) top-k query per strategy.
-	IncrementalNs   int64 `json:"incremental_ns"`
-	RematerializeNs int64 `json:"rematerialize_ns"`
-	TouchedRows     int   `json:"touched_rows"`
-	ChangedPreds    int   `json:"changed_preds"`
-	FullRebuilds    int   `json:"full_rebuilds"`
-	Matched         bool  `json:"matched"`
-}
-
-// streamJSON is the sustained-stream write-path record: closed-loop group
-// commit vs serial throughput, open-loop staleness percentiles, and the
-// per-sync maintenance medians at base and 4x table scale the flatness
-// criterion tracks. stream_ops_sec is higher-is-better — the regression
-// gate treats it accordingly.
-type streamJSON struct {
-	machineJSON
-	UID            int64   `json:"uid"`
-	Prefs          int     `json:"prefs"`
-	K              int     `json:"k"`
-	Reps           int     `json:"reps"`
-	Writers        int     `json:"writers"`
-	OpsPerWriter   int     `json:"ops_per_writer"`
-	Readers        int     `json:"readers"`
-	GroupOpsSec    float64 `json:"stream_ops_sec"`
-	SerialOpsSec   float64 `json:"stream_serial_ops_sec"`
-	Speedup        float64 `json:"stream_speedup"`
-	OfferedOpsSec  float64 `json:"offered_ops_sec"`
-	StreamOps      int     `json:"stream_ops"`
-	Syncs          int     `json:"syncs"`
-	P50StalenessNs int64   `json:"stream_p50_staleness_ns"`
-	P99StalenessNs int64   `json:"stream_p99_staleness_ns"`
-	SyncBatches    int     `json:"sync_batches"`
-	OpsPerSync     int     `json:"ops_per_sync"`
-	SyncMedianNs   int64   `json:"stream_sync_median_ns"`
-	SyncMedian4xNs int64   `json:"stream_sync_median_4x_ns"`
-	FlatnessRatio  float64 `json:"sync_flatness_ratio"`
-	Matched        bool    `json:"matched"`
-}
-
-type fig39JSON struct {
-	machineJSON
-	UID           int64            `json:"uid"`
-	PairBuildNs   int64            `json:"pair_build_ns"`
-	Points        []fig39PointJSON `json:"points"`
-	ProfileCap    int              `json:"profile_cap"`
-	RepsPerSample int              `json:"reps_per_sample"`
-}
-
-type fig39PointJSON struct {
-	K          int   `json:"k"`
-	CompleteNs int64 `json:"complete_ns"`
-	ApproxNs   int64 `json:"approximate_ns"`
-	QuantNs    int64 `json:"quant_only_ns"`
-}
-
-type pairCacheJSON struct {
-	machineJSON
-	UID        int64 `json:"uid"`
-	Pairs      int   `json:"pairs"`
-	CachedNs   int64 `json:"cached_ns"`
-	SQLNs      int64 `json:"sql_ns"`
-	SQLQueries int   `json:"sql_queries"`
-	Reps       int   `json:"reps"`
-}
-
-type pepsVariantsJSON struct {
-	machineJSON
-	UID        int64   `json:"uid"`
-	K          int     `json:"k"`
-	CompleteNs int64   `json:"complete_ns"`
-	ApproxNs   int64   `json:"approximate_ns"`
-	Recall     float64 `json:"recall"`
-	Reps       int     `json:"reps"`
+// parseExp validates a comma-separated -exp list against expIDs; "all"
+// selects every experiment.
+func parseExp(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		id := strings.TrimSpace(strings.ToLower(e))
+		if id != "all" && !slices.Contains(expIDs, id) {
+			return nil, fmt.Errorf("unknown experiment %q; valid ids: all,%s", id, strings.Join(expIDs, ","))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiment ids (table10,table11,table12,fig13,fig17,fig18,fig26,fig28,fig29,fig32,fig35,fig37,fig39,ablation,materialize,updates,stream,bitmapmem,shards,oneshot,cacheserve,serve) or 'all'")
+		exp     = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(expIDs, ",")+") or 'all'")
 		papers  = flag.Int("papers", 4000, "number of papers in the synthetic network")
 		authors = flag.Int("authors", 1200, "number of authors")
 		venues  = flag.Int("venues", 40, "number of venues")
@@ -311,10 +54,16 @@ func main() {
 		runs    = flag.Int("runs", 100, "seeded runs for the Bias-Random scatter")
 		cites   = flag.Float64("cites", 3, "mean citations per paper")
 		zipf    = flag.Float64("zipf", 1.3, "venue/author popularity skew (>1)")
-		bjson   = flag.String("benchjson", "BENCH_results.json", "write timed experiments to this JSON file (empty = off)")
-		dbgAddr = flag.String("debug.addr", "", "serve /metrics, /debug/slowlog, /debug/trace and /debug/pprof on this address; the process stays alive after the experiments finish (use -exp none for a pure ops server)")
 	)
 	flag.Parse()
+
+	// Validate before building the lab: a stale id must fail fast, not
+	// print the header and exit 0 having run nothing.
+	want, err := parseExp(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
+	}
 
 	cfg := workload.DefaultConfig()
 	cfg.NumPapers = *papers
@@ -334,28 +83,9 @@ func main() {
 		lab.Rich, lab.Prefs.CountByUser()[lab.Rich],
 		lab.Modest, lab.Prefs.CountByUser()[lab.Modest])
 
-	if *dbgAddr != "" {
-		if err := startDebugServer(*dbgAddr, lab); err != nil {
-			fatal(err)
-		}
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
 	all := want["all"]
 	run := func(id string) bool { return all || want[id] }
 	out := os.Stdout
-	report := benchReport{Config: map[string]int64{
-		"papers":  int64(*papers),
-		"authors": int64(*authors),
-		"venues":  int64(*venues),
-		"seed":    *seed,
-		"cap":     int64(*cap_),
-		"k":       int64(*k),
-	}}
-
 	if run("table10") {
 		experiments.RunTable10(lab).Render(out)
 		fmt.Println()
@@ -452,30 +182,13 @@ func main() {
 		fmt.Println()
 	}
 	if run("fig39") {
-		const fig39Reps = 3
 		ks := []int{10, 100, 200, 300, 400, 500, 600, 700, 800}
 		for _, uid := range lab.Users() {
-			r, err := experiments.RunFig39PEPSTime(lab, uid, ks, fig39Reps, *cap_)
+			r, err := experiments.RunFig39PEPSTime(lab, uid, ks, 3, *cap_)
 			if err != nil {
 				fatal(err)
 			}
 			r.Render(out)
-			fj := fig39JSON{
-				machineJSON:   machineStamp(),
-				UID:           r.UID,
-				PairBuildNs:   r.PairBuildTime.Nanoseconds(),
-				ProfileCap:    *cap_,
-				RepsPerSample: fig39Reps,
-			}
-			for _, p := range r.Points {
-				fj.Points = append(fj.Points, fig39PointJSON{
-					K:          p.K,
-					CompleteNs: p.CompleteT.Nanoseconds(),
-					ApproxNs:   p.ApproxT.Nanoseconds(),
-					QuantNs:    p.QuantOnlyT.Nanoseconds(),
-				})
-			}
-			report.Fig39 = append(report.Fig39, fj)
 		}
 		fmt.Println()
 	}
@@ -488,417 +201,13 @@ func main() {
 		}
 		r2.Render(out)
 		fmt.Println()
-		report.PEPS = append(report.PEPS, pepsVariantsJSON{
-			machineJSON: machineStamp(),
-			UID:         r2.UID,
-			K:           r2.K,
-			CompleteNs:  r2.CompleteTime.Nanoseconds(),
-			ApproxNs:    r2.ApproxTime.Nanoseconds(),
-			Recall:      r2.Recall,
-			Reps:        1,
-		})
 		r3, err := experiments.RunAblationPairCache(lab, lab.Modest, min(*cap_, 12))
 		if err != nil {
 			fatal(err)
 		}
 		r3.Render(out)
 		fmt.Println()
-		report.PairCache = append(report.PairCache, pairCacheJSON{
-			machineJSON: machineStamp(),
-			UID:         r3.UID,
-			Pairs:       r3.Pairs,
-			CachedNs:    r3.CachedTime.Nanoseconds(),
-			SQLNs:       r3.SQLTime.Nanoseconds(),
-			SQLQueries:  r3.SQLQueries,
-			Reps:        1,
-		})
 	}
-
-	if run("updates") {
-		const (
-			updBatches = 8
-			updOps     = 64
-			// The stream runs over a seeded private clone, so repeat runs
-			// are independent and deterministic; keep the one with the
-			// fastest incremental maintenance — single-pass samples spike
-			// on busy machines and the bench-regression gate diffs this
-			// figure across PRs.
-			updReps = 3
-		)
-		for _, uid := range lab.Users() {
-			var r *experiments.UpdateStreamResult
-			for rep := 0; rep < updReps; rep++ {
-				cand, err := experiments.RunUpdateStream(lab, uid, updBatches, updOps, *k, *cap_)
-				if err != nil {
-					fatal(err)
-				}
-				if !cand.Matched {
-					fatal(fmt.Errorf("update stream uid=%d: incremental ranking diverged from rematerialization", cand.UID))
-				}
-				if r == nil || cand.MaintIncremental < r.MaintIncremental {
-					r = cand
-				}
-			}
-			r.Render(out)
-			report.Updates = append(report.Updates, updatesJSON{
-				machineJSON:          machineStamp(),
-				Reps:                 updReps,
-				UID:                  r.UID,
-				Prefs:                r.ProfileSize,
-				Batches:              r.Batches,
-				OpsPerBatch:          r.OpsPerBatch,
-				K:                    r.K,
-				MaintIncrementalNs:   r.MaintIncremental.Nanoseconds(),
-				MaintRematerializeNs: r.MaintRematerialize.Nanoseconds(),
-				IncrementalNs:        r.IncrementalTotal.Nanoseconds(),
-				RematerializeNs:      r.RematerializeTotal.Nanoseconds(),
-				TouchedRows:          r.TouchedRows,
-				ChangedPreds:         r.ChangedPreds,
-				FullRebuilds:         r.FullRebuilds,
-				Matched:              r.Matched,
-			})
-		}
-		fmt.Println()
-	}
-
-	if run("stream") {
-		const (
-			strWriters   = 8
-			strPerWriter = 400
-			strOpsPerSec = 4000
-			strOps       = 1200
-			// Best-of-reps per axis: timing noise on a shared machine is
-			// one-sided (a GC pause or a scheduler hiccup only ever adds
-			// time), so the minimum is the best estimator of the true cost
-			// on each axis independently. The record keeps the throughput
-			// pair and staleness from the best-GroupWall rep, then overlays
-			// the flatness triple from the rep whose sync medians were the
-			// cleanest — the two phases run on separate stores, so mixing
-			// reps cannot make the record internally inconsistent.
-			strReps = 3
-		)
-		var r, flat *experiments.StreamResult
-		for rep := 0; rep < strReps; rep++ {
-			cand, err := experiments.RunStream(lab, lab.Rich, strWriters, strPerWriter, strOpsPerSec, strOps, *k, *cap_)
-			if err != nil {
-				fatal(err)
-			}
-			if !cand.Matched {
-				fatal(fmt.Errorf("stream uid=%d: group-commit store diverged from the serial twin", cand.UID))
-			}
-			if r == nil || cand.GroupWall < r.GroupWall {
-				r = cand
-			}
-			if flat == nil || cand.FlatnessRatio < flat.FlatnessRatio {
-				flat = cand
-			}
-		}
-		r.SyncMedianBase, r.SyncMedian4x, r.FlatnessRatio = flat.SyncMedianBase, flat.SyncMedian4x, flat.FlatnessRatio
-		r.Render(out)
-		fmt.Println()
-		report.Stream = append(report.Stream, streamJSON{
-			machineJSON:    machineStamp(),
-			Reps:           strReps,
-			UID:            r.UID,
-			Prefs:          r.ProfileSize,
-			K:              r.K,
-			Writers:        r.Writers,
-			OpsPerWriter:   r.PerWriter,
-			Readers:        r.Readers,
-			GroupOpsSec:    r.GroupOpsPerSec,
-			SerialOpsSec:   r.SerialOpsPerSec,
-			Speedup:        r.Speedup,
-			OfferedOpsSec:  r.OfferedOpsPerSec,
-			StreamOps:      r.StreamOps,
-			Syncs:          r.Syncs,
-			P50StalenessNs: r.P50Staleness.Nanoseconds(),
-			P99StalenessNs: r.P99Staleness.Nanoseconds(),
-			SyncBatches:    r.SyncBatches,
-			OpsPerSync:     r.OpsPerSync,
-			SyncMedianNs:   r.SyncMedianBase.Nanoseconds(),
-			SyncMedian4xNs: r.SyncMedian4x.Nanoseconds(),
-			FlatnessRatio:  r.FlatnessRatio,
-			Matched:        r.Matched,
-		})
-	}
-
-	if run("bitmapmem") {
-		for _, uid := range lab.Users() {
-			r, err := experiments.RunBitmapMem(lab, uid)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(out)
-			report.BitmapMem = append(report.BitmapMem, bitmapMemJSON{
-				machineJSON:           machineStamp(),
-				Reps:                  1,
-				UID:                   r.UID,
-				Preds:                 r.Preds,
-				DictEntries:           r.DictEntries,
-				CompressedBytes:       r.CompressedBytes,
-				DenseBytes:            r.DenseBytes,
-				Ratio:                 r.Ratio(),
-				SparsePreds:           r.SparsePreds,
-				SparseCompressedBytes: r.SparseCompressedBytes,
-				SparseDenseBytes:      r.SparseDenseBytes,
-				SparseRatio:           r.SparseRatio(),
-				StoreMaskBytes:        r.StoreMaskBytes,
-			})
-		}
-		fmt.Println()
-	}
-
-	if run("shards") {
-		const shardReps = 5
-		workerCounts := []int{1, 2, 4, 8}
-		for _, uid := range lab.Users() {
-			// Full profile (no cap): the sharded sweep is about scaling the
-			// pair-count and scan fan-out, so give it the widest real
-			// workload the lab has.
-			r, err := experiments.RunShards(lab, uid, workerCounts, *k, 0, shardReps)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(out)
-			sj := shardsJSON{
-				machineJSON: machineStamp(),
-				UID:         r.UID,
-				Prefs:       r.Prefs,
-				Pairs:       r.Pairs,
-				Spans:       r.Spans,
-				K:           r.K,
-				Reps:        r.Reps,
-				Matched:     r.Matched,
-			}
-			for _, p := range r.Points {
-				sj.Points = append(sj.Points, shardPointJSON{
-					Workers:       p.Workers,
-					PairBuildNs:   p.PairBuild.Nanoseconds(),
-					MaterializeNs: p.Materialize.Nanoseconds(),
-					PEPSNs:        p.PEPS.Nanoseconds(),
-				})
-			}
-			report.Shards = append(report.Shards, sj)
-			if !r.Matched {
-				fatal(fmt.Errorf("shards uid=%d: sharded evaluation diverged from the serial path", r.UID))
-			}
-		}
-		fmt.Println()
-	}
-
-	if run("materialize") {
-		const matReps = 5
-		for _, uid := range lab.Users() {
-			r, err := experiments.RunMaterializeBench(lab, uid, matReps)
-			if err != nil {
-				fatal(err)
-			}
-			r.Render(out)
-			report.Materialize = append(report.Materialize, materializeJSON{
-				machineJSON: machineStamp(),
-				UID:         r.UID,
-				Prefs:       r.Prefs,
-				Queries:     r.Queries,
-				BestNs:      r.Best.Nanoseconds(),
-				MeanNs:      r.Mean.Nanoseconds(),
-				Reps:        r.Reps,
-			})
-		}
-		fmt.Println()
-	}
-
-	if run("oneshot") {
-		const oneShotReps = 5
-		ks := []int{10, *k}
-		if *k == 10 {
-			ks = ks[:1]
-		}
-		for _, uid := range lab.Users() {
-			for _, kk := range ks {
-				// Full profile (cap 0): the streaming path's win is widest
-				// where materialize-first has the most bitmaps to build, and
-				// the experiment verifies answer identity either way. The
-				// small-k point is where the threshold early-exit matters.
-				r, err := experiments.RunOneShotBench(lab, uid, kk, 0, oneShotReps)
-				if err != nil {
-					fatal(err)
-				}
-				r.Render(out)
-				report.OneShot = append(report.OneShot, oneshotJSON{
-					machineJSON:           machineStamp(),
-					UID:                   r.UID,
-					Prefs:                 r.Prefs,
-					K:                     r.K,
-					StreamBestNs:          r.StreamBest.Nanoseconds(),
-					StreamP50Ns:           r.StreamP50.Nanoseconds(),
-					StreamP99Ns:           r.StreamP99.Nanoseconds(),
-					StreamAllocBytes:      int64(r.StreamAlloc),
-					MaterializeBestNs:     r.MaterializeBest.Nanoseconds(),
-					MaterializeP50Ns:      r.MaterializeP50.Nanoseconds(),
-					MaterializeP99Ns:      r.MaterializeP99.Nanoseconds(),
-					MaterializeAllocBytes: int64(r.MaterializeAlloc),
-					BlocksScanned:         r.Stats.BlocksScanned,
-					BlocksTotal:           r.Stats.BlocksTotal,
-					EarlyExit:             r.Stats.EarlyExit,
-					Matched:               r.Matched,
-					Reps:                  r.Reps,
-				})
-			}
-		}
-		fmt.Println()
-	}
-
-	if run("cacheserve") {
-		csCfg := experiments.DefaultCacheServeConfig()
-		csCfg.K = min(*k, 50)
-		r, err := experiments.RunCacheServe(lab, csCfg)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		if !r.Matched {
-			fatal(fmt.Errorf("cacheserve: cached answers diverged from uncached evaluation"))
-		}
-		if !r.TraceCoverageOK {
-			fatal(fmt.Errorf("cacheserve: trace span coverage out of bounds (min %.3f over %d traced queries)",
-				r.TraceCoverageMin, r.TraceQueries))
-		}
-		routes := make([]routeStatJSON, 0, len(r.Routes))
-		for _, rs := range r.Routes {
-			routes = append(routes, routeStatJSON{
-				Route: rs.Route,
-				Count: rs.Count,
-				P50Ns: rs.P50.Nanoseconds(),
-				P99Ns: rs.P99.Nanoseconds(),
-			})
-		}
-		report.CacheServe = append(report.CacheServe, cacheserveJSON{
-			machineJSON:   machineStamp(),
-			Queries:       r.Queries,
-			DistinctUsers: r.Distinct,
-			Workers:       r.Workers,
-			K:             r.K,
-			ZipfS:         r.ZipfS,
-			TopShare:      r.TopShare,
-			OffP50Ns:      r.OffP50.Nanoseconds(),
-			OffP99Ns:      r.OffP99.Nanoseconds(),
-			OnP50Ns:       r.OnP50.Nanoseconds(),
-			OnP99Ns:       r.OnP99.Nanoseconds(),
-			MedianSpeedup: r.MedianSpeedup,
-			HitRate:       r.HitRate,
-			ServedRate:    r.ServedRate,
-			DedupRequests: r.DedupRequests,
-			DedupLeaders:  r.DedupLeaders,
-			DedupFactor:   r.DedupFactor,
-			Cache:         r.Snapshot,
-			Routes:        routes,
-			TraceQueries:  r.TraceQueries,
-			TraceCoverMin: r.TraceCoverageMin,
-			TraceCoverOK:  r.TraceCoverageOK,
-			Matched:       r.Matched,
-			Reps:          r.Reps,
-		})
-		fmt.Println()
-	}
-
-	if run("serve") {
-		svCfg := experiments.DefaultServeConfig()
-		svCfg.K = min(*k, 50)
-		r, err := experiments.RunServe(lab, svCfg)
-		if err != nil {
-			fatal(err)
-		}
-		r.Render(out)
-		if !r.Matched {
-			fatal(fmt.Errorf("serve: served answers diverged from uncached evaluation"))
-		}
-		if !r.SLOOK {
-			fatal(fmt.Errorf("serve: admitted burst p99 %v blew the %v budget", r.BurstP99, r.P99Budget))
-		}
-		if !r.RetryAfterOK {
-			fatal(fmt.Errorf("serve: burst shed %d requests but Retry-After hints were missing", r.BurstShed))
-		}
-		report.Serve = append(report.Serve, serveJSON{
-			machineJSON:    machineStamp(),
-			Sessions:       r.Sessions,
-			Queries:        r.Queries,
-			Workers:        r.Workers,
-			K:              r.K,
-			OpsSec:         r.OpsSec,
-			P50Ns:          r.P50.Nanoseconds(),
-			P99Ns:          r.P99.Nanoseconds(),
-			MutateOps:      r.MutateOps,
-			HitRate:        r.HitRate,
-			BurstOffered:   r.BurstOffered,
-			BurstOfferedPS: r.BurstOfferedPS,
-			AdmitRatePS:    r.AdmitRate,
-			ShedRate:       r.ShedRate,
-			GoodputPS:      r.GoodputPS,
-			BurstP99Ns:     r.BurstP99.Nanoseconds(),
-			QueueP99Ns:     r.QueueP99.Nanoseconds(),
-			SLONs:          r.SLO.Nanoseconds(),
-			P99BudgetNs:    r.P99Budget.Nanoseconds(),
-			SLOOK:          r.SLOOK,
-			RetryAfterOK:   r.RetryAfterOK,
-			Matched:        r.Matched,
-			Reps:           r.Reps,
-		})
-		fmt.Println()
-	}
-
-	if *bjson != "" && (len(report.Fig39) > 0 || len(report.PairCache) > 0 || len(report.PEPS) > 0 || len(report.Materialize) > 0 || len(report.Updates) > 0 || len(report.Stream) > 0 || len(report.BitmapMem) > 0 || len(report.Shards) > 0 || len(report.OneShot) > 0 || len(report.CacheServe) > 0 || len(report.Serve) > 0) {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*bjson, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# wrote %s\n", *bjson)
-	}
-
-	if *dbgAddr != "" {
-		fmt.Println("# experiments done; debug server still serving (ctrl-c to exit)")
-		select {}
-	}
-}
-
-// startDebugServer exposes the ops surface over a live serving stack: a
-// cache.Server on the lab's store with a registry and slow log attached,
-// plus a trace runner that serves /debug/trace?query=<uid>&k=N by running
-// that user's profile through the traced serve path.
-func startDebugServer(addr string, lab *experiments.Lab) error {
-	reg := obs.NewRegistry()
-	slow := obs.NewSlowLog(time.Millisecond, 128)
-	srv := cache.NewServer(lab.Evaluator(), cache.Config{Registry: reg, SlowLog: slow})
-	runner := func(query string, k int) (*obs.Trace, error) {
-		uid, err := strconv.ParseInt(strings.TrimSpace(query), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("query must be a uid (try %d or %d): %v", lab.Rich, lab.Modest, err)
-		}
-		prof := lab.ProfileFor(uid, 0)
-		if len(prof) == 0 {
-			return nil, fmt.Errorf("uid %d has no positive profile", uid)
-		}
-		tr := obs.NewTrace()
-		if _, _, err := srv.TopKTraced(prof, k, tr); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
-	mux := obs.NewDebugMux(obs.DebugOptions{Registry: reg, SlowLog: slow, Trace: runner})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# debug server on http://%s/ (metrics, debug/slowlog, debug/trace?query=%d&k=10, debug/pprof)\n",
-		ln.Addr(), lab.Rich)
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner: debug server:", err)
-		}
-	}()
-	return nil
 }
 
 func min(a, b int) int {

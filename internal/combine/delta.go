@@ -15,16 +15,22 @@ import (
 // This file is the evaluator half of incremental cache maintenance: given
 // the set of base-table rows a mutation batch touched, every cached
 // predicate bitmap is repaired by re-evaluating exactly those rows through
-// relstore.MatchLeftRows (vectorized kernels restricted to the touched
+// relstore.MatchLeftRowSet (vectorized kernels restricted to the touched
 // rows' blocks), instead of rematerializing the predicate with a full scan.
 // The delta subsystem in internal/delta drives it from the tables' change
 // logs.
 
-// RefreshRows re-evaluates every cached predicate over exactly the given
-// base-table rows and patches the cached bitmaps copy-on-write (previously
-// handed-out bitmaps stay consistent, the cache swaps to the patched
-// clone). It returns the predicates whose tuple sets actually changed —
-// the set the pair table needs to recount.
+// RefreshRowSetDelta re-evaluates every cached predicate over exactly the
+// touched base-table rows (a compressed row mask — the delta maintainer
+// accumulates them that way directly) and patches the cached bitmaps
+// copy-on-write (previously handed-out bitmaps stay consistent, the cache
+// swaps to the patched clone). It returns the predicates whose tuple sets
+// actually changed — the set the pair table needs to recount — plus the
+// delta a restricted recount needs: prev maps every changed predicate to
+// its pre-patch bitmap, ids lists, sorted ascending and deduplicated, the
+// dense ids where at least one bit actually moved, and spans lists their
+// 64k partitions — by construction the only places where any changed
+// predicate's old and new bitmaps differ.
 //
 // ok=false means the evaluator cannot refresh incrementally (its scan
 // plumbing fell back to pid collection at seed time); the caller must
@@ -34,30 +40,6 @@ import (
 // (dblp.pid is the table key): each touched row then owns its dense bit.
 // With duplicate keys, a bit shared with an untouched row could be cleared
 // spuriously; the delta subsystem documents the uniqueness requirement.
-func (ev *Evaluator) RefreshRows(lids []int) (changed []string, ok bool, err error) {
-	touched := bitset.New()
-	for _, lid := range lids {
-		if lid >= 0 {
-			touched.Add(lid)
-		}
-	}
-	return ev.RefreshRowSet(touched)
-}
-
-// RefreshRowSet is RefreshRows with the touched rows already in compressed
-// mask form — the delta maintainer accumulates them that way directly.
-func (ev *Evaluator) RefreshRowSet(touched *bitset.Set) (changed []string, ok bool, err error) {
-	changed, _, _, _, ok, err = ev.RefreshRowSetDelta(touched)
-	return changed, ok, err
-}
-
-// RefreshRowSetDelta is RefreshRowSet additionally reporting the delta a
-// restricted pair-table recount needs: prev maps every changed predicate to
-// its pre-patch bitmap (the cache holds the patched clone; callers handed
-// the previous one keep reading it consistently), ids lists, sorted
-// ascending and deduplicated, the dense ids where at least one bit actually
-// moved, and spans lists their 64k partitions — by construction the only
-// places where any changed predicate's old and new bitmaps differ.
 func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, prev map[string]*Bitmap, spans []bitset.Span, ids []int32, ok bool, err error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()

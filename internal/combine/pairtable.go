@@ -184,7 +184,7 @@ func (pt *PairTable) Refresh(ev *Evaluator, changedPreds []string) (*PairTable, 
 	}
 	bms := make([]*Bitmap, len(pt.Prefs))
 	for i, p := range pt.Prefs {
-		b, err := ev.PredBitmap(p) // cache hit: RefreshRows already ran
+		b, err := ev.PredBitmap(p) // cache hit: RefreshRowSetDelta already ran
 		if err != nil {
 			return nil, err
 		}

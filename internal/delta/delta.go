@@ -11,9 +11,9 @@
 //     key — using each change's pre-image for deletes and updates, so rows
 //     partnered with the OLD key are repaired too, not just the new one.
 //  3. Re-evaluate every cached predicate over exactly the touched base
-//     rows (Evaluator.RefreshRows → relstore.MatchLeftRows, vectorized
-//     kernels restricted to the touched rows' blocks) and patch the cached
-//     bitmaps copy-on-write.
+//     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet,
+//     vectorized kernels restricted to the touched rows' blocks) and patch
+//     the cached bitmaps copy-on-write.
 //  4. Recount only the pair-table entries with a changed endpoint
 //     (PairTable.Refresh).
 //
@@ -55,7 +55,7 @@ import (
 // Maintainer owns one evaluator + pair table pair and keeps both in sync
 // with the store. Sync must not run concurrently with itself, but store
 // mutations may race a Sync: every read Sync issues (change-log drains,
-// Value lookups, MatchLeftRows scans) takes the store's shared state
+// Value lookups, MatchLeftRowSet scans) takes the store's shared state
 // locks, and any mutation committed after the epochs captured at the top
 // of the call is simply replayed — idempotently — by the next Sync.
 // Mid-Sync the cached bitmaps may transiently mix pre- and post-mutation
@@ -227,37 +227,22 @@ func (m *Maintainer) TopK(k int, v combine.Variant) (combine.TopKResult, error) 
 	return combine.PEPS(m.prefs, m.pt, m.ev, k, v)
 }
 
-// TopKTraced is TopK with the PEPS DFS span and expansion counters
-// recorded into tr (nil = disabled).
-func (m *Maintainer) TopKTraced(k int, v combine.Variant, tr *obs.Trace) (combine.TopKResult, error) {
-	return combine.PEPSTraced(m.prefs, m.pt, m.ev, k, v, tr)
-}
-
 // Sync drains the tables' change logs and repairs the evaluator's bitmap
 // cache and the pair table incrementally; see the package comment for the
-// pipeline. It is cheap when nothing changed (two epoch reads).
-func (m *Maintainer) Sync() (SyncStats, error) { return m.SyncTraced(nil) }
-
-// SyncTraced is Sync under observability: the whole pass runs inside a
-// delta_sync span, the touched-row footprint lands in tr's engine counters,
-// and — when AttachObs has run — the attached histograms and the rebuild
-// counter observe the pass whether or not it is traced.
-func (m *Maintainer) SyncTraced(tr *obs.Trace) (SyncStats, error) {
-	var started time.Time
-	if m.syncHist != nil {
-		started = time.Now()
+// pipeline. It is cheap when nothing changed (two epoch reads). When
+// AttachObs has run, the attached histograms and the rebuild counters
+// observe the pass.
+func (m *Maintainer) Sync() (SyncStats, error) {
+	if m.syncHist == nil {
+		return m.sync()
 	}
-	sp := tr.StartSpan(obs.StageDeltaSync)
+	started := time.Now()
 	st, err := m.sync()
-	tr.EndSpan(sp)
-	tr.AddTouchedRows(int64(st.TouchedRows))
-	if m.syncHist != nil {
-		m.syncHist.RecordDuration(time.Since(started))
-		m.touchedHist.Record(int64(st.TouchedRows))
-		if st.FullRebuild {
-			m.rebuilds.Add(1)
-			m.reg.Counter("delta_rebuilds_" + st.RebuildCause).Add(1)
-		}
+	m.syncHist.RecordDuration(time.Since(started))
+	m.touchedHist.Record(int64(st.TouchedRows))
+	if st.FullRebuild {
+		m.rebuilds.Add(1)
+		m.reg.Counter("delta_rebuilds_" + st.RebuildCause).Add(1)
 	}
 	return st, err
 }

@@ -408,58 +408,3 @@ func TestAblationPairCache(t *testing.T) {
 		t.Error("render incomplete")
 	}
 }
-
-func TestCacheServeObservability(t *testing.T) {
-	l := lab(t)
-	cfg := DefaultCacheServeConfig()
-	cfg.Queries = 80
-	cfg.Workers = 4
-	cfg.DedupWaiters = 8
-	cfg.ChurnBatches = 2
-	cfg.ChurnOps = 20
-	cfg.Reps = 1
-	r, err := RunCacheServe(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Matched {
-		t.Fatal("cached answers diverged from uncached evaluation")
-	}
-	if !r.TraceCoverageOK {
-		t.Fatalf("trace span coverage out of bounds: min %.3f over %d traced queries",
-			r.TraceCoverageMin, r.TraceQueries)
-	}
-	if r.TraceQueries == 0 {
-		t.Fatal("traced verification phase ran no queries")
-	}
-	if len(r.Routes) == 0 {
-		t.Fatal("no per-route histograms populated")
-	}
-	var total int64
-	for _, rs := range r.Routes {
-		if rs.Count <= 0 || rs.P50 <= 0 || rs.P99 < rs.P50 {
-			t.Errorf("route %s: implausible stats %+v", rs.Route, rs)
-		}
-		total += rs.Count
-	}
-	// Every request of the cache-on phases lands in exactly one route
-	// histogram: replay + burst + churn replays + verify + traced replay.
-	if want := r.Snapshot.Hits + r.Snapshot.Misses + r.Snapshot.SharedWaits + r.Snapshot.StaleBypasses; total != want {
-		t.Errorf("route histogram counts %d != served requests %d", total, want)
-	}
-	if r.Snapshot.Misses != r.Snapshot.PlanHits+r.Snapshot.Evaluations {
-		t.Errorf("Misses %d != PlanHits %d + Evaluations %d",
-			r.Snapshot.Misses, r.Snapshot.PlanHits, r.Snapshot.Evaluations)
-	}
-	if r.ServedRate < r.HitRate {
-		t.Errorf("ServedRate %.3f < HitRate %.3f", r.ServedRate, r.HitRate)
-	}
-	var buf bytes.Buffer
-	r.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{"served", "route", "span coverage", "slow log"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // CacheCounters is the serving-tier observability surface: every counter
 // the result/plan cache increments on its hot path, lock-free. One instance
-// is shared between the cache shards and the server wrapper; the cacheserve
-// bench snapshots it into the BENCH_*.json record.
+// is shared between the cache shards and the server wrapper; bench/
+// snapshots it into its cache.* layer metrics.
 type CacheCounters struct {
 	// Hits counts result-cache hits (answer returned without evaluation).
 	Hits atomic.Int64

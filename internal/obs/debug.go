@@ -9,7 +9,7 @@ import (
 
 // TraceRunner runs one query with tracing forced on and returns its trace —
 // the EXPLAIN ANALYZE hook behind /debug/trace. The query string is
-// surface-specific (the benchrunner wires a uid selector over its lab).
+// surface-specific (internal/serve resolves it as a stored session id).
 type TraceRunner func(query string, k int) (*Trace, error)
 
 // DebugOptions wires the debug HTTP surface. Nil fields disable the

@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hypre/internal/bitset"
 	"hypre/internal/predicate"
 )
 
 // TestConcurrentMutateAndScan is the race test for the epoch/snapshot
 // discipline: writers Insert/Update/Delete on both tables of a join while
 // readers run the full scan surface — counts, distinct scans, the bulk row
-// scan, MatchLeftRows, lazy index builds. Every scan holds the tables'
+// scan, MatchLeftRowSet, lazy index builds. Every scan holds the tables'
 // shared state locks for its duration, so under -race this must be clean
 // and every scan must observe internally consistent state (no partial
 // batches, no torn rows). Run it with -race (CI does).
@@ -123,11 +124,11 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				touched := make([]uint64, selWords(lt.Len()))
+				touched := bitset.New()
 				for i := 0; i < 40; i++ {
-					selSet(touched, rng.Intn(lt.Len()))
+					touched.Add(rng.Intn(lt.Len()))
 				}
-				if _, err := db.MatchLeftRows(q, touched); err != nil {
+				if _, err := db.MatchLeftRowSet(q, touched); err != nil {
 					t.Error(err)
 					return
 				}

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // StoreCounters is the write-path observability surface: lock-free counters
 // the relstore increments as the sustained-stream machinery runs. One
-// instance is attached per DB (WithStoreCounters); the stream bench
-// snapshots it into the BENCH_*.json record so a throughput number can be
+// instance is attached per DB (WithStoreCounters); bench/ snapshots it
+// into its relstore.* layer metrics so a throughput number can be
 // attributed to batching, and a staleness spike to log overflow. The
 // metrics package re-exports the type (metrics.StoreCounters) so the
 // serving tier's counters all surface in one place.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"hypre/internal/bitset"
 	"hypre/internal/predicate"
 )
 
@@ -334,15 +335,15 @@ func TestMutationPropertySuite(t *testing.T) {
 				t.Fatalf("%s: MinMax mismatch vs rebuilt", tag)
 			}
 
-			// MatchLeftRows: the delta primitive must agree with the
+			// MatchLeftRowSet: the delta primitive must agree with the
 			// reference on a random touched set.
-			touched := make([]uint64, selWords(lt.Len()))
+			touched := bitset.New()
 			for i := 0; i < lt.Len(); i++ {
 				if rng.Float64() < 0.2 {
-					selSet(touched, i)
+					touched.Add(i)
 				}
 			}
-			got, err := db.MatchLeftRows(q, touched)
+			got, err := db.MatchLeftRowSet(q, touched)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,11 +352,10 @@ func TestMutationPropertySuite(t *testing.T) {
 				wantLids[p[0]] = true
 			}
 			for lid := 0; lid < lt.Len(); lid++ {
-				w, m := lid>>6, uint64(1)<<(uint(lid)&63)
-				wantBit := touched[w]&m != 0 && wantLids[lid]
-				gotBit := got[w]&m != 0
+				wantBit := touched.Contains(lid) && wantLids[lid]
+				gotBit := got.Contains(lid)
 				if wantBit != gotBit {
-					t.Fatalf("%s: MatchLeftRows row %d = %v, want %v", tag, lid, gotBit, wantBit)
+					t.Fatalf("%s: MatchLeftRowSet row %d = %v, want %v", tag, lid, gotBit, wantBit)
 				}
 			}
 		}

@@ -538,7 +538,7 @@ func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error)
 		return nil, fmt.Errorf("relstore: unknown table %q", q.From)
 	}
 	if q.Limit > 0 {
-		return nil, fmt.Errorf("relstore: MatchLeftRows does not support Limit")
+		return nil, fmt.Errorf("relstore: MatchLeftRowSet does not support Limit")
 	}
 	var right *Table
 	var leftPos, rightPos int
@@ -605,21 +605,6 @@ func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error)
 		return true
 	})
 	return out, nil
-}
-
-// MatchLeftRows is MatchLeftRowSet over dense word-slice selections (bit
-// lid of touched[lid>>6]) — the compatibility bridge for callers still
-// speaking raw selection vectors.
-func (db *DB) MatchLeftRows(q Query, touched []uint64) ([]uint64, error) {
-	left := db.Table(q.From)
-	if left == nil {
-		return nil, fmt.Errorf("relstore: unknown table %q", q.From)
-	}
-	out, err := db.MatchLeftRowSet(q, bitset.FromWords(touched))
-	if err != nil {
-		return nil, err
-	}
-	return out.ToWords(selWords(left.Len())), nil
 }
 
 // LookupRowIDs returns the live row ids of table whose column equals v,

@@ -19,7 +19,7 @@
 // exactly), scans and mutations interleave safely under a reader/writer
 // epoch discipline, and every committed mutation lands in a bounded
 // per-table change log with pre-images so derived caches can be repaired
-// incrementally (MatchLeftRows + internal/delta) instead of
+// incrementally (MatchLeftRowSet + internal/delta) instead of
 // rematerialized. See mutate.go for the full write-path contract.
 package relstore
 

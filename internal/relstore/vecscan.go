@@ -25,13 +25,8 @@ type selSink interface {
 	SetRange(lo, hi int)
 }
 
-// selWords returns the number of 64-bit words covering n rows — the sizing
-// helper for the dense []uint64 compatibility bridges.
+// selWords returns the number of 64-bit words covering n rows.
 func selWords(n int) int { return (n + 63) / 64 }
-
-// selSet sets bit i of a dense word-slice selection (the bridge format
-// MatchLeftRows still accepts).
-func selSet(sel []uint64, i int) { sel[i>>6] |= 1 << (uint(i) & 63) }
 
 // fullSelection returns the selection of every row id in [0, n) — one run
 // container per 64k span.

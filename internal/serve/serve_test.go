@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,7 +251,8 @@ func TestMutateInvalidatesAndMatchesUncached(t *testing.T) {
 
 // TestQueryAdmissionSheds: with a tight query gate, a burst past the bucket
 // answers 429 with a Retry-After hint while earlier arrivals succeed, and
-// the mutate class is unaffected.
+// the mutate class is unaffected; then the same contract under a concurrent
+// burst over real HTTP, checked against the gate's own ledger.
 func TestQueryAdmissionSheds(t *testing.T) {
 	app, net := newApp(t, func(o *serve.Options) {
 		o.Query = admit.Config{Rate: 1, Burst: 2, MaxQueue: 1, SLO: time.Millisecond}
@@ -285,6 +287,58 @@ func TestQueryAdmissionSheds(t *testing.T) {
 	if code, _ := do(t, app, "POST", "/v1/mutate",
 		fmt.Sprintf(`{"ops":[{"kind":"update_year","pid":%d,"year":2001}]}`, pid)); code != 200 {
 		t.Fatalf("mutate sharing the query gate? status %d", code)
+	}
+
+	// Concurrent burst over real HTTP against a gate that admits a fraction
+	// of it: only 200/429 occur, every 429 carries Retry-After, and the
+	// gate's ledger balances against what the clients saw.
+	const issued = 256
+	slo := 100 * time.Millisecond
+	burstApp, _ := newApp(t, func(o *serve.Options) {
+		o.Query = admit.Config{Rate: 20, Burst: 4, MaxQueue: 16, SLO: slo}
+	})
+	srv := httptest.NewServer(burstApp.Handler())
+	defer srv.Close()
+	var okN, shedN atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < issued; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := srv.Client().Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusOK:
+				okN.Add(1)
+			case http.StatusTooManyRequests:
+				shedN.Add(1)
+				if resp.Header.Get("Retry-After") == "" {
+					t.Error("burst: 429 without Retry-After")
+				}
+			default:
+				t.Errorf("burst: unexpected status %d", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	bok, bshed := okN.Load(), shedN.Load()
+	if bok+bshed != issued || bshed == 0 {
+		t.Fatalf("burst: ok %d + shed %d, want %d issued with >0 shed", bok, bshed, issued)
+	}
+	led := burstApp.QueryGate().Counters().Snapshot()
+	if led.Admitted+led.Queued != bok || led.Shed != bshed || led.Canceled != 0 {
+		t.Fatalf("burst: gate ledger %+v disagrees with clients (ok %d, shed %d)", led, bok, bshed)
+	}
+	// Queue delay is bounded by construction: the gate records the wait it
+	// reserved, never above the SLO, so the histogram p99 can exceed the SLO
+	// by at most one 1/16-octave bucket.
+	qsnap := burstApp.Registry().Histogram("admit_queue_query").Snapshot()
+	if p99 := qsnap.QuantileDuration(0.99); p99 > slo+slo/16 {
+		t.Fatalf("burst: admit_queue_query p99 %v exceeds SLO %v by more than a bucket", p99, slo)
 	}
 }
 
