@@ -134,14 +134,6 @@ func (g *Gate) Counters() *metrics.AdmitCounters {
 	return g.counters
 }
 
-// Config returns the gate's effective (defaulted) configuration.
-func (g *Gate) Config() Config {
-	if g == nil {
-		return Config{}
-	}
-	return g.cfg
-}
-
 // Admit decides one arrival: immediate admission when a token is free, a
 // bounded wait when the backlog still projects within the SLO, and a
 // *ShedError when it does not (or the queue is full). A ctx that ends while
@@ -236,12 +228,4 @@ func (c *Controller) AddClass(class string, cfg Config) *Gate {
 	c.gates[class] = g
 	c.mu.Unlock()
 	return g
-}
-
-// Gate returns the class's gate; unknown classes get a nil gate, which
-// admits everything.
-func (c *Controller) Gate(class string) *Gate {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gates[class]
 }

@@ -11,10 +11,10 @@ const (
 )
 
 // Block is a fixed-width dense selection fragment: the keys
-// [Base, Base+BlockBits) as 16 words. It is the unit of the streaming scan
+// [base, base+BlockBits) as 16 words. It is the unit of the streaming scan
 // path — vectorized kernels write into a Block instead of a Builder, and the
 // block-level set algebra below combines predicate subtrees word-parallel
-// without ever materializing a full Set. Base must be BlockBits-aligned.
+// without ever materializing a full Set. base must be BlockBits-aligned.
 type Block struct {
 	base  int
 	words [blockWords]uint64
@@ -26,10 +26,7 @@ func (b *Block) Reset(base int) {
 	b.words = [blockWords]uint64{}
 }
 
-// Base returns the first key the block covers.
-func (b *Block) Base() int { return b.base }
-
-// Set sets global key i; i must lie within [Base, Base+BlockBits).
+// Set sets global key i; i must lie within [base, base+BlockBits).
 func (b *Block) Set(i int) {
 	v := i - b.base
 	b.words[v>>6] |= 1 << (uint(v) & 63)

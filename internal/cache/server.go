@@ -60,8 +60,8 @@ type Server struct {
 
 // predFoot is one registered predicate's invalidation state: its full query
 // shape and the base rows it matched when last observed. rows == nil means
-// the footprint could not be computed (unvectorizable shape); such a
-// predicate is conservatively treated as moved by every mutation batch.
+// a touched-row re-match failed and the footprint was lost; such a predicate
+// is conservatively treated as moved by every mutation batch.
 type predFoot struct {
 	q    relstore.Query
 	rows *bitset.Set
@@ -410,8 +410,8 @@ func predKeysOf(canon []hypre.ScoredPred) []string {
 }
 
 // registerPreds ensures every predicate of the profile has a footprint in
-// the registry: the base rows it currently matches, computed by one
-// vectorized scan per predicate, once per cache lifetime. The scans run
+// the registry: the live base rows it currently matches, computed by one
+// row-set scan per predicate, once per cache lifetime. The scans run
 // outside the registry lock; a racing registration of the same predicate
 // wastes one scan and keeps the first entry.
 func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
@@ -429,7 +429,7 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
 	scanned := make([]*predFoot, len(missing))
 	for i, p := range missing {
 		q := s.ev.BaseQuery(p.P)
-		rows, err := s.footprint(q)
+		rows, err := s.db.ScanAttrRowSet(q, s.ev.KeyAttr(), -1, nil)
 		if err != nil {
 			return err
 		}
@@ -446,33 +446,11 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
 	return nil
 }
 
-// footprint computes the live base rows matching one predicate's query.
-// nil (with nil error) means the shape defeats both scan paths; the
-// predicate then invalidates conservatively.
-func (s *Server) footprint(q relstore.Query) (*bitset.Set, error) {
-	sel, ok, err := s.db.ScanAttrRowSet(q, s.ev.KeyAttr(), -1, nil)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return sel, nil
-	}
-	rows := bitset.New()
-	if err := s.db.ScanAttrRows(q, s.ev.KeyAttr(), func(lid int, _ int64) {
-		rows.Add(lid)
-	}); err != nil {
-		// The key attribute does not bind to the base table for this
-		// query shape; no row footprint exists.
-		return nil, nil //nolint:nilerr // conservative-invalidation fallback
-	}
-	return rows, nil
-}
-
 // ApplyDelta is the delta.CacheSyncer hook: after a mutation batch, the
 // maintainer hands over the touched base-row mask, the pids of
 // compaction-dropped rows, and the epochs it synced to. Each registered
 // predicate re-matches only the touched rows (relstore.MatchLeftRowSet —
-// kernels restricted to the touched rows' blocks); predicates whose
+// the compiled per-row filter at exactly those rows); predicates whose
 // membership over those rows did not move keep their entries. For the rest,
 // result entries are swept, but a compiled plan's TA lists are repaired in
 // place when possible: the touched pids are re-graded against the
@@ -611,19 +589,6 @@ func (s *Server) InvalidateAll(leftEpoch, rightEpoch uint64) {
 	n := s.c.purge()
 	s.counters.Invalidated.Add(int64(n))
 	s.validStamp = leftEpoch + rightEpoch
-}
-
-// Reset drops every entry and footprint and resynchronizes to the store's
-// current epochs — a cold cache over the current snapshot. Unlike
-// InvalidateAll it is caller-driven (no maintainer epochs needed) and does
-// not count toward the Invalidated metric.
-func (s *Server) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	s.preds = make(map[string]*predFoot)
-	s.c.purge()
-	s.validStamp = s.db.EpochStamp(s.tables...)
 }
 
 // setsEqual reports a == b without materializing a diff.

@@ -15,8 +15,8 @@ import (
 // This file is the evaluator half of incremental cache maintenance: given
 // the set of base-table rows a mutation batch touched, every cached
 // predicate bitmap is repaired by re-evaluating exactly those rows through
-// relstore.MatchLeftRowSet (vectorized kernels restricted to the touched
-// rows' blocks), instead of rematerializing the predicate with a full scan.
+// relstore.MatchLeftRowSet (the compiled per-row filter at the touched rows),
+// instead of rematerializing the predicate with a full scan.
 // The delta subsystem in internal/delta drives it from the tables' change
 // logs.
 
@@ -26,11 +26,10 @@ import (
 // copy-on-write (previously handed-out bitmaps stay consistent, the cache
 // swaps to the patched clone). It returns the predicates whose tuple sets
 // actually changed — the set the pair table needs to recount — plus the
-// delta a restricted recount needs: prev maps every changed predicate to
-// its pre-patch bitmap, ids lists, sorted ascending and deduplicated, the
-// dense ids where at least one bit actually moved, and spans lists their
-// 64k partitions — by construction the only places where any changed
-// predicate's old and new bitmaps differ.
+// delta the recount needs: prev maps every changed predicate to its
+// pre-patch bitmap, and ids lists, sorted ascending and deduplicated, the
+// dense ids where at least one bit actually moved — by construction the only
+// places where any changed predicate's old and new bitmaps differ.
 //
 // ok=false means the evaluator cannot refresh incrementally (its scan
 // plumbing fell back to pid collection at seed time); the caller must
@@ -40,18 +39,18 @@ import (
 // (dblp.pid is the table key): each touched row then owns its dense bit.
 // With duplicate keys, a bit shared with an untouched row could be cleared
 // spuriously; the delta subsystem documents the uniqueness requirement.
-func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, prev map[string]*Bitmap, spans []bitset.Span, ids []int32, ok bool, err error) {
+func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, prev map[string]*Bitmap, ids []int32, ok bool, err error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if len(ev.bits) == 0 {
-		return nil, nil, nil, nil, true, nil // nothing cached, nothing stale
+		return nil, nil, nil, true, nil // nothing cached, nothing stale
 	}
 	if !ev.seeded || ev.rowDense == nil {
-		return nil, nil, nil, nil, false, nil
+		return nil, nil, nil, false, nil
 	}
 	tbl := ev.db.Table(ev.seedFrom)
 	if tbl == nil {
-		return nil, nil, nil, nil, false, nil
+		return nil, nil, nil, false, nil
 	}
 	// Extend the row plumbing over rows inserted since the seed (or the
 	// last refresh): dense ids stay unassigned until a predicate matches.
@@ -68,7 +67,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	}
 	nTouched := touched.Len()
 	if nTouched == 0 {
-		return nil, nil, nil, nil, true, nil
+		return nil, nil, nil, true, nil
 	}
 
 	// Share the join-existence test across predicates: one probe pass
@@ -83,18 +82,18 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 		var err error
 		partnered, err = ev.db.MatchLeftRowSet(baseQ, touched)
 		if err != nil {
-			return nil, nil, nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 	}
 	joinless := relstore.Query{From: baseQ.From}
 
-	// Parallel phase: one block-restricted re-evaluation per cached
+	// Parallel phase: one touched-row re-evaluation per cached
 	// predicate, fanned over a worker pool exactly like MaterializeAll —
 	// the workers only read the store and fields frozen under ev.mu.
 	predKeys := make([]string, 0, len(ev.bits))
 	for pred := range ev.bits {
 		if _, okp := ev.preds[pred]; !okp {
-			return nil, nil, nil, nil, false, nil
+			return nil, nil, nil, false, nil
 		}
 		predKeys = append(predKeys, pred)
 	}
@@ -111,7 +110,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 		}
 		sels[i], errs[i] = ev.db.MatchLeftRowSet(q, mask)
 	}
-	// Small refreshes run serially: each block-restricted scan is a few
+	// Small refreshes run serially: each touched-row re-match is a few
 	// microseconds, so goroutine wake latency would dominate the pool.
 	const parallelRefreshMin = 32
 	if len(predKeys) < parallelRefreshMin {
@@ -139,15 +138,14 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 	}
 
 	// Serial patch phase: compare each predicate's re-evaluated rows with
 	// its cached bitmap, cloning on first difference. Every flipped dense id
-	// is recorded (with its 64k span) — the exact places the pair-table
-	// recount is allowed to restrict itself to.
-	spanSeen := map[bitset.Span]bool{}
+	// is recorded — the exact places the pair-table recount restricts itself
+	// to.
 	idSeen := map[int32]struct{}{}
 	for i, pred := range predKeys {
 		bm := ev.bits[pred]
@@ -191,7 +189,6 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 			} else {
 				patched.Clear(int(di))
 			}
-			spanSeen[bitset.SpanOf(int(di))] = true
 			idSeen[di] = struct{}{}
 		}
 		if patched != nil {
@@ -204,17 +201,12 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 			changed = append(changed, pred)
 		}
 	}
-	spans = make([]bitset.Span, 0, len(spanSeen))
-	for sp := range spanSeen {
-		spans = append(spans, sp)
-	}
-	slices.Sort(spans)
 	ids = make([]int32, 0, len(idSeen))
 	for di := range idSeen {
 		ids = append(ids, di)
 	}
 	slices.Sort(ids)
-	return changed, prev, spans, ids, true, nil
+	return changed, prev, ids, true, nil
 }
 
 // Invalidate drops every cached predicate set and the scan plumbing, so the

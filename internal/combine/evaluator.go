@@ -25,7 +25,7 @@ import (
 // enumeration no longer re-scans the store.
 //
 // Concurrency: the predicate caches are guarded by a mutex, so once every
-// profile preference has been materialized (see Materialize), PredSet,
+// profile preference has been materialized (see MaterializeAll), PredSet,
 // PredBitmap, and the bitmap algebra they feed are safe for concurrent
 // readers — the parallel pair-table build relies on this. The Queries and
 // ComboEvals counters are plain ints and must only be touched from one
@@ -64,10 +64,11 @@ type Evaluator struct {
 	ComboEvals int
 
 	// Workers caps the fan-out of every sharded stage driven through this
-	// evaluator (bulk materialization, the pair-table span sweep, sharded
-	// PEPS, delta refresh); 0 means GOMAXPROCS. It must be set before the
-	// concurrent phases start and is read-only thereafter — the shards
-	// experiment sweeps it to measure parallel scaling.
+	// evaluator (bulk materialization, the pair-table span sweep, the
+	// class-word-range PEPS fan-out, delta refresh); 0 means GOMAXPROCS. It
+	// must be set before the concurrent phases start and is read-only
+	// thereafter. Only tests set it (to pin serial and wide runs against
+	// each other); every binary runs at GOMAXPROCS.
 	Workers int
 }
 
@@ -123,17 +124,9 @@ func (ev *Evaluator) BaseQuery(p predicate.Predicate) relstore.Query { return ev
 // projects ("dblp.pid").
 func (ev *Evaluator) KeyAttr() string { return ev.keyAttr }
 
-// Materialize runs the one relational query per preference for every entry
-// of prefs that is not cached yet, after which PredSet, PredBitmap, and the
-// bitmap algebra they feed are safe for concurrent readers. It delegates to
-// MaterializeAll, which fans the scans out over a worker pool.
-func (ev *Evaluator) Materialize(prefs []hypre.ScoredPred) error {
-	return ev.MaterializeAll(prefs)
-}
-
 // MaterializeAll bulk-materializes every uncached preference of a profile:
 // the uncached predicates are partitioned across a worker pool, each scanned
-// by relstore's vectorized ScanAttrRows into a row-selection bitmap (no
+// by relstore's ScanAttrRowSet into a row-selection bitmap (no
 // intermediate id slices, no per-row predicate interpretation), then a
 // serial conversion pass assigns dense dictionary ids lazily in first-seen
 // order — so dense numbering stays exactly as compact and deterministic as
@@ -158,7 +151,7 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 		return err
 	}
 	if len(pending) == 1 {
-		b, err := ev.scanBitmapLocked(pending[0], ev.workerTarget())
+		b, err := ev.scanBitmapLocked(pending[0])
 		if err != nil {
 			return err
 		}
@@ -171,11 +164,7 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 	// Parallel phase: workers only read the store — no dict access at all.
 	// Each produces the selection set of matching base-table rows; pids
 	// the row scan cannot place (non-left key attributes) are collected and
-	// folded in serially. When the profile has fewer predicates than the
-	// fan-out target, the leftover width goes to the scans themselves: each
-	// predicate's kernel pass shards over block partitions
-	// (relstore.ScanAttrRowSetParts), so a two-predicate profile over a
-	// wide table still fills the machine.
+	// folded in serially.
 	type result struct {
 		sel      *bitset.Set
 		leftover []int64
@@ -183,10 +172,6 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 	results := make([]result, len(pending))
 	errs := make([]error, len(pending))
 	workers := ev.workerCount(len(pending))
-	scanParts := 1
-	if t := ev.workerTarget(); t > len(pending) {
-		scanParts = (t + len(pending) - 1) / len(pending)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -198,7 +183,7 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 				if i >= len(pending) {
 					return
 				}
-				results[i].sel, results[i].leftover, errs[i] = ev.scanSel(pending[i], scanParts)
+				results[i].sel, results[i].leftover, errs[i] = ev.scanSel(pending[i])
 			}
 		}()
 	}
@@ -290,54 +275,35 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 }
 
 // scanSel runs one predicate's scan into a base-row selection set plus any
-// pids the row scan could not place (non-left key attributes fall back to
-// the general distinct scan). The vectorized path hands back the container
-// bitmap the kernels produced (ScanAttrRowSetParts) — no per-row emission,
-// no recompression — sharding the kernel pass over parts block partitions
-// when parts > 1. It reads only the store and fields frozen by seedLocked,
-// so MaterializeAll workers may call it concurrently.
-func (ev *Evaluator) scanSel(p hypre.ScoredPred, parts int) (sel *bitset.Set, leftover []int64, err error) {
+// pids the row scan could not place. The row-set scan hands back the
+// container bitmap the store produced — no per-row emission, no
+// recompression; a different base table than the seeded plumbing, or a key
+// attribute the row scan cannot serve, collects raw pids instead. It reads
+// only the store and fields frozen by seedLocked, so MaterializeAll workers
+// may call it concurrently.
+func (ev *Evaluator) scanSel(p hypre.ScoredPred) (sel *bitset.Set, leftover []int64, err error) {
 	q := ev.base(p.P)
 	if q.From == ev.seedFrom && len(ev.rowDense) > 0 {
-		nrows := len(ev.rowDense)
 		// Rows inserted after the seed have no cached pid; the scan spills
 		// their key values under its own lock (one consistent epoch) while
 		// the selection keeps only the plumbed rows.
-		sel, ok, err := ev.db.ScanAttrRowSetParts(q, ev.keyAttr, nrows, func(_ int, pid int64) {
+		sel, err := ev.db.ScanAttrRowSet(q, ev.keyAttr, len(ev.rowDense), func(_ int, pid int64) {
 			leftover = append(leftover, pid)
-		}, parts)
-		if err == nil && ok {
+		})
+		if err == nil {
 			return sel, leftover, nil
 		}
-		if err == nil && !ok {
-			// Vectorization defeated: the row-at-a-time scan still yields
-			// (row id, pid) pairs to fold through the builder.
-			b := bitset.NewBuilder(nrows)
-			err = ev.db.ScanAttrRows(q, ev.keyAttr, func(lid int, pid int64) {
-				if lid < nrows {
-					b.Set(lid)
-				} else {
-					leftover = append(leftover, pid)
-				}
-			})
-			if err == nil {
-				return b.Finish(), leftover, nil
-			}
-		}
+		leftover = nil
 	}
-	// Different base table than the seeded plumbing, or a key attribute the
-	// row scan cannot serve: collect raw pids instead of row ids.
-	leftover = nil
 	err = ev.db.ScanAttrInts(q, ev.keyAttr, func(pid int64) {
 		leftover = append(leftover, pid)
 	})
 	return nil, leftover, err
 }
 
-// scanBitmapLocked runs one predicate's scan into a fresh dense bitmap,
-// sharding the kernel pass over parts block partitions when parts > 1.
-func (ev *Evaluator) scanBitmapLocked(p hypre.ScoredPred, parts int) (*Bitmap, error) {
-	sel, leftover, err := ev.scanSel(p, parts)
+// scanBitmapLocked runs one predicate's scan into a fresh dense bitmap.
+func (ev *Evaluator) scanBitmapLocked(p hypre.ScoredPred) (*Bitmap, error) {
+	sel, leftover, err := ev.scanSel(p)
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +352,7 @@ func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*Bitmap, error) {
 	if err := ev.seedLocked(); err != nil {
 		return nil, err
 	}
-	b, err := ev.scanBitmapLocked(p, ev.workerTarget())
+	b, err := ev.scanBitmapLocked(p)
 	if err != nil {
 		return nil, err
 	}
@@ -454,12 +420,6 @@ func (ev *Evaluator) comboBitmap(c Combo) (*Bitmap, error) {
 		return NewBitmap(), nil
 	}
 	return acc, nil
-}
-
-// ComboBitmap is the exported counting wrapper around comboBitmap.
-func (ev *Evaluator) ComboBitmap(c Combo) (*Bitmap, error) {
-	ev.ComboEvals++
-	return ev.comboBitmap(c)
 }
 
 // ComboSet evaluates a combination to its sorted tuple-id set.

@@ -156,107 +156,28 @@ func buildPairCounts(bms []*Bitmap, workers int) []int64 {
 // Algorithm 6.
 func (pt *PairTable) CombsOfTwo(i int) []PairEntry { return pt.byFirst[i] }
 
-// Refresh returns a pair table consistent with the evaluator's current
-// predicate bitmaps after the named predicates changed, recounting only the
-// pairs with a changed endpoint — the delta-maintenance alternative to
-// BuildPairTable's full O(n²) popcount sweep. Pairs between two unchanged
-// predicates keep their counts (their bitmaps are untouched); pairs with a
-// changed endpoint are repriced, dropping to nothing when the intersection
-// emptied and (re)appearing when it stopped being empty.
-func (pt *PairTable) Refresh(ev *Evaluator, changedPreds []string) (*PairTable, error) {
-	if len(changedPreds) == 0 {
-		return pt, nil
-	}
-	changedSet := make(map[string]bool, len(changedPreds))
-	for _, p := range changedPreds {
-		changedSet[p] = true
-	}
-	changed := make([]bool, len(pt.Prefs))
-	any := false
-	for i, p := range pt.Prefs {
-		if changedSet[p.Pred] {
-			changed[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return pt, nil
-	}
-	bms := make([]*Bitmap, len(pt.Prefs))
-	for i, p := range pt.Prefs {
-		b, err := ev.PredBitmap(p) // cache hit: RefreshRowSetDelta already ran
-		if err != nil {
-			return nil, err
-		}
-		bms[i] = b
-	}
-	return pt.recountPairs(ev, changed, func(i, j int, _ PairEntry) int {
-		return bms[i].AndCard(bms[j])
-	}), nil
-}
-
-// RefreshSpans is Refresh restricted to the partitions a mutation batch
-// actually touched: prev maps each changed predicate to its pre-patch
-// bitmap (as returned by Evaluator.RefreshRowSetDelta) and spans lists the
-// dense-id spans where bits moved. Every pair with a changed endpoint is
-// repriced as
-//
-//	old count − |old_i ∩ old_j|_spans + |new_i ∩ new_j|_spans
-//
-// which equals a full recount because bits outside the touched spans are
-// untouched by the patch — so the cost is O(changed pairs × touched spans)
-// instead of O(changed pairs × all containers), and the output stays
-// byte-identical to Refresh.
-func (pt *PairTable) RefreshSpans(ev *Evaluator, prev map[string]*Bitmap, spans []bitset.Span) (*PairTable, error) {
-	if len(prev) == 0 || len(spans) == 0 {
-		return pt, nil
-	}
-	n := len(pt.Prefs)
-	changed := make([]bool, n)
-	curr := make([]*bitset.Set, n)
-	old := make([]*bitset.Set, n)
-	any := false
-	for i, p := range pt.Prefs {
-		b, err := ev.PredBitmap(p) // cache hit: the row refresh already ran
-		if err != nil {
-			return nil, err
-		}
-		curr[i], old[i] = b.s, b.s
-		if pb, ok := prev[p.Pred]; ok {
-			old[i] = pb.s
-			changed[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return pt, nil
-	}
-	return pt.recountPairs(ev, changed, func(i, j int, e PairEntry) int {
-		// e.Count is zero when the pair was previously inapplicable.
-		return e.Count -
-			old[i].AndCardSpans(old[j], spans) +
-			curr[i].AndCardSpans(curr[j], spans)
-	}), nil
-}
-
-// RefreshIDs is Refresh restricted to the exact dense ids a mutation batch
-// flipped: ids lists, sorted and deduplicated, every dense id where some
-// changed predicate's old and new bitmaps differ (the union of the ids
+// RefreshIDs returns a pair table consistent with the evaluator's current
+// predicate bitmaps after a mutation batch — the delta-maintenance
+// alternative to BuildPairTable's full O(n²) popcount sweep, and the only
+// recount there is. ids lists, sorted and deduplicated, every dense id where
+// some changed predicate's old and new bitmaps differ (the union of the ids
 // reported by RefreshRowSetDelta and DropPids), and prev maps each changed
-// predicate to its pre-patch bitmap. Outside those ids every bitmap — old
-// or new, changed or not — is untouched, so each pair with a changed
-// endpoint reprices exactly as
+// predicate to its pre-patch bitmap. Pairs between two unchanged predicates
+// keep their entry verbatim. Outside ids every bitmap — old or new, changed
+// or not — is untouched, so each pair with a changed endpoint reprices
+// exactly as
 //
 //	old count + |new_i ∩ new_j|_ids − |old_i ∩ old_j|_ids
 //
-// The membership of every preference at the flipped ids is probed once and
-// packed into one machine word per 64 ids, so the per-pair adjustment is a
-// handful of AND+popcount word ops. Total cost is O(prefs × ids) probes
-// plus O(changed pairs × ids/64) word ops — independent of table and
-// dictionary size, which is what keeps per-sync maintenance flat as the
-// store grows: span-restricted recounts bottom out at one 64k-id container,
-// still O(dictionary) per pair, while a sustained stream flips only a
-// batch's worth of ids. Output stays byte-identical to Refresh.
+// dropping to nothing when the intersection emptied and (re)appearing when
+// it stopped being empty. The membership of every preference at the flipped
+// ids is probed once and packed into one machine word per 64 ids, so the
+// per-pair adjustment is a handful of AND+popcount word ops. Total cost is
+// O(prefs × ids) probes plus O(changed pairs × ids/64) word ops —
+// independent of table and dictionary size, which is what keeps per-sync
+// maintenance flat as the store grows. The output assembles anchor-major
+// before the stable intensity sort — exactly BuildPairTable's order — so it
+// is byte-identical to a fresh build.
 func (pt *PairTable) RefreshIDs(ev *Evaluator, prev map[string]*Bitmap, ids []int32) (*PairTable, error) {
 	if len(prev) == 0 || len(ids) == 0 {
 		return pt, nil
@@ -292,26 +213,6 @@ func (pt *PairTable) RefreshIDs(ev *Evaluator, prev map[string]*Bitmap, ids []in
 	if !any {
 		return pt, nil
 	}
-	return pt.recountPairs(ev, changed, func(i, j int, e PairEntry) int {
-		// e.Count is zero when the pair was previously inapplicable.
-		d := 0
-		ci, cj, oi, oj := currW[i], currW[j], oldW[i], oldW[j]
-		for w := range ci {
-			d += bits.OnesCount64(ci[w]&cj[w]) - bits.OnesCount64(oi[w]&oj[w])
-		}
-		return e.Count + d
-	}), nil
-}
-
-// recountPairs is the shared refresh core: pairs between two unchanged
-// endpoints keep their old entry verbatim, pairs with a changed endpoint
-// reprice through count (the old entry — zero-valued when the pair was
-// absent — passed in; a zero result drops the pair), and the output
-// assembles anchor-major before the stable intensity sort — exactly
-// BuildPairTable's order, which is what keeps every refresh byte-identical
-// to a fresh build.
-func (pt *PairTable) recountPairs(ev *Evaluator, changed []bool, count func(i, j int, old PairEntry) int) *PairTable {
-	n := len(pt.Prefs)
 	oldEntries := make(map[[2]int]PairEntry, len(pt.Pairs))
 	for _, e := range pt.Pairs {
 		oldEntries[[2]int{e.I, e.J}] = e
@@ -328,7 +229,12 @@ func (pt *PairTable) recountPairs(ev *Evaluator, changed []bool, count func(i, j
 				continue
 			}
 			recounted++
-			cnt := count(i, j, e)
+			// e.Count is zero when the pair was previously inapplicable.
+			cnt := e.Count
+			ci, cj, oi, oj := currW[i], currW[j], oldW[i], oldW[j]
+			for w := range ci {
+				cnt += bits.OnesCount64(ci[w]&cj[w]) - bits.OnesCount64(oi[w]&oj[w])
+			}
 			if cnt == 0 {
 				continue
 			}
@@ -347,5 +253,5 @@ func (pt *PairTable) recountPairs(ev *Evaluator, changed []bool, count func(i, j
 	for _, e := range out.Pairs {
 		out.byFirst[e.I] = append(out.byFirst[e.I], e)
 	}
-	return out
+	return out, nil
 }

@@ -3,7 +3,6 @@ package combine
 import (
 	"slices"
 
-	"hypre/internal/bitset"
 	"hypre/internal/relstore"
 )
 
@@ -70,18 +69,18 @@ func (ev *Evaluator) RemapRows(remap []int32) (ok bool) {
 // row-driven refresh can no longer reach. Bitmaps are patched copy-on-write
 // exactly like RefreshRowSetDelta, and the return values have the same
 // shape so the caller can merge them into one pair-table recount: changed
-// predicates, their pre-patch bitmaps, and the dense ids (with their spans)
-// where bits moved. Call it *before* the row-driven refresh: a pid
-// re-inserted under a surviving row is then restored by the refresh, which
-// evaluates current store state.
-func (ev *Evaluator) DropPids(pids []int64) (changed []string, prev map[string]*Bitmap, spans []bitset.Span, ids []int32, ok bool) {
+// predicates, their pre-patch bitmaps, and the dense ids where bits moved.
+// Call it *before* the row-driven refresh: a pid re-inserted under a
+// surviving row is then restored by the refresh, which evaluates current
+// store state.
+func (ev *Evaluator) DropPids(pids []int64) (changed []string, prev map[string]*Bitmap, ids []int32, ok bool) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if len(ev.bits) == 0 {
-		return nil, nil, nil, nil, true
+		return nil, nil, nil, true
 	}
 	if !ev.seeded {
-		return nil, nil, nil, nil, false
+		return nil, nil, nil, false
 	}
 	dis := make([]int, 0, len(pids))
 	for _, pid := range pids {
@@ -90,9 +89,8 @@ func (ev *Evaluator) DropPids(pids []int64) (changed []string, prev map[string]*
 		}
 	}
 	if len(dis) == 0 {
-		return nil, nil, nil, nil, true
+		return nil, nil, nil, true
 	}
-	spanSeen := map[bitset.Span]bool{}
 	idSeen := map[int32]struct{}{}
 	for pred, bm := range ev.bits {
 		var patched *Bitmap
@@ -108,7 +106,6 @@ func (ev *Evaluator) DropPids(pids []int64) (changed []string, prev map[string]*
 				patched = bm.Clone()
 			}
 			patched.Clear(di)
-			spanSeen[bitset.SpanOf(di)] = true
 			idSeen[int32(di)] = struct{}{}
 		}
 		if patched != nil {
@@ -121,17 +118,12 @@ func (ev *Evaluator) DropPids(pids []int64) (changed []string, prev map[string]*
 			changed = append(changed, pred)
 		}
 	}
-	spans = make([]bitset.Span, 0, len(spanSeen))
-	for sp := range spanSeen {
-		spans = append(spans, sp)
-	}
-	slices.Sort(spans)
 	ids = make([]int32, 0, len(idSeen))
 	for di := range idSeen {
 		ids = append(ids, di)
 	}
 	slices.Sort(ids)
-	return changed, prev, spans, ids, true
+	return changed, prev, ids, true
 }
 
 // RowPids maps base-table row ids to their pids through the evaluator's row

@@ -283,12 +283,12 @@ func TestShardedEvalRandomProfiles(t *testing.T) {
 	}
 }
 
-// TestRefreshSpansMatchesRefresh mutates a multi-span store and proves the
-// restricted pair recounts — RefreshSpans over the partitions the patch
-// touched and RefreshIDs over the exact flipped dense ids — are
-// byte-identical both to the whole-set Refresh and to a from-scratch pair
-// table over the mutated store.
-func TestRefreshSpansMatchesRefresh(t *testing.T) {
+// TestRefreshIDsMatchesFreshBuild mutates a multi-span store and proves the
+// pair recount over the exact flipped dense ids byte-identical to a
+// from-scratch pair table over the mutated store — for a sync-sized batch
+// and then, on the same maintained table, for a bulk rewrite that flips
+// well over a thousand ids.
+func TestRefreshIDsMatchesFreshBuild(t *testing.T) {
 	db := bigShardDB(t, bigShardRows, 9)
 	profile := bigShardProfile(t)
 	ev := bigShardEvaluator(t, db, runtime.NumCPU())
@@ -299,36 +299,27 @@ func TestRefreshSpansMatchesRefresh(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(31))
 	tbl := db.Table("dblp")
-	touched := relstoreTouched(t, tbl, rng, 300)
-
-	changed, prev, spans, ids, ok, err := ev.RefreshRowSetDelta(touched)
-	if err != nil || !ok {
-		t.Fatalf("refresh: ok=%v err=%v", ok, err)
+	for _, batch := range []struct{ ops, minIDs int }{{300, 1}, {6000, 1025}} {
+		touched := relstoreTouched(t, tbl, rng, batch.ops)
+		changed, prev, ids, ok, err := ev.RefreshRowSetDelta(touched)
+		if err != nil || !ok {
+			t.Fatalf("refresh: ok=%v err=%v", ok, err)
+		}
+		if len(changed) == 0 || len(ids) < batch.minIDs {
+			t.Fatalf("%d ops moved %d preds at %d ids, want at least %d ids",
+				batch.ops, len(changed), len(ids), batch.minIDs)
+		}
+		pt, err = pt.RefreshIDs(ev, prev, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := bigShardEvaluator(t, db, 1)
+		freshPT, err := BuildPairTable(profile, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSamePairs(t, fmt.Sprintf("RefreshIDs vs fresh build after %d ops", batch.ops), freshPT, pt)
 	}
-	if len(changed) == 0 || len(spans) == 0 || len(ids) == 0 {
-		t.Fatalf("mutations changed nothing: %d preds, %d spans, %d ids", len(changed), len(spans), len(ids))
-	}
-	whole, err := pt.Refresh(ev, changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spanwise, err := pt.RefreshSpans(ev, prev, spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePairs(t, "RefreshSpans vs Refresh", whole, spanwise)
-	idwise, err := pt.RefreshIDs(ev, prev, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePairs(t, "RefreshIDs vs Refresh", whole, idwise)
-
-	fresh := bigShardEvaluator(t, db, 1)
-	freshPT, err := BuildPairTable(profile, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePairs(t, "RefreshSpans vs fresh build", freshPT, spanwise)
 }
 
 // relstoreTouched applies a random mutation batch (updates, deletes,
@@ -357,7 +348,7 @@ func relstoreTouched(t *testing.T, tbl *relstore.Table, rng *rand.Rand, ops int)
 			}
 		default: // insert
 			id, err := tbl.Insert(
-				predicate.Int(int64(1_000_000+i)),
+				predicate.Int(int64(1_000_000+tbl.Len())), // unique across batches
 				predicate.String(venues[rng.Intn(len(venues))]),
 				predicate.Int(int64(1990+rng.Intn(30))),
 				predicate.Float(rng.Float64()*10),

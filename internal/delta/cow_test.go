@@ -73,7 +73,7 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 		// The patched cache must agree with a fresh evaluator on the
 		// mutated store.
 		ev2 := combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
-		if err := ev2.Materialize(prefs); err != nil {
+		if err := ev2.MaterializeAll(prefs); err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range prefs {

@@ -6,16 +6,16 @@
 // The pipeline per Sync:
 //
 //  1. Drain the committed mutations of the base table and the join table
-//     from their bounded change logs (relstore.ChangedSince, epoch-keyed).
+//     from their bounded change logs (relstore.SnapshotSince, epoch-keyed).
 //  2. Map join-table changes back to affected base rows through the join
 //     key — using each change's pre-image for deletes and updates, so rows
 //     partnered with the OLD key are repaired too, not just the new one.
 //  3. Re-evaluate every cached predicate over exactly the touched base
-//     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet,
-//     vectorized kernels restricted to the touched rows' blocks) and patch
-//     the cached bitmaps copy-on-write.
-//  4. Recount only the pair-table entries with a changed endpoint
-//     (PairTable.Refresh).
+//     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet, the
+//     compiled per-row filter at the touched rows) and patch the cached
+//     bitmaps copy-on-write.
+//  4. Reprice only the pair-table entries with a changed endpoint, from the
+//     exact dense ids the patch flipped (PairTable.RefreshIDs).
 //
 // Tombstone compaction slots in as a step 2½: a compaction renumbers the
 // base table's row ids, so Sync composes the published remaps
@@ -214,13 +214,6 @@ func NewMaintainer(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Maintainer
 	return m, nil
 }
 
-// Evaluator returns the maintained evaluator.
-func (m *Maintainer) Evaluator() *combine.Evaluator { return m.ev }
-
-// PairTable returns the maintained pair table (replaced, never mutated, by
-// Sync).
-func (m *Maintainer) PairTable() *combine.PairTable { return m.pt }
-
 // TopK answers a top-k query over the maintained state: pure bitmap algebra
 // and pair-table lookups, no store scans.
 func (m *Maintainer) TopK(k int, v combine.Variant) (combine.TopKResult, error) {
@@ -350,28 +343,26 @@ func (m *Maintainer) sync() (SyncStats, error) {
 			return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 		}
 	}
-	var dChanged []string
 	var dPrev map[string]*combine.Bitmap
-	var dSpans []bitset.Span
 	var dIDs []int32
 	if len(droppedPids) > 0 {
 		var ok bool
-		dChanged, dPrev, dSpans, dIDs, ok = m.ev.DropPids(droppedPids)
+		_, dPrev, dIDs, ok = m.ev.DropPids(droppedPids)
 		if !ok {
 			return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 		}
 	}
-	changed, prev, spans, ids, ok, err := m.ev.RefreshRowSetDelta(touched)
+	_, prev, ids, ok, err := m.ev.RefreshRowSetDelta(touched)
 	if err != nil {
 		return SyncStats{}, err
 	}
 	if !ok {
 		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
-	// Merge the two patch passes into one pair-table recount. For a
-	// predicate both passes changed, the true pre-sync bitmap is DropPids'
-	// pre-image (it patched first).
-	changed = mergeChanged(dChanged, changed)
+	// Merge the two patch passes into one pair-table recount: prev ends up
+	// keyed by every predicate either pass changed. For a predicate both
+	// changed, the true pre-sync bitmap is DropPids' pre-image (it patched
+	// first).
 	if len(dPrev) > 0 {
 		if prev == nil {
 			prev = dPrev
@@ -381,26 +372,14 @@ func (m *Maintainer) sync() (SyncStats, error) {
 			}
 		}
 	}
-	spans = mergeSpans(dSpans, spans)
 	ids = mergeIDs(dIDs, ids)
-	if len(changed) > 0 {
-		// Reprice changed pairs from the exact flipped ids when the flip set
-		// is batch-sized — O(prefs × ids) work, independent of how large the
-		// store has grown, which is what keeps per-sync cost flat under a
-		// sustained stream. Past idRecountMax the per-id probing overtakes
-		// container popcounts and the recount falls back to the partition
-		// paths: span-restricted when the touched spans are a minority of
-		// the dense-id domain, whole-set otherwise.
-		totalSpans := bitset.SpanCount(m.ev.Dict().Size())
-		var pt *combine.PairTable
-		switch {
-		case len(ids) > 0 && len(ids) <= idRecountMax:
-			pt, err = m.pt.RefreshIDs(m.ev, prev, ids)
-		case 2*len(spans) < totalSpans:
-			pt, err = m.pt.RefreshSpans(m.ev, prev, spans)
-		default:
-			pt, err = m.pt.Refresh(m.ev, changed)
-		}
+	if len(prev) > 0 {
+		// Reprice changed pairs from the exact flipped ids — O(prefs × ids)
+		// work, independent of how large the store has grown, which is what
+		// keeps per-sync cost flat under a sustained stream. The flip set is
+		// at most the rows the drained change logs touched, and a backlog
+		// past the logs' cap takes the full rebuild above instead.
+		pt, err := m.pt.RefreshIDs(m.ev, prev, ids)
 		if err != nil {
 			return SyncStats{}, err
 		}
@@ -415,7 +394,7 @@ func (m *Maintainer) sync() (SyncStats, error) {
 	}
 	return SyncStats{
 		TouchedRows:      touched.Len(),
-		ChangedPreds:     len(changed),
+		ChangedPreds:     len(prev),
 		RecheckedChanges: len(lch) + len(rch),
 		Compactions:      len(ls.Compactions),
 		DroppedPids:      len(droppedPids),
@@ -442,47 +421,6 @@ func composeRemaps(comps []relstore.Compaction) []int32 {
 	}
 	return remap
 }
-
-// mergeChanged unions two changed-predicate lists, preserving first-seen
-// order.
-func mergeChanged(a, b []string) []string {
-	if len(a) == 0 {
-		return b
-	}
-	seen := make(map[string]struct{}, len(a)+len(b))
-	out := make([]string, 0, len(a)+len(b))
-	for _, s := range a {
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// mergeSpans unions two sorted span lists into one sorted, deduplicated
-// list.
-func mergeSpans(a, b []bitset.Span) []bitset.Span {
-	if len(a) == 0 {
-		return b
-	}
-	out := append(append(make([]bitset.Span, 0, len(a)+len(b)), a...), b...)
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// idRecountMax caps the flip set the per-id pair repricing accepts: each
-// flipped id costs one membership probe per preference, so past a thousand
-// or so ids the probing overtakes the container popcounts of the partition
-// recounts. Sustained-stream syncs flip a batch's worth of ids — far under
-// the cap; bulk rewrites fall through to the span/whole-set paths.
-const idRecountMax = 1024
 
 // mergeIDs unions two sorted flipped-dense-id lists into one sorted,
 // deduplicated list.

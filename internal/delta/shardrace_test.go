@@ -16,9 +16,9 @@ import (
 // detector: a mutator thread commits update/delete/insert batches and (on
 // its own maintainer, queries and Sync being single-threaded by contract)
 // drains them incrementally, while reader threads concurrently run the
-// sharded pipeline end to end — partitioned scan kernels under the store's
-// shared state locks, the (span × anchor) pair-count sweep, and span-
-// sharded PEPS — each on a private evaluator so every store read races a
+// sharded pipeline end to end — the materialization pool's scans under the
+// store's shared state locks, the (span × anchor) pair-count sweep, and
+// class-range PEPS — each on a private evaluator so every store read races a
 // commit. Results are checked for sanity only; byte-equivalence against
 // the serial path is proven by the quiescent suites.
 func TestShardedEvalVsMutationRace(t *testing.T) {

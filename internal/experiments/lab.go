@@ -11,7 +11,6 @@ import (
 
 	"hypre/internal/combine"
 	"hypre/internal/hypre"
-	"hypre/internal/predicate"
 	"hypre/internal/relstore"
 	"hypre/internal/workload"
 )
@@ -47,9 +46,6 @@ func NewLabWith(cfg workload.Config, opts ...relstore.DBOption) (*Lab, error) {
 	rich, modest := prefs.PickUsers(170, 50)
 	return &Lab{Cfg: cfg, Net: net, Prefs: prefs, Graph: g, Rich: rich, Modest: modest}, nil
 }
-
-// DefaultLab builds a lab over the default workload configuration.
-func DefaultLab() (*Lab, error) { return NewLab(workload.DefaultConfig()) }
 
 // Evaluator returns a fresh combination evaluator over the lab's store.
 func (l *Lab) Evaluator() *combine.Evaluator {
@@ -89,9 +85,4 @@ func scoredFromQuant(rows []hypre.QuantPref) []hypre.ScoredPred {
 		out = append(out, sp)
 	}
 	return out
-}
-
-// baseQueryNoJoin is used by experiments that only filter the dblp table.
-func baseQueryNoJoin(w predicate.Predicate) relstore.Query {
-	return relstore.Query{From: "dblp", Where: w}
 }

@@ -300,13 +300,6 @@ func (g *Graph) OutEdges(id NodeID, label string) []Edge {
 	return filterEdges(g.out[id], label)
 }
 
-// InEdges returns edges entering id; label "" means any label.
-func (g *Graph) InEdges(id NodeID, label string) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return filterEdges(g.in[id], label)
-}
-
 func filterEdges(es []*edgeRec, label string) []Edge {
 	var out []Edge
 	for _, e := range es {

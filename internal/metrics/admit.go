@@ -43,13 +43,3 @@ func (c *AdmitCounters) Snapshot() AdmitSnapshot {
 func (s AdmitSnapshot) Offered() int64 {
 	return s.Admitted + s.Queued + s.Shed + s.Canceled
 }
-
-// ShedRate is the fraction of offered arrivals that were shed; 0 when
-// nothing was offered.
-func (s AdmitSnapshot) ShedRate() float64 {
-	total := s.Offered()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Shed) / float64(total)
-}

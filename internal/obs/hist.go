@@ -151,14 +151,6 @@ func (s *HistSnapshot) QuantileDuration(p float64) time.Duration {
 	return time.Duration(s.Quantile(p))
 }
 
-// Mean is the average recorded value (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Percentile is the exact nearest-rank p-quantile (0 ≤ p ≤ 1) of a latency
 // sample, on a sorted copy — the shared helper behind the experiments'
 // reported percentiles (the histograms trade this exactness for O(1)

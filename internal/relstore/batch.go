@@ -18,7 +18,8 @@ import (
 // Commit reports the first staging error without applying anything. Apply
 // effects (rows matched, assigned ids) are not reported back — batch
 // callers address rows by key and treat zero matches as the benign tail of
-// a racing delete, exactly like the key-addressed Table methods.
+// a racing delete. Key-addressed ops are also compaction-proof by
+// construction: they never hold a row id across commits.
 type Batch struct {
 	db   *DB
 	muts []tableMut

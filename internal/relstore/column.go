@@ -97,8 +97,6 @@ type column struct {
 	nan     bool // any NaN row anywhere (column-level anyNaN shortcut)
 }
 
-func (c *column) len() int { return len(c.kinds) }
-
 // anyNaN reports whether any row holds a NaN float. NaN three-way-compares
 // as "equal" to every number under predicate.Compare, which hash-index
 // equality cannot reproduce, so candidate pruning must refuse such columns.

@@ -412,12 +412,34 @@ func TestColumnarMatchesRowReferenceJoin(t *testing.T) {
 			if !eqInt64Sets(gotInts, wantInts) {
 				t.Fatalf("seed %d q %d: ScanAttrInts mismatch (%s)", seed, qi, where)
 			}
-			wantRows := map[int]bool{}
-			for _, p := range want {
-				if v, ok := refGetOne(lref, lref.rows[p[0]], "lt.s"); ok && !v.IsNull() {
-					wantRows[p[0]] = true
+			// What the row scan cannot serve — a right-table attr, a Limit —
+			// takes ScanAttrInts's own distinct path: each value once.
+			wantX := map[int64]bool{}
+			for _, v := range refDistinct(lref, rref, want, "rt.x") {
+				wantX[v.AsInt()] = true
+			}
+			for _, limit := range []int{0, 2} {
+				ql := q
+				ql.Limit = limit
+				gotX := map[int64]bool{}
+				if err := db.ScanAttrInts(ql, "rt.x", func(v int64) {
+					if gotX[v] || !wantX[v] {
+						t.Fatalf("seed %d q %d: ScanAttrInts(rt.x) emitted %d twice or stray (%s)", seed, qi, v, where)
+					}
+					gotX[v] = true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				wantN := len(wantX)
+				if limit > 0 && wantN > limit {
+					wantN = limit
+				}
+				if len(gotX) != wantN {
+					t.Fatalf("seed %d q %d: ScanAttrInts(rt.x, limit %d) = %d values, want %d (%s)",
+						seed, qi, limit, len(gotX), wantN, where)
 				}
 			}
+			wantRows := refAttrRows(lref, want, "lt.s")
 			gotRows := map[int]bool{}
 			if err := db.ScanAttrRows(q, "lt.s", func(lid int, _ int64) {
 				if gotRows[lid] {
@@ -436,6 +458,63 @@ func TestColumnarMatchesRowReferenceJoin(t *testing.T) {
 					t.Fatalf("seed %d q %d: ScanAttrRows missed row %d (%s)", seed, qi, lid, where)
 				}
 			}
+			checkScanAttrRowSet(t, fmt.Sprintf("seed %d q %d (%s)", seed, qi, where),
+				db, q, "lt.s", nl, wantRows)
+		}
+	}
+}
+
+// refAttrRows maps each matched left row whose attr is non-NULL to the
+// integer widening of that attr — the (row, value) stream the attr-row scans
+// owe the caller, per the reference model.
+func refAttrRows(left *refTable, pairs [][2]int, attr string) map[int]int64 {
+	out := map[int]int64{}
+	for _, p := range pairs {
+		if v, ok := refGetOne(left, left.rows[p[0]], attr); ok && !v.IsNull() {
+			out[p[0]] = v.AsInt()
+		}
+	}
+	return out
+}
+
+// checkScanAttrRowSet probes the set-valued scan's splitAt/spill contract
+// against the reference rows (the rows ScanAttrRows visits): with spilling
+// off and with a split in the middle of the n-row table, the returned set
+// and the spilled rows partition exactly those rows at splitAt, and spills
+// arrive ascending with the reference values.
+func checkScanAttrRowSet(t *testing.T, tag string, db *DB, q Query, attr string, n int, want map[int]int64) {
+	t.Helper()
+	for _, splitAt := range []int{-1, n / 2} {
+		spilled := map[int]bool{}
+		prev := -1
+		sel, err := db.ScanAttrRowSet(q, attr, splitAt, func(lid int, v int64) {
+			if splitAt < 0 || lid < splitAt {
+				t.Fatalf("%s: splitAt %d spilled row %d", tag, splitAt, lid)
+			}
+			if lid <= prev {
+				t.Fatalf("%s: splitAt %d spilled row %d after %d", tag, splitAt, lid, prev)
+			}
+			prev = lid
+			if wv, ok := want[lid]; !ok || wv != v {
+				t.Fatalf("%s: splitAt %d spilled (%d, %d), reference has (%d, %v)", tag, splitAt, lid, v, wv, ok)
+			}
+			spilled[lid] = true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel.ForEach(func(lid int) bool {
+			if splitAt >= 0 && lid >= splitAt {
+				t.Fatalf("%s: splitAt %d left row %d in the set", tag, splitAt, lid)
+			}
+			if _, ok := want[lid]; !ok {
+				t.Fatalf("%s: splitAt %d selected stray row %d", tag, splitAt, lid)
+			}
+			return true
+		})
+		if sel.Len()+len(spilled) != len(want) {
+			t.Fatalf("%s: splitAt %d: %d selected + %d spilled, want %d rows",
+				tag, splitAt, sel.Len(), len(spilled), len(want))
 		}
 	}
 }

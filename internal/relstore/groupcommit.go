@@ -34,7 +34,7 @@ import (
 // creation order, the same order scans use, so there is no deadlock), no
 // scan observes an intermediate state, and each op's change-log entries
 // carry its table's hold-shared epoch (epochs stay non-decreasing, which is
-// all ChangedSince needs). Each op still performs its own eager index
+// all SnapshotSince needs). Each op still performs its own eager index
 // repair; only the zone repair and the epoch bump are hold-batched.
 //
 // Tables must be created before group-commit traffic starts: a hold locks

@@ -6,16 +6,14 @@ import (
 	"sync"
 	"testing"
 
-	"hypre/internal/bitset"
 	"hypre/internal/predicate"
 )
 
 // This file is the randomized property suite for the sustained-stream write
-// path: the group-commit queue (leadership rotation, multi-table holds),
-// the key-addressed Batch API, and the row-restricted scalar evaluation the
-// delta refresh rides on. The concurrency properties are meant to run under
-// -race: the writers genuinely overlap, so the suite doubles as a data-race
-// probe over the commit queue and the hold's lock discipline.
+// path: the group-commit queue (leadership rotation, multi-table holds) and
+// the key-addressed Batch API. The concurrency properties are meant to run
+// under -race: the writers genuinely overlap, so the suite doubles as a
+// data-race probe over the commit queue and the hold's lock discipline.
 
 // logicalState serializes a table's live rows by value, sorted — the
 // row-order- and row-id-agnostic comparison key for stores that applied the
@@ -262,55 +260,6 @@ func TestBatchMultiTableEffects(t *testing.T) {
 		}
 		if got := db.Table("links").Live(); got != 0 {
 			t.Fatalf("group=%v: links live = %d, want 0", group, got)
-		}
-	}
-}
-
-// TestEvalRowsMatchesEvalVec: the row-restricted scalar evaluation (the
-// delta refresh's flat path) must agree with the block-kernel evaluation on
-// every predicate shape, for any touched-row set, once both are masked to
-// the touched rows — including the NOT-within-universe collapse.
-func TestEvalRowsMatchesEvalVec(t *testing.T) {
-	cols := []string{"k", "a", "s"}
-	for seed := int64(500); seed < 510; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := NewDB()
-		n := []int{40, 700, 2300}[rng.Intn(3)]
-		tab, _ := buildPropTables(t, rng, db, "pt", cols, n)
-		resolve := func(a string) int {
-			if pos, ok := tab.colIdx[a]; ok {
-				return pos
-			}
-			return -1
-		}
-		attrs := []string{"k", "a", "s", "zz"}
-		for qi := 0; qi < 30; qi++ {
-			p := propPred(rng, attrs, 2)
-			touched := bitset.New()
-			for c := 1 + rng.Intn(50); c > 0; c-- {
-				touched.Add(rng.Intn(n))
-			}
-			rows := rowsOf(touched, tab.n)
-			blks := blocksOf(touched, tab.n)
-			rsel, rok := tab.evalRows(p, resolve, rows)
-			vsel, vok := tab.evalVec(p, resolve, blks)
-			if rok != vok {
-				t.Fatalf("seed %d q %d (%s): rows ok=%v vec ok=%v", seed, qi, p, rok, vok)
-			}
-			if !rok {
-				continue
-			}
-			vsel.AndWith(touched)
-			if rsel.Len() != vsel.Len() {
-				t.Fatalf("seed %d q %d (%s): rows path %d matches, vec path %d",
-					seed, qi, p, rsel.Len(), vsel.Len())
-			}
-			rsel.ForEach(func(i int) bool {
-				if !vsel.Contains(i) {
-					t.Fatalf("seed %d q %d (%s): row %d only on rows path", seed, qi, p, i)
-				}
-				return true
-			})
 		}
 	}
 }

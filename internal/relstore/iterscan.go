@@ -30,9 +30,9 @@ var _ [blockSize - bitset.BlockBits]struct{}
 var ErrStreamUnsupported = errors.New("relstore: query shape unsupported by streaming scan")
 
 // AttrRowIter streams the rows ScanAttrRowSet would select, block by block,
-// in ascending row order. It holds its tables' shared state locks from Open
-// to Close, so one scan sees one consistent epoch; keep iterators short-lived
-// (they block writers).
+// in ascending row order. Its group holds the tables' shared state locks from
+// Open to Close, so one scan sees one consistent epoch; keep groups
+// short-lived (they block writers).
 type AttrRowIter struct {
 	left, right       *Table
 	leftPos, rightPos int
@@ -52,8 +52,6 @@ type AttrRowIter struct {
 	deadBlk bitset.Block
 	lids    []int32
 	vals    []int64
-
-	unlock func()
 }
 
 // AttrRowIterGroup is a set of iterators over one consistent snapshot: all
@@ -104,27 +102,6 @@ func (g *AttrRowIterGroup) Close() {
 	}
 }
 
-// OpenAttrRowIter opens a single streaming iterator; the caller must Close
-// it to release the snapshot lock.
-func (db *DB) OpenAttrRowIter(q Query, attr string) (*AttrRowIter, error) {
-	g, err := db.OpenAttrRowIterGroup([]Query{q}, attr)
-	if err != nil {
-		return nil, err
-	}
-	it := g.Iters[0]
-	it.unlock = g.unlock
-	return it, nil
-}
-
-// Close releases a single-iterator snapshot lock (no-op for group members;
-// the group owns their locks). Idempotent.
-func (it *AttrRowIter) Close() {
-	if it.unlock != nil {
-		it.unlock()
-		it.unlock = nil
-	}
-}
-
 // lockSharedTables takes the shared state locks of a table set —
 // deduplicated, in creation (seq) order, the multi-table generalization of
 // lockShared — and returns the paired release.
@@ -172,33 +149,11 @@ func (db *DB) planAttrRowIter(q Query, attr string) (*AttrRowIter, error) {
 		nBlocks:  (left.n + blockSize - 1) / blockSize,
 		maxBlock: -1,
 	}
-	it.resolve = func(a string) int {
-		if side, p := bindAttr(a, left, right); side == sideLeft {
-			return p
-		}
-		return -1
-	}
+	it.resolve = sideResolver(left, right, sideLeft)
 
-	// Split the WHERE by side, exactly as matchLeftVec does.
-	var leftParts, rightParts []predicate.Predicate
-	if right == nil {
-		leftParts = append(leftParts, where)
-	} else {
-		for _, c := range flattenAnd(where) {
-			side, ok := classifySide(c, left, right)
-			if !ok {
-				return nil, ErrStreamUnsupported
-			}
-			if side == sideRight {
-				rightParts = append(rightParts, c)
-			} else {
-				leftParts = append(leftParts, c)
-			}
-		}
-	}
-	var leftTree predicate.Predicate
-	if len(leftParts) > 0 {
-		leftTree = predicate.NewAnd(leftParts...)
+	leftTree, rightTree, ok := splitBySide(where, left, right)
+	if !ok {
+		return nil, ErrStreamUnsupported
 	}
 	if leftTree != nil {
 		if _, isTrue := leftTree.(predicate.True); isTrue {
@@ -212,7 +167,7 @@ func (db *DB) planAttrRowIter(q Query, attr string) (*AttrRowIter, error) {
 	if right != nil {
 		rightIdx := right.ensureIndex(rightPos)
 		lc := left.cols[leftPos]
-		if len(rightParts) == 0 {
+		if rightTree == nil {
 			// Existence-only join: any live partner admits the row.
 			it.probe = func(lid int) bool {
 				for _, rid := range rightIdx[indexKey(lc.value(lid))] {
@@ -223,12 +178,11 @@ func (db *DB) planAttrRowIter(q Query, attr string) (*AttrRowIter, error) {
 				return false
 			}
 		} else {
-			rightPred := predicate.NewAnd(rightParts...)
-			rf, okc := compileIDFilter(rightPred, left, right)
+			rf, okc := compileIDFilter(rightTree, left, right)
 			if !okc {
 				return nil, ErrStreamUnsupported
 			}
-			if rids, ok := rightCandidateIDs(left, right, rightPred); ok {
+			if rids, ok := rightCandidateIDs(left, right, rightTree); ok {
 				return it.planCandidates(rids, rf)
 			}
 			it.probe = func(lid int) bool {
@@ -319,7 +273,7 @@ func (it *AttrRowIter) MaxBlock() int { return it.maxBlock }
 // NextBlock advances to the next block containing at least one matching row
 // and returns its index plus the matching rows (ascending row ids with
 // their attr values, rows with non-convertible attrs dropped exactly like
-// attrRowSetTail). The returned slices are reused by the next call.
+// ScanAttrRowSet). The returned slices are reused by the next call.
 // ok=false means the scan is exhausted. A consumer that stops pulling
 // leaves all later blocks unevaluated.
 func (it *AttrRowIter) NextBlock() (bi int, lids []int32, vals []int64, ok bool) {

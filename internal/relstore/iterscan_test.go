@@ -49,13 +49,14 @@ func TestAttrRowIterMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			it, err := db.OpenAttrRowIter(q, "s")
+			g, err := db.OpenAttrRowIterGroup([]Query{q}, "s")
 			if errors.Is(err, ErrStreamUnsupported) {
 				continue
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			it := g.Iters[0]
 			supported++
 			got := map[int]int64{}
 			prevBlock := -1
@@ -81,7 +82,7 @@ func TestAttrRowIterMatchesScan(t *testing.T) {
 					got[int(lid)] = vals[i]
 				}
 			}
-			it.Close()
+			g.Close()
 
 			if len(got) != len(want) {
 				t.Fatalf("seed %d q %d: iter rows = %d, want %d (%s)",

@@ -23,7 +23,7 @@ import (
 // observes exactly one epoch per table; mutations wait for in-flight
 // readers and commit atomically under the exclusive lock. Committed
 // mutations are additionally journaled in a bounded change log with
-// pre-images, which the delta-maintenance layer drains via ChangedSince to
+// pre-images, which the delta-maintenance layer drains via SnapshotSince to
 // repair derived caches incrementally instead of rematerializing.
 
 // ChangeKind tags one committed mutation in a table's change log.
@@ -50,8 +50,8 @@ type RowChange struct {
 }
 
 // maxChangeLog is the default per-table change-log bound (override with
-// WithChangeLogCap). On overflow the oldest half is trimmed and ChangedSince
-// reports ok=false for epochs older than the trim point, telling delta
+// WithChangeLogCap). On overflow the oldest half is trimmed and SnapshotSince
+// reports LogOK=false for epochs older than the trim point, telling delta
 // consumers to fall back to a full rebuild.
 const maxChangeLog = 1 << 15
 
@@ -152,84 +152,6 @@ func (t *Table) deleteLocked(id int) bool {
 	epoch := t.commitEpochLocked(nil)
 	t.logChange(RowChange{Epoch: epoch, Row: id, Kind: ChangeDelete, Old: old})
 	return true
-}
-
-// DeleteByKey tombstones every live row whose col equals key, returning how
-// many died. The index probe and the deletes run inside one committed
-// critical section: a key-addressed writer pays one commit instead of a
-// shared-lock lookup followed by a separate commit — under sustained
-// concurrent scans the separate read round-trip costs a reader-gap wait per
-// op, and it lets the group-commit queue actually coalesce (a writer whose
-// op is a pure enqueue can pile up behind a leader; one stuck in a read
-// phase cannot). Key-addressed ops are also compaction-proof by
-// construction: they never hold a row id across commits.
-func (t *Table) DeleteByKey(col string, key predicate.Value) (int, error) {
-	pos, ok := t.colIdx[col]
-	if !ok {
-		return 0, fmt.Errorf("relstore: %s has no column %q", t.schema.Name, col)
-	}
-	var n int
-	if t.cfg.groupCommit {
-		t.commit(func() { n = t.deleteByKeyLocked(pos, key, -1) })
-		return n, nil
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	n = t.deleteByKeyLocked(pos, key, -1)
-	t.maybeCompactLocked()
-	return n, nil
-}
-
-// DeleteOneByKey tombstones at most one live row whose col equals key.
-func (t *Table) DeleteOneByKey(col string, key predicate.Value) (int, error) {
-	pos, ok := t.colIdx[col]
-	if !ok {
-		return 0, fmt.Errorf("relstore: %s has no column %q", t.schema.Name, col)
-	}
-	var n int
-	if t.cfg.groupCommit {
-		t.commit(func() { n = t.deleteByKeyLocked(pos, key, 1) })
-		return n, nil
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	n = t.deleteByKeyLocked(pos, key, 1)
-	t.maybeCompactLocked()
-	return n, nil
-}
-
-// UpdateColByKey overwrites col of every live row whose keyCol equals key,
-// returning how many rows changed. Zero matches is not an error — a
-// key-addressed update whose target died is the benign tail of a racing
-// delete.
-func (t *Table) UpdateColByKey(keyCol string, key predicate.Value, col string, v predicate.Value) (int, error) {
-	kpos, ok := t.colIdx[keyCol]
-	if !ok {
-		return 0, fmt.Errorf("relstore: %s has no column %q", t.schema.Name, keyCol)
-	}
-	pos, ok := t.colIdx[col]
-	if !ok {
-		return 0, fmt.Errorf("relstore: %s has no column %q", t.schema.Name, col)
-	}
-	var n int
-	var err error
-	apply := func() {
-		for _, id := range t.matchLiveLocked(kpos, key) {
-			if e := t.updateColLocked(id, pos, v); e != nil {
-				err = e
-				return
-			}
-			n++
-		}
-	}
-	if t.cfg.groupCommit {
-		t.commit(apply)
-		return n, err
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	apply()
-	return n, err
 }
 
 // deleteByKeyLocked tombstones up to limit (-1 = all) live rows matching
@@ -384,20 +306,13 @@ func (t *Table) logChange(ch RowChange) {
 	t.chLog = append(t.chLog, ch)
 }
 
-// ChangedSince returns copies of the committed mutations with epoch >
+// changedSinceLocked returns copies of the committed mutations with epoch >
 // since, oldest first. ok=false means the log no longer reaches back that
 // far (trimmed) and the caller must fall back to a full rebuild of whatever
-// it derived from the table.
-func (t *Table) ChangedSince(since uint64) (changes []RowChange, ok bool) {
-	t.state.RLock()
-	defer t.state.RUnlock()
-	return t.changedSinceLocked(since)
-}
-
-// changedSinceLocked is ChangedSince for callers already holding the state
-// lock (at least shared) — the join-repair path runs inside a scan's lock
-// scope, where re-acquiring the shared lock could deadlock behind a queued
-// writer.
+// it derived from the table. Callers hold the state lock (at least shared):
+// SnapshotSince takes it, and the join-repair path already runs inside a
+// scan's lock scope, where re-acquiring the shared lock could deadlock
+// behind a queued writer.
 func (t *Table) changedSinceLocked(since uint64) (changes []RowChange, ok bool) {
 	if since < t.logFloor {
 		return nil, false

@@ -218,7 +218,7 @@ func TestMutationPropertySuite(t *testing.T) {
 	for seed := int64(200); seed < 210; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := NewDB()
-		nl := []int{20, 200, 900, 1400}[rng.Intn(4)]
+		nl := []int{20, 40, 200, 700, 900, 1400, 2300}[rng.Intn(7)]
 		nr := []int{10, 60, 300}[rng.Intn(3)]
 		lt, lref := buildPropTables(t, rng, db, "lt", leftCols, nl)
 		rt, rref := buildPropTables(t, rng, db, "rt", rightCols, nr)
@@ -250,6 +250,15 @@ func TestMutationPropertySuite(t *testing.T) {
 		for qi := 0; qi < 18; qi++ {
 			where := propPred(rng, attrs, 2)
 			useJoin := rng.Float64() < 0.6
+			if qi%6 == 5 {
+				// A cross-side OR: no conjunct reads one table alone, so
+				// neither the kernels nor the left-first split apply.
+				where = &predicate.Or{Kids: []predicate.Predicate{
+					propPred(rng, []string{"a", "lt.s"}, 1),
+					propPred(rng, []string{"x", "rt.k"}, 1),
+				}}
+				useJoin = true
+			}
 			q := Query{From: "lt", Where: where}
 			var wantPairs [][2]int
 			if useJoin {
@@ -323,6 +332,7 @@ func TestMutationPropertySuite(t *testing.T) {
 			if !eqInt64Sets(i1, i2) {
 				t.Fatalf("%s: ScanAttrInts %d values != rebuilt %d", tag, len(i1), len(i2))
 			}
+			checkScanAttrRowSet(t, tag, db, q, "lt.s", lt.Len(), refAttrRows(lref, wantPairs, "lt.s"))
 			m1, _, ok1, err := db.MinMax(q, "s")
 			if err != nil {
 				t.Fatal(err)
@@ -335,27 +345,34 @@ func TestMutationPropertySuite(t *testing.T) {
 				t.Fatalf("%s: MinMax mismatch vs rebuilt", tag)
 			}
 
-			// MatchLeftRowSet: the delta primitive must agree with the
-			// reference on a random touched set.
-			touched := bitset.New()
-			for i := 0; i < lt.Len(); i++ {
-				if rng.Float64() < 0.2 {
-					touched.Add(i)
-				}
-			}
-			got, err := db.MatchLeftRowSet(q, touched)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// MatchLeftRowSet: the delta primitive must equal the full
+			// evaluation masked to the touched rows, on a dense random
+			// touched set and on a sync-sized one (1–50 scattered rows).
 			wantLids := map[int]bool{}
 			for _, p := range wantPairs {
 				wantLids[p[0]] = true
 			}
-			for lid := 0; lid < lt.Len(); lid++ {
-				wantBit := touched.Contains(lid) && wantLids[lid]
-				gotBit := got.Contains(lid)
-				if wantBit != gotBit {
-					t.Fatalf("%s: MatchLeftRowSet row %d = %v, want %v", tag, lid, gotBit, wantBit)
+			dense, sparse := bitset.New(), bitset.New()
+			for i := 0; i < lt.Len(); i++ {
+				if rng.Float64() < 0.2 {
+					dense.Add(i)
+				}
+			}
+			for c := 1 + rng.Intn(50); c > 0; c-- {
+				sparse.Add(rng.Intn(lt.Len()))
+			}
+			for _, touched := range []*bitset.Set{dense, sparse} {
+				got, err := db.MatchLeftRowSet(q, touched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lid := 0; lid < lt.Len(); lid++ {
+					wantBit := touched.Contains(lid) && wantLids[lid]
+					gotBit := got.Contains(lid)
+					if wantBit != gotBit {
+						t.Fatalf("%s: MatchLeftRowSet row %d = %v, want %v (%d touched)",
+							tag, lid, gotBit, wantBit, touched.Len())
+					}
 				}
 			}
 		}

@@ -144,57 +144,100 @@ func (db *DB) ScanAttrInts(q Query, attr string, emit func(int64)) error {
 	})
 }
 
-// ScanAttrRows is ScanAttrInts with the matching left row id alongside each
-// value, so a caller that has precomputed a per-row mapping (the evaluator's
-// row→dense-index remap) can skip value hashing entirely. attr must bind to
-// the left table and q.Limit must be 0. Each matching left row is emitted
-// exactly once (ascending on the vectorized path), rows whose attr is NULL
-// are skipped. When the WHERE tree splits into single-side conjuncts, the
-// scan is fully vectorized: one kernel pass per side with zone-map pruning,
-// stitched through the join-column index, with no per-row predicate
-// interpretation and no intermediate id slices.
+// ScanAttrRows is the emit form of ScanAttrRowSet: every matching left row
+// is handed to emit exactly once, ascending, with the integer widening of its
+// attr (rows whose attr does not convert are skipped), all under the scan's
+// shared state locks. A caller that has precomputed a per-row mapping (the
+// evaluator's row→pid cache) can then skip value hashing entirely. attr must
+// bind to the left table and q.Limit must be 0.
 func (db *DB) ScanAttrRows(q Query, attr string, emit func(lid int, v int64)) error {
-	left, right, leftPos, rightPos, pos, where, err := db.resolveAttrRowScan(q, attr)
+	c, sel, unlock, err := db.scanAttrSel(q, attr)
 	if err != nil {
 		return err
 	}
-	unlock := lockShared(left, right)
 	defer unlock()
-	if db.scanAttrRowsVec(left, right, leftPos, rightPos, pos, where, emit) {
-		return nil
-	}
-	// Row-at-a-time fallback, deduped by left row id.
-	seen := make([]uint64, selWords(left.Len()))
-	c := left.cols[pos]
-	return db.scanIDsLocked(q, left, right, leftPos, rightPos, func(lid, _ int, _ bool) bool {
-		w, m := lid>>6, uint64(1)<<(uint(lid)&63)
-		if seen[w]&m != 0 {
-			return true
-		}
-		seen[w] |= m
+	sel.ForEach(func(lid int) bool {
 		if v, ok := c.intAt(lid); ok {
 			emit(lid, v)
 		}
 		return true
 	})
+	return nil
 }
 
-// scanAttrRowsVec is the vectorized core of ScanAttrRows. It reports false
-// when the query shape defeats vectorization (non-conjunctive cross-side
-// predicates, unknown node types), in which case the caller falls back.
-// Callers hold the state locks of both tables.
-func (db *DB) scanAttrRowsVec(left, right *Table, leftPos, rightPos, attrPos int,
-	where predicate.Predicate, emit func(lid int, v int64)) bool {
-	lsel, ok := db.matchLeftVec(left, right, leftPos, rightPos, where, nil)
-	if !ok {
-		return false
+// ScanAttrRowSet is the set-valued attr scan: the compressed selection of
+// left rows matching the query whose attr converts to an integer, with no
+// per-row emission — the consumer keeps the container bitmap the scan
+// produced instead of paying a decompress/recompress round trip. attr must
+// bind to the left table and q.Limit must be 0; anything else is an error
+// (ScanAttrInts serves those shapes).
+//
+// Rows at or beyond splitAt are excluded from the selection and instead
+// passed to spill, ascending, with their attr value, read under the scan's
+// shared state lock — the same one-consistent-epoch guarantee ScanAttrRows's
+// emission has. splitAt < 0 disables spilling (the whole selection
+// returns). The evaluator uses this to collect pids of rows inserted
+// after its seed without a second, differently-timed store read.
+func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid int, v int64)) (*bitset.Set, error) {
+	c, sel, unlock, err := db.scanAttrSel(q, attr)
+	if err != nil {
+		return nil, err
 	}
-	emitSelRows(left, attrPos, lsel, emit)
-	return true
+	defer unlock()
+	// Drop rows whose attr does not convert (the rows ScanAttrRows does not
+	// emit) — one typed probe per selected row, skipped entirely for fully
+	// convertible columns (every key column).
+	if c.nNoInt > 0 {
+		sel.Retain(func(lid int) bool {
+			_, ok := c.intAt(lid)
+			return ok
+		})
+	}
+	if splitAt >= 0 {
+		if m, has := sel.Max(); has && m >= splitAt {
+			for lid, lok := sel.NextSet(splitAt); lok; lid, lok = sel.NextSet(lid + 1) {
+				if v, vok := c.intAt(lid); vok {
+					spill(lid, v)
+				}
+			}
+			sel.Retain(func(lid int) bool { return lid < splitAt })
+		}
+	}
+	return sel, nil
 }
 
-// resolveAttrRowScan is the shared prologue of ScanAttrRows and
-// ScanAttrRowSet: table/join resolution, the left-bound-attribute and
+// scanAttrSel is the one core under ScanAttrRows and ScanAttrRowSet: it
+// validates the scan shape (left-bound attr, no Limit), takes the tables'
+// shared state locks, and computes the selection of live left rows matching
+// the query — through the vectorized kernels when the WHERE splits by join
+// side, otherwise the row-at-a-time engine fills the same set. It returns
+// the attr column and the selection with the locks still held, so the caller
+// reads attr values at the same epoch; the caller must call unlock.
+func (db *DB) scanAttrSel(q Query, attr string) (c *column, sel *bitset.Set, unlock func(), err error) {
+	left, right, leftPos, rightPos, pos, where, err := db.resolveAttrRowScan(q, attr)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	unlock = lockShared(left, right)
+	sel, ok := db.matchLeftVec(left, right, leftPos, rightPos, where)
+	if !ok {
+		// The shape defeats vectorization (a conjunct reading both sides, a
+		// node the kernels do not know); distinct right rows reaching the
+		// same left row dedup in the set.
+		sel = bitset.New()
+		if err := db.scanIDsLocked(q, left, right, leftPos, rightPos, func(lid, _ int, _ bool) bool {
+			sel.Add(lid)
+			return true
+		}); err != nil {
+			unlock()
+			return nil, nil, nil, err
+		}
+	}
+	return left.cols[pos], sel, unlock, nil
+}
+
+// resolveAttrRowScan is the shared prologue of the attr-row scans and the
+// streaming iterator: table/join resolution, the left-bound-attribute and
 // no-Limit constraints, and WHERE defaulting.
 func (db *DB) resolveAttrRowScan(q Query, attr string) (left, right *Table,
 	leftPos, rightPos, attrPos int, where predicate.Predicate, err error) {
@@ -222,188 +265,34 @@ func (db *DB) resolveAttrRowScan(q Query, attr string) (left, right *Table,
 	return left, right, leftPos, rightPos, pos, where, nil
 }
 
-// ScanAttrRowSet is the set-valued fast path of ScanAttrRows: the
-// compressed selection of left rows matching the query whose attr is
-// non-NULL-convertible, with no per-row emission — the consumer keeps the
-// container bitmap the vectorized scan already produced instead of paying
-// a decompress/recompress round trip. Same constraints as ScanAttrRows
-// (left-bound integer attr, no Limit); ok=false means the query shape
-// defeats the vectorized engine and the caller must fall back to
-// ScanAttrRows.
-//
-// Rows at or beyond splitAt are excluded from the selection and instead
-// passed to spill with their attr value, read under the scan's shared
-// state lock — the same one-consistent-epoch guarantee ScanAttrRows's
-// emission has. splitAt < 0 disables spilling (the whole selection
-// returns). The evaluator uses this to collect pids of rows inserted
-// after its seed without a second, differently-timed store read.
-func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid int, v int64)) (*bitset.Set, bool, error) {
-	left, right, leftPos, rightPos, pos, where, err := db.resolveAttrRowScan(q, attr)
-	if err != nil {
-		return nil, false, err
-	}
-	unlock := lockShared(left, right)
-	defer unlock()
-	lsel, ok := db.matchLeftVec(left, right, leftPos, rightPos, where, nil)
-	if !ok {
-		return nil, false, nil
-	}
-	attrRowSetTail(left, pos, lsel, splitAt, spill)
-	return lsel, true, nil
-}
-
-// attrRowSetTail is the shared epilogue of ScanAttrRowSet and
-// ScanAttrRowSetParts: drop rows whose attr does not convert (the rows
-// ScanAttrRows would not have emitted) — one typed probe per selected row,
-// skipped entirely for fully convertible columns (every key column) — then
-// split off rows at or beyond splitAt through spill (splitAt < 0 disables).
-func attrRowSetTail(left *Table, pos int, lsel *bitset.Set, splitAt int, spill func(lid int, v int64)) {
-	c := left.cols[pos]
-	if c.nNoInt > 0 {
-		lsel.Retain(func(lid int) bool {
-			_, ok := c.intAt(lid)
-			return ok
-		})
-	}
-	if splitAt >= 0 {
-		if m, has := lsel.Max(); has && m >= splitAt {
-			for lid, lok := lsel.NextSet(splitAt); lok; lid, lok = lsel.NextSet(lid + 1) {
-				if v, vok := c.intAt(lid); vok {
-					spill(lid, v)
-				}
-			}
-			lsel.Retain(func(lid int) bool { return lid < splitAt })
-		}
-	}
-}
-
 // matchLeftVec computes the selection of live left rows satisfying the
-// (possibly joined) WHERE, entirely through the vectorized kernels.
-//
-// touched (nil for a full scan) switches the delta mode: left-side kernels
-// run only over the blocks containing touched rows, the result is masked to
-// touched, and — critically — the join is answered with O(|touched|)
-// per-row index probes instead of the cached existence vector and
-// right→left CSR. A mutation batch invalidates those O(n)-to-rebuild
-// structures; the delta path must not pay their repair just to re-evaluate
-// a handful of rows (the next full scan repairs them lazily instead).
-// Callers hold the state locks of both tables.
+// (possibly joined) WHERE, entirely through the vectorized kernels; ok=false
+// means the shape defeats them. Callers hold the state locks of both tables.
 func (db *DB) matchLeftVec(left, right *Table, leftPos, rightPos int,
-	where predicate.Predicate, touched *bitset.Set) (*bitset.Set, bool) {
-	var blks []int32
-	var rows []int32
-	if touched != nil {
-		blks = blocksOf(touched, left.n)
-		rows = rowsOf(touched, left.n)
-	}
-	// evalL evaluates a left-side predicate over the touched restriction:
-	// at the touched rows themselves when they are sparse in their blocks
-	// (the per-sync delta regime — cost tracks the batch, not the table),
-	// through the block kernels otherwise.
-	evalL := func(p predicate.Predicate, resolve func(string) int) (*bitset.Set, bool) {
-		if rows != nil && len(rows) < rowEvalMaxPerBlock*len(blks) {
-			if sel, ok := left.evalRows(p, resolve, rows); ok {
-				return sel, true
-			}
-		}
-		return left.evalVec(p, resolve, blks)
-	}
-	resolveL := func(a string) int {
-		if side, p := bindAttr(a, left, right); side == sideLeft {
-			return p
-		}
-		return -1
-	}
-	if right == nil {
-		sel, ok := evalL(where, resolveL)
-		if !ok {
-			return nil, false
-		}
-		if touched != nil {
-			sel.AndWith(touched)
-		}
-		left.selDropDead(sel)
-		return sel, true
-	}
-
-	// Split the conjunction by side: each conjunct must read only one
-	// table's columns for its kernel to run against that table alone.
-	var leftParts, rightParts []predicate.Predicate
-	for _, c := range flattenAnd(where) {
-		side, ok := classifySide(c, left, right)
-		if !ok {
-			return nil, false
-		}
-		if side == sideRight {
-			rightParts = append(rightParts, c)
-		} else {
-			leftParts = append(leftParts, c)
-		}
+	where predicate.Predicate) (*bitset.Set, bool) {
+	leftTree, rightTree, ok := splitBySide(where, left, right)
+	if !ok {
+		return nil, false
 	}
 	var lsel *bitset.Set
-	if len(leftParts) > 0 {
-		var ok bool
-		lsel, ok = evalL(predicate.NewAnd(leftParts...), resolveL)
+	if leftTree != nil {
+		lsel, ok = left.evalVec(leftTree, sideResolver(left, right, sideLeft))
 		if !ok {
 			return nil, false
 		}
 	}
-	if len(rightParts) == 0 {
-		if lsel == nil {
-			lsel = fullSelection(left.n)
-		}
-		if touched != nil {
-			// Delta mode: the join only demands existence for the touched
-			// rows, so probe the right index per row instead of repairing
-			// the O(n) existence vector.
-			lsel.AndWith(touched)
-			left.selDropDead(lsel)
-			rightIdx := right.ensureIndex(rightPos)
-			lc := left.cols[leftPos]
-			dropUnpartnered(lsel, func(lid int) bool {
-				for _, rid := range rightIdx[indexKey(lc.value(lid))] {
-					if !right.isDead(rid) {
-						return true
-					}
-				}
-				return false
-			})
-			return lsel, true
-		}
+	switch {
+	case right == nil:
+		// Joinless: the left selection is the answer.
+	case rightTree == nil:
 		// The join only demands existence: AND with the cached selection of
 		// left rows that have at least one partner (dead rows on either
 		// side are already excluded from the cached selection).
-		lsel.AndWith(left.existsVec(right, leftPos, rightPos))
-	} else {
-		rightPred := predicate.NewAnd(rightParts...)
-		if touched != nil {
-			// Delta mode: instead of walking every right row the predicate
-			// matches (O(degree) for a popular join key) and stitching back
-			// through the stale CSR, probe each touched row's few join
-			// partners directly — O(|touched| × fanout), independent of the
-			// table sizes.
-			rf, okc := compileIDFilter(rightPred, left, right)
-			if !okc {
-				return nil, false
-			}
-			if lsel == nil {
-				lsel = fullSelection(left.n)
-			}
-			lsel.AndWith(touched)
-			left.selDropDead(lsel)
-			rightIdx := right.ensureIndex(rightPos)
-			lc := left.cols[leftPos]
-			dropUnpartnered(lsel, func(lid int) bool {
-				for _, rid := range rightIdx[indexKey(lc.value(lid))] {
-					if !right.isDead(rid) && rf(lid, rid, true) {
-						return true
-					}
-				}
-				return false
-			})
-			return lsel, true
+		if lsel == nil {
+			lsel = fullSelection(left.n)
 		}
-
+		lsel.AndWith(left.existsVec(right, leftPos, rightPos))
+	default:
 		// Walk the matching right rows back through the join via the cached
 		// right→left CSR: every left row they reach is a hit, then
 		// intersect with the left selection.
@@ -417,8 +306,8 @@ func (db *DB) matchLeftVec(left, right *Table, leftPos, rightPos int,
 		// Index-usable right predicates (the ubiquitous dblp_author.aid=N)
 		// touch only their candidate rows; everything else gets one
 		// vectorized pass over the right table.
-		if rids, ok := rightCandidateIDs(left, right, rightPred); ok {
-			rf, okc := compileIDFilter(rightPred, left, right)
+		if rids, ok := rightCandidateIDs(left, right, rightTree); ok {
+			rf, okc := compileIDFilter(rightTree, left, right)
 			if !okc {
 				return nil, false
 			}
@@ -428,13 +317,7 @@ func (db *DB) matchLeftVec(left, right *Table, leftPos, rightPos int,
 				}
 			}
 		} else {
-			resolveR := func(a string) int {
-				if side, p := bindAttr(a, left, right); side == sideRight {
-					return p
-				}
-				return -1
-			}
-			rsel, ok := right.evalVec(rightPred, resolveR, nil)
+			rsel, ok := right.evalVec(rightTree, sideResolver(left, right, sideRight))
 			if !ok {
 				return nil, false
 			}
@@ -454,14 +337,34 @@ func (db *DB) matchLeftVec(left, right *Table, leftPos, rightPos int,
 	return lsel, true
 }
 
-func emitSelRows(t *Table, pos int, sel *bitset.Set, emit func(lid int, v int64)) {
-	c := t.cols[pos]
-	sel.ForEach(func(lid int) bool {
-		if v, ok := c.intAt(lid); ok {
-			emit(lid, v)
+// splitBySide splits the WHERE conjunction by join side: each conjunct must
+// read only one table's columns for its kernel (or compiled filter) to run
+// against that table alone. A nil tree means no conjunct reads that side
+// (attribute-free conjuncts count as left); ok=false means some conjunct
+// mixes both sides. Joinless, the whole WHERE is the left tree.
+func splitBySide(where predicate.Predicate, left, right *Table) (leftTree, rightTree predicate.Predicate, ok bool) {
+	if right == nil {
+		return where, nil, true
+	}
+	var leftParts, rightParts []predicate.Predicate
+	for _, c := range flattenAnd(where) {
+		side, ok := classifySide(c, left, right)
+		if !ok {
+			return nil, nil, false
 		}
-		return true
-	})
+		if side == sideRight {
+			rightParts = append(rightParts, c)
+		} else {
+			leftParts = append(leftParts, c)
+		}
+	}
+	if len(leftParts) > 0 {
+		leftTree = predicate.NewAnd(leftParts...)
+	}
+	if len(rightParts) > 0 {
+		rightTree = predicate.NewAnd(rightParts...)
+	}
+	return leftTree, rightTree, true
 }
 
 // flattenAnd returns the conjuncts of p (p itself when it is not an AND).
@@ -528,10 +431,11 @@ func (db *DB) PrepareQuery(q Query) error {
 // result is a fresh selection ⊆ touched holding exactly the live touched
 // rows the query matches (for a join, rows with at least one matching
 // partner). This is the delta-maintenance primitive: after a mutation
-// batch, each cached predicate re-evaluates only the touched rows — through
-// the vectorized kernels restricted to the touched rows' blocks when the
-// WHERE splits by side, through the compiled per-row filter otherwise —
-// instead of rescanning the table. touched is never mutated.
+// batch, each cached predicate re-evaluates only the touched rows through
+// the compiled per-row filter — work proportional to the batch, independent
+// of the table sizes, and never touching the O(n)-to-repair join existence
+// vector or CSR a mutation invalidates (the next full scan repairs them
+// lazily instead). touched is never mutated.
 func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error) {
 	left := db.Table(q.From)
 	if left == nil {
@@ -556,48 +460,42 @@ func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error)
 	unlock := lockShared(left, right)
 	defer unlock()
 
+	out := bitset.New()
 	if touched.IsEmpty() {
-		return bitset.New(), nil
+		return out, nil
 	}
-	if sel, ok := db.matchLeftVec(left, right, leftPos, rightPos, where, touched); ok {
-		sel.AndWith(touched)
-		return sel, nil
-	}
-
-	// Per-row fallback: the compiled typed filter when the tree compiles,
-	// boxed Predicate.Eval otherwise.
-	filter, compiled := compileIDFilter(where, left, right)
-	match := func(lid, rid int, hasRight bool) bool {
-		if compiled {
-			return filter(lid, rid, hasRight)
+	// Left-only conjuncts run on the row before the join probe, so a
+	// rejected row never pays the index lookup; right-side conjuncts run per
+	// live partner. A WHERE that does not split by side runs whole per
+	// partner.
+	var onRow, onPair idFilter
+	if leftTree, rightTree, ok := splitBySide(where, left, right); !ok {
+		onPair = rowFilter(where, left, right)
+	} else {
+		if leftTree != nil {
+			onRow = rowFilter(leftTree, left, right)
 		}
-		row := JoinedRow{Left: left.Row(lid)}
-		if hasRight {
-			row.Right = right.Row(rid)
-			row.HasRight = true
+		if rightTree != nil {
+			onPair = rowFilter(rightTree, left, right)
 		}
-		return where.Eval(row)
 	}
 	var rightIdx hashIndex
 	if right != nil {
 		rightIdx = right.ensureIndex(rightPos)
 	}
-	out := bitset.New()
 	touched.ForEach(func(lid int) bool {
 		if lid >= left.n {
 			return false // touched bits are ascending; nothing left in range
 		}
-		if left.isDead(lid) {
+		if left.isDead(lid) || (onRow != nil && !onRow(lid, 0, false)) {
 			return true
 		}
 		if right == nil {
-			if match(lid, 0, false) {
-				out.Add(lid)
-			}
+			out.Add(lid)
 			return true
 		}
 		for _, rid := range rightIdx[indexKey(left.cols[leftPos].value(lid))] {
-			if !right.isDead(rid) && match(lid, rid, true) {
+			if !right.isDead(rid) && (onPair == nil || onPair(lid, rid, true)) {
 				out.Add(lid)
 				break
 			}
@@ -740,18 +638,7 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 		rightIdx = right.ensureIndex(rightPos)
 	}
 
-	filter, compiled := compileIDFilter(where, left, right)
-	match := func(lid, rid int, hasRight bool) bool {
-		if compiled {
-			return filter(lid, rid, hasRight)
-		}
-		row := JoinedRow{Left: left.Row(lid)}
-		if hasRight {
-			row.Right = right.Row(rid)
-			row.HasRight = true
-		}
-		return where.Eval(row)
-	}
+	match := rowFilter(where, left, right)
 
 	emitLeft := func(lid int) bool {
 		if left.isDead(lid) {
@@ -789,13 +676,8 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 	// Vectorized full scan: when the WHERE tree reads only left columns,
 	// one kernel pass computes the whole left selection; selected rows emit
 	// their join partners (if any) with no per-row re-evaluation.
-	if side, ok := classifySide(where, left, right); ok && side == sideLeft && compiled {
-		if sel, ok := left.evalVec(where, func(a string) int {
-			if s, p := bindAttr(a, left, right); s == sideLeft {
-				return p
-			}
-			return -1
-		}, nil); ok {
+	if side, ok := classifySide(where, left, right); ok && side == sideLeft {
+		if sel, ok := left.evalVec(where, sideResolver(left, right, sideLeft)); ok {
 			left.selDropDead(sel)
 			sel.ForEach(func(lid int) bool {
 				if right == nil {
@@ -891,6 +773,19 @@ func bindAttr(attr string, left, right *Table) (attrSide, int) {
 		}
 	}
 	return sideNone, 0
+}
+
+// sideResolver returns the attribute resolver the single-table evaluators
+// take for one side of a (possibly joined) query: the column position of an
+// attribute bindAttr places on that side, -1 for any other — which makes the
+// leaf constant false, exactly the row filter's collapsed semantics.
+func sideResolver(left, right *Table, want attrSide) func(string) int {
+	return func(a string) int {
+		if side, p := bindAttr(a, left, right); side == want {
+			return p
+		}
+		return -1
+	}
 }
 
 // idFilter evaluates a compiled predicate over (left row id, right row id)
@@ -1019,6 +914,23 @@ func compileIDKids(ps []predicate.Predicate, left, right *Table) ([]idFilter, bo
 	return out, true
 }
 
+// rowFilter lowers p to a per-row filter: the compiled typed closure tree
+// when every node compiles, boxed Predicate.Eval over materialized rows
+// otherwise.
+func rowFilter(p predicate.Predicate, left, right *Table) idFilter {
+	if f, ok := compileIDFilter(p, left, right); ok {
+		return f
+	}
+	return func(lid, rid int, hasRight bool) bool {
+		row := JoinedRow{Left: left.Row(lid)}
+		if hasRight {
+			row.Right = right.Row(rid)
+			row.HasRight = true
+		}
+		return p.Eval(row)
+	}
+}
+
 // candidateIDs inspects the predicate for index-usable equality conditions
 // on t's columns and, if any are found, returns a superset of the matching
 // row ids (sorted, deduplicated). The full predicate is still evaluated per
@@ -1034,12 +946,7 @@ func candidateIDs(t *Table, p predicate.Predicate) ([]int, bool) {
 // bare column name both tables carry never yields right-table candidates
 // for a predicate that semantically filters the left table.
 func rightCandidateIDs(left, right *Table, p predicate.Predicate) ([]int, bool) {
-	return candidateIDsResolve(right, p, func(attr string) int {
-		if side, pos := bindAttr(attr, left, right); side == sideRight {
-			return pos
-		}
-		return -1
-	})
+	return candidateIDsResolve(right, p, sideResolver(left, right, sideRight))
 }
 
 func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) int) ([]int, bool) {

@@ -371,28 +371,6 @@ func (t *Table) joinEntry(right *Table, leftPos, rightPos int) *existsEntry {
 	return e
 }
 
-// TableMemStats reports the footprint of a table's bitset-backed masks —
-// the store-side half of the bitmapmem accounting.
-type TableMemStats struct {
-	// TombstoneBytes is the compressed tombstone mask.
-	TombstoneBytes int64
-	// JoinMaskBytes sums the cached join-existence selections.
-	JoinMaskBytes int64
-}
-
-// MemStats reports the current compressed footprint of the table's masks.
-func (t *Table) MemStats() TableMemStats {
-	t.state.RLock()
-	defer t.state.RUnlock()
-	st := TableMemStats{TombstoneBytes: t.dead.SizeBytes()}
-	t.mu.RLock()
-	for _, e := range t.exists {
-		st.JoinMaskBytes += e.sel.SizeBytes()
-	}
-	t.mu.RUnlock()
-	return st
-}
-
 // Row returns a predicate.Row view of row id.
 func (t *Table) Row(id int) RowRef { return RowRef{t: t, id: id} }
 

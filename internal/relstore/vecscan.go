@@ -25,9 +25,6 @@ type selSink interface {
 	SetRange(lo, hi int)
 }
 
-// selWords returns the number of 64-bit words covering n rows.
-func selWords(n int) int { return (n + 63) / 64 }
-
 // fullSelection returns the selection of every row id in [0, n) — one run
 // container per 64k span.
 func fullSelection(n int) *bitset.Set {
@@ -45,64 +42,36 @@ func (t *Table) selDropDead(sel *bitset.Set) {
 	}
 }
 
-// dropUnpartnered clears every set bit whose row fails the probe — the
-// delta-mode join-existence test, one index probe per surviving row.
-func dropUnpartnered(sel *bitset.Set, hasPartner func(lid int) bool) {
-	sel.Retain(hasPartner)
-}
-
-// blocksOf lists the (ascending) block indexes containing at least one set
-// bit of sel — the restriction list that lets delta maintenance re-evaluate
-// only the touched rows' blocks through the vectorized kernels. NextSet
-// jumps from block boundary to block boundary, so the walk costs one
-// container probe per populated block instead of one step per set bit.
-func blocksOf(sel *bitset.Set, n int) []int32 {
-	var out []int32
-	for i, ok := sel.NextSet(0); ok && i < n; i, ok = sel.NextSet(i) {
-		bi := i / blockSize
-		out = append(out, int32(bi))
-		i = (bi + 1) * blockSize
-	}
-	return out
-}
-
 // evalVec evaluates a predicate over every row of t as a compressed
 // selection. resolve maps attribute references to column positions; -1
 // means the attribute does not bind to this table, which makes the leaf
 // constant false — exactly the collapsed three-valued semantics of the row
 // filter. ok=false means the tree contains a node the vectorized engine
 // does not know; callers fall back to the row-at-a-time scan.
-//
-// blks restricts the kernels to the listed blocks (nil = all): leaves fill
-// only those blocks' spans, the set algebra runs over whatever landed, and
-// bits outside the listed blocks are unspecified — callers that restrict
-// MUST mask the result with their touched-row selection. This is the
-// delta-maintenance path: after a mutation batch only the touched blocks
-// re-run, not the table.
-func (t *Table) evalVec(p predicate.Predicate, resolve func(string) int, blks []int32) (*bitset.Set, bool) {
+func (t *Table) evalVec(p predicate.Predicate, resolve func(string) int) (*bitset.Set, bool) {
 	switch node := p.(type) {
 	case predicate.True:
 		return fullSelection(t.n), true
 	case *predicate.Cmp:
 		b := bitset.NewBuilder(t.n)
 		if pos := resolve(node.Attr); pos >= 0 {
-			scanCmp(t, pos, node.Op, node.Val, b, blks)
+			scanCmp(t, pos, node.Op, node.Val, b, nil)
 		}
 		return b.Finish(), true
 	case *predicate.Between:
 		b := bitset.NewBuilder(t.n)
 		if pos := resolve(node.Attr); pos >= 0 {
-			scanBetween(t, pos, node.Lo, node.Hi, b, blks)
+			scanBetween(t, pos, node.Lo, node.Hi, b, nil)
 		}
 		return b.Finish(), true
 	case *predicate.In:
 		b := bitset.NewBuilder(t.n)
 		if pos := resolve(node.Attr); pos >= 0 {
-			scanIn(t, pos, node.Vals, b, blks)
+			scanIn(t, pos, node.Vals, b, nil)
 		}
 		return b.Finish(), true
 	case *predicate.Not:
-		sel, ok := t.evalVec(node.Kid, resolve, blks)
+		sel, ok := t.evalVec(node.Kid, resolve)
 		if !ok {
 			return nil, false
 		}
@@ -111,7 +80,7 @@ func (t *Table) evalVec(p predicate.Predicate, resolve func(string) int, blks []
 	case *predicate.And:
 		var acc *bitset.Set
 		for _, k := range node.Kids {
-			sel, ok := t.evalVec(k, resolve, blks)
+			sel, ok := t.evalVec(k, resolve)
 			if !ok {
 				return nil, false
 			}
@@ -131,7 +100,7 @@ func (t *Table) evalVec(p predicate.Predicate, resolve func(string) int, blks []
 	case *predicate.Or:
 		acc := bitset.New()
 		for _, k := range node.Kids {
-			sel, ok := t.evalVec(k, resolve, blks)
+			sel, ok := t.evalVec(k, resolve)
 			if !ok {
 				return nil, false
 			}

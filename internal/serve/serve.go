@@ -154,9 +154,8 @@ func (a *App) Server() *cache.Server { return a.srv }
 // Registry exposes the metrics registry.
 func (a *App) Registry() *obs.Registry { return a.reg }
 
-// QueryGate and MutateGate expose the admission gates' ledgers.
-func (a *App) QueryGate() *admit.Gate  { return a.queryGate }
-func (a *App) MutateGate() *admit.Gate { return a.mutateGate }
+// QueryGate exposes the query admission gate's ledger.
+func (a *App) QueryGate() *admit.Gate { return a.queryGate }
 
 // SeedSession stores a profile server-side (cmd/hypred's -seed.sessions and
 // the experiments use it to skip the PUT round trip).

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 )
 
 // This file generates the serving-path read workload: a seeded Zipf-skewed
@@ -59,38 +58,4 @@ func ZipfProfileSequence(users []int64, n int, cfg ProfileMixConfig) *ProfileMix
 		seq[i] = pool[z.Uint64()]
 	}
 	return &ProfileMix{Seq: seq, Ranked: pool}
-}
-
-// DistinctQueried counts how many users actually appear in the sequence.
-func (m *ProfileMix) DistinctQueried() int {
-	seen := make(map[int64]bool, len(m.Ranked))
-	for _, uid := range m.Seq {
-		seen[uid] = true
-	}
-	return len(seen)
-}
-
-// TopShare reports the fraction of queries issued by the k hottest users in
-// the sequence — the skew knob's observable effect.
-func (m *ProfileMix) TopShare(k int) float64 {
-	if len(m.Seq) == 0 || k <= 0 {
-		return 0
-	}
-	counts := map[int64]int{}
-	for _, uid := range m.Seq {
-		counts[uid]++
-	}
-	all := make([]int, 0, len(counts))
-	for _, c := range counts {
-		all = append(all, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(all)))
-	if k > len(all) {
-		k = len(all)
-	}
-	top := 0
-	for _, c := range all[:k] {
-		top += c
-	}
-	return float64(top) / float64(len(m.Seq))
 }

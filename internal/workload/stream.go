@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"hypre/internal/predicate"
 	"hypre/internal/relstore"
@@ -22,11 +21,6 @@ import (
 //     writers reaches the same final logical state — which is what lets
 //     the stream experiment compare a group-commit store against a serial
 //     twin by ranking equality rather than by trust.
-//
-// Pacer adds the open-loop arrival mode: seeded exponential interarrival
-// gaps for a target ops/sec, so the stream experiment can drive the store
-// at a fixed offered load instead of as-fast-as-possible (closed loop),
-// and measure maintenance staleness under that load.
 
 // OpKind tags one planned mutation.
 type OpKind uint8
@@ -170,30 +164,4 @@ func (s *UpdateStream) planOne(w, writers, n int, owned []int64) []Op {
 		}
 	}
 	return ops
-}
-
-// Pacer is the open-loop arrival process: exponential interarrival gaps
-// drawn from a seeded RNG for a target mean rate, independent of how fast
-// the store absorbs the ops (the defining property of open-loop load — a
-// slow server builds a backlog instead of slowing the offered rate).
-type Pacer struct {
-	rng  *rand.Rand
-	mean float64 // seconds between arrivals
-	next time.Duration
-}
-
-// NewPacer builds a pacer for opsPerSec mean arrivals per second.
-func NewPacer(seed int64, opsPerSec float64) *Pacer {
-	if opsPerSec <= 0 {
-		opsPerSec = 1
-	}
-	return &Pacer{rng: rand.New(rand.NewSource(seed)), mean: 1 / opsPerSec}
-}
-
-// Next returns the arrival time of the next op, as an offset from the
-// stream's start. Arrivals are strictly non-decreasing.
-func (p *Pacer) Next() time.Duration {
-	gap := p.rng.ExpFloat64() * p.mean
-	p.next += time.Duration(gap * float64(time.Second))
-	return p.next
 }

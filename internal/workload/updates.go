@@ -90,9 +90,6 @@ func NewUpdateStream(net *Network, cfg StreamConfig) (*UpdateStream, error) {
 	return s, nil
 }
 
-// Live returns the number of papers the stream currently considers alive.
-func (s *UpdateStream) Live() int { return len(s.rows) }
-
 // Apply runs n ops against the store and reports how many actually mutated
 // something (a delete drawn on an empty live set degrades to an insert, so
 // in practice every op lands).
