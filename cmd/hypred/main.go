@@ -1,14 +1,14 @@
 // Command hypred is the long-lived preference server: it generates (or will
-// one day load) a citation network, builds the HYPRE preference workload
-// over it, and serves the multi-tenant HTTP API of internal/serve — session
-// profiles, fingerprint-cached top-k queries, batched mutations, admission
-// control per route class, and the /metrics + /debug ops surface — all on
-// one listener.
+// one day load) a citation network and serves the multi-tenant HTTP API of
+// internal/serve over it — session profiles, fingerprint-cached top-k
+// queries, batched mutations, admission control per route class, and the
+// /metrics + /debug ops surface — all on one listener.
 //
 //	hypred -addr :8080 -seed.sessions 4
 //
 // boots a default network with four pre-seeded sessions (their ids are
-// logged) so a client can query without first storing a profile.
+// logged) so a client can query without first storing a profile; only then
+// are preferences extracted and the HYPRE graph built.
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"hypre/internal/admit"
-	"hypre/internal/experiments"
+	"hypre/internal/hypre"
 	"hypre/internal/relstore"
 	"hypre/internal/serve"
 	"hypre/internal/workload"
@@ -40,7 +40,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "workload seed")
 		zipf    = flag.Float64("zipf", 0, "venue/author popularity skew (0 = default)")
 
-		cacheBytes = flag.Int64("cache.bytes", 0, "result/plan cache budget (0 = default 64 MiB)")
+		cacheBytes = flag.Int64("cache.bytes", 0, "result cache budget (0 = default 64 MiB)")
 		slowThresh = flag.Duration("slow.threshold", 25*time.Millisecond, "slow-log threshold")
 
 		qRate  = flag.Float64("admit.query.rate", 0, "query admission rate/s (0 = unlimited)")
@@ -68,13 +68,13 @@ func main() {
 
 	log.Printf("hypred: generating network (papers=%d authors=%d venues=%d seed=%d)",
 		cfg.NumPapers, cfg.NumAuthors, cfg.NumVenues, cfg.Seed)
-	lab, err := buildLab(cfg, *groupCommit)
+	net, err := workload.GenerateWith(cfg, relstore.WithGroupCommit(*groupCommit))
 	if err != nil {
 		log.Fatalf("hypred: workload: %v", err)
 	}
 
 	app, err := serve.New(serve.Options{
-		Net:        lab.Net,
+		Net:        net,
 		CacheBytes: *cacheBytes,
 		Slow:       *slowThresh,
 		Query:      admit.Config{Rate: *qRate, Burst: *qBurst, MaxQueue: *qQueue, SLO: *qSLO},
@@ -87,9 +87,15 @@ func main() {
 	// Pre-seed sessions from the extracted preference workload, richest
 	// profiles first, so a scripted client (the CI smoke) has known-good
 	// sessions to replay without speaking the predicate language itself.
+	// The HYPRE graph (Algorithm 1 over every user) exists only for this.
 	if *seedSessions > 0 {
-		counts := lab.Prefs.CountByUser()
-		users := append([]int64(nil), lab.Prefs.Users...)
+		prefs := workload.Extract(net, workload.DefaultExtractConfig())
+		graph := hypre.NewGraph(hypre.DefaultAvg)
+		if _, err := graph.Build(prefs.Quant, prefs.Qual); err != nil {
+			log.Fatalf("hypred: preference graph: %v", err)
+		}
+		counts := prefs.CountByUser()
+		users := append([]int64(nil), prefs.Users...)
 		sort.Slice(users, func(i, j int) bool {
 			if counts[users[i]] != counts[users[j]] {
 				return counts[users[i]] > counts[users[j]]
@@ -101,10 +107,11 @@ func main() {
 			if n >= *seedSessions {
 				break
 			}
-			prof := lab.ProfileFor(uid, 16)
+			prof := graph.PositiveProfile(uid)
 			if len(prof) == 0 {
 				continue
 			}
+			prof = prof[:min(len(prof), 16)]
 			id := fmt.Sprintf("u%d", uid)
 			fp, err := app.SeedSession(id, prof)
 			if err != nil {
@@ -137,12 +144,4 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(ctx)
-}
-
-// buildLab builds the experiments.Lab, optionally over a group-commit store.
-func buildLab(cfg workload.Config, groupCommit bool) (*experiments.Lab, error) {
-	if !groupCommit {
-		return experiments.NewLab(cfg)
-	}
-	return experiments.NewLabWith(cfg, relstore.WithGroupCommit(true))
 }

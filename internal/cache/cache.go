@@ -1,7 +1,6 @@
 // Package cache is the serving-path caching tier between callers and the
-// evaluator: a sharded, byte-budgeted LRU holding compiled plans (built TA
-// lists plus the one-shot router's decision) and top-k results, keyed by
-// the canonical profile fingerprint of internal/combine. At serving scale
+// evaluator: a sharded, byte-budgeted LRU of top-k results, keyed by the
+// canonical profile fingerprint of internal/combine plus k. At serving scale
 // repeated preference profiles are the common case, so a fingerprint hit
 // turns a multi-millisecond scan into a map lookup; single-flight
 // deduplication collapses concurrent identical cold queries to one
@@ -9,56 +8,33 @@
 // costs work proportional to the rows the batch touched, not to the cache
 // size, and only entries whose predicate membership actually moved are
 // dropped (the FO+MOD-under-updates discipline of the delta subsystem,
-// extended over the cache).
+// extended over the cache). A miss publishes exactly one entry; nothing
+// cached is ever patched in place.
 package cache
 
 import (
 	"sync"
 
 	"hypre/internal/combine"
-	"hypre/internal/hypre"
 	"hypre/internal/metrics"
 	"hypre/internal/obs"
-	"hypre/internal/topk"
 )
 
-// entryKind separates the two value types sharing the cache: a top-k
-// result for one (fingerprint, k), and a compiled plan for a fingerprint.
-type entryKind uint8
-
-const (
-	kindResult entryKind = iota
-	kindPlan
-)
-
-// entryKey addresses one cache entry. Plans ignore k.
+// entryKey addresses one cache entry: a top-k result for one
+// (fingerprint, k).
 type entryKey struct {
-	fp   combine.Fingerprint
-	k    int32
-	kind entryKind
+	fp combine.Fingerprint
+	k  int32
 }
 
-// entry is one cached value plus its LRU links and invalidation footprint.
-// Entries are structurally immutable after insertion; readers may use
-// tuples/lists without holding the shard lock (ScoredTuple slices are
-// copied out to callers, and Lists carries its own RWMutex — maintenance
-// syncs patch a plan entry's lists in place via topk.Lists.ApplyDelta while
-// concurrent TA rankings read a consistent version).
+// entry is one cached answer plus its LRU links and invalidation footprint.
+// Entries are immutable after insertion; readers may use tuples without
+// holding the shard lock (the slice is copied out to callers).
 type entry struct {
 	key entryKey
 
-	// tuples is the ranked answer of a result entry.
+	// tuples is the ranked answer.
 	tuples []combine.ScoredTuple
-	// lists is a plan entry's built TA lists (nil for a streaming-decision
-	// marker: the router chose the scan path, there is nothing to compile).
-	lists *topk.Lists
-	// canon is the canonical profile a lists-bearing plan entry was built
-	// for — the repair input topk.DeltaGrades needs when a maintenance sync
-	// patches the lists instead of evicting the plan.
-	canon []hypre.ScoredPred
-	// streamed records the router decision a plan entry memoizes.
-	streamed bool
-
 	// predKeys lists the normalized predicate texts the value depends on;
 	// the invalidation sweep drops the entry when any of them moves.
 	predKeys []string
@@ -69,8 +45,8 @@ type entry struct {
 }
 
 // Cache is the sharded LRU. Shard selection hashes the fingerprint, so all
-// entries of one profile (its plan and its per-k results) land in one
-// shard and an invalidation sweep walks each shard once.
+// entries of one profile (its per-k results) land in one shard and an
+// invalidation sweep walks each shard once.
 type Cache struct {
 	shards   []shard
 	perShard int64
@@ -189,42 +165,6 @@ func (c *Cache) removeWhere(match func(*entry) bool) int {
 		sh.mu.Unlock()
 	}
 	return dropped
-}
-
-// planLists snapshots the lists-bearing plan entries, for repair work that
-// must run outside the shard locks (evaluator reads nest store locks, which
-// never mix with shard locks).
-func (c *Cache) planLists() []*entry {
-	var out []*entry
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.key.kind == kindPlan && e.lists != nil {
-				out = append(out, e)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// recharge re-accounts an entry whose resident size changed in place (a
-// repaired plan's lists grew or shrank), evicting from the cold end if the
-// shard went over budget. A no-op when the entry was concurrently dropped.
-func (c *Cache) recharge(e *entry, size int64) {
-	sh := c.shardOf(e.key.fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.entries[e.key] != e {
-		return
-	}
-	sh.bytes += size - e.size
-	e.size = size
-	for sh.bytes > c.perShard && sh.tail != nil {
-		sh.drop(sh.tail)
-		c.counters.Evictions.Add(1)
-	}
 }
 
 // purge empties the cache (full invalidation).

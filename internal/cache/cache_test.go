@@ -20,7 +20,7 @@ func fpOf(b byte) combine.Fingerprint {
 
 func resultEntry(fp combine.Fingerprint, k int, size int64, preds ...string) *entry {
 	return &entry{
-		key:      entryKey{fp: fp, k: int32(k), kind: kindResult},
+		key:      entryKey{fp: fp, k: int32(k)},
 		tuples:   []combine.ScoredTuple{{PID: 1, Intensity: 0.5}},
 		predKeys: preds,
 		size:     size,
@@ -47,18 +47,18 @@ func TestCacheLRUByteBudget(t *testing.T) {
 	}
 	// The survivors are the three most recent inserts.
 	for i := 7; i < 10; i++ {
-		if _, ok := c.get(entryKey{fp: fpOf(byte(i)), k: 10, kind: kindResult}); !ok {
+		if _, ok := c.get(entryKey{fp: fpOf(byte(i)), k: 10}); !ok {
 			t.Fatalf("recent entry %d was evicted", i)
 		}
 	}
 	// A get refreshes recency: touch the oldest survivor, insert one more,
 	// and the untouched middle entry is the victim instead.
-	c.get(entryKey{fp: fpOf(7), k: 10, kind: kindResult})
+	c.get(entryKey{fp: fpOf(7), k: 10})
 	c.put(resultEntry(fpOf(20), 10, 300))
-	if _, ok := c.get(entryKey{fp: fpOf(7), k: 10, kind: kindResult}); !ok {
+	if _, ok := c.get(entryKey{fp: fpOf(7), k: 10}); !ok {
 		t.Fatalf("recency refresh did not protect the touched entry")
 	}
-	if _, ok := c.get(entryKey{fp: fpOf(8), k: 10, kind: kindResult}); ok {
+	if _, ok := c.get(entryKey{fp: fpOf(8), k: 10}); ok {
 		t.Fatalf("LRU victim selection ignored recency")
 	}
 }
@@ -69,10 +69,10 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 	c := NewCache(Config{MaxBytes: 1000, Shards: 1})
 	c.put(resultEntry(fpOf(1), 10, 200))
 	c.put(resultEntry(fpOf(2), 10, 5000))
-	if _, ok := c.get(entryKey{fp: fpOf(2), k: 10, kind: kindResult}); ok {
+	if _, ok := c.get(entryKey{fp: fpOf(2), k: 10}); ok {
 		t.Fatalf("oversized entry was cached")
 	}
-	if _, ok := c.get(entryKey{fp: fpOf(1), k: 10, kind: kindResult}); !ok {
+	if _, ok := c.get(entryKey{fp: fpOf(1), k: 10}); !ok {
 		t.Fatalf("oversized insert evicted a resident entry")
 	}
 }
@@ -95,7 +95,7 @@ func TestCacheRemoveWhere(t *testing.T) {
 	if dropped != 2 {
 		t.Fatalf("want 2 dropped, got %d", dropped)
 	}
-	if _, ok := c.get(entryKey{fp: fpOf(3), k: 10, kind: kindResult}); !ok {
+	if _, ok := c.get(entryKey{fp: fpOf(3), k: 10}); !ok {
 		t.Fatalf("unrelated entry was swept")
 	}
 	entries, _ := c.Stats()
@@ -124,7 +124,7 @@ func TestFlightGroupDedup(t *testing.T) {
 	var g flightGroup
 	var calls atomic.Int64
 	release := make(chan struct{})
-	key := entryKey{fp: fpOf(9), k: 5, kind: kindResult}
+	key := entryKey{fp: fpOf(9), k: 5}
 
 	const n = 24
 	var leaders atomic.Int64
@@ -172,7 +172,7 @@ func TestFlightGroupDedup(t *testing.T) {
 // blocking forever, and the key is free for the next call.
 func TestFlightLeaderPanicReleasesKey(t *testing.T) {
 	var g flightGroup
-	key := entryKey{fp: fpOf(13), k: 5, kind: kindResult}
+	key := entryKey{fp: fpOf(13), k: 5}
 	started := make(chan struct{}) // closed once the leader is inside fn
 	release := make(chan struct{})
 

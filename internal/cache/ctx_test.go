@@ -19,7 +19,7 @@ import (
 // the in-flight map is cleaned up.
 func TestFlightWaiterCancelLeaderCompletes(t *testing.T) {
 	var g flightGroup
-	key := entryKey{fp: fpOf(42), k: 5, kind: kindResult}
+	key := entryKey{fp: fpOf(42), k: 5}
 	want := []combine.ScoredTuple{{PID: 7, Intensity: 0.9}}
 
 	gate := make(chan struct{})    // holds the leader's fn open
@@ -110,7 +110,7 @@ func TestFlightCanceledBeforeJoin(t *testing.T) {
 	var g flightGroup
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	val, leader, err := g.do(ctx, entryKey{fp: fpOf(1), k: 1, kind: kindResult},
+	val, leader, err := g.do(ctx, entryKey{fp: fpOf(1), k: 1},
 		func() ([]combine.ScoredTuple, error) {
 			return []combine.ScoredTuple{{PID: 1, Intensity: 1}}, nil
 		})
@@ -143,7 +143,7 @@ func TestTopKContextCancelWhileShared(t *testing.T) {
 	prefs := []hypre.ScoredPred{p}
 	const k = 5
 	_, fp := combine.CanonicalProfile(prefs)
-	key := entryKey{fp: fp, k: int32(k), kind: kindResult}
+	key := entryKey{fp: fp, k: int32(k)}
 
 	// Fabricate an in-flight leader for exactly the key TopKContext will
 	// compute, so the request under test is deterministically a waiter.

@@ -30,9 +30,9 @@ func mustOutcome(t *testing.T, srv *cache.Server, prof []hypre.ScoredPred, k int
 }
 
 // TestServerObsCounterInvariant drives every route class through a real
-// server and pins the split the Evaluations counter introduces: for
-// single-flight leaders, Misses == PlanHits + Evaluations, and ServedRate
-// counts plan hits where HitRate does not.
+// server and pins the counter discipline: every single-flight leader
+// evaluates exactly once (Misses == Evaluations), and the two plan-tier
+// fields of the snapshot stay declared but read 0.
 func TestServerObsCounterInvariant(t *testing.T) {
 	net := testNet(t, 21)
 	ev := newEval(net)
@@ -48,37 +48,37 @@ func TestServerObsCounterInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cold miss (evaluation), warm hit, plan hit at a new k, stale bypass.
-	// After the Sync the result entry is invalidated but the compiled plan
-	// survives — its TA lists are repaired in place — so the post-sync miss
-	// is a plan hit, not a re-evaluation.
+	// Cold miss, warm hit, a new k (its own evaluation), stale bypass. The
+	// Sync sweeps both result entries, so the post-sync ask evaluates again
+	// — over the bitmaps the maintainer just patched.
 	mustOutcome(t, srv, prof, 10, cache.Miss)
 	mustOutcome(t, srv, prof, 10, cache.Hit)
-	mustOutcome(t, srv, prof, 25, cache.Miss) // result miss served by the plan
+	mustOutcome(t, srv, prof, 25, cache.Miss)
 	mutateVenue(t, net, net.Venues[4], net.Venues[1])
 	mustOutcome(t, srv, prof, 10, cache.StaleBypass)
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	mustOutcome(t, srv, prof, 10, cache.Miss)
+	got, out, err := srv.TopK(prof, 10)
+	if err != nil || out != cache.Miss {
+		t.Fatalf("post-sync ask: outcome %v err %v, want Miss", out, err)
+	}
+	if !sameRanking(got, uncached(t, net, prof, 10)) {
+		t.Fatalf("post-sync answer over the maintained bitmaps diverged from uncached evaluation")
+	}
 
 	snap := srv.Counters().Snapshot()
-	if snap.Misses != snap.PlanHits+snap.Evaluations {
-		t.Fatalf("Misses %d != PlanHits %d + Evaluations %d",
-			snap.Misses, snap.PlanHits, snap.Evaluations)
+	if snap.Misses != 3 || snap.Misses != snap.Evaluations {
+		t.Fatalf("Misses %d, Evaluations %d; want 3 and 3", snap.Misses, snap.Evaluations)
 	}
-	if snap.PlanHits != 2 {
-		t.Fatalf("PlanHits = %d, want the new-k ask plus the post-sync repaired plan", snap.PlanHits)
-	}
-	if snap.PlanRepairs != 1 {
-		t.Fatalf("PlanRepairs = %d, want 1 (the sync patched the plan in place)", snap.PlanRepairs)
+	if snap.PlanHits != 0 || snap.PlanRepairs != 0 {
+		t.Fatalf("PlanHits %d, PlanRepairs %d; nothing increments them", snap.PlanHits, snap.PlanRepairs)
 	}
 	if snap.StaleBypasses != 1 {
 		t.Fatalf("StaleBypasses = %d, want 1", snap.StaleBypasses)
 	}
-	if snap.ServedRate() <= snap.HitRate() {
-		t.Fatalf("ServedRate %.3f should exceed HitRate %.3f with a plan hit on the board",
-			snap.ServedRate(), snap.HitRate())
+	if snap.Invalidated != 2 {
+		t.Fatalf("Invalidated = %d, want the k=10 and k=25 entries", snap.Invalidated)
 	}
 
 	// The registry saw the same traffic: per-route histograms and the
@@ -92,12 +92,14 @@ func TestServerObsCounterInvariant(t *testing.T) {
 		`hypre_hist_count{name="serve_hit"} 1`,
 		`hypre_hist_count{name="serve_miss"} 3`,
 		`hypre_hist_count{name="serve_bypass"} 1`,
-		`hypre_group{name="cache",field="plan_hits"} 2`,
-		`hypre_group{name="cache",field="evaluations"} 1`,
+		`hypre_group{name="cache",field="evaluations"} 3`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics text missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "plan_") {
+		t.Fatalf("metrics text still exposes a plan-tier field:\n%s", text)
 	}
 }
 
@@ -244,8 +246,8 @@ func TestServerTracedServeVsMutate(t *testing.T) {
 		t.Fatalf("histograms recorded %d requests, want %d", total, want)
 	}
 	snap := srv.Counters().Snapshot()
-	if snap.Misses != snap.PlanHits+snap.Evaluations {
-		t.Fatalf("under concurrency: Misses %d != PlanHits %d + Evaluations %d",
-			snap.Misses, snap.PlanHits, snap.Evaluations)
+	if snap.Misses != snap.Evaluations || snap.PlanHits != 0 || snap.PlanRepairs != 0 {
+		t.Fatalf("under concurrency: Misses %d, Evaluations %d, PlanHits %d, PlanRepairs %d",
+			snap.Misses, snap.Evaluations, snap.PlanHits, snap.PlanRepairs)
 	}
 }

@@ -47,8 +47,7 @@ type Server struct {
 	// mu guards the predicate-footprint registry and the freshness state.
 	// Lock order: mu before store locks (footprint scans, ApplyDelta
 	// re-matches) and before shard locks (the invalidation sweep); shard
-	// locks never nest inside store locks or vice versa. Lists' internal
-	// lock (plan repair) is innermost of all.
+	// locks never nest inside store locks or vice versa.
 	mu         sync.Mutex
 	preds      map[string]*predFoot
 	validStamp uint64
@@ -133,12 +132,10 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 			return map[string]int64{
 				"hits":            snap.Hits,
 				"misses":          snap.Misses,
-				"plan_hits":       snap.PlanHits,
 				"evaluations":     snap.Evaluations,
 				"shared_waits":    snap.SharedWaits,
 				"evictions":       snap.Evictions,
 				"invalidated":     snap.Invalidated,
-				"plan_repairs":    snap.PlanRepairs,
 				"stale_bypasses":  snap.StaleBypasses,
 				"footprint_scans": snap.FootprintScans,
 			}
@@ -213,7 +210,7 @@ func (s *Server) TopKContext(ctx context.Context, prefs []hypre.ScoredPred, k in
 		return out, StaleBypass, err
 	}
 
-	rk := entryKey{fp: fp, k: int32(k), kind: kindResult}
+	rk := entryKey{fp: fp, k: int32(k)}
 	if e, ok := s.c.get(rk); ok {
 		s.counters.Hits.Add(1)
 		tr.Transition(sp, obs.StageRank)
@@ -275,16 +272,18 @@ func (s *Server) observe(tr *obs.Trace, out Outcome, started time.Time, fp combi
 	}
 }
 
-// evaluate is the single-flight leader body: route and run the evaluation
-// (reusing a cached plan when one exists), register predicate footprints,
-// and publish the plan and result entries — unless the store moved while we
-// were working, in which case the answer is returned but nothing is cached.
+// evaluate is the single-flight leader body: run the one-shot router (the
+// same call the stale-bypass branch makes), register predicate footprints,
+// and publish the result entry — unless the store moved while we were
+// working, in which case the answer is returned but nothing is cached.
+// Every leader ticks Evaluations exactly once, so Misses == Evaluations.
 func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k int, stamp uint64, tr *obs.Trace) ([]combine.ScoredTuple, error) {
 	s.mu.Lock()
 	gen := s.gen
 	s.mu.Unlock()
 
-	res, lists, streamed, err := s.route(canon, fp, k, tr)
+	s.counters.Evaluations.Add(1)
+	res, _, err := topk.EvaluateOneShotTraced(s.ev, canon, k, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +295,7 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 		return nil, err
 	}
 
-	// Publish gate: entries must describe the stamp-state the evaluation
+	// Publish gate: the entry must describe the stamp-state the evaluation
 	// and the footprint scans both observed. Any commit in between bumps
 	// the epoch stamp; any maintainer sync bumps gen. Either one rejects
 	// the publish (the caller still gets the answer).
@@ -306,98 +305,11 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	publish := gen == s.gen && s.db.EpochStamp(s.tables...) == stamp
 	s.mu.Unlock()
 	if publish {
-		pe := &entry{key: entryKey{fp: fp, kind: kindPlan}, lists: lists, streamed: streamed, predKeys: keys}
-		pe.size = 64 + predKeyBytes(keys)
-		if lists != nil {
-			// The canonical profile rides along as the repair input: a
-			// maintenance sync re-grades the touched pids through
-			// topk.DeltaGrades and patches these lists in place.
-			pe.canon = canon
-			pe.size += lists.SizeBytes()
-		}
-		s.c.put(pe)
-		re := &entry{key: entryKey{fp: fp, k: int32(k), kind: kindResult}, tuples: cloneTuples(res), predKeys: keys}
-		re.size = tupleSliceBytes(re.tuples) + predKeyBytes(keys)
-		s.c.put(re)
+		e := &entry{key: entryKey{fp: fp, k: int32(k)}, tuples: cloneTuples(res), predKeys: keys}
+		e.size = tupleSliceBytes(e.tuples) + predKeyBytes(keys)
+		s.c.put(e)
 	}
 	return res, nil
-}
-
-// route mirrors topk.EvaluateOneShot's cost-based router, with one addition
-// in front: a cached compiled plan for this fingerprint answers a new k
-// without touching the store at all (the different-k warm path), and a
-// cached streaming decision skips the router probe.
-//
-// Counter discipline: every path that actually evaluates against the store
-// counts one Evaluations tick — exactly one per call, even when the
-// streamed-decision path falls through to the materialized one — while the
-// plan-hit path (no store touched) counts PlanHits instead. Together with
-// the leader's Misses tick this pins Misses == PlanHits + Evaluations.
-func (s *Server) route(canon []hypre.ScoredPred, fp combine.Fingerprint, k int, tr *obs.Trace) (res []combine.ScoredTuple, lists *topk.Lists, streamed bool, err error) {
-	evaluated := false
-	countEval := func() {
-		if !evaluated {
-			evaluated = true
-			s.counters.Evaluations.Add(1)
-		}
-	}
-	if e, ok := s.c.get(entryKey{fp: fp, kind: kindPlan}); ok {
-		if e.lists != nil {
-			s.counters.PlanHits.Add(1)
-			tr.SetExec("plan_hit")
-			sp := tr.StartSpan(obs.StagePlanTA)
-			out := e.lists.TATraced(k, tr)
-			tr.EndSpan(sp)
-			return out, e.lists, false, nil
-		}
-		if e.streamed {
-			countEval()
-			out, _, err := topk.EvaluateStreamingTraced(s.ev, canon, k, tr)
-			if err == nil {
-				tr.SetExec("streaming")
-				return out, nil, true, nil
-			}
-			if !errors.Is(err, relstore.ErrStreamUnsupported) {
-				return nil, nil, false, err
-			}
-			// The shape stopped streaming (schema drift): fall through to
-			// the materialized path below.
-		}
-	}
-	if len(canon) > 0 && s.ev.CachedCount(canon) == len(canon) {
-		countEval()
-		tr.SetExec("ta_cached")
-		sp := tr.StartSpan(obs.StageBuildLists)
-		lists, err = topk.BuildLists(s.ev, canon)
-		tr.EndSpan(sp)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		sp = tr.StartSpan(obs.StageTA)
-		out := lists.TATraced(k, tr)
-		tr.EndSpan(sp)
-		return out, lists, false, nil
-	}
-	countEval()
-	out, st, err := topk.EvaluateStreamingTraced(s.ev, canon, k, tr)
-	if err == nil {
-		tr.SetExec("streaming")
-		return out, nil, st.Streamed, nil
-	}
-	if !errors.Is(err, relstore.ErrStreamUnsupported) {
-		return nil, nil, false, err
-	}
-	tr.SetExec("materialized_fallback")
-	sp := tr.StartSpan(obs.StageBuildLists)
-	lists, err = topk.BuildLists(s.ev, canon)
-	tr.EndSpan(sp)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	sp = tr.StartSpan(obs.StageTA)
-	out = lists.TATraced(k, tr)
-	tr.EndSpan(sp)
-	return out, lists, false, nil
 }
 
 // predKeysOf lists the canonical profile's dependency keys.
@@ -447,23 +359,20 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
 }
 
 // ApplyDelta is the delta.CacheSyncer hook: after a mutation batch, the
-// maintainer hands over the touched base-row mask, the pids of
-// compaction-dropped rows, and the epochs it synced to. Each registered
-// predicate re-matches only the touched rows (relstore.MatchLeftRowSet —
-// the compiled per-row filter at exactly those rows); predicates whose
-// membership over those rows did not move keep their entries. For the rest,
-// result entries are swept, but a compiled plan's TA lists are repaired in
-// place when possible: the touched pids are re-graded against the
-// evaluator's (already refreshed) bitmaps and spliced into the lists'
-// overlay (topk.Lists.ApplyDelta), so the plan keeps answering new-k
-// queries across a sustained stream instead of being rebuilt every Sync.
-// Cost scales with touched rows × registered predicates, never with the
-// number of cached entries surviving.
-func (s *Server) ApplyDelta(touched *bitset.Set, droppedPids []int64, leftEpoch, rightEpoch uint64) {
+// maintainer hands over the touched base-row mask and the epochs it synced
+// to. Each registered predicate re-matches only the touched rows
+// (relstore.MatchLeftRowSet — the compiled per-row filter at exactly those
+// rows); predicates whose membership over those rows did not move keep
+// their entries, and every entry naming one that did is swept. Rows a
+// compaction dropped need no mention here: the ApplyRemap that precedes
+// this call already queued the footprints that lost them. Cost scales with
+// touched rows × registered predicates, never with the number of cached
+// entries surviving.
+func (s *Server) ApplyDelta(touched *bitset.Set, leftEpoch, rightEpoch uint64) {
 	stamp := leftEpoch + rightEpoch
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if (touched == nil || touched.IsEmpty()) && len(droppedPids) == 0 && len(s.remapDirty) == 0 {
+	if (touched == nil || touched.IsEmpty()) && len(s.remapDirty) == 0 {
 		s.validStamp = stamp
 		return
 	}
@@ -501,38 +410,7 @@ func (s *Server) ApplyDelta(touched *bitset.Set, droppedPids []int64, leftEpoch,
 	if len(dirty) == 0 {
 		return
 	}
-
-	// Plan repair pass, outside the shard locks: the pids whose grades may
-	// have moved are the touched rows' keys plus the compaction-dropped
-	// ones. A pid appearing in both is processed twice by ApplyDelta; the
-	// second pass sees an unchanged grade and skips.
-	rows := make([]int, 0, touched.Len())
-	touched.ForEach(func(r int) bool { rows = append(rows, r); return true })
-	pids := append(s.ev.RowPids(rows), droppedPids...)
-	repaired := make(map[*entry]bool)
-	for _, e := range s.c.planLists() {
-		hit := false
-		for _, k := range e.predKeys {
-			if dirty[k] {
-				hit = true
-				break
-			}
-		}
-		if !hit || e.canon == nil {
-			continue
-		}
-		names, grades, err := topk.DeltaGrades(s.ev, e.canon, pids)
-		if err == nil && e.lists.ApplyDelta(pids, names, grades) {
-			repaired[e] = true
-			s.counters.PlanRepairs.Add(1)
-			s.c.recharge(e, 64+predKeyBytes(e.predKeys)+e.lists.SizeBytes())
-		}
-	}
-
 	n := s.c.removeWhere(func(e *entry) bool {
-		if repaired[e] {
-			return false
-		}
 		for _, k := range e.predKeys {
 			if dirty[k] {
 				return true

@@ -10,6 +10,7 @@ import (
 	"hypre/internal/combine"
 	"hypre/internal/delta"
 	"hypre/internal/hypre"
+	"hypre/internal/obs"
 	"hypre/internal/predicate"
 	"hypre/internal/topk"
 	"hypre/internal/workload"
@@ -121,31 +122,46 @@ func TestServerHitIdentical(t *testing.T) {
 	}
 }
 
-// TestServerPlanHitNewK: a different k for a known fingerprint reuses the
-// compiled plan (no store work) and still matches uncached evaluation. The
-// evaluator is pre-warmed so the router takes the materialized path — a
-// cold first ask streams instead, and a streaming plan has no lists to
-// re-rank.
-func TestServerPlanHitNewK(t *testing.T) {
-	net := testNet(t, 8)
-	srv, ev := newServer(t, net)
-	prof := venueProfile(t, net, []int{1, 3}, 1997)
-	if err := ev.MaterializeAll(prof); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := srv.TopK(prof, 10); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := srv.TopK(prof, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph := srv.Counters().PlanHits.Load(); ph == 0 {
-		t.Fatalf("second k did not reuse the compiled plan")
-	}
-	if want := uncached(t, net, prof, 25); !sameRanking(got, want) {
-		t.Fatalf("plan-hit answer diverged from uncached evaluation")
+// TestServerNewK: a different k for a known fingerprint is its own result
+// entry and its own evaluation — there is no plan tier to re-rank from. On a
+// cold evaluator both asks stream; with the profile pre-warmed into the
+// evaluator's bitmap cache both take the resident BuildLists+TA path. Either
+// way the answers equal uncached evaluation and every miss evaluated once.
+func TestServerNewK(t *testing.T) {
+	for _, tc := range []struct {
+		name, exec string
+		warm       bool
+	}{{"cold", "streaming", false}, {"prewarmed", "ta_cached", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := testNet(t, 8)
+			srv, ev := newServer(t, net)
+			prof := venueProfile(t, net, []int{1, 3}, 1997)
+			if tc.warm {
+				if err := ev.MaterializeAll(prof); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range []int{10, 25} {
+				tr := obs.NewTrace()
+				got, out, err := srv.TopKTraced(prof, k, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out != cache.Miss || tr.Exec != tc.exec {
+					t.Fatalf("k=%d: outcome %v exec %q, want Miss via %q", k, out, tr.Exec, tc.exec)
+				}
+				if want := uncached(t, net, prof, k); !sameRanking(got, want) {
+					t.Fatalf("k=%d answer diverged from uncached evaluation", k)
+				}
+			}
+			snap := srv.Counters().Snapshot()
+			if snap.Misses != 2 || snap.Misses != snap.Evaluations {
+				t.Fatalf("Misses %d, Evaluations %d; want 2 and 2", snap.Misses, snap.Evaluations)
+			}
+			if n, _ := srv.Cache().Stats(); n != 2 {
+				t.Fatalf("cache holds %d entries, want one per (fingerprint, k)", n)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package combine
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,11 +24,7 @@ import (
 // accumulates them that way directly) and patches the cached bitmaps
 // copy-on-write (previously handed-out bitmaps stay consistent, the cache
 // swaps to the patched clone). It returns the predicates whose tuple sets
-// actually changed — the set the pair table needs to recount — plus the
-// delta the recount needs: prev maps every changed predicate to its
-// pre-patch bitmap, and ids lists, sorted ascending and deduplicated, the
-// dense ids where at least one bit actually moved — by construction the only
-// places where any changed predicate's old and new bitmaps differ.
+// actually changed.
 //
 // ok=false means the evaluator cannot refresh incrementally (its scan
 // plumbing fell back to pid collection at seed time); the caller must
@@ -39,18 +34,18 @@ import (
 // (dblp.pid is the table key): each touched row then owns its dense bit.
 // With duplicate keys, a bit shared with an untouched row could be cleared
 // spuriously; the delta subsystem documents the uniqueness requirement.
-func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, prev map[string]*Bitmap, ids []int32, ok bool, err error) {
+func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, ok bool, err error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if len(ev.bits) == 0 {
-		return nil, nil, nil, true, nil // nothing cached, nothing stale
+		return nil, true, nil // nothing cached, nothing stale
 	}
 	if !ev.seeded || ev.rowDense == nil {
-		return nil, nil, nil, false, nil
+		return nil, false, nil
 	}
 	tbl := ev.db.Table(ev.seedFrom)
 	if tbl == nil {
-		return nil, nil, nil, false, nil
+		return nil, false, nil
 	}
 	// Extend the row plumbing over rows inserted since the seed (or the
 	// last refresh): dense ids stay unassigned until a predicate matches.
@@ -67,7 +62,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	}
 	nTouched := touched.Len()
 	if nTouched == 0 {
-		return nil, nil, nil, true, nil
+		return nil, true, nil
 	}
 
 	// Share the join-existence test across predicates: one probe pass
@@ -82,7 +77,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 		var err error
 		partnered, err = ev.db.MatchLeftRowSet(baseQ, touched)
 		if err != nil {
-			return nil, nil, nil, false, err
+			return nil, false, err
 		}
 	}
 	joinless := relstore.Query{From: baseQ.From}
@@ -93,7 +88,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	predKeys := make([]string, 0, len(ev.bits))
 	for pred := range ev.bits {
 		if _, okp := ev.preds[pred]; !okp {
-			return nil, nil, nil, false, nil
+			return nil, false, nil
 		}
 		predKeys = append(predKeys, pred)
 	}
@@ -138,15 +133,12 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, false, err
+			return nil, false, err
 		}
 	}
 
 	// Serial patch phase: compare each predicate's re-evaluated rows with
-	// its cached bitmap, cloning on first difference. Every flipped dense id
-	// is recorded — the exact places the pair-table recount restricts itself
-	// to.
-	idSeen := map[int32]struct{}{}
+	// its cached bitmap, cloning on first difference.
 	for i, pred := range predKeys {
 		bm := ev.bits[pred]
 		sel := sels[i]
@@ -189,24 +181,14 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 			} else {
 				patched.Clear(int(di))
 			}
-			idSeen[di] = struct{}{}
 		}
 		if patched != nil {
-			if prev == nil {
-				prev = make(map[string]*Bitmap)
-			}
-			prev[pred] = bm
 			ev.bits[pred] = patched
 			delete(ev.sets, pred) // the sorted view is stale; re-derive lazily
 			changed = append(changed, pred)
 		}
 	}
-	ids = make([]int32, 0, len(idSeen))
-	for di := range idSeen {
-		ids = append(ids, di)
-	}
-	slices.Sort(ids)
-	return changed, prev, ids, true, nil
+	return changed, true, nil
 }
 
 // Invalidate drops every cached predicate set and the scan plumbing, so the

@@ -1,7 +1,6 @@
 package combine
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,7 +21,9 @@ type PairEntry struct {
 // PairTable holds every applicable two-preference combination, sorted
 // descending by combined intensity, with a per-first-preference index. It
 // is rebuilt when the preference graph changes (the paper updates it on
-// graph updates).
+// graph updates) and never patched: after store mutations, build it again
+// over the evaluator delta.Maintainer keeps exact — a popcount sweep with
+// no store scan.
 type PairTable struct {
 	Prefs   []hypre.ScoredPred
 	Pairs   []PairEntry
@@ -155,103 +156,3 @@ func buildPairCounts(bms []*Bitmap, workers int) []int64 {
 // descending by combined intensity — the CombsOfTwo(p) lookup of
 // Algorithm 6.
 func (pt *PairTable) CombsOfTwo(i int) []PairEntry { return pt.byFirst[i] }
-
-// RefreshIDs returns a pair table consistent with the evaluator's current
-// predicate bitmaps after a mutation batch — the delta-maintenance
-// alternative to BuildPairTable's full O(n²) popcount sweep, and the only
-// recount there is. ids lists, sorted and deduplicated, every dense id where
-// some changed predicate's old and new bitmaps differ (the union of the ids
-// reported by RefreshRowSetDelta and DropPids), and prev maps each changed
-// predicate to its pre-patch bitmap. Pairs between two unchanged predicates
-// keep their entry verbatim. Outside ids every bitmap — old or new, changed
-// or not — is untouched, so each pair with a changed endpoint reprices
-// exactly as
-//
-//	old count + |new_i ∩ new_j|_ids − |old_i ∩ old_j|_ids
-//
-// dropping to nothing when the intersection emptied and (re)appearing when
-// it stopped being empty. The membership of every preference at the flipped
-// ids is probed once and packed into one machine word per 64 ids, so the
-// per-pair adjustment is a handful of AND+popcount word ops. Total cost is
-// O(prefs × ids) probes plus O(changed pairs × ids/64) word ops —
-// independent of table and dictionary size, which is what keeps per-sync
-// maintenance flat as the store grows. The output assembles anchor-major
-// before the stable intensity sort — exactly BuildPairTable's order — so it
-// is byte-identical to a fresh build.
-func (pt *PairTable) RefreshIDs(ev *Evaluator, prev map[string]*Bitmap, ids []int32) (*PairTable, error) {
-	if len(prev) == 0 || len(ids) == 0 {
-		return pt, nil
-	}
-	n := len(pt.Prefs)
-	changed := make([]bool, n)
-	words := (len(ids) + 63) / 64
-	currW := make([][]uint64, n)
-	oldW := make([][]uint64, n)
-	pack := func(s *bitset.Set) []uint64 {
-		w := make([]uint64, words)
-		for k, di := range ids {
-			if s.Contains(int(di)) {
-				w[k>>6] |= 1 << (k & 63)
-			}
-		}
-		return w
-	}
-	any := false
-	for i, p := range pt.Prefs {
-		b, err := ev.PredBitmap(p) // cache hit: the row refresh already ran
-		if err != nil {
-			return nil, err
-		}
-		currW[i] = pack(b.s)
-		oldW[i] = currW[i]
-		if pb, ok := prev[p.Pred]; ok {
-			oldW[i] = pack(pb.s)
-			changed[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return pt, nil
-	}
-	oldEntries := make(map[[2]int]PairEntry, len(pt.Pairs))
-	for _, e := range pt.Pairs {
-		oldEntries[[2]int{e.I, e.J}] = e
-	}
-	out := &PairTable{Prefs: pt.Prefs, byFirst: make(map[int][]PairEntry)}
-	recounted := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			e, had := oldEntries[[2]int{i, j}]
-			if !changed[i] && !changed[j] {
-				if had {
-					out.Pairs = append(out.Pairs, e)
-				}
-				continue
-			}
-			recounted++
-			// e.Count is zero when the pair was previously inapplicable.
-			cnt := e.Count
-			ci, cj, oi, oj := currW[i], currW[j], oldW[i], oldW[j]
-			for w := range ci {
-				cnt += bits.OnesCount64(ci[w]&cj[w]) - bits.OnesCount64(oi[w]&oj[w])
-			}
-			if cnt == 0 {
-				continue
-			}
-			out.Pairs = append(out.Pairs, PairEntry{
-				I:         i,
-				J:         j,
-				Intensity: hypre.FAndAll(pt.Prefs[i].Intensity, pt.Prefs[j].Intensity),
-				Count:     cnt,
-			})
-		}
-	}
-	ev.ComboEvals += recounted
-	sort.SliceStable(out.Pairs, func(a, b int) bool {
-		return out.Pairs[a].Intensity > out.Pairs[b].Intensity
-	})
-	for _, e := range out.Pairs {
-		out.byFirst[e.I] = append(out.byFirst[e.I], e)
-	}
-	return out, nil
-}

@@ -282,82 +282,3 @@ func TestShardedEvalRandomProfiles(t *testing.T) {
 		}
 	}
 }
-
-// TestRefreshIDsMatchesFreshBuild mutates a multi-span store and proves the
-// pair recount over the exact flipped dense ids byte-identical to a
-// from-scratch pair table over the mutated store — for a sync-sized batch
-// and then, on the same maintained table, for a bulk rewrite that flips
-// well over a thousand ids.
-func TestRefreshIDsMatchesFreshBuild(t *testing.T) {
-	db := bigShardDB(t, bigShardRows, 9)
-	profile := bigShardProfile(t)
-	ev := bigShardEvaluator(t, db, runtime.NumCPU())
-	pt, err := BuildPairTable(profile, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(31))
-	tbl := db.Table("dblp")
-	for _, batch := range []struct{ ops, minIDs int }{{300, 1}, {6000, 1025}} {
-		touched := relstoreTouched(t, tbl, rng, batch.ops)
-		changed, prev, ids, ok, err := ev.RefreshRowSetDelta(touched)
-		if err != nil || !ok {
-			t.Fatalf("refresh: ok=%v err=%v", ok, err)
-		}
-		if len(changed) == 0 || len(ids) < batch.minIDs {
-			t.Fatalf("%d ops moved %d preds at %d ids, want at least %d ids",
-				batch.ops, len(changed), len(ids), batch.minIDs)
-		}
-		pt, err = pt.RefreshIDs(ev, prev, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := bigShardEvaluator(t, db, 1)
-		freshPT, err := BuildPairTable(profile, fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePairs(t, fmt.Sprintf("RefreshIDs vs fresh build after %d ops", batch.ops), freshPT, pt)
-	}
-}
-
-// relstoreTouched applies a random mutation batch (updates, deletes,
-// inserts; never the key column) and returns the touched-row mask.
-func relstoreTouched(t *testing.T, tbl *relstore.Table, rng *rand.Rand, ops int) *bitset.Set {
-	t.Helper()
-	touched := bitset.New()
-	venues := []string{"VLDB", "SIGMOD", "ICDE", "KDD", "WWW", "CHI"}
-	n := tbl.Len()
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(4) {
-		case 0: // venue rewrite
-			r := rng.Intn(n)
-			if err := tbl.UpdateCol(r, "venue", predicate.String(venues[rng.Intn(len(venues))])); err == nil {
-				touched.Add(r)
-			}
-		case 1: // year rewrite
-			r := rng.Intn(n)
-			if err := tbl.UpdateCol(r, "year", predicate.Int(int64(1990+rng.Intn(30)))); err == nil {
-				touched.Add(r)
-			}
-		case 2: // delete
-			r := rng.Intn(n)
-			if tbl.Delete(r) {
-				touched.Add(r)
-			}
-		default: // insert
-			id, err := tbl.Insert(
-				predicate.Int(int64(1_000_000+tbl.Len())), // unique across batches
-				predicate.String(venues[rng.Intn(len(venues))]),
-				predicate.Int(int64(1990+rng.Intn(30))),
-				predicate.Float(rng.Float64()*10),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			touched.Add(id)
-		}
-	}
-	return touched
-}

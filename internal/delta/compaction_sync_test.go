@@ -59,10 +59,7 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 					seed, batch, st.RebuildCause)
 			}
 			absorbed += st.Compactions
-			inc, err := m.TopK(k, combine.Complete)
-			if err != nil {
-				t.Fatal(err)
-			}
+			inc := maintainedTopK(t, ev, prefs, k, combine.Complete)
 			tag := fmt.Sprintf("seed %d batch %d (%d compactions absorbed)", seed, batch, st.Compactions)
 			assertSameRanking(t, tag, inc, freshTopK(t, net, prefs, k))
 		}

@@ -1,7 +1,9 @@
 // Package delta is the incremental-maintenance subsystem: it keeps a
-// combine.Evaluator's predicate bitmaps, the pre-computed pair table, and
-// therefore PEPS top-k answers consistent with a mutating relational store,
-// at the cost of the mutation deltas instead of a full rematerialization.
+// combine.Evaluator's cached predicate bitmaps — and through them anything
+// built fresh over that evaluator: pair tables, PEPS rankings, TA lists —
+// consistent with a mutating relational store, at the cost of the mutation
+// deltas instead of a full rematerialization, and tells an attached serving
+// cache which rows moved.
 //
 // The pipeline per Sync:
 //
@@ -14,8 +16,6 @@
 //     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet, the
 //     compiled per-row filter at the touched rows) and patch the cached
 //     bitmaps copy-on-write.
-//  4. Reprice only the pair-table entries with a changed endpoint, from the
-//     exact dense ids the patch flipped (PairTable.RefreshIDs).
 //
 // Tombstone compaction slots in as a step 2½: a compaction renumbers the
 // base table's row ids, so Sync composes the published remaps
@@ -29,7 +29,8 @@
 // When a change log has been trimmed past the maintainer's last-synced
 // epoch, the compaction history has been evicted, or the evaluator cannot
 // refresh in place, Sync falls back loudly to a full rebuild:
-// Evaluator.Invalidate + BuildPairTable. The fallback reports its cause
+// Evaluator.Invalidate, after which predicates rematerialize from the
+// store's current state on next use. The fallback reports its cause
 // (SyncStats.RebuildCause, per-cause obs counters), so an operator can tell
 // an undersized change log from a key-column rewrite.
 //
@@ -52,8 +53,8 @@ import (
 	"hypre/internal/relstore"
 )
 
-// Maintainer owns one evaluator + pair table pair and keeps both in sync
-// with the store. Sync must not run concurrently with itself, but store
+// Maintainer owns one evaluator and keeps its cached bitmaps in sync with
+// the store. Sync must not run concurrently with itself, but store
 // mutations may race a Sync: every read Sync issues (change-log drains,
 // Value lookups, MatchLeftRowSet scans) takes the store's shared state
 // locks, and any mutation committed after the epochs captured at the top
@@ -61,10 +62,8 @@ import (
 // Mid-Sync the cached bitmaps may transiently mix pre- and post-mutation
 // rows; they converge on the next Sync once the logs quiesce.
 type Maintainer struct {
-	ev    *combine.Evaluator
-	db    *relstore.DB
-	prefs []hypre.ScoredPred
-	pt    *combine.PairTable
+	ev *combine.Evaluator
+	db *relstore.DB
 
 	left, right  *relstore.Table // base and (optional) join table
 	leftName     string
@@ -105,16 +104,15 @@ func (m *Maintainer) AttachObs(reg *obs.Registry) {
 
 // CacheSyncer is the hook a serving-tier cache registers to ride the
 // maintainer's delta pipeline: after each successful Sync it receives the
-// touched base-row mask, the pids of compaction-dropped rows, and the
-// epochs the maintainer synced to, so it can repair exactly the entries
-// whose predicate membership moved and re-open itself for the new store
-// snapshot. ApplyRemap arrives first on the Syncs that absorbed a
-// compaction, carrying the composed old→new row-id map for whatever the
-// cache keys by base row id. A full rebuild (log trimmed, key-column
-// rewrite) instead drops everything via InvalidateAll.
+// touched base-row mask and the epochs the maintainer synced to, so it can
+// drop exactly the entries whose predicate membership moved and re-open
+// itself for the new store snapshot. ApplyRemap arrives first on the Syncs
+// that absorbed a compaction, carrying the composed old→new row-id map for
+// whatever the cache keys by base row id. A full rebuild (log trimmed,
+// key-column rewrite) instead drops everything via InvalidateAll.
 // internal/cache.Server implements it.
 type CacheSyncer interface {
-	ApplyDelta(touched *bitset.Set, droppedPids []int64, leftEpoch, rightEpoch uint64)
+	ApplyDelta(touched *bitset.Set, leftEpoch, rightEpoch uint64)
 	ApplyRemap(remap []int32)
 	InvalidateAll(leftEpoch, rightEpoch uint64)
 }
@@ -124,7 +122,7 @@ type CacheSyncer interface {
 // immediately synchronized to the maintainer's current epochs.
 func (m *Maintainer) AttachCache(cs CacheSyncer) {
 	m.cache = cs
-	cs.ApplyDelta(nil, nil, m.leftEpoch, m.rightEpoch)
+	cs.ApplyDelta(nil, m.leftEpoch, m.rightEpoch)
 }
 
 // Rebuild causes, reported in SyncStats.RebuildCause and as obs counter
@@ -164,9 +162,10 @@ type SyncStats struct {
 	RebuildCause string
 }
 
-// NewMaintainer materializes the profile, builds the pair table, and
-// snapshots the tables' epochs, so the first Sync only replays mutations
-// committed after this call began.
+// NewMaintainer snapshots the tables' epochs and materializes prefs into the
+// evaluator's bitmap cache (nil: maintain whatever the evaluator caches
+// later), so the first Sync only replays mutations committed after this
+// call began.
 func NewMaintainer(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Maintainer, error) {
 	base := ev.BaseQuery(predicate.True{})
 	db := ev.DB()
@@ -177,7 +176,6 @@ func NewMaintainer(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Maintainer
 	m := &Maintainer{
 		ev:       ev,
 		db:       db,
-		prefs:    prefs,
 		left:     left,
 		leftName: base.From,
 	}
@@ -200,31 +198,22 @@ func NewMaintainer(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Maintainer
 	if m.keyPos < 0 {
 		return nil, fmt.Errorf("delta: %s has no key column %q", base.From, m.keyCol)
 	}
-	// Capture epochs before building: mutations racing the build are
+	// Capture epochs before materializing: mutations racing the scans are
 	// replayed by the first Sync, and re-evaluating a row is idempotent.
 	m.leftEpoch = left.Epoch()
 	if m.right != nil {
 		m.rightEpoch = m.right.Epoch()
 	}
-	pt, err := combine.BuildPairTable(prefs, ev)
-	if err != nil {
+	if err := ev.MaterializeAll(prefs); err != nil {
 		return nil, err
 	}
-	m.pt = pt
 	return m, nil
 }
 
-// TopK answers a top-k query over the maintained state: pure bitmap algebra
-// and pair-table lookups, no store scans.
-func (m *Maintainer) TopK(k int, v combine.Variant) (combine.TopKResult, error) {
-	return combine.PEPS(m.prefs, m.pt, m.ev, k, v)
-}
-
 // Sync drains the tables' change logs and repairs the evaluator's bitmap
-// cache and the pair table incrementally; see the package comment for the
-// pipeline. It is cheap when nothing changed (two epoch reads). When
-// AttachObs has run, the attached histograms and the rebuild counters
-// observe the pass.
+// cache incrementally; see the package comment for the pipeline. It is
+// cheap when nothing changed (two epoch reads). When AttachObs has run, the
+// attached histograms and the rebuild counters observe the pass.
 func (m *Maintainer) Sync() (SyncStats, error) {
 	if m.syncHist == nil {
 		return m.sync()
@@ -267,7 +256,7 @@ func (m *Maintainer) sync() (SyncStats, error) {
 		if m.cache != nil {
 			// Nothing touched, but the stamp may have advanced (empty
 			// commits); let the cache re-open for the new epochs.
-			m.cache.ApplyDelta(nil, nil, lEpoch, rEpoch)
+			m.cache.ApplyDelta(nil, lEpoch, rEpoch)
 		}
 		return SyncStats{}, nil
 	}
@@ -343,58 +332,37 @@ func (m *Maintainer) sync() (SyncStats, error) {
 			return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 		}
 	}
-	var dPrev map[string]*combine.Bitmap
-	var dIDs []int32
+	var changed []string
 	if len(droppedPids) > 0 {
 		var ok bool
-		_, dPrev, dIDs, ok = m.ev.DropPids(droppedPids)
+		changed, ok = m.ev.DropPids(droppedPids)
 		if !ok {
 			return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 		}
 	}
-	_, prev, ids, ok, err := m.ev.RefreshRowSetDelta(touched)
+	refreshed, ok, err := m.ev.RefreshRowSetDelta(touched)
 	if err != nil {
 		return SyncStats{}, err
 	}
 	if !ok {
 		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
-	// Merge the two patch passes into one pair-table recount: prev ends up
-	// keyed by every predicate either pass changed. For a predicate both
-	// changed, the true pre-sync bitmap is DropPids' pre-image (it patched
-	// first).
-	if len(dPrev) > 0 {
-		if prev == nil {
-			prev = dPrev
-		} else {
-			for p, b := range dPrev {
-				prev[p] = b
-			}
+	// A predicate both passes patched counts once.
+	for _, pred := range refreshed {
+		if !slices.Contains(changed, pred) {
+			changed = append(changed, pred)
 		}
-	}
-	ids = mergeIDs(dIDs, ids)
-	if len(prev) > 0 {
-		// Reprice changed pairs from the exact flipped ids — O(prefs × ids)
-		// work, independent of how large the store has grown, which is what
-		// keeps per-sync cost flat under a sustained stream. The flip set is
-		// at most the rows the drained change logs touched, and a backlog
-		// past the logs' cap takes the full rebuild above instead.
-		pt, err := m.pt.RefreshIDs(m.ev, prev, ids)
-		if err != nil {
-			return SyncStats{}, err
-		}
-		m.pt = pt
 	}
 	m.leftEpoch, m.rightEpoch = lEpoch, rEpoch
 	if m.cache != nil {
 		if remap != nil {
 			m.cache.ApplyRemap(remap)
 		}
-		m.cache.ApplyDelta(touched, droppedPids, lEpoch, rEpoch)
+		m.cache.ApplyDelta(touched, lEpoch, rEpoch)
 	}
 	return SyncStats{
 		TouchedRows:      touched.Len(),
-		ChangedPreds:     len(prev),
+		ChangedPreds:     len(changed),
 		RecheckedChanges: len(lch) + len(rch),
 		Compactions:      len(ls.Compactions),
 		DroppedPids:      len(droppedPids),
@@ -422,17 +390,6 @@ func composeRemaps(comps []relstore.Compaction) []int32 {
 	return remap
 }
 
-// mergeIDs unions two sorted flipped-dense-id lists into one sorted,
-// deduplicated list.
-func mergeIDs(a, b []int32) []int32 {
-	if len(a) == 0 {
-		return b
-	}
-	out := append(append(make([]int32, 0, len(a)+len(b)), a...), b...)
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 // addPartners folds the base rows joining with key into touched.
 func (m *Maintainer) addPartners(touched *bitset.Set, key predicate.Value) error {
 	lids, err := m.db.LookupRowIDs(m.leftName, m.leftJoinCol, key)
@@ -445,15 +402,11 @@ func (m *Maintainer) addPartners(touched *bitset.Set, key predicate.Value) error
 	return nil
 }
 
-// rebuild is the loud fallback: drop every derived cache and rebuild from
-// the store's current state, reporting why the incremental path bailed.
+// rebuild is the loud fallback: drop every derived cache, so the next use
+// rebuilds from the store's current state, and report why the incremental
+// path bailed.
 func (m *Maintainer) rebuild(lEpoch, rEpoch uint64, cause string) (SyncStats, error) {
 	m.ev.Invalidate()
-	pt, err := combine.BuildPairTable(m.prefs, m.ev)
-	if err != nil {
-		return SyncStats{}, err
-	}
-	m.pt = pt
 	m.leftEpoch, m.rightEpoch = lEpoch, rEpoch
 	if m.cache != nil {
 		m.cache.InvalidateAll(lEpoch, rEpoch)

@@ -93,36 +93,44 @@ func rebuildSurvivors(t *testing.T, db *relstore.DB) *relstore.DB {
 	return out
 }
 
-// freshTopKOn runs the full pipeline (materialize + pair table + PEPS) on
-// an arbitrary store.
-func freshTopKOn(t *testing.T, db *relstore.DB, prefs []hypre.ScoredPred, k int) combine.TopKResult {
+// pepsOver builds the pair table over ev — scanning only what ev does not
+// already cache — and ranks with PEPS.
+func pepsOver(t *testing.T, ev *combine.Evaluator, prefs []hypre.ScoredPred, k int, v combine.Variant) combine.TopKResult {
 	t.Helper()
-	ev := combine.NewEvaluator(db, workload.BaseQuery, "dblp.pid")
 	pt, err := combine.BuildPairTable(prefs, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := combine.PEPS(prefs, pt, ev, k, combine.Complete)
+	res, err := combine.PEPS(prefs, pt, ev, k, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
+// maintainedTopK ranks over the maintained evaluator's bitmaps: every
+// preference must still be resident (so the pair table is built from what
+// Sync patched, with no store scan), then a fresh pair table and PEPS.
+func maintainedTopK(t *testing.T, ev *combine.Evaluator, prefs []hypre.ScoredPred, k int, v combine.Variant) combine.TopKResult {
+	t.Helper()
+	if got := ev.CachedCount(prefs); got != len(prefs) {
+		t.Fatalf("maintained evaluator holds %d of %d preferences; the ranking would rescan the store", got, len(prefs))
+	}
+	return pepsOver(t, ev, prefs, k, v)
+}
+
+// freshTopKOn runs the full pipeline (materialize + pair table + PEPS) on
+// an arbitrary store.
+func freshTopKOn(t *testing.T, db *relstore.DB, prefs []hypre.ScoredPred, k int) combine.TopKResult {
+	t.Helper()
+	return pepsOver(t, combine.NewEvaluator(db, workload.BaseQuery, "dblp.pid"), prefs, k, combine.Complete)
+}
+
 // freshTopK answers the same query by full rematerialization over the
 // store's current state — the oracle every Sync is compared against.
 func freshTopK(t *testing.T, net *workload.Network, prefs []hypre.ScoredPred, k int) combine.TopKResult {
 	t.Helper()
-	ev := combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
-	pt, err := combine.BuildPairTable(prefs, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := combine.PEPS(prefs, pt, ev, k, combine.Complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return freshTopKOn(t, net.DB, prefs, k)
 }
 
 func assertSameRanking(t *testing.T, tag string, got, want combine.TopKResult) {
@@ -141,9 +149,9 @@ func assertSameRanking(t *testing.T, tag string, got, want combine.TopKResult) {
 }
 
 // TestSyncMatchesRematerialize is the acceptance property: after every
-// mutation batch, the incrementally maintained evaluator + pair table yield
-// top-k rankings byte-identical to a full rematerialization over the
-// mutated store.
+// mutation batch, the incrementally maintained evaluator's bitmaps yield
+// top-k rankings (fresh pair table, both PEPS variants) byte-identical to a
+// full rematerialization over the mutated store.
 func TestSyncMatchesRematerialize(t *testing.T) {
 	const k = 60
 	for seed := int64(1); seed <= 4; seed++ {
@@ -175,10 +183,7 @@ func TestSyncMatchesRematerialize(t *testing.T) {
 			if st.ChangedPreds > 0 {
 				sawChange = true
 			}
-			inc, err := m.TopK(k, combine.Complete)
-			if err != nil {
-				t.Fatal(err)
-			}
+			inc := maintainedTopK(t, ev, prefs, k, combine.Complete)
 			tag := fmt.Sprintf("seed %d batch %d", seed, batch)
 			assertSameRanking(t, tag, inc, freshTopK(t, net, prefs, k))
 
@@ -193,19 +198,9 @@ func TestSyncMatchesRematerialize(t *testing.T) {
 
 			// The approximate variant must agree with its own fresh oracle
 			// too (same pair table, different seed filter).
-			incA, err := m.TopK(k, combine.Approximate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev2 := combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
-			pt2, err := combine.BuildPairTable(prefs, ev2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rematA, err := combine.PEPS(prefs, pt2, ev2, k, combine.Approximate)
-			if err != nil {
-				t.Fatal(err)
-			}
+			incA := maintainedTopK(t, ev, prefs, k, combine.Approximate)
+			rematA := pepsOver(t, combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"),
+				prefs, k, combine.Approximate)
 			assertSameRanking(t, tag+" (approximate)", incA, rematA)
 		}
 		if !sawChange {
@@ -254,9 +249,11 @@ func TestKeyColumnUpdateForcesRebuild(t *testing.T) {
 	if !st.FullRebuild {
 		t.Fatalf("key-column update did not force a rebuild: %+v", st)
 	}
-	inc, err := m.TopK(40, combine.Complete)
-	if err != nil {
-		t.Fatal(err)
+	// The rebuild dropped every cached bitmap (the pid dictionary survives),
+	// so this ranking rematerializes through the maintained evaluator.
+	if got := ev.CachedCount(prefs); got != 0 {
+		t.Fatalf("rebuild left %d cached predicates", got)
 	}
-	assertSameRanking(t, "post-rebuild", inc, freshTopK(t, net, prefs, 40))
+	assertSameRanking(t, "post-rebuild", pepsOver(t, ev, prefs, 40, combine.Complete),
+		freshTopK(t, net, prefs, 40))
 }

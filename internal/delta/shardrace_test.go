@@ -62,7 +62,14 @@ func TestShardedEvalVsMutationRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := m.TopK(25, combine.Complete); err != nil {
+			// Rank over the maintained bitmaps (fresh pair table), as a
+			// reader of the maintained evaluator would.
+			pt, err := combine.BuildPairTable(prefs, ev)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := combine.PEPS(prefs, pt, ev, 25, combine.Complete); err != nil {
 				t.Error(err)
 				return
 			}

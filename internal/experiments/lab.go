@@ -11,7 +11,6 @@ import (
 
 	"hypre/internal/combine"
 	"hypre/internal/hypre"
-	"hypre/internal/relstore"
 	"hypre/internal/workload"
 )
 
@@ -29,12 +28,8 @@ type Lab struct {
 
 // NewLab generates the workload, extracts preferences, and builds the full
 // HYPRE graph (Algorithm 1 over every user).
-func NewLab(cfg workload.Config) (*Lab, error) { return NewLabWith(cfg) }
-
-// NewLabWith is NewLab over a store built with the given relstore options —
-// cmd/hypred uses it to serve writes through a group-commit store.
-func NewLabWith(cfg workload.Config, opts ...relstore.DBOption) (*Lab, error) {
-	net, err := workload.GenerateWith(cfg, opts...)
+func NewLab(cfg workload.Config) (*Lab, error) {
+	net, err := workload.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}

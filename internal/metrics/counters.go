@@ -3,23 +3,27 @@ package metrics
 import "sync/atomic"
 
 // CacheCounters is the serving-tier observability surface: every counter
-// the result/plan cache increments on its hot path, lock-free. One instance
-// is shared between the cache shards and the server wrapper; bench/
-// snapshots it into its cache.* layer metrics.
+// the result cache increments on its hot path, lock-free. One instance is
+// shared between the cache shards and the server wrapper; bench/ snapshots
+// it into its cache.* layer metrics.
+//
+// PlanHits and PlanRepairs belonged to a plan tier (cached TA lists
+// re-ranked for a new k, patched in place by maintenance syncs) that no
+// workload ever reached and that has been deleted. Nothing increments them;
+// they stay declared, reading 0, only because bench/ — frozen outside
+// benchmark PRs — copies all ten CacheSnapshot fields by name.
 type CacheCounters struct {
 	// Hits counts result-cache hits (answer returned without evaluation).
 	Hits atomic.Int64
 	// Misses counts requests that found no result entry and led their
-	// single-flight group. A miss is served either by a cached compiled
-	// plan (PlanHits) or by an evaluation against the store (Evaluations);
-	// for leaders Misses == PlanHits + Evaluations.
+	// single-flight group. Every such leader runs one evaluation against
+	// the store: Misses == Evaluations.
 	Misses atomic.Int64
-	// PlanHits counts misses answered from a cached compiled plan (built
-	// TA lists re-ranked for a new k) instead of a store evaluation.
+	// PlanHits is always 0 (see the type comment).
 	PlanHits atomic.Int64
-	// Evaluations counts store evaluations actually run on behalf of
-	// misses (scans/streams/list builds; the work PlanHits avoids).
-	// Stale-bypass evaluations are tracked by StaleBypasses, not here.
+	// Evaluations counts store evaluations run on behalf of misses
+	// (streams or list builds + TA). Stale-bypass evaluations are tracked
+	// by StaleBypasses, not here.
 	Evaluations atomic.Int64
 	// SharedWaits counts requests that piggybacked on another session's
 	// in-flight evaluation of the same fingerprint (single-flight dedup).
@@ -29,9 +33,7 @@ type CacheCounters struct {
 	// Invalidated counts entries dropped because a mutation batch moved
 	// the membership of a predicate they depend on.
 	Invalidated atomic.Int64
-	// PlanRepairs counts compiled-plan entries whose TA lists were patched
-	// in place by a maintenance sync (topk.Lists.ApplyDelta) instead of
-	// being invalidated.
+	// PlanRepairs is always 0 (see the type comment).
 	PlanRepairs atomic.Int64
 	// StaleBypasses counts requests served uncached because the store's
 	// epoch stamp had advanced past the cache's last synced state.
@@ -75,25 +77,11 @@ func (c *CacheCounters) Snapshot() CacheSnapshot {
 }
 
 // HitRate is result-cache hits over served lookups (hits + misses + shared
-// waits); 0 when nothing has been served. Plan hits count as misses here —
-// they re-rank cached lists but did not find a ready answer.
+// waits); 0 when nothing has been served.
 func (s CacheSnapshot) HitRate() float64 {
 	total := s.Hits + s.Misses + s.SharedWaits
 	if total == 0 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// ServedRate is the share of served lookups the cache answered without a
-// store evaluation: result hits, plan hits, and shared waits all avoid the
-// scan; only Evaluations (the leaders that actually ran) pay it. This is
-// the cache-effectiveness figure HitRate understates when plan hits are
-// common.
-func (s CacheSnapshot) ServedRate() float64 {
-	total := s.Hits + s.Misses + s.SharedWaits
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.PlanHits+s.SharedWaits) / float64(total)
 }

@@ -2,41 +2,30 @@ package metrics
 
 import "testing"
 
-// Pins the counter semantics the serving tier maintains: Misses splits into
-// PlanHits (evaluation avoided via a cached plan) + Evaluations (store work
-// actually run), HitRate counts only result-cache hits, and ServedRate
-// credits every served-without-evaluation outcome.
+// Pins the counter semantics the serving tier maintains: every miss is one
+// evaluation, a stale bypass is neither, and HitRate counts result-cache
+// hits over hits + misses + shared waits.
 func TestCacheCounterSemantics(t *testing.T) {
 	var c CacheCounters
-	// 6 result hits, 4 misses (3 answered by plan, 1 evaluated), 2 shared
-	// waits, 1 stale bypass (an evaluation, but not a miss evaluation).
+	// 6 result hits, 4 misses (each evaluated), 2 shared waits, 1 stale
+	// bypass (an evaluation, but not a miss evaluation).
 	c.Hits.Add(6)
 	c.Misses.Add(4)
-	c.PlanHits.Add(3)
-	c.Evaluations.Add(1)
+	c.Evaluations.Add(4)
 	c.SharedWaits.Add(2)
 	c.StaleBypasses.Add(1)
 
 	s := c.Snapshot()
-	if s.Misses != s.PlanHits+s.Evaluations {
-		t.Fatalf("miss split broken: misses=%d, plan=%d + eval=%d",
-			s.Misses, s.PlanHits, s.Evaluations)
+	if s.Misses != s.Evaluations {
+		t.Fatalf("misses=%d, evaluations=%d; want equal", s.Misses, s.Evaluations)
 	}
 	// HitRate: 6 / (6+4+2).
 	if got, want := s.HitRate(), 6.0/12.0; got != want {
 		t.Fatalf("HitRate = %v, want %v", got, want)
 	}
-	// ServedRate: (6 hits + 3 plan hits + 2 shared) / 12 — the plan hits
-	// HitRate undercounts.
-	if got, want := s.ServedRate(), 11.0/12.0; got != want {
-		t.Fatalf("ServedRate = %v, want %v", got, want)
-	}
-	if s.ServedRate() <= s.HitRate() {
-		t.Fatal("ServedRate must exceed HitRate when plan hits exist")
-	}
 
 	var empty CacheSnapshot
-	if empty.HitRate() != 0 || empty.ServedRate() != 0 {
-		t.Fatal("empty snapshot rates must be 0")
+	if empty.HitRate() != 0 {
+		t.Fatal("empty snapshot rate must be 0")
 	}
 }

@@ -17,7 +17,7 @@ package obs
 const (
 	// StageCanonicalize is profile canonicalization + fingerprinting.
 	StageCanonicalize = "canonicalize"
-	// StageLookup is the result/plan cache probe (including the staleness
+	// StageLookup is the result cache probe (including the staleness
 	// stamp check).
 	StageLookup = "cache_lookup"
 	// StageFlight is the single-flight section: the leader's evaluation or
@@ -26,8 +26,6 @@ const (
 	// StageFootprint is predicate-footprint registration (one vectorized
 	// scan per new predicate).
 	StageFootprint = "footprint"
-	// StagePlanTA is a plan hit: cached TA lists re-ranked for this k.
-	StagePlanTA = "plan_ta"
 	// StageBuildLists is grade-list construction over the evaluator's
 	// bitmaps (includes any cold predicate scans it triggers).
 	StageBuildLists = "build_lists"

@@ -57,8 +57,8 @@ type Trace struct {
 	begun time.Time
 
 	// Route is the serving outcome (hit / miss / shared / bypass); Exec is
-	// the execution path the router chose under a miss (plan_hit,
-	// streaming, materialized, ta_cached).
+	// the execution path the router chose under a miss (streaming,
+	// ta_cached, materialized_fallback).
 	Route string
 	Exec  string
 	Query string

@@ -9,8 +9,8 @@
 // gate that sheds load with Retry-After once the queue delay would blow the
 // latency SLO.
 //
-// cmd/hypred wires this App to a real listener; the serve experiment boots
-// it in-process via httptest to measure the whole HTTP path.
+// cmd/hypred wires this App to a real listener; the tests and the bench/
+// harness boot the identical App in-process via Handler.
 package serve
 
 import (
@@ -43,7 +43,7 @@ const StatusClientClosedRequest = 499
 type Options struct {
 	// Net is the citation network whose store the server serves.
 	Net *workload.Network
-	// CacheBytes is the result/plan cache budget (default: cache.Config's).
+	// CacheBytes is the result cache budget (default: cache.Config's).
 	CacheBytes int64
 	// Slow is the slow-log threshold (default 25ms).
 	Slow time.Duration
@@ -158,7 +158,7 @@ func (a *App) Registry() *obs.Registry { return a.reg }
 func (a *App) QueryGate() *admit.Gate { return a.queryGate }
 
 // SeedSession stores a profile server-side (cmd/hypred's -seed.sessions and
-// the experiments use it to skip the PUT round trip).
+// the bench/ harness use it to skip the PUT round trip).
 func (a *App) SeedSession(id string, prefs []hypre.ScoredPred) (combine.Fingerprint, error) {
 	s, err := a.buildSession(prefs)
 	if err != nil {
@@ -237,7 +237,36 @@ type profileResponse struct {
 }
 
 type mutateRequest struct {
-	Ops []workload.Op `json:"ops"`
+	Ops []mutateOp `json:"ops"`
+}
+
+// mutateOp is workload.Op as it arrives: Kind shadows the embedded field
+// with a pointer so an op object without a "kind" key is told apart from
+// the zero kind (an insert).
+type mutateOp struct {
+	Kind *workload.OpKind `json:"kind"`
+	workload.Op
+}
+
+// resolve validates one arrived op against what workload.Op.Do reads for
+// its kind and returns it ready to apply.
+func (m mutateOp) resolve() (workload.Op, error) {
+	if m.Kind == nil {
+		return workload.Op{}, errors.New(`missing "kind"`)
+	}
+	op := m.Op
+	op.Kind = *m.Kind
+	switch op.Kind {
+	case workload.OpLinkAdd:
+		if len(op.Authors) != 1 {
+			return workload.Op{}, fmt.Errorf("link_add needs exactly one author, got %d", len(op.Authors))
+		}
+	case workload.OpInsert:
+		if op.Venue == "" {
+			return workload.Op{}, errors.New("insert needs a venue")
+		}
+	}
+	return op, nil
 }
 
 type mutateResponse struct {
@@ -405,20 +434,18 @@ func (a *App) handleMutate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d ops, limit %d", len(req.Ops), a.opts.MaxOpsPerBatch))
 		return
 	}
-	// Apply and sync under one lock: the response promises the caches have
-	// absorbed this batch, and interleaved batches would make the per-batch
-	// sync stats meaningless.
-	a.syncMu.Lock()
-	applied := 0
-	var applyErr error
-	for _, op := range req.Ops {
-		if applyErr = op.Do(a.db); applyErr != nil {
-			break
+	// Validate the whole batch before taking the lock: a malformed op
+	// answers 400 with nothing applied.
+	ops := make([]workload.Op, len(req.Ops))
+	for i, m := range req.Ops {
+		op, err := m.resolve()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err))
+			return
 		}
-		applied++
+		ops[i] = op
 	}
-	stats, syncErr := a.maint.Sync()
-	a.syncMu.Unlock()
+	applied, stats, applyErr, syncErr := a.applyAndSync(ops)
 	if applyErr != nil {
 		writeError(w, http.StatusInternalServerError,
 			fmt.Sprintf("op %d failed after %d applied: %v", applied, applied, applyErr))
@@ -433,6 +460,24 @@ func (a *App) handleMutate(w http.ResponseWriter, r *http.Request) {
 		TouchedRows: stats.TouchedRows,
 		FullRebuild: stats.FullRebuild,
 	})
+}
+
+// applyAndSync applies the ops and syncs the maintainer under one lock: the
+// response promises the caches have absorbed this batch, and interleaved
+// batches would make the per-batch sync stats meaningless. The lock is
+// released by defer so a panic below (net/http recovers the goroutine)
+// cannot wedge every later mutate.
+func (a *App) applyAndSync(ops []workload.Op) (applied int, stats delta.SyncStats, applyErr, syncErr error) {
+	a.syncMu.Lock()
+	defer a.syncMu.Unlock()
+	for _, op := range ops {
+		if applyErr = op.Do(a.db); applyErr != nil {
+			break
+		}
+		applied++
+	}
+	stats, syncErr = a.maint.Sync()
+	return applied, stats, applyErr, syncErr
 }
 
 // --- helpers ---
@@ -496,8 +541,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Uncached answers a profile query on a fresh evaluator over the same store
-// — the reference every cached answer must equal (the serve experiment and
-// the e2e smoke assert through it).
+// — the reference every cached answer must equal (the serve tests and
+// bench/'s answer check assert through it).
 func (a *App) Uncached(prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, error) {
 	canon, _ := combine.CanonicalProfile(prefs)
 	ev := combine.NewEvaluator(a.db, workload.BaseQuery, "dblp.pid")

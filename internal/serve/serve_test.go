@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hypre/internal/admit"
+	"hypre/internal/combine"
 	"hypre/internal/hypre"
 	"hypre/internal/serve"
 	"hypre/internal/workload"
@@ -115,7 +116,15 @@ func TestMalformedRequests(t *testing.T) {
 		{"mutate no ops", "POST", "/v1/mutate", `{"ops":[]}`, http.StatusBadRequest},
 		{"mutate unknown kind", "POST", "/v1/mutate", `{"ops":[{"kind":"explode","pid":1}]}`, http.StatusBadRequest},
 		{"mutate bad json", "POST", "/v1/mutate", `{"ops":`, http.StatusBadRequest},
+		// A well-formed delete ahead of the malformed op: rejection must
+		// leave it unapplied too.
+		{"mutate link_add without authors", "POST", "/v1/mutate",
+			`{"ops":[{"kind":"delete","pid":1},{"kind":"link_add","pid":5}]}`, http.StatusBadRequest},
+		{"mutate insert without venue", "POST", "/v1/mutate",
+			`{"ops":[{"kind":"insert","pid":900001,"year":2001,"authors":[1]}]}`, http.StatusBadRequest},
+		{"mutate op without kind", "POST", "/v1/mutate", `{"ops":[{"pid":900002,"venue":"V"}]}`, http.StatusBadRequest},
 	}
+	stamp := net.DB.EpochStamp("dblp", "dblp_author")
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			code, body := do(t, app, c.method, c.path, c.body)
@@ -132,6 +141,53 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	if m := app.Server().Counters().Snapshot().Misses; m != 0 {
 		t.Fatalf("rejected requests reached the evaluator: %d misses", m)
+	}
+	if now := net.DB.EpochStamp("dblp", "dblp_author"); now != stamp {
+		t.Fatalf("rejected requests committed to the store: epoch stamp %d -> %d", stamp, now)
+	}
+
+	// The mutate route must still be open after the rejections (a rejected
+	// op once panicked under the route's lock and wedged it), and the served
+	// answer must still be the from-scratch one.
+	code, m := do(t, app, "POST", "/v1/mutate", `{"ops":[{"kind":"link_add","pid":5,"authors":[3]}]}`)
+	if code != http.StatusOK || m["applied"].(float64) != 1 {
+		t.Fatalf("well-formed mutate after rejections: %d %v", code, m)
+	}
+	code, q := do(t, app, "POST", "/v1/query", profileBody(net, 5))
+	if code != http.StatusOK {
+		t.Fatalf("query after mutate: %d %v", code, q)
+	}
+	fresh, err := app.Uncached([]hypre.ScoredPred{
+		mustPref(t, fmt.Sprintf("dblp.venue=%q", net.Venues[0]), 0.4),
+		mustPref(t, fmt.Sprintf("dblp.year=%d", net.Cfg.MinYear+1), 0.3),
+	}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertServedEquals(t, q["results"].([]any), fresh)
+}
+
+func mustPref(t testing.TB, pred string, intensity float64) hypre.ScoredPred {
+	t.Helper()
+	sp, err := hypre.NewScoredPred(pred, intensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// assertServedEquals compares a decoded "results" array with a reference
+// ranking, row by row.
+func assertServedEquals(t testing.TB, served []any, want []combine.ScoredTuple) {
+	t.Helper()
+	if len(want) != len(served) {
+		t.Fatalf("served %d rows, uncached %d", len(served), len(want))
+	}
+	for i, r := range served {
+		row := r.(map[string]any)
+		if int64(row["pid"].(float64)) != want[i].PID || row["score"].(float64) != want[i].Intensity {
+			t.Fatalf("row %d: served %v, uncached %+v", i, row, want[i])
+		}
 	}
 }
 
@@ -227,26 +283,13 @@ func TestMutateInvalidatesAndMatchesUncached(t *testing.T) {
 	}
 	prefs := make([]hypre.ScoredPred, len(entries))
 	for i, e := range entries {
-		sp, err := hypre.NewScoredPred(e.Pred, e.Intensity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefs[i] = sp
+		prefs[i] = mustPref(t, e.Pred, e.Intensity)
 	}
 	fresh, err := app.Uncached(prefs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := q2["results"].([]any)
-	if len(fresh) != len(served) {
-		t.Fatalf("served %d rows, uncached %d", len(served), len(fresh))
-	}
-	for i, r := range served {
-		row := r.(map[string]any)
-		if int64(row["pid"].(float64)) != fresh[i].PID || row["score"].(float64) != fresh[i].Intensity {
-			t.Fatalf("row %d: served %v, uncached %+v", i, row, fresh[i])
-		}
-	}
+	assertServedEquals(t, q2["results"].([]any), fresh)
 }
 
 // TestQueryAdmissionSheds: with a tight query gate, a burst past the bucket

@@ -30,7 +30,8 @@ import (
 const taSlack = 1e-9
 
 // StreamStats reports what the streaming evaluation actually did — the
-// observables the one-shot experiment records.
+// observables the trace's engine counters and bench/'s relstore.* layer
+// metrics are fed from.
 type StreamStats struct {
 	Streamed      bool // false when the cached/materialized path answered
 	BlocksTotal   int  // base-table blocks the scans could have touched
@@ -273,7 +274,7 @@ func EvaluateOneShotTraced(ev *combine.Evaluator, prefs []hypre.ScoredPred, k in
 		cached = ev.CachedCount(all)
 	}
 	if eligible > 0 && cached == eligible {
-		tr.SetExec("materialized")
+		tr.SetExec("ta_cached")
 		return evalMaterialized(ev, prefs, k, tr)
 	}
 	out, st, err := EvaluateStreamingTraced(ev, prefs, k, tr)

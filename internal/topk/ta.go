@@ -6,7 +6,6 @@ package topk
 
 import (
 	"sort"
-	"sync"
 
 	"hypre/internal/combine"
 	"hypre/internal/hypre"
@@ -19,86 +18,44 @@ type ListEntry struct {
 	Grade float64
 }
 
-// entryBefore is the canonical list order: grade descending, ties by pid
-// ascending (the determinism rule of every TA output).
-func entryBefore(a, b ListEntry) bool {
-	if a.Grade != b.Grade {
-		return a.Grade > b.Grade
-	}
-	return a.PID < b.PID
-}
-
 // Lists is the TA input: m sorted lists, one per attribute, each ordered
-// descending by grade, with random access by pid (Definition 20's setup).
-//
-// Lists is delta-maintainable (delta.go): each list is a large sorted base
-// run plus a small sorted overlay of re-graded entries and a tombstone set
-// masking stale base entries, merged on the fly during sorted access —
-// ApplyDelta touches O(changed) entries instead of re-sorting n, which is
-// what lets a cached plan survive a maintenance Sync. Readers and the
-// maintainer synchronize on the embedded RWMutex: TA rankings run under the
-// read lock and see one consistent version.
+// descending by grade (ties by pid ascending, the determinism rule of every
+// TA output), with random access by pid (Definition 20's setup). It is built
+// once and never written again, so concurrent TA rankings need no lock; a
+// store mutation is answered by building fresh lists over the maintained
+// evaluator, not by patching these.
 type Lists struct {
-	Names   []string
-	mu      sync.RWMutex
-	sorted  [][]ListEntry
-	overlay [][]ListEntry        // sorted; pids disjoint from unmasked base entries
-	dead    []map[int64]struct{} // pids masked out of the base run
-	grades  []map[int64]float64  // current grade per live pid (random access)
+	Names  []string
+	sorted [][]ListEntry
+	grades []map[int64]float64 // grade per pid (random access)
 }
 
 // NewLists builds the structure from per-attribute grade maps; each list is
 // sorted descending by grade (ties by pid for determinism).
 func NewLists(names []string, gradeMaps []map[int64]float64) *Lists {
-	l := &Lists{Names: names, grades: gradeMaps,
-		overlay: make([][]ListEntry, len(gradeMaps)),
-		dead:    make([]map[int64]struct{}, len(gradeMaps))}
+	l := &Lists{Names: names, grades: gradeMaps}
 	for _, m := range gradeMaps {
 		list := make([]ListEntry, 0, len(m))
 		for pid, g := range m {
 			list = append(list, ListEntry{PID: pid, Grade: g})
 		}
-		sort.Slice(list, func(i, j int) bool { return entryBefore(list[i], list[j]) })
+		sort.Slice(list, func(i, j int) bool {
+			if list[i].Grade != list[j].Grade {
+				return list[i].Grade > list[j].Grade
+			}
+			return list[i].PID < list[j].PID
+		})
 		l.sorted = append(l.sorted, list)
 	}
 	return l
 }
 
-// liveLen is list i's merged length: base minus masked plus overlay.
-// Callers hold l.mu.
-func (l *Lists) liveLen(i int) int {
-	return len(l.sorted[i]) - len(l.dead[i]) + len(l.overlay[i])
-}
-
-// Size returns the total number of live (pid, grade) entries — the storage
-// cost §7.6.1 calls out as TA's scalability problem.
+// Size returns the total number of (pid, grade) entries — the storage cost
+// §7.6.1 calls out as TA's scalability problem.
 func (l *Lists) Size() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	n := 0
-	for i := range l.sorted {
-		n += l.liveLen(i)
-	}
-	return n
-}
-
-// SizeBytes estimates the structure's resident footprint for cache byte
-// accounting: each entry is stored twice (a 16-byte sorted pair plus a
-// grade-map slot, costed at 16 bytes of payload), plus the attribute names.
-// TA and aggregate only read the structure, so a cached Lists may serve
-// concurrent rankings (delta maintenance takes the write lock).
-func (l *Lists) SizeBytes() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var n int64
-	for i, s := range l.sorted {
-		n += int64(len(s)+len(l.overlay[i])) * 16
-	}
-	for _, m := range l.grades {
-		n += int64(len(m)) * 16
-	}
-	for _, name := range l.Names {
-		n += int64(len(name))
+	for _, s := range l.sorted {
+		n += len(s)
 	}
 	return n
 }
@@ -106,7 +63,7 @@ func (l *Lists) SizeBytes() int64 {
 // aggregate computes the overall grade t(R) = f∧ over the grades of R in
 // every list where it appears (absent lists contribute 0, the identity of
 // f∧), matching §7.6.1's final combination step which "also added all the
-// tuples that are in only one list". Callers hold l.mu at least shared.
+// tuples that are in only one list".
 func (l *Lists) aggregate(pid int64) float64 {
 	vals := make([]float64, 0, len(l.grades))
 	for _, m := range l.grades {
@@ -197,8 +154,6 @@ func (l *Lists) TA(k int) []combine.ScoredTuple { return l.TATraced(k, nil) }
 // list exhaustion land in tr's engine counters. tr may be nil (TA calls it
 // that way); the algorithm is unchanged.
 func (l *Lists) TATraced(k int, tr *obs.Trace) []combine.ScoredTuple {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if k <= 0 || len(l.sorted) == 0 {
 		return nil
 	}
@@ -213,34 +168,21 @@ func (l *Lists) TATraced(k int, tr *obs.Trace) []combine.ScoredTuple {
 		top.push(taScored{pid: pid, grade: l.aggregate(pid)}, k)
 	}
 
-	// Sorted access walks each list's merged view — base run minus masked
-	// entries, interleaved with the overlay — which yields exactly the
-	// sequence a fresh sort of the grade maps would (entryBefore order, pids
-	// unique across the merge).
-	cursors := make([]listCursor, len(l.sorted))
 	maxDepth := 0
-	for i := range l.sorted {
-		cursors[i] = listCursor{main: l.sorted[i], over: l.overlay[i], dead: l.dead[i]}
-		if n := l.liveLen(i); n > maxDepth {
-			maxDepth = n
-		}
+	for _, list := range l.sorted {
+		maxDepth = max(maxDepth, len(list))
 	}
 	rounds, earlyExit := 0, false
 	for depth := 0; depth < maxDepth; depth++ {
 		lastGrades := make([]float64, 0, len(l.sorted))
-		exhausted := true
-		for i := range cursors {
-			if e, ok := cursors[i].next(); ok {
-				insert(e.PID)
-				lastGrades = append(lastGrades, e.Grade)
-				exhausted = false
-			} else if l.liveLen(i) > 0 {
+		for _, list := range l.sorted {
+			if depth < len(list) {
+				insert(list[depth].PID)
+				lastGrades = append(lastGrades, list[depth].Grade)
+			} else if len(list) > 0 {
 				// An exhausted list contributes its floor grade of 0.
 				lastGrades = append(lastGrades, 0)
 			}
-		}
-		if exhausted {
-			break
 		}
 		rounds++
 		tau := hypre.FAndAll(lastGrades...)
@@ -300,10 +242,8 @@ type attrGroup struct {
 	prefs []hypre.ScoredPred
 }
 
-// groupByAttr groups a profile's preferences by attribute exactly as
-// BuildLists always has (first-seen order, negatives skipped, unnamed
-// attributes pooled under "(multi)") — shared with the delta path so
-// ApplyDelta grades land in the same lists a fresh build would produce.
+// groupByAttr groups a profile's preferences by attribute: first-seen
+// order, negatives skipped, unnamed attributes pooled under "(multi)".
 func groupByAttr(prefs []hypre.ScoredPred) []attrGroup {
 	byAttr := map[string]int{}
 	var groups []attrGroup

@@ -109,9 +109,9 @@ func Generate(cfg Config) (*Network, error) {
 	return GenerateWith(cfg)
 }
 
-// GenerateWith is Generate over a store built with the given options — the
-// write-path experiments use it to spin up twin networks that differ only
-// in commit strategy (group commit, compaction, change-log capacity).
+// GenerateWith is Generate over a store built with the given options:
+// cmd/hypred and bench/ choose the commit strategy through it, and the
+// write-path suites build stores with compaction or a small change log.
 func GenerateWith(cfg Config, opts ...relstore.DBOption) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -35,7 +35,9 @@ func (k OpKind) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes a kind name; unknown names are an error, so a typoed
 // mutation request is rejected instead of silently becoming an insert (the
-// zero kind).
+// zero kind). An op object with no "kind" key never reaches this method —
+// encoding/json leaves the zero kind in place — so a decoder at a trust
+// boundary must check for the key itself (internal/serve's mutateOp does).
 func (k *OpKind) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {

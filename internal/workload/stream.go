@@ -18,9 +18,8 @@ import (
 //     valid across tombstone compactions that renumber every row.
 //   - PlanPartitions hands each writer a pid-disjoint slice of the live
 //     set (and a private fresh-pid namespace), so any interleaving of the
-//     writers reaches the same final logical state — which is what lets
-//     the stream experiment compare a group-commit store against a serial
-//     twin by ranking equality rather than by trust.
+//     writers reaches the same final logical state. bench/'s mixed-rw
+//     workload plans its mutate batches through it (one writer).
 
 // OpKind tags one planned mutation.
 type OpKind uint8
@@ -61,7 +60,9 @@ type Op struct {
 // group-commit leader instead of stalling in a lookup) and stays valid
 // across tombstone compactions that renumber every row. A target pid that
 // is no longer live degrades to a no-op (zero rows matched) rather than an
-// error.
+// error. An OpLinkAdd must carry its author (Authors[0] is read unchecked):
+// the planners always set it, and internal/serve rejects arrived ops that
+// do not before calling Do.
 func (op Op) Do(db *relstore.DB) error {
 	b := db.NewBatch()
 	pid := predicate.Int(op.PID)

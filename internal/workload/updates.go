@@ -9,9 +9,8 @@ import (
 
 // This file generates the online-mutation workload: a seeded stream of
 // paper inserts, deletes, attribute updates, and authorship-link churn over
-// the synthetic DBLP network — the write traffic the `-exp updates`
-// experiment replays against the mutable store to price incremental cache
-// maintenance against rematerialization.
+// the synthetic DBLP network — the write traffic the delta and cache suites
+// and bench/'s mixed-rw workload replay against the mutable store.
 
 // StreamConfig controls the op mix of an update stream. The four fractions
 // should sum to at most 1; any remainder falls to attribute updates.
@@ -28,7 +27,7 @@ type StreamConfig struct {
 	LinkFrac float64
 }
 
-// DefaultStreamConfig is the mix the update-stream experiment uses: mostly
+// DefaultStreamConfig is the mix bench/'s mixed-rw workload uses: mostly
 // in-place updates, with enough inserts/deletes/link churn to exercise
 // every delta path.
 func DefaultStreamConfig() StreamConfig {
