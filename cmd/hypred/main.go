@@ -25,7 +25,6 @@ import (
 
 	"hypre/internal/admit"
 	"hypre/internal/hypre"
-	"hypre/internal/relstore"
 	"hypre/internal/serve"
 	"hypre/internal/workload"
 )
@@ -53,7 +52,6 @@ func main() {
 		mSLO   = flag.Duration("admit.mutate.slo", 100*time.Millisecond, "mutate queue-delay SLO")
 
 		seedSessions = flag.Int("seed.sessions", 0, "pre-seed N sessions from extracted user profiles")
-		groupCommit  = flag.Bool("group.commit", true, "serve writes through the group-commit store path")
 	)
 	flag.Parse()
 
@@ -68,7 +66,7 @@ func main() {
 
 	log.Printf("hypred: generating network (papers=%d authors=%d venues=%d seed=%d)",
 		cfg.NumPapers, cfg.NumAuthors, cfg.NumVenues, cfg.Seed)
-	net, err := workload.GenerateWith(cfg, relstore.WithGroupCommit(*groupCommit))
+	net, err := workload.Generate(cfg)
 	if err != nil {
 		log.Fatalf("hypred: workload: %v", err)
 	}

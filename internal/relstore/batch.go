@@ -1,18 +1,23 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hypre/internal/predicate"
 )
 
 // Batch collects key-addressed mutations — possibly spanning tables — and
-// commits them as one unit. Under group commit the whole batch is a single
-// queue entry: one enqueue, one wake, and atomic visibility (no scan can
-// observe a paper without its authorship links), which is what lets a
-// logical op that touches several tables flow through the leader as one op
-// group instead of stalling per mutation. On a serial store Commit degrades
-// to applying the mutations in order, each through the normal serial path.
+// commits them as one unit. It is the store's only write path: Table.Insert,
+// Delete, Update and UpdateCol each run as a one-mutation batch, so every
+// commit is one hold. Commit locks exactly the tables the batch touches,
+// exclusively and in creation order (the order scans take their shared
+// locks, so there is no deadlock), applies the mutations in staging order,
+// repairs each dirtied zone block once, and unlocks. No scan can observe an
+// intermediate state — a paper is never visible without the authorship
+// links staged beside it — and every table the batch touches moves to one
+// new epoch, however many of its rows changed.
 //
 // Mutations are validated (table, columns, arity) as they are added;
 // Commit reports the first staging error without applying anything. Apply
@@ -24,6 +29,13 @@ type Batch struct {
 	db   *DB
 	muts []tableMut
 	err  error
+}
+
+// tableMut is one staged mutation: a closure that applies it to its table
+// under the exclusive state lock (capturing its own result vars).
+type tableMut struct {
+	t  *Table
+	do func()
 }
 
 // NewBatch starts an empty mutation batch against the store.
@@ -111,25 +123,80 @@ func (b *Batch) UpdateColByKey(table, keyCol string, key predicate.Value, col st
 	return b
 }
 
-// Commit applies the staged mutations: as one atomic op group through the
-// group-commit queue, or in staging order through the serial write path.
-// The batch must not be reused after Commit.
+// Commit applies the staged mutations as one hold: lock the touched tables
+// exclusively in creation order, open an applyBatch on each, apply the
+// mutations in staging order, then repair each table's dirtied zone blocks,
+// compact if the threshold is crossed, and unlock in reverse order. The
+// batch must not be reused after Commit.
 func (b *Batch) Commit() error {
 	if b.err != nil {
 		return b.err
 	}
-	if len(b.muts) == 0 {
-		return nil
+	tabs := make([]*Table, 0, 2)
+	for _, m := range b.muts {
+		if !slices.Contains(tabs, m.t) {
+			tabs = append(tabs, m.t)
+		}
 	}
-	if b.db.cfg.groupCommit {
-		b.db.cfg.cq.commit(b.muts)
-		return nil
+	slices.SortFunc(tabs, func(x, y *Table) int { return cmp.Compare(x.seq, y.seq) })
+	for _, t := range tabs {
+		t.state.Lock()
+		t.batch = &applyBatch{}
 	}
 	for _, m := range b.muts {
-		m.t.state.Lock()
 		m.do()
-		m.t.maybeCompactLocked()
-		m.t.state.Unlock()
+	}
+	for _, t := range tabs {
+		t.endBatchLocked()
+		t.maybeCompactLocked()
+	}
+	for i := len(tabs) - 1; i >= 0; i-- {
+		tabs[i].state.Unlock()
 	}
 	return nil
+}
+
+// commitOne runs one single-table mutation as a one-mutation Batch — the
+// path Table.Insert/Delete/Update/UpdateCol take. Commit's only error is a
+// staging error, and nothing is staged here.
+func (t *Table) commitOne(do func()) {
+	_ = (&Batch{muts: []tableMut{{t: t, do: do}}}).Commit()
+}
+
+// applyBatch is the in-flight commit context for one table: the epoch every
+// mutation of the commit shares (assigned lazily on the table's first
+// mutation), and the zone blocks the commit dirtied (repaired once in
+// endBatchLocked instead of once per overwrite).
+type applyBatch struct {
+	epoch   uint64
+	touched []zoneTouch
+}
+
+type zoneTouch struct {
+	c   *column
+	blk int
+}
+
+// endBatchLocked repairs every zone block the commit dirtied — each block
+// once, and each touched column's NaN shortcut once — then closes the
+// commit. Caller holds the state lock exclusively.
+func (t *Table) endBatchLocked() {
+	b := t.batch
+	t.batch = nil
+	if len(b.touched) == 0 {
+		return
+	}
+	seen := make(map[zoneTouch]struct{}, len(b.touched))
+	cols := make(map[*column]struct{})
+	for _, z := range b.touched {
+		if _, dup := seen[z]; dup {
+			continue
+		}
+		seen[z] = struct{}{}
+		z.c.rebuildZone(z.blk)
+		cols[z.c] = struct{}{}
+	}
+	for c := range cols {
+		c.refreshNaN()
+	}
 }

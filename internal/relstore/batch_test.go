@@ -9,11 +9,11 @@ import (
 	"hypre/internal/predicate"
 )
 
-// This file is the randomized property suite for the sustained-stream write
-// path: the group-commit queue (leadership rotation, multi-table holds) and
-// the key-addressed Batch API. The concurrency properties are meant to run
+// This file is the randomized property suite for the write path: the
+// key-addressed Batch API and its one-hold commit (multi-table holds,
+// compaction inside the hold). The concurrency properties are meant to run
 // under -race: the writers genuinely overlap, so the suite doubles as a
-// data-race probe over the commit queue and the hold's lock discipline.
+// data-race probe over the commit's lock discipline.
 
 // logicalState serializes a table's live rows by value, sorted — the
 // row-order- and row-id-agnostic comparison key for stores that applied the
@@ -59,9 +59,8 @@ func streamTables(t *testing.T, db *DB) {
 
 // planStreamOps builds one writer's op list over its own key partition
 // (writer w owns pids congruent to w): ops on disjoint keys commute, so the
-// concurrent group-commit store and the serially applied twin must converge
-// to the same logical state no matter how the queue interleaves the
-// writers. Every op is a Batch — single-table or paper+links multi-table —
+// concurrently written store and the serially applied twin must converge
+// to the same logical state no matter how the commits interleave. Every op is a Batch — single-table or paper+links multi-table —
 // so the suite exercises the key-addressed staging API end to end.
 func planStreamOps(rng *rand.Rand, w, writers, ops int) []func(db *DB) error {
 	owned := []int64{}
@@ -115,23 +114,22 @@ func planStreamOps(rng *rand.Rand, w, writers, ops int) []func(db *DB) error {
 	return plan
 }
 
-// TestGroupCommitMatchesSerialRandomized: concurrent key-partitioned
-// writers through the group-commit queue (with compaction enabled, so
-// holds, promotions, and row-id remaps all fire) must leave the same
-// logical state as the same ops applied one by one on a serial,
-// never-compacting twin.
-func TestGroupCommitMatchesSerialRandomized(t *testing.T) {
+// TestConcurrentBatchesMatchSerialRandomized: concurrent key-partitioned
+// batch writers (with compaction enabled, so multi-table holds and row-id
+// remaps both fire) must leave the same logical state as the same ops
+// applied one by one on a serial, never-compacting twin.
+func TestConcurrentBatchesMatchSerialRandomized(t *testing.T) {
 	// Seeding must clear one full block (1024 rows): compaction only
 	// considers tables at least a block long, and the suite wants real
 	// row-id remaps in flight, not just an armed-but-idle threshold.
 	const writers, opsPerWriter, seeded = 8, 60, 1100
 	for seed := int64(40); seed < 44; seed++ {
 		var sc StoreCounters
-		group := NewDB(WithGroupCommit(true), WithCompaction(0.05), WithStoreCounters(&sc))
+		conc := NewDB(WithCompaction(0.05), WithStoreCounters(&sc))
 		serial := NewDB()
-		streamTables(t, group)
+		streamTables(t, conc)
 		streamTables(t, serial)
-		for _, db := range []*DB{group, serial} {
+		for _, db := range []*DB{conc, serial} {
 			for p := int64(0); p < seeded; p++ {
 				if _, err := db.Table("papers").Insert(predicate.Int(p), predicate.Int(p%7)); err != nil {
 					t.Fatal(err)
@@ -154,7 +152,7 @@ func TestGroupCommitMatchesSerialRandomized(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for _, op := range plans[w] {
-					if err := op(group); err != nil {
+					if err := op(conc); err != nil {
 						errs[w] = err
 						return
 					}
@@ -182,15 +180,12 @@ func TestGroupCommitMatchesSerialRandomized(t *testing.T) {
 			{"papers", []string{"pid", "score"}},
 			{"links", []string{"pid", "ref"}},
 		} {
-			g := logicalState(t, group, tc.table, tc.cols)
+			c := logicalState(t, conc, tc.table, tc.cols)
 			s := logicalState(t, serial, tc.table, tc.cols)
-			if !eqStrings(g, s) {
-				t.Fatalf("seed %d: %s diverged: group %d rows, serial %d rows",
-					seed, tc.table, len(g), len(s))
+			if !eqStrings(c, s) {
+				t.Fatalf("seed %d: %s diverged: concurrent %d rows, serial %d rows",
+					seed, tc.table, len(c), len(s))
 			}
-		}
-		if sc.GroupCommitOps.Load() == 0 {
-			t.Fatalf("seed %d: no op went through the commit queue; test is vacuous", seed)
 		}
 		if sc.Compactions.Load() == 0 {
 			t.Fatalf("seed %d: compaction never fired; the remap axis is untested", seed)
@@ -203,63 +198,63 @@ func TestGroupCommitMatchesSerialRandomized(t *testing.T) {
 // Commit without applying any staged mutation — including the valid ones
 // staged before the error.
 func TestBatchStagingErrorAppliesNothing(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		db := NewDB(WithGroupCommit(group))
-		streamTables(t, db)
-		if _, err := db.Table("papers").Insert(predicate.Int(1), predicate.Int(10)); err != nil {
-			t.Fatal(err)
+	db := NewDB()
+	streamTables(t, db)
+	if _, err := db.Table("papers").Insert(predicate.Int(1), predicate.Int(10)); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Table("papers").Live()
+	cases := []*Batch{
+		db.NewBatch().Insert("papers", predicate.Int(2), predicate.Int(20)).Insert("nope", predicate.Int(3)),
+		db.NewBatch().Insert("papers", predicate.Int(2)), // arity
+		db.NewBatch().UpdateColByKey("papers", "pid", predicate.Int(1), "zz", predicate.Int(0)),
+		db.NewBatch().DeleteByKey("papers", "zz", predicate.Int(1)),
+	}
+	for i, b := range cases {
+		if err := b.Commit(); err == nil {
+			t.Fatalf("case %d: staged error not reported", i)
 		}
-		before := db.Table("papers").Live()
-		cases := []*Batch{
-			db.NewBatch().Insert("papers", predicate.Int(2), predicate.Int(20)).Insert("nope", predicate.Int(3)),
-			db.NewBatch().Insert("papers", predicate.Int(2)), // arity
-			db.NewBatch().UpdateColByKey("papers", "pid", predicate.Int(1), "zz", predicate.Int(0)),
-			db.NewBatch().DeleteByKey("papers", "zz", predicate.Int(1)),
-		}
-		for i, b := range cases {
-			if err := b.Commit(); err == nil {
-				t.Fatalf("group=%v case %d: staged error not reported", group, i)
-			}
-		}
-		if got := db.Table("papers").Live(); got != before {
-			t.Fatalf("group=%v: failed batches mutated the store: %d live rows, want %d", group, got, before)
-		}
+	}
+	if got := db.Table("papers").Live(); got != before {
+		t.Fatalf("failed batches mutated the store: %d live rows, want %d", got, before)
 	}
 }
 
 // TestBatchMultiTableEffects: one batch's staged mutations across two
-// tables all land, and zero-match key addressing is benign.
+// tables all land, each touched table moves exactly one epoch per commit,
+// and zero-match key addressing is benign.
 func TestBatchMultiTableEffects(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		db := NewDB(WithGroupCommit(group))
-		streamTables(t, db)
-		err := db.NewBatch().
-			Insert("papers", predicate.Int(7), predicate.Int(70)).
-			Insert("links", predicate.Int(7), predicate.Int(1)).
-			Insert("links", predicate.Int(7), predicate.Int(2)).
-			DeleteByKey("papers", "pid", predicate.Int(999)). // no match: benign
-			Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := db.Table("papers").Live(); got != 1 {
-			t.Fatalf("group=%v: papers live = %d, want 1", group, got)
-		}
-		if got := db.Table("links").Live(); got != 2 {
-			t.Fatalf("group=%v: links live = %d, want 2", group, got)
-		}
-		err = db.NewBatch().
-			UpdateColByKey("papers", "pid", predicate.Int(7), "score", predicate.Int(71)).
-			DeleteByKey("links", "pid", predicate.Int(7)).
-			Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := db.Table("papers").Value(0, "score").AsInt(); v != 71 {
-			t.Fatalf("group=%v: score = %d, want 71", group, v)
-		}
-		if got := db.Table("links").Live(); got != 0 {
-			t.Fatalf("group=%v: links live = %d, want 0", group, got)
-		}
+	db := NewDB()
+	streamTables(t, db)
+	err := db.NewBatch().
+		Insert("papers", predicate.Int(7), predicate.Int(70)).
+		Insert("links", predicate.Int(7), predicate.Int(1)).
+		Insert("links", predicate.Int(7), predicate.Int(2)).
+		DeleteByKey("papers", "pid", predicate.Int(999)). // no match: benign
+		Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Table("papers").Live(); got != 1 {
+		t.Fatalf("papers live = %d, want 1", got)
+	}
+	if got := db.Table("links").Live(); got != 2 {
+		t.Fatalf("links live = %d, want 2", got)
+	}
+	if e := db.EpochStamp("papers", "links"); e != 2 {
+		t.Fatalf("epoch stamp after one two-table commit = %d, want 2", e)
+	}
+	err = db.NewBatch().
+		UpdateColByKey("papers", "pid", predicate.Int(7), "score", predicate.Int(71)).
+		DeleteByKey("links", "pid", predicate.Int(7)).
+		Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := db.Table("papers").Value(0, "score").AsInt(); v != 71 {
+		t.Fatalf("score = %d, want 71", v)
+	}
+	if got := db.Table("links").Live(); got != 0 {
+		t.Fatalf("links live = %d, want 0", got)
 	}
 }

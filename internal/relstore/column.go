@@ -180,18 +180,13 @@ func (z *zone) fold(k predicate.Kind, v predicate.Value) {
 	}
 }
 
-// set overwrites row in place (the update path) and rebuilds the affected
-// block's zone entry exactly — updates must be able to *shrink* a zone, or
-// repeated updates would degrade every block to "anything goes".
-func (c *column) set(row int, v predicate.Value) {
-	c.rebuildZone(c.setRaw(row, v))
-}
-
-// setRaw overwrites the row's payload without touching zone state and
-// returns the block it dirtied. Group-commit batches use it to defer the
-// zone rebuild to one pass per batch (endBatchLocked); until that pass runs
-// the block's zone is stale, which is safe only because the exclusive state
-// lock keeps every reader out for the batch's whole critical section.
+// setRaw overwrites the row's payload (the update path) without touching
+// zone state and returns the block it dirtied. The commit rebuilds that
+// block's zone exactly in one pass (endBatchLocked) — updates must be able
+// to *shrink* a zone, or repeated updates would degrade every block to
+// "anything goes". Until that pass runs the block's zone is stale, which is
+// safe only because the exclusive state lock keeps every reader out for the
+// commit's whole critical section.
 func (c *column) setRaw(row int, v predicate.Value) (blk int) {
 	switch c.kinds[row] {
 	case predicate.KindString:
@@ -224,18 +219,12 @@ func (c *column) setRaw(row int, v predicate.Value) (blk int) {
 	return row / blockSize
 }
 
-// rebuildZone recomputes one block's zone entry from its rows and refreshes
-// the column-level NaN shortcut.
+// rebuildZone recomputes one block's zone entry exactly from its rows (the
+// caller refreshes the column-level NaN shortcut). Tombstoned rows still
+// participate — their values remain in the vectors, so including them keeps
+// the zone a sound over-approximation and the typed bulk loops valid for
+// every physical row.
 func (c *column) rebuildZone(bi int) {
-	c.rebuildZoneOnly(bi)
-	c.refreshNaN()
-}
-
-// rebuildZoneOnly recomputes one block's zone entry exactly from its rows.
-// Tombstoned rows still participate — their values remain in the vectors,
-// so including them keeps the zone a sound over-approximation and the typed
-// bulk loops valid for every physical row.
-func (c *column) rebuildZoneOnly(bi int) {
 	lo := bi * blockSize
 	hi := lo + blockSize
 	if hi > len(c.kinds) {

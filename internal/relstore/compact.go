@@ -46,8 +46,8 @@ func (t *Table) maybeCompactLocked() {
 }
 
 // compactLocked rewrites the table without its dead rows and publishes the
-// remap. Callers hold the state lock exclusively (and are outside any
-// group-commit batch — the leader compacts after closing the batch).
+// remap. Callers hold the state lock exclusively, after the commit's
+// applyBatch is closed (Batch.Commit compacts after endBatchLocked).
 func (t *Table) compactLocked() {
 	remap := make([]int32, t.n)
 	live := 0

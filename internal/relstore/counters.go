@@ -5,19 +5,9 @@ import "sync/atomic"
 // StoreCounters is the write-path observability surface: lock-free counters
 // the relstore increments as the sustained-stream machinery runs. One
 // instance is attached per DB (WithStoreCounters); bench/ snapshots it
-// into its relstore.* layer metrics so a throughput number can be
-// attributed to batching, and a staleness spike to log overflow. The
-// metrics package re-exports the type (metrics.StoreCounters) so the
-// serving tier's counters all surface in one place.
+// into its relstore.* layer metrics so a staleness spike can be attributed
+// to log overflow and a scan-cost drop to compaction.
 type StoreCounters struct {
-	// GroupCommitBatches counts commit-queue drain rounds: each is one
-	// exclusive-lock acquisition, one epoch bump, and one zone-repair pass
-	// applied on behalf of GroupCommitOps queued writers.
-	GroupCommitBatches atomic.Int64
-	// GroupCommitOps counts mutations committed through the queue. The mean
-	// batch size GroupCommitOps/GroupCommitBatches is the amortization the
-	// group-commit path buys over serial lock-per-op.
-	GroupCommitOps atomic.Int64
 	// LogOverflows counts change-log trims: the oldest half of a table's
 	// log was dropped, so any delta consumer still behind the trim point
 	// will be forced into a full rebuild. A stream that sizes the log with
@@ -36,23 +26,19 @@ type StoreCounters struct {
 
 // StoreSnapshot is a plain-value copy of the counters for JSON records.
 type StoreSnapshot struct {
-	GroupCommitBatches int64 `json:"group_commit_batches"`
-	GroupCommitOps     int64 `json:"group_commit_ops"`
-	LogOverflows       int64 `json:"log_overflows"`
-	Compactions        int64 `json:"compactions"`
-	JoinRepairs        int64 `json:"join_repairs"`
-	JoinRebuilds       int64 `json:"join_rebuilds"`
+	LogOverflows int64 `json:"log_overflows"`
+	Compactions  int64 `json:"compactions"`
+	JoinRepairs  int64 `json:"join_repairs"`
+	JoinRebuilds int64 `json:"join_rebuilds"`
 }
 
 // Snapshot reads every counter once (individually atomic, collectively
 // approximate under concurrent writers).
 func (c *StoreCounters) Snapshot() StoreSnapshot {
 	return StoreSnapshot{
-		GroupCommitBatches: c.GroupCommitBatches.Load(),
-		GroupCommitOps:     c.GroupCommitOps.Load(),
-		LogOverflows:       c.LogOverflows.Load(),
-		Compactions:        c.Compactions.Load(),
-		JoinRepairs:        c.JoinRepairs.Load(),
-		JoinRebuilds:       c.JoinRebuilds.Load(),
+		LogOverflows: c.LogOverflows.Load(),
+		Compactions:  c.Compactions.Load(),
+		JoinRepairs:  c.JoinRepairs.Load(),
+		JoinRebuilds: c.JoinRebuilds.Load(),
 	}
 }

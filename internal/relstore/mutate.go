@@ -6,25 +6,28 @@ import (
 	"hypre/internal/predicate"
 )
 
-// This file is the write half of the online-mutation subsystem. Deletes are
-// tombstones over the columnar vectors (row ids stay stable forever, so the
-// evaluator's row→dense-id plumbing survives any mutation mix); updates
-// overwrite in place and rebuild the touched block's zone map exactly.
-// Hash-index repair is lazy for deletes (dead ids linger in buckets and are
-// filtered at every consumption point; fresh builds skip them) and eager
-// for updates (the old-key bucket drops the id, the new-key bucket gains
-// it — an update must be findable under its new value immediately).
-// Join-CSR repair is lazy: each mutation bumps the table epoch, and the
-// cached existence vector + right→left CSR rebuild on next use when their
-// build epoch is stale.
+// This file is the write half of the online-mutation subsystem. Every
+// mutation runs inside a commit (Batch.Commit, batch.go): one hold of the
+// touched tables' exclusive state locks, whatever the number of mutations.
+// Deletes are tombstones over the columnar vectors (row ids are stable
+// until a compaction publishes a remap); updates overwrite in place, and
+// the commit rebuilds each dirtied block's zone map exactly once before it
+// unlocks. Hash-index repair is lazy for deletes (dead ids linger in
+// buckets and are filtered at every consumption point; fresh builds skip
+// them) and eager for updates (the old-key bucket drops the id, the
+// new-key bucket gains it — an update must be findable under its new value
+// immediately). Join-CSR repair is lazy: each commit bumps the epoch of
+// every table it touches, and the cached existence vector + right→left CSR
+// are repaired or rebuilt on next use when their build epoch is stale.
 //
 // Snapshot semantics: a scan holds the state lock of every table it touches
 // (shared, acquired in creation order) for its full duration, so it
-// observes exactly one epoch per table; mutations wait for in-flight
-// readers and commit atomically under the exclusive lock. Committed
-// mutations are additionally journaled in a bounded change log with
-// pre-images, which the delta-maintenance layer drains via SnapshotSince to
-// repair derived caches incrementally instead of rematerializing.
+// observes exactly one epoch per table; a commit waits for in-flight
+// readers and applies all its mutations, across tables, before any reader
+// gets back in. Committed mutations are additionally journaled in a
+// bounded change log with pre-images, which the delta-maintenance layer
+// drains via SnapshotSince to repair derived caches incrementally instead
+// of rematerializing.
 
 // ChangeKind tags one committed mutation in a table's change log.
 type ChangeKind uint8
@@ -64,7 +67,7 @@ func (t *Table) logCapacity() int {
 }
 
 // Epoch returns the table's current mutation epoch: 0 for a fresh table,
-// bumped by every committed Insert/Update/Delete.
+// bumped once by every commit that touches the table (and by compaction).
 func (t *Table) Epoch() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -72,8 +75,8 @@ func (t *Table) Epoch() uint64 {
 }
 
 // EpochStamp folds the named tables' epochs into one monotonically
-// non-decreasing version stamp. Every committed mutation bumps exactly one
-// table's epoch, so the sum moves on every commit — the cheap freshness
+// non-decreasing version stamp. Every commit bumps each table it touches
+// once, so the sum moves on every commit — the cheap freshness
 // probe the result-cache tier reads per request to decide whether its
 // entries still describe the store it is serving (unknown table names
 // contribute nothing, matching Table's nil return).
@@ -100,24 +103,17 @@ func (t *Table) isDead(id int) bool {
 	return t.nDead > 0 && t.dead.Contains(id)
 }
 
-// commitEpochLocked assigns the epoch of one committing mutation: inside a
-// group-commit hold every op shares the hold's epoch, bumped lazily on the
-// table's first mutation so untouched tables keep theirs; outside one, the
-// op bumps the table generation itself. fn, when non-nil, runs under t.mu
-// (the eager index-repair hook). Callers hold the state lock exclusively.
+// commitEpochLocked assigns the epoch of one committing mutation: every
+// mutation of a commit shares its epoch, bumped on the table's first
+// mutation. fn, when non-nil, runs under t.mu (the eager index-repair
+// hook). Callers hold the state lock exclusively inside a commit.
 func (t *Table) commitEpochLocked(fn func()) uint64 {
 	t.mu.Lock()
-	var epoch uint64
-	if t.batch != nil {
-		if t.batch.epoch == 0 {
-			t.gen++
-			t.batch.epoch = t.gen
-		}
-		epoch = t.batch.epoch
-	} else {
+	if t.batch.epoch == 0 {
 		t.gen++
-		epoch = t.gen
+		t.batch.epoch = t.gen
 	}
+	epoch := t.batch.epoch
 	if fn != nil {
 		fn()
 	}
@@ -130,15 +126,8 @@ func (t *Table) commitEpochLocked(fn func()) uint64 {
 // (zone maps remain sound over-approximations); every read path filters the
 // tombstone bitmap.
 func (t *Table) Delete(id int) bool {
-	if t.cfg.groupCommit {
-		var ok bool
-		t.commit(func() { ok = t.deleteLocked(id) })
-		return ok
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	ok := t.deleteLocked(id)
-	t.maybeCompactLocked()
+	var ok bool
+	t.commitOne(func() { ok = t.deleteLocked(id) })
 	return ok
 }
 
@@ -186,20 +175,16 @@ func (t *Table) matchLiveLocked(pos int, key predicate.Value) []int {
 
 // Update overwrites row id with a full replacement row. Changed columns that
 // carry a hash index are repaired eagerly (old bucket drops the id, new
-// bucket gains it); the touched zone-map blocks are rebuilt exactly.
+// bucket gains it); the touched zone-map blocks are rebuilt exactly when
+// the commit closes.
 func (t *Table) Update(id int, vals ...predicate.Value) error {
 	if len(vals) != len(t.schema.Columns) {
 		return fmt.Errorf("relstore: %s expects %d values, got %d",
 			t.schema.Name, len(t.schema.Columns), len(vals))
 	}
-	if t.cfg.groupCommit {
-		var err error
-		t.commit(func() { err = t.updateLocked(id, vals) })
-		return err
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	return t.updateLocked(id, vals)
+	var err error
+	t.commitOne(func() { err = t.updateLocked(id, vals) })
+	return err
 }
 
 // UpdateCol overwrites a single column of row id, leaving the rest of the
@@ -209,14 +194,9 @@ func (t *Table) UpdateCol(id int, col string, v predicate.Value) error {
 	if !ok {
 		return fmt.Errorf("relstore: %s has no column %q", t.schema.Name, col)
 	}
-	if t.cfg.groupCommit {
-		var err error
-		t.commit(func() { err = t.updateColLocked(id, pos, v) })
-		return err
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	return t.updateColLocked(id, pos, v)
+	var err error
+	t.commitOne(func() { err = t.updateColLocked(id, pos, v) })
+	return err
 }
 
 func (t *Table) updateColLocked(id, pos int, v predicate.Value) error {
@@ -246,13 +226,9 @@ func (t *Table) updateLocked(id int, vals []predicate.Value) error {
 		if old[i] == v {
 			continue
 		}
-		if b := t.batch; b != nil {
-			// Defer the zone rebuild to the batch's single repair pass.
-			blk := t.cols[i].setRaw(id, v)
-			b.touched = append(b.touched, zoneTouch{c: t.cols[i], blk: blk})
-		} else {
-			t.cols[i].set(id, v)
-		}
+		// The zone rebuild waits for the commit's single repair pass.
+		blk := t.cols[i].setRaw(id, v)
+		t.batch.touched = append(t.batch.touched, zoneTouch{c: t.cols[i], blk: blk})
 	}
 	epoch := t.commitEpochLocked(func() {
 		for col, idx := range t.indexes {

@@ -14,13 +14,14 @@
 // (see vecscan.go). The row-oriented API (Row, Value, Select) reboxes
 // values on demand.
 //
-// The store is mutable and serves online workloads: Delete tombstones,
-// Update overwrites in place (rebuilding the touched block's zone map
-// exactly), scans and mutations interleave safely under a reader/writer
-// epoch discipline, and every committed mutation lands in a bounded
-// per-table change log with pre-images so derived caches can be repaired
-// incrementally (MatchLeftRowSet + internal/delta) instead of
-// rematerialized. See mutate.go for the full write-path contract.
+// The store is mutable and serves online workloads: every write is a
+// Batch commit (one hold of the touched tables, atomic across them),
+// Delete tombstones, Update overwrites in place (rebuilding the touched
+// block's zone map exactly), scans and commits interleave safely under a
+// reader/writer epoch discipline, and every committed mutation lands in a
+// bounded per-table change log with pre-images so derived caches can be
+// repaired incrementally (MatchLeftRowSet + internal/delta) instead of
+// rematerialized. See batch.go and mutate.go for the write-path contract.
 package relstore
 
 import (
@@ -53,14 +54,14 @@ func (s *Schema) Arity() int { return len(s.Columns) }
 // place, Delete tombstones (row ids are stable forever; see mutate.go for
 // the update path, snapshot semantics, and the change log).
 //
-// Concurrency: every mutation takes the state lock exclusively; every scan
-// holds it shared for the scan's full duration, acquiring multi-table locks
-// in creation (seq) order so reader pairs can never deadlock against
-// writers. A scan therefore observes one consistent epoch of each table it
-// touches — mutations wait for in-flight readers and advance the epoch
-// atomically. Lazy structures (indexes, the join-existence vectors) are
-// built under mu, nested inside the state lock, and rebuilt when the epoch
-// they were built at goes stale.
+// Concurrency: every commit (Batch.Commit) takes the state locks of the
+// tables it touches exclusively; every scan holds them shared for the
+// scan's full duration. Both acquire multi-table locks in creation (seq)
+// order, so readers and writers can never deadlock. A scan therefore
+// observes one consistent epoch of each table it touches — commits wait
+// for in-flight readers and advance the epoch atomically. Lazy structures
+// (indexes, the join-existence vectors) are built under mu, nested inside
+// the state lock, and rebuilt when the epoch they were built at goes stale.
 type Table struct {
 	schema *Schema
 	colIdx map[string]int // bare column name -> position
@@ -77,7 +78,7 @@ type Table struct {
 	logFloor uint64      // epochs <= logFloor have been trimmed from chLog
 
 	cfg   dbConfig     // write-path knobs, fixed at creation (NewDB options)
-	batch *applyBatch  // non-nil while a commit hold is applying (state held)
+	batch *applyBatch  // the open commit's context (batch.go); set only while state is held
 	comps []Compaction // recent row-id remaps, ascending epoch (compact.go)
 	// compactFloor is the newest evicted compaction epoch: consumers whose
 	// sync point is <= compactFloor can no longer learn which remaps they
@@ -85,7 +86,7 @@ type Table struct {
 	compactFloor uint64
 
 	mu      sync.RWMutex
-	gen     uint64            // epoch: bumped on every mutation; invalidates caches
+	gen     uint64            // epoch: bumped once per commit touching the table; invalidates caches
 	indexes map[int]hashIndex // column position -> value-key -> row ids
 	exists  map[existsKey]*existsEntry
 }
@@ -198,21 +199,17 @@ func (t *Table) ColumnIndex(name string) int {
 
 // Insert appends a row. The value count must match the schema arity; values
 // are stored as given (the engine trusts callers on types, like MySQL in
-// non-strict mode). Safe to call concurrently with scans: the insert waits
-// for in-flight readers and commits atomically.
+// non-strict mode). Safe to call concurrently with scans: the insert is a
+// one-mutation Batch, which waits for in-flight readers and commits
+// atomically.
 func (t *Table) Insert(vals ...predicate.Value) (int, error) {
 	if len(vals) != len(t.schema.Columns) {
 		return 0, fmt.Errorf("relstore: %s expects %d values, got %d",
 			t.schema.Name, len(t.schema.Columns), len(vals))
 	}
-	if t.cfg.groupCommit {
-		var id int
-		t.commit(func() { id = t.insertLocked(vals) })
-		return id, nil
-	}
-	t.state.Lock()
-	defer t.state.Unlock()
-	return t.insertLocked(vals), nil
+	var id int
+	t.commitOne(func() { id = t.insertLocked(vals) })
+	return id, nil
 }
 
 func (t *Table) insertLocked(vals []predicate.Value) int {
@@ -439,10 +436,8 @@ type DB struct {
 // at NewDB time.
 type dbConfig struct {
 	logCap      int     // change-log capacity; 0 means maxChangeLog
-	groupCommit bool    // route mutations through the commit queue
 	compactFrac float64 // dead-row fraction triggering compaction; 0 disables
 	counters    *StoreCounters
-	cq          *commitQueue // store-wide group-commit queue (groupcommit.go)
 }
 
 // DBOption configures the write path of a new DB.
@@ -460,15 +455,11 @@ func WithChangeLogCap(n int) DBOption {
 	}
 }
 
-// WithGroupCommit routes Insert/Delete/Update/UpdateCol (and Batch.Commit)
-// through a store-wide commit queue that coalesces concurrently submitted
-// mutations into one exclusive-lock acquisition per hold, one epoch bump
-// per touched table, and one zone-repair pass — with leadership rotating
-// among the writers (see groupcommit.go). Semantics are identical to serial
-// application in the order the queue admitted the ops; a writer with no
-// concurrent peers leads a hold of one (lock, apply, a free yield, unlock).
-func WithGroupCommit(on bool) DBOption {
-	return func(c *dbConfig) { c.groupCommit = on }
+// WithGroupCommit is a no-op kept only because bench/setup.go, which is
+// frozen, still passes it. Every store commits through Batch.Commit, one
+// hold per commit; there is no queue to turn on.
+func WithGroupCommit(bool) DBOption {
+	return func(*dbConfig) {}
 }
 
 // WithCompaction enables threshold-triggered tombstone compaction: when a
@@ -481,8 +472,8 @@ func WithCompaction(frac float64) DBOption {
 	return func(c *dbConfig) { c.compactFrac = frac }
 }
 
-// WithStoreCounters attaches write-path counters (group-commit batching,
-// log overflows, compactions, join repairs) to every table of the DB.
+// WithStoreCounters attaches write-path counters (log overflows,
+// compactions, join repairs vs rebuilds) to every table of the DB.
 func WithStoreCounters(sc *StoreCounters) DBOption {
 	return func(c *dbConfig) { c.counters = sc }
 }
@@ -493,11 +484,11 @@ func NewDB(opts ...DBOption) *DB {
 	for _, o := range opts {
 		o(&db.cfg)
 	}
-	db.cfg.cq = &commitQueue{}
 	return db
 }
 
-// CreateTable registers a new relation and returns it.
+// CreateTable registers a new relation and returns it. It may run beside
+// committing writers: a commit locks only the tables its batch staged.
 func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -515,7 +506,6 @@ func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
 		seen[c.Name] = true
 	}
 	t := newTable(&Schema{Name: name, Columns: cols}, db.cfg)
-	db.cfg.cq.register(t)
 	db.tables[name] = t
 	db.order = append(db.order, name)
 	return t, nil

@@ -4,10 +4,10 @@
 // canonicalized preference profile under a client-chosen id; queries route
 // through the profile-fingerprint result cache (so sessions sharing a
 // canonical profile share cache entries and single-flight evaluations),
-// mutations commit through the store's batch write path and synchronize the
-// delta maintainer inline, and every route class sits behind an admission
-// gate that sheds load with Retry-After once the queue delay would blow the
-// latency SLO.
+// a mutate request commits all its ops as one store batch (all or
+// nothing) and synchronizes the delta maintainer inline, and every route
+// class sits behind an admission gate that sheds load with Retry-After
+// once the queue delay would blow the latency SLO.
 //
 // cmd/hypred wires this App to a real listener; the tests and the bench/
 // harness boot the identical App in-process via Handler.
@@ -90,10 +90,10 @@ type App struct {
 	sessMu   sync.RWMutex
 	sessions map[string]*session
 
-	// syncMu serializes mutate batches: ops apply and the maintainer syncs
-	// under one lock, so a mutate answer implies the cache has already been
-	// repaired for it (queries never see a stale-bypass window after a
-	// mutate response returns).
+	// syncMu serializes mutate batches: the batch commits and the
+	// maintainer syncs under one lock, so a mutate answer implies the cache
+	// has already been repaired for it (queries never see a stale-bypass
+	// window after a mutate response returns).
 	syncMu sync.Mutex
 }
 
@@ -248,7 +248,7 @@ type mutateOp struct {
 	workload.Op
 }
 
-// resolve validates one arrived op against what workload.Op.Do reads for
+// resolve validates one arrived op against what workload.Op.Stage reads for
 // its kind and returns it ready to apply.
 func (m mutateOp) resolve() (workload.Op, error) {
 	if m.Kind == nil {
@@ -445,39 +445,40 @@ func (a *App) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		ops[i] = op
 	}
-	applied, stats, applyErr, syncErr := a.applyAndSync(ops)
-	if applyErr != nil {
-		writeError(w, http.StatusInternalServerError,
-			fmt.Sprintf("op %d failed after %d applied: %v", applied, applied, applyErr))
-		return
-	}
-	if syncErr != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("maintenance sync: %v", syncErr))
+	stats, err := a.applyAndSync(ops)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, mutateResponse{
-		Applied:     applied,
+		Applied:     len(ops),
 		TouchedRows: stats.TouchedRows,
 		FullRebuild: stats.FullRebuild,
 	})
 }
 
-// applyAndSync applies the ops and syncs the maintainer under one lock: the
-// response promises the caches have absorbed this batch, and interleaved
-// batches would make the per-batch sync stats meaningless. The lock is
-// released by defer so a panic below (net/http recovers the goroutine)
-// cannot wedge every later mutate.
-func (a *App) applyAndSync(ops []workload.Op) (applied int, stats delta.SyncStats, applyErr, syncErr error) {
+// applyAndSync stages every op into one relstore.Batch, commits it as one
+// hold — the request is all-or-nothing — and syncs the maintainer, all
+// under one lock: the response promises the caches have absorbed this
+// batch, and interleaved batches would make the per-batch sync stats
+// meaningless. A commit error applied nothing, so there is nothing to
+// sync. The lock is released by defer so a panic below (net/http recovers
+// the goroutine) cannot wedge every later mutate.
+func (a *App) applyAndSync(ops []workload.Op) (delta.SyncStats, error) {
 	a.syncMu.Lock()
 	defer a.syncMu.Unlock()
+	b := a.db.NewBatch()
 	for _, op := range ops {
-		if applyErr = op.Do(a.db); applyErr != nil {
-			break
-		}
-		applied++
+		op.Stage(b)
 	}
-	stats, syncErr = a.maint.Sync()
-	return applied, stats, applyErr, syncErr
+	if err := b.Commit(); err != nil {
+		return delta.SyncStats{}, fmt.Errorf("commit (nothing applied): %w", err)
+	}
+	stats, err := a.maint.Sync()
+	if err != nil {
+		return stats, fmt.Errorf("maintenance sync: %w", err)
+	}
+	return stats, nil
 }
 
 // --- helpers ---

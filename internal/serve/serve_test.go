@@ -443,3 +443,79 @@ func TestConcurrentSessionsAndMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMutateIsOneCommit: a multi-op mutate is one store commit. Its four
+// ops (insert P at venue V, link P, re-year an existing paper, insert P2 at
+// V) move each touched table exactly one epoch, and readers running during
+// the mutate see P and P2 both or neither — never a half-applied request.
+func TestMutateIsOneCommit(t *testing.T) {
+	app, net := newApp(t, nil)
+	const p, p2 = 900001, 900002
+	venue := net.Venues[0]
+	pref := []hypre.ScoredPred{mustPref(t, fmt.Sprintf("dblp.venue=%q", venue), 0.5)}
+	body, err := json.Marshal(map[string]any{"ops": []map[string]any{
+		{"kind": "insert", "pid": p, "venue": venue, "year": net.Cfg.MinYear},
+		{"kind": "link_add", "pid": p, "authors": []int{1}},
+		{"kind": "update_year", "pid": net.Papers[0].PID, "year": net.Cfg.MaxYear},
+		{"kind": "insert", "pid": p2, "venue": venue, "year": net.Cfg.MinYear, "authors": []int{2}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// seen reports which of P, P2 a from-scratch ranking of venue V holds.
+	seen := func() (bool, bool, error) {
+		res, err := app.Uncached(pref, 1<<20)
+		if err != nil {
+			return false, false, err
+		}
+		var hasP, hasP2 bool
+		for _, r := range res {
+			hasP = hasP || r.PID == p
+			hasP2 = hasP2 || r.PID == p2
+		}
+		return hasP, hasP2, nil
+	}
+
+	stamp := net.DB.EpochStamp("dblp", "dblp_author")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				hasP, hasP2, err := seen()
+				if err == nil && hasP != hasP2 {
+					err = fmt.Errorf("reader saw half a mutate: P %v, P2 %v", hasP, hasP2)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	code, m := do(t, app, "POST", "/v1/mutate", string(body))
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if code != http.StatusOK || m["applied"].(float64) != 4 {
+		t.Fatalf("mutate: %d %v", code, m)
+	}
+	if got := net.DB.EpochStamp("dblp", "dblp_author") - stamp; got != 2 {
+		t.Fatalf("epoch stamp advanced by %d, want 2 (one commit touching two tables)", got)
+	}
+	if hasP, hasP2, err := seen(); err != nil || !hasP || !hasP2 {
+		t.Fatalf("after the mutate: P %v, P2 %v, err %v", hasP, hasP2, err)
+	}
+}

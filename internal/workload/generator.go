@@ -110,8 +110,8 @@ func Generate(cfg Config) (*Network, error) {
 }
 
 // GenerateWith is Generate over a store built with the given options:
-// cmd/hypred and bench/ choose the commit strategy through it, and the
-// write-path suites build stores with compaction or a small change log.
+// bench/ attaches store counters through it, and the write-path suites
+// build stores with compaction or a small change log.
 func GenerateWith(cfg Config, opts ...relstore.DBOption) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

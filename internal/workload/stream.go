@@ -13,8 +13,8 @@ import (
 // that concurrent writers can execute against the store. Two properties
 // make the plans concurrency- and compaction-proof:
 //
-//   - Ops name rows by pid, never by row id; Do resolves the current row
-//     through the store's hash index at execution time, so a plan stays
+//   - Ops name rows by pid, never by row id; a staged op resolves the
+//     current row through the store's hash index at commit time, so a plan stays
 //     valid across tombstone compactions that renumber every row.
 //   - PlanPartitions hands each writer a pid-disjoint slice of the live
 //     set (and a private fresh-pid namespace), so any interleaving of the
@@ -51,20 +51,25 @@ type Op struct {
 	Authors []int64 `json:"authors,omitempty"` // OpInsert: initial links; OpLinkAdd: Authors[0]
 }
 
-// Do executes the op against the store as one key-addressed mutation batch
-// (relstore.Batch): the op's mutations — a paper insert with its links, a
-// paper delete with its link teardown — commit as a single atomic unit, and
-// each key resolves through the store's hash index inside the committed
-// critical section. An op is therefore a pure write-path call with no
-// shared-lock read preamble (which is what lets ops queue up behind a
-// group-commit leader instead of stalling in a lookup) and stays valid
-// across tombstone compactions that renumber every row. A target pid that
-// is no longer live degrades to a no-op (zero rows matched) rather than an
-// error. An OpLinkAdd must carry its author (Authors[0] is read unchecked):
-// the planners always set it, and internal/serve rejects arrived ops that
-// do not before calling Do.
+// Do executes the op against the store as its own commit: Stage into a
+// fresh batch, then Commit.
 func (op Op) Do(db *relstore.DB) error {
 	b := db.NewBatch()
+	op.Stage(b)
+	return b.Commit()
+}
+
+// Stage adds the op's key-addressed mutations to b (relstore.Batch): a
+// paper insert with its links, a paper delete with its link teardown. They
+// commit with everything else staged in b as one atomic unit, and each key
+// resolves through the store's hash index inside the commit's critical
+// section. An op is therefore a pure write-path call with no shared-lock
+// read preamble and stays valid across tombstone compactions that renumber
+// every row. A target pid that is no longer live degrades to a no-op (zero
+// rows matched) rather than an error. An OpLinkAdd must carry its author
+// (Authors[0] is read unchecked): the planners always set it, and
+// internal/serve rejects arrived ops that do not before staging them.
+func (op Op) Stage(b *relstore.Batch) {
 	pid := predicate.Int(op.PID)
 	switch op.Kind {
 	case OpInsert:
@@ -87,7 +92,6 @@ func (op Op) Do(db *relstore.DB) error {
 	case OpLinkDel:
 		b.DeleteOneByKey("dblp_author", "pid", pid)
 	}
-	return b.Commit()
 }
 
 // PlanPartitions pre-plans writers×perWriter ops with the stream's mix and
@@ -95,8 +99,8 @@ func (op Op) Do(db *relstore.DB) error {
 // each writer draws from a derived RNG and allocates fresh pids in a
 // stride-writers namespace, and every op targets only pids its own writer
 // owns. The plans are pure — nothing is mutated until Do — so the same
-// plan can be executed against twin stores (group-commit vs serial) and
-// compared for equivalence.
+// plan can be executed against twin stores (concurrent vs serial writers)
+// and compared for equivalence.
 func (s *UpdateStream) PlanPartitions(writers, perWriter int) [][]Op {
 	owned := make([][]int64, writers)
 	for i, pid := range s.pids {
