@@ -285,7 +285,8 @@ func TestWordsRoundTrip(t *testing.T) {
 
 // TestBuilderMatchesAdds proves the ascending builder (the kernel emission
 // path) produces the same set as point Adds, including bulk ranges that
-// should land as run containers and out-of-order stragglers.
+// should land as run containers, whole appended Blocks (the scan drain's
+// shape, at or behind the frontier) and out-of-order stragglers.
 func TestBuilderMatchesAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
@@ -294,7 +295,17 @@ func TestBuilderMatchesAdds(t *testing.T) {
 		ref := refSet{}
 		pos := 0
 		for pos < max {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
+			case 3: // whole block, aligned at or behind the frontier
+				var blk Block
+				blk.Reset(rng.Intn(pos+1) &^ (BlockBits - 1))
+				for c := rng.Intn(200); c > 0; c-- {
+					if i := blk.base + rng.Intn(BlockBits); i < max {
+						blk.Set(i)
+						ref[i] = true
+					}
+				}
+				b.AppendBlock(&blk)
 			case 0: // ascending point
 				b.Set(pos)
 				ref[pos] = true

@@ -64,6 +64,28 @@ func (b *Builder) SetRange(lo, hi int) {
 	}
 }
 
+// AppendBlock marks every key set in blk: one container switch and sixteen
+// word ORs into the scratch, the block-granular form of Set. An empty block
+// is a no-op; a block behind the emission frontier falls back to Set.Add.
+func (b *Builder) AppendBlock(blk *Block) {
+	if !blk.Any() {
+		return
+	}
+	hk := int32(blk.base >> 16)
+	if hk != b.curKey && !b.switchTo(hk) {
+		blk.ForEach(func(i int) bool { b.s.Add(i); return true })
+		return
+	}
+	w0 := (blk.base & 0xffff) >> 6
+	for w0+blockWords > len(b.scratch) {
+		b.scratch = append(b.scratch, 0)
+	}
+	for i, w := range blk.words {
+		b.scratch[w0+i] |= w
+	}
+	b.dirty = true
+}
+
 // switchTo flushes the current container and moves to hk; it reports false
 // when hk is behind the emission frontier (already flushed or passed).
 func (b *Builder) switchTo(hk int32) bool {

@@ -13,7 +13,7 @@ import (
 // key-addressed Batch API and its one-hold commit (multi-table holds,
 // compaction inside the hold). The concurrency properties are meant to run
 // under -race: the writers genuinely overlap, so the suite doubles as a
-// data-race probe over the commit's lock discipline.
+// data-race check over the commit's lock discipline.
 
 // logicalState serializes a table's live rows by value, sorted — the
 // row-order- and row-id-agnostic comparison key for stores that applied the

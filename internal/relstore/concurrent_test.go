@@ -13,7 +13,8 @@ import (
 // TestConcurrentMutateAndScan is the race test for the epoch/snapshot
 // discipline: writers Insert/Update/Delete on both tables of a join while
 // readers run the full scan surface — counts, distinct scans, the bulk row
-// scan, MatchLeftRowSet, lazy index builds. Every scan holds the tables'
+// scan, streaming iterator groups, MatchLeftRowSet, lazy index builds and
+// join-entry repairs. Every scan holds the tables'
 // shared state locks for its duration, so under -race this must be clean
 // and every scan must observe internally consistent state (no partial
 // batches, no torn rows). Run it with -race (CI does).
@@ -124,6 +125,18 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// Streaming scans over the joined query repair the join
+				// entry beside the writers, as the materialized ones do.
+				g, err := db.OpenAttrRowIterGroup([]Query{{From: "lt", Join: join, Where: where}, {From: "lt", Join: join}}, "lt.a")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, it := range g.Iters {
+					for _, _, _, ok := it.NextBlock(); ok; _, _, _, ok = it.NextBlock() {
+					}
+				}
+				g.Close()
 				touched := bitset.New()
 				for i := 0; i < 40; i++ {
 					touched.Add(rng.Intn(lt.Len()))

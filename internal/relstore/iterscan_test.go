@@ -2,17 +2,69 @@ package relstore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"hypre/internal/predicate"
 )
 
+// drainAttrRows streams q through a one-query iterator group to exhaustion
+// and returns the (row, attr value) pairs, failing on a malformed block
+// stream (blocks out of order or past MaxBlock, rows outside their block or
+// not ascending, empty blocks). ok=false means the planner refused the shape.
+func drainAttrRows(t *testing.T, tag string, db *DB, q Query, attr string) (map[int]int64, bool) {
+	t.Helper()
+	g, err := db.OpenAttrRowIterGroup([]Query{q}, attr)
+	if errors.Is(err, ErrStreamUnsupported) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	it := g.Iters[0]
+	got := map[int]int64{}
+	prevBlock := -1
+	for {
+		bi, lids, vals, ok := it.NextBlock()
+		if !ok {
+			return got, true
+		}
+		if bi <= prevBlock || bi > it.MaxBlock() {
+			t.Fatalf("%s: block %d out of order (prev %d, max %d)", tag, bi, prevBlock, it.MaxBlock())
+		}
+		prevBlock = bi
+		if len(lids) == 0 || len(lids) != len(vals) {
+			t.Fatalf("%s: bad block shape %d/%d", tag, len(lids), len(vals))
+		}
+		prev := -1
+		for i, lid := range lids {
+			if int(lid)/blockSize != bi || int(lid) <= prev {
+				t.Fatalf("%s: row %d out of place in block %d", tag, lid, bi)
+			}
+			prev = int(lid)
+			got[int(lid)] = vals[i]
+		}
+	}
+}
+
+func eqAttrRows(a, b map[int]int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for lid, v := range a {
+		if bv, ok := b[lid]; !ok || bv != v {
+			return false
+		}
+	}
+	return true
+}
+
 // The streaming block iterator must emit exactly the (row, attr) stream the
-// materialized scan path produces, for every query shape it accepts —
-// randomized tables (all value kinds, NaNs, tombstones), random predicate
-// trees, joined and unjoined, across both plan modes (zone-map scan and
-// index candidates).
+// row-major reference owes, for every query shape it accepts — randomized
+// tables (all value kinds, NaNs, tombstones), random predicate trees, joined
+// and unjoined, across both plan modes (zone-map scan and candidates).
 func TestAttrRowIterMatchesScan(t *testing.T) {
 	supported := 0
 	for seed := int64(0); seed < 12; seed++ {
@@ -20,18 +72,23 @@ func TestAttrRowIterMatchesScan(t *testing.T) {
 		db := NewDB()
 		nl := []int{0, 1, 300, 1023, 1024, 2600}[rng.Intn(6)]
 		nr := []int{0, 40, 200}[rng.Intn(3)]
-		lt, _ := buildPropTables(t, rng, db, "lt", []string{"k", "a", "s"}, nl)
-		rt, _ := buildPropTables(t, rng, db, "rt", []string{"k", "x"}, nr)
+		lt, lref := buildPropTables(t, rng, db, "lt", []string{"k", "a", "s"}, nl)
+		rt, rref := buildPropTables(t, rng, db, "rt", []string{"k", "x"}, nr)
 		if rng.Float64() < 0.5 {
 			if err := lt.BuildIndex("a"); err != nil {
 				t.Fatal(err)
 			}
 		}
+		deadL, deadR := map[int]bool{}, map[int]bool{}
 		for i := 0; i < nl/10; i++ {
-			lt.Delete(rng.Intn(nl))
+			if id := rng.Intn(nl); lt.Delete(id) {
+				deadL[id] = true
+			}
 		}
 		for i := 0; i < nr/10; i++ {
-			rt.Delete(rng.Intn(nr))
+			if id := rng.Intn(nr); rt.Delete(id) {
+				deadR[id] = true
+			}
 		}
 
 		join := &JoinSpec{Table: "rt", LeftCol: "k", RightCol: "k"}
@@ -41,58 +98,15 @@ func TestAttrRowIterMatchesScan(t *testing.T) {
 			if rng.Float64() < 0.5 {
 				q.Join = join
 			}
-
-			want := map[int]int64{}
-			if err := db.ScanAttrRows(q, "s", func(lid int, v int64) {
-				want[lid] = v
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			g, err := db.OpenAttrRowIterGroup([]Query{q}, "s")
-			if errors.Is(err, ErrStreamUnsupported) {
+			want := refAttrRows(lref, refScanLive(lref, rref, q.Join, q.Where, deadL, deadR, 0), "s")
+			tag := fmt.Sprintf("seed %d q %d (%s)", seed, qi, q.Where)
+			got, ok := drainAttrRows(t, tag, db, q, "s")
+			if !ok {
 				continue
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			it := g.Iters[0]
 			supported++
-			got := map[int]int64{}
-			prevBlock := -1
-			for {
-				bi, lids, vals, ok := it.NextBlock()
-				if !ok {
-					break
-				}
-				if bi <= prevBlock || bi > it.MaxBlock() {
-					t.Fatalf("seed %d q %d: block %d out of order (prev %d, max %d)",
-						seed, qi, bi, prevBlock, it.MaxBlock())
-				}
-				prevBlock = bi
-				if len(lids) == 0 || len(lids) != len(vals) {
-					t.Fatalf("seed %d q %d: bad block shape %d/%d", seed, qi, len(lids), len(vals))
-				}
-				prev := -1
-				for i, lid := range lids {
-					if int(lid)/blockSize != bi || int(lid) <= prev {
-						t.Fatalf("seed %d q %d: row %d out of place in block %d", seed, qi, lid, bi)
-					}
-					prev = int(lid)
-					got[int(lid)] = vals[i]
-				}
-			}
-			g.Close()
-
-			if len(got) != len(want) {
-				t.Fatalf("seed %d q %d: iter rows = %d, want %d (%s)",
-					seed, qi, len(got), len(want), q.Where)
-			}
-			for lid, v := range want {
-				if gv, ok := got[lid]; !ok || gv != v {
-					t.Fatalf("seed %d q %d: row %d = %d,%v want %d (%s)",
-						seed, qi, lid, gv, ok, v, q.Where)
-				}
+			if !eqAttrRows(got, want) {
+				t.Fatalf("%s: iter rows = %d, reference %d", tag, len(got), len(want))
 			}
 		}
 	}
@@ -102,18 +116,19 @@ func TestAttrRowIterMatchesScan(t *testing.T) {
 }
 
 // A group shares one snapshot: iterators opened together see the same rows
-// even while another goroutine mutates — exercised indirectly by the
-// concurrent suite; here just check the group surface opens, streams, and
-// closes over multiple queries including duplicates of the same tables.
+// even while another goroutine mutates — exercised by the concurrent suite;
+// here check the group surface opens, streams, and closes over multiple
+// queries including duplicates of the same tables, against the reference.
 func TestAttrRowIterGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := NewDB()
-	buildPropTables(t, rng, db, "lt", []string{"k", "a", "s"}, 2600)
-	buildPropTables(t, rng, db, "rt", []string{"k", "x"}, 200)
+	_, lref := buildPropTables(t, rng, db, "lt", []string{"k", "a", "s"}, 2600)
+	_, rref := buildPropTables(t, rng, db, "rt", []string{"k", "x"}, 200)
 	join := &JoinSpec{Table: "rt", LeftCol: "k", RightCol: "k"}
 	qs := []Query{
 		{From: "lt", Where: &predicate.Cmp{Attr: "a", Op: predicate.OpGe, Val: predicate.Int(0)}},
 		{From: "lt", Join: join, Where: &predicate.Cmp{Attr: "x", Op: predicate.OpEq, Val: predicate.Int(1)}},
+		{From: "lt", Join: join},
 		{From: "lt", Where: predicate.True{}},
 	}
 	g, err := db.OpenAttrRowIterGroup(qs, "s")
@@ -122,20 +137,19 @@ func TestAttrRowIterGroup(t *testing.T) {
 	}
 	defer g.Close()
 	for i, it := range g.Iters {
-		n := 0
+		got := map[int]int64{}
 		for {
-			_, lids, _, ok := it.NextBlock()
+			_, lids, vals, ok := it.NextBlock()
 			if !ok {
 				break
 			}
-			n += len(lids)
+			for j, lid := range lids {
+				got[int(lid)] = vals[j]
+			}
 		}
-		want := map[int]int64{}
-		if err := db.ScanAttrRows(qs[i], "s", func(lid int, v int64) { want[lid] = v }); err != nil {
-			t.Fatal(err)
-		}
-		if n != len(want) {
-			t.Fatalf("query %d: streamed %d rows, want %d", i, n, len(want))
+		want := refAttrRows(lref, refScanLive(lref, rref, qs[i].Join, qs[i].Where, nil, nil, 0), "s")
+		if !eqAttrRows(got, want) {
+			t.Fatalf("query %d: streamed %d rows, reference %d", i, len(got), len(want))
 		}
 	}
 }

@@ -77,7 +77,7 @@ func (t *Table) Epoch() uint64 {
 // EpochStamp folds the named tables' epochs into one monotonically
 // non-decreasing version stamp. Every commit bumps each table it touches
 // once, so the sum moves on every commit — the cheap freshness
-// probe the result-cache tier reads per request to decide whether its
+// check the result-cache tier reads per request to decide whether its
 // entries still describe the store it is serving (unknown table names
 // contribute nothing, matching Table's nil return).
 func (db *DB) EpochStamp(names ...string) uint64 {
@@ -97,7 +97,7 @@ func (t *Table) Alive(id int) bool {
 	return id >= 0 && id < t.n && !t.isDead(id)
 }
 
-// isDead is the unlocked tombstone probe for scan internals; callers hold
+// isDead is the unlocked tombstone test for scan internals; callers hold
 // the state lock at least shared.
 func (t *Table) isDead(id int) bool {
 	return t.nDead > 0 && t.dead.Contains(id)

@@ -185,7 +185,7 @@ func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid i
 	}
 	defer unlock()
 	// Drop rows whose attr does not convert (the rows ScanAttrRows does not
-	// emit) — one typed probe per selected row, skipped entirely for fully
+	// emit) — one typed check per selected row, skipped entirely for fully
 	// convertible columns (every key column).
 	if c.nNoInt > 0 {
 		sel.Retain(func(lid int) bool {
@@ -209,21 +209,21 @@ func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid i
 // scanAttrSel is the one core under ScanAttrRows and ScanAttrRowSet: it
 // validates the scan shape (left-bound attr, no Limit), takes the tables'
 // shared state locks, and computes the selection of live left rows matching
-// the query — through the vectorized kernels when the WHERE splits by join
-// side, otherwise the row-at-a-time engine fills the same set. It returns
-// the attr column and the selection with the locks still held, so the caller
-// reads attr values at the same epoch; the caller must call unlock.
+// the query — the drain of the scan plan the streaming iterator pulls, or,
+// for a shape the plan refuses, the row-at-a-time engine filling the same
+// set. It returns the attr column and the selection with the locks still
+// held, so the caller reads attr values at the same epoch; the caller must
+// call unlock.
 func (db *DB) scanAttrSel(q Query, attr string) (c *column, sel *bitset.Set, unlock func(), err error) {
 	left, right, leftPos, rightPos, pos, where, err := db.resolveAttrRowScan(q, attr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	unlock = lockShared(left, right)
-	sel, ok := db.matchLeftVec(left, right, leftPos, rightPos, where)
-	if !ok {
-		// The shape defeats vectorization (a conjunct reading both sides, a
-		// node the kernels do not know); distinct right rows reaching the
-		// same left row dedup in the set.
+	if p, ok := planScan(left, right, leftPos, rightPos, where); ok {
+		sel = p.drain()
+	} else {
+		// Distinct right rows reaching the same left row dedup in the set.
 		sel = bitset.New()
 		if err := db.scanIDsLocked(q, left, right, leftPos, rightPos, func(lid, _ int, _ bool) bool {
 			sel.Add(lid)
@@ -263,78 +263,6 @@ func (db *DB) resolveAttrRowScan(q Query, attr string) (left, right *Table,
 		where = predicate.True{}
 	}
 	return left, right, leftPos, rightPos, pos, where, nil
-}
-
-// matchLeftVec computes the selection of live left rows satisfying the
-// (possibly joined) WHERE, entirely through the vectorized kernels; ok=false
-// means the shape defeats them. Callers hold the state locks of both tables.
-func (db *DB) matchLeftVec(left, right *Table, leftPos, rightPos int,
-	where predicate.Predicate) (*bitset.Set, bool) {
-	leftTree, rightTree, ok := splitBySide(where, left, right)
-	if !ok {
-		return nil, false
-	}
-	var lsel *bitset.Set
-	if leftTree != nil {
-		lsel, ok = left.evalVec(leftTree, sideResolver(left, right, sideLeft))
-		if !ok {
-			return nil, false
-		}
-	}
-	switch {
-	case right == nil:
-		// Joinless: the left selection is the answer.
-	case rightTree == nil:
-		// The join only demands existence: AND with the cached selection of
-		// left rows that have at least one partner (dead rows on either
-		// side are already excluded from the cached selection).
-		if lsel == nil {
-			lsel = fullSelection(left.n)
-		}
-		lsel.AndWith(left.existsVec(right, leftPos, rightPos))
-	default:
-		// Walk the matching right rows back through the join via the cached
-		// right→left CSR: every left row they reach is a hit, then
-		// intersect with the left selection.
-		hit := bitset.New()
-		je := left.joinEntry(right, leftPos, rightPos)
-		stitch := func(rid int) {
-			for _, lid := range je.partners(rid) {
-				hit.Add(int(lid))
-			}
-		}
-		// Index-usable right predicates (the ubiquitous dblp_author.aid=N)
-		// touch only their candidate rows; everything else gets one
-		// vectorized pass over the right table.
-		if rids, ok := rightCandidateIDs(left, right, rightTree); ok {
-			rf, okc := compileIDFilter(rightTree, left, right)
-			if !okc {
-				return nil, false
-			}
-			for _, rid := range rids {
-				if !right.isDead(rid) && rf(0, rid, true) {
-					stitch(rid)
-				}
-			}
-		} else {
-			rsel, ok := right.evalVec(rightTree, sideResolver(left, right, sideRight))
-			if !ok {
-				return nil, false
-			}
-			right.selDropDead(rsel)
-			rsel.ForEach(func(rid int) bool {
-				stitch(rid)
-				return true
-			})
-		}
-		if lsel == nil {
-			lsel = hit
-		} else {
-			lsel.AndWith(hit)
-		}
-	}
-	left.selDropDead(lsel)
-	return lsel, true
 }
 
 // splitBySide splits the WHERE conjunction by join side: each conjunct must
@@ -404,8 +332,8 @@ func classifySide(p predicate.Predicate, left, right *Table) (attrSide, bool) {
 }
 
 // PrepareQuery eagerly builds the lazy access structures the query's scans
-// use (join-column hash indexes and the join-existence vector), so that a
-// following parallel materialization phase takes only read paths.
+// use (join-column hash indexes and the join entry), so that a following
+// parallel materialization phase takes only read paths.
 func (db *DB) PrepareQuery(q Query) error {
 	left := db.Table(q.From)
 	if left == nil {
@@ -421,8 +349,7 @@ func (db *DB) PrepareQuery(q Query) error {
 	unlock := lockShared(left, right)
 	defer unlock()
 	right.ensureIndex(rightPos)
-	left.ensureIndex(leftPos)
-	left.existsVec(right, leftPos, rightPos)
+	left.joinEntry(right, leftPos, rightPos)
 	return nil
 }
 
@@ -433,9 +360,8 @@ func (db *DB) PrepareQuery(q Query) error {
 // partner). This is the delta-maintenance primitive: after a mutation
 // batch, each cached predicate re-evaluates only the touched rows through
 // the compiled per-row filter — work proportional to the batch, independent
-// of the table sizes, and never touching the O(n)-to-repair join existence
-// vector or CSR a mutation invalidates (the next full scan repairs them
-// lazily instead). touched is never mutated.
+// of the table sizes, and never touching the join entry a mutation stales
+// (the next scan repairs it from the change logs). touched is never mutated.
 func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error) {
 	left := db.Table(q.From)
 	if left == nil {
@@ -622,7 +548,7 @@ func (db *DB) scanIDs(q Query, emit func(lid, rid int, hasRight bool) bool) erro
 // right) row-id pairs that satisfy the query. The WHERE tree is compiled
 // once into typed closures over the column vectors (no per-row
 // attribute-name resolution or Value boxing), and the access path is chosen
-// among: left-index candidates, a vectorized full scan when the tree reads
+// among: left-index candidates, a block scan (planScan) when the tree reads
 // only left columns, right-index candidates walked through the join (for
 // predicates that only constrain the joined table, e.g. dblp_author.aid=6),
 // and a full left scan. Tombstoned rows never reach emit. Callers hold the
@@ -673,13 +599,13 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 		return nil
 	}
 
-	// Vectorized full scan: when the WHERE tree reads only left columns,
-	// one kernel pass computes the whole left selection; selected rows emit
-	// their join partners (if any) with no per-row re-evaluation.
+	// Block scan: when the WHERE tree reads only left columns, the drained
+	// scan plan is the whole live left selection; selected rows emit their
+	// join partners (if any) with no per-row re-evaluation. The partner walk
+	// below does the joining, so the plan is the joinless one.
 	if side, ok := classifySide(where, left, right); ok && side == sideLeft {
-		if sel, ok := left.evalVec(where, sideResolver(left, right, sideLeft)); ok {
-			left.selDropDead(sel)
-			sel.ForEach(func(lid int) bool {
+		if p, ok := planScan(left, nil, 0, 0, where); ok {
+			p.drain().ForEach(func(lid int) bool {
 				if right == nil {
 					return emit(lid, 0, false)
 				}

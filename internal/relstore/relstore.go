@@ -105,8 +105,9 @@ type existsKey struct {
 // combination: the join-existence selection (lid set when the left row has
 // at least one partner in the right table — compressed, and usually
 // run-encoded since most rows have partners) and the right-row → left-rows
-// mapping in CSR form, so scans stitch right selections back to left rows
-// with two array reads instead of a hash probe per row. Generations of both
+// mapping in CSR form. It is the only way a scan admits join rows: a scan
+// ANDs the existence selection into each block, or stitches right
+// selections back to left rows with two array reads. Generations of both
 // tables at build time detect staleness. Entries are immutable once
 // published (repairs and rebuilds swap in a fresh entry), so results may
 // alias the selection's containers copy-on-write.
@@ -261,8 +262,8 @@ func (t *Table) buildIndexLocked(pos int) hashIndex {
 }
 
 // indexFor returns the hash index on column pos if one exists. The returned
-// map is safe for concurrent reads (only Insert mutates it, and concurrent
-// Insert+scan was never supported).
+// map is safe to read while the caller holds t.state at least shared:
+// commits repair indexes only under the exclusive state lock.
 func (t *Table) indexFor(pos int) (hashIndex, bool) {
 	t.mu.RLock()
 	idx, ok := t.indexes[pos]
@@ -291,13 +292,6 @@ func (t *Table) lookup(pos int, v predicate.Value) (ids []int, found bool) {
 		return nil, false
 	}
 	return idx[indexKey(v)], true
-}
-
-// existsVec returns the cached join-existence selection for left ⋈ right
-// on (leftPos = rightPos): lid set iff the left row has at least one
-// matching right row. The returned set is immutable.
-func (t *Table) existsVec(right *Table, leftPos, rightPos int) *bitset.Set {
-	return t.joinEntry(right, leftPos, rightPos).sel
 }
 
 // joinEntry returns the cached join plumbing (existence vector + right→left
