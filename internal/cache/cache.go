@@ -4,12 +4,14 @@
 // repeated preference profiles are the common case, so a fingerprint hit
 // turns a multi-millisecond scan into a map lookup; single-flight
 // deduplication collapses concurrent identical cold queries to one
-// evaluation; and invalidation after a mutation batch is delta-aware — it
+// evaluation; and maintenance after a mutation batch is delta-aware — it
 // costs work proportional to the rows the batch touched, not to the cache
-// size, and only entries whose predicate membership actually moved are
-// dropped (the FO+MOD-under-updates discipline of the delta subsystem,
-// extended over the cache). A miss publishes exactly one entry; nothing
-// cached is ever patched in place.
+// size (the FO+MOD-under-updates discipline of the delta subsystem,
+// extended over the cache). An entry none of whose predicates moved is left
+// alone; one that did is repaired against its k-th grade by re-grading only
+// the touched tuples, and dropped only when that cannot prove the new
+// answer. A repaired answer is a fresh entry swapped into the old one's map
+// key and LRU slot; a published answer is never rewritten.
 package cache
 
 import (
@@ -27,26 +29,38 @@ type entryKey struct {
 	k  int32
 }
 
-// entry is one cached answer plus its LRU links and invalidation footprint.
-// Entries are immutable after insertion; readers may use tuples without
-// holding the shard lock (the slice is copied out to callers).
+// entry is one cached answer plus its LRU links and what its repair needs.
+// Readers use tuples after releasing the shard lock (the slice is copied
+// out to callers), so only the LRU links of a published entry are ever
+// written: a Sync that changes the answer publishes a replacement
+// (Cache.sweep) instead.
 type entry struct {
 	key entryKey
 
 	// tuples is the ranked answer.
 	tuples []combine.ScoredTuple
-	// predKeys lists the normalized predicate texts the value depends on;
-	// the invalidation sweep drops the entry when any of them moves.
-	predKeys []string
+	// prefs grades a tuple under the canonical profile the answer was
+	// evaluated for, one element per preference in profile order.
+	prefs []entryPref
 	// size is the entry's byte accounting charge.
 	size int64
 
 	prev, next *entry // LRU list, most recent at head
 }
 
+// entryPref is one canonical preference as the repair reads it: the
+// registry id of its predicate, the attribute slot its intensity folds
+// into (topk.AttrSlots) and the intensity. The parsed profile itself is
+// not retained.
+type entryPref struct {
+	id        int32
+	slot      int32
+	intensity float64
+}
+
 // Cache is the sharded LRU. Shard selection hashes the fingerprint, so all
-// entries of one profile (its per-k results) land in one shard and an
-// invalidation sweep walks each shard once.
+// entries of one profile (its per-k results) land in one shard and a
+// Sync's sweep walks each shard once.
 type Cache struct {
 	shards   []shard
 	perShard int64
@@ -150,21 +164,32 @@ func (c *Cache) put(e *entry) {
 	}
 }
 
-// removeWhere drops every entry the predicate selects, returning how many.
-func (c *Cache) removeWhere(match func(*entry) bool) int {
-	dropped := 0
+// sweep visits every resident entry once under its shard lock. fix returns
+// the entry itself to keep it, nil to drop it, or a replacement that takes
+// over its map key and LRU slot; fix must take no lock. A shard that grown
+// replacements push over budget evicts from its cold end afterwards.
+func (c *Cache) sweep(fix func(*entry) *entry) (dropped, replaced int) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			if match(e) {
+			switch n := fix(e); n {
+			case e:
+			case nil:
 				sh.drop(e)
 				dropped++
+			default:
+				sh.replace(e, n)
+				replaced++
 			}
+		}
+		for sh.bytes > c.perShard && sh.tail != nil {
+			sh.drop(sh.tail)
+			c.counters.Evictions.Add(1)
 		}
 		sh.mu.Unlock()
 	}
-	return dropped
+	return dropped, replaced
 }
 
 // purge empties the cache (full invalidation).
@@ -215,6 +240,25 @@ func (sh *shard) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
+// replace puts n (same key) where old sits in the map, the LRU list and
+// the byte charge. Caller holds the shard lock.
+func (sh *shard) replace(old, n *entry) {
+	sh.entries[n.key] = n
+	n.prev, n.next = old.prev, old.next
+	if n.prev != nil {
+		n.prev.next = n
+	} else {
+		sh.head = n
+	}
+	if n.next != nil {
+		n.next.prev = n
+	} else {
+		sh.tail = n
+	}
+	old.prev, old.next = nil, nil
+	sh.bytes += n.size - old.size
+}
+
 func (sh *shard) pushFront(e *entry) {
 	e.prev, e.next = nil, sh.head
 	if sh.head != nil {
@@ -226,18 +270,10 @@ func (sh *shard) pushFront(e *entry) {
 	}
 }
 
-// tupleSliceBytes is the byte charge of a ranked answer.
-func tupleSliceBytes(ts []combine.ScoredTuple) int64 {
-	return 48 + int64(len(ts))*16
-}
-
-// predKeyBytes charges the dependency list.
-func predKeyBytes(keys []string) int64 {
-	var n int64
-	for _, k := range keys {
-		n += int64(len(k)) + 16
-	}
-	return n
+// entryBytes is an entry's byte charge: its ranked answer and its
+// per-preference grading state.
+func entryBytes(e *entry) int64 {
+	return 48 + int64(len(e.tuples))*16 + 24 + int64(len(e.prefs))*16
 }
 
 // cloneTuples copies a cached answer out to a caller, so callers may sort

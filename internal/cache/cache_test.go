@@ -18,13 +18,16 @@ func fpOf(b byte) combine.Fingerprint {
 	return fp
 }
 
-func resultEntry(fp combine.Fingerprint, k int, size int64, preds ...string) *entry {
-	return &entry{
-		key:      entryKey{fp: fp, k: int32(k)},
-		tuples:   []combine.ScoredTuple{{PID: 1, Intensity: 0.5}},
-		predKeys: preds,
-		size:     size,
+func resultEntry(fp combine.Fingerprint, k int, size int64, preds ...int32) *entry {
+	e := &entry{
+		key:    entryKey{fp: fp, k: int32(k)},
+		tuples: []combine.ScoredTuple{{PID: 1, Intensity: 0.5}},
+		size:   size,
 	}
+	for _, id := range preds {
+		e.prefs = append(e.prefs, entryPref{id: id, intensity: 0.5})
+	}
+	return e
 }
 
 // TestCacheLRUByteBudget: a single-shard cache under a tight byte budget
@@ -77,30 +80,66 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheRemoveWhere: the invalidation sweep drops exactly the entries
-// depending on a dirty predicate.
-func TestCacheRemoveWhere(t *testing.T) {
-	c := NewCache(Config{MaxBytes: 1 << 20, Shards: 2})
-	c.put(resultEntry(fpOf(1), 10, 100, "a", "b"))
-	c.put(resultEntry(fpOf(2), 10, 100, "b", "c"))
-	c.put(resultEntry(fpOf(3), 10, 100, "c"))
-	dropped := c.removeWhere(func(e *entry) bool {
-		for _, k := range e.predKeys {
-			if k == "b" {
-				return true
-			}
+// TestCacheSweep: one sweep keeps, drops and replaces entries as fix
+// decides. A replacement takes over its predecessor's key, LRU slot and
+// byte charge, and a reader holding the predecessor still sees the old
+// answer.
+func TestCacheSweep(t *testing.T) {
+	c := NewCache(Config{MaxBytes: 1000, Shards: 1})
+	c.put(resultEntry(fpOf(1), 10, 100, 0, 1))
+	c.put(resultEntry(fpOf(2), 10, 100, 1, 2))
+	c.put(resultEntry(fpOf(3), 10, 100, 2))
+	c.put(resultEntry(fpOf(4), 10, 100, 3))
+	held, _ := c.get(entryKey{fp: fpOf(3), k: 10})
+	c.get(entryKey{fp: fpOf(1), k: 10}) // LRU order, hot to cold: 1 3 4 2
+
+	dropped, replaced := c.sweep(func(e *entry) *entry {
+		switch e.key.fp {
+		case fpOf(2):
+			return nil
+		case fpOf(3):
+			n := *e
+			n.tuples = []combine.ScoredTuple{{PID: 7, Intensity: 0.9}}
+			n.size = 300
+			return &n
 		}
-		return false
+		return e
 	})
-	if dropped != 2 {
-		t.Fatalf("want 2 dropped, got %d", dropped)
+	if dropped != 1 || replaced != 1 {
+		t.Fatalf("sweep dropped %d replaced %d, want 1 and 1", dropped, replaced)
 	}
-	if _, ok := c.get(entryKey{fp: fpOf(3), k: 10}); !ok {
-		t.Fatalf("unrelated entry was swept")
+	if entries, bytes := c.Stats(); entries != 3 || bytes != 500 {
+		t.Fatalf("after sweep: %d entries, %d bytes; want 3 and 500", entries, bytes)
 	}
-	entries, _ := c.Stats()
-	if entries != 1 {
-		t.Fatalf("want 1 survivor, got %d", entries)
+	if held.tuples[0].PID != 1 {
+		t.Fatalf("the swept-out entry was written in place")
+	}
+	var order []byte
+	for e := c.shards[0].head; e != nil; e = e.next {
+		order = append(order, e.key.fp[0])
+	}
+	if string(order) != "\x01\x03\x04" {
+		t.Fatalf("LRU order %v, want the replacement in its predecessor's slot", order)
+	}
+	if e, ok := c.get(entryKey{fp: fpOf(3), k: 10}); !ok || e.tuples[0].PID != 7 {
+		t.Fatalf("replacement not served")
+	}
+
+	// A replacement that grows the shard past budget evicts from the cold
+	// end: 4 is now the coldest.
+	c.sweep(func(e *entry) *entry {
+		if e.key.fp != fpOf(1) {
+			return e
+		}
+		n := *e
+		n.size = 700
+		return &n
+	})
+	if _, ok := c.get(entryKey{fp: fpOf(4), k: 10}); ok {
+		t.Fatalf("over-budget shard kept its coldest entry")
+	}
+	if _, bytes := c.Stats(); bytes > 1000 {
+		t.Fatalf("byte charge %d exceeds the 1000 budget", bytes)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -31,8 +32,9 @@ func mustOutcome(t *testing.T, srv *cache.Server, prof []hypre.ScoredPred, k int
 
 // TestServerObsCounterInvariant drives every route class through a real
 // server and pins the counter discipline: every single-flight leader
-// evaluates exactly once (Misses == Evaluations), and the two plan-tier
-// fields of the snapshot stay declared but read 0.
+// evaluates exactly once (Misses == Evaluations), a Sync repairs rather
+// than drops, and the two plan-tier fields of the snapshot stay declared
+// but read 0.
 func TestServerObsCounterInvariant(t *testing.T) {
 	net := testNet(t, 21)
 	ev := newEval(net)
@@ -49,27 +51,40 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	}
 
 	// Cold miss, warm hit, a new k (its own evaluation), stale bypass. The
-	// Sync sweeps both result entries, so the post-sync ask evaluates again
-	// — over the bitmaps the maintainer just patched.
-	mustOutcome(t, srv, prof, 10, cache.Miss)
+	// Sync repairs both result entries, so the post-sync asks hit; an entry
+	// counts as repaired only if its answer changed.
+	before := map[int][]combine.ScoredTuple{}
+	for _, k := range []int{10, 25} {
+		got, out, err := srv.TopK(prof, k)
+		if err != nil || out != cache.Miss {
+			t.Fatalf("k=%d cold ask: outcome %v err %v, want Miss", k, out, err)
+		}
+		before[k] = got
+	}
 	mustOutcome(t, srv, prof, 10, cache.Hit)
-	mustOutcome(t, srv, prof, 25, cache.Miss)
 	mutateVenue(t, net, net.Venues[4], net.Venues[1])
 	mustOutcome(t, srv, prof, 10, cache.StaleBypass)
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, out, err := srv.TopK(prof, 10)
-	if err != nil || out != cache.Miss {
-		t.Fatalf("post-sync ask: outcome %v err %v, want Miss", out, err)
-	}
-	if !sameRanking(got, uncached(t, net, prof, 10)) {
-		t.Fatalf("post-sync answer over the maintained bitmaps diverged from uncached evaluation")
+	wantRepaired := int64(0)
+	for _, k := range []int{10, 25} {
+		got, out, err := srv.TopK(prof, k)
+		if err != nil || out != cache.Hit {
+			t.Fatalf("k=%d post-sync ask: outcome %v err %v, want the repaired Hit", k, out, err)
+		}
+		want := uncached(t, net, prof, k)
+		if !sameRanking(got, want) {
+			t.Fatalf("k=%d repaired answer diverged from uncached evaluation", k)
+		}
+		if !sameRanking(before[k], want) {
+			wantRepaired++
+		}
 	}
 
 	snap := srv.Counters().Snapshot()
-	if snap.Misses != 3 || snap.Misses != snap.Evaluations {
-		t.Fatalf("Misses %d, Evaluations %d; want 3 and 3", snap.Misses, snap.Evaluations)
+	if snap.Misses != 2 || snap.Misses != snap.Evaluations {
+		t.Fatalf("Misses %d, Evaluations %d; want 2 and 2", snap.Misses, snap.Evaluations)
 	}
 	if snap.PlanHits != 0 || snap.PlanRepairs != 0 {
 		t.Fatalf("PlanHits %d, PlanRepairs %d; nothing increments them", snap.PlanHits, snap.PlanRepairs)
@@ -77,8 +92,8 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	if snap.StaleBypasses != 1 {
 		t.Fatalf("StaleBypasses = %d, want 1", snap.StaleBypasses)
 	}
-	if snap.Invalidated != 2 {
-		t.Fatalf("Invalidated = %d, want the k=10 and k=25 entries", snap.Invalidated)
+	if snap.Invalidated != 0 || snap.Repaired != wantRepaired {
+		t.Fatalf("Invalidated %d, Repaired %d; want 0 and %d", snap.Invalidated, snap.Repaired, wantRepaired)
 	}
 
 	// The registry saw the same traffic: per-route histograms and the
@@ -89,10 +104,11 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	}
 	text := sb.String()
 	for _, want := range []string{
-		`hypre_hist_count{name="serve_hit"} 1`,
-		`hypre_hist_count{name="serve_miss"} 3`,
+		`hypre_hist_count{name="serve_hit"} 3`,
+		`hypre_hist_count{name="serve_miss"} 2`,
 		`hypre_hist_count{name="serve_bypass"} 1`,
-		`hypre_group{name="cache",field="evaluations"} 3`,
+		`hypre_group{name="cache",field="evaluations"} 2`,
+		fmt.Sprintf(`hypre_group{name="cache",field="repaired"} %d`, wantRepaired),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics text missing %q:\n%s", want, text)

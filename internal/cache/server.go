@@ -20,7 +20,7 @@ import (
 // canonicalizes the profile, serves repeats from the result cache,
 // deduplicates concurrent identical cold queries through single flight, and
 // stays byte-identical to uncached evaluation under mutations via the
-// delta-aware invalidation the delta.Maintainer drives (AttachCache).
+// delta-aware repair the delta.Maintainer drives (AttachCache).
 //
 // Freshness discipline: the server records the store's epoch stamp each
 // time ApplyDelta/InvalidateAll synchronizes it. A request arriving while
@@ -33,6 +33,10 @@ type Server struct {
 	c        *Cache
 	counters *metrics.CacheCounters
 	tables   []string
+	// left is the base table and keyCol its key column: a touched row's
+	// pid, which the repair ranks by, is read through them.
+	left   *relstore.Table
+	keyCol string
 
 	flight flightGroup
 
@@ -44,23 +48,26 @@ type Server struct {
 	slow       *obs.SlowLog
 	routeHists [4]*obs.Histogram
 
-	// mu guards the predicate-footprint registry and the freshness state.
-	// Lock order: mu before store locks (footprint scans, ApplyDelta
-	// re-matches) and before shard locks (the invalidation sweep); shard
-	// locks never nest inside store locks or vice versa.
-	mu         sync.Mutex
-	preds      map[string]*predFoot
+	// mu guards the predicate-footprint registry and the freshness state,
+	// and is held across a publish. Lock order: mu before store locks
+	// (ApplyDelta re-matches) and before shard locks (publish, the Sync
+	// sweep); shard locks never nest inside store locks or vice versa.
+	mu sync.Mutex
+	// predID interns each registered predicate's normalized text to a
+	// dense id indexing foots; entries name their predicates by id.
+	predID     map[string]int32
+	foots      []predFoot
 	validStamp uint64
 	gen        uint64
-	// remapDirty carries predicates whose footprints lost rows in an
-	// ApplyRemap into the following ApplyDelta's dirty set.
-	remapDirty map[string]bool
+	// remapLost carries the ids of footprints that lost rows in an
+	// ApplyRemap into the following ApplyDelta, which drops their entries.
+	remapLost []int32
 }
 
-// predFoot is one registered predicate's invalidation state: its full query
+// predFoot is one registered predicate's maintenance state: its full query
 // shape and the base rows it matched when last observed. rows == nil means
-// a touched-row re-match failed and the footprint was lost; such a predicate
-// is conservatively treated as moved by every mutation batch.
+// a touched-row re-match failed and the footprint was lost; every later
+// Sync drops the entries naming such a predicate.
 type predFoot struct {
 	q    relstore.Query
 	rows *bitset.Set
@@ -113,7 +120,9 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 		c:          NewCache(cfg),
 		counters:   cfg.Counters,
 		tables:     tables,
-		preds:      make(map[string]*predFoot),
+		left:       db.Table(base.From),
+		keyCol:     ev.KeyColumn(base.From),
+		predID:     make(map[string]int32),
 		validStamp: db.EpochStamp(tables...),
 		reg:        cfg.Registry,
 		slow:       cfg.SlowLog,
@@ -136,6 +145,7 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 				"shared_waits":    snap.SharedWaits,
 				"evictions":       snap.Evictions,
 				"invalidated":     snap.Invalidated,
+				"repaired":        snap.Repaired,
 				"stale_bypasses":  snap.StaleBypasses,
 				"footprint_scans": snap.FootprintScans,
 			}
@@ -287,9 +297,8 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	if err != nil {
 		return nil, err
 	}
-	keys := predKeysOf(canon)
 	fsp := tr.StartSpan(obs.StageFootprint)
-	err = s.registerPreds(canon)
+	err = s.registerPreds(canon, gen)
 	tr.EndSpan(fsp)
 	if err != nil {
 		return nil, err
@@ -298,39 +307,44 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	// Publish gate: the entry must describe the stamp-state the evaluation
 	// and the footprint scans both observed. Any commit in between bumps
 	// the epoch stamp; any maintainer sync bumps gen. Either one rejects
-	// the publish (the caller still gets the answer).
+	// the publish (the caller still gets the answer). The put happens under
+	// mu, so no Sync can slip between the gate and the insert.
 	psp := tr.StartSpan(obs.StagePublish)
 	defer tr.EndSpan(psp)
 	s.mu.Lock()
-	publish := gen == s.gen && s.db.EpochStamp(s.tables...) == stamp
-	s.mu.Unlock()
-	if publish {
-		e := &entry{key: entryKey{fp: fp, k: int32(k)}, tuples: cloneTuples(res), predKeys: keys}
-		e.size = tupleSliceBytes(e.tuples) + predKeyBytes(keys)
-		s.c.put(e)
+	defer s.mu.Unlock()
+	if gen != s.gen || s.db.EpochStamp(s.tables...) != stamp {
+		return res, nil
 	}
-	return res, nil
-}
-
-// predKeysOf lists the canonical profile's dependency keys.
-func predKeysOf(canon []hypre.ScoredPred) []string {
-	keys := make([]string, len(canon))
+	slots, _ := topk.AttrSlots(canon)
+	prefs := make([]entryPref, 0, len(canon))
 	for i, p := range canon {
-		keys[i] = p.Pred
+		id, ok := s.predID[p.Pred]
+		if !ok {
+			return res, nil
+		}
+		if slots[i] >= 0 {
+			prefs = append(prefs, entryPref{id: id, slot: int32(slots[i]), intensity: p.Intensity})
+		}
 	}
-	return keys
+	e := &entry{key: entryKey{fp: fp, k: int32(k)}, tuples: cloneTuples(res), prefs: prefs}
+	e.size = entryBytes(e)
+	s.c.put(e)
+	return res, nil
 }
 
 // registerPreds ensures every predicate of the profile has a footprint in
 // the registry: the live base rows it currently matches, computed by one
 // row-set scan per predicate, once per cache lifetime. The scans run
 // outside the registry lock; a racing registration of the same predicate
-// wastes one scan and keeps the first entry.
-func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
+// wastes one scan and keeps the first entry. Scans that a Sync overtook
+// (gen moved since the caller read it) are discarded: the batch they may
+// have missed was re-matched only over the footprints registered then.
+func (s *Server) registerPreds(canon []hypre.ScoredPred, gen uint64) error {
 	var missing []hypre.ScoredPred
 	s.mu.Lock()
 	for _, p := range canon {
-		if _, ok := s.preds[p.Pred]; !ok {
+		if _, ok := s.predID[p.Pred]; !ok {
 			missing = append(missing, p)
 		}
 	}
@@ -338,23 +352,27 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	scanned := make([]*predFoot, len(missing))
+	scanned := make([]predFoot, len(missing))
 	for i, p := range missing {
 		q := s.ev.BaseQuery(p.P)
 		rows, err := s.db.ScanAttrRowSet(q, s.ev.KeyAttr(), -1, nil)
 		if err != nil {
 			return err
 		}
-		scanned[i] = &predFoot{q: q, rows: rows}
+		scanned[i] = predFoot{q: q, rows: rows}
 		s.counters.FootprintScans.Add(1)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if gen != s.gen {
+		return nil
+	}
 	for i, p := range missing {
-		if _, ok := s.preds[p.Pred]; !ok {
-			s.preds[p.Pred] = scanned[i]
+		if _, ok := s.predID[p.Pred]; !ok {
+			s.predID[p.Pred] = int32(len(s.foots))
+			s.foots = append(s.foots, scanned[i])
 		}
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -362,17 +380,20 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) error {
 // maintainer hands over the touched base-row mask and the epochs it synced
 // to. Each registered predicate re-matches only the touched rows
 // (relstore.MatchLeftRowSet — the compiled per-row filter at exactly those
-// rows); predicates whose membership over those rows did not move keep
-// their entries, and every entry naming one that did is swept. Rows a
-// compaction dropped need no mention here: the ApplyRemap that precedes
-// this call already queued the footprints that lost them. Cost scales with
-// touched rows × registered predicates, never with the number of cached
-// entries surviving.
+// rows). An entry none of whose predicates moved over those rows stays as
+// it is. One that names a moved predicate is repaired: its touched tuples
+// are re-graded and ranked against its old k-th tuple (syncBatch.fix), and
+// it is dropped only when a member fell out with nothing proven to replace
+// it, or when it names a predicate whose footprint is lost or that the
+// preceding ApplyRemap queued (rows a compaction dropped cannot be
+// re-matched, because they no longer exist). Cost scales with touched
+// rows × registered predicates plus touched rows × the moved entries'
+// sizes, never with the number of entries left alone.
 func (s *Server) ApplyDelta(touched *bitset.Set, leftEpoch, rightEpoch uint64) {
 	stamp := leftEpoch + rightEpoch
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if (touched == nil || touched.IsEmpty()) && len(s.remapDirty) == 0 {
+	if (touched == nil || touched.IsEmpty()) && len(s.remapLost) == 0 {
 		s.validStamp = stamp
 		return
 	}
@@ -382,57 +403,29 @@ func (s *Server) ApplyDelta(touched *bitset.Set, leftEpoch, rightEpoch uint64) {
 	// Any in-flight evaluation raced this batch; its publish gate checks
 	// gen, so bump it before sweeping.
 	s.gen++
-	dirty := make(map[string]bool)
-	for key, on := range s.remapDirty {
-		if on {
-			dirty[key] = true
-		}
-	}
-	s.remapDirty = nil
-	for key, pf := range s.preds {
-		if pf.rows == nil {
-			dirty[key] = true
-			continue
-		}
-		old := pf.rows.And(touched)
-		now, err := s.db.MatchLeftRowSet(pf.q, touched)
-		if err != nil {
-			dirty[key] = true
-			pf.rows = nil
-			continue
-		}
-		if !setsEqual(old, now) {
-			dirty[key] = true
-			pf.rows = pf.rows.AndNot(touched).Or(now)
-		}
-	}
+	b := s.rematch(touched)
 	s.validStamp = stamp
-	if len(dirty) == 0 {
+	if b == nil {
 		return
 	}
-	n := s.c.removeWhere(func(e *entry) bool {
-		for _, k := range e.predKeys {
-			if dirty[k] {
-				return true
-			}
-		}
-		return false
-	})
-	s.counters.Invalidated.Add(int64(n))
+	dropped, repaired := s.c.sweep(b.fix)
+	s.counters.Invalidated.Add(int64(dropped))
+	s.counters.Repaired.Add(int64(repaired))
 }
 
 // ApplyRemap is the delta.CacheSyncer compaction hook, arriving before the
 // Sync's ApplyDelta: the store renumbered its base rows, so every
 // registered footprint is reindexed through the composed old→new map.
 // Footprints that lost rows (dropped by the compaction, or outside the
-// remap's domain) are queued into the next ApplyDelta's dirty set — the
-// membership they lost cannot be detected by the touched-row re-match,
-// because the rows no longer exist to re-evaluate.
+// remap's domain) are queued for the next ApplyDelta, which drops every
+// entry naming them — the membership they lost cannot be re-graded by the
+// touched-row re-match, because the rows no longer exist to re-evaluate.
 func (s *Server) ApplyRemap(remap []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
-	for key, pf := range s.preds {
+	for id := range s.foots {
+		pf := &s.foots[id]
 		if pf.rows == nil {
 			continue
 		}
@@ -448,10 +441,7 @@ func (s *Server) ApplyRemap(remap []int32) {
 		})
 		pf.rows = nr
 		if lost {
-			if s.remapDirty == nil {
-				s.remapDirty = make(map[string]bool)
-			}
-			s.remapDirty[key] = true
+			s.remapLost = append(s.remapLost, int32(id))
 		}
 	}
 }
@@ -463,13 +453,10 @@ func (s *Server) InvalidateAll(leftEpoch, rightEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
-	s.preds = make(map[string]*predFoot)
+	s.predID = make(map[string]int32)
+	s.foots = nil
+	s.remapLost = nil
 	n := s.c.purge()
 	s.counters.Invalidated.Add(int64(n))
 	s.validStamp = leftEpoch + rightEpoch
-}
-
-// setsEqual reports a == b without materializing a diff.
-func setsEqual(a, b *bitset.Set) bool {
-	return a.Len() == b.Len() && a.AndCard(b) == a.Len()
 }

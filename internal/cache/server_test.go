@@ -165,9 +165,9 @@ func TestServerNewK(t *testing.T) {
 	}
 }
 
-// mutateVenue rewrites one live paper's venue, returning its row id. It
-// picks a row currently in fromVenue (by index into net.Venues).
-func mutateVenue(t *testing.T, net *workload.Network, fromVenue, toVenue string) {
+// mutateVenue rewrites the venue of the first live paper in fromVenue and
+// returns its pid.
+func mutateVenue(t *testing.T, net *workload.Network, fromVenue, toVenue string) int64 {
 	t.Helper()
 	dblp := net.DB.Table("dblp")
 	for row := 0; row < dblp.Len(); row++ {
@@ -177,14 +177,36 @@ func mutateVenue(t *testing.T, net *workload.Network, fromVenue, toVenue string)
 		if err := dblp.UpdateCol(row, "venue", predicate.String(toVenue)); err != nil {
 			t.Fatal(err)
 		}
-		return
+		return dblp.Value(row, "pid").AsInt()
 	}
 	t.Fatalf("no live paper in venue %q", fromVenue)
+	return 0
 }
 
-// TestServerDeltaInvalidationPrecision: a mutation batch drops only the
-// entries whose predicate membership moved; unrelated entries keep serving
-// hits, and every post-sync answer matches uncached evaluation.
+// deletePaper tombstones the live paper with the given pid.
+func deletePaper(t *testing.T, net *workload.Network, pid int64) {
+	t.Helper()
+	rows, err := net.DB.LookupRowIDs("dblp", "pid", predicate.Int(pid))
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("pid %d: rows %v, err %v", pid, rows, err)
+	}
+	net.DB.Table("dblp").Delete(rows[0])
+}
+
+func containsPID(ts []combine.ScoredTuple, pid int64) bool {
+	for _, t := range ts {
+		if t.PID == pid {
+			return true
+		}
+	}
+	return false
+}
+
+// TestServerDeltaInvalidationPrecision: a mutation batch touches only the
+// entries whose predicate membership moved. An unrelated entry keeps
+// serving as it was; a moved one is repaired in place and still hits with
+// the uncached answer; and a deleted member with nothing proven to replace
+// it drops the entry, so the next ask re-evaluates.
 func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	net := testNet(t, 9)
 	srv, ev := newServer(t, net)
@@ -204,8 +226,10 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	}
 
 	// Move a paper from venue[2] into venue[0]: profA's predicate gains a
-	// row, profB's is untouched.
-	mutateVenue(t, net, net.Venues[2], net.Venues[0])
+	// row, profB's is untouched. Whether the paper enters profA's top 10
+	// depends on its pid against the 10th (every grade ties), and either
+	// way profA's entry is repaired rather than dropped.
+	moved := mutateVenue(t, net, net.Venues[2], net.Venues[0])
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,23 +245,53 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outA != cache.Miss {
-		t.Fatalf("moved entry survived invalidation (outcome %v)", outA)
+	if outA != cache.Hit {
+		t.Fatalf("moved entry was not repaired (outcome %v)", outA)
 	}
-	if want := uncached(t, net, profA, 10); !sameRanking(gotA, want) {
-		t.Fatalf("post-sync answer for the moved profile diverged")
+	wantA := uncached(t, net, profA, 10)
+	if !sameRanking(gotA, wantA) {
+		t.Fatalf("repaired answer for the moved profile diverged")
 	}
 	if want := uncached(t, net, profB, 10); !sameRanking(gotB, want) {
 		t.Fatalf("surviving entry's answer diverged from the store")
 	}
-	if inv := srv.Counters().Invalidated.Load(); inv == 0 {
-		t.Fatalf("invalidation counter did not move")
+	snap := srv.Counters().Snapshot()
+	wantRepaired := int64(0)
+	if containsPID(wantA, moved) {
+		wantRepaired = 1
+	}
+	if snap.Invalidated != 0 || snap.Repaired != wantRepaired {
+		t.Fatalf("Invalidated %d, Repaired %d; want 0 and %d", snap.Invalidated, snap.Repaired, wantRepaired)
+	}
+
+	// Delete profA's top paper. Every venue[0] paper grades alike, so the
+	// outsider that should take its place ranks below the old 10th and
+	// nothing touched replaces it: the entry is dropped and re-evaluated.
+	deletePaper(t, net, gotA[0].PID)
+	if _, err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	gotA, outA, err = srv.TopK(profA, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outA != cache.Miss {
+		t.Fatalf("entry that lost a member served outcome %v, want Miss", outA)
+	}
+	if want := uncached(t, net, profA, 10); !sameRanking(gotA, want) {
+		t.Fatalf("re-evaluated answer diverged from uncached evaluation")
+	}
+	if inv := srv.Counters().Invalidated.Load(); inv != 1 {
+		t.Fatalf("Invalidated = %d, want the one entry that lost a member", inv)
+	}
+	if _, outB, err = srv.TopK(profB, 10); err != nil || outB != cache.Hit {
+		t.Fatalf("unrelated entry after the delete: outcome %v err %v, want Hit", outB, err)
 	}
 }
 
 // TestServerStaleBypass: between a mutation and the maintainer's Sync the
 // server serves uncached (correct against the live store) and caches
-// nothing; after Sync it resumes caching.
+// nothing; after Sync it serves the repaired entry again.
 func TestServerStaleBypass(t *testing.T) {
 	net := testNet(t, 10)
 	srv, ev := newServer(t, net)
@@ -265,11 +319,14 @@ func TestServerStaleBypass(t *testing.T) {
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, out, err = srv.TopK(prof, 10); err != nil || out != cache.Miss {
-		t.Fatalf("post-sync ask = (%v, %v), want a caching Miss", out, err)
+	if got, out, err = srv.TopK(prof, 10); err != nil || out != cache.Hit {
+		t.Fatalf("post-sync ask = (%v, %v), want the repaired entry's Hit", out, err)
 	}
-	if _, out, err = srv.TopK(prof, 10); err != nil || out != cache.Hit {
-		t.Fatalf("post-sync repeat = (%v, %v), want Hit", out, err)
+	if want := uncached(t, net, prof, 10); !sameRanking(got, want) {
+		t.Fatalf("repaired answer diverged from the synced store")
+	}
+	if n := srv.Counters().Misses.Load(); n != 1 {
+		t.Fatalf("Misses = %d, want only the cold ask", n)
 	}
 }
 

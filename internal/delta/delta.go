@@ -105,8 +105,8 @@ func (m *Maintainer) AttachObs(reg *obs.Registry) {
 // CacheSyncer is the hook a serving-tier cache registers to ride the
 // maintainer's delta pipeline: after each successful Sync it receives the
 // touched base-row mask and the epochs the maintainer synced to, so it can
-// drop exactly the entries whose predicate membership moved and re-open
-// itself for the new store snapshot. ApplyRemap arrives first on the Syncs
+// repair (or, failing that, drop) exactly the entries whose predicate
+// membership moved and re-open itself for the new store snapshot. ApplyRemap arrives first on the Syncs
 // that absorbed a compaction, carrying the composed old→new row-id map for
 // whatever the cache keys by base row id. A full rebuild (log trimmed,
 // key-column rewrite) instead drops everything via InvalidateAll.

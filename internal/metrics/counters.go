@@ -11,7 +11,7 @@ import "sync/atomic"
 // re-ranked for a new k, patched in place by maintenance syncs) that no
 // workload ever reached and that has been deleted. Nothing increments them;
 // they stay declared, reading 0, only because bench/ — frozen outside
-// benchmark PRs — copies all ten CacheSnapshot fields by name.
+// benchmark PRs — copies the CacheSnapshot fields it knows by name.
 type CacheCounters struct {
 	// Hits counts result-cache hits (answer returned without evaluation).
 	Hits atomic.Int64
@@ -30,9 +30,14 @@ type CacheCounters struct {
 	SharedWaits atomic.Int64
 	// Evictions counts entries dropped by the byte-budget LRU.
 	Evictions atomic.Int64
-	// Invalidated counts entries dropped because a mutation batch moved
-	// the membership of a predicate they depend on.
+	// Invalidated counts entries dropped by a maintenance sync: a member
+	// fell out with nothing proven to replace it, a predicate's footprint
+	// was lost, or a full rebuild emptied the cache.
 	Invalidated atomic.Int64
+	// Repaired counts entries a maintenance sync replaced with a repaired
+	// answer instead of dropping (entries whose answer did not change are
+	// left in place and not counted).
+	Repaired atomic.Int64
 	// PlanRepairs is always 0 (see the type comment).
 	PlanRepairs atomic.Int64
 	// StaleBypasses counts requests served uncached because the store's
@@ -53,6 +58,7 @@ type CacheSnapshot struct {
 	SharedWaits    int64 `json:"shared_waits"`
 	Evictions      int64 `json:"evictions"`
 	Invalidated    int64 `json:"invalidated"`
+	Repaired       int64 `json:"repaired"`
 	PlanRepairs    int64 `json:"plan_repairs"`
 	StaleBypasses  int64 `json:"stale_bypasses"`
 	FootprintScans int64 `json:"footprint_scans"`
@@ -70,6 +76,7 @@ func (c *CacheCounters) Snapshot() CacheSnapshot {
 		SharedWaits:    c.SharedWaits.Load(),
 		Evictions:      c.Evictions.Load(),
 		Invalidated:    c.Invalidated.Load(),
+		Repaired:       c.Repaired.Load(),
 		PlanRepairs:    c.PlanRepairs.Load(),
 		StaleBypasses:  c.StaleBypasses.Load(),
 		FootprintScans: c.FootprintScans.Load(),

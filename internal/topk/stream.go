@@ -89,27 +89,17 @@ func EvaluateStreamingTraced(ev *combine.Evaluator, prefs []hypre.ScoredPred, k 
 
 func evaluateStreaming(ev *combine.Evaluator, prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, *StreamStats, error) {
 	st := &StreamStats{Streamed: true}
-	// Group by attribute exactly like BuildLists: first-seen order over the
-	// non-negative preferences, "" folding into "(multi)".
-	var nAttrs int
-	attrSlot := map[string]int{}
+	// Group by attribute exactly like BuildLists: one slot per AttrSlots
+	// attribute, negatives skipped.
+	slots, names := AttrSlots(prefs)
+	nAttrs := len(names)
 	var sp []streamPref
 	var qs []relstore.Query
-	for _, p := range prefs {
-		if p.Intensity < 0 {
+	for i, p := range prefs {
+		if slots[i] < 0 {
 			continue
 		}
-		attr := p.Attr
-		if attr == "" {
-			attr = "(multi)"
-		}
-		slot, ok := attrSlot[attr]
-		if !ok {
-			slot = nAttrs
-			attrSlot[attr] = slot
-			nAttrs++
-		}
-		sp = append(sp, streamPref{intensity: p.Intensity, attr: slot})
+		sp = append(sp, streamPref{intensity: p.Intensity, attr: slots[i]})
 		qs = append(qs, ev.BaseQuery(p.P))
 	}
 	if k <= 0 || len(sp) == 0 {
@@ -191,24 +181,20 @@ func evaluateStreaming(ev *combine.Evaluator, prefs []hypre.ScoredPred, k int) (
 				grades[a][slot] = 0
 			}
 			aggScratch = vals
-			top.push(taScored{pid: pids[slot], grade: hypre.FAndAll(vals...)}, k)
+			top.push(combine.ScoredTuple{PID: pids[slot], Intensity: hypre.FAndAll(vals...)}, k)
 			return true
 		})
 		if len(top) >= k {
 			tau := streamThreshold(sp, pend, nAttrs, &tauAttr, tauSeen)
-			if top[0].grade > tau+taSlack {
+			if top[0].Intensity > tau+taSlack {
 				st.EarlyExit = true
 				break
 			}
 		}
 	}
 
-	sort.Slice(top, func(i, j int) bool { return top[i].better(top[j]) })
-	out := make([]combine.ScoredTuple, len(top))
-	for i, s := range top {
-		out[i] = combine.ScoredTuple{PID: s.pid, Intensity: s.grade}
-	}
-	return out, st, nil
+	sort.Slice(top, func(i, j int) bool { return Outranks(top[i], top[j]) })
+	return top, st, nil
 }
 
 // streamThreshold is the best overall grade a not-yet-streamed row can still

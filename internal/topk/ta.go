@@ -5,6 +5,7 @@
 package topk
 
 import (
+	"slices"
 	"sort"
 
 	"hypre/internal/combine"
@@ -74,30 +75,27 @@ func (l *Lists) aggregate(pid int64) float64 {
 	return hypre.FAndAll(vals...)
 }
 
-// taHeap is a bounded min-heap over scored objects, rooted at the worst
-// kept entry under the (grade descending, pid ascending) ranking — so
-// keeping the k best costs O(log k) per newly seen object instead of the
-// O(k log k) full re-sort the insert step used to pay.
-type taHeap []taScored
+// taHeap is a bounded min-heap over scored tuples, rooted at the worst
+// kept entry under Outranks — so keeping the k best costs O(log k) per
+// newly seen object instead of the O(k log k) full re-sort the insert step
+// used to pay.
+type taHeap []combine.ScoredTuple
 
-type taScored struct {
-	pid   int64
-	grade float64
-}
-
-// better reports whether a ranks strictly above b (higher grade, ties by
-// smaller pid — the determinism rule of the final TA output).
-func (a taScored) better(b taScored) bool {
-	if a.grade != b.grade {
-		return a.grade > b.grade
+// Outranks reports whether a ranks strictly above b in a top-k answer:
+// higher grade first, ties by smaller pid — the determinism rule of every
+// ranking this package returns. The result cache's repair ranks with it
+// too, so a repaired answer orders exactly as a fresh evaluation does.
+func Outranks(a, b combine.ScoredTuple) bool {
+	if a.Intensity != b.Intensity {
+		return a.Intensity > b.Intensity
 	}
-	return a.pid < b.pid
+	return a.PID < b.PID
 }
 
 func (h taHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[parent].better(h[i]) { // parent already worse or equal: heap holds
+		if !Outranks(h[parent], h[i]) { // parent already worse or equal: heap holds
 			return
 		}
 		h[parent], h[i] = h[i], h[parent]
@@ -108,10 +106,10 @@ func (h taHeap) siftUp(i int) {
 func (h taHeap) siftDown(i int) {
 	for {
 		worst := i
-		if l := 2*i + 1; l < len(h) && h[worst].better(h[l]) {
+		if l := 2*i + 1; l < len(h) && Outranks(h[worst], h[l]) {
 			worst = l
 		}
-		if r := 2*i + 2; r < len(h) && h[worst].better(h[r]) {
+		if r := 2*i + 2; r < len(h) && Outranks(h[worst], h[r]) {
 			worst = r
 		}
 		if worst == i {
@@ -124,13 +122,13 @@ func (h taHeap) siftDown(i int) {
 
 // push keeps the k best entries: below capacity it inserts, at capacity it
 // replaces the root (the worst kept) only when s outranks it.
-func (h *taHeap) push(s taScored, k int) {
+func (h *taHeap) push(s combine.ScoredTuple, k int) {
 	if len(*h) < k {
 		*h = append(*h, s)
 		h.siftUp(len(*h) - 1)
 		return
 	}
-	if s.better((*h)[0]) {
+	if Outranks(s, (*h)[0]) {
 		(*h)[0] = s
 		h.siftDown(0)
 	}
@@ -165,7 +163,7 @@ func (l *Lists) TATraced(k int, tr *obs.Trace) []combine.ScoredTuple {
 			return
 		}
 		seen[pid] = true
-		top.push(taScored{pid: pid, grade: l.aggregate(pid)}, k)
+		top.push(combine.ScoredTuple{PID: pid, Intensity: l.aggregate(pid)}, k)
 	}
 
 	maxDepth := 0
@@ -187,34 +185,32 @@ func (l *Lists) TATraced(k int, tr *obs.Trace) []combine.ScoredTuple {
 		rounds++
 		tau := hypre.FAndAll(lastGrades...)
 		// top[0] is the k-th (worst kept) grade, the halting bound.
-		if len(top) >= k && top[0].grade > tau {
+		if len(top) >= k && top[0].Intensity > tau {
 			earlyExit = true
 			break
 		}
 	}
 	tr.AddTA(int64(rounds), earlyExit)
 
-	sort.Slice(top, func(i, j int) bool { return top[i].better(top[j]) })
-	out := make([]combine.ScoredTuple, len(top))
-	for i, s := range top {
-		out[i] = combine.ScoredTuple{PID: s.pid, Intensity: s.grade}
-	}
-	return out
+	sort.Slice(top, func(i, j int) bool { return Outranks(top[i], top[j]) })
+	return top
 }
 
 // BuildLists materializes the per-attribute grade tables of §7.6.1
 // (intensity_venue, intensity_author) from a profile: preferences are
-// grouped by attribute; each tuple's grade within an attribute is the f∧
+// grouped by attribute (one list per AttrSlots slot); each tuple's grade within an attribute is the f∧
 // combination of the intensities of the matching preferences (the composite
 // grade used for multi-author papers). Only non-negative preferences
 // participate (TA grades live in [0, 1]).
 func BuildLists(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Lists, error) {
-	groups := groupByAttr(prefs)
-	names := make([]string, 0, len(groups))
-	maps := make([]map[int64]float64, 0, len(groups))
-	for _, g := range groups {
+	slots, names := AttrSlots(prefs)
+	maps := make([]map[int64]float64, len(names))
+	for s := range maps {
 		grades := map[int64]float64{}
-		for _, p := range g.prefs {
+		for i, p := range prefs {
+			if slots[i] != s {
+				continue
+			}
 			// Iterate the cached dense bitmap directly: the TA baseline
 			// shares the evaluator's bitmap cache instead of materializing
 			// IntSet slices of its own. Per-pid accumulation is
@@ -229,39 +225,39 @@ func BuildLists(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Lists, error)
 				grades[pid] = hypre.FAnd(grades[pid], intensity)
 			})
 		}
-		names = append(names, g.name)
-		maps = append(maps, grades)
+		maps[s] = grades
 	}
 	return NewLists(names, maps), nil
 }
 
-// attrGroup is one attribute's slice of a profile: the list name and the
-// non-negative preferences grading into it, in first-seen order.
-type attrGroup struct {
-	name  string
-	prefs []hypre.ScoredPred
-}
-
-// groupByAttr groups a profile's preferences by attribute: first-seen
-// order, negatives skipped, unnamed attributes pooled under "(multi)".
-func groupByAttr(prefs []hypre.ScoredPred) []attrGroup {
-	byAttr := map[string]int{}
-	var groups []attrGroup
-	for _, p := range prefs {
+// AttrSlots assigns each preference of a profile the attribute slot its
+// grade folds into — the one grouping rule BuildLists, the streaming path
+// and the result cache's repair all grade by. Slots number the attributes
+// of the non-negative preferences in first-seen order, with an unnamed
+// attribute pooled under "(multi)"; names[s] is slot s's attribute. A
+// negative preference gets slot -1: no top-k path grades it.
+//
+// A tuple's grade is then fixed by the preferences it matches: within a
+// slot, FAnd folds their intensities in profile order starting from 0;
+// across slots, FAndAll folds the slot grades in slot order (a zero slot
+// grade multiplies the product by exactly 1, so skipping it is exact).
+func AttrSlots(prefs []hypre.ScoredPred) (slots []int, names []string) {
+	slots = make([]int, len(prefs))
+	for i, p := range prefs {
 		if p.Intensity < 0 {
+			slots[i] = -1
 			continue
 		}
 		attr := p.Attr
 		if attr == "" {
 			attr = "(multi)"
 		}
-		gi, ok := byAttr[attr]
-		if !ok {
-			gi = len(groups)
-			byAttr[attr] = gi
-			groups = append(groups, attrGroup{name: attr})
+		s := slices.Index(names, attr)
+		if s < 0 {
+			s = len(names)
+			names = append(names, attr)
 		}
-		groups[gi].prefs = append(groups[gi].prefs, p)
+		slots[i] = s
 	}
-	return groups
+	return slots, names
 }
