@@ -49,7 +49,7 @@ type entry struct {
 }
 
 // entryPref is one canonical preference as the repair reads it: the
-// registry id of its predicate, the attribute slot its intensity folds
+// evaluator's id of its predicate, the attribute slot its intensity folds
 // into (topk.AttrSlots) and the intensity. The parsed profile itself is
 // not retained.
 type entryPref struct {

@@ -3,120 +3,37 @@ package cache
 import (
 	"slices"
 
-	"hypre/internal/bitset"
 	"hypre/internal/combine"
 	"hypre/internal/hypre"
 	"hypre/internal/topk"
 )
 
-// syncBatch is what one ApplyDelta learned about the registry, in the
-// terms an entry's repair reads. Predicates are named by registry id, and
-// an id set is a bitmap over the ids.
+// syncBatch is one ApplyDelta's repair state: the refresh's row delta,
+// plus scratch reused across entries, so an entry whose answer does not
+// change costs no allocation.
 type syncBatch struct {
-	// moved holds the predicates whose membership moved on a touched row;
-	// lost those whose footprint is lost or that ApplyRemap queued.
-	moved, lost []uint64
-	// pids is T, the sorted pids of every touched row, tombstoned or not.
-	pids []int64
-	// cands are the touched rows some registered predicate now matches
-	// (MatchLeftRowSet reports live rows only), each with matched, the
-	// ids of the predicates matching it.
-	cands []candRow
+	d *combine.RowDelta
 
-	// Scratch reused across entries, so an entry whose answer does not
-	// change costs no allocation.
 	slots []float64
 	vals  []float64
 	out   []combine.ScoredTuple
 }
 
-type candRow struct {
-	pid     int64
-	matched []uint64
+// has reports whether the sorted id list ids holds id.
+func has(ids []int32, id int32) bool {
+	_, ok := slices.BinarySearch(ids, id)
+	return ok
 }
 
-func setBit(w []uint64, id int) { w[id>>6] |= 1 << (id & 63) }
-
-func hasBit(w []uint64, id int32) bool { return w[id>>6]&(1<<(id&63)) != 0 }
-
-// rematch re-matches every registered predicate over the touched rows,
-// patching the footprints, and returns the batch the sweep repairs with —
-// or nil when no predicate moved or was lost, so no entry can change.
-// Caller holds s.mu.
-func (s *Server) rematch(touched *bitset.Set) *syncBatch {
-	words := (len(s.foots) + 63) / 64
-	b := &syncBatch{moved: make([]uint64, words), lost: make([]uint64, words)}
-	changed := false
-	for _, id := range s.remapLost {
-		setBit(b.lost, int(id))
-		changed = true
-	}
-	s.remapLost = nil
-	candOf := map[int]int{}
-	for id := range s.foots {
-		pf := &s.foots[id]
-		if pf.rows == nil {
-			setBit(b.lost, id)
-			changed = true
-			continue
-		}
-		old := pf.rows.And(touched)
-		now, err := s.db.MatchLeftRowSet(pf.q, touched)
-		if err != nil {
-			setBit(b.lost, id)
-			changed = true
-			pf.rows = nil
-			continue
-		}
-		if !setsEqual(old, now) {
-			setBit(b.moved, id)
-			changed = true
-			pf.rows = pf.rows.AndNot(touched).Or(now)
-		}
-		now.ForEach(func(row int) bool {
-			ci, ok := candOf[row]
-			if !ok {
-				ci = len(b.cands)
-				candOf[row] = ci
-				pid := s.left.Value(row, s.keyCol).AsInt()
-				b.cands = append(b.cands, candRow{pid: pid, matched: make([]uint64, words)})
-			}
-			setBit(b.cands[ci].matched, id)
-			return true
-		})
-	}
-	if !changed {
-		return nil
-	}
-	// A tombstoned row still answers Value, so a deleted member's pid
-	// lands in T and leaves the answer.
-	touched.ForEach(func(row int) bool {
-		b.pids = append(b.pids, s.left.Value(row, s.keyCol).AsInt())
-		return true
-	})
-	slices.Sort(b.pids)
-	return b
-}
-
-// setsEqual reports a == b without materializing a diff.
-func setsEqual(a, b *bitset.Set) bool {
-	return a.Len() == b.Len() && a.AndCard(b) == a.Len()
-}
-
-// fix is the sweep's per-entry verdict: drop an entry naming a lost
-// predicate, keep one naming no moved predicate, and repair the rest.
+// fix is the sweep's per-entry verdict: keep an entry naming no moved
+// predicate, and repair the rest.
 func (b *syncBatch) fix(e *entry) *entry {
-	moved := false
 	for _, p := range e.prefs {
-		if hasBit(b.lost, p.id) {
-			return nil
+		if has(b.d.Moved, p.id) {
+			return b.repair(e)
 		}
-		moved = moved || hasBit(b.moved, p.id)
 	}
-	if !moved {
-		return e
-	}
-	return b.repair(e)
+	return e
 }
 
 // repair applies the dynamic top-k rule to one entry. R is its answer, T
@@ -141,16 +58,16 @@ func (b *syncBatch) repair(e *entry) *entry {
 	full := len(e.tuples) >= k
 	out := b.out[:0]
 	for _, t := range e.tuples {
-		if _, in := slices.BinarySearch(b.pids, t.PID); !in {
+		if _, in := slices.BinarySearch(b.d.PIDs, t.PID); !in {
 			out = append(out, t)
 		}
 	}
-	for i := range b.cands {
-		g, ok := b.grade(e, &b.cands[i])
+	for i := range b.d.Rows {
+		g, ok := b.grade(e, b.d.Rows[i].IDs)
 		if !ok {
 			continue
 		}
-		c := combine.ScoredTuple{PID: b.cands[i].pid, Intensity: g}
+		c := combine.ScoredTuple{PID: b.d.Rows[i].PID, Intensity: g}
 		if full && topk.Outranks(e.tuples[k-1], c) {
 			continue
 		}
@@ -179,8 +96,8 @@ func (b *syncBatch) repair(e *entry) *entry {
 // non-zero slot grades in slot order. ok is false when no preference
 // matches the row; a row matched only at intensity 0 is a grade-0
 // candidate, because streaming pushes it.
-func (b *syncBatch) grade(e *entry, c *candRow) (float64, bool) {
-	if !slices.ContainsFunc(e.prefs, func(p entryPref) bool { return hasBit(c.matched, p.id) }) {
+func (b *syncBatch) grade(e *entry, matched []int32) (float64, bool) {
+	if !slices.ContainsFunc(e.prefs, func(p entryPref) bool { return has(matched, p.id) }) {
 		return 0, false
 	}
 	slots := b.slots[:0]
@@ -189,7 +106,7 @@ func (b *syncBatch) grade(e *entry, c *candRow) (float64, bool) {
 	}
 	b.slots = slots
 	for _, p := range e.prefs {
-		if hasBit(c.matched, p.id) {
+		if has(matched, p.id) {
 			slots[p.slot] = hypre.FAnd(slots[p.slot], p.intensity)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"hypre/internal/cache"
 	"hypre/internal/combine"
 	"hypre/internal/delta"
 	"hypre/internal/hypre"
@@ -122,9 +123,10 @@ type oracleKey struct {
 // deleting a member, moving a member's venue away, inserting a paper that
 // ties the k-th grade with a pid below and above the k-th pid, and churning
 // members' authorship links — and after every Sync requires every resident
-// entry to equal an uncached evaluation byte for byte. The compacting
-// variant also deletes enough filler papers that compactions fire between
-// syncs, so the drop-on-lost-footprint branch runs beside the repairs.
+// entry to equal an uncached evaluation byte for byte, and every entry
+// whose answer held to stay resident. The compacting variant also deletes
+// enough filler papers that compactions fire between syncs; the entries
+// those Syncs touch must be repaired, not dropped.
 func TestRepairOracleAdversarial(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -173,6 +175,7 @@ func TestRepairOracleAdversarial(t *testing.T) {
 			askAll("warm-up")
 
 			lowPID, highPID := int64(-1), int64(1<<30)
+			var compactRepaired int64
 			for round := 0; round < 36; round++ {
 				var target oracleKey
 				var members []combine.ScoredTuple
@@ -236,11 +239,30 @@ func TestRepairOracleAdversarial(t *testing.T) {
 						live = livePIDs(net)
 					}
 				}
-				if _, err := m.Sync(); err != nil {
+				before := map[int][]combine.ScoredTuple{}
+				for i, key := range keys {
+					if got, ok := srv.Peek(key.prof, key.k); ok {
+						before[i] = got
+					}
+				}
+				repaired0 := srv.Counters().Snapshot().Repaired
+				st, err := m.Sync()
+				if err != nil {
 					t.Fatal(err)
+				}
+				if st.Compactions > 0 {
+					compactRepaired += srv.Counters().Snapshot().Repaired - repaired0
 				}
 
 				tag := fmt.Sprintf("round %d op %d", round, op)
+				// The repair keeps every entry whose answer held, compaction
+				// or not: only a lost member with nothing proven to replace
+				// it drops one.
+				for i, old := range before {
+					if _, ok := srv.Peek(keys[i].prof, keys[i].k); !ok && sameRanking(old, uncached(t, net, keys[i].prof, keys[i].k)) {
+						t.Fatalf("%s: key %d (k=%d) dropped though its answer held (%d compactions)", tag, i, keys[i].k, st.Compactions)
+					}
+				}
 				resident := 0
 				for i, key := range keys {
 					got, ok := srv.Peek(key.prof, key.k)
@@ -266,6 +288,9 @@ func TestRepairOracleAdversarial(t *testing.T) {
 			}
 			if tc.compact && sc.Compactions.Load() == 0 {
 				t.Fatalf("no compaction fired; the compacting variant is vacuous")
+			}
+			if tc.compact && compactRepaired == 0 {
+				t.Fatalf("no entry was repaired by a Sync that absorbed a compaction")
 			}
 		})
 	}
@@ -347,5 +372,108 @@ func TestServerReadersVsRepairSwap(t *testing.T) {
 	}
 	if snap := srv.Counters().Snapshot(); snap.Repaired < 12 || snap.Hits == 0 {
 		t.Fatalf("Repaired %d, Hits %d: the readers never raced a swap", snap.Repaired, snap.Hits)
+	}
+}
+
+// TestServerFreshPredicatesVsSync: misses on never-seen predicates race
+// mutate+Sync, so materializations of the evaluator's predicate store
+// interleave with its refreshes. Every fresh predicate matches exactly
+// venue A's papers. While readers ask fresh profiles, each round runs
+// several mutate+Sync steps, each flipping one of ten papers between
+// venues A and B, so each paper flips every tenth step. A bitmap scanned
+// before a flip but stored after the refresh that re-matched it hides that
+// flip until the paper flips back, and every entry published over it in
+// between then misses the flip back, which moves no other row. After every round every resident
+// entry must equal uncached evaluation, which depends only on the
+// profile's year and k.
+func TestServerFreshPredicatesVsSync(t *testing.T) {
+	const rounds, syncs, readers, asks, years = 30, 10, 2, 2, 5
+	net := testNet(t, 41)
+	srv, ev := newServer(t, net)
+	m, err := delta.NewMaintainer(ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachCache(srv)
+	venueA, venueB := net.Venues[0], net.Venues[1]
+	// The never-matching alternatives make each fresh predicate distinct,
+	// and slow enough to scan that a scan often straddles a commit.
+	profile := func(fresh string, y int) []hypre.ScoredPred {
+		pred := fmt.Sprintf("dblp.venue=%q", venueA)
+		for i := 0; i < 8; i++ {
+			pred += fmt.Sprintf(" OR dblp.venue=\"%s-%d\"", fresh, i)
+		}
+		return []hypre.ScoredPred{sp(t, pred, 0.8), sp(t, fmt.Sprintf("dblp.year=%d", net.Cfg.MinYear+y), 0.3)}
+	}
+	ks := []int{3, 1000}
+	var flip []int
+	dblp := net.DB.Table("dblp")
+	for row := 0; row < dblp.Len() && len(flip) < 10; row++ {
+		if dblp.Value(row, "venue").AsString() == venueA {
+			flip = append(flip, row)
+		}
+	}
+
+	type askKey struct {
+		prof    []hypre.ScoredPred
+		year, k int
+	}
+	var mu sync.Mutex
+	var keys []askKey
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < readers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for n := 0; n < asks; n++ {
+					y := (round + n) % years
+					prof := profile(fmt.Sprintf("fresh-%d-%d-%d", round, w, n), y)
+					for _, k := range ks {
+						// A stale bypass materializes nothing and a publish
+						// a commit overtook caches nothing: ask until the
+						// answer is served from the cache.
+						for out := cache.Miss; out != cache.Hit; {
+							var err error
+							if _, out, err = srv.TopK(prof, k); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						mu.Lock()
+						keys = append(keys, askKey{prof, y, k})
+						mu.Unlock()
+					}
+				}
+			}(w)
+		}
+		for step := round * syncs; step < (round+1)*syncs; step++ {
+			row := flip[step%len(flip)]
+			to := venueA
+			if dblp.Value(row, "venue").AsString() == venueA {
+				to = venueB
+			}
+			if err := dblp.UpdateCol(row, "venue", predicate.String(to)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		want := map[[2]int][]combine.ScoredTuple{}
+		for y := 0; y < years; y++ {
+			for _, k := range ks {
+				want[[2]int{y, k}] = uncached(t, net, profile("fresh-ref", y), k)
+			}
+		}
+		for i, key := range keys {
+			if got, ok := srv.Peek(key.prof, key.k); ok && !sameRanking(got, want[[2]int{key.year, key.k}]) {
+				t.Fatalf("round %d: resident key %d (k=%d) holds %d tuples, want %d", round, i, key.k, len(got), len(want[[2]int{key.year, key.k}]))
+			}
+		}
+	}
+	if snap := srv.Counters().Snapshot(); snap.FootprintScans <= years || snap.Repaired == 0 {
+		t.Fatalf("FootprintScans %d, Repaired %d: the race never ran", snap.FootprintScans, snap.Repaired)
 	}
 }

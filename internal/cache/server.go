@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"hypre/internal/bitset"
 	"hypre/internal/combine"
 	"hypre/internal/hypre"
 	"hypre/internal/metrics"
@@ -22,6 +21,11 @@ import (
 // stays byte-identical to uncached evaluation under mutations via the
 // delta-aware repair the delta.Maintainer drives (AttachCache).
 //
+// The evaluator's bitmap store is the cache's only record of predicate
+// membership: a miss materializes the profile's non-resident predicates
+// there, entries name predicates by the evaluator's ids, and a Sync's
+// refresh hands ApplyDelta the row delta the repair reads.
+//
 // Freshness discipline: the server records the store's epoch stamp each
 // time ApplyDelta/InvalidateAll synchronizes it. A request arriving while
 // the stamp has advanced past that point (mutations committed, maintainer
@@ -33,10 +37,6 @@ type Server struct {
 	c        *Cache
 	counters *metrics.CacheCounters
 	tables   []string
-	// left is the base table and keyCol its key column: a touched row's
-	// pid, which the repair ranks by, is read through them.
-	left   *relstore.Table
-	keyCol string
 
 	flight flightGroup
 
@@ -48,29 +48,13 @@ type Server struct {
 	slow       *obs.SlowLog
 	routeHists [4]*obs.Histogram
 
-	// mu guards the predicate-footprint registry and the freshness state,
-	// and is held across a publish. Lock order: mu before store locks
-	// (ApplyDelta re-matches) and before shard locks (publish, the Sync
-	// sweep); shard locks never nest inside store locks or vice versa.
-	mu sync.Mutex
-	// predID interns each registered predicate's normalized text to a
-	// dense id indexing foots; entries name their predicates by id.
-	predID     map[string]int32
-	foots      []predFoot
+	// mu guards the freshness state and is held across a publish and a
+	// Sync's sweep, never across a store scan or the evaluator's lock. Lock
+	// order: mu before shard locks; shard locks never nest inside store
+	// locks or vice versa.
+	mu         sync.Mutex
 	validStamp uint64
 	gen        uint64
-	// remapLost carries the ids of footprints that lost rows in an
-	// ApplyRemap into the following ApplyDelta, which drops their entries.
-	remapLost []int32
-}
-
-// predFoot is one registered predicate's maintenance state: its full query
-// shape and the base rows it matched when last observed. rows == nil means
-// a touched-row re-match failed and the footprint was lost; every later
-// Sync drops the entries naming such a predicate.
-type predFoot struct {
-	q    relstore.Query
-	rows *bitset.Set
 }
 
 // Outcome reports how one TopK request was served.
@@ -120,9 +104,6 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 		c:          NewCache(cfg),
 		counters:   cfg.Counters,
 		tables:     tables,
-		left:       db.Table(base.From),
-		keyCol:     ev.KeyColumn(base.From),
-		predID:     make(map[string]int32),
 		validStamp: db.EpochStamp(tables...),
 		reg:        cfg.Registry,
 		slow:       cfg.SlowLog,
@@ -148,6 +129,14 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 				"repaired":        snap.Repaired,
 				"stale_bypasses":  snap.StaleBypasses,
 				"footprint_scans": snap.FootprintScans,
+			}
+		})
+		s.reg.RegisterGroup("predicates", func() map[string]int64 {
+			st := ev.MemStats()
+			return map[string]int64{
+				"preds":            int64(st.Preds),
+				"compressed_bytes": st.CompressedBytes,
+				"dict_entries":     int64(st.DictEntries),
 			}
 		})
 	}
@@ -283,10 +272,11 @@ func (s *Server) observe(tr *obs.Trace, out Outcome, started time.Time, fp combi
 }
 
 // evaluate is the single-flight leader body: run the one-shot router (the
-// same call the stale-bypass branch makes), register predicate footprints,
-// and publish the result entry — unless the store moved while we were
-// working, in which case the answer is returned but nothing is cached.
-// Every leader ticks Evaluations exactly once, so Misses == Evaluations.
+// same call the stale-bypass branch makes), make the profile's predicates
+// resident in the evaluator's store, and publish the result entry — unless
+// the store moved while we were working, in which case the answer is
+// returned but nothing is cached. Every leader ticks Evaluations exactly
+// once, so Misses == Evaluations.
 func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k int, stamp uint64, tr *obs.Trace) ([]combine.ScoredTuple, error) {
 	s.mu.Lock()
 	gen := s.gen
@@ -298,17 +288,17 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 		return nil, err
 	}
 	fsp := tr.StartSpan(obs.StageFootprint)
-	err = s.registerPreds(canon, gen)
+	ids, err := s.registerPreds(canon)
 	tr.EndSpan(fsp)
 	if err != nil {
 		return nil, err
 	}
 
 	// Publish gate: the entry must describe the stamp-state the evaluation
-	// and the footprint scans both observed. Any commit in between bumps
-	// the epoch stamp; any maintainer sync bumps gen. Either one rejects
-	// the publish (the caller still gets the answer). The put happens under
-	// mu, so no Sync can slip between the gate and the insert.
+	// observed. Any commit in between bumps the epoch stamp; any maintainer
+	// sync bumps gen. Either one rejects the publish (the caller still gets
+	// the answer). The put happens under mu, so no Sync can slip between
+	// the gate and the insert.
 	psp := tr.StartSpan(obs.StagePublish)
 	defer tr.EndSpan(psp)
 	s.mu.Lock()
@@ -319,12 +309,8 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	slots, _ := topk.AttrSlots(canon)
 	prefs := make([]entryPref, 0, len(canon))
 	for i, p := range canon {
-		id, ok := s.predID[p.Pred]
-		if !ok {
-			return res, nil
-		}
 		if slots[i] >= 0 {
-			prefs = append(prefs, entryPref{id: id, slot: int32(slots[i]), intensity: p.Intensity})
+			prefs = append(prefs, entryPref{id: ids[i], slot: int32(slots[i]), intensity: p.Intensity})
 		}
 	}
 	e := &entry{key: entryKey{fp: fp, k: int32(k)}, tuples: cloneTuples(res), prefs: prefs}
@@ -333,129 +319,55 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	return res, nil
 }
 
-// registerPreds ensures every predicate of the profile has a footprint in
-// the registry: the live base rows it currently matches, computed by one
-// row-set scan per predicate, once per cache lifetime. The scans run
-// outside the registry lock; a racing registration of the same predicate
-// wastes one scan and keeps the first entry. Scans that a Sync overtook
-// (gen moved since the caller read it) are discarded: the batch they may
-// have missed was re-matched only over the footprints registered then.
-func (s *Server) registerPreds(canon []hypre.ScoredPred, gen uint64) error {
-	var missing []hypre.ScoredPred
-	s.mu.Lock()
-	for _, p := range canon {
-		if _, ok := s.predID[p.Pred]; !ok {
-			missing = append(missing, p)
-		}
-	}
-	s.mu.Unlock()
+// registerPreds makes every predicate of the profile resident in the
+// evaluator's store and returns their ids in profile order. Only the
+// predicates without a bitmap are scanned, one FootprintScans tick each;
+// the evaluator holds its lock across the scans, so a Sync either
+// re-matches a new bitmap or runs after its scan saw the batch.
+func (s *Server) registerPreds(canon []hypre.ScoredPred) ([]int32, error) {
+	ids, missing := s.ev.PredIDs(canon)
 	if len(missing) == 0 {
-		return nil
+		return ids, nil
 	}
-	scanned := make([]predFoot, len(missing))
-	for i, p := range missing {
-		q := s.ev.BaseQuery(p.P)
-		rows, err := s.db.ScanAttrRowSet(q, s.ev.KeyAttr(), -1, nil)
-		if err != nil {
-			return err
-		}
-		scanned[i] = predFoot{q: q, rows: rows}
-		s.counters.FootprintScans.Add(1)
+	if err := s.ev.MaterializeAll(missing); err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if gen != s.gen {
-		return nil
-	}
-	for i, p := range missing {
-		if _, ok := s.predID[p.Pred]; !ok {
-			s.predID[p.Pred] = int32(len(s.foots))
-			s.foots = append(s.foots, scanned[i])
-		}
-	}
-	return nil
+	s.counters.FootprintScans.Add(int64(len(missing)))
+	return ids, nil
 }
 
 // ApplyDelta is the delta.CacheSyncer hook: after a mutation batch, the
-// maintainer hands over the touched base-row mask and the epochs it synced
-// to. Each registered predicate re-matches only the touched rows
-// (relstore.MatchLeftRowSet — the compiled per-row filter at exactly those
-// rows). An entry none of whose predicates moved over those rows stays as
-// it is. One that names a moved predicate is repaired: its touched tuples
-// are re-graded and ranked against its old k-th tuple (syncBatch.fix), and
-// it is dropped only when a member fell out with nothing proven to replace
-// it, or when it names a predicate whose footprint is lost or that the
-// preceding ApplyRemap queued (rows a compaction dropped cannot be
-// re-matched, because they no longer exist). Cost scales with touched
-// rows × registered predicates plus touched rows × the moved entries'
-// sizes, never with the number of entries left alone.
-func (s *Server) ApplyDelta(touched *bitset.Set, leftEpoch, rightEpoch uint64) {
-	stamp := leftEpoch + rightEpoch
+// maintainer hands over its refresh's row delta and the epochs it synced
+// to. An entry none of whose predicates moved stays as it is. One that
+// names a moved predicate is repaired: its touched tuples are re-graded and
+// ranked against its old k-th tuple (syncBatch.fix), and it is dropped only
+// when a member fell out with nothing proven to replace it. Cost scales
+// with the moved entries' sizes times the touched rows, never with the
+// number of entries left alone; the re-match itself ran in the refresh,
+// outside mu.
+func (s *Server) ApplyDelta(d *combine.RowDelta, leftEpoch, rightEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if (touched == nil || touched.IsEmpty()) && len(s.remapLost) == 0 {
-		s.validStamp = stamp
-		return
-	}
-	if touched == nil {
-		touched = bitset.New()
-	}
-	// Any in-flight evaluation raced this batch; its publish gate checks
-	// gen, so bump it before sweeping.
-	s.gen++
-	b := s.rematch(touched)
-	s.validStamp = stamp
-	if b == nil {
-		return
-	}
-	dropped, repaired := s.c.sweep(b.fix)
-	s.counters.Invalidated.Add(int64(dropped))
-	s.counters.Repaired.Add(int64(repaired))
-}
-
-// ApplyRemap is the delta.CacheSyncer compaction hook, arriving before the
-// Sync's ApplyDelta: the store renumbered its base rows, so every
-// registered footprint is reindexed through the composed old→new map.
-// Footprints that lost rows (dropped by the compaction, or outside the
-// remap's domain) are queued for the next ApplyDelta, which drops every
-// entry naming them — the membership they lost cannot be re-graded by the
-// touched-row re-match, because the rows no longer exist to re-evaluate.
-func (s *Server) ApplyRemap(remap []int32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	for id := range s.foots {
-		pf := &s.foots[id]
-		if pf.rows == nil {
-			continue
-		}
-		nr := bitset.New()
-		lost := false
-		pf.rows.ForEach(func(old int) bool {
-			if old < len(remap) && remap[old] >= 0 {
-				nr.Add(int(remap[old]))
-			} else {
-				lost = true
-			}
-			return true
-		})
-		pf.rows = nr
-		if lost {
-			s.remapLost = append(s.remapLost, int32(id))
+	if d != nil {
+		// Any in-flight evaluation raced this batch; its publish gate checks
+		// gen, so bump it before sweeping.
+		s.gen++
+		if len(d.Moved) > 0 {
+			dropped, repaired := s.c.sweep((&syncBatch{d: d}).fix)
+			s.counters.Invalidated.Add(int64(dropped))
+			s.counters.Repaired.Add(int64(repaired))
 		}
 	}
+	s.validStamp = leftEpoch + rightEpoch
 }
 
-// InvalidateAll is the delta.CacheSyncer full-rebuild hook: every entry and
-// every footprint is dropped (the store state they described is gone), and
-// the server resynchronizes to the given epochs.
+// InvalidateAll is the delta.CacheSyncer full-rebuild hook: every entry is
+// dropped (the store state they described is gone), and the server
+// resynchronizes to the given epochs.
 func (s *Server) InvalidateAll(leftEpoch, rightEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
-	s.predID = make(map[string]int32)
-	s.foots = nil
-	s.remapLost = nil
 	n := s.c.purge()
 	s.counters.Invalidated.Add(int64(n))
 	s.validStamp = leftEpoch + rightEpoch

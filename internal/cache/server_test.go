@@ -123,15 +123,15 @@ func TestServerHitIdentical(t *testing.T) {
 }
 
 // TestServerNewK: a different k for a known fingerprint is its own result
-// entry and its own evaluation — there is no plan tier to re-rank from. On a
-// cold evaluator both asks stream; with the profile pre-warmed into the
-// evaluator's bitmap cache both take the resident BuildLists+TA path. Either
-// way the answers equal uncached evaluation and every miss evaluated once.
+// entry and its own evaluation — there is no plan tier to re-rank from.
+// Both asks stream, on a cold evaluator and with the profile pre-warmed
+// into the evaluator's bitmap store alike; the answers equal uncached
+// evaluation and every miss evaluated once.
 func TestServerNewK(t *testing.T) {
 	for _, tc := range []struct {
 		name, exec string
 		warm       bool
-	}{{"cold", "streaming", false}, {"prewarmed", "ta_cached", true}} {
+	}{{"cold", "streaming", false}, {"prewarmed", "streaming", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := testNet(t, 8)
 			srv, ev := newServer(t, net)

@@ -1,44 +1,68 @@
 package combine
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"hypre/internal/bitset"
-	"hypre/internal/hypre"
 	"hypre/internal/predicate"
 	"hypre/internal/relstore"
 )
 
-// This file is the evaluator half of incremental cache maintenance: given
-// the set of base-table rows a mutation batch touched, every cached
-// predicate bitmap is repaired by re-evaluating exactly those rows through
-// relstore.MatchLeftRowSet (the compiled per-row filter at the touched rows),
-// instead of rematerializing the predicate with a full scan.
-// The delta subsystem in internal/delta drives it from the tables' change
-// logs.
+// This file is the evaluator half of incremental maintenance: given the
+// base-table rows a mutation batch touched and the pids a compaction
+// dropped, every resident predicate bitmap is repaired by re-evaluating
+// exactly those rows through relstore.MatchLeftRowSet (the compiled per-row
+// filter at the touched rows), instead of rematerializing the predicate
+// with a full scan. The delta subsystem in internal/delta drives it from
+// the tables' change logs.
 
-// RefreshRowSetDelta re-evaluates every cached predicate over exactly the
-// touched base-table rows (a compressed row mask — the delta maintainer
-// accumulates them that way directly) and patches the cached bitmaps
-// copy-on-write (previously handed-out bitmaps stay consistent, the cache
-// swaps to the patched clone). It returns the predicates whose tuple sets
-// actually changed.
+// RowDelta is what one refresh learned, in the terms the result cache's
+// repair reads.
+type RowDelta struct {
+	// Moved holds the ids of the predicates whose tuple set changed,
+	// ascending.
+	Moved []int32
+	// PIDs is T: the sorted pids of every touched row, tombstoned or not,
+	// and of every row a compaction dropped.
+	PIDs []int64
+	// Rows are the live touched rows some resident predicate now matches,
+	// ascending by pid.
+	Rows []MatchedRow
+}
+
+// MatchedRow is one live touched row: its pid and the ids of the resident
+// predicates matching it, ascending.
+type MatchedRow struct {
+	PID int64
+	IDs []int32
+}
+
+// RefreshRowSetDelta re-evaluates every resident predicate over exactly
+// the touched base-table rows (a compressed row mask — the delta maintainer
+// accumulates them that way directly) and clears the pids a compaction
+// dropped (their rows no longer exist to re-evaluate; a pid re-inserted
+// under a surviving touched row is restored from that row). Bitmaps are
+// patched copy-on-write: previously handed-out bitmaps stay consistent and
+// the store swaps to the patched clone. The returned delta is nil when no
+// predicate is resident.
 //
 // ok=false means the evaluator cannot refresh incrementally (its scan
 // plumbing fell back to pid collection at seed time); the caller must
 // Invalidate and rematerialize.
 //
-// The patch is exact when the key attribute is unique per base-table row
-// (dblp.pid is the table key): each touched row then owns its dense bit.
-// With duplicate keys, a bit shared with an untouched row could be cleared
-// spuriously; the delta subsystem documents the uniqueness requirement.
-func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, ok bool, err error) {
+// The patch is exact when the key attribute is unique per live base-table
+// row (dblp.pid is the table key): the desired membership of a pid is the
+// OR over its touched rows, so a delete+reinsert of the same pid within one
+// batch cannot clear a bit its replacement row still owns.
+func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d *RowDelta, ok bool, err error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	if len(ev.bits) == 0 {
-		return nil, true, nil // nothing cached, nothing stale
+	if !slices.ContainsFunc(ev.bits, func(b *Bitmap) bool { return b != nil }) {
+		return nil, true, nil // nothing resident, nothing stale
 	}
 	if !ev.seeded || ev.rowDense == nil {
 		return nil, false, nil
@@ -60,9 +84,50 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 		touched = touched.Clone()
 		touched.Retain(func(lid int) bool { return lid < len(ev.rowDense) })
 	}
-	nTouched := touched.Len()
-	if nTouched == 0 {
-		return nil, true, nil
+
+	// One group per distinct pid the batch reaches, ascending by pid: its
+	// touched rows (none for a pid whose only row a compaction dropped), its
+	// dictionary slot (-1 while it has none) and the resident predicates
+	// that now match it. The slots already assigned form the batch's
+	// footprint in every bitmap.
+	type pidRow struct {
+		pid int64
+		row int
+	}
+	type pidRows struct {
+		pid  int64
+		di   int
+		rows []int
+		ids  []int32
+	}
+	var pairs []pidRow
+	touched.ForEach(func(lid int) bool {
+		pairs = append(pairs, pidRow{ev.pidByRow[lid], lid})
+		return true
+	})
+	for _, pid := range dropped {
+		pairs = append(pairs, pidRow{pid, -1})
+	}
+	if len(pairs) == 0 {
+		return &RowDelta{}, true, nil
+	}
+	slices.SortFunc(pairs, func(a, b pidRow) int { return cmp.Compare(a.pid, b.pid) })
+	var groups []pidRows
+	foot := NewBitmap()
+	for _, pr := range pairs {
+		if n := len(groups); n == 0 || groups[n-1].pid != pr.pid {
+			di, found := ev.dict.Find(pr.pid)
+			if !found {
+				di = -1
+			} else {
+				foot.Set(di)
+			}
+			groups = append(groups, pidRows{pid: pr.pid, di: di})
+		}
+		if pr.row >= 0 {
+			g := &groups[len(groups)-1]
+			g.rows = append(g.rows, pr.row)
+		}
 	}
 
 	// Share the join-existence test across predicates: one probe pass
@@ -74,7 +139,6 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	baseQ := ev.base(predicate.True{})
 	partnered := touched
 	if baseQ.Join != nil {
-		var err error
 		partnered, err = ev.db.MatchLeftRowSet(baseQ, touched)
 		if err != nil {
 			return nil, false, err
@@ -82,25 +146,24 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	}
 	joinless := relstore.Query{From: baseQ.From}
 
-	// Parallel phase: one touched-row re-evaluation per cached
+	// Parallel phase: one touched-row re-evaluation per resident
 	// predicate, fanned over a worker pool exactly like MaterializeAll —
 	// the workers only read the store and fields frozen under ev.mu.
-	predKeys := make([]string, 0, len(ev.bits))
-	for pred := range ev.bits {
-		if _, okp := ev.preds[pred]; !okp {
-			return nil, false, nil
+	var resident []int32
+	for id, b := range ev.bits {
+		if b != nil {
+			resident = append(resident, int32(id))
 		}
-		predKeys = append(predKeys, pred)
 	}
-	sels := make([]*bitset.Set, len(predKeys))
-	errs := make([]error, len(predKeys))
+	sels := make([]*bitset.Set, len(resident))
+	errs := make([]error, len(resident))
 	scanOne := func(i int) {
-		sp := ev.preds[predKeys[i]]
-		q := ev.base(sp.P)
+		p := ev.preds[resident[i]].P
+		q := ev.base(p)
 		mask := touched
-		if q.Join != nil && ev.bindsOnlyBase(sp.P, q) {
+		if q.Join != nil && ev.bindsOnlyBase(p, q) {
 			q = joinless
-			q.Where = sp.P
+			q.Where = p
 			mask = partnered
 		}
 		sels[i], errs[i] = ev.db.MatchLeftRowSet(q, mask)
@@ -108,12 +171,12 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 	// Small refreshes run serially: each touched-row re-match is a few
 	// microseconds, so goroutine wake latency would dominate the pool.
 	const parallelRefreshMin = 32
-	if len(predKeys) < parallelRefreshMin {
-		for i := range predKeys {
+	if len(resident) < parallelRefreshMin {
+		for i := range resident {
 			scanOne(i)
 		}
 	} else {
-		workers := ev.workerCount(len(predKeys))
+		workers := ev.workerCount(len(resident))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -122,7 +185,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(predKeys) {
+					if i >= len(resident) {
 						return
 					}
 					scanOne(i)
@@ -137,70 +200,111 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set) (changed []string, 
 		}
 	}
 
-	// Serial patch phase: compare each predicate's re-evaluated rows with
-	// its cached bitmap, cloning on first difference.
-	for i, pred := range predKeys {
-		bm := ev.bits[pred]
-		sel := sels[i]
-		// Desired membership per dense id: OR over the touched rows mapping
-		// to it, so a delete+reinsert of the same pid within one batch
-		// cannot clear a bit its replacement row still owns.
-		desired := make(map[int32]bool, nTouched)
-		order := make([]int32, 0, nTouched)
-		touched.ForEach(func(lid int) bool {
-			want := sel.Contains(lid)
-			di := ev.rowDense[lid]
-			if di < 0 {
-				if !want {
-					return true
-				}
-				di = int32(ev.dict.Add(ev.pidByRow[lid]))
-				ev.rowDense[lid] = di
-			}
-			if _, seen := desired[di]; !seen {
-				order = append(order, di)
-			}
-			desired[di] = desired[di] || want
-			return true
-		})
+	// Serial patch phase, in id order: a pid's desired membership is the OR
+	// over its touched rows; a bitmap is cloned on its first difference.
+	d = &RowDelta{}
+	for i, id := range resident {
+		bm, sel := ev.bits[id], sels[i]
+		if sel.IsEmpty() && !bm.Any(foot) {
+			continue // matched none of the batch before or after
+		}
 		var patched *Bitmap
-		for _, di := range order {
-			want := desired[di]
-			cur := bm.Contains(int(di))
-			if patched != nil {
-				cur = patched.Contains(int(di))
+		for gi := range groups {
+			g := &groups[gi]
+			want := slices.ContainsFunc(g.rows, sel.Contains)
+			if want {
+				g.ids = append(g.ids, id)
 			}
-			if cur == want {
+			if cur := g.di >= 0 && bm.Contains(g.di); cur == want {
 				continue
+			}
+			if g.di < 0 {
+				g.di = ev.dict.Add(g.pid)
 			}
 			if patched == nil {
 				patched = bm.Clone()
 			}
 			if want {
-				patched.Set(int(di))
+				patched.Set(g.di)
 			} else {
-				patched.Clear(int(di))
+				patched.Clear(g.di)
 			}
 		}
 		if patched != nil {
-			ev.bits[pred] = patched
-			delete(ev.sets, pred) // the sorted view is stale; re-derive lazily
-			changed = append(changed, pred)
+			ev.bits[id] = patched
+			delete(ev.sets, id) // the sorted view is stale; re-derive lazily
+			d.Moved = append(d.Moved, id)
 		}
 	}
-	return changed, true, nil
+	for _, g := range groups {
+		d.PIDs = append(d.PIDs, g.pid)
+		if len(g.ids) > 0 {
+			d.Rows = append(d.Rows, MatchedRow{PID: g.pid, IDs: g.ids})
+		}
+	}
+	return d, true, nil
+}
+
+// RemapRows reindexes the evaluator's row-id plumbing through one
+// compaction remap (remap[old] = new id, -1 = dropped), so compaction is
+// absorbed entirely here: bitmaps are keyed by dictionary slot, which a
+// compaction never moves, and the pids of dropped rows leave them through
+// the next RefreshRowSetDelta. Rows the plumbing had not yet seen (inserted
+// after the last refresh) get a fresh slot with their pid read from the
+// compacted store. ok=false means the evaluator has no incremental
+// plumbing and the caller must rebuild.
+func (ev *Evaluator) RemapRows(remap []int32) (ok bool) {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	if !ev.seeded {
+		return !slices.ContainsFunc(ev.bits, func(b *Bitmap) bool { return b != nil })
+	}
+	if ev.rowDense == nil {
+		return false
+	}
+	tbl := ev.db.Table(ev.seedFrom)
+	if tbl == nil {
+		return false
+	}
+	live := 0
+	for _, nw := range remap {
+		if nw >= 0 {
+			live++
+		}
+	}
+	keyCol := ev.KeyColumn(ev.seedFrom)
+	nd := make([]int32, live)
+	np := make([]int64, live)
+	for i := range nd {
+		nd[i] = -1
+	}
+	for old, nw := range remap {
+		if nw < 0 {
+			continue
+		}
+		if old < len(ev.rowDense) {
+			nd[nw] = ev.rowDense[old]
+			np[nw] = ev.pidByRow[old]
+		} else {
+			// The plumbing never saw this row; read its key at the row's
+			// post-compaction position.
+			np[nw] = tbl.Value(int(nw), keyCol).AsInt()
+		}
+	}
+	ev.rowDense, ev.pidByRow = nd, np
+	return true
 }
 
 // Invalidate drops every cached predicate set and the scan plumbing, so the
 // next materialization rebuilds from the store's current state. The pid
-// dictionary is retained: dense ids are stable across rebuilds, which keeps
-// previously handed-out bitmaps and trackers dimensionally compatible.
+// dictionary and the predicate ids are retained: dense ids are stable
+// across rebuilds, which keeps previously handed-out bitmaps and trackers
+// dimensionally compatible, and an id keeps naming the same predicate.
 func (ev *Evaluator) Invalidate() {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	ev.sets = make(map[string]IntSet)
-	ev.bits = make(map[string]*Bitmap)
-	ev.preds = make(map[string]hypre.ScoredPred)
+	ev.sets = make(map[int32]IntSet)
+	clear(ev.bits)
 	ev.seeded = false
 	ev.rowDense, ev.pidByRow = nil, nil
 	ev.seedFrom = ""

@@ -24,23 +24,37 @@ import (
 // verified by tests against the relational engine — but pair/chain
 // enumeration no longer re-scans the store.
 //
-// Concurrency: the predicate caches are guarded by a mutex, so once every
-// profile preference has been materialized (see MaterializeAll), PredSet,
-// PredBitmap, and the bitmap algebra they feed are safe for concurrent
-// readers — the parallel pair-table build relies on this. The Queries and
-// ComboEvals counters are plain ints and must only be touched from one
-// goroutine at a time; the concurrent paths avoid them.
+// The bitmap cache is the serving tier's one predicate store: every
+// predicate a served query names is materialized here once (PredIDs finds
+// the missing ones, MaterializeAll scans them) and kept exact under writes
+// by RefreshRowSetDelta, which hands the result cache the row delta its
+// repair reads. Predicates are named by dense int32 ids interned on first
+// sight and never reused, so an id stays valid across Invalidate.
+//
+// Concurrency: ev.mu guards the predicate store and the row plumbing. A
+// materialization holds it exclusively across its scans, and so does a
+// refresh, so a predicate is either scanned before a refresh re-matches it
+// or scans a store state at least as new as the refresh's; a bitmap can
+// never miss a batch. Once every profile preference has been materialized,
+// PredSet, PredBitmap, and the bitmap algebra they feed are safe for
+// concurrent readers — the parallel pair-table build relies on this. The
+// Queries and ComboEvals counters are plain ints and must only be touched
+// from one goroutine at a time; the concurrent paths avoid them.
 type Evaluator struct {
 	db      *relstore.DB
 	base    func(predicate.Predicate) relstore.Query
 	keyAttr string
 
-	mu     sync.RWMutex
-	dict   *PidDict
-	sets   map[string]IntSet
-	bits   map[string]*Bitmap
-	preds  map[string]hypre.ScoredPred // AST of every cached predicate, for delta re-evaluation
-	seeded bool                        // scan plumbing (pidByRow, join structures) built
+	mu   sync.RWMutex
+	dict *PidDict
+	// ids interns each predicate key to its id; preds and bits are indexed
+	// by id. preds keeps the AST a refresh re-matches; bits[id] is nil
+	// while the predicate is not resident.
+	ids    map[string]int32
+	preds  []hypre.ScoredPred
+	bits   []*Bitmap
+	sets   map[int32]IntSet
+	seeded bool // scan plumbing (pidByRow, join structures) built
 	// rowDense maps base-table row id -> dense dict index, assigned lazily
 	// in first-seen order (-1 = not assigned yet), so dense numbering stays
 	// as compact as serial materialization while scans set bits with one
@@ -103,10 +117,47 @@ func NewEvaluator(db *relstore.DB, base func(predicate.Predicate) relstore.Query
 		base:    base,
 		keyAttr: keyAttr,
 		dict:    NewPidDict(),
-		sets:    make(map[string]IntSet),
-		bits:    make(map[string]*Bitmap),
-		preds:   make(map[string]hypre.ScoredPred),
+		ids:     make(map[string]int32),
+		sets:    make(map[int32]IntSet),
 	}
+}
+
+// internLocked returns p's id, assigning the next one on first sight.
+// Caller holds ev.mu exclusively.
+func (ev *Evaluator) internLocked(p hypre.ScoredPred) int32 {
+	id, ok := ev.ids[p.Pred]
+	if !ok {
+		id = int32(len(ev.preds))
+		ev.ids[p.Pred] = id
+		ev.preds = append(ev.preds, p)
+		ev.bits = append(ev.bits, nil)
+	}
+	return id
+}
+
+// residentLocked returns p's bitmap, or nil when p is not resident. Caller
+// holds ev.mu.
+func (ev *Evaluator) residentLocked(p hypre.ScoredPred) *Bitmap {
+	if id, ok := ev.ids[p.Pred]; ok {
+		return ev.bits[id]
+	}
+	return nil
+}
+
+// PredIDs interns every preference of a profile and returns their ids in
+// profile order, plus the preferences that have no bitmap: the ones a
+// caller must MaterializeAll before the store maintains them.
+func (ev *Evaluator) PredIDs(prefs []hypre.ScoredPred) (ids []int32, missing []hypre.ScoredPred) {
+	ids = make([]int32, len(prefs))
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	for i, p := range prefs {
+		ids[i] = ev.internLocked(p)
+		if ev.bits[ids[i]] == nil {
+			missing = append(missing, p)
+		}
+	}
+	return ids, missing
 }
 
 // Dict exposes the dense pid dictionary shared by every bitmap the
@@ -138,7 +189,7 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 	pending := make([]hypre.ScoredPred, 0, len(prefs))
 	seen := make(map[string]bool, len(prefs))
 	for _, p := range prefs {
-		if _, ok := ev.bits[p.Pred]; ok || seen[p.Pred] {
+		if ev.residentLocked(p) != nil || seen[p.Pred] {
 			continue
 		}
 		seen[p.Pred] = true
@@ -155,8 +206,7 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 		if err != nil {
 			return err
 		}
-		ev.bits[pending[0].Pred] = b
-		ev.preds[pending[0].Pred] = pending[0]
+		ev.bits[ev.internLocked(pending[0])] = b
 		ev.Queries++
 		return nil
 	}
@@ -197,8 +247,7 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 	// Serial conversion: row selections become dense bitmaps, assigning
 	// dictionary slots on first sight in pending order.
 	for i, p := range pending {
-		ev.bits[p.Pred] = ev.convertLocked(results[i].sel, results[i].leftover)
-		ev.preds[p.Pred] = p
+		ev.bits[ev.internLocked(p)] = ev.convertLocked(results[i].sel, results[i].leftover)
 		ev.Queries++
 	}
 	return nil
@@ -315,9 +364,10 @@ func (ev *Evaluator) scanBitmapLocked(p hypre.ScoredPred) (*Bitmap, error) {
 // bulk materialization never pays for sets nobody reads.
 func (ev *Evaluator) PredSet(p hypre.ScoredPred) (IntSet, error) {
 	ev.mu.RLock()
-	s, ok := ev.sets[p.Pred]
+	id, known := ev.ids[p.Pred]
+	s, ok := ev.sets[id]
 	ev.mu.RUnlock()
-	if ok {
+	if known && ok {
 		return s, nil
 	}
 	b, err := ev.PredBitmap(p)
@@ -326,11 +376,12 @@ func (ev *Evaluator) PredSet(p hypre.ScoredPred) (IntSet, error) {
 	}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	if s, ok := ev.sets[p.Pred]; ok {
+	id = ev.ids[p.Pred]
+	if s, ok := ev.sets[id]; ok {
 		return s, nil
 	}
 	s = b.ToIntSet(ev.dict)
-	ev.sets[p.Pred] = s
+	ev.sets[id] = s
 	return s, nil
 }
 
@@ -339,14 +390,14 @@ func (ev *Evaluator) PredSet(p hypre.ScoredPred) (IntSet, error) {
 // vectorized scan.
 func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*Bitmap, error) {
 	ev.mu.RLock()
-	b, ok := ev.bits[p.Pred]
+	b := ev.residentLocked(p)
 	ev.mu.RUnlock()
-	if ok {
+	if b != nil {
 		return b, nil
 	}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	if b, ok := ev.bits[p.Pred]; ok {
+	if b := ev.residentLocked(p); b != nil {
 		return b, nil
 	}
 	if err := ev.seedLocked(); err != nil {
@@ -356,26 +407,9 @@ func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*Bitmap, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev.bits[p.Pred] = b
-	ev.preds[p.Pred] = p
+	ev.bits[ev.internLocked(p)] = b
 	ev.Queries++
 	return b, nil
-}
-
-// CachedCount reports how many of prefs already have a cached bitmap — the
-// cost signal the one-shot entry point uses to route between the
-// materialized path (warm cache: O(result) random access) and the streaming
-// scan (cold: every bitmap would cost a full materialization first).
-func (ev *Evaluator) CachedCount(prefs []hypre.ScoredPred) int {
-	ev.mu.RLock()
-	defer ev.mu.RUnlock()
-	n := 0
-	for _, p := range prefs {
-		if _, ok := ev.bits[p.Pred]; ok {
-			n++
-		}
-	}
-	return n
 }
 
 // groupBitmap folds one OR group to its union. Single-member groups (the

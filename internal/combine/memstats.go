@@ -30,6 +30,9 @@ func (ev *Evaluator) MemStats() MemStats {
 	st := MemStats{DictEntries: ev.dict.Size()}
 	sparseCap := ev.dict.Size() / 16
 	for _, b := range ev.bits {
+		if b == nil {
+			continue
+		}
 		st.Preds++
 		cb, db := b.SizeBytes(), b.DenseSizeBytes()
 		st.CompressedBytes += cb

@@ -4,20 +4,27 @@ import (
 	"fmt"
 	"testing"
 
+	"hypre/internal/cache"
 	"hypre/internal/combine"
 	"hypre/internal/delta"
+	"hypre/internal/hypre"
 	"hypre/internal/relstore"
+	"hypre/internal/topk"
 	"hypre/internal/workload"
 )
 
 // TestSyncThroughCompactionNoRebuilds is the write-path acceptance property
 // for compaction absorption: with threshold-triggered compaction live on
 // the store and a delete-heavy stream forcing it to fire repeatedly, every
-// Sync must stay on the incremental path (no full rebuilds — the remap +
-// DropPids absorption handles the row-id churn) and keep the top-k ranking
-// byte-identical to a full rematerialization over the compacted store.
+// Sync must stay on the incremental path (no full rebuilds — the remap and
+// the refresh's dropped-pid pass absorb the row-id churn) and keep the
+// top-k ranking byte-identical to a full rematerialization over the
+// compacted store. A result cache rides the same Syncs over sub-profiles
+// of the maintained profile: every answer it serves from an entry must
+// equal uncached evaluation.
 func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 	const k = 60
+	var repaired int64
 	for seed := int64(11); seed <= 13; seed++ {
 		cfg := workload.DefaultConfig()
 		cfg.Seed = seed
@@ -38,6 +45,9 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := cache.NewServer(ev, cache.Config{})
+		m.AttachCache(srv)
+		subs := [][]hypre.ScoredPred{prefs, prefs[:3], prefs[3:6], prefs[5:]}
 		scfg := workload.DefaultStreamConfig()
 		scfg.Seed = seed * 131
 		scfg.InsertFrac, scfg.DeleteFrac, scfg.UpdateFrac, scfg.LinkFrac = 0.20, 0.45, 0.25, 0.10
@@ -62,10 +72,34 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 			inc := maintainedTopK(t, ev, prefs, k, combine.Complete)
 			tag := fmt.Sprintf("seed %d batch %d (%d compactions absorbed)", seed, batch, st.Compactions)
 			assertSameRanking(t, tag, inc, freshTopK(t, net, prefs, k))
+			for i, sub := range subs {
+				for _, sk := range []int{5, k} {
+					got, out, err := srv.TopK(sub, sk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					canon, _ := combine.CanonicalProfile(sub)
+					want, _, err := topk.EvaluateOneShot(combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"), canon, sk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: sub-profile %d k=%d served %v (%v), want %v", tag, i, sk, got, out, want)
+					}
+				}
+			}
 		}
+		snap := srv.Counters().Snapshot()
+		if snap.Hits == 0 {
+			t.Fatalf("seed %d: no answer was served from a cache entry", seed)
+		}
+		repaired += snap.Repaired
 		if absorbed == 0 {
 			t.Fatalf("seed %d: no base-table compaction absorbed (%d store-wide); test is vacuous",
 				seed, sc.Compactions.Load())
 		}
+	}
+	if repaired == 0 {
+		t.Fatal("no Sync repaired a cache entry")
 	}
 }

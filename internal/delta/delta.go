@@ -1,9 +1,10 @@
 // Package delta is the incremental-maintenance subsystem: it keeps a
-// combine.Evaluator's cached predicate bitmaps — and through them anything
-// built fresh over that evaluator: pair tables, PEPS rankings, TA lists —
-// consistent with a mutating relational store, at the cost of the mutation
-// deltas instead of a full rematerialization, and tells an attached serving
-// cache which rows moved.
+// combine.Evaluator's predicate store — the resident bitmaps every served
+// query's predicates live in, and through them anything built fresh over
+// that evaluator: pair tables, PEPS rankings, TA lists — consistent with a
+// mutating relational store, at the cost of the mutation deltas instead of
+// a full rematerialization, and hands an attached serving cache the row
+// delta its repair reads.
 //
 // The pipeline per Sync:
 //
@@ -12,19 +13,22 @@
 //  2. Map join-table changes back to affected base rows through the join
 //     key — using each change's pre-image for deletes and updates, so rows
 //     partnered with the OLD key are repaired too, not just the new one.
-//  3. Re-evaluate every cached predicate over exactly the touched base
+//  3. Re-evaluate every resident predicate over exactly the touched base
 //     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet, the
-//     compiled per-row filter at the touched rows) and patch the cached
-//     bitmaps copy-on-write.
+//     compiled per-row filter at the touched rows), patch the bitmaps
+//     copy-on-write, and pass the resulting combine.RowDelta — the moved
+//     predicates, the touched pids, and what each live touched row now
+//     matches — to the cache. This is the only re-match a Sync runs.
 //
-// Tombstone compaction slots in as a step 2½: a compaction renumbers the
-// base table's row ids, so Sync composes the published remaps
-// (relstore.SnapshotSince delivers them atomically with the change drain),
-// reindexes the evaluator's row plumbing (Evaluator.RemapRows), and clears
-// the pids of dropped rows by dictionary id (Evaluator.DropPids) before the
-// row-driven refresh — dropped rows arrive as Row = -1 change entries whose
-// pre-images carry the pid. Join-table compactions need none of this:
-// nothing the maintainer derives is keyed by join-table row ids.
+// Tombstone compaction is absorbed inside the evaluator: a compaction
+// renumbers the base table's row ids, so Sync composes the published
+// remaps (relstore.SnapshotSince delivers them atomically with the change
+// drain) and reindexes the evaluator's row plumbing (Evaluator.RemapRows)
+// before the refresh. Dropped rows arrive as Row = -1 change entries whose
+// pre-images carry the pid; the refresh clears those pids by dictionary
+// slot and counts them among the touched pids, so the cache repairs the
+// entries they left. Join-table compactions need none of this: nothing the
+// maintainer derives is keyed by join-table row ids.
 //
 // When a change log has been trimmed past the maintainer's last-synced
 // epoch, the compaction history has been evicted, or the evaluator cannot
@@ -42,7 +46,6 @@ package delta
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"hypre/internal/bitset"
@@ -53,7 +56,7 @@ import (
 	"hypre/internal/relstore"
 )
 
-// Maintainer owns one evaluator and keeps its cached bitmaps in sync with
+// Maintainer owns one evaluator and keeps its resident bitmaps in sync with
 // the store. Sync must not run concurrently with itself, but store
 // mutations may race a Sync: every read Sync issues (change-log drains,
 // Value lookups, MatchLeftRowSet scans) takes the store's shared state
@@ -103,17 +106,18 @@ func (m *Maintainer) AttachObs(reg *obs.Registry) {
 }
 
 // CacheSyncer is the hook a serving-tier cache registers to ride the
-// maintainer's delta pipeline: after each successful Sync it receives the
-// touched base-row mask and the epochs the maintainer synced to, so it can
-// repair (or, failing that, drop) exactly the entries whose predicate
-// membership moved and re-open itself for the new store snapshot. ApplyRemap arrives first on the Syncs
-// that absorbed a compaction, carrying the composed old→new row-id map for
-// whatever the cache keys by base row id. A full rebuild (log trimmed,
-// key-column rewrite) instead drops everything via InvalidateAll.
+// maintainer's delta pipeline. It has two methods:
+//   - ApplyDelta, after each incremental Sync, receives the refresh's row
+//     delta (nil when no predicate is resident or nothing was touched) and
+//     the epochs the maintainer synced to, so the cache can repair (or,
+//     failing that, drop) exactly the entries naming a moved predicate and
+//     re-open itself for the new store snapshot.
+//   - InvalidateAll, on a full rebuild (log trimmed, key-column rewrite),
+//     drops everything.
+//
 // internal/cache.Server implements it.
 type CacheSyncer interface {
-	ApplyDelta(touched *bitset.Set, leftEpoch, rightEpoch uint64)
-	ApplyRemap(remap []int32)
+	ApplyDelta(d *combine.RowDelta, leftEpoch, rightEpoch uint64)
 	InvalidateAll(leftEpoch, rightEpoch uint64)
 }
 
@@ -146,7 +150,8 @@ const (
 type SyncStats struct {
 	// TouchedRows is the number of distinct base rows re-evaluated.
 	TouchedRows int
-	// ChangedPreds is the number of cached predicates whose tuple set moved.
+	// ChangedPreds is the number of resident predicates whose tuple set
+	// moved.
 	ChangedPreds int
 	// RecheckedChanges is the number of raw change-log entries drained.
 	RecheckedChanges int
@@ -271,10 +276,10 @@ func (m *Maintainer) sync() (SyncStats, error) {
 	for _, c := range lch {
 		if c.Row < 0 {
 			// Pre-image of a row compaction dropped: there is no row left to
-			// re-evaluate, so its pid leaves the bitmaps by dictionary id
-			// (DropPids below). Every key a dropped row ever held appears in
-			// some -1 entry's pre-image — intermediate keys in the follow-up
-			// update's Old, the final key in the delete's.
+			// re-evaluate, so the refresh below clears its pid by dictionary
+			// slot. Every key a dropped row ever held appears in some -1
+			// entry's pre-image — intermediate keys in the follow-up update's
+			// Old, the final key in the delete's.
 			pid := c.Old[m.keyPos].AsInt()
 			if _, dup := dropSeen[pid]; !dup {
 				dropSeen[pid] = struct{}{}
@@ -322,51 +327,33 @@ func (m *Maintainer) sync() (SyncStats, error) {
 	}
 
 	// Compaction absorption, before the row-driven refresh: reindex the
-	// evaluator's row plumbing through the composed remap, then clear the
-	// dropped pids' bits — a pid re-inserted under a surviving row is
-	// restored by the refresh, which evaluates current store state.
-	var remap []int32
-	if len(ls.Compactions) > 0 {
-		remap = composeRemaps(ls.Compactions)
-		if !m.ev.RemapRows(remap) {
-			return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
-		}
+	// evaluator's row plumbing through the composed remap; the refresh then
+	// clears the dropped pids' bits with the touched rows' re-match, so a
+	// pid re-inserted under a surviving row keeps its bit.
+	if len(ls.Compactions) > 0 && !m.ev.RemapRows(composeRemaps(ls.Compactions)) {
+		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
-	var changed []string
-	if len(droppedPids) > 0 {
-		var ok bool
-		changed, ok = m.ev.DropPids(droppedPids)
-		if !ok {
-			return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
-		}
-	}
-	refreshed, ok, err := m.ev.RefreshRowSetDelta(touched)
+	d, ok, err := m.ev.RefreshRowSetDelta(touched, droppedPids)
 	if err != nil {
 		return SyncStats{}, err
 	}
 	if !ok {
 		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
-	// A predicate both passes patched counts once.
-	for _, pred := range refreshed {
-		if !slices.Contains(changed, pred) {
-			changed = append(changed, pred)
-		}
-	}
 	m.leftEpoch, m.rightEpoch = lEpoch, rEpoch
 	if m.cache != nil {
-		if remap != nil {
-			m.cache.ApplyRemap(remap)
-		}
-		m.cache.ApplyDelta(touched, lEpoch, rEpoch)
+		m.cache.ApplyDelta(d, lEpoch, rEpoch)
 	}
-	return SyncStats{
+	st := SyncStats{
 		TouchedRows:      touched.Len(),
-		ChangedPreds:     len(changed),
 		RecheckedChanges: len(lch) + len(rch),
 		Compactions:      len(ls.Compactions),
 		DroppedPids:      len(droppedPids),
-	}, nil
+	}
+	if d != nil {
+		st.ChangedPreds = len(d.Moved)
+	}
+	return st, nil
 }
 
 // composeRemaps folds an ordered run of compaction remaps into one old→new

@@ -113,7 +113,7 @@ func pepsOver(t *testing.T, ev *combine.Evaluator, prefs []hypre.ScoredPred, k i
 // Sync patched, with no store scan), then a fresh pair table and PEPS.
 func maintainedTopK(t *testing.T, ev *combine.Evaluator, prefs []hypre.ScoredPred, k int, v combine.Variant) combine.TopKResult {
 	t.Helper()
-	if got := ev.CachedCount(prefs); got != len(prefs) {
+	if got := ev.MemStats().Preds; got != len(prefs) {
 		t.Fatalf("maintained evaluator holds %d of %d preferences; the ranking would rescan the store", got, len(prefs))
 	}
 	return pepsOver(t, ev, prefs, k, v)
@@ -251,7 +251,7 @@ func TestKeyColumnUpdateForcesRebuild(t *testing.T) {
 	}
 	// The rebuild dropped every cached bitmap (the pid dictionary survives),
 	// so this ranking rematerializes through the maintained evaluator.
-	if got := ev.CachedCount(prefs); got != 0 {
+	if got := ev.MemStats().Preds; got != 0 {
 		t.Fatalf("rebuild left %d cached predicates", got)
 	}
 	assertSameRanking(t, "post-rebuild", pepsOver(t, ev, prefs, 40, combine.Complete),

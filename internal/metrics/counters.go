@@ -43,8 +43,8 @@ type CacheCounters struct {
 	// StaleBypasses counts requests served uncached because the store's
 	// epoch stamp had advanced past the cache's last synced state.
 	StaleBypasses atomic.Int64
-	// FootprintScans counts predicate-footprint registrations (one scan
-	// per distinct predicate per cache lifetime).
+	// FootprintScans counts the predicates a miss materialized into the
+	// evaluator's store (one scan per predicate until a full rebuild).
 	FootprintScans atomic.Int64
 }
 

@@ -23,8 +23,8 @@ const (
 	// StageFlight is the single-flight section: the leader's evaluation or
 	// a waiter's wait, span-nested under it.
 	StageFlight = "flight"
-	// StageFootprint is predicate-footprint registration (one vectorized
-	// scan per new predicate).
+	// StageFootprint makes a miss's predicates resident in the evaluator's
+	// store (one vectorized scan per predicate without a bitmap).
 	StageFootprint = "footprint"
 	// StageBuildLists is grade-list construction over the evaluator's
 	// bitmaps (includes any cold predicate scans it triggers).

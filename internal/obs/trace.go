@@ -57,8 +57,8 @@ type Trace struct {
 	begun time.Time
 
 	// Route is the serving outcome (hit / miss / shared / bypass); Exec is
-	// the execution path the router chose under a miss (streaming,
-	// ta_cached, materialized_fallback).
+	// the execution path the router chose under a miss or bypass: streaming,
+	// or materialized_fallback for a shape the streaming planner refuses.
 	Route string
 	Exec  string
 	Query string

@@ -93,8 +93,11 @@ type App struct {
 	// syncMu serializes mutate batches: the batch commits and the
 	// maintainer syncs under one lock, so a mutate answer implies the cache
 	// has already been repaired for it (queries never see a stale-bypass
-	// window after a mutate response returns).
-	syncMu sync.Mutex
+	// window after a mutate response returns). A query passes through its
+	// read side before entering the cache, so one arriving mid-mutate waits
+	// for the Sync instead of seeing a moved epoch stamp and evaluating
+	// uncached, which costs several times the Sync's re-match.
+	syncMu sync.RWMutex
 }
 
 // New builds the App over opts.Net.
@@ -345,6 +348,8 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "a query needs a session id or an inline profile")
 		return
 	}
+	// Wait out an in-flight mutate (see syncMu).
+	func() { a.syncMu.RLock(); defer a.syncMu.RUnlock() }()
 	res, outcome, err := a.srv.TopKContext(r.Context(), prefs, req.K, nil)
 	if err != nil {
 		if r.Context().Err() != nil && errors.Is(err, r.Context().Err()) {

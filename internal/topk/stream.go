@@ -229,13 +229,11 @@ func streamThreshold(sp []streamPref, pend []streamPending, nAttrs int, attrScra
 	return hypre.FAndAll(vals...)
 }
 
-// EvaluateOneShot is the cost-based entry point for a single top-k profile
-// query: a profile whose predicates are already materialized in the
-// evaluator's bitmap cache pays O(result) random access through the cached
-// path (BuildLists + TA), while a cold one-shot profile streams — no full
-// bitmaps are built and no cache entries are left behind. Query shapes the
-// streaming planner refuses fall back to the materialized path, so the
-// answer is always the same; only the work differs.
+// EvaluateOneShot is the entry point for a single top-k profile query: it
+// streams, so no full bitmaps are built and no store entries are left
+// behind, and a query shape the streaming planner refuses falls back to
+// the materialized path (BuildLists + TA). The answer is always the same;
+// only the work differs.
 func EvaluateOneShot(ev *combine.Evaluator, prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, *StreamStats, error) {
 	return EvaluateOneShotTraced(ev, prefs, k, nil)
 }
@@ -243,26 +241,6 @@ func EvaluateOneShot(ev *combine.Evaluator, prefs []hypre.ScoredPred, k int) ([]
 // EvaluateOneShotTraced is EvaluateOneShot with the router decision and the
 // chosen path's stage spans recorded into tr (nil = disabled).
 func EvaluateOneShotTraced(ev *combine.Evaluator, prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, *StreamStats, error) {
-	eligible := 0
-	cached := 0
-	for _, p := range prefs {
-		if p.Intensity >= 0 {
-			eligible++
-		}
-	}
-	if eligible > 0 {
-		all := make([]hypre.ScoredPred, 0, eligible)
-		for _, p := range prefs {
-			if p.Intensity >= 0 {
-				all = append(all, p)
-			}
-		}
-		cached = ev.CachedCount(all)
-	}
-	if eligible > 0 && cached == eligible {
-		tr.SetExec("ta_cached")
-		return evalMaterialized(ev, prefs, k, tr)
-	}
 	out, st, err := EvaluateStreamingTraced(ev, prefs, k, tr)
 	if errors.Is(err, relstore.ErrStreamUnsupported) {
 		tr.SetExec("materialized_fallback")
