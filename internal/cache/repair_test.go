@@ -61,17 +61,32 @@ func insertPaper(t testing.TB, net *workload.Network, pid int64, venue string, y
 	}
 }
 
+// paper is what insertPaper needs to bring a deleted paper back.
+type paper struct {
+	pid   int64
+	venue string
+	year  int64
+	aids  []int64
+}
+
+// paperOf reads a live paper's venue, year and authors.
+func paperOf(t testing.TB, net *workload.Network, pid int64) paper {
+	t.Helper()
+	dblp, links := net.DB.Table("dblp"), net.DB.Table("dblp_author")
+	row := paperRow(t, net, pid)
+	p := paper{pid: pid, venue: dblp.Value(row, "venue").AsString(), year: dblp.Value(row, "year").AsInt()}
+	for _, lr := range linkRows(t, net, pid) {
+		p.aids = append(p.aids, links.Value(lr, "aid").AsInt())
+	}
+	return p
+}
+
 // clonePaper inserts a paper under newPID with pid's venue, year and
 // authors, so every profile grades the two alike.
 func clonePaper(t testing.TB, net *workload.Network, pid, newPID int64) {
 	t.Helper()
-	dblp, links := net.DB.Table("dblp"), net.DB.Table("dblp_author")
-	row := paperRow(t, net, pid)
-	var aids []int64
-	for _, lr := range linkRows(t, net, pid) {
-		aids = append(aids, links.Value(lr, "aid").AsInt())
-	}
-	insertPaper(t, net, newPID, dblp.Value(row, "venue").AsString(), dblp.Value(row, "year").AsInt(), aids)
+	p := paperOf(t, net, pid)
+	insertPaper(t, net, newPID, p.venue, p.year, p.aids)
 }
 
 // dropPaper deletes a paper and its authorship links.
@@ -176,6 +191,7 @@ func TestRepairOracleAdversarial(t *testing.T) {
 
 			lowPID, highPID := int64(-1), int64(1<<30)
 			var compactRepaired int64
+			var reinsert []paper
 			for round := 0; round < 36; round++ {
 				var target oracleKey
 				var members []combine.ScoredTuple
@@ -191,6 +207,9 @@ func TestRepairOracleAdversarial(t *testing.T) {
 				op := round % 6
 				switch op {
 				case 0: // delete a member
+					if tc.compact {
+						reinsert = append(reinsert, paperOf(t, net, member))
+					}
 					dropPaper(t, net, member)
 				case 1: // move a member's venue away
 					row := paperRow(t, net, member)
@@ -233,6 +252,14 @@ func TestRepairOracleAdversarial(t *testing.T) {
 					highPID++
 				}
 				if tc.compact {
+					// A member deleted in an earlier round comes back under
+					// its pid; the compactions below then drop its old row
+					// while the new one lives.
+					if n := len(reinsert); n > 0 && op != 0 {
+						p := reinsert[n-1]
+						insertPaper(t, net, p.pid, p.venue, p.year, p.aids)
+						reinsert = reinsert[:n-1]
+					}
 					live := livePIDs(net)
 					for i := 0; i < 10; i++ {
 						dropPaper(t, net, live[rng.Intn(len(live))])

@@ -31,6 +31,9 @@ import (
 // the stamp has advanced past that point (mutations committed, maintainer
 // not yet synced) bypasses the cache entirely — it evaluates uncached and
 // stores nothing — so a cached answer always describes a synced snapshot.
+// A writer that commits and syncs inside Write is never bypassed: a request
+// that sees its commit before its Sync waits for Write to return, then
+// reads the repaired cache.
 type Server struct {
 	ev       *combine.Evaluator
 	db       *relstore.DB
@@ -47,6 +50,11 @@ type Server struct {
 	reg        *obs.Registry
 	slow       *obs.SlowLog
 	routeHists [4]*obs.Histogram
+
+	// writeMu is held across each Write. A request takes its read side
+	// only after finding the stamp ahead of the cache, holding nothing
+	// else. Lock order: writeMu before the evaluator's lock and mu.
+	writeMu sync.RWMutex
 
 	// mu guards the freshness state and is held across a publish and a
 	// Sync's sweep, never across a store scan or the evaluator's lock. Lock
@@ -194,10 +202,13 @@ func (s *Server) TopKContext(ctx context.Context, prefs []hypre.ScoredPred, k in
 	}
 
 	sp = tr.Transition(sp, obs.StageLookup)
-	stamp := s.db.EpochStamp(s.tables...)
-	s.mu.Lock()
-	valid := stamp == s.validStamp
-	s.mu.Unlock()
+	stamp, valid := s.fresh()
+	if !valid {
+		// The commit may be a Write's that has not synced yet: wait for any
+		// Write in progress, then look again.
+		s.awaitWrite()
+		stamp, valid = s.fresh()
+	}
 	if !valid {
 		// Unsynced mutations exist: a cached entry could not be told apart
 		// from a stale one, so serve this request uncached and let the next
@@ -246,6 +257,33 @@ func (s *Server) TopKContext(ctx context.Context, prefs []hypre.ScoredPred, k in
 	out := cloneTuples(val)
 	s.observe(tr, SharedMiss, started, fp, k, nil)
 	return out, SharedMiss, nil
+}
+
+// fresh reads the store's epoch stamp and whether the cache was last
+// synchronized to it.
+func (s *Server) fresh() (stamp uint64, valid bool) {
+	stamp = s.db.EpochStamp(s.tables...)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return stamp, stamp == s.validStamp
+}
+
+// awaitWrite returns once no Write is in progress.
+func (s *Server) awaitWrite() {
+	s.writeMu.RLock()
+	defer s.writeMu.RUnlock()
+}
+
+// Write runs fn, which commits to the store and syncs the maintainer this
+// server is attached to, as one fenced section. Writes through Write are
+// serialized, and a request that sees fn's commit before its Sync waits for
+// fn to return instead of evaluating uncached. fn must not query the
+// server. A commit made outside Write stays safe, only bypassed
+// until the next Sync.
+func (s *Server) Write(fn func() error) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return fn()
 }
 
 // observe finishes the trace and records the request into the per-route
@@ -322,8 +360,8 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 // registerPreds makes every predicate of the profile resident in the
 // evaluator's store and returns their ids in profile order. Only the
 // predicates without a bitmap are scanned, one FootprintScans tick each;
-// the evaluator holds its lock across the scans, so a Sync either
-// re-matches a new bitmap or runs after its scan saw the batch.
+// the evaluator stores a bitmap only if no Sync refreshed during its scan,
+// so a Sync either re-matches a new bitmap or ran before its scan began.
 func (s *Server) registerPreds(canon []hypre.ScoredPred) ([]int32, error) {
 	ids, missing := s.ev.PredIDs(canon)
 	if len(missing) == 0 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hypre/internal/cache"
 	"hypre/internal/combine"
@@ -286,6 +287,69 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	}
 	if _, outB, err = srv.TopK(profB, 10); err != nil || outB != cache.Hit {
 		t.Fatalf("unrelated entry after the delete: outcome %v err %v, want Hit", outB, err)
+	}
+}
+
+// TestServerWriteFence: a request that sees a Write's commit before its
+// Sync waits for the Write and is answered from the repaired cache, traced
+// or not, instead of as a stale bypass.
+func TestServerWriteFence(t *testing.T) {
+	net := testNet(t, 10)
+	srv, ev := newServer(t, net)
+	m, err := delta.NewMaintainer(ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachCache(srv)
+	prof := venueProfile(t, net, []int{0, 4}, 1995)
+	if _, _, err := srv.TopK(prof, 10); err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		got []combine.ScoredTuple
+		out cache.Outcome
+		err error
+	}
+	done := make(chan answer, 2)
+	err = srv.Write(func() error {
+		mutateVenue(t, net, net.Venues[3], net.Venues[0])
+		go func() {
+			got, out, err := srv.TopK(prof, 10)
+			done <- answer{got, out, err}
+		}()
+		go func() {
+			got, out, err := srv.TopKTraced(prof, 10, obs.NewTrace())
+			done <- answer{got, out, err}
+		}()
+		// Give both requests time to find the commit; neither may answer
+		// before the Sync.
+		select {
+		case a := <-done:
+			return fmt.Errorf("a request answered mid-write, outcome %v", a.out)
+		case <-time.After(50 * time.Millisecond):
+		}
+		_, err := m.Sync()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uncached(t, net, prof, 10)
+	for range 2 {
+		a := <-done
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.out == cache.StaleBypass {
+			t.Fatalf("request during the write served as %v", a.out)
+		}
+		if !sameRanking(a.got, want) {
+			t.Fatalf("request during the write diverged from the synced store")
+		}
+	}
+	if n := srv.Counters().StaleBypasses.Load(); n != 0 {
+		t.Fatalf("StaleBypasses = %d, want 0", n)
 	}
 }
 

@@ -44,11 +44,11 @@ type MatchedRow struct {
 // RefreshRowSetDelta re-evaluates every resident predicate over exactly
 // the touched base-table rows (a compressed row mask — the delta maintainer
 // accumulates them that way directly) and clears the pids a compaction
-// dropped (their rows no longer exist to re-evaluate; a pid re-inserted
-// under a surviving touched row is restored from that row). Bitmaps are
-// patched copy-on-write: previously handed-out bitmaps stay consistent and
-// the store swaps to the patched clone. The returned delta is nil when no
-// predicate is resident.
+// dropped (their rows no longer exist to re-evaluate). touched must include
+// every live row still holding a dropped pid, whose membership is then
+// restored from that row. Bitmaps are patched copy-on-write: previously
+// handed-out bitmaps stay consistent and the store swaps to the patched
+// clone. The returned delta is nil when no predicate is resident.
 //
 // ok=false means the evaluator cannot refresh incrementally (its scan
 // plumbing fell back to pid collection at seed time); the caller must
@@ -61,6 +61,7 @@ type MatchedRow struct {
 func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d *RowDelta, ok bool, err error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
+	ev.gen++
 	if !slices.ContainsFunc(ev.bits, func(b *Bitmap) bool { return b != nil }) {
 		return nil, true, nil // nothing resident, nothing stale
 	}
@@ -256,6 +257,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 func (ev *Evaluator) RemapRows(remap []int32) (ok bool) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
+	ev.gen++
 	if !ev.seeded {
 		return !slices.ContainsFunc(ev.bits, func(b *Bitmap) bool { return b != nil })
 	}
@@ -303,6 +305,7 @@ func (ev *Evaluator) RemapRows(remap []int32) (ok bool) {
 func (ev *Evaluator) Invalidate() {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
+	ev.gen++
 	ev.sets = make(map[int32]IntSet)
 	clear(ev.bits)
 	ev.seeded = false

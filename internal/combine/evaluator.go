@@ -32,14 +32,17 @@ import (
 // sight and never reused, so an id stays valid across Invalidate.
 //
 // Concurrency: ev.mu guards the predicate store and the row plumbing. A
-// materialization holds it exclusively across its scans, and so does a
-// refresh, so a predicate is either scanned before a refresh re-matches it
+// refresh holds it exclusively across its re-match. MaterializeAll scans
+// without it and stores its bitmaps only if no refresh, remap or
+// invalidation ran meanwhile (gen held still), rescanning under the lock
+// otherwise, so a predicate is either stored before a refresh re-matches it
 // or scans a store state at least as new as the refresh's; a bitmap can
-// never miss a batch. Once every profile preference has been materialized,
-// PredSet, PredBitmap, and the bitmap algebra they feed are safe for
-// concurrent readers — the parallel pair-table build relies on this. The
-// Queries and ComboEvals counters are plain ints and must only be touched
-// from one goroutine at a time; the concurrent paths avoid them.
+// never miss a batch. PredBitmap holds the lock across its one scan. Once
+// every profile preference has been materialized, PredSet, PredBitmap, and
+// the bitmap algebra they feed are safe for concurrent readers — the
+// parallel pair-table build relies on this. The Queries and ComboEvals
+// counters are plain ints and must only be touched from one goroutine at a
+// time; the concurrent paths avoid them.
 type Evaluator struct {
 	db      *relstore.DB
 	base    func(predicate.Predicate) relstore.Query
@@ -67,6 +70,9 @@ type Evaluator struct {
 	// closure that routes a predicate to a different From table bypasses
 	// the row remap (its row ids would index the wrong pidByRow).
 	seedFrom string
+	// gen moves on every refresh, remap and invalidation: a materialization
+	// that scanned without ev.mu stores its bitmaps only if gen held still.
+	gen uint64
 
 	// Queries counts predicate materializations that had to touch the
 	// store (cache misses) plus explicit SQL-path queries (CountSQL), for
@@ -183,7 +189,25 @@ func (ev *Evaluator) KeyAttr() string { return ev.keyAttr }
 // order — so dense numbering stays exactly as compact and deterministic as
 // the serial materialization it replaces. The sorted IntSet views are
 // derived lazily by PredSet.
+//
+// The scans run without ev.mu, so concurrent materializations and refreshes
+// proceed side by side. A refresh, remap or invalidation that lands
+// mid-scan may have re-matched its batch before these predicates were
+// resident, so their bitmaps are discarded and scanned once more with ev.mu
+// held throughout, which a stream of writes cannot starve.
 func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
+	stored, err := ev.materialize(prefs, false)
+	if err != nil || stored {
+		return err
+	}
+	_, err = ev.materialize(prefs, true)
+	return err
+}
+
+// materialize is one MaterializeAll attempt: hold says whether ev.mu stays
+// held across the scans. stored is false only when hold is false and gen
+// moved during the scans; nothing is stored then.
+func (ev *Evaluator) materialize(prefs []hypre.ScoredPred, hold bool) (stored bool, err error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	pending := make([]hypre.ScoredPred, 0, len(prefs))
@@ -196,31 +220,57 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 		pending = append(pending, p)
 	}
 	if len(pending) == 0 {
-		return nil
+		return true, nil
 	}
 	if err := ev.seedLocked(); err != nil {
-		return err
+		return false, err
 	}
-	if len(pending) == 1 {
-		b, err := ev.scanBitmapLocked(pending[0])
-		if err != nil {
-			return err
+	gen, from, plumbed := ev.gen, ev.seedFrom, len(ev.rowDense)
+	var sels []scanned
+	if hold {
+		sels, err = ev.scanAll(pending, from, plumbed)
+	} else {
+		func() {
+			ev.mu.Unlock()
+			defer ev.mu.Lock()
+			sels, err = ev.scanAll(pending, from, plumbed)
+		}()
+	}
+	if err != nil {
+		return false, err
+	}
+	if ev.gen != gen {
+		return false, nil
+	}
+	// Serial conversion: row selections become dense bitmaps, assigning
+	// dictionary slots on first sight in pending order. A predicate another
+	// materialization stored meanwhile keeps its bitmap.
+	for i, p := range pending {
+		if ev.residentLocked(p) != nil {
+			continue
 		}
-		ev.bits[ev.internLocked(pending[0])] = b
+		ev.bits[ev.internLocked(p)] = ev.convertLocked(sels[i].sel, sels[i].leftover)
 		ev.Queries++
-		return nil
 	}
+	return true, nil
+}
 
-	// Parallel phase: workers only read the store — no dict access at all.
-	// Each produces the selection set of matching base-table rows; pids
-	// the row scan cannot place (non-left key attributes) are collected and
-	// folded in serially.
-	type result struct {
-		sel      *bitset.Set
-		leftover []int64
-	}
-	results := make([]result, len(pending))
+// scanned is one predicate's scan result: the matching base-table rows
+// below the plumbed prefix, plus the pids the row scan could not place.
+type scanned struct {
+	sel      *bitset.Set
+	leftover []int64
+}
+
+// scanAll scans every pending predicate, fanning the scans over a worker
+// pool. It reads only the store and the arguments, so it needs no lock.
+func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed int) ([]scanned, error) {
+	out := make([]scanned, len(pending))
 	errs := make([]error, len(pending))
+	if len(pending) == 1 {
+		out[0].sel, out[0].leftover, errs[0] = ev.scanSel(pending[0], from, plumbed)
+		return out, errs[0]
+	}
 	workers := ev.workerCount(len(pending))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -233,24 +283,17 @@ func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
 				if i >= len(pending) {
 					return
 				}
-				results[i].sel, results[i].leftover, errs[i] = ev.scanSel(pending[i])
+				out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], from, plumbed)
 			}
 		}()
 	}
 	wg.Wait()
-	for i := range pending {
-		if errs[i] != nil {
-			return errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-
-	// Serial conversion: row selections become dense bitmaps, assigning
-	// dictionary slots on first sight in pending order.
-	for i, p := range pending {
-		ev.bits[ev.internLocked(p)] = ev.convertLocked(results[i].sel, results[i].leftover)
-		ev.Queries++
-	}
-	return nil
+	return out, nil
 }
 
 // seedLocked builds the one-time scan plumbing: the store's join access
@@ -326,17 +369,17 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 // scanSel runs one predicate's scan into a base-row selection set plus any
 // pids the row scan could not place. The row-set scan hands back the
 // container bitmap the store produced — no per-row emission, no
-// recompression; a different base table than the seeded plumbing, or a key
-// attribute the row scan cannot serve, collects raw pids instead. It reads
-// only the store and fields frozen by seedLocked, so MaterializeAll workers
-// may call it concurrently.
-func (ev *Evaluator) scanSel(p hypre.ScoredPred) (sel *bitset.Set, leftover []int64, err error) {
+// recompression; a different base table than from (the table the plumbing
+// was seeded against), or a key attribute the row scan cannot serve,
+// collects raw pids instead. plumbed is the plumbing's row count. It reads
+// only the store and its arguments, so it may run without ev.mu.
+func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int) (sel *bitset.Set, leftover []int64, err error) {
 	q := ev.base(p.P)
-	if q.From == ev.seedFrom && len(ev.rowDense) > 0 {
+	if q.From == from && plumbed > 0 {
 		// Rows inserted after the seed have no cached pid; the scan spills
 		// their key values under its own lock (one consistent epoch) while
 		// the selection keeps only the plumbed rows.
-		sel, err := ev.db.ScanAttrRowSet(q, ev.keyAttr, len(ev.rowDense), func(_ int, pid int64) {
+		sel, err := ev.db.ScanAttrRowSet(q, ev.keyAttr, plumbed, func(_ int, pid int64) {
 			leftover = append(leftover, pid)
 		})
 		if err == nil {
@@ -352,7 +395,7 @@ func (ev *Evaluator) scanSel(p hypre.ScoredPred) (sel *bitset.Set, leftover []in
 
 // scanBitmapLocked runs one predicate's scan into a fresh dense bitmap.
 func (ev *Evaluator) scanBitmapLocked(p hypre.ScoredPred) (*Bitmap, error) {
-	sel, leftover, err := ev.scanSel(p)
+	sel, leftover, err := ev.scanSel(p, ev.seedFrom, len(ev.rowDense))
 	if err != nil {
 		return nil, err
 	}

@@ -26,9 +26,10 @@
 // drain) and reindexes the evaluator's row plumbing (Evaluator.RemapRows)
 // before the refresh. Dropped rows arrive as Row = -1 change entries whose
 // pre-images carry the pid; the refresh clears those pids by dictionary
-// slot and counts them among the touched pids, so the cache repairs the
-// entries they left. Join-table compactions need none of this: nothing the
-// maintainer derives is keyed by join-table row ids.
+// slot, unless a live row still holding one (found through the key index)
+// re-matches, and counts them among the touched pids, so the cache repairs
+// the entries they left. Join-table compactions need none of this: nothing
+// the maintainer derives is keyed by join-table row ids.
 //
 // When a change log has been trimmed past the maintainer's last-synced
 // epoch, the compaction history has been evicted, or the evaluator cannot
@@ -279,11 +280,16 @@ func (m *Maintainer) sync() (SyncStats, error) {
 			// re-evaluate, so the refresh below clears its pid by dictionary
 			// slot. Every key a dropped row ever held appears in some -1
 			// entry's pre-image — intermediate keys in the follow-up update's
-			// Old, the final key in the delete's.
-			pid := c.Old[m.keyPos].AsInt()
-			if _, dup := dropSeen[pid]; !dup {
-				dropSeen[pid] = struct{}{}
-				droppedPids = append(droppedPids, pid)
+			// Old, the final key in the delete's. A live row still holding
+			// the key is re-matched with the batch, so the pid is cleared
+			// only when no live row owns it.
+			key := c.Old[m.keyPos]
+			if _, dup := dropSeen[key.AsInt()]; !dup {
+				dropSeen[key.AsInt()] = struct{}{}
+				droppedPids = append(droppedPids, key.AsInt())
+				if err := m.addRows(touched, m.keyCol, key); err != nil {
+					return SyncStats{}, err
+				}
 			}
 			continue
 		}
@@ -306,21 +312,21 @@ func (m *Maintainer) sync() (SyncStats, error) {
 			if c.Row < 0 {
 				continue // dropped inserts are pruned from the log; be safe
 			}
-			if err := m.addPartners(touched, m.right.Value(c.Row, m.rightJoinCol)); err != nil {
+			if err := m.addRows(touched, m.leftJoinCol, m.right.Value(c.Row, m.rightJoinCol)); err != nil {
 				return SyncStats{}, err
 			}
 		case relstore.ChangeDelete:
-			if err := m.addPartners(touched, c.Old[m.rightJoinPos]); err != nil {
+			if err := m.addRows(touched, m.leftJoinCol, c.Old[m.rightJoinPos]); err != nil {
 				return SyncStats{}, err
 			}
 		case relstore.ChangeUpdate:
-			if err := m.addPartners(touched, c.Old[m.rightJoinPos]); err != nil {
+			if err := m.addRows(touched, m.leftJoinCol, c.Old[m.rightJoinPos]); err != nil {
 				return SyncStats{}, err
 			}
 			if c.Row < 0 {
 				continue
 			}
-			if err := m.addPartners(touched, m.right.Value(c.Row, m.rightJoinCol)); err != nil {
+			if err := m.addRows(touched, m.leftJoinCol, m.right.Value(c.Row, m.rightJoinCol)); err != nil {
 				return SyncStats{}, err
 			}
 		}
@@ -329,7 +335,7 @@ func (m *Maintainer) sync() (SyncStats, error) {
 	// Compaction absorption, before the row-driven refresh: reindex the
 	// evaluator's row plumbing through the composed remap; the refresh then
 	// clears the dropped pids' bits with the touched rows' re-match, so a
-	// pid re-inserted under a surviving row keeps its bit.
+	// pid a surviving row holds keeps its bit.
 	if len(ls.Compactions) > 0 && !m.ev.RemapRows(composeRemaps(ls.Compactions)) {
 		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
@@ -377,9 +383,11 @@ func composeRemaps(comps []relstore.Compaction) []int32 {
 	return remap
 }
 
-// addPartners folds the base rows joining with key into touched.
-func (m *Maintainer) addPartners(touched *bitset.Set, key predicate.Value) error {
-	lids, err := m.db.LookupRowIDs(m.leftName, m.leftJoinCol, key)
+// addRows folds the live base rows whose column col equals key into
+// touched: the join partners of a join-table change, or the rows still
+// holding a compaction-dropped pid.
+func (m *Maintainer) addRows(touched *bitset.Set, col string, key predicate.Value) error {
+	lids, err := m.db.LookupRowIDs(m.leftName, col, key)
 	if err != nil {
 		return err
 	}

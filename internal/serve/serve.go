@@ -89,15 +89,6 @@ type App struct {
 
 	sessMu   sync.RWMutex
 	sessions map[string]*session
-
-	// syncMu serializes mutate batches: the batch commits and the
-	// maintainer syncs under one lock, so a mutate answer implies the cache
-	// has already been repaired for it (queries never see a stale-bypass
-	// window after a mutate response returns). A query passes through its
-	// read side before entering the cache, so one arriving mid-mutate waits
-	// for the Sync instead of seeing a moved epoch stamp and evaluating
-	// uncached, which costs several times the Sync's re-match.
-	syncMu sync.RWMutex
 }
 
 // New builds the App over opts.Net.
@@ -348,8 +339,6 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "a query needs a session id or an inline profile")
 		return
 	}
-	// Wait out an in-flight mutate (see syncMu).
-	func() { a.syncMu.RLock(); defer a.syncMu.RUnlock() }()
 	res, outcome, err := a.srv.TopKContext(r.Context(), prefs, req.K, nil)
 	if err != nil {
 		if r.Context().Err() != nil && errors.Is(err, r.Context().Err()) {
@@ -463,27 +452,28 @@ func (a *App) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyAndSync stages every op into one relstore.Batch, commits it as one
-// hold — the request is all-or-nothing — and syncs the maintainer, all
-// under one lock: the response promises the caches have absorbed this
-// batch, and interleaved batches would make the per-batch sync stats
-// meaningless. A commit error applied nothing, so there is nothing to
-// sync. The lock is released by defer so a panic below (net/http recovers
-// the goroutine) cannot wedge every later mutate.
-func (a *App) applyAndSync(ops []workload.Op) (delta.SyncStats, error) {
-	a.syncMu.Lock()
-	defer a.syncMu.Unlock()
-	b := a.db.NewBatch()
-	for _, op := range ops {
-		op.Stage(b)
-	}
-	if err := b.Commit(); err != nil {
-		return delta.SyncStats{}, fmt.Errorf("commit (nothing applied): %w", err)
-	}
-	stats, err := a.maint.Sync()
-	if err != nil {
-		return stats, fmt.Errorf("maintenance sync: %w", err)
-	}
-	return stats, nil
+// hold — the request is all-or-nothing — and syncs the maintainer, all in
+// one cache.Server.Write: the response promises the caches have absorbed
+// this batch, interleaved batches would make the per-batch sync stats
+// meaningless, and a query arriving mid-mutate waits for the Sync instead
+// of evaluating uncached. A commit error applied nothing, so there is
+// nothing to sync. Write releases its lock by defer, so a panic below
+// (net/http recovers the goroutine) cannot wedge every later mutate.
+func (a *App) applyAndSync(ops []workload.Op) (stats delta.SyncStats, err error) {
+	err = a.srv.Write(func() error {
+		b := a.db.NewBatch()
+		for _, op := range ops {
+			op.Stage(b)
+		}
+		if err := b.Commit(); err != nil {
+			return fmt.Errorf("commit (nothing applied): %w", err)
+		}
+		if stats, err = a.maint.Sync(); err != nil {
+			return fmt.Errorf("maintenance sync: %w", err)
+		}
+		return nil
+	})
+	return stats, err
 }
 
 // --- helpers ---
