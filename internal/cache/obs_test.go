@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -145,17 +146,20 @@ func TestServerTraceCoverage(t *testing.T) {
 		}
 	}
 
-	// A fresh miss trace carries the execution decision, engine counters,
-	// and the query identity.
+	// A fresh miss trace carries the execution decision, the resident
+	// ranking's span, no streamed rows, and the query identity.
 	tr := obs.NewTrace()
 	if _, _, err := srv.TopKTraced(venueProfile(t, net, []int{5}, 0), 10, tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Exec == "" {
-		t.Fatalf("miss trace has no exec decision")
+	if tr.Exec != "resident" {
+		t.Fatalf("miss trace exec = %q, want \"resident\"", tr.Exec)
 	}
-	if tr.Eng.RowsSeen == 0 && tr.Eng.TARounds == 0 {
-		t.Fatalf("miss trace has empty engine counters: %+v", tr.Eng)
+	if !slices.ContainsFunc(tr.Spans, func(s obs.Span) bool { return s.Name == obs.StageResident }) {
+		t.Fatalf("miss trace has no %q span: %+v", obs.StageResident, tr.Spans)
+	}
+	if tr.Eng.BlocksScanned != 0 || tr.Eng.RowsSeen != 0 {
+		t.Fatalf("resident miss streamed the store: %+v", tr.Eng)
 	}
 	if tr.Query == "" || tr.K != 10 {
 		t.Fatalf("trace identity not stamped: query=%q k=%d", tr.Query, tr.K)

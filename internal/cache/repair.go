@@ -91,11 +91,11 @@ func (b *syncBatch) repair(e *entry) *entry {
 }
 
 // grade folds a candidate row's grade under the entry's profile exactly as
-// the streaming and TA paths do: within each attribute slot FAnd over the
-// matched intensities in profile order from 0, then FAndAll over the
-// non-zero slot grades in slot order. ok is false when no preference
+// the resident, streaming and TA paths do: within each attribute slot FAnd
+// over the matched intensities in profile order from 0, then FAndAll over
+// the non-zero slot grades in slot order. ok is false when no preference
 // matches the row; a row matched only at intensity 0 is a grade-0
-// candidate, because streaming pushes it.
+// candidate, because those paths push it.
 func (b *syncBatch) grade(e *entry, matched []int32) (float64, bool) {
 	if !slices.ContainsFunc(e.prefs, func(p entryPref) bool { return has(matched, p.id) }) {
 		return 0, false

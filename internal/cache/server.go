@@ -23,8 +23,10 @@ import (
 //
 // The evaluator's bitmap store is the cache's only record of predicate
 // membership: a miss materializes the profile's non-resident predicates
-// there, entries name predicates by the evaluator's ids, and a Sync's
-// refresh hands ApplyDelta the row delta the repair reads.
+// there and ranks its answer from their bitmaps without reading the store,
+// entries name predicates by the evaluator's ids, and a Sync's refresh
+// hands ApplyDelta the row delta the repair reads. Only a stale bypass, or
+// a miss a commit overtook, streams the store.
 //
 // Freshness discipline: the server records the store's epoch stamp each
 // time ApplyDelta/InvalidateAll synchronizes it. A request arriving while
@@ -309,26 +311,33 @@ func (s *Server) observe(tr *obs.Trace, out Outcome, started time.Time, fp combi
 	}
 }
 
-// evaluate is the single-flight leader body: run the one-shot router (the
-// same call the stale-bypass branch makes), make the profile's predicates
-// resident in the evaluator's store, and publish the result entry — unless
-// the store moved while we were working, in which case the answer is
-// returned but nothing is cached. Every leader ticks Evaluations exactly
-// once, so Misses == Evaluations.
+// evaluate is the single-flight leader body. It makes the profile's
+// predicates resident in the evaluator's store, then ranks the answer
+// straight from their bitmaps (topk.RankResident) when the store still
+// stands at the lookup's stamp after the snapshot: the bitmaps then
+// describe that synced state, with no commit between the lookup and the
+// snapshot to mix into a freshly scanned one. Otherwise (a commit landed,
+// or InvalidateAll dropped a bitmap) it runs the one-shot router, the call
+// the stale-bypass branch makes. It publishes the result entry unless the
+// store moved while it worked, in which case the answer is returned but
+// nothing is cached. Every leader ticks Evaluations exactly once, so
+// Misses == Evaluations.
 func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k int, stamp uint64, tr *obs.Trace) ([]combine.ScoredTuple, error) {
 	s.mu.Lock()
 	gen := s.gen
 	s.mu.Unlock()
 
 	s.counters.Evaluations.Add(1)
-	res, _, err := topk.EvaluateOneShotTraced(s.ev, canon, k, tr)
+	fsp := tr.StartSpan(obs.StageFootprint)
+	r, resident, err := s.registerPreds(canon)
+	tr.EndSpan(fsp)
 	if err != nil {
 		return nil, err
 	}
-	fsp := tr.StartSpan(obs.StageFootprint)
-	ids, err := s.registerPreds(canon)
-	tr.EndSpan(fsp)
-	if err != nil {
+	var res []combine.ScoredTuple
+	if resident && s.db.EpochStamp(s.tables...) == stamp {
+		res = topk.RankResident(r, canon, k, tr)
+	} else if res, _, err = topk.EvaluateOneShotTraced(s.ev, canon, k, tr); err != nil {
 		return nil, err
 	}
 
@@ -348,7 +357,7 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	prefs := make([]entryPref, 0, len(canon))
 	for i, p := range canon {
 		if slots[i] >= 0 {
-			prefs = append(prefs, entryPref{id: ids[i], slot: int32(slots[i]), intensity: p.Intensity})
+			prefs = append(prefs, entryPref{id: r.IDs[i], slot: int32(slots[i]), intensity: p.Intensity})
 		}
 	}
 	e := &entry{key: entryKey{fp: fp, k: int32(k)}, tuples: cloneTuples(res), prefs: prefs}
@@ -358,20 +367,30 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 }
 
 // registerPreds makes every predicate of the profile resident in the
-// evaluator's store and returns their ids in profile order. Only the
-// predicates without a bitmap are scanned, one FootprintScans tick each;
-// the evaluator stores a bitmap only if no Sync refreshed during its scan,
-// so a Sync either re-matches a new bitmap or ran before its scan began.
-func (s *Server) registerPreds(canon []hypre.ScoredPred) ([]int32, error) {
-	ids, missing := s.ev.PredIDs(canon)
-	if len(missing) == 0 {
-		return ids, nil
+// evaluator's store and returns a snapshot of them (ids in profile order,
+// bitmaps, dense-id table). When all are resident already, that is the one
+// read-locked call. Otherwise it scans the ones the snapshot lacks, one
+// FootprintScans tick each, which interns them too; the evaluator stores a
+// bitmap only if no Sync refreshed during its scan, so a Sync either
+// re-matches a new bitmap or ran before its scan began. resident is false
+// when a bitmap is missing from the second snapshot even so (InvalidateAll
+// ran in between); its ids are complete either way.
+func (s *Server) registerPreds(canon []hypre.ScoredPred) (r combine.Resident, resident bool, err error) {
+	if r, resident = s.ev.Resident(canon); resident {
+		return r, true, nil
+	}
+	var missing []hypre.ScoredPred
+	for i, b := range r.Bits {
+		if b == nil {
+			missing = append(missing, canon[i])
+		}
 	}
 	if err := s.ev.MaterializeAll(missing); err != nil {
-		return nil, err
+		return r, false, err
 	}
 	s.counters.FootprintScans.Add(int64(len(missing)))
-	return ids, nil
+	r, resident = s.ev.Resident(canon)
+	return r, resident, nil
 }
 
 // ApplyDelta is the delta.CacheSyncer hook: after a mutation batch, the

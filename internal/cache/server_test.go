@@ -125,14 +125,16 @@ func TestServerHitIdentical(t *testing.T) {
 
 // TestServerNewK: a different k for a known fingerprint is its own result
 // entry and its own evaluation — there is no plan tier to re-rank from.
-// Both asks stream, on a cold evaluator and with the profile pre-warmed
-// into the evaluator's bitmap store alike; the answers equal uncached
-// evaluation and every miss evaluated once.
+// Both asks rank from the resident bitmaps, on a cold evaluator (the first
+// ask scans the profile's predicates, once) and with the profile pre-warmed
+// into the evaluator's bitmap store (no scan) alike; the answers equal
+// uncached evaluation and every miss evaluated once.
 func TestServerNewK(t *testing.T) {
 	for _, tc := range []struct {
-		name, exec string
-		warm       bool
-	}{{"cold", "streaming", false}, {"prewarmed", "streaming", true}} {
+		name  string
+		warm  bool
+		scans int64
+	}{{"cold", false, 3}, {"prewarmed", true, 0}} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := testNet(t, 8)
 			srv, ev := newServer(t, net)
@@ -148,16 +150,18 @@ func TestServerNewK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out != cache.Miss || tr.Exec != tc.exec {
-					t.Fatalf("k=%d: outcome %v exec %q, want Miss via %q", k, out, tr.Exec, tc.exec)
+				if out != cache.Miss || tr.Exec != "resident" || tr.Eng.BlocksScanned != 0 {
+					t.Fatalf("k=%d: outcome %v exec %q, %d blocks; want Miss via \"resident\", none",
+						k, out, tr.Exec, tr.Eng.BlocksScanned)
 				}
 				if want := uncached(t, net, prof, k); !sameRanking(got, want) {
 					t.Fatalf("k=%d answer diverged from uncached evaluation", k)
 				}
 			}
 			snap := srv.Counters().Snapshot()
-			if snap.Misses != 2 || snap.Misses != snap.Evaluations {
-				t.Fatalf("Misses %d, Evaluations %d; want 2 and 2", snap.Misses, snap.Evaluations)
+			if snap.Misses != 2 || snap.Misses != snap.Evaluations || snap.FootprintScans != tc.scans {
+				t.Fatalf("Misses %d, Evaluations %d, FootprintScans %d; want 2, 2 and %d",
+					snap.Misses, snap.Evaluations, snap.FootprintScans, tc.scans)
 			}
 			if n, _ := srv.Cache().Stats(); n != 2 {
 				t.Fatalf("cache holds %d entries, want one per (fingerprint, k)", n)
@@ -353,9 +357,165 @@ func TestServerWriteFence(t *testing.T) {
 	}
 }
 
+// TestServerResidentVsUnsyncedCommit: misses ranked from resident bitmaps
+// race commits made outside Write, each followed by a Sync. Every commit
+// moves ten papers between two states in both columns a profile reads
+// (venue A and year y0, or venue B and year y0+1), so the store only ever
+// holds state X or state Z. Fresh profiles scan their venue predicate while
+// the year predicate stays resident; a scan taken after a commit the year
+// bitmap has not synced would mix the two states, which only the server's
+// post-snapshot stamp check keeps out of the answer. Every returned
+// answer must equal uncached evaluation at X or at Z.
+func TestServerResidentVsUnsyncedCommit(t *testing.T) {
+	const commits, readers = 40, 2
+	net := testNet(t, 43)
+	srv, ev := newServer(t, net)
+	m, err := delta.NewMaintainer(ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachCache(srv)
+	venueA, venueB := net.Venues[0], net.Venues[1]
+	dblp := net.DB.Table("dblp")
+	years := map[int64]int{}
+	for row := 0; row < dblp.Len(); row++ {
+		if dblp.Value(row, "venue").AsString() == venueA {
+			years[dblp.Value(row, "year").AsInt()]++
+		}
+	}
+	var y0 int64
+	for y, n := range years {
+		if n > years[y0] || (n == years[y0] && y < y0) {
+			y0 = y
+		}
+	}
+	var flip []int64
+	for row := 0; row < dblp.Len() && len(flip) < 10; row++ {
+		if dblp.Value(row, "venue").AsString() == venueA && dblp.Value(row, "year").AsInt() == y0 {
+			flip = append(flip, dblp.Value(row, "pid").AsInt())
+		}
+	}
+	inZ := false
+	commit := func() {
+		venue, year := venueB, y0+1
+		if inZ {
+			venue, year = venueA, y0
+		}
+		b := net.DB.NewBatch()
+		for _, pid := range flip {
+			b.UpdateColByKey("dblp", "pid", predicate.Int(pid), "venue", predicate.String(venue))
+			b.UpdateColByKey("dblp", "pid", predicate.Int(pid), "year", predicate.Int(year))
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		inZ = !inZ
+	}
+	// Readers build profiles too, so a parse error is reported with
+	// t.Error, never t.Fatal.
+	pref := func(pred string, in float64) hypre.ScoredPred {
+		p, err := hypre.NewScoredPred(pred, in)
+		if err != nil {
+			t.Error(err)
+		}
+		return p
+	}
+	yearPref := pref(fmt.Sprintf("dblp.year=%d", y0), 0.3)
+	// Asks alternate between a fresh profile (k 5 or 1000) and one whose
+	// two predicates are resident, made a new fingerprint by its k (every
+	// k from 1000 up holds all matches, so one answer per state serves).
+	// An ask's class names the answer it must equal.
+	profile := func(w, n int) (prof []hypre.ScoredPred, k, class int) {
+		if n%2 == 1 {
+			return []hypre.ScoredPred{pref(fmt.Sprintf("dblp.venue=%q", venueA), 0.5), yearPref}, 1000 + n, 2
+		}
+		// The never-matching alternatives make the predicate new and slow
+		// enough to scan that a scan often follows a commit.
+		pred := fmt.Sprintf("dblp.venue=%q", venueA)
+		for i := 0; i < 8; i++ {
+			pred += fmt.Sprintf(" OR dblp.venue=\"fresh-%d-%d-%d\"", w, n, i)
+		}
+		class = n / 2 % 2
+		return []hypre.ScoredPred{pref(pred, 0.8), yearPref}, []int{5, 1000}[class], class
+	}
+	// Make the two resident predicates resident.
+	prof, k, _ := profile(-1, 1)
+	if _, _, err := srv.TopK(prof, k); err != nil {
+		t.Fatal(err)
+	}
+
+	type ask struct {
+		class int
+		got   []combine.ScoredTuple
+	}
+	asks := make([][]ask, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				prof, k, class := profile(w, n)
+				got, _, err := srv.TopK(prof, k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				asks[w] = append(asks[w], ask{class, got})
+			}
+		}(w)
+	}
+	for i := 0; i < commits; i++ {
+		// The pause leaves misses that looked up before the commit time to
+		// scan after it, before the Sync.
+		commit()
+		time.Sleep(200 * time.Microsecond)
+		if _, err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	// The answer of every class at both states.
+	want := map[bool][3][]combine.ScoredTuple{}
+	for range 2 {
+		var byClass [3][]combine.ScoredTuple
+		for class, n := range []int{0, 2, 1} {
+			prof, k, _ := profile(-2, n)
+			byClass[class] = uncached(t, net, prof, k)
+		}
+		want[inZ] = byClass
+		commit()
+	}
+	checked := 0
+	for w := range asks {
+		for i, a := range asks[w] {
+			if !sameRanking(a.got, want[false][a.class]) && !sameRanking(a.got, want[true][a.class]) {
+				t.Fatalf("reader %d ask %d (class %d): answer matches neither committed state\n got %v\n  X %v\n  Z %v",
+					w, i, a.class, a.got, want[false][a.class], want[true][a.class])
+			}
+			checked++
+		}
+	}
+	snap := srv.Counters().Snapshot()
+	if checked < 4*commits || snap.FootprintScans < commits || snap.StaleBypasses == 0 {
+		t.Fatalf("%d answers, %d footprint scans, %d bypasses: the race never ran",
+			checked, snap.FootprintScans, snap.StaleBypasses)
+	}
+}
+
 // TestServerStaleBypass: between a mutation and the maintainer's Sync the
-// server serves uncached (correct against the live store) and caches
-// nothing; after Sync it serves the repaired entry again.
+// server serves uncached (streamed from the live store, whose commit the
+// resident bitmaps do not reflect yet) and caches nothing; after Sync it
+// serves the repaired entry again.
 func TestServerStaleBypass(t *testing.T) {
 	net := testNet(t, 10)
 	srv, ev := newServer(t, net)
@@ -370,12 +530,13 @@ func TestServerStaleBypass(t *testing.T) {
 	}
 
 	mutateVenue(t, net, net.Venues[3], net.Venues[0])
-	got, out, err := srv.TopK(prof, 10)
+	tr := obs.NewTrace()
+	got, out, err := srv.TopKTraced(prof, 10, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != cache.StaleBypass {
-		t.Fatalf("unsynced store served outcome %v, want StaleBypass", out)
+	if out != cache.StaleBypass || tr.Exec != "streaming" {
+		t.Fatalf("unsynced store served outcome %v via %q, want StaleBypass via \"streaming\"", out, tr.Exec)
 	}
 	if want := uncached(t, net, prof, 10); !sameRanking(got, want) {
 		t.Fatalf("bypass answer diverged from the live store")

@@ -252,9 +252,11 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 // compaction never moves, and the pids of dropped rows leave them through
 // the next RefreshRowSetDelta. Rows the plumbing had not yet seen (inserted
 // after the last refresh) get a fresh slot with their pid read from the
-// compacted store. ok=false means the evaluator has no incremental
-// plumbing and the caller must rebuild.
-func (ev *Evaluator) RemapRows(remap []int32) (ok bool) {
+// compacted store. epoch is the base-table epoch the remap brings the
+// plumbing to: the caller read the compactions it composed as of then.
+// ok=false means the evaluator has no incremental plumbing and the caller
+// must rebuild.
+func (ev *Evaluator) RemapRows(remap []int32, epoch uint64) (ok bool) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	ev.gen++
@@ -293,7 +295,7 @@ func (ev *Evaluator) RemapRows(remap []int32) (ok bool) {
 			np[nw] = tbl.Value(int(nw), keyCol).AsInt()
 		}
 	}
-	ev.rowDense, ev.pidByRow = nd, np
+	ev.rowDense, ev.pidByRow, ev.plumbEpoch = nd, np, epoch
 	return true
 }
 

@@ -25,11 +25,11 @@ import (
 // enumeration no longer re-scans the store.
 //
 // The bitmap cache is the serving tier's one predicate store: every
-// predicate a served query names is materialized here once (PredIDs finds
-// the missing ones, MaterializeAll scans them) and kept exact under writes
-// by RefreshRowSetDelta, which hands the result cache the row delta its
-// repair reads. Predicates are named by dense int32 ids interned on first
-// sight and never reused, so an id stays valid across Invalidate.
+// predicate a served query names is materialized here once (MaterializeAll
+// scans the ones a Resident snapshot lacks) and kept exact under writes by
+// RefreshRowSetDelta, which hands the result cache the row delta its repair
+// reads; a cache miss ranks its answer from a Resident snapshot of them. Predicates are named by dense int32 ids interned on first sight and
+// never reused, so an id stays valid across Invalidate.
 //
 // Concurrency: ev.mu guards the predicate store and the row plumbing. A
 // refresh holds it exclusively across its re-match. MaterializeAll scans
@@ -70,6 +70,10 @@ type Evaluator struct {
 	// closure that routes a predicate to a different From table bypasses
 	// the row remap (its row ids would index the wrong pidByRow).
 	seedFrom string
+	// plumbEpoch is the base-table epoch the row plumbing describes (read
+	// at seed, moved by RemapRows): a row scan taken after a compaction
+	// past it names rows the plumbing does not, so scanSel discards it.
+	plumbEpoch uint64
 	// gen moves on every refresh, remap and invalidation: a materialization
 	// that scanned without ev.mu stores its bitmaps only if gen held still.
 	gen uint64
@@ -150,20 +154,37 @@ func (ev *Evaluator) residentLocked(p hypre.ScoredPred) *Bitmap {
 	return nil
 }
 
-// PredIDs interns every preference of a profile and returns their ids in
-// profile order, plus the preferences that have no bitmap: the ones a
-// caller must MaterializeAll before the store maintains them.
-func (ev *Evaluator) PredIDs(prefs []hypre.ScoredPred) (ids []int32, missing []hypre.ScoredPred) {
-	ids = make([]int32, len(prefs))
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
+// Resident is a profile's predicates as the store held them at one
+// instant: per preference its id (-1 when never interned) and bitmap (nil
+// when not resident), plus the dictionary's dense-id → pid table, which
+// covers every id those bitmaps set. Bitmaps are copy-on-write and
+// dictionary entries are never rewritten, so the view stays exact after
+// the evaluator's lock is released.
+type Resident struct {
+	IDs  []int32
+	Bits []*Bitmap
+	PIDs []int64
+}
+
+// Resident snapshots the preferences under one read lock. ok reports that
+// every one of them is resident.
+func (ev *Evaluator) Resident(prefs []hypre.ScoredPred) (r Resident, ok bool) {
+	r.IDs = make([]int32, len(prefs))
+	r.Bits = make([]*Bitmap, len(prefs))
+	ok = true
+	ev.mu.RLock()
+	defer ev.mu.RUnlock()
 	for i, p := range prefs {
-		ids[i] = ev.internLocked(p)
-		if ev.bits[ids[i]] == nil {
-			missing = append(missing, p)
+		id, known := ev.ids[p.Pred]
+		if !known {
+			r.IDs[i], ok = -1, false
+			continue
 		}
+		r.IDs[i], r.Bits[i] = id, ev.bits[id]
+		ok = ok && r.Bits[i] != nil
 	}
-	return ids, missing
+	r.PIDs = ev.dict.pids
+	return r, ok
 }
 
 // Dict exposes the dense pid dictionary shared by every bitmap the
@@ -225,15 +246,15 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred, hold bool) (stored bo
 	if err := ev.seedLocked(); err != nil {
 		return false, err
 	}
-	gen, from, plumbed := ev.gen, ev.seedFrom, len(ev.rowDense)
+	gen, from, plumbed, epoch := ev.gen, ev.seedFrom, len(ev.rowDense), ev.plumbEpoch
 	var sels []scanned
 	if hold {
-		sels, err = ev.scanAll(pending, from, plumbed)
+		sels, err = ev.scanAll(pending, from, plumbed, epoch)
 	} else {
 		func() {
 			ev.mu.Unlock()
 			defer ev.mu.Lock()
-			sels, err = ev.scanAll(pending, from, plumbed)
+			sels, err = ev.scanAll(pending, from, plumbed, epoch)
 		}()
 	}
 	if err != nil {
@@ -264,11 +285,11 @@ type scanned struct {
 
 // scanAll scans every pending predicate, fanning the scans over a worker
 // pool. It reads only the store and the arguments, so it needs no lock.
-func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed int) ([]scanned, error) {
+func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed int, epoch uint64) ([]scanned, error) {
 	out := make([]scanned, len(pending))
 	errs := make([]error, len(pending))
 	if len(pending) == 1 {
-		out[0].sel, out[0].leftover, errs[0] = ev.scanSel(pending[0], from, plumbed)
+		out[0].sel, out[0].leftover, errs[0] = ev.scanSel(pending[0], from, plumbed, epoch)
 		return out, errs[0]
 	}
 	workers := ev.workerCount(len(pending))
@@ -283,7 +304,7 @@ func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed in
 				if i >= len(pending) {
 					return
 				}
-				out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], from, plumbed)
+				out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], from, plumbed, epoch)
 			}
 		}()
 	}
@@ -309,7 +330,9 @@ func (ev *Evaluator) seedLocked() error {
 		return err
 	}
 	// PrepareQuery has already errored on an unknown base table.
-	n := ev.db.Table(base.From).Len()
+	tbl := ev.db.Table(base.From)
+	ev.plumbEpoch = tbl.Epoch()
+	n := tbl.Len()
 	ev.seedFrom = base.From
 	ev.dict.Reserve(n)
 	ev.rowDense = make([]int32, n)
@@ -371,9 +394,11 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 // container bitmap the store produced — no per-row emission, no
 // recompression; a different base table than from (the table the plumbing
 // was seeded against), or a key attribute the row scan cannot serve,
-// collects raw pids instead. plumbed is the plumbing's row count. It reads
-// only the store and its arguments, so it may run without ev.mu.
-func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int) (sel *bitset.Set, leftover []int64, err error) {
+// collects raw pids instead. So does a row scan taken after a base-table
+// compaction past epoch, the one the plumbing describes: its row ids are
+// not the ones the plumbing maps. plumbed is the plumbing's row count. It
+// reads only the store and its arguments, so it may run without ev.mu.
+func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int, epoch uint64) (sel *bitset.Set, leftover []int64, err error) {
 	q := ev.base(p.P)
 	if q.From == from && plumbed > 0 {
 		// Rows inserted after the seed have no cached pid; the scan spills
@@ -382,7 +407,9 @@ func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int) (sel 
 		sel, err := ev.db.ScanAttrRowSet(q, ev.keyAttr, plumbed, func(_ int, pid int64) {
 			leftover = append(leftover, pid)
 		})
-		if err == nil {
+		// Compactions only move forward, so none after epoch as of now
+		// means none before the scan either.
+		if comps, ok := ev.db.Table(from).CompactionsSince(epoch); err == nil && ok && len(comps) == 0 {
 			return sel, leftover, nil
 		}
 		leftover = nil
@@ -395,7 +422,7 @@ func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int) (sel 
 
 // scanBitmapLocked runs one predicate's scan into a fresh dense bitmap.
 func (ev *Evaluator) scanBitmapLocked(p hypre.ScoredPred) (*Bitmap, error) {
-	sel, leftover, err := ev.scanSel(p, ev.seedFrom, len(ev.rowDense))
+	sel, leftover, err := ev.scanSel(p, ev.seedFrom, len(ev.rowDense), ev.plumbEpoch)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"hypre/internal/combine"
 	"hypre/internal/delta"
 	"hypre/internal/hypre"
+	"hypre/internal/obs"
 	"hypre/internal/relstore"
 	"hypre/internal/topk"
 	"hypre/internal/workload"
@@ -101,5 +102,74 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 	}
 	if repaired == 0 {
 		t.Fatal("no Sync repaired a cache entry")
+	}
+}
+
+// TestMaterializeAcrossUnsyncedCompaction: a predicate first materialized
+// after a base-table compaction the evaluator has not absorbed yet must not
+// read the compacted row ids through the old row plumbing. The scan is
+// taken between the compacting commit and its Sync; after the Sync the
+// server ranks a miss straight from that bitmap, so a bitmap built from the
+// wrong rows would be served.
+func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 17
+	cfg.NumPapers = 1500 // past one block, so compaction is eligible
+	cfg.NumAuthors = 250
+	cfg.NumVenues = 12
+	var sc relstore.StoreCounters
+	net, err := workload.GenerateWith(cfg, relstore.WithCompaction(0.04), relstore.WithStoreCounters(&sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefs := testProfile(t, net)
+	ev := combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
+	m, err := delta.NewMaintainer(ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := cache.NewServer(ev, cache.Config{})
+	m.AttachCache(srv)
+	if _, _, err := srv.TopK(prefs[:3], 10); err != nil {
+		t.Fatal(err)
+	}
+
+	// Delete the first 100 papers in one commit: 6.7% dead crosses the
+	// threshold, and every surviving row moves down by up to 100 ids.
+	dblp := net.DB.Table("dblp")
+	b := net.DB.NewBatch()
+	for row := 0; row < 100; row++ {
+		b.DeleteByKey("dblp", "pid", dblp.Value(row, "pid"))
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Compactions.Load() == 0 {
+		t.Fatal("the delete did not compact the base table; test is vacuous")
+	}
+	fresh := prefs[3:6]
+	if err := ev.MaterializeAll(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{10, 1000} {
+		tr := obs.NewTrace()
+		got, out, err := srv.TopKTraced(fresh, k, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, _ := combine.CanonicalProfile(fresh)
+		want, _, err := topk.EvaluateOneShot(combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"), canon, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != cache.Miss || tr.Exec != "resident" {
+			t.Fatalf("k=%d: outcome %v via %q, want a miss ranked from the resident bitmaps", k, out, tr.Exec)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("k=%d: served %v, want %v", k, got, want)
+		}
 	}
 }

@@ -336,7 +336,7 @@ func (m *Maintainer) sync() (SyncStats, error) {
 	// evaluator's row plumbing through the composed remap; the refresh then
 	// clears the dropped pids' bits with the touched rows' re-match, so a
 	// pid a surviving row holds keeps its bit.
-	if len(ls.Compactions) > 0 && !m.ev.RemapRows(composeRemaps(ls.Compactions)) {
+	if len(ls.Compactions) > 0 && !m.ev.RemapRows(composeRemaps(ls.Compactions), lEpoch) {
 		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
 	d, ok, err := m.ev.RefreshRowSetDelta(touched, droppedPids)

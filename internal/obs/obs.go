@@ -34,6 +34,9 @@ const (
 	// StageStream is the block-lockstep streaming TA loop (scan + threshold
 	// rule fused; per-block work is inseparable by design).
 	StageStream = "stream"
+	// StageResident ranks a miss straight from its predicates' resident
+	// bitmaps (dense grade fold + top-k heap; no store block is read).
+	StageResident = "resident"
 	// StagePairBuild is pair-table construction.
 	StagePairBuild = "pair_build"
 	// StagePEPS is the PEPS DFS expansion.

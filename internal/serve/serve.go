@@ -310,6 +310,7 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var prefs []hypre.ScoredPred
+	var fp combine.Fingerprint
 	switch {
 	case req.Session != "" && req.Profile != nil:
 		writeError(w, http.StatusBadRequest, "set session or profile, not both")
@@ -322,7 +323,7 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown session %q", req.Session))
 			return
 		}
-		prefs = s.canon
+		prefs, fp = s.canon, s.fp
 	case len(req.Profile) > 0:
 		if len(req.Profile) > a.opts.MaxProfilePrefs {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -348,7 +349,9 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	_, fp := combine.CanonicalProfile(prefs)
+	if req.Session == "" {
+		_, fp = combine.CanonicalProfile(prefs)
+	}
 	rows := make([]resultRow, len(res))
 	for i, t := range res {
 		rows[i] = resultRow{PID: t.PID, Score: t.Intensity}

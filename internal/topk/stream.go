@@ -229,11 +229,14 @@ func streamThreshold(sp []streamPref, pend []streamPending, nAttrs int, attrScra
 	return hypre.FAndAll(vals...)
 }
 
-// EvaluateOneShot is the entry point for a single top-k profile query: it
-// streams, so no full bitmaps are built and no store entries are left
-// behind, and a query shape the streaming planner refuses falls back to
-// the materialized path (BuildLists + TA). The answer is always the same;
-// only the work differs.
+// EvaluateOneShot answers a single top-k profile query from the store
+// itself: it streams, so no full bitmaps are built and no store entries are
+// left behind, and a query shape the streaming planner refuses falls back
+// to the materialized path (BuildLists + TA). The answer is always the
+// same; only the work differs. The result cache calls it only when the
+// predicate store cannot answer: for a stale bypass, and for a miss a
+// commit overtook. A miss whose predicates are resident is ranked from
+// their bitmaps by RankResident.
 func EvaluateOneShot(ev *combine.Evaluator, prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, *StreamStats, error) {
 	return EvaluateOneShotTraced(ev, prefs, k, nil)
 }
