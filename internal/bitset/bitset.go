@@ -443,6 +443,16 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
+// ForEachWord visits every non-zero word of the dense selection-vector view
+// ascending: fn(wi, w) means bit b of w is key wi<<6 + b. One call per word
+// instead of one per key is what lets a caller fold a whole word's keys in
+// its own loop.
+func (s *Set) ForEachWord(fn func(wi int, w uint64)) {
+	for i, hk := range s.keys {
+		s.cs[i].forEachWord(int(hk)<<10, fn)
+	}
+}
+
 // NextSet returns the smallest set key >= from, or ok=false. The
 // container holding from is bisected to, so a loop of NextSet jumps costs
 // O(log containers) per call, not a scan of the key list.
@@ -525,13 +535,10 @@ func FromWords(words []uint64) *Set {
 // word slices.
 func (s *Set) ToWords(nWords int) []uint64 {
 	out := make([]uint64, nWords)
-	s.ForEach(func(i int) bool {
-		w := i >> 6
-		if w >= nWords {
-			return false // ascending: nothing further fits
+	s.ForEachWord(func(wi int, w uint64) {
+		if wi < nWords {
+			out[wi] = w
 		}
-		out[w] |= 1 << (uint(i) & 63)
-		return true
 	})
 	return out
 }

@@ -469,6 +469,60 @@ func (c *container) forEach(base int, fn func(int) bool) bool {
 	return true
 }
 
+// forEachWord visits every non-zero 64-bit word of the container ascending,
+// its index offset by base words: bitmap words as stored, array and run
+// words assembled on the fly (elements and runs are sorted, so everything
+// landing in one word is OR-ed into a single call).
+func (c *container) forEachWord(base int, fn func(wi int, w uint64)) {
+	switch c.typ {
+	case ctBitmap:
+		for wi, w := range c.bmp {
+			if w != 0 {
+				fn(base+wi, w)
+			}
+		}
+	case ctArray:
+		cur, w := -1, uint64(0)
+		for _, v := range c.arr {
+			if wi := int(v >> 6); wi != cur {
+				if w != 0 {
+					fn(base+cur, w)
+				}
+				cur, w = wi, 0
+			}
+			w |= 1 << (v & 63)
+		}
+		if w != 0 {
+			fn(base+cur, w)
+		}
+	default:
+		cur, w := -1, uint64(0)
+		for _, r := range c.runs {
+			lw, hw := int(r.start>>6), int(r.last>>6)
+			if lw != cur {
+				if w != 0 {
+					fn(base+cur, w)
+				}
+				cur, w = lw, 0
+			}
+			loMask := ^uint64(0) << (r.start & 63)
+			hiMask := ^uint64(0) >> (63 - r.last&63)
+			if lw == hw {
+				w |= loMask & hiMask
+				continue
+			}
+			fn(base+cur, w|loMask)
+			for wi := lw + 1; wi < hw; wi++ {
+				fn(base+wi, ^uint64(0))
+			}
+			cur, w = hw, hiMask
+		}
+		if w != 0 {
+			fn(base+cur, w)
+		}
+	}
+}
+
 // nextSet returns the smallest set low value >= from, or ok=false.
 func (c *container) nextSet(from int) (int, bool) {
 	switch c.typ {

@@ -73,9 +73,10 @@ type Bitmap struct {
 // NewBitmap returns an empty bitmap.
 func NewBitmap() *Bitmap { return &Bitmap{s: bitset.New()} }
 
-// wrapSet adopts a bitset.Set built elsewhere (the evaluator's scan
-// conversion) as a Bitmap.
-func wrapSet(s *bitset.Set) *Bitmap { return &Bitmap{s: s} }
+// WrapSet adopts a bitset.Set built elsewhere (the evaluator's scan
+// conversion, or a test that needs given container encodings) as a Bitmap;
+// the set must not be mutated afterwards.
+func WrapSet(s *bitset.Set) *Bitmap { return &Bitmap{s: s} }
 
 // Set marks dense index i.
 func (b *Bitmap) Set(i int) { b.s.Add(i) }
@@ -125,6 +126,10 @@ func (b *Bitmap) AndNot(o *Bitmap) *Bitmap { return &Bitmap{s: b.s.AndNot(o.s)} 
 func (b *Bitmap) ForEach(fn func(i int)) {
 	b.s.ForEach(func(i int) bool { fn(i); return true })
 }
+
+// ForEachWord invokes fn with every non-zero word of the dense view,
+// ascending (bitset.Set.ForEachWord) — the iteration RankResident folds.
+func (b *Bitmap) ForEachWord(fn func(wi int, w uint64)) { b.s.ForEachWord(fn) }
 
 // SizeBytes returns the bitmap's compressed memory footprint.
 func (b *Bitmap) SizeBytes() int64 { return b.s.SizeBytes() }

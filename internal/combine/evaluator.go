@@ -386,7 +386,7 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 		di := ev.dict.Add(pid)
 		words[di>>6] |= 1 << (uint(di) & 63)
 	}
-	return wrapSet(bitset.FromWords(words))
+	return WrapSet(bitset.FromWords(words))
 }
 
 // scanSel runs one predicate's scan into a base-row selection set plus any

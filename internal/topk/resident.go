@@ -12,11 +12,11 @@ import (
 
 // residentScratch is RankResident's dense working set: grades holds one
 // f∧ accumulator per (dense id, slot), id-major; touched marks the ids some
-// preference matched. Both are all zero between uses.
+// preference matched. Both are all zero between uses; a fold that panics
+// midway leaves them dirty, so only a normal return puts them back.
 type residentScratch struct {
 	grades  []float64
 	touched []uint64
-	vals    []float64
 }
 
 var residentPool = sync.Pool{New: func() any { return new(residentScratch) }}
@@ -26,11 +26,15 @@ var residentPool = sync.Pool{New: func() any { return new(residentScratch) }}
 // every preference), byte-identical to BuildLists + Lists.TA and to
 // EvaluateStreaming over the store state the bitmaps describe. It grades
 // exactly as they do, over a pooled dense scratch instead of maps: each
-// preference with an AttrSlots slot, in profile order, folds its intensity
-// with FAnd into that slot's grade of every dense id in its bitmap; each
-// touched id then folds its non-zero slot grades in slot order with FAndAll
-// and enters the top-k heap under Outranks. No store block is read. tr
-// records exec "resident" and the StageResident span (nil = disabled).
+// preference with an AttrSlots slot, in profile order, walks its bitmap a
+// 64-bit word at a time, ORs the word into the touched bitmap and folds its
+// intensity with FAnd into that slot's grade of every dense id in the word.
+// Each touched id then multiplies prod by 1 − g over all its slots in slot
+// order and ranks with grade 1 − prod under Outranks. That is FAndAll over
+// the non-zero slot grades bit for bit: a zero grade contributes 1 − 0 = 1
+// exactly and x·1 = x exactly, so the product skips nothing and needs no
+// branch. No store block is read. tr records exec "resident" and the
+// StageResident span (nil = disabled).
 func RankResident(r combine.Resident, prefs []hypre.ScoredPred, k int, tr *obs.Trace) []combine.ScoredTuple {
 	tr.SetExec("resident")
 	sp := tr.StartSpan(obs.StageResident)
@@ -41,7 +45,6 @@ func RankResident(r combine.Resident, prefs []hypre.ScoredPred, k int, tr *obs.T
 	}
 	ns, n, nw := len(names), len(r.PIDs), (len(r.PIDs)+63)/64
 	sc := residentPool.Get().(*residentScratch)
-	defer residentPool.Put(sc)
 	if cap(sc.grades) < n*ns {
 		sc.grades = make([]float64, n*ns)
 	}
@@ -56,10 +59,12 @@ func RankResident(r combine.Resident, prefs []hypre.ScoredPred, k int, tr *obs.T
 			continue
 		}
 		intensity := p.Intensity
-		r.Bits[i].ForEach(func(di int) {
-			touched[di>>6] |= 1 << (uint(di) & 63)
-			g := &grades[di*ns+s]
-			*g = hypre.FAnd(*g, intensity)
+		r.Bits[i].ForEachWord(func(wi int, w uint64) {
+			touched[wi] |= w
+			for base := wi << 6; w != 0; w &= w - 1 {
+				g := &grades[(base|bits.TrailingZeros64(w))*ns+s]
+				*g = hypre.FAnd(*g, intensity)
+			}
 		})
 	}
 
@@ -68,18 +73,21 @@ func RankResident(r combine.Resident, prefs []hypre.ScoredPred, k int, tr *obs.T
 		for ; word != 0; word &= word - 1 {
 			di := w<<6 | bits.TrailingZeros64(word)
 			row := grades[di*ns : di*ns+ns]
-			vals := sc.vals[:0]
+			prod := 1.0
 			for s, g := range row {
-				if g != 0 {
-					vals = append(vals, g)
-				}
+				prod *= 1 - g
 				row[s] = 0
 			}
-			sc.vals = vals
-			top.push(combine.ScoredTuple{PID: r.PIDs[di], Intensity: hypre.FAndAll(vals...)}, k)
+			st := combine.ScoredTuple{PID: r.PIDs[di], Intensity: 1 - prod}
+			// push's own test, inlined: most ids lose to the root, and
+			// push is not inlinable.
+			if len(top) < k || Outranks(st, top[0]) {
+				top.push(st, k)
+			}
 		}
 		touched[w] = 0
 	}
+	residentPool.Put(sc)
 	sort.Slice(top, func(i, j int) bool { return Outranks(top[i], top[j]) })
 	return top
 }
