@@ -147,6 +147,7 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 				"preds":            int64(st.Preds),
 				"compressed_bytes": st.CompressedBytes,
 				"dict_entries":     int64(st.DictEntries),
+				"dict_bytes":       st.DictBytes,
 			}
 		})
 	}

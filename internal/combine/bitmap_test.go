@@ -1,6 +1,7 @@
 package combine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,104 @@ func TestPidDictRoundTrip(t *testing.T) {
 	for _, p := range []int64{42, 7, 9000000000, 0} {
 		if d.PID(d.Add(p)) != p {
 			t.Errorf("round trip broke for %d", p)
+		}
+	}
+}
+
+// TestPidDictMatchesMap drives PidDict and a plain map through seeded
+// random sequences that mix an ascending dense run, a shuffled dense run, 0
+// and negative pids, pids one below, at and one past the window's edge and
+// its growth bound, pids of order 2^40 and math.MaxInt64, and repeats; half
+// the dictionaries are presized by Reserve, and a quarter reserved again
+// halfway. After every step Add's index,
+// Find (the added pid, an earlier pid, and pids absent inside the window),
+// PID and Size must agree with the map, and the window must stay within its
+// bound; every window growth is followed by a sweep over every pid.
+func TestPidDictMatchesMap(t *testing.T) {
+	const steps = 4000
+	for seed := int64(0); seed < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := NewPidDict()
+		if seed%2 == 1 {
+			d.Reserve(1 + rng.Intn(steps))
+		}
+		ref := map[int64]int{}
+		var order []int64
+		next := int64(rng.Intn(3))
+		perm := rng.Perm(2 * steps)
+		find := func(step int, pid int64) {
+			t.Helper()
+			want, in := ref[pid]
+			got, ok := d.Find(pid)
+			if ok != in || (in && got != want) {
+				t.Fatalf("seed %d step %d: Find(%d) = %d, %v; want %d, %v", seed, step, pid, got, ok, want, in)
+			}
+		}
+		sweep := func(step int) {
+			t.Helper()
+			for _, pid := range order {
+				find(step, pid)
+			}
+		}
+		for step := 0; step < steps; step++ {
+			var pid int64
+			switch k := rng.Intn(10); {
+			case k < 3:
+				pid, next = next, next+1
+			case k < 5:
+				pid = int64(perm[step%len(perm)])
+			case k == 5:
+				edge := int64(len(d.slot))
+				if rng.Intn(2) == 0 {
+					edge = int64(2*cap(d.pids) + windowSlack)
+				}
+				pid = edge - 1 + int64(rng.Intn(3))
+			case k == 6:
+				pid = []int64{0, -1, -1 - rng.Int63n(1<<20), math.MinInt64}[rng.Intn(4)]
+			case k == 7:
+				pid = []int64{1<<40 + rng.Int63n(1<<20), math.MaxInt64, math.MaxInt64 - 1}[rng.Intn(3)]
+			default:
+				if len(order) > 0 {
+					pid = order[rng.Intn(len(order))]
+				}
+			}
+			if seed%4 == 0 && step == steps/2 {
+				d.Reserve(len(order) + steps)
+			}
+			window := len(d.slot)
+			want, in := ref[pid]
+			if !in {
+				want = len(order)
+				ref[pid] = want
+				order = append(order, pid)
+			}
+			if got := d.Add(pid); got != want {
+				t.Fatalf("seed %d step %d: Add(%d) = %d, want %d", seed, step, pid, got, want)
+			}
+			if d.Size() != len(order) {
+				t.Fatalf("seed %d step %d: Size = %d, want %d", seed, step, d.Size(), len(order))
+			}
+			if got := d.PID(want); got != pid {
+				t.Fatalf("seed %d step %d: PID(%d) = %d, want %d", seed, step, want, got, pid)
+			}
+			if lim := 2*cap(d.pids) + windowSlack; len(d.slot) > lim {
+				t.Fatalf("seed %d step %d: window %d past its bound %d", seed, step, len(d.slot), lim)
+			}
+			find(step, pid)
+			find(step, order[rng.Intn(len(order))])
+			for i := 0; i < 4 && len(d.slot) > 0; i++ {
+				find(step, rng.Int63n(int64(len(d.slot))))
+			}
+			find(step, math.MinInt64+1)
+			if len(d.slot) != window {
+				sweep(step)
+			}
+		}
+		sweep(steps)
+		for i, pid := range order {
+			if d.PID(i) != pid {
+				t.Fatalf("seed %d: PID(%d) = %d, want %d", seed, i, d.PID(i), pid)
+			}
 		}
 	}
 }

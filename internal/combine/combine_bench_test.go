@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hypre/internal/hypre"
@@ -162,6 +163,49 @@ func BenchmarkBitmapAndCard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.AndCard(y)
+	}
+}
+
+// BenchmarkPidDict registers 32k pids in a fresh, presized dictionary, as
+// an evaluator's first MaterializeAll does. BenchOrder is the first-sight
+// order of a materialized profile over a store keyed 1..32000: predicate
+// by predicate, each in row order (here 29 ascending passes, each taking a
+// random quarter of the pids not yet seen, then the rest). Shuffled is the
+// same pids in random order, and Sparse sends them past the direct-address
+// window, to the far map.
+func BenchmarkPidDict(b *testing.B) {
+	const n = 32000
+	rng := rand.New(rand.NewSource(1))
+	seen := make([]bool, n+1)
+	var order []int64
+	for pass := 0; pass <= 29; pass++ {
+		for pid := 1; pid <= n; pid++ {
+			if !seen[pid] && (pass == 29 || rng.Intn(4) == 0) {
+				seen[pid] = true
+				order = append(order, int64(pid))
+			}
+		}
+	}
+	shuffled := slices.Clone(order)
+	rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sparse := make([]int64, n)
+	for i, pid := range order {
+		sparse[i] = pid<<33 - 5
+	}
+	for _, tc := range []struct {
+		name string
+		pids []int64
+	}{{"BenchOrder", order}, {"Shuffled", shuffled}, {"Sparse", sparse}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := NewPidDict()
+				d.Reserve(n)
+				for _, pid := range tc.pids {
+					d.Add(pid)
+				}
+			}
+		})
 	}
 }
 

@@ -29,6 +29,12 @@ func testDB(t *testing.T) *relstore.DB {
 
 // buildTestDB is the *testing.T-free builder shared with the benchmarks.
 func buildTestDB() *relstore.DB {
+	return buildTestDBPids(func(pid int64) int64 { return pid })
+}
+
+// buildTestDBPids builds the same store with every pid sent through pidOf,
+// in dblp and dblp_author alike; pidOf must be injective.
+func buildTestDBPids(pidOf func(int64) int64) *relstore.DB {
 	db := relstore.NewDB()
 	dblp, err := db.CreateTable("dblp",
 		relstore.Column{Name: "pid", Kind: predicate.KindInt},
@@ -48,7 +54,7 @@ func buildTestDB() *relstore.DB {
 		{7, "SIGMOD", 2008}, {8, "INFOCOM", 2010}, {9, "INFOCOM", 2007},
 	}
 	for _, p := range papers {
-		dblp.Insert(predicate.Int(p.pid), predicate.String(p.venue), predicate.Int(p.year))
+		dblp.Insert(predicate.Int(pidOf(p.pid)), predicate.String(p.venue), predicate.Int(p.year))
 	}
 	da, err := db.CreateTable("dblp_author",
 		relstore.Column{Name: "pid", Kind: predicate.KindInt},
@@ -62,7 +68,7 @@ func buildTestDB() *relstore.DB {
 		{6, 5}, {7, 1}, {8, 6}, {9, 6}, {9, 2},
 	}
 	for _, l := range links {
-		da.Insert(predicate.Int(l.pid), predicate.Int(l.aid))
+		da.Insert(predicate.Int(pidOf(l.pid)), predicate.Int(l.aid))
 	}
 	db.Table("dblp").BuildIndex("venue")
 	db.Table("dblp_author").BuildIndex("pid")

@@ -24,12 +24,13 @@ import (
 // verified by tests against the relational engine — but pair/chain
 // enumeration no longer re-scans the store.
 //
-// The bitmap cache is the serving tier's one predicate store: every
-// predicate a served query names is materialized here once (MaterializeAll
-// scans the ones a Resident snapshot lacks) and kept exact under writes by
-// RefreshRowSetDelta, which hands the result cache the row delta its repair
-// reads; a cache miss ranks its answer from a Resident snapshot of them. Predicates are named by dense int32 ids interned on first sight and
-// never reused, so an id stays valid across Invalidate.
+// The bitmap cache is the serving tier's one predicate store. Every
+// predicate a served query names is materialized here once: MaterializeAll
+// scans the ones a Resident snapshot lacks. RefreshRowSetDelta keeps them
+// exact under writes and hands the result cache the row delta its repair
+// reads. A cache miss ranks its answer from a Resident snapshot of them.
+// Predicates are named by dense int32 ids, interned on first sight and never
+// reused, so an id stays valid across Invalidate.
 //
 // Concurrency: ev.mu guards the predicate store and the row plumbing. A
 // refresh holds it exclusively across its re-match. MaterializeAll scans
@@ -61,7 +62,7 @@ type Evaluator struct {
 	// rowDense maps base-table row id -> dense dict index, assigned lazily
 	// in first-seen order (-1 = not assigned yet), so dense numbering stays
 	// as compact as serial materialization while scans set bits with one
-	// array read instead of a pid hash.
+	// array read instead of a dictionary lookup.
 	rowDense []int32
 	// pidByRow caches the key attribute per base-table row, so dense-id
 	// assignment during bitmap conversion never re-reads the store.
@@ -318,9 +319,9 @@ func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed in
 }
 
 // seedLocked builds the one-time scan plumbing: the store's join access
-// structures, a presized dictionary index, the row→dense remap (all
-// unassigned), and the per-row key attribute cache used to assign dense ids
-// without re-reading the store.
+// structures, the dictionary's dense id table presized to the base table,
+// the row→dense remap (all unassigned), and the per-row key attribute cache
+// used to assign dense ids without re-reading the store.
 func (ev *Evaluator) seedLocked() error {
 	if ev.seeded {
 		return nil

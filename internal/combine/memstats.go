@@ -14,6 +14,8 @@ type MemStats struct {
 	Preds int
 	// DictEntries is the dense dictionary size (the bitmaps' domain).
 	DictEntries int
+	// DictBytes estimates the pid dictionary's memory (PidDict.SizeBytes).
+	DictBytes int64
 	// CompressedBytes / DenseBytes cover every cached bitmap.
 	CompressedBytes int64
 	DenseBytes      int64
@@ -27,7 +29,7 @@ type MemStats struct {
 func (ev *Evaluator) MemStats() MemStats {
 	ev.mu.RLock()
 	defer ev.mu.RUnlock()
-	st := MemStats{DictEntries: ev.dict.Size()}
+	st := MemStats{DictEntries: ev.dict.Size(), DictBytes: ev.dict.SizeBytes()}
 	sparseCap := ev.dict.Size() / 16
 	for _, b := range ev.bits {
 		if b == nil {
