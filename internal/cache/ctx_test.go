@@ -142,8 +142,8 @@ func TestTopKContextCancelWhileShared(t *testing.T) {
 	}
 	prefs := []hypre.ScoredPred{p}
 	const k = 5
-	_, fp := combine.CanonicalProfile(prefs)
-	key := entryKey{fp: fp, k: int32(k)}
+	c := combine.Canonicalize(prefs)
+	key := entryKey{fp: c.Fingerprint(), k: int32(k)}
 
 	// Fabricate an in-flight leader for exactly the key TopKContext will
 	// compute, so the request under test is deterministically a waiter.
@@ -157,7 +157,7 @@ func TestTopKContextCancelWhileShared(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, out, err := srv.TopKContext(ctx, prefs, k, nil)
+	res, out, err := srv.TopKContext(ctx, c, k, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter: err = %v, want context.Canceled", err)
 	}

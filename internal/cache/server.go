@@ -15,11 +15,17 @@ import (
 	"hypre/internal/topk"
 )
 
-// Server is the concurrency-safe caching front to one evaluator: TopK
-// canonicalizes the profile, serves repeats from the result cache,
-// deduplicates concurrent identical cold queries through single flight, and
-// stays byte-identical to uncached evaluation under mutations via the
+// Server is the concurrency-safe caching front to one evaluator: it serves
+// repeats of a canonical profile from the result cache, deduplicates
+// concurrent identical cold queries through single flight, and stays
+// byte-identical to uncached evaluation under mutations via the
 // delta-aware repair the delta.Maintainer drives (AttachCache).
+//
+// Canonicalization happens at most once per request, and never on a stored
+// profile: TopKContext takes a combine.Canonical, which its caller built
+// once (the HTTP tier when a session is stored or an inline query arrives)
+// and which carries the fingerprint the cache keys on. TopK and TopKTraced
+// are the raw-profile wrappers: they canonicalize for their caller.
 //
 // The evaluator's bitmap store is the cache's only record of predicate
 // membership: a miss materializes the profile's non-resident predicates
@@ -165,39 +171,54 @@ func (s *Server) Counters() *metrics.CacheCounters { return s.counters }
 // (combine.CanonicalProfile) against the last-synced store snapshot; the
 // returned slice is the caller's to keep.
 func (s *Server) TopK(prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, Outcome, error) {
-	return s.TopKContext(context.Background(), prefs, k, nil)
+	return s.TopKTraced(prefs, k, nil)
 }
 
 // TopKTraced is TopK under per-query observability: the route decision,
 // contiguous stage spans, and the chosen path's engine counters land in tr
 // (nil = disabled, TopK calls it that way). Latency histograms and the slow
 // log observe every call when attached, traced or not; with neither
-// attached and tr nil the serve path never reads the clock.
+// attached and tr nil the serve path never reads the clock. It
+// canonicalizes prefs inside the request's canonicalize span.
 func (s *Server) TopKTraced(prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, Outcome, error) {
-	return s.TopKContext(context.Background(), prefs, k, tr)
+	sp, started := s.begin(k, tr)
+	return s.serve(context.Background(), combine.Canonicalize(prefs), k, tr, sp, started)
 }
 
-// TopKContext is TopKTraced with request-scoped cancellation: a ctx that
-// ends while this request is parked behind another session's in-flight
-// evaluation of the same fingerprint unblocks immediately with ctx.Err()
-// (outcome SharedMiss, nothing recorded as served). Cancellation stops
-// WAITING only — a single-flight leader's evaluation is shared work and
-// always runs to completion and publishes, so the canceled waiter's peers
-// (and the next request) still get their answer. The HTTP serving tier
-// passes each request's context here.
-func (s *Server) TopKContext(ctx context.Context, prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, Outcome, error) {
+// TopKContext serves a profile its caller has already canonicalized, with
+// request-scoped cancellation: a ctx that ends while this request is parked
+// behind another session's in-flight evaluation of the same fingerprint
+// unblocks immediately with ctx.Err() (outcome SharedMiss, nothing recorded
+// as served). Cancellation stops WAITING only — a single-flight leader's
+// evaluation is shared work and always runs to completion and publishes, so
+// the canceled waiter's peers (and the next request) still get their
+// answer. The HTTP serving tier canonicalizes each profile once, when a
+// session is stored or an inline query arrives, and passes the result and
+// the request's context here; the server never canonicalizes it again.
+func (s *Server) TopKContext(ctx context.Context, c combine.Canonical, k int, tr *obs.Trace) ([]combine.ScoredTuple, Outcome, error) {
+	sp, started := s.begin(k, tr)
+	return s.serve(ctx, c, k, tr, sp, started)
+}
+
+// begin opens a request's canonicalize span and reads the start clock when
+// histograms or the slow log are attached.
+func (s *Server) begin(k int, tr *obs.Trace) (sp int, started time.Time) {
+	sp = tr.StartSpan(obs.StageCanonicalize)
+	if s.obsOn {
+		started = time.Now()
+	}
+	tr.SetK(k)
+	return sp, started
+}
+
+// serve routes one canonical request, its canonicalize span sp still open.
+func (s *Server) serve(ctx context.Context, c combine.Canonical, k int, tr *obs.Trace, sp int, started time.Time) ([]combine.ScoredTuple, Outcome, error) {
 	// Span discipline: top-level spans tile the request — each stage hands
 	// off to the next through Transition (one shared clock reading, zero
 	// gap), and the final stage stays open for Finish to close at the same
 	// instant it stamps Total. TopLevelSum therefore tracks Total to within
 	// a few clock reads even on microsecond hit paths.
-	sp := tr.StartSpan(obs.StageCanonicalize)
-	var started time.Time
-	if s.obsOn {
-		started = time.Now()
-	}
-	tr.SetK(k)
-	canon, fp := combine.CanonicalProfile(prefs)
+	canon, fp := c.Prefs(), c.Fingerprint()
 	if tr != nil {
 		// Formatting the fingerprint is tracing's own cost; charge it to the
 		// canonicalize span so the spans still tile the request.

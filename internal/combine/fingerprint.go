@@ -2,7 +2,7 @@ package combine
 
 import (
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -23,7 +23,29 @@ import (
 type Fingerprint [16]byte
 
 // String renders the fingerprint as hex, for logs and test failures.
-func (f Fingerprint) String() string { return fmt.Sprintf("%x", f[:]) }
+func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// Canonical is a profile in canonical form together with its fingerprint.
+// Its fields are unexported and only Canonicalize fills them, from one
+// CanonicalProfile result, so a holder can hand the profile on without
+// canonicalizing it again and no caller can pair one profile with another
+// profile's key. The zero Canonical holds no preferences.
+type Canonical struct {
+	prefs []hypre.ScoredPred
+	fp    Fingerprint
+}
+
+// Canonicalize runs CanonicalProfile and keeps its result as one value.
+func Canonicalize(prefs []hypre.ScoredPred) Canonical {
+	canon, fp := CanonicalProfile(prefs)
+	return Canonical{prefs: canon, fp: fp}
+}
+
+// Prefs is the canonical preference list; callers must not modify it.
+func (c Canonical) Prefs() []hypre.ScoredPred { return c.prefs }
+
+// Fingerprint is the canonical profile's cache key.
+func (c Canonical) Fingerprint() Fingerprint { return c.fp }
 
 // CanonicalProfile reduces a preference profile to the normal form the
 // top-k paths actually evaluate, plus its fingerprint:

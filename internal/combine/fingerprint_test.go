@@ -1,6 +1,7 @@
 package combine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -135,5 +136,30 @@ func TestFingerprintDistinct(t *testing.T) {
 		if bumped.Intensity != pool[i].Intensity && fpA == fpB {
 			t.Fatalf("intensity change did not move the fingerprint")
 		}
+	}
+}
+
+// TestFingerprintStringIsHex: String renders what fmt's %x renders, over
+// random fingerprints.
+func TestFingerprintStringIsHex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 1000; trial++ {
+		var fp Fingerprint
+		rng.Read(fp[:])
+		if got, want := fp.String(), fmt.Sprintf("%x", fp[:]); got != want {
+			t.Fatalf("String() = %s, want %s", got, want)
+		}
+	}
+}
+
+// TestCanonicalizeKeepsCanonicalProfile: a Canonical carries exactly the
+// list and key CanonicalProfile returns.
+func TestCanonicalizeKeepsCanonicalProfile(t *testing.T) {
+	pool := fpPool(t)
+	prof := []hypre.ScoredPred{pool[3], pool[0], pool[3], pool[6]}
+	canon, fp := CanonicalProfile(prof)
+	c := Canonicalize(prof)
+	if c.Fingerprint() != fp || fmt.Sprint(c.Prefs()) != fmt.Sprint(canon) {
+		t.Fatalf("Canonicalize = (%v, %s), CanonicalProfile = (%v, %s)", c.Prefs(), c.Fingerprint(), canon, fp)
 	}
 }

@@ -9,11 +9,19 @@
 // class sits behind an admission gate that sheds load with Retry-After
 // once the queue delay would blow the latency SLO.
 //
+// A profile is canonicalized once: when a session is stored, or when an
+// inline query arrives. The resulting combine.Canonical goes to the cache
+// as is, so a query on a stored session does no canonicalization at all.
+// The 200 of a query is appended into a pooled buffer without reflection
+// (encode.go), byte-identical to what encoding/json would write; every
+// other response is marshaled by encoding/json before its header is sent.
+//
 // cmd/hypred wires this App to a real listener; the tests and the bench/
 // harness boot the identical App in-process via Handler.
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,11 +72,11 @@ type ProfileEntry struct {
 	Intensity float64 `json:"intensity"`
 }
 
-// session is one stored profile: the canonical preference list, its
-// fingerprint, and the wire-form entries GET round-trips.
+// session is one stored profile: its canonical form (preference list and
+// fingerprint, canonicalized once when stored) and the wire-form entries
+// GET round-trips.
 type session struct {
-	canon   []hypre.ScoredPred
-	fp      combine.Fingerprint
+	canon   combine.Canonical
 	entries []ProfileEntry
 }
 
@@ -161,7 +169,7 @@ func (a *App) SeedSession(id string, prefs []hypre.ScoredPred) (combine.Fingerpr
 	a.sessMu.Lock()
 	a.sessions[id] = s
 	a.sessMu.Unlock()
-	return s.fp, nil
+	return s.canon.Fingerprint(), nil
 }
 
 // routes mounts the API and the PR 8 debug surface on one mux.
@@ -194,7 +202,7 @@ func (a *App) traceSession(query string, k int) (*obs.Trace, error) {
 		return nil, fmt.Errorf("unknown session %q (store one via PUT /v1/session/{id}/profile)", query)
 	}
 	tr := obs.NewTrace()
-	if _, _, err := a.srv.TopKTraced(s.canon, k, tr); err != nil {
+	if _, _, err := a.srv.TopKContext(context.Background(), s.canon, k, tr); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -206,18 +214,6 @@ type queryRequest struct {
 	Session string         `json:"session"`
 	Profile []ProfileEntry `json:"profile"`
 	K       int            `json:"k"`
-}
-
-type resultRow struct {
-	PID   int64   `json:"pid"`
-	Score float64 `json:"score"`
-}
-
-type queryResponse struct {
-	Outcome     string      `json:"outcome"`
-	Fingerprint string      `json:"fingerprint"`
-	K           int         `json:"k"`
-	Results     []resultRow `json:"results"`
 }
 
 type profileRequest struct {
@@ -309,8 +305,7 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be <= %d", a.opts.MaxK))
 		return
 	}
-	var prefs []hypre.ScoredPred
-	var fp combine.Fingerprint
+	var c combine.Canonical
 	switch {
 	case req.Session != "" && req.Profile != nil:
 		writeError(w, http.StatusBadRequest, "set session or profile, not both")
@@ -323,24 +318,24 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("unknown session %q", req.Session))
 			return
 		}
-		prefs, fp = s.canon, s.fp
+		c = s.canon
 	case len(req.Profile) > 0:
 		if len(req.Profile) > a.opts.MaxProfilePrefs {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("profile has %d preferences, limit %d", len(req.Profile), a.opts.MaxProfilePrefs))
 			return
 		}
-		var err error
-		prefs, err = parseProfile(req.Profile)
+		prefs, err := parseProfile(req.Profile)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		c = combine.Canonicalize(prefs)
 	default:
 		writeError(w, http.StatusBadRequest, "a query needs a session id or an inline profile")
 		return
 	}
-	res, outcome, err := a.srv.TopKContext(r.Context(), prefs, req.K, nil)
+	res, outcome, err := a.srv.TopKContext(r.Context(), c, req.K, nil)
 	if err != nil {
 		if r.Context().Err() != nil && errors.Is(err, r.Context().Err()) {
 			writeError(w, StatusClientClosedRequest, "client closed request")
@@ -349,19 +344,7 @@ func (a *App) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if req.Session == "" {
-		_, fp = combine.CanonicalProfile(prefs)
-	}
-	rows := make([]resultRow, len(res))
-	for i, t := range res {
-		rows[i] = resultRow{PID: t.PID, Score: t.Intensity}
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Outcome:     outcome.String(),
-		Fingerprint: fp.String(),
-		K:           req.K,
-		Results:     rows,
-	})
+	writeQueryResponse(w, outcome, c.Fingerprint(), req.K, res)
 }
 
 func (a *App) handlePutProfile(w http.ResponseWriter, r *http.Request) {
@@ -393,7 +376,7 @@ func (a *App) handlePutProfile(w http.ResponseWriter, r *http.Request) {
 	a.sessMu.Unlock()
 	writeJSON(w, http.StatusOK, profileResponse{
 		Session:     id,
-		Fingerprint: s.fp.String(),
+		Fingerprint: s.canon.Fingerprint().String(),
 		Profile:     s.entries,
 	})
 }
@@ -409,7 +392,7 @@ func (a *App) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, profileResponse{
 		Session:     id,
-		Fingerprint: s.fp.String(),
+		Fingerprint: s.canon.Fingerprint().String(),
 		Profile:     s.entries,
 	})
 }
@@ -485,7 +468,8 @@ func (a *App) applyAndSync(ops []workload.Op) (stats delta.SyncStats, err error)
 // to nothing is rejected (its fingerprint would alias every other empty
 // profile and the query would rank nothing).
 func (a *App) buildSession(prefs []hypre.ScoredPred) (*session, error) {
-	canon, fp := combine.CanonicalProfile(prefs)
+	c := combine.Canonicalize(prefs)
+	canon := c.Prefs()
 	if len(canon) == 0 {
 		return nil, errors.New("profile canonicalizes to zero usable preferences")
 	}
@@ -496,7 +480,7 @@ func (a *App) buildSession(prefs []hypre.ScoredPred) (*session, error) {
 	for i, p := range canon {
 		entries[i] = ProfileEntry{Pred: p.Pred, Intensity: p.Intensity}
 	}
-	return &session{canon: canon, fp: fp, entries: entries}, nil
+	return &session{canon: c, entries: entries}, nil
 }
 
 // parseProfile parses wire preferences into scored predicates.
@@ -529,10 +513,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// writeJSON answers v as encoding/json's Encoder would write it. It marshals
+// before writing the header, so a value that cannot be encoded answers 500
+// with an error body instead of a 200 with none.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("encode response: %v", err))
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

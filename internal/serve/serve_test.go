@@ -88,17 +88,18 @@ func profileBody(net *workload.Network, k int) string {
 	return string(b)
 }
 
-// TestMalformedRequests: every rejected request answers its documented
-// status and leaves the cache untouched — rejections must not pollute the
-// shared serving state.
-func TestMalformedRequests(t *testing.T) {
-	app, net := newApp(t, func(o *serve.Options) { o.MaxProfilePrefs = 4; o.MaxK = 50 })
+// malformedCase is one request the server must reject with status want.
+type malformedCase struct {
+	name, method, path, body string
+	want                     int
+}
+
+// malformedCases are TestMalformedRequests' rejections, for an app with
+// MaxProfilePrefs 4 and MaxK 50; FuzzQueryRequest seeds from their bodies.
+func malformedCases(net *workload.Network) []malformedCase {
 	bigProfile := `{"k":3,"profile":[` + strings.Repeat(`{"pred":"dblp.year=2000","intensity":0.1},`, 5)
 	bigProfile = strings.TrimSuffix(bigProfile, ",") + `]}`
-	cases := []struct {
-		name, method, path, body string
-		want                     int
-	}{
+	return []malformedCase{
 		{"bad json", "POST", "/v1/query", `{"k": nope}`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/query", `{"kk":3}`, http.StatusBadRequest},
 		{"k missing", "POST", "/v1/query", `{"profile":[{"pred":"dblp.year=2000","intensity":0.1}]}`, http.StatusBadRequest},
@@ -124,6 +125,14 @@ func TestMalformedRequests(t *testing.T) {
 			`{"ops":[{"kind":"insert","pid":900001,"year":2001,"authors":[1]}]}`, http.StatusBadRequest},
 		{"mutate op without kind", "POST", "/v1/mutate", `{"ops":[{"pid":900002,"venue":"V"}]}`, http.StatusBadRequest},
 	}
+}
+
+// TestMalformedRequests: every rejected request answers its documented
+// status and leaves the cache untouched — rejections must not pollute the
+// shared serving state.
+func TestMalformedRequests(t *testing.T) {
+	app, net := newApp(t, func(o *serve.Options) { o.MaxProfilePrefs = 4; o.MaxK = 50 })
+	cases := malformedCases(net)
 	stamp := net.DB.EpochStamp("dblp", "dblp_author")
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
