@@ -1,6 +1,7 @@
 package graphdb
 
 import (
+	"io"
 	"sync"
 	"testing"
 
@@ -8,7 +9,8 @@ import (
 )
 
 // TestConcurrentReadersAndWriters hammers the store from parallel
-// goroutines: the public API must be race-free (run with -race) and the
+// goroutines, readers reaching the newest records while writers append to
+// the slabs: the public API must be race-free (run with -race) and the
 // final state must account for every write.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	g := New()
@@ -33,6 +35,10 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					t.Errorf("edge: %v", err)
 					return
 				}
+				if err := g.SetProp(id, "intensity", predicate.Float(float64(i)/perWriter)); err != nil {
+					t.Errorf("set prop: %v", err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -46,6 +52,15 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				g.PathExists(seed[0], seed[len(seed)-1], "PREFERS")
 				g.NodeCount()
 				g.OutEdges(seed[i%len(seed)], "PREFERS")
+				g.InDegree(NodeID(g.NodeCount()-1), "PREFERS")
+				g.Prop(NodeID(g.NodeCount()-1), "intensity")
+				g.EdgeByID(EdgeID(g.EdgeCount() - 1))
+				if i%50 == 0 {
+					g.ForEachNode(func(NodeID, []string, Props) bool { return true })
+					if err := g.Snapshot(io.Discard); err != nil {
+						t.Errorf("snapshot: %v", err)
+					}
+				}
 			}
 		}()
 	}

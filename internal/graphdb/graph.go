@@ -4,11 +4,20 @@
 // labeled edges, a label+property index (the uidIndex(uid) scheme of §4.3),
 // batch insertion, degree queries, label-filtered reachability (cycle
 // checks), and a small Cypher-like query language (see cypher.go).
+//
+// Storage layout. Node and edge ids are dense: each is assigned in creation
+// order from 0, never reused, and never freed, since nothing deletes a node
+// or an edge. So a record lives at its id's position in a slab (see slab):
+// a node holds its sorted labels, its properties and the ids of its out-
+// and in-edges; an edge holds its endpoints, label and properties.
+// Properties are small inline lists with interned key names (see prop),
+// not per-record maps. A snapshot lists the records in id order, and
+// Restore accepts only a snapshot whose ids are exactly those positions.
 package graphdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hypre/internal/predicate"
@@ -25,54 +34,78 @@ type EdgeID int64
 // engine uses.
 type Props map[string]predicate.Value
 
-func (p Props) clone() Props {
-	c := make(Props, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
-	return c
-}
-
+// nodeRec is one node; its id is its position in Graph.nodes.
 type nodeRec struct {
-	id     NodeID
-	labels map[string]bool
-	props  Props
+	labels []string // sorted, no duplicates
+	props  propList
+	out    []EdgeID
+	in     []EdgeID
 }
 
+func (n *nodeRec) hasLabel(l string) bool {
+	_, ok := slices.BinarySearch(n.labels, l)
+	return ok
+}
+
+// edgeRec is one edge; its id is its position in Graph.edges.
 type edgeRec struct {
-	id    EdgeID
 	from  NodeID
 	to    NodeID
 	label string
-	props Props
+	props propList
 }
 
-type indexKey struct {
+// propIndex maps a property value (by Value.Key) to the nodes that carry
+// label and hold that value under prop.
+type propIndex struct {
 	label string
 	prop  string
+	key   keyID // prop's id
+	ids   map[string][]NodeID
 }
 
-// Graph is the store. All methods are safe for concurrent use.
+// Graph is the store. All methods are safe for concurrent use: readers
+// share mu, and every write, including each append to a slab, holds it
+// exclusively.
 type Graph struct {
-	mu       sync.RWMutex
-	nodes    map[NodeID]*nodeRec
-	edges    map[EdgeID]*edgeRec
-	out      map[NodeID][]*edgeRec
-	in       map[NodeID][]*edgeRec
-	indexes  map[indexKey]map[string][]NodeID
-	nextNode NodeID
-	nextEdge EdgeID
+	mu      sync.RWMutex
+	nodes   slab[nodeRec]
+	edges   slab[edgeRec]
+	indexes []propIndex
+	// keys and keyIDs intern property key names (see keyID).
+	keys   []string
+	keyIDs map[string]keyID
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes:   make(map[NodeID]*nodeRec),
-		edges:   make(map[EdgeID]*edgeRec),
-		out:     make(map[NodeID][]*edgeRec),
-		in:      make(map[NodeID][]*edgeRec),
-		indexes: make(map[indexKey]map[string][]NodeID),
+	return &Graph{keyIDs: make(map[string]keyID)}
+}
+
+// node returns the record for id, or nil if there is none. Callers hold mu.
+func (g *Graph) node(id NodeID) *nodeRec {
+	if id < 0 || int64(id) >= int64(g.nodes.len()) {
+		return nil
 	}
+	return g.nodes.at(int(id))
+}
+
+// edge returns the record for id, or nil if there is none. Callers hold mu.
+func (g *Graph) edge(id EdgeID) *edgeRec {
+	if id < 0 || int64(id) >= int64(g.edges.len()) {
+		return nil
+	}
+	return g.edges.at(int(id))
+}
+
+// sortedLabels copies labels sorted and without duplicates.
+func sortedLabels(labels []string) []string {
+	if len(labels) == 0 {
+		return nil
+	}
+	out := slices.Clone(labels)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NodeSpec describes a node to create.
@@ -101,17 +134,13 @@ func (g *Graph) CreateNodes(specs []NodeSpec) []NodeID {
 }
 
 func (g *Graph) createNodeLocked(spec NodeSpec) NodeID {
-	id := g.nextNode
-	g.nextNode++
-	rec := &nodeRec{id: id, labels: make(map[string]bool, len(spec.Labels)), props: spec.Props.clone()}
-	for _, l := range spec.Labels {
-		rec.labels[l] = true
-	}
-	g.nodes[id] = rec
-	for key, idx := range g.indexes {
-		if rec.labels[key.label] {
-			if v, ok := rec.props[key.prop]; ok {
-				idx[v.Key()] = append(idx[v.Key()], id)
+	// Nodes tend to gain properties after creation, so leave room for two.
+	id := NodeID(g.nodes.push(nodeRec{labels: sortedLabels(spec.Labels), props: g.propsFrom(spec.Props, 2)}))
+	n := g.nodes.at(int(id))
+	for _, ix := range g.indexes {
+		if n.hasLabel(ix.label) {
+			if v, ok := n.props.get(ix.key); ok {
+				ix.ids[v.Key()] = append(ix.ids[v.Key()], id)
 			}
 		}
 	}
@@ -122,54 +151,55 @@ func (g *Graph) createNodeLocked(spec NodeSpec) NodeID {
 func (g *Graph) HasNode(id NodeID) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	_, ok := g.nodes[id]
-	return ok
+	return g.node(id) != nil
 }
 
 // NodeCount returns the number of nodes.
 func (g *Graph) NodeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return g.nodes.len()
 }
 
 // EdgeCount returns the number of edges.
 func (g *Graph) EdgeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.edges)
+	return g.edges.len()
 }
 
 // Prop returns a node property.
 func (g *Graph) Prop(id NodeID, key string) (predicate.Value, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	k, ok := g.keyIDs[key]
+	if n == nil || !ok {
 		return predicate.Null(), false
 	}
-	v, ok := n.props[key]
-	return v, ok
+	return n.props.get(k)
 }
 
 // SetProp sets a node property, maintaining any index on it.
 func (g *Graph) SetProp(id NodeID, key string, v predicate.Value) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return fmt.Errorf("graphdb: no node %d", id)
 	}
-	old, had := n.props[key]
-	n.props[key] = v
-	for ik, idx := range g.indexes {
-		if ik.prop != key || !n.labels[ik.label] {
+	k := g.internKey(key)
+	var old predicate.Value
+	var had bool
+	n.props, old, had = n.props.set(k, v)
+	for _, ix := range g.indexes {
+		if ix.key != k || !n.hasLabel(ix.label) {
 			continue
 		}
 		if had {
-			idx[old.Key()] = removeID(idx[old.Key()], id)
+			ix.ids[old.Key()] = removeID(ix.ids[old.Key()], id)
 		}
-		idx[v.Key()] = append(idx[v.Key()], id)
+		ix.ids[v.Key()] = append(ix.ids[v.Key()], id)
 	}
 	return nil
 }
@@ -179,18 +209,23 @@ func (g *Graph) SetProp(id NodeID, key string, v predicate.Value) error {
 func (g *Graph) DeleteProp(id NodeID, key string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return fmt.Errorf("graphdb: no node %d", id)
 	}
-	old, had := n.props[key]
-	if !had {
+	k, ok := g.keyIDs[key]
+	if !ok {
 		return nil
 	}
-	delete(n.props, key)
-	for ik, idx := range g.indexes {
-		if ik.prop == key && n.labels[ik.label] {
-			idx[old.Key()] = removeID(idx[old.Key()], id)
+	i := n.props.find(k)
+	if i < 0 {
+		return nil
+	}
+	old := n.props[i].value()
+	n.props = slices.Delete(n.props, i, i+1)
+	for _, ix := range g.indexes {
+		if ix.key == k && n.hasLabel(ix.label) {
+			ix.ids[old.Key()] = removeID(ix.ids[old.Key()], id)
 		}
 	}
 	return nil
@@ -200,16 +235,11 @@ func (g *Graph) DeleteProp(id NodeID, key string) error {
 func (g *Graph) Labels(id NodeID) []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return nil
 	}
-	out := make([]string, 0, len(n.labels))
-	for l := range n.labels {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string{}, n.labels...)
 }
 
 // AddLabel attaches a label to an existing node, indexing it if an index on
@@ -217,20 +247,21 @@ func (g *Graph) Labels(id NodeID) []string {
 func (g *Graph) AddLabel(id NodeID, label string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return fmt.Errorf("graphdb: no node %d", id)
 	}
-	if n.labels[label] {
+	i, found := slices.BinarySearch(n.labels, label)
+	if found {
 		return nil
 	}
-	n.labels[label] = true
-	for ik, idx := range g.indexes {
-		if ik.label != label {
+	n.labels = slices.Insert(n.labels, i, label)
+	for _, ix := range g.indexes {
+		if ix.label != label {
 			continue
 		}
-		if v, ok := n.props[ik.prop]; ok {
-			idx[v.Key()] = append(idx[v.Key()], id)
+		if v, ok := n.props.get(ix.key); ok {
+			ix.ids[v.Key()] = append(ix.ids[v.Key()], id)
 		}
 	}
 	return nil
@@ -241,18 +272,16 @@ func (g *Graph) AddLabel(id NodeID, label string) error {
 func (g *Graph) CreateEdge(from, to NodeID, label string, props Props) (EdgeID, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.nodes[from]; !ok {
+	src, dst := g.node(from), g.node(to)
+	if src == nil {
 		return 0, fmt.Errorf("graphdb: no node %d", from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	if dst == nil {
 		return 0, fmt.Errorf("graphdb: no node %d", to)
 	}
-	id := g.nextEdge
-	g.nextEdge++
-	e := &edgeRec{id: id, from: from, to: to, label: label, props: props.clone()}
-	g.edges[id] = e
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
+	id := EdgeID(g.edges.push(edgeRec{from: from, to: to, label: label, props: g.propsFrom(props, 0)}))
+	src.out = append(src.out, id)
+	dst.in = append(dst.in, id)
 	return id, nil
 }
 
@@ -265,19 +294,21 @@ type Edge struct {
 	Props Props
 }
 
-func exportEdge(e *edgeRec) Edge {
-	return Edge{ID: e.id, From: e.from, To: e.to, Label: e.label, Props: e.props.clone()}
+// exportEdge returns the public view of edge id. Callers hold mu.
+func (g *Graph) exportEdge(id EdgeID) Edge {
+	e := g.edges.at(int(id))
+	return Edge{ID: id, From: e.from, To: e.to, Label: e.label, Props: g.exportProps(e.props)}
 }
 
 // EdgeByID returns the edge with the given id.
 func (g *Graph) EdgeByID(id EdgeID) (Edge, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	e, ok := g.edges[id]
-	if !ok {
+	e := g.edge(id)
+	if e == nil {
 		return Edge{}, false
 	}
-	return exportEdge(e), true
+	return g.exportEdge(id), true
 }
 
 // SetEdgeLabel relabels an edge — how HYPRE turns a DISCARD edge back into
@@ -285,26 +316,27 @@ func (g *Graph) EdgeByID(id EdgeID) (Edge, bool) {
 func (g *Graph) SetEdgeLabel(id EdgeID, label string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e, ok := g.edges[id]
-	if !ok {
+	e := g.edge(id)
+	if e == nil {
 		return fmt.Errorf("graphdb: no edge %d", id)
 	}
 	e.label = label
 	return nil
 }
 
-// OutEdges returns edges leaving id; label "" means any label.
+// OutEdges returns edges leaving id, in creation order; label "" means any
+// label.
 func (g *Graph) OutEdges(id NodeID, label string) []Edge {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return filterEdges(g.out[id], label)
-}
-
-func filterEdges(es []*edgeRec, label string) []Edge {
+	n := g.node(id)
+	if n == nil {
+		return nil
+	}
 	var out []Edge
-	for _, e := range es {
-		if label == "" || e.label == label {
-			out = append(out, exportEdge(e))
+	for _, eid := range n.out {
+		if e := g.edge(eid); label == "" || e.label == label {
+			out = append(out, g.exportEdge(eid))
 		}
 	}
 	return out
@@ -314,20 +346,29 @@ func filterEdges(es []*edgeRec, label string) []Edge {
 func (g *Graph) OutDegree(id NodeID, label string) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return countEdges(g.out[id], label)
+	if n := g.node(id); n != nil {
+		return g.countEdges(n.out, label)
+	}
+	return 0
 }
 
 // InDegree counts edges with the label entering id.
 func (g *Graph) InDegree(id NodeID, label string) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return countEdges(g.in[id], label)
+	if n := g.node(id); n != nil {
+		return g.countEdges(n.in, label)
+	}
+	return 0
 }
 
-func countEdges(es []*edgeRec, label string) int {
+func (g *Graph) countEdges(ids []EdgeID, label string) int {
+	if label == "" {
+		return len(ids)
+	}
 	n := 0
-	for _, e := range es {
-		if label == "" || e.label == label {
+	for _, eid := range ids {
+		if g.edge(eid).label == label {
 			n++
 		}
 	}
@@ -343,12 +384,16 @@ func (g *Graph) PathExists(from, to NodeID, label string) bool {
 	if from == to {
 		return true
 	}
+	if g.node(from) == nil {
+		return false
+	}
 	seen := map[NodeID]bool{from: true}
 	queue := []NodeID{from}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, e := range g.out[cur] {
+		for _, eid := range g.node(cur).out {
+			e := g.edge(eid)
 			if label != "" && e.label != label {
 				continue
 			}
@@ -371,73 +416,74 @@ func (g *Graph) PathExists(from, to NodeID, label string) bool {
 func (g *Graph) CreateIndex(label, prop string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	key := indexKey{label: label, prop: prop}
-	if _, exists := g.indexes[key]; exists {
+	if g.index(label, prop) != nil {
 		return
 	}
+	k := g.internKey(prop)
 	idx := make(map[string][]NodeID)
-	for id, n := range g.nodes {
-		if n.labels[label] {
-			if v, ok := n.props[prop]; ok {
-				idx[v.Key()] = append(idx[v.Key()], id)
+	for i := range g.nodes.len() {
+		n := g.nodes.at(i)
+		if n.hasLabel(label) {
+			if v, ok := n.props.get(k); ok {
+				idx[v.Key()] = append(idx[v.Key()], NodeID(i))
 			}
 		}
 	}
-	for _, ids := range idx {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	g.indexes[key] = idx
+	g.indexes = append(g.indexes, propIndex{label: label, prop: prop, key: k, ids: idx})
 }
 
-// FindNodes returns the ids of nodes with the label whose property equals v.
-// With an index on (label, prop) this is a hash lookup; otherwise it scans.
+// index returns the index on (label, prop), or nil. Callers hold mu.
+func (g *Graph) index(label, prop string) *propIndex {
+	for i := range g.indexes {
+		if ix := &g.indexes[i]; ix.label == label && ix.prop == prop {
+			return ix
+		}
+	}
+	return nil
+}
+
+// FindNodes returns the ids of nodes with the label whose property equals
+// v, in id order. With an index on (label, prop) this is a hash lookup;
+// otherwise it scans.
 func (g *Graph) FindNodes(label, prop string, v predicate.Value) []NodeID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if idx, ok := g.indexes[indexKey{label: label, prop: prop}]; ok {
-		ids := idx[v.Key()]
-		out := make([]NodeID, len(ids))
-		copy(out, ids)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if ix := g.index(label, prop); ix != nil {
+		out := slices.Clone(ix.ids[v.Key()])
+		slices.Sort(out)
 		return out
 	}
+	k, ok := g.keyIDs[prop]
+	if !ok {
+		return nil
+	}
 	var out []NodeID
-	for id, n := range g.nodes {
-		if n.labels[label] {
-			if pv, ok := n.props[prop]; ok && pv.Equal(v) {
-				out = append(out, id)
+	for i := range g.nodes.len() {
+		n := g.nodes.at(i)
+		if n.hasLabel(label) {
+			if pv, ok := n.props.get(k); ok && pv.Equal(v) {
+				out = append(out, NodeID(i))
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// ForEachNode calls fn for every node (in unspecified order) with a cloned
-// property bag; returning false stops the iteration.
+// ForEachNode calls fn for every node in id order with its sorted labels
+// and a cloned property bag; returning false stops the iteration. Nodes
+// created during the walk are not visited; the lock is not held while fn
+// runs, so fn may call back into the graph.
 func (g *Graph) ForEachNode(fn func(id NodeID, labels []string, props Props) bool) {
 	g.mu.RLock()
-	ids := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
+	n := g.nodes.len()
 	g.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for i := range n {
 		g.mu.RLock()
-		n, ok := g.nodes[id]
-		if !ok {
-			g.mu.RUnlock()
-			continue
-		}
-		labels := make([]string, 0, len(n.labels))
-		for l := range n.labels {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		props := n.props.clone()
+		rec := g.nodes.at(i)
+		labels := slices.Clone(rec.labels)
+		props := g.exportProps(rec.props)
 		g.mu.RUnlock()
-		if !fn(id, labels, props) {
+		if !fn(NodeID(i), labels, props) {
 			return
 		}
 	}

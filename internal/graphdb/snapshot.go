@@ -4,7 +4,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"hypre/internal/predicate"
 )
@@ -85,53 +87,25 @@ func (g *Graph) Snapshot(w io.Writer) error {
 
 	f := snapshotFile{
 		Version:  snapshotVersion,
-		NextNode: int64(g.nextNode),
-		NextEdge: int64(g.nextEdge),
+		NextNode: int64(g.nodes.len()),
+		NextEdge: int64(g.edges.len()),
+		Nodes:    make([]snapshotNode, g.nodes.len()),
+		Edges:    make([]snapshotEdge, g.edges.len()),
 	}
-	nodeIDs := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		nodeIDs = append(nodeIDs, id)
+	for i := range g.nodes.len() {
+		n := g.nodes.at(i)
+		sn := snapshotNode{ID: int64(i), Labels: n.labels}
+		sn.Keys, sn.Vals = g.encodeProps(n.props)
+		f.Nodes[i] = sn
 	}
-	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
-	for _, id := range nodeIDs {
-		n := g.nodes[id]
-		sn := snapshotNode{ID: int64(id)}
-		for l := range n.labels {
-			sn.Labels = append(sn.Labels, l)
-		}
-		sort.Strings(sn.Labels)
-		keys := make([]string, 0, len(n.props))
-		for k := range n.props {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			sn.Keys = append(sn.Keys, k)
-			sn.Vals = append(sn.Vals, encodeValue(n.props[k]))
-		}
-		f.Nodes = append(f.Nodes, sn)
+	for i := range g.edges.len() {
+		e := g.edges.at(i)
+		se := snapshotEdge{ID: int64(i), From: int64(e.from), To: int64(e.to), Label: e.label}
+		se.Keys, se.Vals = g.encodeProps(e.props)
+		f.Edges[i] = se
 	}
-	edgeIDs := make([]EdgeID, 0, len(g.edges))
-	for id := range g.edges {
-		edgeIDs = append(edgeIDs, id)
-	}
-	sort.Slice(edgeIDs, func(i, j int) bool { return edgeIDs[i] < edgeIDs[j] })
-	for _, id := range edgeIDs {
-		e := g.edges[id]
-		se := snapshotEdge{ID: int64(id), From: int64(e.from), To: int64(e.to), Label: e.label}
-		keys := make([]string, 0, len(e.props))
-		for k := range e.props {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			se.Keys = append(se.Keys, k)
-			se.Vals = append(se.Vals, encodeValue(e.props[k]))
-		}
-		f.Edges = append(f.Edges, se)
-	}
-	for key := range g.indexes {
-		f.Indexes = append(f.Indexes, snapshotIndex{Label: key.label, Prop: key.prop})
+	for _, ix := range g.indexes {
+		f.Indexes = append(f.Indexes, snapshotIndex{Label: ix.label, Prop: ix.prop})
 	}
 	sort.Slice(f.Indexes, func(i, j int) bool {
 		if f.Indexes[i].Label != f.Indexes[j].Label {
@@ -142,8 +116,38 @@ func (g *Graph) Snapshot(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(f)
 }
 
+// encodeProps lists a record's properties ordered by key name.
+func (g *Graph) encodeProps(ps propList) ([]string, []snapshotValue) {
+	if len(ps) == 0 {
+		return nil, nil
+	}
+	sorted := slices.Clone(ps)
+	slices.SortFunc(sorted, func(a, b prop) int { return strings.Compare(g.keys[a.key], g.keys[b.key]) })
+	keys := make([]string, len(ps))
+	vals := make([]snapshotValue, len(ps))
+	for i, p := range sorted {
+		keys[i], vals[i] = g.keys[p.key], encodeValue(p.value())
+	}
+	return keys, vals
+}
+
+// decodeProps rebuilds a property list; a repeated key keeps its last value.
+func (g *Graph) decodeProps(keys []string, vals []snapshotValue) (propList, error) {
+	if len(keys) != len(vals) {
+		return nil, fmt.Errorf("%d keys but %d values", len(keys), len(vals))
+	}
+	var ps propList
+	for i, k := range keys {
+		ps, _, _ = ps.set(g.internKey(k), decodeValue(vals[i]))
+	}
+	return ps, nil
+}
+
 // Restore reads a snapshot and returns the reconstructed graph, rebuilding
-// all declared indexes.
+// all declared indexes. Ids are slab positions, so the snapshot must list
+// nodes and edges with ids 0..n-1 in order, its NextNode and NextEdge must
+// equal those counts, and every edge must join two listed nodes; anything
+// else is an error.
 func Restore(r io.Reader) (*Graph, error) {
 	var f snapshotFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -152,44 +156,39 @@ func Restore(r io.Reader) (*Graph, error) {
 	if f.Version != snapshotVersion {
 		return nil, fmt.Errorf("graphdb: unsupported snapshot version %d", f.Version)
 	}
+	if f.NextNode != int64(len(f.Nodes)) || f.NextEdge != int64(len(f.Edges)) {
+		return nil, fmt.Errorf("graphdb: restore: counters (next node %d, next edge %d) disagree with %d nodes and %d edges",
+			f.NextNode, f.NextEdge, len(f.Nodes), len(f.Edges))
+	}
 	g := New()
-	for _, sn := range f.Nodes {
-		rec := &nodeRec{
-			id:     NodeID(sn.ID),
-			labels: make(map[string]bool, len(sn.Labels)),
-			props:  make(Props, len(sn.Keys)),
+	for i, sn := range f.Nodes {
+		if sn.ID != int64(i) {
+			return nil, fmt.Errorf("graphdb: restore: node %d listed at position %d", sn.ID, i)
 		}
-		for _, l := range sn.Labels {
-			rec.labels[l] = true
+		ps, err := g.decodeProps(sn.Keys, sn.Vals)
+		if err != nil {
+			return nil, fmt.Errorf("graphdb: restore: node %d: %v", sn.ID, err)
 		}
-		for i, k := range sn.Keys {
-			rec.props[k] = decodeValue(sn.Vals[i])
-		}
-		g.nodes[rec.id] = rec
+		g.nodes.push(nodeRec{labels: sortedLabels(sn.Labels), props: ps})
 	}
-	for _, se := range f.Edges {
-		if _, ok := g.nodes[NodeID(se.From)]; !ok {
-			return nil, fmt.Errorf("graphdb: edge %d references missing node %d", se.ID, se.From)
+	for i, se := range f.Edges {
+		if se.ID != int64(i) {
+			return nil, fmt.Errorf("graphdb: restore: edge %d listed at position %d", se.ID, i)
 		}
-		if _, ok := g.nodes[NodeID(se.To)]; !ok {
-			return nil, fmt.Errorf("graphdb: edge %d references missing node %d", se.ID, se.To)
+		for _, end := range []int64{se.From, se.To} {
+			if end < 0 || end >= int64(g.nodes.len()) {
+				return nil, fmt.Errorf("graphdb: edge %d references missing node %d", se.ID, end)
+			}
 		}
-		rec := &edgeRec{
-			id:    EdgeID(se.ID),
-			from:  NodeID(se.From),
-			to:    NodeID(se.To),
-			label: se.Label,
-			props: make(Props, len(se.Keys)),
+		ps, err := g.decodeProps(se.Keys, se.Vals)
+		if err != nil {
+			return nil, fmt.Errorf("graphdb: restore: edge %d: %v", se.ID, err)
 		}
-		for i, k := range se.Keys {
-			rec.props[k] = decodeValue(se.Vals[i])
-		}
-		g.edges[rec.id] = rec
-		g.out[rec.from] = append(g.out[rec.from], rec)
-		g.in[rec.to] = append(g.in[rec.to], rec)
+		id := EdgeID(g.edges.push(edgeRec{from: NodeID(se.From), to: NodeID(se.To), label: se.Label, props: ps}))
+		src, dst := g.nodes.at(int(se.From)), g.nodes.at(int(se.To))
+		src.out = append(src.out, id)
+		dst.in = append(dst.in, id)
 	}
-	g.nextNode = NodeID(f.NextNode)
-	g.nextEdge = EdgeID(f.NextEdge)
 	for _, ix := range f.Indexes {
 		g.CreateIndex(ix.Label, ix.Prop)
 	}

@@ -127,12 +127,18 @@ func AllDefaultStrategies() []DefaultStrategy {
 // user's profile, keyed by the uid property (§4.2 "we can easily create
 // only one graph and, using the user_id property of a node, select all the
 // nodes for a particular user").
+//
+// A Graph has a single writer: the Add* and Build methods must not run
+// concurrently with each other or with readers.
 type Graph struct {
 	g        *graphdb.Graph
 	strategy DefaultStrategy
-	// byKey maps uid+normalized predicate to the node id, implementing
+	// byKey maps (uid, normalized predicate) to the node id, implementing
 	// createOrReturnNodeId() without a graph scan.
-	byKey map[string]graphdb.NodeID
+	byKey map[nodeKey]graphdb.NodeID
+	// canon memoizes canonical: raw predicate text -> its normalized form,
+	// for valid predicates only.
+	canon map[string]string
 	// userSeen tracks the user-provided intensities per uid for the
 	// DEFAULT_VALUE aggregates of Table 12.
 	userSeen map[int64][]float64
@@ -143,10 +149,16 @@ type Graph struct {
 func NewGraph(strategy DefaultStrategy) *Graph {
 	g := graphdb.New()
 	g.CreateIndex(uidIndexLabel, propUID)
+	return newGraph(g, strategy)
+}
+
+// newGraph wraps a store; NewGraph and Load both build through it.
+func newGraph(store *graphdb.Graph, strategy DefaultStrategy) *Graph {
 	return &Graph{
-		g:        g,
+		g:        store,
 		strategy: strategy,
-		byKey:    make(map[string]graphdb.NodeID),
+		byKey:    make(map[nodeKey]graphdb.NodeID),
+		canon:    make(map[string]string),
 		userSeen: make(map[int64][]float64),
 	}
 }
@@ -155,15 +167,31 @@ func NewGraph(strategy DefaultStrategy) *Graph {
 // benchmarks).
 func (h *Graph) Store() *graphdb.Graph { return h.g }
 
-func nodeKey(uid int64, pred string) string {
-	return strconv.FormatInt(uid, 10) + "\x00" + pred
+type nodeKey struct {
+	uid  int64
+	pred string
+}
+
+// canonical normalizes a predicate and checks that the normalized text
+// parses, parsing each distinct raw string once per Graph. On error the
+// normalized text is returned for the message, and nothing is cached.
+func (h *Graph) canonical(raw string) (string, error) {
+	if c, ok := h.canon[raw]; ok {
+		return c, nil
+	}
+	c := predicate.Normalize(raw)
+	if _, err := predicate.Parse(c); err != nil {
+		return c, err
+	}
+	h.canon[raw] = c
+	return c, nil
 }
 
 // createOrReturnNode implements createOrReturnNodeId() of Algorithm 1: it
 // returns the existing node for (uid, predicate) or creates one without an
 // intensity value.
 func (h *Graph) createOrReturnNode(uid int64, pred string) graphdb.NodeID {
-	key := nodeKey(uid, pred)
+	key := nodeKey{uid, pred}
 	if id, ok := h.byKey[key]; ok {
 		return id
 	}
@@ -187,8 +215,8 @@ func (h *Graph) AddQuantitative(uid int64, pred string, intensity float64) (grap
 	if err := CheckQuantIntensity(intensity); err != nil {
 		return 0, err
 	}
-	pred = predicate.Normalize(pred)
-	if _, err := predicate.Parse(pred); err != nil {
+	pred, err := h.canonical(pred)
+	if err != nil {
 		return 0, fmt.Errorf("hypre: invalid predicate %q: %v", pred, err)
 	}
 	id := h.createOrReturnNode(uid, pred)
@@ -253,12 +281,12 @@ func (h *Graph) AddQualitative(uid int64, left, right string, ql float64) (QualR
 	if err := CheckQualIntensity(ql); err != nil {
 		return QualResult{}, err
 	}
-	left = predicate.Normalize(left)
-	right = predicate.Normalize(right)
-	if _, err := predicate.Parse(left); err != nil {
+	left, err := h.canonical(left)
+	if err != nil {
 		return QualResult{}, fmt.Errorf("hypre: invalid left predicate %q: %v", left, err)
 	}
-	if _, err := predicate.Parse(right); err != nil {
+	right, err = h.canonical(right)
+	if err != nil {
 		return QualResult{}, fmt.Errorf("hypre: invalid right predicate %q: %v", right, err)
 	}
 	if left == right {
@@ -503,7 +531,7 @@ func (h *Graph) Node(id graphdb.NodeID) (NodeInfo, bool) {
 
 // NodeID returns the node for (uid, predicate) if it exists.
 func (h *Graph) NodeID(uid int64, pred string) (graphdb.NodeID, bool) {
-	id, ok := h.byKey[nodeKey(uid, predicate.Normalize(pred))]
+	id, ok := h.byKey[nodeKey{uid, predicate.Normalize(pred)}]
 	return id, ok
 }
 

@@ -1,6 +1,7 @@
 package hypre
 
 import (
+	"maps"
 	"math"
 	"testing"
 )
@@ -457,5 +458,43 @@ func TestFig26PrefGrowthCounting(t *testing.T) {
 	}
 	if math.Abs(float64(withIntensity)/float64(fromQuant)-2.5) > 1e-9 {
 		t.Errorf("growth ratio = %v", float64(withIntensity)/float64(fromQuant))
+	}
+}
+
+// TestCanonicalMemo: the graph parses each distinct raw predicate once, but
+// an invalid one is never cached, so every attempt fails with the same text,
+// and spellings of one predicate still share a node.
+func TestCanonicalMemo(t *testing.T) {
+	h := NewGraph(DefaultFixed)
+	for range 2 {
+		_, err := h.AddQuantitative(1, `  not a predicate (( `, 0.5)
+		if want := `hypre: invalid predicate "not a predicate ((": predicate: expected operator after "a", got "predicate"`; err == nil || err.Error() != want {
+			t.Fatalf("quantitative error %v, want %s", err, want)
+		}
+		_, err = h.AddQualitative(1, `((`, `venue="B"`, 0.3)
+		if want := `hypre: invalid left predicate "((": predicate: expected attribute name, got ""`; err == nil || err.Error() != want {
+			t.Fatalf("left error %v, want %s", err, want)
+		}
+		_, err = h.AddQualitative(1, `venue="A"`, ` x = "open`, 0.3)
+		if want := `hypre: invalid right predicate "x = \"open": predicate: unterminated string at offset 4`; err == nil || err.Error() != want {
+			t.Fatalf("right error %v, want %s", err, want)
+		}
+		_, err = h.AddQualitative(1, `venue="A"`, `venue = 'A'`, 0.3)
+		if want := `hypre: qualitative preference endpoints are identical ("venue=\"A\"")`; err == nil || err.Error() != want {
+			t.Fatalf("identical endpoints error %v, want %s", err, want)
+		}
+	}
+	if want := map[string]string{`venue="A"`: `venue="A"`, `venue = 'A'`: `venue="A"`}; !maps.Equal(h.canon, want) {
+		t.Fatalf("memo holds %q, want only the valid spellings %q", h.canon, want)
+	}
+	a, err := h.AddQuantitative(1, `venue = 'A'`, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := h.AddQuantitative(1, `venue="A"`, 0.6); b != a {
+		t.Fatalf("spellings of one predicate got nodes %d and %d", a, b)
+	}
+	if id, ok := h.NodeID(1, ` venue='A' `); !ok || id != a {
+		t.Fatalf("NodeID = %d, %v; want %d", id, ok, a)
 	}
 }

@@ -55,12 +55,7 @@ func Load(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Graph{
-		g:        store,
-		strategy: DefaultStrategy(hdr.Strategy),
-		byKey:    make(map[string]graphdb.NodeID),
-		userSeen: make(map[int64][]float64, len(hdr.UserIDs)),
-	}
+	h := newGraph(store, DefaultStrategy(hdr.Strategy))
 	for i, uid := range hdr.UserIDs {
 		h.userSeen[uid] = append([]float64(nil), hdr.UserVals[i]...)
 	}
@@ -68,7 +63,7 @@ func Load(r io.Reader) (*Graph, error) {
 		uidV, okU := props[propUID]
 		predV, okP := props[propPredicate]
 		if okU && okP {
-			h.byKey[nodeKey(uidV.AsInt(), predV.AsString())] = id
+			h.byKey[nodeKey{uidV.AsInt(), predV.AsString()}] = id
 		}
 		return true
 	})

@@ -342,6 +342,11 @@ func (p *parser) parseLiteral() (Value, error) {
 	switch t.kind {
 	case tkNumber:
 		if t.isFl {
+			// -0.0 would render as "-0", which reads back as the integer
+			// 0: take it as +0, so a normalized predicate is a fixpoint.
+			if t.num == 0 {
+				return Float(0), nil
+			}
 			return Float(t.num), nil
 		}
 		return Int(int64(t.num)), nil

@@ -136,16 +136,34 @@ func Compare(a, b Value) (int, bool) {
 	return 0, false
 }
 
-// String renders the value as a SQL literal.
+// String renders the value as a predicate literal (NULL for the null
+// value).
 func (v Value) String() string {
 	switch v.kind {
 	case KindNull:
 		return "NULL"
 	case KindString:
-		return strconv.Quote(v.s)
+		return quote(v.s)
 	default:
 		return v.AsString()
 	}
+}
+
+// quote double-quotes s the way the lexer reads strings: a backslash
+// before '"' and '\', every other byte as is. (strconv.Quote's escapes,
+// such as \x00, would read back as other text.)
+func quote(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s) + 2)
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' || s[i] == '\\' {
+			sb.WriteByte('\\')
+		}
+		sb.WriteByte(s[i])
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }
 
 // Key returns a map-key-safe canonical encoding of the value, used by
