@@ -223,40 +223,9 @@ func BenchmarkMaterializeProfile(b *testing.B) {
 	}
 }
 
-// BenchmarkOneShotStreaming answers a cold top-k profile query through the
-// streaming block-iterator path: a fresh evaluator every iteration, no
-// bitmaps materialized, TA threshold early-exit live. Its counterpart
-// BenchmarkOneShotMaterialized is the same query answered materialize-first;
-// the pair is the one-shot visitor cost the oneshot experiment tracks.
-func BenchmarkOneShotStreaming(b *testing.B) {
-	l := benchSetup(b)
-	for _, tc := range []struct {
-		name string
-		uid  int64
-	}{{"Modest", l.Modest}, {"Rich", l.Rich}} {
-		b.Run(tc.name, func(b *testing.B) {
-			prefs := l.ProfileFor(tc.uid, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := l.Evaluator()
-				out, st, err := topk.EvaluateOneShot(ev, prefs, 100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !st.Streamed {
-					b.Fatal("cold query did not take the streaming path")
-				}
-				if len(out) == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkOneShotMaterialized is the materialize-first answer to the same
-// cold query: build every predicate bitmap, then TA over sorted lists.
+// BenchmarkOneShotMaterialized answers a cold top-k profile query the way
+// the paper's §7.6.1 baseline does: a fresh evaluator every iteration,
+// every predicate bitmap built, then TA over sorted lists.
 func BenchmarkOneShotMaterialized(b *testing.B) {
 	l := benchSetup(b)
 	for _, tc := range []struct {

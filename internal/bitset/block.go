@@ -11,10 +11,10 @@ const (
 )
 
 // Block is a fixed-width dense selection fragment: the keys
-// [base, base+BlockBits) as 16 words. It is the unit of the streaming scan
-// path — vectorized kernels write into a Block instead of a Builder, and the
-// block-level set algebra below combines predicate subtrees word-parallel
-// without ever materializing a full Set. base must be BlockBits-aligned.
+// [base, base+BlockBits) as 16 words. It is the unit of the block scan —
+// vectorized kernels write into a Block, and the block-level set algebra
+// below combines predicate subtrees word-parallel before the block is
+// appended to a Builder. base must be BlockBits-aligned.
 type Block struct {
 	base  int
 	words [blockWords]uint64
@@ -122,8 +122,8 @@ func (b *Block) ForEach(fn func(i int) bool) {
 // ReadBlock extracts s ∩ [base, base+BlockBits) into dst. Because BlockBits
 // divides containerSpan the window lies inside at most one container, so the
 // extraction is a word copy (bitmap), a scatter (array), or range fills
-// (run) — never a container merge. The streaming scan uses this to apply the
-// tombstone mask one block at a time.
+// (run) — never a container merge. The block scan uses this to apply the
+// tombstone mask and the join filter one block at a time.
 func (s *Set) ReadBlock(base int, dst *Block) {
 	dst.Reset(base)
 	ci := s.find(uint32(base) >> 16)

@@ -91,7 +91,7 @@ func (b *syncBatch) repair(e *entry) *entry {
 }
 
 // grade folds a candidate row's grade under the entry's profile exactly as
-// the resident, streaming and TA paths do: within each attribute slot FAnd
+// the resident and TA paths do: within each attribute slot FAnd
 // over the matched intensities in profile order from 0, then FAndAll over
 // the non-zero slot grades in slot order. ok is false when no preference
 // matches the row; a row matched only at intensity 0 is a grade-0

@@ -32,7 +32,8 @@ import (
 // there and ranks its answer from their bitmaps without reading the store,
 // entries name predicates by the evaluator's ids, and a Sync's refresh
 // hands ApplyDelta the row delta the repair reads. Only a stale bypass, or
-// a miss a commit overtook, streams the store.
+// a miss a commit overtook, scans the store again (rankFresh), into a
+// throwaway evaluator it ranks from the same way and then discards.
 //
 // Freshness discipline: the server records the store's epoch stamp each
 // time ApplyDelta/InvalidateAll synchronizes it. A request arriving while
@@ -167,9 +168,9 @@ func (s *Server) Cache() *Cache { return s.c }
 func (s *Server) Counters() *metrics.CacheCounters { return s.counters }
 
 // TopK answers a top-k profile query through the cache. The answer is
-// byte-identical to topk.EvaluateOneShot over the canonical form of prefs
-// (combine.CanonicalProfile) against the last-synced store snapshot; the
-// returned slice is the caller's to keep.
+// byte-identical to BuildLists + TA on a fresh evaluator over the canonical
+// form of prefs (combine.CanonicalProfile) against the last-synced store
+// snapshot; the returned slice is the caller's to keep.
 func (s *Server) TopK(prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, Outcome, error) {
 	return s.TopKTraced(prefs, k, nil)
 }
@@ -239,7 +240,7 @@ func (s *Server) serve(ctx context.Context, c combine.Canonical, k int, tr *obs.
 		// ApplyDelta re-open the cache.
 		s.counters.StaleBypasses.Add(1)
 		tr.Transition(sp, obs.StageEvaluate)
-		out, _, err := topk.EvaluateOneShotTraced(s.ev, canon, k, tr)
+		out, err := s.rankFresh(canon, k, tr)
 		s.observe(tr, StaleBypass, started, fp, k, err)
 		return out, StaleBypass, err
 	}
@@ -339,8 +340,8 @@ func (s *Server) observe(tr *obs.Trace, out Outcome, started time.Time, fp combi
 // stands at the lookup's stamp after the snapshot: the bitmaps then
 // describe that synced state, with no commit between the lookup and the
 // snapshot to mix into a freshly scanned one. Otherwise (a commit landed,
-// or InvalidateAll dropped a bitmap) it runs the one-shot router, the call
-// the stale-bypass branch makes. It publishes the result entry unless the
+// or InvalidateAll dropped a bitmap) it ranks through rankFresh, as the
+// stale-bypass branch does. It publishes the result entry unless the
 // store moved while it worked, in which case the answer is returned but
 // nothing is cached. Every leader ticks Evaluations exactly once, so
 // Misses == Evaluations.
@@ -359,7 +360,7 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	var res []combine.ScoredTuple
 	if resident && s.db.EpochStamp(s.tables...) == stamp {
 		res = topk.RankResident(r, canon, k, tr)
-	} else if res, _, err = topk.EvaluateOneShotTraced(s.ev, canon, k, tr); err != nil {
+	} else if res, err = s.rankFresh(canon, k, tr); err != nil {
 		return nil, err
 	}
 
@@ -386,6 +387,30 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 	e.size = entryBytes(e)
 	s.c.put(e)
 	return res, nil
+}
+
+// rankFresh ranks canon at one committed store state without touching the
+// served evaluator: it scans the profile's predicates into a throwaway
+// evaluator and ranks from those bitmaps (topk.RankResident) if the store's
+// epoch stamp held still across the scans. Nothing it builds is published
+// or kept. The scans lock the store one predicate at a time, so a commit
+// can land between two of them; it then waits out any Write in progress
+// and starts over, so a commit fenced by Write costs at most one retry.
+// Commits made outside Write keep it retrying for as long as they land
+// faster than one profile scans.
+func (s *Server) rankFresh(canon []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, error) {
+	for {
+		stamp := s.db.EpochStamp(s.tables...)
+		ev := combine.NewEvaluator(s.db, s.ev.BaseQuery, s.ev.KeyAttr())
+		if err := ev.MaterializeAll(canon); err != nil {
+			return nil, err
+		}
+		r, _ := ev.Resident(canon)
+		if s.db.EpochStamp(s.tables...) == stamp {
+			return topk.RankResident(r, canon, k, tr), nil
+		}
+		s.awaitWrite()
+	}
 }
 
 // registerPreds makes every predicate of the profile resident in the

@@ -72,17 +72,17 @@ func sameRanking(a, b []combine.ScoredTuple) bool {
 	return true
 }
 
-// uncached evaluates the canonical profile on a fresh evaluator — the
-// reference answer every cached result must equal byte for byte.
+// uncached evaluates the canonical profile on a fresh evaluator with
+// BuildLists + TA — the reference answer every cached result must equal
+// byte for byte.
 func uncached(t testing.TB, net *workload.Network, prefs []hypre.ScoredPred, k int) []combine.ScoredTuple {
 	t.Helper()
 	canon, _ := combine.CanonicalProfile(prefs)
-	ev := combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
-	out, _, err := topk.EvaluateOneShot(ev, canon, k)
+	lists, err := topk.BuildLists(combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"), canon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return lists.TA(k)
 }
 
 // TestServerHitIdentical: second ask is a Hit and matches both the first
@@ -150,9 +150,8 @@ func TestServerNewK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out != cache.Miss || tr.Exec != "resident" || tr.Eng.BlocksScanned != 0 {
-					t.Fatalf("k=%d: outcome %v exec %q, %d blocks; want Miss via \"resident\", none",
-						k, out, tr.Exec, tr.Eng.BlocksScanned)
+				if out != cache.Miss || tr.Exec != "resident" {
+					t.Fatalf("k=%d: outcome %v exec %q; want Miss via \"resident\"", k, out, tr.Exec)
 				}
 				if want := uncached(t, net, prof, k); !sameRanking(got, want) {
 					t.Fatalf("k=%d answer diverged from uncached evaluation", k)
@@ -357,6 +356,60 @@ func TestServerWriteFence(t *testing.T) {
 	}
 }
 
+// flipper moves ten papers between two store states, one batch per
+// commit: X, where they are in venue A and year y0 (the year most of A's
+// papers share), and Z, where they are in venue B and year y0+1. A batch
+// rewrites both columns of all ten, so the store only ever holds X or Z,
+// and a ranking that read some predicates at X and others at Z matches
+// neither.
+type flipper struct {
+	net            *workload.Network
+	venueA, venueB string
+	y0             int64
+	pids           []int64
+	inZ            bool
+}
+
+func newFlipper(net *workload.Network) *flipper {
+	f := &flipper{net: net, venueA: net.Venues[0], venueB: net.Venues[1]}
+	dblp := net.DB.Table("dblp")
+	years := map[int64]int{}
+	for row := 0; row < dblp.Len(); row++ {
+		if dblp.Value(row, "venue").AsString() == f.venueA {
+			years[dblp.Value(row, "year").AsInt()]++
+		}
+	}
+	for y, n := range years {
+		if n > years[f.y0] || (n == years[f.y0] && y < f.y0) {
+			f.y0 = y
+		}
+	}
+	for row := 0; row < dblp.Len() && len(f.pids) < 10; row++ {
+		if dblp.Value(row, "venue").AsString() == f.venueA && dblp.Value(row, "year").AsInt() == f.y0 {
+			f.pids = append(f.pids, dblp.Value(row, "pid").AsInt())
+		}
+	}
+	return f
+}
+
+// commit moves the papers to the other state in one batch.
+func (f *flipper) commit() error {
+	venue, year := f.venueB, f.y0+1
+	if f.inZ {
+		venue, year = f.venueA, f.y0
+	}
+	b := f.net.DB.NewBatch()
+	for _, pid := range f.pids {
+		b.UpdateColByKey("dblp", "pid", predicate.Int(pid), "venue", predicate.String(venue))
+		b.UpdateColByKey("dblp", "pid", predicate.Int(pid), "year", predicate.Int(year))
+	}
+	if err := b.Commit(); err != nil {
+		return err
+	}
+	f.inZ = !f.inZ
+	return nil
+}
+
 // TestServerResidentVsUnsyncedCommit: misses ranked from resident bitmaps
 // race commits made outside Write, each followed by a Sync. Every commit
 // moves ten papers between two states in both columns a profile reads
@@ -375,41 +428,12 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.AttachCache(srv)
-	venueA, venueB := net.Venues[0], net.Venues[1]
-	dblp := net.DB.Table("dblp")
-	years := map[int64]int{}
-	for row := 0; row < dblp.Len(); row++ {
-		if dblp.Value(row, "venue").AsString() == venueA {
-			years[dblp.Value(row, "year").AsInt()]++
-		}
-	}
-	var y0 int64
-	for y, n := range years {
-		if n > years[y0] || (n == years[y0] && y < y0) {
-			y0 = y
-		}
-	}
-	var flip []int64
-	for row := 0; row < dblp.Len() && len(flip) < 10; row++ {
-		if dblp.Value(row, "venue").AsString() == venueA && dblp.Value(row, "year").AsInt() == y0 {
-			flip = append(flip, dblp.Value(row, "pid").AsInt())
-		}
-	}
-	inZ := false
+	f := newFlipper(net)
+	venueA, y0 := f.venueA, f.y0
 	commit := func() {
-		venue, year := venueB, y0+1
-		if inZ {
-			venue, year = venueA, y0
-		}
-		b := net.DB.NewBatch()
-		for _, pid := range flip {
-			b.UpdateColByKey("dblp", "pid", predicate.Int(pid), "venue", predicate.String(venue))
-			b.UpdateColByKey("dblp", "pid", predicate.Int(pid), "year", predicate.Int(year))
-		}
-		if err := b.Commit(); err != nil {
+		if err := f.commit(); err != nil {
 			t.Fatal(err)
 		}
-		inZ = !inZ
 	}
 	// Readers build profiles too, so a parse error is reported with
 	// t.Error, never t.Fatal.
@@ -492,7 +516,7 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 			prof, k, _ := profile(-2, n)
 			byClass[class] = uncached(t, net, prof, k)
 		}
-		want[inZ] = byClass
+		want[f.inZ] = byClass
 		commit()
 	}
 	checked := 0
@@ -512,8 +536,107 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 	}
 }
 
+// TestServerBypassVsCommitBurst: stale bypasses racing a burst of commits
+// made outside Write. Nothing ever syncs, so every ask bypasses the cache
+// and ranks on a throwaway evaluator that scans the profile's twelve
+// predicates one by one. Each venue predicate carries never-matching
+// alternatives, so its scan is slow and commits land between the scans of
+// one ranking. The burst flips papers between states X and Z (flipper);
+// every answer must equal uncached evaluation at X or at Z, which only the
+// bypass's stamp re-check across its scans ensures.
+func TestServerBypassVsCommitBurst(t *testing.T) {
+	const commits, readers, k = 200, 2, 1000
+	net := testNet(t, 43)
+	srv, _ := newServer(t, net)
+	f := newFlipper(net)
+	var prof []hypre.ScoredPred
+	for i, venue := range net.Venues[:8] {
+		pred := fmt.Sprintf("dblp.venue=%q", venue)
+		for j := 0; j < 8; j++ {
+			pred += fmt.Sprintf(" OR dblp.venue=\"absent-%d-%d\"", i, j)
+		}
+		prof = append(prof, sp(t, pred, 0.2+0.08*float64(i)))
+	}
+	for i, y := range []int64{f.y0, f.y0 + 1, f.y0 - 1, f.y0 + 2} {
+		prof = append(prof, sp(t, fmt.Sprintf("dblp.year=%d", y), 0.3+0.1*float64(i)))
+	}
+	// The first commit is made before any ask, so no ask is ever a miss.
+	if err := f.commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		got []combine.ScoredTuple
+		out cache.Outcome
+	}
+	answers := make([][]answer, readers)
+	stop := make(chan struct{})
+	var started, wg sync.WaitGroup
+	started.Add(readers)
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, out, err := srv.TopK(prof, k)
+				if n == 0 {
+					started.Done()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				answers[w] = append(answers[w], answer{got, out})
+			}
+		}(w)
+	}
+	// Burst once every reader has an answer, so each has asks in flight
+	// across it.
+	started.Wait()
+	for i := 1; i < commits; i++ {
+		if err := f.commit(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	want := map[bool][]combine.ScoredTuple{}
+	for range 2 {
+		want[f.inZ] = uncached(t, net, prof, k)
+		if err := f.commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sameRanking(want[false], want[true]) {
+		t.Fatal("the two states rank alike; the test cannot tell them apart")
+	}
+	checked := 0
+	for w := range answers {
+		for i, a := range answers[w] {
+			if a.out != cache.StaleBypass {
+				t.Fatalf("reader %d ask %d: outcome %v with nothing synced, want StaleBypass", w, i, a.out)
+			}
+			if !sameRanking(a.got, want[false]) && !sameRanking(a.got, want[true]) {
+				t.Fatalf("reader %d ask %d: answer matches neither committed state\n got %v\n  X %v\n  Z %v",
+					w, i, a.got, want[false], want[true])
+			}
+			checked++
+		}
+	}
+	if entries, _ := srv.Cache().Stats(); entries != 0 || checked < 2*readers {
+		t.Fatalf("%d answers checked, %d cache entries; want ≥ %d and none", checked, entries, 2*readers)
+	}
+}
+
 // TestServerStaleBypass: between a mutation and the maintainer's Sync the
-// server serves uncached (streamed from the live store, whose commit the
+// server serves uncached (ranked from the live store, whose commit the
 // resident bitmaps do not reflect yet) and caches nothing; after Sync it
 // serves the repaired entry again.
 func TestServerStaleBypass(t *testing.T) {
@@ -535,8 +658,8 @@ func TestServerStaleBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != cache.StaleBypass || tr.Exec != "streaming" {
-		t.Fatalf("unsynced store served outcome %v via %q, want StaleBypass via \"streaming\"", out, tr.Exec)
+	if out != cache.StaleBypass || tr.Exec != "resident" {
+		t.Fatalf("unsynced store served outcome %v via %q, want StaleBypass via \"resident\"", out, tr.Exec)
 	}
 	if want := uncached(t, net, prof, 10); !sameRanking(got, want) {
 		t.Fatalf("bypass answer diverged from the live store")

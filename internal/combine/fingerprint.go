@@ -50,8 +50,9 @@ func (c Canonical) Fingerprint() Fingerprint { return c.fp }
 // CanonicalProfile reduces a preference profile to the normal form the
 // top-k paths actually evaluate, plus its fingerprint:
 //
-//   - negative-intensity preferences are dropped (every TA path — BuildLists,
-//     EvaluateStreaming, EvaluateOneShot — skips them identically);
+//   - negative-intensity preferences are dropped (every top-k path —
+//     BuildLists, RankResident, the cache's repair — skips them
+//     identically);
 //   - duplicate preferences (same normalized predicate text) merge into one
 //     entry whose intensity is the f∧ fold of the duplicates' intensities,
 //     folded in descending-intensity order — exactly the composition the

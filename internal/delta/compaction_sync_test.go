@@ -79,11 +79,7 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					canon, _ := combine.CanonicalProfile(sub)
-					want, _, err := topk.EvaluateOneShot(combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"), canon, sk)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := uncachedTopK(t, net, sub, sk)
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("%s: sub-profile %d k=%d served %v (%v), want %v", tag, i, sk, got, out, want)
 					}
@@ -160,11 +156,7 @@ func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		canon, _ := combine.CanonicalProfile(fresh)
-		want, _, err := topk.EvaluateOneShot(combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"), canon, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := uncachedTopK(t, net, fresh, k)
 		if out != cache.Miss || tr.Exec != "resident" {
 			t.Fatalf("k=%d: outcome %v via %q, want a miss ranked from the resident bitmaps", k, out, tr.Exec)
 		}
@@ -172,4 +164,16 @@ func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
 			t.Fatalf("k=%d: served %v, want %v", k, got, want)
 		}
 	}
+}
+
+// uncachedTopK ranks the canonical form of prefs on a fresh evaluator with
+// BuildLists + TA: the answer the cache server must serve.
+func uncachedTopK(t *testing.T, net *workload.Network, prefs []hypre.ScoredPred, k int) []combine.ScoredTuple {
+	t.Helper()
+	canon, _ := combine.CanonicalProfile(prefs)
+	lists, err := topk.BuildLists(combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid"), canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lists.TA(k)
 }

@@ -21,9 +21,9 @@ type CacheCounters struct {
 	Misses atomic.Int64
 	// PlanHits is always 0 (see the type comment).
 	PlanHits atomic.Int64
-	// Evaluations counts store evaluations run on behalf of misses
-	// (streams or list builds + TA). Stale-bypass evaluations are tracked
-	// by StaleBypasses, not here.
+	// Evaluations counts the rankings run on behalf of misses (resident
+	// bitmaps folded by topk.RankResident). Stale-bypass evaluations are
+	// tracked by StaleBypasses, not here.
 	Evaluations atomic.Int64
 	// SharedWaits counts requests that piggybacked on another session's
 	// in-flight evaluation of the same fingerprint (single-flight dedup).

@@ -31,8 +31,8 @@ func TestDebugEndpoints(t *testing.T) {
 			tr.SetRoute("miss")
 			tr.SetQuery(query)
 			tr.SetK(k)
-			sp := tr.StartSpan(StageStream)
-			tr.AddBlocks(4, 2, 99)
+			sp := tr.StartSpan(StageResident)
+			tr.AddTA(4, false)
 			tr.EndSpan(sp)
 			tr.Finish()
 			return tr, nil
@@ -93,15 +93,15 @@ func TestDebugEndpoints(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"spans"`
 		Counters struct {
-			BlocksScanned int64 `json:"blocks_scanned"`
+			TARounds int64 `json:"ta_rounds"`
 		} `json:"counters"`
 	}
 	if err := json.Unmarshal([]byte(body), &tj); err != nil {
 		t.Fatalf("trace not JSON: %v\n%s", err, body)
 	}
 	if tj.Route != "miss" || tj.Query != "u7" || tj.K != 25 ||
-		len(tj.Spans) != 1 || tj.Spans[0].Name != StageStream ||
-		tj.Counters.BlocksScanned != 4 {
+		len(tj.Spans) != 1 || tj.Spans[0].Name != StageResident ||
+		tj.Counters.TARounds != 4 {
 		t.Fatalf("trace shape wrong: %s", body)
 	}
 

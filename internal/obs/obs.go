@@ -31,9 +31,6 @@ const (
 	StageBuildLists = "build_lists"
 	// StageTA is the Threshold Algorithm loop over built lists.
 	StageTA = "ta"
-	// StageStream is the block-lockstep streaming TA loop (scan + threshold
-	// rule fused; per-block work is inseparable by design).
-	StageStream = "stream"
 	// StageResident ranks a miss straight from its predicates' resident
 	// bitmaps (dense grade fold + top-k heap; no store block is read).
 	StageResident = "resident"

@@ -6,16 +6,16 @@ import (
 )
 
 // EngineCounters are the per-query engine observables a traced evaluation
-// accumulates: how much of the store the scan layer actually touched, how
-// hard the ranking algorithms worked, and where they stopped early. All
-// adders are nil-safe through the owning Trace.
+// accumulates: how hard the ranking algorithms worked and where they
+// stopped early. All adders are nil-safe through the owning Trace.
 type EngineCounters struct {
-	// BlocksScanned / BlocksSkipped split the base-table blocks the
-	// streaming scans considered into evaluated vs zone-map-pruned.
+	// BlocksScanned, BlocksSkipped and RowsSeen counted a streaming scan
+	// path that has been deleted. Nothing writes them; they stay, reading
+	// 0, only because bench/ reads them until its metric set is re-aligned
+	// (ROADMAP item 14(d)).
 	BlocksScanned int64 `json:"blocks_scanned,omitempty"`
 	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`
-	// RowsSeen counts (pref, row) match pairs streamed into grade folds.
-	RowsSeen int64 `json:"rows_seen,omitempty"`
+	RowsSeen      int64 `json:"rows_seen,omitempty"`
 	// TARounds is the sorted-access depth the TA loop reached; TAEarlyExit
 	// reports the threshold rule halted before list exhaustion.
 	TARounds    int64 `json:"ta_rounds,omitempty"`
@@ -57,8 +57,9 @@ type Trace struct {
 	begun time.Time
 
 	// Route is the serving outcome (hit / miss / shared / bypass); Exec is
-	// the execution path the router chose under a miss or bypass: streaming,
-	// or materialized_fallback for a shape the streaming planner refuses.
+	// the execution path that ranked a miss or bypass. The engine sets one
+	// value, resident (topk.RankResident); it stays empty on a hit or a
+	// shared wait.
 	Route string
 	Exec  string
 	Query string
@@ -177,15 +178,6 @@ func (t *Trace) SetK(k int) {
 func (t *Trace) SetErr(err error) {
 	if t != nil && err != nil {
 		t.Err = err.Error()
-	}
-}
-
-// AddBlocks accumulates streaming-scan footprint.
-func (t *Trace) AddBlocks(scanned, skipped, rows int64) {
-	if t != nil {
-		t.Eng.BlocksScanned += scanned
-		t.Eng.BlocksSkipped += skipped
-		t.Eng.RowsSeen += rows
 	}
 }
 

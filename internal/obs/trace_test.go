@@ -17,11 +17,10 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.EndSpan(-1)
 	tr.EndSpan(0)
 	tr.SetRoute("hit")
-	tr.SetExec("streaming")
+	tr.SetExec("resident")
 	tr.SetQuery("q")
 	tr.SetK(10)
 	tr.SetErr(errors.New("x"))
-	tr.AddBlocks(1, 2, 3)
 	tr.AddTA(4, true)
 	tr.AddPEPS(5, 6)
 	tr.AddPairs(7)
@@ -95,13 +94,13 @@ func TestTraceUnwind(t *testing.T) {
 func TestTraceJSONShape(t *testing.T) {
 	tr := NewTrace()
 	tr.SetRoute("miss")
-	tr.SetExec("streaming")
+	tr.SetExec("resident")
 	tr.SetQuery("fp:abcd")
 	tr.SetK(25)
-	sp := tr.StartSpan(StageStream)
+	sp := tr.StartSpan(StageResident)
 	time.Sleep(time.Millisecond)
-	tr.AddBlocks(10, 5, 1000)
 	tr.AddTA(3, true)
+	tr.AddPEPS(2, 9)
 	tr.EndSpan(sp)
 	tr.Finish()
 
@@ -122,27 +121,26 @@ func TestTraceJSONShape(t *testing.T) {
 			Depth int    `json:"depth"`
 		} `json:"spans"`
 		Counters struct {
-			BlocksScanned int64 `json:"blocks_scanned"`
-			BlocksSkipped int64 `json:"blocks_skipped"`
-			RowsSeen      int64 `json:"rows_seen"`
-			TARounds      int64 `json:"ta_rounds"`
-			TAEarlyExit   bool  `json:"ta_early_exit"`
+			TARounds       int64 `json:"ta_rounds"`
+			TAEarlyExit    bool  `json:"ta_early_exit"`
+			AnchorsUsed    int64 `json:"anchors_used"`
+			CombosExpanded int64 `json:"combos_expanded"`
 		} `json:"counters"`
 	}
 	if err := json.Unmarshal(buf, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Route != "miss" || got.Exec != "streaming" || got.K != 25 {
+	if got.Route != "miss" || got.Exec != "resident" || got.K != 25 {
 		t.Fatalf("header fields wrong: %+v", got)
 	}
 	if got.TotalNs < time.Millisecond.Nanoseconds() {
 		t.Fatalf("total_ns = %d, want >= 1ms", got.TotalNs)
 	}
-	if len(got.Spans) != 1 || got.Spans[0].Name != StageStream || got.Spans[0].DurNs <= 0 {
+	if len(got.Spans) != 1 || got.Spans[0].Name != StageResident || got.Spans[0].DurNs <= 0 {
 		t.Fatalf("spans wrong: %+v", got.Spans)
 	}
-	if got.Counters.BlocksScanned != 10 || got.Counters.BlocksSkipped != 5 ||
-		got.Counters.RowsSeen != 1000 || got.Counters.TARounds != 3 || !got.Counters.TAEarlyExit {
+	if got.Counters.TARounds != 3 || !got.Counters.TAEarlyExit ||
+		got.Counters.AnchorsUsed != 2 || got.Counters.CombosExpanded != 9 {
 		t.Fatalf("counters wrong: %+v", got.Counters)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // TestConcurrentMutateAndScan is the race test for the epoch/snapshot
 // discipline: writers Insert/Update/Delete on both tables of a join while
 // readers run the full scan surface — counts, distinct scans, the bulk row
-// scan, streaming iterator groups, MatchLeftRowSet, lazy index builds and
+// scan, set-valued attr scans, MatchLeftRowSet, lazy index builds and
 // join-entry repairs. Every scan holds the tables'
 // shared state locks for its duration, so under -race this must be clean
 // and every scan must observe internally consistent state (no partial
@@ -125,18 +125,14 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Streaming scans over the joined query repair the join
-				// entry beside the writers, as the materialized ones do.
-				g, err := db.OpenAttrRowIterGroup([]Query{{From: "lt", Join: join, Where: where}, {From: "lt", Join: join}}, "lt.a")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for _, it := range g.Iters {
-					for _, _, _, ok := it.NextBlock(); ok; _, _, _, ok = it.NextBlock() {
+				// Set-valued scans over the joined query repair the join
+				// entry beside the writers.
+				for _, jq := range []Query{{From: "lt", Join: join, Where: where}, {From: "lt", Join: join}} {
+					if _, err := db.ScanAttrRowSet(jq, "lt.a", -1, nil); err != nil {
+						t.Error(err)
+						return
 					}
 				}
-				g.Close()
 				touched := bitset.New()
 				for i := 0; i < 40; i++ {
 					touched.Add(rng.Intn(lt.Len()))

@@ -209,11 +209,10 @@ func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid i
 // scanAttrSel is the one core under ScanAttrRows and ScanAttrRowSet: it
 // validates the scan shape (left-bound attr, no Limit), takes the tables'
 // shared state locks, and computes the selection of live left rows matching
-// the query — the drain of the scan plan the streaming iterator pulls, or,
-// for a shape the plan refuses, the row-at-a-time engine filling the same
-// set. It returns the attr column and the selection with the locks still
-// held, so the caller reads attr values at the same epoch; the caller must
-// call unlock.
+// the query — the drain of a block scan plan, or, for a shape the plan
+// refuses, the row-at-a-time engine filling the same set. It returns the
+// attr column and the selection with the locks still held, so the caller
+// reads attr values at the same epoch; the caller must call unlock.
 func (db *DB) scanAttrSel(q Query, attr string) (c *column, sel *bitset.Set, unlock func(), err error) {
 	left, right, leftPos, rightPos, pos, where, err := db.resolveAttrRowScan(q, attr)
 	if err != nil {
@@ -236,9 +235,9 @@ func (db *DB) scanAttrSel(q Query, attr string) (c *column, sel *bitset.Set, unl
 	return left.cols[pos], sel, unlock, nil
 }
 
-// resolveAttrRowScan is the shared prologue of the attr-row scans and the
-// streaming iterator: table/join resolution, the left-bound-attribute and
-// no-Limit constraints, and WHERE defaulting.
+// resolveAttrRowScan is the prologue of the attr-row scans: table/join
+// resolution, the left-bound-attribute and no-Limit constraints, and WHERE
+// defaulting.
 func (db *DB) resolveAttrRowScan(q Query, attr string) (left, right *Table,
 	leftPos, rightPos, attrPos int, where predicate.Predicate, err error) {
 	left = db.Table(q.From)

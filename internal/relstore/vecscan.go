@@ -12,8 +12,12 @@ import (
 // tight typed row loop), and AND/OR/NOT compose word-parallel. Join rows are
 // admitted only through the table pair's cached join entry — the existence
 // vector and right→left CSR that joinrepair.go keeps exact under mutation.
-// The streaming iterator (iterscan.go) pulls the plan block by block; a
-// materialized scan is its drain into a bitset.Builder.
+// A scan is the plan's drain into a bitset.Builder, block by block.
+
+// The kernels address rows block-relative through bitset.Block, so the two
+// packages must agree on the block width.
+var _ [bitset.BlockBits - blockSize]struct{}
+var _ [blockSize - bitset.BlockBits]struct{}
 
 // scanPlan is one planned scan over table t, in one of two modes:
 //

@@ -530,11 +530,15 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Uncached answers a profile query on a fresh evaluator over the same store
-// — the reference every cached answer must equal (the serve tests and
-// bench/'s answer check assert through it).
+// through the paper's baseline, BuildLists + TA — the reference every cached
+// answer must equal (the serve tests and bench/'s answer check assert
+// through it). It shares no fold code with the served resident ranking
+// beyond AttrSlots, Outranks and FAnd.
 func (a *App) Uncached(prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, error) {
 	canon, _ := combine.CanonicalProfile(prefs)
-	ev := combine.NewEvaluator(a.db, workload.BaseQuery, "dblp.pid")
-	out, _, err := topk.EvaluateOneShot(ev, canon, k)
-	return out, err
+	lists, err := topk.BuildLists(combine.NewEvaluator(a.db, workload.BaseQuery, "dblp.pid"), canon)
+	if err != nil {
+		return nil, err
+	}
+	return lists.TA(k), nil
 }

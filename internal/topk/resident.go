@@ -23,9 +23,9 @@ var residentPool = sync.Pool{New: func() any { return new(residentScratch) }}
 
 // RankResident answers a top-k profile query from a snapshot of its
 // predicates' resident bitmaps (combine.Evaluator.Resident, which must hold
-// every preference), byte-identical to BuildLists + Lists.TA and to
-// EvaluateStreaming over the store state the bitmaps describe. It grades
-// exactly as they do, over a pooled dense scratch instead of maps: each
+// every preference), byte-identical to BuildLists + Lists.TA over the store
+// state the bitmaps describe. It grades exactly as they do, over a pooled
+// dense scratch instead of maps: each
 // preference with an AttrSlots slot, in profile order, walks its bitmap a
 // 64-bit word at a time, ORs the word into the touched bitmap and folds its
 // intensity with FAnd into that slot's grade of every dense id in the word.

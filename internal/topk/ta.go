@@ -143,8 +143,7 @@ func (h *taHeap) push(s combine.ScoredTuple, k int) {
 //     seen under sorted access; once k objects have grade strictly above τ,
 //     halt. (Strict: an unseen object can still reach exactly τ, and under
 //     the grade-desc/pid-asc ranking it would displace a kept object with
-//     an equal grade but larger pid — the streaming path's equivalence
-//     suite caught the >= variant doing exactly that.)
+//     an equal grade but larger pid.)
 func (l *Lists) TA(k int) []combine.ScoredTuple { return l.TATraced(k, nil) }
 
 // TATraced is TA with per-query observability: the sorted-access depth the
@@ -231,8 +230,8 @@ func BuildLists(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Lists, error)
 }
 
 // AttrSlots assigns each preference of a profile the attribute slot its
-// grade folds into — the one grouping rule BuildLists, the streaming path
-// and the result cache's repair all grade by. Slots number the attributes
+// grade folds into — the one grouping rule BuildLists, RankResident and
+// the result cache's repair all grade by. Slots number the attributes
 // of the non-negative preferences in first-seen order, with an unnamed
 // attribute pooled under "(multi)"; names[s] is slot s's attribute. A
 // negative preference gets slot -1: no top-k path grades it.
