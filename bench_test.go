@@ -263,7 +263,7 @@ func BenchmarkCacheServeHitPath(b *testing.B) {
 	prof := l.ProfileFor(l.Modest, benchProfileCap)
 	run := func(b *testing.B, cfg cache.Config, traced bool) {
 		srv := cache.NewServer(l.Evaluator(), cfg)
-		if _, _, err := srv.TopK(prof, 10); err != nil {
+		if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -206,9 +206,6 @@ func TestBlockOpsBruteForce(t *testing.T) {
 					t.Fatalf("seed %d base %d: row %d want %d", seed, base, got[i], want[i])
 				}
 			}
-			if blk.Count() != len(want) {
-				t.Fatalf("seed %d base %d: Count=%d want %d", seed, base, blk.Count(), len(want))
-			}
 			if blk.Any() != (len(want) > 0) {
 				t.Fatalf("seed %d base %d: Any=%v with %d rows", seed, base, blk.Any(), len(want))
 			}

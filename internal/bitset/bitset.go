@@ -289,9 +289,6 @@ func (s *Set) AndNot(o *Set) *Set {
 	return out
 }
 
-// AndWith replaces s with s ∩ o in place (s must be privately owned).
-func (s *Set) AndWith(o *Set) { s.replaceWith(s.And(o)) }
-
 // AndInto computes a ∩ b into s, reusing s's payload storage when the
 // shapes line up — the single-container fast paths that keep a chain of
 // intersections (the PEPS DFS) allocation-free in steady state. s must be
@@ -372,43 +369,10 @@ func (s *Set) publishInline(hk uint32, card int) {
 	s.cs = s.c0[:1]
 }
 
-// OrWith replaces s with s ∪ o in place (s must be privately owned).
-func (s *Set) OrWith(o *Set) { s.replaceWith(s.Or(o)) }
-
 // AndNotWith replaces s with s \ o in place (s must be privately owned).
 func (s *Set) AndNotWith(o *Set) { s.replaceWith(s.AndNot(o)) }
 
 func (s *Set) replaceWith(o *Set) { *s = *o }
-
-// Not complements s in place over the key domain [0, n).
-func (s *Set) Not(n int) {
-	if n <= 0 {
-		s.replaceWith(New())
-		return
-	}
-	out := New()
-	lastHK := uint32((n - 1) >> 16)
-	ci := 0
-	for hk := uint32(0); hk <= lastHK; hk++ {
-		limit := containerSpan - 1
-		if hk == lastHK {
-			limit = (n - 1) & 0xffff
-		}
-		var c container
-		if ci < len(s.keys) && s.keys[ci] == hk {
-			c = notCtr(&s.cs[ci], limit)
-			ci++
-		} else {
-			c = rangeContainer(0, limit)
-		}
-		if !c.isEmpty() {
-			out.keys = append(out.keys, hk)
-			out.cs = append(out.cs, c)
-			out.card += int(c.card)
-		}
-	}
-	s.replaceWith(out)
-}
 
 // Retain keeps exactly the keys fn approves — the delta path's
 // drop-unpartnered filter. Containers re-encode to their smallest form.
@@ -527,18 +491,5 @@ func FromWords(words []uint64) *Set {
 			out.card += int(c.card)
 		}
 	}
-	return out
-}
-
-// ToWords materializes the dense selection-vector view covering keys
-// [0, 64*nWords) — the compatibility bridge for callers still speaking raw
-// word slices.
-func (s *Set) ToWords(nWords int) []uint64 {
-	out := make([]uint64, nWords)
-	s.ForEachWord(func(wi int, w uint64) {
-		if wi < nWords {
-			out[wi] = w
-		}
-	})
 	return out
 }

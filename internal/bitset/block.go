@@ -96,15 +96,6 @@ func (b *Block) Any() bool {
 	return false
 }
 
-// Count returns the number of set keys.
-func (b *Block) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // ForEach calls fn for every set key in ascending order; fn returning false
 // stops the walk.
 func (b *Block) ForEach(fn func(i int) bool) {

@@ -29,44 +29,9 @@ func NewBuilder(max int) *Builder {
 	return &Builder{s: New(), scratch: make([]uint64, words), curKey: -1, max: max}
 }
 
-// Set marks key i.
-func (b *Builder) Set(i int) {
-	hk := int32(i >> 16)
-	if hk != b.curKey && !b.switchTo(hk) {
-		b.s.Add(i) // out-of-order straggler
-		return
-	}
-	w := (i & 0xffff) >> 6
-	for w >= len(b.scratch) {
-		b.scratch = append(b.scratch, 0)
-	}
-	b.scratch[w] |= 1 << (uint(i) & 63)
-	b.dirty = true
-}
-
-// SetRange marks keys [lo, hi).
-func (b *Builder) SetRange(lo, hi int) {
-	for lo < hi {
-		hk := int32(lo >> 16)
-		end := min(hi, (int(hk)+1)<<16)
-		if hk != b.curKey && !b.switchTo(hk) {
-			b.s.AddRange(lo, end) // out-of-order straggler
-			lo = end
-			continue
-		}
-		cLo, cHi := lo&0xffff, end-int(hk)<<16
-		for (cHi+63)/64 > len(b.scratch) {
-			b.scratch = append(b.scratch, 0)
-		}
-		wordsSetRange(b.scratch, cLo, cHi)
-		b.dirty = true
-		lo = end
-	}
-}
-
 // AppendBlock marks every key set in blk: one container switch and sixteen
-// word ORs into the scratch, the block-granular form of Set. An empty block
-// is a no-op; a block behind the emission frontier falls back to Set.Add.
+// word ORs into the scratch. An empty block is a no-op; a block behind the
+// emission frontier falls back to Set.Add.
 func (b *Builder) AppendBlock(blk *Block) {
 	if !blk.Any() {
 		return

@@ -570,57 +570,6 @@ func clearRange(words []uint64, lo, hi int) {
 	words[hw] &^= hiMask
 }
 
-// notCtr complements a within low values [0, limit] (limit inclusive).
-func notCtr(a *container, limit int) container {
-	if a.isEmpty() {
-		return rangeContainer(0, limit)
-	}
-	if a.typ == ctRun {
-		// Complementing runs is runs again: the gaps.
-		out := container{typ: ctRun}
-		card := 0
-		next := 0
-		for _, r := range a.runs {
-			if int(r.start) > limit {
-				break
-			}
-			if next < int(r.start) {
-				out.runs = append(out.runs, interval{uint16(next), r.start - 1})
-				card += int(r.start) - next
-			}
-			next = int(r.last) + 1
-		}
-		if next <= limit {
-			out.runs = append(out.runs, interval{uint16(next), uint16(limit)})
-			card += limit - next + 1
-		}
-		out.card = int32(card)
-		if card == 0 {
-			return container{}
-		}
-		return out
-	}
-	ab := a.toBitmap()
-	words := ab.bmp
-	n := limit>>6 + 1
-	for len(words) < n {
-		words = append(words, 0)
-	}
-	words = words[:n]
-	for i := range words {
-		words[i] = ^words[i]
-	}
-	if tail := uint(limit+1) & 63; tail != 0 {
-		words[n-1] &= ^uint64(0) >> (64 - tail)
-	}
-	card := 0
-	for _, w := range words {
-		card += bits.OnesCount64(w)
-	}
-	out := container{typ: ctBitmap, card: int32(card), bmp: words}
-	return normalize(out)
-}
-
 // rangeContainer builds a run container covering [lo, hi] inclusive.
 func rangeContainer(lo, hi int) container {
 	return container{

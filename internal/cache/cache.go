@@ -119,9 +119,6 @@ func NewCache(cfg Config) *Cache {
 	return c
 }
 
-// Counters exposes the counter set the cache increments.
-func (c *Cache) Counters() *metrics.CacheCounters { return c.counters }
-
 func (c *Cache) shardOf(fp combine.Fingerprint) *shard {
 	return &c.shards[int(fp[0])&(len(c.shards)-1)]
 }

@@ -45,7 +45,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 	if entries != 3 {
 		t.Fatalf("want 3 resident entries under budget, got %d", entries)
 	}
-	if ev := c.Counters().Evictions.Load(); ev != 7 {
+	if ev := c.counters.Evictions.Load(); ev != 7 {
 		t.Fatalf("want 7 evictions, got %d", ev)
 	}
 	// The survivors are the three most recent inserts.

@@ -175,11 +175,11 @@ func TestTopKContextCancelWhileShared(t *testing.T) {
 	srv.flight.mu.Unlock()
 	close(fake.done)
 
-	first, out, err := srv.TopK(prefs, k)
+	first, out, err := srv.TopKTraced(prefs, k, nil)
 	if err != nil || out != Miss {
 		t.Fatalf("post-cancel evaluation: outcome %v err %v", out, err)
 	}
-	again, out, err := srv.TopK(prefs, k)
+	again, out, err := srv.TopKTraced(prefs, k, nil)
 	if err != nil || out != Hit {
 		t.Fatalf("repeat after publish: outcome %v err %v", out, err)
 	}

@@ -22,7 +22,7 @@ func newEval(net *workload.Network) *combine.Evaluator {
 
 func mustOutcome(t *testing.T, srv *cache.Server, prof []hypre.ScoredPred, k int, want cache.Outcome) {
 	t.Helper()
-	_, out, err := srv.TopK(prof, k)
+	_, out, err := srv.TopKTraced(prof, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	// counts as repaired only if its answer changed.
 	before := map[int][]combine.ScoredTuple{}
 	for _, k := range []int{10, 25} {
-		got, out, err := srv.TopK(prof, k)
+		got, out, err := srv.TopKTraced(prof, k, nil)
 		if err != nil || out != cache.Miss {
 			t.Fatalf("k=%d cold ask: outcome %v err %v, want Miss", k, out, err)
 		}
@@ -70,7 +70,7 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	}
 	wantRepaired := int64(0)
 	for _, k := range []int{10, 25} {
-		got, out, err := srv.TopK(prof, k)
+		got, out, err := srv.TopKTraced(prof, k, nil)
 		if err != nil || out != cache.Hit {
 			t.Fatalf("k=%d post-sync ask: outcome %v err %v, want the repaired Hit", k, out, err)
 		}
@@ -173,7 +173,7 @@ func TestServerSlowLogCapture(t *testing.T) {
 	srv := cache.NewServer(ev, cache.Config{SlowLog: slow})
 	prof := venueProfile(t, net, []int{1}, 1999)
 
-	if _, _, err := srv.TopK(prof, 10); err != nil { // untraced miss
+	if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil { // untraced miss
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace()
@@ -242,10 +242,9 @@ func TestServerTracedServeVsMutate(t *testing.T) {
 			}
 		}(g)
 	}
+	ops := stream.PlanPartitions(1, 6*20)[0]
 	for batch := 0; batch < 6; batch++ {
-		if _, err := stream.Apply(20); err != nil {
-			t.Fatal(err)
-		}
+		commitOps(t, net.DB, ops[batch*20:(batch+1)*20])
 		if _, err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,8 @@ import (
 // Canonicalization happens at most once per request, and never on a stored
 // profile: TopKContext takes a combine.Canonical, which its caller built
 // once (the HTTP tier when a session is stored or an inline query arrives)
-// and which carries the fingerprint the cache keys on. TopK and TopKTraced
-// are the raw-profile wrappers: they canonicalize for their caller.
+// and which carries the fingerprint the cache keys on. TopKTraced is the
+// raw-profile wrapper: it canonicalizes for its caller.
 //
 // The evaluator's bitmap store is the cache's only record of predicate
 // membership: a miss materializes the profile's non-resident predicates
@@ -74,7 +74,7 @@ type Server struct {
 	gen        uint64
 }
 
-// Outcome reports how one TopK request was served.
+// Outcome reports how one top-k request was served.
 type Outcome uint8
 
 const (
@@ -167,17 +167,12 @@ func (s *Server) Cache() *Cache { return s.c }
 // Counters exposes the shared counter set.
 func (s *Server) Counters() *metrics.CacheCounters { return s.counters }
 
-// TopK answers a top-k profile query through the cache. The answer is
-// byte-identical to BuildLists + TA on a fresh evaluator over the canonical
-// form of prefs (combine.CanonicalProfile) against the last-synced store
-// snapshot; the returned slice is the caller's to keep.
-func (s *Server) TopK(prefs []hypre.ScoredPred, k int) ([]combine.ScoredTuple, Outcome, error) {
-	return s.TopKTraced(prefs, k, nil)
-}
-
-// TopKTraced is TopK under per-query observability: the route decision,
-// contiguous stage spans, and the chosen path's engine counters land in tr
-// (nil = disabled, TopK calls it that way). Latency histograms and the slow
+// TopKTraced answers a top-k profile query through the cache. The answer
+// is byte-identical to BuildLists + TA on a fresh evaluator over the
+// canonical form of prefs (combine.CanonicalProfile) against the
+// last-synced store snapshot; the returned slice is the caller's to keep.
+// The route decision, contiguous stage spans, and the chosen path's engine
+// counters land in tr (nil = disabled). Latency histograms and the slow
 // log observe every call when attached, traced or not; with neither
 // attached and tr nil the serve path never reads the clock. It
 // canonicalizes prefs inside the request's canonicalize span.
@@ -445,9 +440,12 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) (r combine.Resident, re
 // to. An entry none of whose predicates moved stays as it is. One that
 // names a moved predicate is repaired: its touched tuples are re-graded and
 // ranked against its old k-th tuple (syncBatch.fix), and it is dropped only
-// when a member fell out with nothing proven to replace it. Cost scales
-// with the moved entries' sizes times the touched rows, never with the
-// number of entries left alone; the re-match itself ran in the refresh,
+// when a member fell out with nothing proven to replace it. The sweep
+// visits every entry of every shard, binary-searching d.Moved for each of
+// its preferences until one is found, all under mu, which every request's
+// freshness check also takes: its cost grows with the number of cached
+// entries, not only with the moved ones (ROADMAP item 22 indexes entries
+// by predicate to fix that). The re-match itself ran in the refresh,
 // outside mu.
 func (s *Server) ApplyDelta(d *combine.RowDelta, leftEpoch, rightEpoch uint64) {
 	s.mu.Lock()

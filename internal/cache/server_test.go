@@ -13,6 +13,7 @@ import (
 	"hypre/internal/hypre"
 	"hypre/internal/obs"
 	"hypre/internal/predicate"
+	"hypre/internal/relstore"
 	"hypre/internal/topk"
 	"hypre/internal/workload"
 )
@@ -92,14 +93,14 @@ func TestServerHitIdentical(t *testing.T) {
 	srv, _ := newServer(t, net)
 	prof := venueProfile(t, net, []int{0, 2, 5}, 2001)
 
-	first, out1, err := srv.TopK(prof, 10)
+	first, out1, err := srv.TopKTraced(prof, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out1 != cache.Miss {
 		t.Fatalf("cold ask outcome = %v, want Miss", out1)
 	}
-	second, out2, err := srv.TopK(prof, 10)
+	second, out2, err := srv.TopKTraced(prof, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestServerHitIdentical(t *testing.T) {
 	}
 	// A permutation of the profile is the same fingerprint → same entry.
 	perm := []hypre.ScoredPred{prof[3], prof[1], prof[0], prof[2]}
-	permuted, out3, err := srv.TopK(perm, 10)
+	permuted, out3, err := srv.TopKTraced(perm, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +198,35 @@ func deletePaper(t *testing.T, net *workload.Network, pid int64) {
 	net.DB.Table("dblp").Delete(rows[0])
 }
 
+// commitOps commits each planned op as its own store commit, the way a
+// one-op /v1/mutate request lands.
+func commitOps(t *testing.T, db *relstore.DB, ops []workload.Op) {
+	t.Helper()
+	for _, op := range ops {
+		if err := op.Do(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// zipfSequence draws n profile indices in [0, users), Zipf-skewed by s
+// over a seeded shuffle of the indices, so a few hot profiles repeat while
+// the tail keeps missing.
+func zipfSequence(users, n int, seed int64, s float64) []int {
+	pool := make([]int, users)
+	for i := range pool {
+		pool[i] = i
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(users, func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	z := rand.NewZipf(rng, s, 1, uint64(users-1))
+	seq := make([]int, n)
+	for i := range seq {
+		seq[i] = pool[z.Uint64()]
+	}
+	return seq
+}
+
 func containsPID(ts []combine.ScoredTuple, pid int64) bool {
 	for _, t := range ts {
 		if t.PID == pid {
@@ -222,10 +252,10 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 
 	profA := venueProfile(t, net, []int{0}, 0) // venue[0] only
 	profB := venueProfile(t, net, []int{1}, 0) // venue[1] only
-	if _, _, err := srv.TopK(profA, 10); err != nil {
+	if _, _, err := srv.TopKTraced(profA, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.TopK(profB, 10); err != nil {
+	if _, _, err := srv.TopKTraced(profB, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,14 +268,14 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gotB, outB, err := srv.TopK(profB, 10)
+	gotB, outB, err := srv.TopKTraced(profB, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if outB != cache.Hit {
 		t.Fatalf("unrelated entry was invalidated (outcome %v)", outB)
 	}
-	gotA, outA, err := srv.TopK(profA, 10)
+	gotA, outA, err := srv.TopKTraced(profA, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +305,7 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	gotA, outA, err = srv.TopK(profA, 10)
+	gotA, outA, err = srv.TopKTraced(profA, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +318,7 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	if inv := srv.Counters().Invalidated.Load(); inv != 1 {
 		t.Fatalf("Invalidated = %d, want the one entry that lost a member", inv)
 	}
-	if _, outB, err = srv.TopK(profB, 10); err != nil || outB != cache.Hit {
+	if _, outB, err = srv.TopKTraced(profB, 10, nil); err != nil || outB != cache.Hit {
 		t.Fatalf("unrelated entry after the delete: outcome %v err %v, want Hit", outB, err)
 	}
 }
@@ -305,7 +335,7 @@ func TestServerWriteFence(t *testing.T) {
 	}
 	m.AttachCache(srv)
 	prof := venueProfile(t, net, []int{0, 4}, 1995)
-	if _, _, err := srv.TopK(prof, 10); err != nil {
+	if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -318,7 +348,7 @@ func TestServerWriteFence(t *testing.T) {
 	err = srv.Write(func() error {
 		mutateVenue(t, net, net.Venues[3], net.Venues[0])
 		go func() {
-			got, out, err := srv.TopK(prof, 10)
+			got, out, err := srv.TopKTraced(prof, 10, nil)
 			done <- answer{got, out, err}
 		}()
 		go func() {
@@ -464,7 +494,7 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 	}
 	// Make the two resident predicates resident.
 	prof, k, _ := profile(-1, 1)
-	if _, _, err := srv.TopK(prof, k); err != nil {
+	if _, _, err := srv.TopKTraced(prof, k, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -486,7 +516,7 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 				default:
 				}
 				prof, k, class := profile(w, n)
-				got, _, err := srv.TopK(prof, k)
+				got, _, err := srv.TopKTraced(prof, k, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -583,7 +613,7 @@ func TestServerBypassVsCommitBurst(t *testing.T) {
 					return
 				default:
 				}
-				got, out, err := srv.TopK(prof, k)
+				got, out, err := srv.TopKTraced(prof, k, nil)
 				if n == 0 {
 					started.Done()
 				}
@@ -648,7 +678,7 @@ func TestServerStaleBypass(t *testing.T) {
 	}
 	m.AttachCache(srv)
 	prof := venueProfile(t, net, []int{0, 4}, 1995)
-	if _, _, err := srv.TopK(prof, 10); err != nil {
+	if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -667,7 +697,7 @@ func TestServerStaleBypass(t *testing.T) {
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got, out, err = srv.TopK(prof, 10); err != nil || out != cache.Hit {
+	if got, out, err = srv.TopKTraced(prof, 10, nil); err != nil || out != cache.Hit {
 		t.Fatalf("post-sync ask = (%v, %v), want the repaired entry's Hit", out, err)
 	}
 	if want := uncached(t, net, prof, 10); !sameRanking(got, want) {
@@ -694,7 +724,7 @@ func TestServerSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			out, _, err := srv.TopK(prof, 10)
+			out, _, err := srv.TopKTraced(prof, 10, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -753,16 +783,12 @@ func TestServerEquivalenceRandomized(t *testing.T) {
 				}
 				pool = append(pool, venueProfile(t, net, venues, year))
 			}
-			mixCfg := workload.ProfileMixConfig{Seed: seed, S: 1.4}
-			uids := make([]int64, len(pool))
-			for i := range uids {
-				uids[i] = int64(i)
-			}
-			mix := workload.ZipfProfileSequence(uids, 60, mixCfg)
+			mix := zipfSequence(len(pool), 60, seed, 1.4)
 
+			ops := stream.PlanPartitions(1, 4*30)[0]
 			for batch := 0; batch < 4; batch++ {
-				for _, idx := range mix.Seq {
-					got, _, err := srv.TopK(pool[idx], 10)
+				for _, idx := range mix {
+					got, _, err := srv.TopKTraced(pool[idx], 10, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -770,9 +796,7 @@ func TestServerEquivalenceRandomized(t *testing.T) {
 						t.Fatalf("batch %d profile %d: cached answer diverged from uncached", batch, idx)
 					}
 				}
-				if _, err := stream.Apply(30); err != nil {
-					t.Fatal(err)
-				}
+				commitOps(t, net.DB, ops[batch*30:(batch+1)*30])
 				if _, err := m.Sync(); err != nil {
 					t.Fatal(err)
 				}
@@ -805,7 +829,7 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 	}
 	// Warm the cache.
 	for _, p := range pool {
-		if _, _, err := srv.TopK(p, 10); err != nil {
+		if _, _, err := srv.TopKTraced(p, 10, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -823,7 +847,7 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := srv.TopK(pool[i%len(pool)], 10); err != nil {
+				if _, _, err := srv.TopKTraced(pool[i%len(pool)], 10, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -831,10 +855,9 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 			}
 		}(w)
 	}
+	ops := stream.PlanPartitions(1, 6*20)[0]
 	for batch := 0; batch < 6; batch++ {
-		if _, err := stream.Apply(20); err != nil {
-			t.Fatal(err)
-		}
+		commitOps(t, net.DB, ops[batch*20:(batch+1)*20])
 		if _, err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -846,7 +869,7 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pool {
-		got, _, err := srv.TopK(p, 10)
+		got, _, err := srv.TopKTraced(p, 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

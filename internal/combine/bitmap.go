@@ -181,9 +181,6 @@ func (b *Bitmap) Any(o *Bitmap) bool { return b.s.Intersects(o.s) }
 // Or returns b ∪ o as a new bitmap.
 func (b *Bitmap) Or(o *Bitmap) *Bitmap { return &Bitmap{s: b.s.Or(o.s)} }
 
-// AndNot returns b \ o as a new bitmap.
-func (b *Bitmap) AndNot(o *Bitmap) *Bitmap { return &Bitmap{s: b.s.AndNot(o.s)} }
-
 // ForEach invokes fn with every set dense index, ascending — the iteration
 // primitive PEPS's tuple tracker and the memory accounting use.
 func (b *Bitmap) ForEach(fn func(i int)) {

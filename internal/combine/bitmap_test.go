@@ -147,9 +147,6 @@ func TestBitmapBasicOps(t *testing.T) {
 	if got := a.Or(b).Len(); got != 5 {
 		t.Errorf("Or len = %d", got)
 	}
-	if got := a.AndNot(b).Len(); got != 2 {
-		t.Errorf("AndNot len = %d", got)
-	}
 	if !a.Any(b) {
 		t.Error("Any false negative")
 	}
@@ -197,7 +194,7 @@ func TestBitmapSetContains(t *testing.T) {
 
 // TestBitmapMatchesIntSetProperty is the load-bearing agreement property of
 // the set layer: Bitmap and slice IntSet must produce identical results for
-// Union/Intersect/Minus/IntersectsAny over randomized inputs, including
+// Union/Intersect and their cardinality over randomized inputs, including
 // operands built against a shared dictionary at different growth stages
 // (different word lengths).
 func TestBitmapMatchesIntSetProperty(t *testing.T) {
@@ -230,8 +227,7 @@ func TestBitmapMatchesIntSetProperty(t *testing.T) {
 		}
 		return eq(ba.And(bb), sa.Intersect(sb)) &&
 			eq(ba.Or(bb), sa.Union(sb)) &&
-			eq(ba.AndNot(bb), sa.Minus(sb)) &&
-			ba.Any(bb) == sa.IntersectsAny(sb) &&
+			ba.Any(bb) == (sa.Intersect(sb).Len() > 0) &&
 			ba.AndCard(bb) == sa.Intersect(sb).Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -284,9 +280,6 @@ func TestGallopingIntersectLopsided(t *testing.T) {
 		got2 := b.Intersect(a)
 		if got2.Len() != ref.Len() {
 			t.Fatalf("trial %d: swapped gallop len=%d", trial, got2.Len())
-		}
-		if a.IntersectsAny(b) != (ref.Len() > 0) {
-			t.Fatalf("trial %d: IntersectsAny disagrees", trial)
 		}
 	}
 }

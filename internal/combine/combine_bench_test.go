@@ -38,17 +38,6 @@ func mustSPB(b *testing.B, pred string, in float64) hypre.ScoredPred {
 // benchDB mirrors the Table 6 fixture without *testing.T plumbing.
 func benchDB() *relstore.DB { return buildTestDB() }
 
-func BenchmarkEvaluatorComboSet(b *testing.B) {
-	prefs, ev := benchProfile(b)
-	c := NewCombo(prefs[0]).And(prefs[3]).Or(prefs[4])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.ComboSet(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCombineTwoAND(b *testing.B) {
 	prefs, ev := benchProfile(b)
 	b.ResetTimer()

@@ -7,8 +7,6 @@
 package combine
 
 import (
-	"strings"
-
 	"hypre/internal/hypre"
 	"hypre/internal/predicate"
 )
@@ -78,18 +76,6 @@ func (c Combo) HasAttr(attr string) bool {
 	return false
 }
 
-// HasPred reports whether the combination already contains the predicate.
-func (c Combo) HasPred(pred string) bool {
-	for _, g := range c.Groups {
-		for _, p := range g {
-			if p.Pred == pred {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // HasAnd reports whether the combination conjoins at least two groups — the
 // "lastCombination contains AND" test of Algorithm 4.
 func (c Combo) HasAnd() bool { return len(c.Groups) >= 2 }
@@ -122,41 +108,8 @@ func (c Combo) Where() predicate.Predicate {
 	return predicate.NewAnd(kids...)
 }
 
-// Preds flattens the member preferences in group order.
-func (c Combo) Preds() []hypre.ScoredPred {
-	var out []hypre.ScoredPred
-	for _, g := range c.Groups {
-		out = append(out, g...)
-	}
-	return out
-}
-
-// Key returns a canonical identity for deduplication: group structure is
-// flattened to the sorted member predicate list per group, groups sorted.
-func (c Combo) Key() string {
-	groups := make([]string, len(c.Groups))
-	for i, g := range c.Groups {
-		members := make([]string, len(g))
-		for j, p := range g {
-			members[j] = p.Pred
-		}
-		sortStrings(members)
-		groups[i] = strings.Join(members, "|")
-	}
-	sortStrings(groups)
-	return strings.Join(groups, "&")
-}
-
 // String renders the combination as a WHERE fragment.
 func (c Combo) String() string { return c.Where().String() }
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
 
 // Record is one output row of every Chapter 5 algorithm:
 // <#predicates used, #tuples returned, combined intensity value>.
@@ -181,18 +134,6 @@ type Record struct {
 // Records is a helper slice with the orderings the experiments need.
 type Records []Record
 
-// FilterApplicable drops combinations that returned no tuples
-// (Definition 15: an applicable combination returns at least one tuple).
-func (rs Records) FilterApplicable() Records {
-	out := make(Records, 0, len(rs))
-	for _, r := range rs {
-		if r.NumTuples > 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // ByNumPreds selects the records that used exactly n predicates, in
 // original (combination) order — the "combination order" x-axis of
 // Figs. 18–25 and 32–34.
@@ -204,16 +145,4 @@ func (rs Records) ByNumPreds(n int) Records {
 		}
 	}
 	return out
-}
-
-// MaxIntensity returns the best combined intensity among the records
-// (0 for empty).
-func (rs Records) MaxIntensity() float64 {
-	best := 0.0
-	for _, r := range rs {
-		if r.Intensity > best {
-			best = r.Intensity
-		}
-	}
-	return best
 }

@@ -104,9 +104,6 @@ func TestComboAndOrStructure(t *testing.T) {
 	if !c.HasAttr("dblp.venue") || !c.HasAttr("dblp_author.aid") || c.HasAttr("x") {
 		t.Error("HasAttr wrong")
 	}
-	if !c.HasPred(`dblp_author.aid=6`) || c.HasPred(`dblp_author.aid=99`) {
-		t.Error("HasPred wrong")
-	}
 	if !c.HasAnd() || NewCombo(v1).HasAnd() {
 		t.Error("HasAnd wrong")
 	}
@@ -165,41 +162,13 @@ func TestComboWhereEvaluates(t *testing.T) {
 	}
 }
 
-func TestComboKeyCanonical(t *testing.T) {
-	v1 := mustSP(t, `dblp.venue="A"`, 0.5)
-	a1 := mustSP(t, `dblp_author.aid=1`, 0.4)
-	c1 := NewCombo(v1).And(a1)
-	c2 := NewCombo(a1).And(v1)
-	if c1.Key() != c2.Key() {
-		t.Errorf("keys differ: %q vs %q", c1.Key(), c2.Key())
-	}
-	a2 := mustSP(t, `dblp_author.aid=2`, 0.3)
-	or1 := NewCombo(a1).Or(a2)
-	or2 := NewCombo(a2).Or(a1)
-	if or1.Key() != or2.Key() {
-		t.Errorf("OR keys differ: %q vs %q", or1.Key(), or2.Key())
-	}
-	if c1.Key() == or1.Key() {
-		t.Error("distinct combos share a key")
-	}
-}
-
 func TestRecordsHelpers(t *testing.T) {
 	rs := Records{
 		{NumPreds: 2, NumTuples: 0, Intensity: 0.9},
 		{NumPreds: 2, NumTuples: 3, Intensity: 0.5},
 		{NumPreds: 5, NumTuples: 1, Intensity: 0.7},
 	}
-	if got := rs.FilterApplicable(); len(got) != 2 {
-		t.Errorf("FilterApplicable = %d", len(got))
-	}
 	if got := rs.ByNumPreds(2); len(got) != 2 {
 		t.Errorf("ByNumPreds = %d", len(got))
-	}
-	if got := rs.MaxIntensity(); got != 0.9 {
-		t.Errorf("MaxIntensity = %v", got)
-	}
-	if got := (Records{}).MaxIntensity(); got != 0 {
-		t.Errorf("empty MaxIntensity = %v", got)
 	}
 }

@@ -27,20 +27,23 @@ func TestRandomComboSetEqualsSQL(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
 		// Random combo: 1-5 preferences, randomly And-ed or Or-ed in.
-		c := NewCombo(pool[rng.Intn(len(pool))])
+		first := pool[rng.Intn(len(pool))]
+		c := NewCombo(first)
+		in := map[string]bool{first.Pred: true}
 		n := 1 + rng.Intn(4)
 		for i := 0; i < n; i++ {
 			p := pool[rng.Intn(len(pool))]
-			if c.HasPred(p.Pred) {
+			if in[p.Pred] {
 				continue
 			}
+			in[p.Pred] = true
 			if rng.Intn(2) == 0 {
 				c = c.And(p)
 			} else {
 				c = c.Or(p)
 			}
 		}
-		setN, err := ev.Count(c)
+		setN, err := ev.count(c)
 		if err != nil {
 			t.Fatal(err)
 		}

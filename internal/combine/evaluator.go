@@ -527,82 +527,6 @@ func (ev *Evaluator) comboBitmap(c Combo) (*Bitmap, error) {
 	return acc, nil
 }
 
-// ComboSet evaluates a combination to its sorted tuple-id set.
-func (ev *Evaluator) ComboSet(c Combo) (IntSet, error) {
-	ev.ComboEvals++
-	b, err := ev.comboBitmap(c)
-	if err != nil {
-		return nil, err
-	}
-	return b.ToIntSet(ev.dict), nil
-}
-
-// Count returns the number of distinct tuples the combination matches.
-// For the ubiquitous two-group AND shape it popcounts the word-wise AND
-// without materializing anything.
-func (ev *Evaluator) Count(c Combo) (int, error) {
-	ev.ComboEvals++
-	if len(c.Groups) == 2 {
-		a, err := ev.groupBitmap(c.Groups[0])
-		if err != nil {
-			return 0, err
-		}
-		b, err := ev.groupBitmap(c.Groups[1])
-		if err != nil {
-			return 0, err
-		}
-		return a.AndCard(b), nil
-	}
-	b, err := ev.comboBitmap(c)
-	if err != nil {
-		return 0, err
-	}
-	return b.Len(), nil
-}
-
-// Applicable reports whether the combination returns at least one tuple
-// (Definition 15). The final intersection short-circuits on the first
-// overlapping word.
-func (ev *Evaluator) Applicable(c Combo) (bool, error) {
-	ev.ComboEvals++
-	n := len(c.Groups)
-	if n == 0 {
-		return false, nil
-	}
-	acc, err := ev.groupBitmap(c.Groups[0])
-	if err != nil {
-		return false, err
-	}
-	if n == 1 {
-		return acc.Len() > 0, nil
-	}
-	for _, g := range c.Groups[1 : n-1] {
-		gb, err := ev.groupBitmap(g)
-		if err != nil {
-			return false, err
-		}
-		acc = acc.And(gb)
-		if acc.Len() == 0 {
-			return false, nil
-		}
-	}
-	last, err := ev.groupBitmap(c.Groups[n-1])
-	if err != nil {
-		return false, err
-	}
-	return acc.Any(last), nil
-}
-
-// Run evaluates the combination and produces its Record row.
-func (ev *Evaluator) Run(c Combo) (Record, error) {
-	ev.ComboEvals++
-	b, err := ev.comboBitmap(c)
-	if err != nil {
-		return Record{}, err
-	}
-	return ev.record(c, b), nil
-}
-
 // record builds the Record row for an already-evaluated combination.
 func (ev *Evaluator) record(c Combo, b *Bitmap) Record {
 	return Record{

@@ -91,11 +91,11 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 	}
 	for i := 0; i+1 < len(profile); i += 2 {
 		c := NewCombo(profile[i]).And(profile[i+1])
-		sn, err := serial.Count(c)
+		sn, err := serial.count(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bn, err := bulk.Count(c)
+		bn, err := bulk.count(c)
 		if err != nil {
 			t.Fatal(err)
 		}

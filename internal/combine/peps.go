@@ -310,30 +310,3 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 	res.Tuples = tr.tuples(k)
 	return res, nil
 }
-
-// collectTuples assigns every tuple the best combined intensity among the
-// combinations that returned it, then ranks tuples by (intensity desc, pid
-// asc) and truncates at limit. The pid tie-break matches the TA baseline's,
-// so rankings are directly comparable. The incremental topTracker subsumes
-// this inside PEPS; it remains the reference reduction for Records
-// produced by the other Chapter 5 algorithms and for the equivalence
-// tests.
-func collectTuples(order Records, limit int) []ScoredTuple {
-	best := map[int64]float64{}
-	for _, r := range order {
-		for _, pid := range r.Tuples {
-			if cur, ok := best[pid]; !ok || r.Intensity > cur {
-				best[pid] = r.Intensity
-			}
-		}
-	}
-	out := make([]ScoredTuple, 0, len(best))
-	for pid, in := range best {
-		out = append(out, ScoredTuple{PID: pid, Intensity: in})
-	}
-	sortScoredTuples(out)
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}

@@ -11,7 +11,7 @@ import (
 
 // pepsReference is the pre-refactor PEPS hot path, kept verbatim as the
 // equivalence oracle: it re-evaluates every conjunction from scratch
-// through Evaluator.Applicable + Evaluator.Run (the double evaluation the
+// through Evaluator.Applicable + Evaluator.run (the double evaluation the
 // incremental DFS eliminated) and rebuilds the full tuple ranking at every
 // anchor boundary via collectTuples. The incremental implementation must
 // return byte-identical Tuples.
@@ -36,7 +36,7 @@ func pepsReference(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int
 	expansions := 0
 
 	for i := range prefs {
-		r, err := ev.Run(NewCombo(prefs[i]))
+		r, err := ev.run(NewCombo(prefs[i]))
 		if err != nil {
 			return res, err
 		}
@@ -81,7 +81,7 @@ func pepsReference(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int
 				return nil
 			}
 			expansions++
-			r, err := ev.Run(c)
+			r, err := ev.run(c)
 			if err != nil {
 				return err
 			}
@@ -251,7 +251,7 @@ func TestBuildPairTableParallelDeterministic(t *testing.T) {
 	// Sequential oracle.
 	for _, e := range a.Pairs {
 		c := NewCombo(prefs[e.I]).And(prefs[e.J])
-		n, err := ev.Count(c)
+		n, err := ev.count(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,4 +262,80 @@ func TestBuildPairTableParallelDeterministic(t *testing.T) {
 			t.Errorf("pair (%d,%d): intensity mismatch", e.I, e.J)
 		}
 	}
+}
+
+// run evaluates c from scratch to its Record row.
+func (ev *Evaluator) run(c Combo) (Record, error) {
+	b, err := ev.comboBitmap(c)
+	if err != nil {
+		return Record{}, err
+	}
+	return ev.record(c, b), nil
+}
+
+// count is the number of distinct tuples c matches.
+func (ev *Evaluator) count(c Combo) (int, error) {
+	b, err := ev.comboBitmap(c)
+	if err != nil {
+		return 0, err
+	}
+	return b.Len(), nil
+}
+
+// Applicable reports whether the combination returns at least one tuple
+// (Definition 15). The final intersection short-circuits on the first
+// overlapping word.
+func (ev *Evaluator) Applicable(c Combo) (bool, error) {
+	ev.ComboEvals++
+	n := len(c.Groups)
+	if n == 0 {
+		return false, nil
+	}
+	acc, err := ev.groupBitmap(c.Groups[0])
+	if err != nil {
+		return false, err
+	}
+	if n == 1 {
+		return acc.Len() > 0, nil
+	}
+	for _, g := range c.Groups[1 : n-1] {
+		gb, err := ev.groupBitmap(g)
+		if err != nil {
+			return false, err
+		}
+		acc = acc.And(gb)
+		if acc.Len() == 0 {
+			return false, nil
+		}
+	}
+	last, err := ev.groupBitmap(c.Groups[n-1])
+	if err != nil {
+		return false, err
+	}
+	return acc.Any(last), nil
+}
+
+// collectTuples assigns every tuple the best combined intensity among the
+// combinations that returned it, then ranks tuples by (intensity desc, pid
+// asc) and truncates at limit. The pid tie-break matches the TA baseline's,
+// so rankings are directly comparable. The incremental topTracker subsumes
+// this inside PEPS.
+func collectTuples(order Records, limit int) []ScoredTuple {
+	best := map[int64]float64{}
+	for _, r := range order {
+		for _, pid := range r.Tuples {
+			if cur, ok := best[pid]; !ok || r.Intensity > cur {
+				best[pid] = r.Intensity
+			}
+		}
+	}
+	out := make([]ScoredTuple, 0, len(best))
+	for pid, in := range best {
+		out = append(out, ScoredTuple{PID: pid, Intensity: in})
+	}
+	sortScoredTuples(out)
+	if len(out) > limit {
+		out = out[:limit]
+	}
+	return out
 }

@@ -90,7 +90,7 @@ func TestClassifyPartitionsBySignature(t *testing.T) {
 		}
 		union := bitset.New()
 		for _, s := range sets {
-			union.OrWith(s)
+			union = union.Or(s)
 		}
 		total := 0
 		for c, w := range cp.weight {

@@ -184,56 +184,3 @@ func (s IntSet) Union(o IntSet) IntSet {
 	out = append(out, o[j:]...)
 	return out
 }
-
-// Minus returns s \ o.
-func (s IntSet) Minus(o IntSet) IntSet {
-	var out IntSet
-	i, j := 0, 0
-	for i < len(s) {
-		switch {
-		case j >= len(o) || s[i] < o[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > o[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// IntersectsAny reports whether the intersection is non-empty without
-// materializing it — the applicability check of Definition 15.
-func (s IntSet) IntersectsAny(o IntSet) bool {
-	small, large := s, o
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	if len(large) >= gallopFactor*len(small) {
-		lo := 0
-		for _, v := range small {
-			lo = gallopSearch(large, lo, v)
-			if lo >= len(large) {
-				return false
-			}
-			if large[lo] == v {
-				return true
-			}
-		}
-		return false
-	}
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] < o[j]:
-			i++
-		case s[i] > o[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}

@@ -47,16 +47,6 @@ func TestIntSetOps(t *testing.T) {
 	if got := a.Union(b); got.Len() != 5 {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Minus(b); got.Len() != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Minus = %v", got)
-	}
-	if !a.IntersectsAny(b) {
-		t.Error("IntersectsAny false negative")
-	}
-	c := NewIntSet([]int64{9, 10})
-	if a.IntersectsAny(c) {
-		t.Error("IntersectsAny false positive")
-	}
 	if got := a.Intersect(IntSet{}); got.Len() != 0 {
 		t.Errorf("empty intersect = %v", got)
 	}
@@ -87,13 +77,11 @@ func TestIntSetAlgebraProperty(t *testing.T) {
 		}
 		a, b := toSet(ma), toSet(mb)
 
-		inter, union, minus := map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
+		inter, union := map[int64]bool{}, map[int64]bool{}
 		for v := range ma {
 			union[v] = true
 			if mb[v] {
 				inter[v] = true
-			} else {
-				minus[v] = true
 			}
 		}
 		for v := range mb {
@@ -110,10 +98,7 @@ func TestIntSetAlgebraProperty(t *testing.T) {
 			}
 			return true
 		}
-		return eq(a.Intersect(b), inter) &&
-			eq(a.Union(b), union) &&
-			eq(a.Minus(b), minus) &&
-			a.IntersectsAny(b) == (len(inter) > 0)
+		return eq(a.Intersect(b), inter) && eq(a.Union(b), union)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -140,8 +125,7 @@ func TestIntSetInvariantProperty(t *testing.T) {
 		}
 		a, b := NewIntSet(ax), NewIntSet(ay)
 		return sortedUnique(a) && sortedUnique(b) &&
-			sortedUnique(a.Intersect(b)) && sortedUnique(a.Union(b)) &&
-			sortedUnique(a.Minus(b))
+			sortedUnique(a.Intersect(b)) && sortedUnique(a.Union(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

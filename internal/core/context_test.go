@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"hypre/internal/combine"
 	"hypre/internal/ctxpref"
 	"hypre/internal/hypre"
 )
@@ -51,33 +52,19 @@ func TestContextualTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := sys.TopKFor(prefs, 5, Complete)
+		pt, err := combine.BuildPairTable(prefs, sys.ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(top) == 0 {
+		res, err := combine.PEPS(prefs, pt, sys.ev, 5, Complete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) == 0 {
 			t.Fatalf("context %v: no results", tc.state)
 		}
-		if got := sys.Net.VenueOf(top[0].PID); got != tc.wantVenue {
+		if got := venueOf(sys, res.Tuples[0].PID); got != tc.wantVenue {
 			t.Errorf("context %v: top venue %q, want %q", tc.state, got, tc.wantVenue)
 		}
-	}
-}
-
-func TestTopKForDropsNonPositive(t *testing.T) {
-	sys, err := NewSystem(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	neg, err := hypre.NewScoredPred(`dblp.venue="VLDB"`, -0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := sys.TopKFor([]hypre.ScoredPred{neg}, 5, Complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 0 {
-		t.Errorf("negative-only profile returned %d tuples", len(top))
 	}
 }

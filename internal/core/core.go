@@ -24,8 +24,6 @@ import (
 
 // Re-exported types so callers only import core.
 type (
-	// Graph is the HYPRE preference graph.
-	Graph = hypre.Graph
 	// ScoredPred is a preference usable in combinations.
 	ScoredPred = hypre.ScoredPred
 	// ScoredTuple is one ranked result.
@@ -36,11 +34,8 @@ type (
 	QualResult = hypre.QualResult
 )
 
-// PEPS variants.
-const (
-	Complete    = combine.Complete
-	Approximate = combine.Approximate
-)
+// Complete is the exact PEPS variant.
+const Complete = combine.Complete
 
 // System bundles a dataset, the preference graph, and per-user combination
 // state.
@@ -145,28 +140,6 @@ func (s *System) TopK(uid int64, k int, v Variant) ([]ScoredTuple, error) {
 		return nil, err
 	}
 	res, err := combine.PEPS(prefs, pt, s.ev, k, v)
-	if err != nil {
-		return nil, err
-	}
-	return res.Tuples, nil
-}
-
-// TopKFor runs PEPS over an arbitrary preference list — the entry point
-// for contextual resolution (ctxpref.Graph.Resolve output) or any other
-// externally assembled profile. Non-positive preferences are dropped, as in
-// query enhancement.
-func (s *System) TopKFor(prefs []ScoredPred, k int, v Variant) ([]ScoredTuple, error) {
-	pos := make([]ScoredPred, 0, len(prefs))
-	for _, p := range prefs {
-		if p.Intensity > 0 {
-			pos = append(pos, p)
-		}
-	}
-	pt, err := combine.BuildPairTable(pos, s.ev)
-	if err != nil {
-		return nil, err
-	}
-	res, err := combine.PEPS(pos, pt, s.ev, k, v)
 	if err != nil {
 		return nil, err
 	}

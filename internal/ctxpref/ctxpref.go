@@ -74,9 +74,6 @@ func (h *Hierarchy) Depth(value string) int {
 	return d
 }
 
-// Parent returns the value's parent ("" for ALL).
-func (h *Hierarchy) Parent(value string) string { return h.parent[value] }
-
 // Model is an ordered set of dimensions.
 type Model struct {
 	Dims []*Hierarchy
@@ -188,12 +185,6 @@ func Build(m *Model, entries []Entry) (*Graph, error) {
 	return g, nil
 }
 
-// States returns the distinct profile states, in first-seen order.
-func (g *Graph) States() []State { return g.states }
-
-// TightlyCovered returns the state keys the given state tightly covers.
-func (g *Graph) TightlyCovered(s State) []string { return g.edges[s.Key()] }
-
 // Resolve returns the preferences applicable to the query context: every
 // profile state that covers the query qualifies, ordered most-specific
 // first (ties by state key), with preferences inside a state ordered by
@@ -226,28 +217,4 @@ func (g *Graph) Resolve(query State) ([]hypre.ScoredPred, error) {
 		out = append(out, ps...)
 	}
 	return out, nil
-}
-
-// ResolveBest returns only the preferences of the single most specific
-// covering state (the overriding attitude of §2.3).
-func (g *Graph) ResolveBest(query State) ([]hypre.ScoredPred, error) {
-	if err := g.model.Validate(query); err != nil {
-		return nil, err
-	}
-	bestSpec := -1
-	bestKey := ""
-	for _, s := range g.states {
-		if g.model.Covers(s, query) {
-			spec := g.model.Specificity(s)
-			if spec > bestSpec || (spec == bestSpec && s.Key() < bestKey) {
-				bestSpec, bestKey = spec, s.Key()
-			}
-		}
-	}
-	if bestSpec < 0 {
-		return nil, nil
-	}
-	ps := append([]hypre.ScoredPred(nil), g.prefs[bestKey]...)
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Intensity > ps[j].Intensity })
-	return ps, nil
 }

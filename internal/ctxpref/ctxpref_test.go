@@ -72,7 +72,7 @@ func TestHierarchyBasics(t *testing.T) {
 	if h.Depth(All) != 0 || h.Depth("holidays") != 1 || h.Depth("Easter") != 2 {
 		t.Error("depths wrong")
 	}
-	if h.Parent("Easter") != "holidays" {
+	if h.parent["Easter"] != "holidays" {
 		t.Error("parent wrong")
 	}
 }
@@ -134,23 +134,23 @@ func TestTightCover(t *testing.T) {
 
 func TestFig2GraphEdges(t *testing.T) {
 	_, g := fig2Graph(t)
-	if len(g.States()) != 7 {
-		t.Fatalf("states = %d", len(g.States()))
+	if len(g.states) != 7 {
+		t.Fatalf("states = %d", len(g.states))
 	}
 	// Fig. 2's arrows include (friends, good, holidays) -> (friends, good,
 	// Easter) and (friends, good, ALL) -> (friends, good, holidays).
-	covered := g.TightlyCovered(State{"friends", "good", "holidays"})
+	covered := g.edges[State{"friends", "good", "holidays"}.Key()]
 	if len(covered) != 1 || covered[0] != (State{"friends", "good", "Easter"}).Key() {
 		t.Errorf("p1 covers %v", covered)
 	}
-	covered = g.TightlyCovered(State{"friends", "good", All})
+	covered = g.edges[State{"friends", "good", All}.Key()]
 	if len(covered) != 1 || covered[0] != (State{"friends", "good", "holidays"}).Key() {
 		t.Errorf("p2 covers %v", covered)
 	}
 	// The root (ALL,ALL,ALL) tightly covers the one-step specializations
 	// present: (ALL, ALL, holidays) is absent, so no tight edges from the
 	// root to deeper states.
-	if got := g.TightlyCovered(State{All, All, All}); len(got) != 0 {
+	if got := g.edges[State{All, All, All}.Key()]; len(got) != 0 {
 		t.Errorf("root covers %v", got)
 	}
 }
@@ -175,35 +175,12 @@ func TestResolveMostSpecificFirst(t *testing.T) {
 	}
 }
 
-func TestResolveBest(t *testing.T) {
-	_, g := fig2Graph(t)
-	best, err := g.ResolveBest(State{"friends", "good", "Easter"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(best) != 1 || best[0].Pred != `genre="family"` {
-		t.Errorf("best = %v", best)
-	}
-	// A context nothing specific covers falls back to the root profile.
-	best, err = g.ResolveBest(State{"family", "bad", "Christmas"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(best) != 1 || best[0].Pred != `genre="classic"` {
-		// (friends, ALL, Christmas) does not cover family-company; the
-		// most specific cover is p7 (ALL, ALL, ALL).
-		if best[0].Pred != `genre="any"` {
-			t.Errorf("fallback = %v", best)
-		}
-	}
-}
-
 func TestResolveValidatesQuery(t *testing.T) {
 	_, g := fig2Graph(t)
 	if _, err := g.Resolve(State{"bogus", "good", "Easter"}); err == nil {
 		t.Error("invalid query accepted")
 	}
-	if _, err := g.ResolveBest(State{"friends"}); err == nil {
+	if _, err := g.Resolve(State{"friends"}); err == nil {
 		t.Error("short query accepted")
 	}
 }

@@ -56,11 +56,10 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ops := stream.PlanPartitions(1, 8*60)[0]
 		absorbed := 0
 		for batch := 0; batch < 8; batch++ {
-			if _, err := stream.Apply(60); err != nil {
-				t.Fatal(err)
-			}
+			commitOps(t, net.DB, ops[batch*60:(batch+1)*60])
 			st, err := m.Sync()
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +74,7 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 			assertSameRanking(t, tag, inc, freshTopK(t, net, prefs, k))
 			for i, sub := range subs {
 				for _, sk := range []int{5, k} {
-					got, out, err := srv.TopK(sub, sk)
+					got, out, err := srv.TopKTraced(sub, sk, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -126,7 +125,7 @@ func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
 	}
 	srv := cache.NewServer(ev, cache.Config{})
 	m.AttachCache(srv)
-	if _, _, err := srv.TopK(prefs[:3], 10); err != nil {
+	if _, _, err := srv.TopKTraced(prefs[:3], 10, nil); err != nil {
 		t.Fatal(err)
 	}
 

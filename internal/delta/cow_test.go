@@ -45,10 +45,9 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ops := stream.PlanPartitions(1, 3*48)[0]
 		for batch := 0; batch < 3; batch++ {
-			if _, err := stream.Apply(48); err != nil {
-				t.Fatal(err)
-			}
+			commitOps(t, net.DB, ops[batch*48:(batch+1)*48])
 			if _, err := m.Sync(); err != nil {
 				t.Fatal(err)
 			}

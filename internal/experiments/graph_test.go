@@ -36,14 +36,18 @@ func dumpGraph(w io.Writer, g *graphdb.Graph) {
 			fmt.Fprintf(w, " %s=%s:%s", k, p[k].Kind(), p[k])
 		}
 	}
+	edges := map[graphdb.EdgeID]graphdb.Edge{}
 	g.ForEachNode(func(id graphdb.NodeID, labels []string, props graphdb.Props) bool {
 		fmt.Fprintf(w, "n%d %v", id, labels)
 		writeProps(props)
 		fmt.Fprintln(w)
+		for _, e := range g.OutEdges(id, "") {
+			edges[e.ID] = e
+		}
 		return true
 	})
 	for i := 0; i < g.EdgeCount(); i++ {
-		e, ok := g.EdgeByID(graphdb.EdgeID(i))
+		e, ok := edges[graphdb.EdgeID(i)]
 		if !ok {
 			fmt.Fprintf(w, "e%d missing\n", i)
 			continue

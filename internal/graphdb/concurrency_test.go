@@ -1,7 +1,6 @@
 package graphdb
 
 import (
-	"io"
 	"sync"
 	"testing"
 
@@ -54,12 +53,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				g.OutEdges(seed[i%len(seed)], "PREFERS")
 				g.InDegree(NodeID(g.NodeCount()-1), "PREFERS")
 				g.Prop(NodeID(g.NodeCount()-1), "intensity")
-				g.EdgeByID(EdgeID(g.EdgeCount() - 1))
 				if i%50 == 0 {
 					g.ForEachNode(func(NodeID, []string, Props) bool { return true })
-					if err := g.Snapshot(io.Discard); err != nil {
-						t.Errorf("snapshot: %v", err)
-					}
 				}
 			}
 		}()

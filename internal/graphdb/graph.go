@@ -11,8 +11,7 @@
 // a node holds its sorted labels, its properties and the ids of its out-
 // and in-edges; an edge holds its endpoints, label and properties.
 // Properties are small inline lists with interned key names (see prop),
-// not per-record maps. A snapshot lists the records in id order, and
-// Restore accepts only a snapshot whose ids are exactly those positions.
+// not per-record maps.
 package graphdb
 
 import (
@@ -204,69 +203,6 @@ func (g *Graph) SetProp(id NodeID, key string, v predicate.Value) error {
 	return nil
 }
 
-// DeleteProp removes a node property (used when an intensity value is
-// retracted).
-func (g *Graph) DeleteProp(id NodeID, key string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := g.node(id)
-	if n == nil {
-		return fmt.Errorf("graphdb: no node %d", id)
-	}
-	k, ok := g.keyIDs[key]
-	if !ok {
-		return nil
-	}
-	i := n.props.find(k)
-	if i < 0 {
-		return nil
-	}
-	old := n.props[i].value()
-	n.props = slices.Delete(n.props, i, i+1)
-	for _, ix := range g.indexes {
-		if ix.key == k && n.hasLabel(ix.label) {
-			ix.ids[old.Key()] = removeID(ix.ids[old.Key()], id)
-		}
-	}
-	return nil
-}
-
-// Labels returns the node's labels, sorted.
-func (g *Graph) Labels(id NodeID) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := g.node(id)
-	if n == nil {
-		return nil
-	}
-	return append([]string{}, n.labels...)
-}
-
-// AddLabel attaches a label to an existing node, indexing it if an index on
-// (label, prop) exists and the node has prop.
-func (g *Graph) AddLabel(id NodeID, label string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := g.node(id)
-	if n == nil {
-		return fmt.Errorf("graphdb: no node %d", id)
-	}
-	i, found := slices.BinarySearch(n.labels, label)
-	if found {
-		return nil
-	}
-	n.labels = slices.Insert(n.labels, i, label)
-	for _, ix := range g.indexes {
-		if ix.label != label {
-			continue
-		}
-		if v, ok := n.props.get(ix.key); ok {
-			ix.ids[v.Key()] = append(ix.ids[v.Key()], id)
-		}
-	}
-	return nil
-}
-
 // CreateEdge inserts a directed edge from -> to with a label and optional
 // properties.
 func (g *Graph) CreateEdge(from, to NodeID, label string, props Props) (EdgeID, error) {
@@ -298,30 +234,6 @@ type Edge struct {
 func (g *Graph) exportEdge(id EdgeID) Edge {
 	e := g.edges.at(int(id))
 	return Edge{ID: id, From: e.from, To: e.to, Label: e.label, Props: g.exportProps(e.props)}
-}
-
-// EdgeByID returns the edge with the given id.
-func (g *Graph) EdgeByID(id EdgeID) (Edge, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	e := g.edge(id)
-	if e == nil {
-		return Edge{}, false
-	}
-	return g.exportEdge(id), true
-}
-
-// SetEdgeLabel relabels an edge — how HYPRE turns a DISCARD edge back into
-// PREFERS when intensities change (§6.2.3).
-func (g *Graph) SetEdgeLabel(id EdgeID, label string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	e := g.edge(id)
-	if e == nil {
-		return fmt.Errorf("graphdb: no edge %d", id)
-	}
-	e.label = label
-	return nil
 }
 
 // OutEdges returns edges leaving id, in creation order; label "" means any

@@ -85,22 +85,3 @@ func BenchmarkCypherIndexedQuery(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSnapshotRestore(b *testing.B) {
-	g, _ := benchGraph(5000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf writeCounter
-		if err := g.Snapshot(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type writeCounter struct{ n int }
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}

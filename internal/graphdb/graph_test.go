@@ -82,17 +82,8 @@ func TestSetPropAndDelete(t *testing.T) {
 	if v, _ := g.Prop(id, "intensity"); v.AsFloat() != 0.8 {
 		t.Errorf("after set: %v", v)
 	}
-	if err := g.DeleteProp(id, "intensity"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.Prop(id, "intensity"); ok {
-		t.Error("prop survived delete")
-	}
 	if err := g.SetProp(999, "x", predicate.Int(1)); err == nil {
 		t.Error("SetProp on missing node should fail")
-	}
-	if err := g.DeleteProp(999, "x"); err == nil {
-		t.Error("DeleteProp on missing node should fail")
 	}
 }
 
@@ -125,26 +116,6 @@ func TestEdgesAndDegrees(t *testing.T) {
 	}
 	if _, err := g.CreateEdge(999, a, "X", nil); err == nil {
 		t.Error("edge from missing node should fail")
-	}
-}
-
-func TestSetEdgeLabel(t *testing.T) {
-	g := New()
-	a := g.CreateNode(NodeSpec{})
-	b := g.CreateNode(NodeSpec{})
-	eid, _ := g.CreateEdge(a, b, "DISCARD", nil)
-	if err := g.SetEdgeLabel(eid, "PREFERS"); err != nil {
-		t.Fatal(err)
-	}
-	e, ok := g.EdgeByID(eid)
-	if !ok || e.Label != "PREFERS" {
-		t.Errorf("relabel failed: %+v", e)
-	}
-	if g.OutDegree(a, "DISCARD") != 0 || g.OutDegree(a, "PREFERS") != 1 {
-		t.Error("degree counts not updated by relabel")
-	}
-	if err := g.SetEdgeLabel(999, "X"); err == nil {
-		t.Error("relabel of missing edge should fail")
 	}
 }
 
@@ -190,23 +161,6 @@ func TestPathExistsCycleSafety(t *testing.T) {
 	}
 }
 
-func TestLabelsAndAddLabel(t *testing.T) {
-	g := New()
-	id := g.CreateNode(NodeSpec{Labels: []string{"b", "a"}})
-	if ls := g.Labels(id); len(ls) != 2 || ls[0] != "a" || ls[1] != "b" {
-		t.Errorf("Labels = %v", ls)
-	}
-	if err := g.AddLabel(id, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if ls := g.Labels(id); len(ls) != 3 {
-		t.Errorf("after AddLabel: %v", ls)
-	}
-	if err := g.AddLabel(999, "x"); err == nil {
-		t.Error("AddLabel on missing node should fail")
-	}
-}
-
 func TestFindNodesScanVsIndex(t *testing.T) {
 	g := New()
 	var want []NodeID
@@ -243,19 +197,10 @@ func TestIndexMaintainedOnInsertUpdateLabel(t *testing.T) {
 	if got := g.FindNodes("uidIndex", "uid", predicate.Int(8)); len(got) != 1 {
 		t.Errorf("index not updated: %v", got)
 	}
-	// Node gets the label after creation: index must pick it up.
-	id2 := g.CreateNode(NodeSpec{Props: props("uid", 8)})
+	// A node without the label stays out of the index.
+	g.CreateNode(NodeSpec{Props: props("uid", 8)})
 	if got := g.FindNodes("uidIndex", "uid", predicate.Int(8)); len(got) != 1 {
 		t.Errorf("unlabeled node indexed: %v", got)
-	}
-	g.AddLabel(id2, "uidIndex")
-	if got := g.FindNodes("uidIndex", "uid", predicate.Int(8)); len(got) != 2 {
-		t.Errorf("AddLabel not indexed: %v", got)
-	}
-	// DeleteProp must remove the entry.
-	g.DeleteProp(id2, "uid")
-	if got := g.FindNodes("uidIndex", "uid", predicate.Int(8)); len(got) != 1 {
-		t.Errorf("DeleteProp left index entry: %v", got)
 	}
 	// Re-creating the same index is a no-op.
 	g.CreateIndex("uidIndex", "uid")

@@ -2,7 +2,6 @@ package hypre
 
 import (
 	"sort"
-	"strings"
 
 	"hypre/internal/predicate"
 )
@@ -207,17 +206,4 @@ func TupleIntensity(row predicate.Row, prefs []ScoredPred) (float64, int) {
 		return 0, 0
 	}
 	return FAndAll(vals...), len(vals)
-}
-
-// DescribePrefs renders a preference list compactly for logs and example
-// output.
-func DescribePrefs(prefs []ScoredPred) string {
-	var sb strings.Builder
-	for i, p := range prefs {
-		if i > 0 {
-			sb.WriteString("; ")
-		}
-		sb.WriteString(p.Pred)
-	}
-	return sb.String()
 }

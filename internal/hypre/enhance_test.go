@@ -183,13 +183,6 @@ func TestTupleIntensityDealership(t *testing.T) {
 	}
 }
 
-func TestDescribePrefs(t *testing.T) {
-	prefs := []ScoredPred{sp(t, `a=1`, 0.5), sp(t, `b=2`, 0.4)}
-	if got := DescribePrefs(prefs); got != "a=1; b=2" {
-		t.Errorf("DescribePrefs = %q", got)
-	}
-}
-
 func TestProfileEndToEnd(t *testing.T) {
 	h := NewGraph(DefaultFixed)
 	h.AddQuantitative(2, `dblp.venue="INFOCOM"`, 0.23)

@@ -149,13 +149,8 @@ type Graph struct {
 func NewGraph(strategy DefaultStrategy) *Graph {
 	g := graphdb.New()
 	g.CreateIndex(uidIndexLabel, propUID)
-	return newGraph(g, strategy)
-}
-
-// newGraph wraps a store; NewGraph and Load both build through it.
-func newGraph(store *graphdb.Graph, strategy DefaultStrategy) *Graph {
 	return &Graph{
-		g:        store,
+		g:        g,
 		strategy: strategy,
 		byKey:    make(map[nodeKey]graphdb.NodeID),
 		canon:    make(map[string]string),
@@ -529,12 +524,6 @@ func (h *Graph) Node(id graphdb.NodeID) (NodeInfo, bool) {
 	return info, true
 }
 
-// NodeID returns the node for (uid, predicate) if it exists.
-func (h *Graph) NodeID(uid int64, pred string) (graphdb.NodeID, bool) {
-	id, ok := h.byKey[nodeKey{uid, predicate.Normalize(pred)}]
-	return id, ok
-}
-
 // UserNodes returns all preference nodes of a user via the uid index,
 // sorted by descending intensity (nodes without intensity last), ties by
 // node id — the ordered retrieval of §4.3.
@@ -586,25 +575,4 @@ func (h *Graph) GraphStats() Stats {
 		return true
 	})
 	return s
-}
-
-// PrefersEdges returns the PREFERS edges leaving a node, each with its
-// qualitative strength.
-func (h *Graph) PrefersEdges(id graphdb.NodeID) []QualEdge {
-	var out []QualEdge
-	for _, e := range h.g.OutEdges(id, LabelPrefers) {
-		qe := QualEdge{EdgeID: e.ID, From: e.From, To: e.To}
-		if v, ok := e.Props[propIntensity]; ok {
-			qe.Intensity = v.AsFloat()
-		}
-		out = append(out, qe)
-	}
-	return out
-}
-
-// QualEdge is the exported view of a PREFERS edge.
-type QualEdge struct {
-	EdgeID    graphdb.EdgeID
-	From, To  graphdb.NodeID
-	Intensity float64
 }

@@ -4,6 +4,9 @@ import (
 	"maps"
 	"math"
 	"testing"
+
+	"hypre/internal/graphdb"
+	"hypre/internal/predicate"
 )
 
 func TestAddQuantitativeBasic(t *testing.T) {
@@ -282,7 +285,7 @@ func TestEdgeInvariantAfterRandomInserts(t *testing.T) {
 		h.AddQualitative(7, `venue="`+venues[p[0]]+`"`, `venue="`+venues[p[1]]+`"`, 0.1*float64(i+1))
 	}
 	for _, n := range h.UserNodes(7) {
-		for _, e := range h.PrefersEdges(n.ID) {
+		for _, e := range h.Store().OutEdges(n.ID, LabelPrefers) {
 			from, _ := h.Node(e.From)
 			to, _ := h.Node(e.To)
 			if from.HasIntensity && to.HasIntensity && from.Intensity < to.Intensity-1e-9 {
@@ -293,7 +296,7 @@ func TestEdgeInvariantAfterRandomInserts(t *testing.T) {
 	}
 	// No PREFERS cycle may exist: every CYCLE-candidate edge was labeled.
 	for _, n := range h.UserNodes(7) {
-		for _, e := range h.PrefersEdges(n.ID) {
+		for _, e := range h.Store().OutEdges(n.ID, LabelPrefers) {
 			if h.Store().PathExists(e.To, e.From, LabelPrefers) {
 				t.Errorf("PREFERS cycle through %d->%d", e.From, e.To)
 			}
@@ -353,14 +356,20 @@ func TestProfileFilters(t *testing.T) {
 	}
 }
 
+// nodeID is the node of (uid, pred), looked up under pred's normal form.
+func nodeID(h *Graph, uid int64, pred string) (graphdb.NodeID, bool) {
+	id, ok := h.byKey[nodeKey{uid, predicate.Normalize(pred)}]
+	return id, ok
+}
+
 func TestNodeIDLookup(t *testing.T) {
 	h := NewGraph(DefaultFixed)
 	id, _ := h.AddQuantitative(1, `venue="A"`, 0.5)
-	got, ok := h.NodeID(1, `venue = 'A'`)
+	got, ok := nodeID(h, 1, `venue = 'A'`)
 	if !ok || got != id {
 		t.Errorf("NodeID = %v %v", got, ok)
 	}
-	if _, ok := h.NodeID(2, `venue="A"`); ok {
+	if _, ok := nodeID(h, 2, `venue="A"`); ok {
 		t.Error("wrong user resolved")
 	}
 }
@@ -494,7 +503,7 @@ func TestCanonicalMemo(t *testing.T) {
 	if b, _ := h.AddQuantitative(1, `venue="A"`, 0.6); b != a {
 		t.Fatalf("spellings of one predicate got nodes %d and %d", a, b)
 	}
-	if id, ok := h.NodeID(1, ` venue='A' `); !ok || id != a {
+	if id, ok := nodeID(h, 1, ` venue='A' `); !ok || id != a {
 		t.Fatalf("NodeID = %d, %v; want %d", id, ok, a)
 	}
 }

@@ -30,14 +30,6 @@ const (
 	Right
 )
 
-// String returns "LEFT" or "RIGHT".
-func (s Side) String() string {
-	if s == Left {
-		return "LEFT"
-	}
-	return "RIGHT"
-}
-
 // ValidQuantIntensity reports whether v is a legal quantitative intensity
 // (Definition 14: [-1, 1]).
 func ValidQuantIntensity(v float64) bool {

@@ -50,9 +50,6 @@ func TestComputeIntensityDispatch(t *testing.T) {
 	if ComputeIntensity(Right, 1, 0.5) != IntensityRight(1, 0.5) {
 		t.Error("Right dispatch")
 	}
-	if Left.String() != "LEFT" || Right.String() != "RIGHT" {
-		t.Error("Side strings")
-	}
 }
 
 // Property 1 of §4.4: Intensity_Left(ql, qt) >= qt for all legal inputs.

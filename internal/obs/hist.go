@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -109,15 +108,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return out
 }
 
-// Merge folds another snapshot into this one.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for b := range s.Counts {
-		s.Counts[b] += o.Counts[b]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) by nearest rank over the
 // buckets, reporting the midpoint of the selected bucket — within the
 // 1/16-octave bucket width of the exact sample quantile.
@@ -131,8 +121,8 @@ func (s *HistSnapshot) Quantile(p float64) int64 {
 	if p > 1 {
 		p = 1
 	}
-	// Same rank convention as Percentile: index p*(n-1) of the sorted
-	// sample, so the two agree up to bucket resolution.
+	// Nearest rank: index p*(n-1) of the sorted sample, so an exact
+	// percentile and this agree up to bucket resolution.
 	target := int64(p * float64(s.Count-1))
 	var cum int64
 	for b, c := range s.Counts {
@@ -144,30 +134,4 @@ func (s *HistSnapshot) Quantile(p float64) int64 {
 		}
 	}
 	return bucketLow(histBuckets - 1) // unreachable unless counts raced
-}
-
-// QuantileDuration is Quantile for latency histograms.
-func (s *HistSnapshot) QuantileDuration(p float64) time.Duration {
-	return time.Duration(s.Quantile(p))
-}
-
-// Percentile is the exact nearest-rank p-quantile (0 ≤ p ≤ 1) of a latency
-// sample, on a sorted copy — the shared helper behind the experiments'
-// reported percentiles (the histograms trade this exactness for O(1)
-// concurrent recording).
-func Percentile(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(lats))
-	copy(s, lats)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(p * float64(len(s)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }

@@ -26,18 +26,9 @@ const (
 	// StageFootprint makes a miss's predicates resident in the evaluator's
 	// store (one vectorized scan per predicate without a bitmap).
 	StageFootprint = "footprint"
-	// StageBuildLists is grade-list construction over the evaluator's
-	// bitmaps (includes any cold predicate scans it triggers).
-	StageBuildLists = "build_lists"
-	// StageTA is the Threshold Algorithm loop over built lists.
-	StageTA = "ta"
 	// StageResident ranks a miss straight from its predicates' resident
 	// bitmaps (dense grade fold + top-k heap; no store block is read).
 	StageResident = "resident"
-	// StagePairBuild is pair-table construction.
-	StagePairBuild = "pair_build"
-	// StagePEPS is the PEPS DFS expansion.
-	StagePEPS = "peps_dfs"
 	// StageRank is final ranking/merging/cloning of the answer.
 	StageRank = "rank"
 	// StagePublish is the cache publish gate (entry construction + insert).
@@ -45,6 +36,4 @@ const (
 	// StageEvaluate is an uncached evaluation outside the single-flight
 	// path (the stale-bypass route).
 	StageEvaluate = "evaluate"
-	// StageDeltaSync is one delta.Maintainer synchronization pass.
-	StageDeltaSync = "delta_sync"
 )

@@ -73,16 +73,6 @@ func (l *SlowLog) Observe(route, query string, k int, total time.Duration, tr *T
 	l.mu.Unlock()
 }
 
-// Len reports how many entries the ring currently holds.
-func (l *SlowLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
-}
-
 // TotalLogged reports how many queries have ever crossed the threshold
 // (entries beyond the ring capacity were overwritten).
 func (l *SlowLog) TotalLogged() uint64 {

@@ -10,13 +10,13 @@ import (
 func TestSlowLogThresholdGate(t *testing.T) {
 	l := NewSlowLog(time.Millisecond, 8)
 	l.Observe("hit", "fast", 10, 100*time.Microsecond, nil)
-	if l.Len() != 0 || l.TotalLogged() != 0 {
+	if len(l.Snapshot()) != 0 || l.TotalLogged() != 0 {
 		t.Fatal("below-threshold query was logged")
 	}
 	l.Observe("miss", "slow", 10, 2*time.Millisecond, nil)
 	l.Observe("miss", "exact", 10, time.Millisecond, nil) // at-threshold keeps
-	if l.Len() != 2 {
-		t.Fatalf("len = %d, want 2", l.Len())
+	if len(l.Snapshot()) != 2 {
+		t.Fatalf("len = %d, want 2", len(l.Snapshot()))
 	}
 }
 
@@ -26,8 +26,8 @@ func TestSlowLogWraparound(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		l.Observe("miss", fmt.Sprintf("q%d", i), i, time.Duration(i)*time.Millisecond, nil)
 	}
-	if l.Len() != capacity {
-		t.Fatalf("len = %d, want %d", l.Len(), capacity)
+	if len(l.Snapshot()) != capacity {
+		t.Fatalf("len = %d, want %d", len(l.Snapshot()), capacity)
 	}
 	if l.TotalLogged() != 10 {
 		t.Fatalf("total = %d, want 10", l.TotalLogged())
@@ -51,7 +51,7 @@ func TestSlowLogWraparound(t *testing.T) {
 func TestSlowLogNil(t *testing.T) {
 	var l *SlowLog
 	l.Observe("miss", "q", 1, time.Hour, nil)
-	if l.Len() != 0 || l.Snapshot() != nil || l.TotalLogged() != 0 {
+	if len(l.Snapshot()) != 0 || l.Snapshot() != nil || l.TotalLogged() != 0 {
 		t.Fatal("nil slow log not inert")
 	}
 }
@@ -94,7 +94,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 	if got := l.TotalLogged(); got != workers*perW {
 		t.Fatalf("total logged = %d, want %d", got, workers*perW)
 	}
-	if l.Len() != 16 {
-		t.Fatalf("len = %d, want 16", l.Len())
+	if len(l.Snapshot()) != 16 {
+		t.Fatalf("len = %d, want 16", len(l.Snapshot()))
 	}
 }

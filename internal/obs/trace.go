@@ -20,17 +20,6 @@ type EngineCounters struct {
 	// reports the threshold rule halted before list exhaustion.
 	TARounds    int64 `json:"ta_rounds,omitempty"`
 	TAEarlyExit bool  `json:"ta_early_exit,omitempty"`
-	// AnchorsUsed / CombosExpanded are the PEPS DFS observables: how many
-	// anchor preferences seeded expansion and how many multi-predicate
-	// combinations (each one bitmap intersection) were generated.
-	AnchorsUsed    int64 `json:"anchors_used,omitempty"`
-	CombosExpanded int64 `json:"combos_expanded,omitempty"`
-	// PairsIntersected counts pair-table entries computed (one bitmap
-	// intersection cardinality each).
-	PairsIntersected int64 `json:"pairs_intersected,omitempty"`
-	// TouchedRows is the delta-sync footprint when the trace covers a
-	// maintenance pass.
-	TouchedRows int64 `json:"touched_rows,omitempty"`
 }
 
 // Span is one timed stage of a trace. Off is the offset from the trace
@@ -186,28 +175,6 @@ func (t *Trace) AddTA(rounds int64, earlyExit bool) {
 	if t != nil {
 		t.Eng.TARounds += rounds
 		t.Eng.TAEarlyExit = t.Eng.TAEarlyExit || earlyExit
-	}
-}
-
-// AddPEPS accumulates DFS expansion counters.
-func (t *Trace) AddPEPS(anchors, combos int64) {
-	if t != nil {
-		t.Eng.AnchorsUsed += anchors
-		t.Eng.CombosExpanded += combos
-	}
-}
-
-// AddPairs accumulates pair-table intersections.
-func (t *Trace) AddPairs(n int64) {
-	if t != nil {
-		t.Eng.PairsIntersected += n
-	}
-}
-
-// AddTouchedRows accumulates a delta sync's re-evaluated row count.
-func (t *Trace) AddTouchedRows(n int64) {
-	if t != nil {
-		t.Eng.TouchedRows += n
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package prefsql implements the Preference SQL comparator the dissertation
 // positions HYPRE against (§1.3, §2.5): Kießling-style preference
-// constructors — base preferences over attributes, Pareto composition
-// (AND), prioritized composition (PRIOR TO), and the ELSE operator — with
-// Best-Matches-Only (BMO) evaluation. Preference SQL carries no intensity,
-// so composition yields only a strict partial order; the dealership example
-// shows exactly the ordering ambiguity (§2.5's t2-vs-t3 problem) the HYPRE
-// model resolves.
+// constructors — base preferences over attributes and Pareto composition
+// (AND) — with Best-Matches-Only (BMO) evaluation. Preference SQL carries
+// no intensity, so composition yields only a strict partial order; the
+// dealership example shows exactly the ordering ambiguity (§2.5's
+// t2-vs-t3 problem) the HYPRE model resolves.
 package prefsql
 
 import (
@@ -123,84 +122,12 @@ func (p Pareto) String() string {
 	return out
 }
 
-// Prioritized is the PRIOR TO composition (Definition 7): compare by First;
-// only if First is indifferent, compare by Second.
-type Prioritized struct {
-	First, Second Preference
-}
-
-// PriorTo builds a prioritized composition.
-func PriorTo(first, second Preference) Preference {
-	return Prioritized{First: first, Second: second}
-}
-
-// Better implements Preference.
-func (p Prioritized) Better(a, b predicate.Row) bool {
-	if p.First.Better(a, b) {
-		return true
-	}
-	if p.First.Better(b, a) {
-		return false
-	}
-	return p.Second.Better(a, b)
-}
-
-// String implements Preference.
-func (p Prioritized) String() string {
-	return p.First.String() + " PRIOR TO " + p.Second.String()
-}
-
-// Else is the ELSE operator of Preference SQL used for qualitative venue
-// preferences ("venue IN ('CIKM') ELSE ('SIGMOD')"): tuples matching A are
-// best, then tuples matching B, then the rest — three BMO levels, with no
-// way to say how much better A is (the intensity loss of §1.3).
-type Else struct {
-	A, B predicate.Predicate
-}
-
-func (p Else) level(r predicate.Row) int {
-	switch {
-	case p.A.Eval(r):
-		return 0
-	case p.B.Eval(r):
-		return 1
-	default:
-		return 2
-	}
-}
-
-// Better implements Preference.
-func (p Else) Better(a, b predicate.Row) bool { return p.level(a) < p.level(b) }
-
-// String implements Preference.
-func (p Else) String() string {
-	return p.A.String() + " ELSE " + p.B.String()
-}
-
 // Result is a BMO-ranked answer: Level 0 holds the best matches only, level
 // 1 the best of the remainder, and so on. Tuples within a level are
 // mutually incomparable (or equivalent) under the preference — Preference
 // SQL cannot order them further, which is the gap HYPRE's intensities fill.
 type Result struct {
 	Levels [][]relstore.JoinedRow
-}
-
-// Flatten returns the rows level by level (arbitrary order inside levels).
-func (r Result) Flatten() []relstore.JoinedRow {
-	var out []relstore.JoinedRow
-	for _, l := range r.Levels {
-		out = append(out, l...)
-	}
-	return out
-}
-
-// Top returns the first k rows of the flattened ranking (the TOP k clause).
-func (r Result) Top(k int) []relstore.JoinedRow {
-	out := r.Flatten()
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // Evaluate runs a query and ranks the result by repeated BMO peeling: level

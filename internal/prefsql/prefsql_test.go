@@ -105,43 +105,6 @@ func TestParetoIncomparability(t *testing.T) {
 	}
 }
 
-func TestPrioritizedBreaksTies(t *testing.T) {
-	price, mileage, make_ := carPrefs()
-	pref := PriorTo(And(price, mileage), make_)
-	t2 := row(t, "price", 16000, "mileage", 35334, "make", "VW")
-	t3 := row(t, "price", 20000, "mileage", 49119, "make", "Honda")
-	// Under PRIOR TO, price∧mileage decides first: t2 is strictly better
-	// there (t3 is 4000 off on price), so make never gets consulted.
-	if !pref.Better(t2, t3) {
-		t.Error("t2 should win on the prioritized composition")
-	}
-	// When the first preference ties, the second decides.
-	a := row(t, "price", 8000, "mileage", 30000, "make", "Honda")
-	b := row(t, "price", 9000, "mileage", 31000, "make", "VW")
-	if !pref.Better(a, b) {
-		t.Error("make should break the first-preference tie")
-	}
-}
-
-func TestElseLevels(t *testing.T) {
-	p := Else{
-		A: predicate.MustParse(`venue="CIKM"`),
-		B: predicate.MustParse(`venue="SIGMOD"`),
-	}
-	cikm := predicate.MapRow{"venue": predicate.String("CIKM")}
-	sigmod := predicate.MapRow{"venue": predicate.String("SIGMOD")}
-	vldb := predicate.MapRow{"venue": predicate.String("VLDB")}
-	if !p.Better(cikm, sigmod) || !p.Better(sigmod, vldb) || !p.Better(cikm, vldb) {
-		t.Error("ELSE levels wrong")
-	}
-	if p.Better(sigmod, cikm) {
-		t.Error("ELSE reversed")
-	}
-	if !strings.Contains(p.String(), "ELSE") {
-		t.Error("String")
-	}
-}
-
 func TestEvaluateBMOLevels(t *testing.T) {
 	db := dealershipDB(t)
 	price, mileage, make_ := carPrefs()
@@ -164,44 +127,6 @@ func TestEvaluateBMOLevels(t *testing.T) {
 	}
 	if got := res.LevelOf("id", predicate.Int(99)); got != -1 {
 		t.Errorf("missing tuple level = %d", got)
-	}
-}
-
-func TestEvaluatePriorToOrdering(t *testing.T) {
-	db := dealershipDB(t)
-	price, mileage, make_ := carPrefs()
-	res, err := Evaluate(db, carQuery(), PriorTo(And(price, mileage), make_))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := res.Flatten()
-	if len(flat) != 3 {
-		t.Fatalf("flat = %d", len(flat))
-	}
-	ids := make([]int64, 3)
-	for i, r := range flat {
-		v, _ := r.Get("id")
-		ids[i] = v.AsInt()
-	}
-	// t1 first; then t2 (better on the prioritized price∧mileage); t3 last.
-	if ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
-		t.Errorf("order = %v", ids)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	db := dealershipDB(t)
-	price, mileage, make_ := carPrefs()
-	res, _ := Evaluate(db, carQuery(), And(price, mileage, make_))
-	top := res.Top(2)
-	if len(top) != 2 {
-		t.Fatalf("top = %d", len(top))
-	}
-	if v, _ := top[0].Get("id"); v.AsInt() != 1 {
-		t.Errorf("best = %v", v)
-	}
-	if got := res.Top(10); len(got) != 3 {
-		t.Errorf("over-ask = %d", len(got))
 	}
 }
 
@@ -229,8 +154,8 @@ func (badPref) String() string                 { return "bad" }
 
 func TestStrings(t *testing.T) {
 	price, mileage, make_ := carPrefs()
-	s := PriorTo(And(price, mileage), make_).String()
-	if !strings.Contains(s, "PRIOR TO") || !strings.Contains(s, "AND") {
+	s := And(price, mileage, make_).String()
+	if !strings.Contains(s, "AND") {
 		t.Errorf("String = %q", s)
 	}
 }

@@ -45,7 +45,7 @@ func TestAdaptiveDictMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Left.ID() != 700 {
+	if len(rows) != 1 || rows[0].Left.id != 700 {
 		t.Fatalf("raw-mode equality scan: got %d rows", len(rows))
 	}
 	cnt, err := db.Count(Query{From: "papers", Where: &predicate.In{

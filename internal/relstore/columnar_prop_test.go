@@ -212,9 +212,9 @@ func gotPairs(rows []JoinedRow) [][2]int {
 	for i, r := range rows {
 		rid := -1
 		if r.HasRight {
-			rid = r.Right.ID()
+			rid = r.Right.id
 		}
-		out[i] = [2]int{r.Left.ID(), rid}
+		out[i] = [2]int{r.Left.id, rid}
 	}
 	return out
 }

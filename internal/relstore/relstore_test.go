@@ -225,16 +225,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestTableNames(t *testing.T) {
-	db := NewDB()
-	db.CreateTable("b", Column{"x", predicate.KindInt})
-	db.CreateTable("a", Column{"x", predicate.KindInt})
-	names := db.TableNames()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("creation order lost: %v", names)
-	}
-}
-
 func TestValueAccessor(t *testing.T) {
 	db := movieDB(t)
 	tbl := db.Table("movies")

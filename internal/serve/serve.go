@@ -153,12 +153,6 @@ func (a *App) Handler() http.Handler { return a.mux }
 // Server exposes the caching tier (tests assert cache state through it).
 func (a *App) Server() *cache.Server { return a.srv }
 
-// Registry exposes the metrics registry.
-func (a *App) Registry() *obs.Registry { return a.reg }
-
-// QueryGate exposes the query admission gate's ledger.
-func (a *App) QueryGate() *admit.Gate { return a.queryGate }
-
 // SeedSession stores a profile server-side (cmd/hypred's -seed.sessions and
 // the bench/ harness use it to skip the PUT round trip).
 func (a *App) SeedSession(id string, prefs []hypre.ScoredPred) (combine.Fingerprint, error) {

@@ -389,7 +389,7 @@ func TestQueryAdmissionSheds(t *testing.T) {
 	// reserved, never above the SLO, so the histogram p99 can exceed the SLO
 	// by at most one 1/16-octave bucket.
 	qsnap := burstApp.Registry().Histogram("admit_queue_query").Snapshot()
-	if p99 := qsnap.QuantileDuration(0.99); p99 > slo+slo/16 {
+	if p99 := time.Duration(qsnap.Quantile(0.99)); p99 > slo+slo/16 {
 		t.Fatalf("burst: admit_queue_query p99 %v exceeds SLO %v by more than a bucket", p99, slo)
 	}
 }

@@ -51,16 +51,6 @@ func NewLists(names []string, gradeMaps []map[int64]float64) *Lists {
 	return l
 }
 
-// Size returns the total number of (pid, grade) entries — the storage cost
-// §7.6.1 calls out as TA's scalability problem.
-func (l *Lists) Size() int {
-	n := 0
-	for _, s := range l.sorted {
-		n += len(s)
-	}
-	return n
-}
-
 // aggregate computes the overall grade t(R) = f∧ over the grades of R in
 // every list where it appears (absent lists contribute 0, the identity of
 // f∧), matching §7.6.1's final combination step which "also added all the

@@ -77,14 +77,6 @@ func TestTAEarlyTermination(t *testing.T) {
 	}
 }
 
-func TestListsSize(t *testing.T) {
-	l := NewLists([]string{"v", "a"},
-		[]map[int64]float64{{1: 0.5, 2: 0.4}, {1: 0.3}})
-	if l.Size() != 3 {
-		t.Errorf("Size = %d", l.Size())
-	}
-}
-
 // taDB builds a small store for BuildLists integration.
 func taDB(t *testing.T) *combine.Evaluator {
 	t.Helper()

@@ -11,7 +11,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"hypre/internal/predicate"
@@ -282,52 +281,4 @@ func BaseQuery(where predicate.Predicate) relstore.Query {
 		Join:  &relstore.JoinSpec{Table: "dblp_author", LeftCol: "pid", RightCol: "pid"},
 		Where: where,
 	}
-}
-
-// VenueOf returns the venue name of a paper by pid.
-func (n *Network) VenueOf(pid int64) string {
-	if i, ok := n.PaperByPID[pid]; ok {
-		return n.Venues[n.Papers[i].Venue]
-	}
-	return ""
-}
-
-// MeanPapersPerAuthor reports the average productivity, for sanity checks.
-func (n *Network) MeanPapersPerAuthor() float64 {
-	total := 0
-	for _, ps := range n.PapersByAuthor {
-		total += len(ps)
-	}
-	if len(n.PapersByAuthor) == 0 {
-		return 0
-	}
-	return float64(total) / float64(len(n.PapersByAuthor))
-}
-
-// GiniVenue computes a concentration measure over venue paper counts to
-// verify the generator produces a skewed (long-tailed) venue distribution.
-func (n *Network) GiniVenue() float64 {
-	counts := make([]float64, len(n.Venues))
-	for i := range n.Papers {
-		counts[n.Papers[i].Venue]++
-	}
-	return gini(counts)
-}
-
-func gini(xs []float64) float64 {
-	nf := float64(len(xs))
-	if nf == 0 {
-		return 0
-	}
-	var sum, absDiff float64
-	for _, a := range xs {
-		sum += a
-		for _, b := range xs {
-			absDiff += math.Abs(a - b)
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return absDiff / (2 * nf * sum)
 }

@@ -8,10 +8,10 @@ import (
 	"hypre/internal/relstore"
 )
 
-// This file is the sustained-stream half of the update workload: the same
-// seeded op mix as UpdateStream, but pre-planned into pid-keyed Op values
-// that concurrent writers can execute against the store. Two properties
-// make the plans concurrency- and compaction-proof:
+// This file plans the update workload: UpdateStream's seeded op mix,
+// pre-planned into pid-keyed Op values that concurrent writers can execute
+// against the store. Two properties make the plans concurrency- and
+// compaction-proof:
 //
 //   - Ops name rows by pid, never by row id; a staged op resolves the
 //     current row through the store's hash index at commit time, so a plan stays

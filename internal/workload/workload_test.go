@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"hypre/internal/hypre"
@@ -100,22 +101,28 @@ func TestGenerateCitationsPointBackward(t *testing.T) {
 
 func TestGenerateSkewedDistributions(t *testing.T) {
 	net := smallNet(t)
-	// Venue distribution must be clearly skewed (Zipf), not uniform.
-	if g := net.GiniVenue(); g < 0.4 {
+	// Venue distribution must be clearly skewed (Zipf), not uniform: the
+	// Gini coefficient of the venues' paper counts.
+	counts := make([]float64, len(net.Venues))
+	for _, p := range net.Papers {
+		counts[p.Venue]++
+	}
+	var sum, absDiff float64
+	for _, a := range counts {
+		sum += a
+		for _, b := range counts {
+			absDiff += math.Abs(a - b)
+		}
+	}
+	if g := absDiff / (2 * float64(len(counts)) * sum); g < 0.4 {
 		t.Errorf("venue Gini = %v, want skew >= 0.4", g)
 	}
-	if m := net.MeanPapersPerAuthor(); m <= 1 {
+	links := 0
+	for _, ps := range net.PapersByAuthor {
+		links += len(ps)
+	}
+	if m := float64(links) / float64(len(net.PapersByAuthor)); m <= 1 {
 		t.Errorf("mean papers/author = %v", m)
-	}
-}
-
-func TestVenueOf(t *testing.T) {
-	net := smallNet(t)
-	if v := net.VenueOf(net.Papers[0].PID); v != net.Venues[net.Papers[0].Venue] {
-		t.Errorf("VenueOf = %q", v)
-	}
-	if v := net.VenueOf(999999); v != "" {
-		t.Errorf("unknown pid should return empty, got %q", v)
 	}
 }
 
