@@ -157,6 +157,17 @@ func NewServer(ev *combine.Evaluator, cfg Config) *Server {
 				"dict_bytes":       st.DictBytes,
 			}
 		})
+		s.reg.RegisterGroup("store", func() map[string]int64 {
+			out := make(map[string]int64)
+			for _, g := range db.Gauges() {
+				out[g.Name+".rows"] = int64(g.Rows)
+				out[g.Name+".dead"] = int64(g.Dead)
+				out[g.Name+".index_keys"] = int64(g.IndexKeys)
+				out[g.Name+".index_postings"] = int64(g.IndexPostings)
+				out[g.Name+".change_log"] = int64(g.ChangeLog)
+			}
+			return out
+		})
 	}
 	return s
 }

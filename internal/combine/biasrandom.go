@@ -53,7 +53,6 @@ func BiasRandom(prefs []hypre.ScoredPred, ev *Evaluator, rng *rand.Rand, bias fl
 			pick := flipCoin(prefs, remaining, rng, bias)
 			second := remaining[pick]
 			remaining = append(remaining[:pick], remaining[pick+1:]...)
-			ev.ComboEvals++
 			cand := bms[first].And(bms[second])
 			if cand.Len() == 0 {
 				res.Invalid++
@@ -72,7 +71,6 @@ func BiasRandom(prefs []hypre.ScoredPred, ev *Evaluator, rng *rand.Rand, bias fl
 			pick := flipCoin(prefs, remaining, rng, bias)
 			next := remaining[pick]
 			remaining = append(remaining[:pick], remaining[pick+1:]...)
-			ev.ComboEvals++
 			cand := curBM.And(bms[next])
 			if cand.Len() == 0 {
 				res.Invalid++
@@ -81,7 +79,6 @@ func BiasRandom(prefs []hypre.ScoredPred, ev *Evaluator, rng *rand.Rand, bias fl
 			cur = cur.And(prefs[next])
 			curBM = cand
 		}
-		ev.ComboEvals++
 		res.Records = append(res.Records, ev.record(cur, curBM))
 		res.Valid++
 	}

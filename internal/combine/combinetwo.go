@@ -53,7 +53,6 @@ func CombineTwo(prefs []hypre.ScoredPred, ev *Evaluator, sem Semantics) (Records
 				c = NewCombo(p1).And(p2)
 				bm = bms[i].And(bms[j])
 			}
-			ev.ComboEvals++
 			r := ev.record(c, bm)
 			r.AnchorIndex = i
 			r.PartnerIndex = j

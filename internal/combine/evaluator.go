@@ -41,9 +41,9 @@ import (
 // never miss a batch. PredBitmap holds the lock across its one scan. Once
 // every profile preference has been materialized, PredSet, PredBitmap, and
 // the bitmap algebra they feed are safe for concurrent readers — the
-// parallel pair-table build relies on this. The Queries and ComboEvals
-// counters are plain ints and must only be touched from one goroutine at a
-// time; the concurrent paths avoid them.
+// parallel pair-table build relies on this. The Queries counter is a plain
+// int and must only be touched from one goroutine at a time; the
+// concurrent paths avoid it.
 type Evaluator struct {
 	db      *relstore.DB
 	base    func(predicate.Predicate) relstore.Query
@@ -85,8 +85,6 @@ type Evaluator struct {
 	// universe pass) is not counted, keeping the figure comparable to the
 	// one-query-per-predicate accounting of earlier PRs.
 	Queries int
-	// ComboEvals counts combination evaluations (set-algebra operations).
-	ComboEvals int
 
 	// Workers caps the fan-out of every sharded stage driven through this
 	// evaluator (bulk materialization, the pair-table span sweep, the

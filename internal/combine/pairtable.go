@@ -64,7 +64,6 @@ func BuildPairTable(prefs []hypre.ScoredPred, ev *Evaluator) (*PairTable, error)
 	}
 
 	counts := buildPairCounts(bms, ev.workerTarget())
-	ev.ComboEvals += n * (n - 1) / 2
 
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

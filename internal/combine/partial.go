@@ -40,7 +40,6 @@ func PartiallyCombineAll(prefs []hypre.ScoredPred, ev *Evaluator) (Records, erro
 	attributesUsed := map[string]bool{}
 
 	record := func(c Combo, bm *Bitmap) {
-		ev.ComboEvals++
 		out = append(out, ev.record(c, bm))
 		combos = append(combos, liveCombo{c: c, bm: bm})
 	}

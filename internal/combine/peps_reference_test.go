@@ -286,7 +286,6 @@ func (ev *Evaluator) count(c Combo) (int, error) {
 // (Definition 15). The final intersection short-circuits on the first
 // overlapping word.
 func (ev *Evaluator) Applicable(c Combo) (bool, error) {
-	ev.ComboEvals++
 	n := len(c.Groups)
 	if n == 0 {
 		return false, nil

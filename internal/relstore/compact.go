@@ -102,7 +102,7 @@ func (t *Table) compactLocked() {
 	// Row-id-keyed derived structures are now all wrong: drop the hash
 	// indexes and join plumbing and let them rebuild lazily over the
 	// compacted vectors.
-	t.indexes = make(map[int]hashIndex)
+	t.indexes = make(map[int]*hashIndex)
 	t.exists = nil
 	t.mu.Unlock()
 

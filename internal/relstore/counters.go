@@ -42,3 +42,45 @@ func (c *StoreCounters) Snapshot() StoreSnapshot {
 		JoinRebuilds: c.JoinRebuilds.Load(),
 	}
 }
+
+// TableGauges is one table's storage state as exact counts: the per-table
+// fields of the serving tier's /metrics store group.
+type TableGauges struct {
+	Name string
+	// Rows is the physical row count, tombstoned rows included; Dead is
+	// the tombstoned part of it.
+	Rows, Dead int
+	// IndexKeys and IndexPostings sum the distinct keys and the
+	// posting-list lengths over the table's hash indexes; postings include
+	// the tombstoned ids lazy deletion leaves behind.
+	IndexKeys, IndexPostings int
+	// ChangeLog is the number of change-log entries retained.
+	ChangeLog int
+}
+
+// Gauges reads every table's TableGauges, in creation order. Each table is
+// read under its shared state lock, so its counts describe one committed
+// epoch.
+func (db *DB) Gauges() []TableGauges {
+	db.mu.RLock()
+	tables := make([]*Table, len(db.order))
+	for i, name := range db.order {
+		tables[i] = db.tables[name]
+	}
+	db.mu.RUnlock()
+	out := make([]TableGauges, len(tables))
+	for i, t := range tables {
+		t.state.RLock()
+		g := TableGauges{Name: t.schema.Name, Rows: t.n, Dead: t.nDead, ChangeLog: len(t.chLog)}
+		t.mu.RLock()
+		for _, idx := range t.indexes {
+			keys, postings := idx.size()
+			g.IndexKeys += keys
+			g.IndexPostings += postings
+		}
+		t.mu.RUnlock()
+		t.state.RUnlock()
+		out[i] = g
+	}
+	return out
+}

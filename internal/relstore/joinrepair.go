@@ -64,13 +64,13 @@ func (t *Table) repairJoinEntry(e *existsEntry, right *Table, leftPos, rightPos 
 	ridSet := make(map[int]struct{}, len(rch))
 	lidSet := make(map[int]struct{}, len(lch))
 	addLeftOfKey := func(k predicate.Value) {
-		for _, lid := range lidx[k] {
-			lidSet[lid] = struct{}{}
+		for _, lid := range lidx.rows(k) {
+			lidSet[int(lid)] = struct{}{}
 		}
 	}
 	addRightOfKey := func(k predicate.Value) {
-		for _, rid := range ridx[k] {
-			ridSet[rid] = struct{}{}
+		for _, rid := range ridx.rows(k) {
+			ridSet[int(rid)] = struct{}{}
 		}
 	}
 	for _, ch := range rch {
@@ -78,10 +78,10 @@ func (t *Table) repairJoinEntry(e *existsEntry, right *Table, leftPos, rightPos 
 			ridSet[ch.Row] = struct{}{}
 		}
 		if ch.Old != nil {
-			addLeftOfKey(indexKey(ch.Old[rightPos]))
+			addLeftOfKey(ch.Old[rightPos])
 		}
 		if ch.Row >= 0 && ch.Row < right.n && !right.isDead(ch.Row) {
-			addLeftOfKey(indexKey(rcol.value(ch.Row)))
+			addLeftOfKey(rcol.value(ch.Row))
 		}
 	}
 	for _, ch := range lch {
@@ -89,10 +89,10 @@ func (t *Table) repairJoinEntry(e *existsEntry, right *Table, leftPos, rightPos 
 			lidSet[ch.Row] = struct{}{}
 		}
 		if ch.Old != nil {
-			addRightOfKey(indexKey(ch.Old[leftPos]))
+			addRightOfKey(ch.Old[leftPos])
 		}
 		if ch.Row >= 0 && ch.Row < t.n && !t.isDead(ch.Row) {
-			addRightOfKey(indexKey(lcol.value(ch.Row)))
+			addRightOfKey(lcol.value(ch.Row))
 		}
 	}
 	if len(ridSet)+len(lidSet) > joinRepairMaxChanges {
@@ -112,9 +112,9 @@ func (t *Table) repairJoinEntry(e *existsEntry, right *Table, leftPos, rightPos 
 			continue
 		}
 		var ps []int32
-		for _, lid := range lidx[indexKey(rcol.value(rid))] {
-			if !t.isDead(lid) {
-				ps = append(ps, int32(lid))
+		for _, lid := range lidx.rows(rcol.value(rid)) {
+			if !t.isDead(int(lid)) {
+				ps = append(ps, lid)
 			}
 		}
 		patched[int32(rid)] = ps
@@ -126,8 +126,8 @@ func (t *Table) repairJoinEntry(e *existsEntry, right *Table, leftPos, rightPos 
 			continue
 		}
 		alive := false
-		for _, rid := range ridx[indexKey(lcol.value(lid))] {
-			if !right.isDead(rid) {
+		for _, rid := range ridx.rows(lcol.value(lid)) {
+			if !right.isDead(int(rid)) {
 				alive = true
 				break
 			}

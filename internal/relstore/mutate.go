@@ -165,9 +165,9 @@ func (t *Table) deleteByKeyLocked(pos int, key predicate.Value, limit int) int {
 func (t *Table) matchLiveLocked(pos int, key predicate.Value) []int {
 	idx := t.ensureIndex(pos)
 	var out []int
-	for _, id := range idx[indexKey(key)] {
-		if !t.isDead(id) {
-			out = append(out, id)
+	for _, id := range idx.rows(key) {
+		if !t.isDead(int(id)) {
+			out = append(out, int(id))
 		}
 	}
 	return out
@@ -232,26 +232,15 @@ func (t *Table) updateLocked(id int, vals []predicate.Value) error {
 	}
 	epoch := t.commitEpochLocked(func() {
 		for col, idx := range t.indexes {
-			oldK, newK := indexKey(old[col]), indexKey(vals[col])
-			if oldK == newK {
+			if indexKey(old[col]) == indexKey(vals[col]) {
 				continue
 			}
-			idx[oldK] = removeID(idx[oldK], id)
-			idx[newK] = append(idx[newK], id)
+			idx.remove(old[col], id)
+			idx.add(vals[col], id)
 		}
 	})
 	t.logChange(RowChange{Epoch: epoch, Row: id, Kind: ChangeUpdate, Old: old})
 	return nil
-}
-
-// removeID drops id from an index bucket in place.
-func removeID(ids []int, id int) []int {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }
 
 // rowVals boxes the full row — the pre-image capture for the change log.

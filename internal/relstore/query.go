@@ -3,7 +3,7 @@ package relstore
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hypre/internal/bitset"
 	"hypre/internal/predicate"
@@ -404,7 +404,7 @@ func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error)
 			onPair = rowFilter(rightTree, left, right)
 		}
 	}
-	var rightIdx hashIndex
+	var rightIdx *hashIndex
 	if right != nil {
 		rightIdx = right.ensureIndex(rightPos)
 	}
@@ -419,8 +419,8 @@ func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error)
 			out.Add(lid)
 			return true
 		}
-		for _, rid := range rightIdx[indexKey(left.cols[leftPos].value(lid))] {
-			if !right.isDead(rid) && (onPair == nil || onPair(lid, rid, true)) {
+		for _, rid := range rightIdx.rows(left.cols[leftPos].value(lid)) {
+			if !right.isDead(int(rid)) && (onPair == nil || onPair(lid, int(rid), true)) {
 				out.Add(lid)
 				break
 			}
@@ -446,11 +446,10 @@ func (db *DB) LookupRowIDs(table, col string, v predicate.Value) ([]int, error) 
 	}
 	t.state.RLock()
 	defer t.state.RUnlock()
-	idx := t.ensureIndex(pos)
 	var out []int
-	for _, id := range idx[indexKey(v)] {
-		if !t.isDead(id) {
-			out = append(out, id)
+	for _, id := range t.ensureIndex(pos).rows(v) {
+		if !t.isDead(int(id)) {
+			out = append(out, int(id))
 		}
 	}
 	return out, nil
@@ -558,7 +557,7 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 	if where == nil {
 		where = predicate.True{}
 	}
-	var rightIdx hashIndex
+	var rightIdx *hashIndex
 	if right != nil {
 		rightIdx = right.ensureIndex(rightPos)
 	}
@@ -575,8 +574,8 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 			}
 			return true
 		}
-		rids := rightIdx[indexKey(left.cols[leftPos].value(lid))]
-		for _, rid := range rids {
+		for _, r := range rightIdx.rows(left.cols[leftPos].value(lid)) {
+			rid := int(r)
 			if right.isDead(rid) {
 				continue
 			}
@@ -591,7 +590,7 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 
 	if leftIDs, ok := candidateIDs(left, where); ok {
 		for _, lid := range leftIDs {
-			if !emitLeft(lid) {
+			if !emitLeft(int(lid)) {
 				return nil
 			}
 		}
@@ -608,11 +607,11 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 				if right == nil {
 					return emit(lid, 0, false)
 				}
-				for _, rid := range rightIdx[indexKey(left.cols[leftPos].value(lid))] {
-					if right.isDead(rid) {
+				for _, rid := range rightIdx.rows(left.cols[leftPos].value(lid)) {
+					if right.isDead(int(rid)) {
 						continue
 					}
-					if !emit(lid, rid, true) {
+					if !emit(lid, int(rid), true) {
 						return false
 					}
 				}
@@ -633,12 +632,13 @@ func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
 	if right != nil {
 		if rightIDs, ok := rightCandidateIDs(left, right, where); ok {
 			lidx := left.ensureIndex(leftPos)
-			for _, rid := range rightIDs {
+			for _, r := range rightIDs {
+				rid := int(r)
 				if right.isDead(rid) {
 					continue
 				}
-				lids := lidx[indexKey(right.cols[rightPos].value(rid))]
-				for _, lid := range lids {
+				for _, l := range lidx.rows(right.cols[rightPos].value(rid)) {
+					lid := int(l)
 					if left.isDead(lid) {
 						continue
 					}
@@ -860,7 +860,7 @@ func rowFilter(p predicate.Predicate, left, right *Table) idFilter {
 // on t's columns and, if any are found, returns a superset of the matching
 // row ids (sorted, deduplicated). The full predicate is still evaluated per
 // row afterwards, so over-approximation is safe; under-approximation is not.
-func candidateIDs(t *Table, p predicate.Predicate) ([]int, bool) {
+func candidateIDs(t *Table, p predicate.Predicate) ([]int32, bool) {
 	return candidateIDsResolve(t, p, func(attr string) int {
 		return resolveColumn(t, attr)
 	})
@@ -870,11 +870,11 @@ func candidateIDs(t *Table, p predicate.Predicate) ([]int, bool) {
 // attributes exactly as evaluation does (bare names bind left-first), so a
 // bare column name both tables carry never yields right-table candidates
 // for a predicate that semantically filters the left table.
-func rightCandidateIDs(left, right *Table, p predicate.Predicate) ([]int, bool) {
+func rightCandidateIDs(left, right *Table, p predicate.Predicate) ([]int32, bool) {
 	return candidateIDsResolve(right, p, sideResolver(left, right, sideRight))
 }
 
-func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) int) ([]int, bool) {
+func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) int) ([]int32, bool) {
 	switch node := p.(type) {
 	case *predicate.Cmp:
 		if node.Op != predicate.OpEq {
@@ -894,7 +894,7 @@ func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) i
 		if _, ok := t.indexFor(pos); !ok {
 			return nil, false
 		}
-		var all []int
+		var all []int32
 		for _, v := range node.Vals {
 			if !indexUsable(t, pos, v) {
 				return nil, false
@@ -905,7 +905,7 @@ func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) i
 		return dedupeIDs(all), true
 	case *predicate.And:
 		// Any single conjunct's candidates are a valid superset of the AND.
-		best := []int(nil)
+		best := []int32(nil)
 		found := false
 		for _, k := range node.Kids {
 			if ids, ok := candidateIDsResolve(t, k, resolve); ok {
@@ -917,7 +917,7 @@ func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) i
 		return best, found
 	case *predicate.Or:
 		// All disjuncts must be index-usable for the union to be a superset.
-		var all []int
+		var all []int32
 		for _, k := range node.Kids {
 			ids, ok := candidateIDsResolve(t, k, resolve)
 			if !ok {
@@ -954,11 +954,11 @@ func resolveColumn(t *Table, attr string) int {
 	return t.ColumnIndex(attr)
 }
 
-func dedupeIDs(ids []int) []int {
+func dedupeIDs(ids []int32) []int32 {
 	if len(ids) <= 1 {
 		return ids
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	out := ids[:1]
 	for _, id := range ids[1:] {
 		if id != out[len(out)-1] {

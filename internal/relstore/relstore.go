@@ -14,6 +14,13 @@
 // (see vecscan.go). The row-oriented API (Row, Value, Select) reboxes
 // values on demand.
 //
+// Equality lookups and joins go through per-column hash indexes
+// (index.go), built by BuildIndex or on first use: integer keys (integral floats folded onto
+// them) map to int32 row-id posting lists in a map keyed by the bare
+// int64, every other key in a map keyed by the Value. An index grows with
+// its column's distinct keys, not its row count, and a lookup hands out
+// the posting list itself, uncopied.
+//
 // The store is mutable and serves online workloads: every write is a
 // Batch commit (one hold of the touched tables, atomic across them),
 // Delete tombstones, Update overwrites in place (rebuilding the touched
@@ -50,9 +57,12 @@ type Schema struct {
 func (s *Schema) Arity() int { return len(s.Columns) }
 
 // Table holds the rows of one relation as typed column vectors plus optional
-// hash indexes. The store is mutable: Insert appends, Update overwrites in
-// place, Delete tombstones (row ids are stable forever; see mutate.go for
-// the update path, snapshot semantics, and the change log).
+// hash indexes, one per indexed column: key → int32 row ids, with int64
+// keys and Value keys in separate maps sized by the distinct keys
+// (hashIndex, index.go). The store is mutable: Insert appends, Update
+// overwrites in place, Delete tombstones (row ids are stable until a
+// compaction; see mutate.go for the update path, snapshot semantics, and
+// the change log, and compact.go for the remap).
 //
 // Concurrency: every commit (Batch.Commit) takes the state locks of the
 // tables it touches exclusively; every scan holds them shared for the
@@ -86,12 +96,10 @@ type Table struct {
 	compactFloor uint64
 
 	mu      sync.RWMutex
-	gen     uint64            // epoch: bumped once per commit touching the table; invalidates caches
-	indexes map[int]hashIndex // column position -> value-key -> row ids
+	gen     uint64             // epoch: bumped once per commit touching the table; invalidates caches
+	indexes map[int]*hashIndex // column position -> key -> int32 row ids (index.go)
 	exists  map[existsKey]*existsEntry
 }
-
-type hashIndex map[predicate.Value][]int
 
 // existsKey identifies a cached join-existence vector: which right table and
 // which (left, right) join columns it was computed for.
@@ -170,7 +178,7 @@ func newTable(s *Schema, cfg dbConfig) *Table {
 		cols[i] = &column{}
 	}
 	return &Table{schema: s, colIdx: ci, cols: cols, dead: bitset.New(),
-		seq: tableSeq.Add(1), indexes: make(map[int]hashIndex), cfg: cfg}
+		seq: tableSeq.Add(1), indexes: make(map[int]*hashIndex), cfg: cfg}
 }
 
 // Len returns the number of physical rows, tombstoned rows included — the
@@ -219,8 +227,7 @@ func (t *Table) insertLocked(vals []predicate.Value) int {
 	t.nPublic.Store(int64(t.n))
 	epoch := t.commitEpochLocked(func() {
 		for col, idx := range t.indexes {
-			k := indexKey(t.cols[col].value(id))
-			idx[k] = append(idx[k], id)
+			idx.add(t.cols[col].value(id), id)
 		}
 	})
 	t.logChange(RowChange{Epoch: epoch, Row: id, Kind: ChangeInsert})
@@ -244,15 +251,13 @@ func (t *Table) BuildIndex(col string) error {
 // buildIndexLocked builds the index over live rows only; deleted ids linger
 // in existing buckets (lazy repair) but fresh builds never include them.
 // Callers hold t.state at least shared and t.mu exclusively.
-func (t *Table) buildIndexLocked(pos int) hashIndex {
-	idx := make(hashIndex, t.n)
+func (t *Table) buildIndexLocked(pos int) *hashIndex {
+	idx := newHashIndex()
 	c := t.cols[pos]
 	for id := 0; id < t.n; id++ {
-		if t.isDead(id) {
-			continue
+		if !t.isDead(id) {
+			idx.add(c.value(id), id)
 		}
-		k := indexKey(c.value(id))
-		idx[k] = append(idx[k], id)
 	}
 	t.indexes[pos] = idx
 	return idx
@@ -261,7 +266,7 @@ func (t *Table) buildIndexLocked(pos int) hashIndex {
 // indexFor returns the hash index on column pos if one exists. The returned
 // map is safe to read while the caller holds t.state at least shared:
 // commits repair indexes only under the exclusive state lock.
-func (t *Table) indexFor(pos int) (hashIndex, bool) {
+func (t *Table) indexFor(pos int) (*hashIndex, bool) {
 	t.mu.RLock()
 	idx, ok := t.indexes[pos]
 	t.mu.RUnlock()
@@ -269,7 +274,7 @@ func (t *Table) indexFor(pos int) (hashIndex, bool) {
 }
 
 // ensureIndex returns the hash index on pos, building it if missing.
-func (t *Table) ensureIndex(pos int) hashIndex {
+func (t *Table) ensureIndex(pos int) *hashIndex {
 	if idx, ok := t.indexFor(pos); ok {
 		return idx
 	}
@@ -282,13 +287,14 @@ func (t *Table) ensureIndex(pos int) hashIndex {
 }
 
 // lookup returns row ids whose column equals v, using the index when
-// present; found reports whether an index existed.
-func (t *Table) lookup(pos int, v predicate.Value) (ids []int, found bool) {
+// present; found reports whether an index existed. ids is the index's own
+// posting list (tombstoned ids included), read-only to the caller.
+func (t *Table) lookup(pos int, v predicate.Value) (ids []int32, found bool) {
 	idx, ok := t.indexFor(pos)
 	if !ok {
 		return nil, false
 	}
-	return idx[indexKey(v)], true
+	return idx.rows(v), true
 }
 
 // joinEntry returns the cached join plumbing (existence vector + right→left
@@ -336,12 +342,12 @@ func (t *Table) joinEntry(right *Table, leftPos, rightPos int) *existsEntry {
 	rc := right.cols[rightPos]
 	for rid := 0; rid < right.n; rid++ {
 		if !right.isDead(rid) {
-			for _, lid := range lidx[indexKey(rc.value(rid))] {
-				if t.isDead(lid) {
+			for _, lid := range lidx.rows(rc.value(rid)) {
+				if t.isDead(int(lid)) {
 					continue
 				}
-				sel.Add(lid)
-				lids = append(lids, int32(lid))
+				sel.Add(int(lid))
+				lids = append(lids, lid)
 			}
 		}
 		off[rid+1] = int32(len(lids))

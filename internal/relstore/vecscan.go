@@ -103,8 +103,8 @@ func admitPartners(left, right *Table, je *existsEntry, rightTree predicate.Pred
 	if rids, ok := rightCandidateIDs(left, right, rightTree); ok {
 		rf := rowFilter(rightTree, left, right)
 		for _, rid := range rids {
-			if !right.isDead(rid) && rf(0, rid, true) {
-				stitch(rid)
+			if !right.isDead(int(rid)) && rf(0, int(rid), true) {
+				stitch(int(rid))
 			}
 		}
 	} else {

@@ -528,3 +528,43 @@ func TestMutateIsOneCommit(t *testing.T) {
 		t.Fatalf("after the mutate: P %v, P2 %v, err %v", hasP, hasP2, err)
 	}
 }
+
+// TestMetricsStoreGroup reads the store's per-table gauges off /metrics:
+// dblp's row count is the table's, and an inserted paper moves it by one.
+func TestMetricsStoreGroup(t *testing.T) {
+	app, net := newApp(t, nil)
+	metrics := func() string {
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		w := httptest.NewRecorder()
+		app.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET /metrics: %d", w.Code)
+		}
+		return w.Body.String()
+	}
+	line := func(field string, v int) string {
+		return fmt.Sprintf(`hypre_group{name="store",field=%q} %d`, field, v)
+	}
+	dblp := net.DB.Table("dblp")
+	before := dblp.Len()
+	if body := metrics(); !strings.Contains(body, line("dblp.rows", before)) {
+		t.Fatalf("/metrics lacks %s:\n%s", line("dblp.rows", before), body)
+	}
+	body := fmt.Sprintf(`{"ops":[{"kind":"insert","pid":900001,"venue":%q,"year":%d}]}`,
+		net.Venues[0], net.Cfg.MinYear)
+	if code, m := do(t, app, "POST", "/v1/mutate", body); code != http.StatusOK {
+		t.Fatalf("mutate: %d %v", code, m)
+	}
+	got := metrics()
+	for _, want := range []string{line("dblp.rows", before+1), line("dblp.dead", 0)} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("/metrics lacks %s after an insert:\n%s", want, got)
+		}
+	}
+	for _, field := range []string{"dblp.index_keys", "dblp.index_postings", "dblp.change_log",
+		"dblp_author.rows"} {
+		if !strings.Contains(got, fmt.Sprintf(`field=%q}`, field)) {
+			t.Fatalf("/metrics lacks store field %s:\n%s", field, got)
+		}
+	}
+}
