@@ -62,16 +62,14 @@ type Server struct {
 
 	// writeMu is held across each Write. A request takes its read side
 	// only after finding the stamp ahead of the cache, holding nothing
-	// else. Lock order: writeMu before the evaluator's lock and mu.
+	// else. Lock order: writeMu before the evaluator's refresh lock and mu.
 	writeMu sync.RWMutex
 
-	// mu guards the freshness state and is held across a publish and a
-	// Sync's sweep, never across a store scan or the evaluator's lock. Lock
-	// order: mu before shard locks; shard locks never nest inside store
-	// locks or vice versa.
+	// mu guards validStamp and is held across a publish and a Sync's sweep,
+	// never across a store scan or an evaluator call. Lock order: mu before
+	// shard locks; shard locks never nest inside store locks or vice versa.
 	mu         sync.Mutex
 	validStamp uint64
-	gen        uint64
 }
 
 // Outcome reports how one top-k request was served.
@@ -352,10 +350,6 @@ func (s *Server) observe(tr *obs.Trace, out Outcome, started time.Time, fp combi
 // nothing is cached. Every leader ticks Evaluations exactly once, so
 // Misses == Evaluations.
 func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k int, stamp uint64, tr *obs.Trace) ([]combine.ScoredTuple, error) {
-	s.mu.Lock()
-	gen := s.gen
-	s.mu.Unlock()
-
 	s.counters.Evaluations.Add(1)
 	fsp := tr.StartSpan(obs.StageFootprint)
 	r, resident, err := s.registerPreds(canon)
@@ -370,29 +364,36 @@ func (s *Server) evaluate(canon []hypre.ScoredPred, fp combine.Fingerprint, k in
 		return nil, err
 	}
 
-	// Publish gate: the entry must describe the stamp-state the evaluation
-	// observed. Any commit in between bumps the epoch stamp; any maintainer
-	// sync bumps gen. Either one rejects the publish (the caller still gets
-	// the answer). The put happens under mu, so no Sync can slip between
-	// the gate and the insert.
 	psp := tr.StartSpan(obs.StagePublish)
-	defer tr.EndSpan(psp)
+	s.publish(canon, fp, k, stamp, r.IDs, res)
+	tr.EndSpan(psp)
+	return res, nil
+}
+
+// publish caches res as the answer for (fp, k), its preferences named by
+// ids, unless the store moved past stamp, the epoch stamp the request's
+// lookup read: the entry must describe the state the evaluation observed.
+// Any commit in between moves the epoch stamp, a sum of per-table epochs
+// that only increase, and the answer goes uncached. A Sync that swept the
+// cache meanwhile followed such a commit, so the same comparison rejects
+// an answer its sweep could not repair. The put happens under mu, so no
+// Sync can slip between the gate and the insert.
+func (s *Server) publish(canon []hypre.ScoredPred, fp combine.Fingerprint, k int, stamp uint64, ids []int32, res []combine.ScoredTuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if gen != s.gen || s.db.EpochStamp(s.tables...) != stamp {
-		return res, nil
+	if s.db.EpochStamp(s.tables...) != stamp {
+		return
 	}
 	slots, _ := topk.AttrSlots(canon)
 	prefs := make([]entryPref, 0, len(canon))
 	for i, p := range canon {
 		if slots[i] >= 0 {
-			prefs = append(prefs, entryPref{id: r.IDs[i], slot: int32(slots[i]), intensity: p.Intensity})
+			prefs = append(prefs, entryPref{id: ids[i], slot: int32(slots[i]), intensity: p.Intensity})
 		}
 	}
 	e := &entry{key: entryKey{fp: fp, k: int32(k)}, tuples: cloneTuples(res), prefs: prefs}
 	e.size = entryBytes(e)
 	s.c.put(e)
-	return res, nil
 }
 
 // rankFresh ranks canon at one committed store state without touching the
@@ -422,12 +423,12 @@ func (s *Server) rankFresh(canon []hypre.ScoredPred, k int, tr *obs.Trace) ([]co
 // registerPreds makes every predicate of the profile resident in the
 // evaluator's store and returns a snapshot of them (ids in profile order,
 // bitmaps, dense-id table). When all are resident already, that is the one
-// read-locked call. Otherwise it scans the ones the snapshot lacks, one
-// FootprintScans tick each, which interns them too; the evaluator stores a
-// bitmap only if no Sync refreshed during its scan, so a Sync either
-// re-matches a new bitmap or ran before its scan began. resident is false
-// when a bitmap is missing from the second snapshot even so (InvalidateAll
-// ran in between); its ids are complete either way.
+// evaluator call, a lock-free load. Otherwise it scans the ones the
+// snapshot lacks, one FootprintScans tick each, which interns them too; no
+// Sync's refresh overlaps that materialization, so a Sync either re-matches
+// a new bitmap or ran before its scan began. resident is false when a
+// bitmap is missing from the second snapshot even so (InvalidateAll ran in
+// between); its ids are complete either way.
 func (s *Server) registerPreds(canon []hypre.ScoredPred) (r combine.Resident, resident bool, err error) {
 	if r, resident = s.ev.Resident(canon); resident {
 		return r, true, nil
@@ -447,40 +448,36 @@ func (s *Server) registerPreds(canon []hypre.ScoredPred) (r combine.Resident, re
 }
 
 // ApplyDelta is the delta.CacheSyncer hook: after a mutation batch, the
-// maintainer hands over its refresh's row delta and the epochs it synced
-// to. An entry none of whose predicates moved stays as it is. One that
-// names a moved predicate is repaired: its touched tuples are re-graded and
-// ranked against its old k-th tuple (syncBatch.fix), and it is dropped only
-// when a member fell out with nothing proven to replace it. The sweep
-// visits every entry of every shard, binary-searching d.Moved for each of
-// its preferences until one is found, all under mu, which every request's
-// freshness check also takes: its cost grows with the number of cached
-// entries, not only with the moved ones (ROADMAP item 22 indexes entries
-// by predicate to fix that). The re-match itself ran in the refresh,
-// outside mu.
+// maintainer hands over its refresh's row delta and the epochs it synced to.
+// A non-nil delta follows a commit, which moved the epoch stamp, so an
+// evaluation that looked up before it fails its publish gate. An entry none
+// of whose predicates moved stays as it is. One that names a moved predicate
+// is repaired: its touched tuples are re-graded and ranked against its old
+// k-th tuple (syncBatch.fix), and it is dropped only when a member fell out
+// with nothing proven to replace it. The sweep visits every entry of every
+// shard, binary-searching d.Moved for each of its preferences until one is
+// found, all under mu, which every request's freshness check also takes: its
+// cost grows with the number of cached entries, not only with the moved ones
+// (ROADMAP item 22 indexes entries by predicate to fix that). The re-match
+// itself ran in the refresh, outside mu.
 func (s *Server) ApplyDelta(d *combine.RowDelta, leftEpoch, rightEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d != nil {
-		// Any in-flight evaluation raced this batch; its publish gate checks
-		// gen, so bump it before sweeping.
-		s.gen++
-		if len(d.Moved) > 0 {
-			dropped, repaired := s.c.sweep((&syncBatch{d: d}).fix)
-			s.counters.Invalidated.Add(int64(dropped))
-			s.counters.Repaired.Add(int64(repaired))
-		}
+	if d != nil && len(d.Moved) > 0 {
+		dropped, repaired := s.c.sweep((&syncBatch{d: d}).fix)
+		s.counters.Invalidated.Add(int64(dropped))
+		s.counters.Repaired.Add(int64(repaired))
 	}
 	s.validStamp = leftEpoch + rightEpoch
 }
 
 // InvalidateAll is the delta.CacheSyncer full-rebuild hook: every entry is
 // dropped (the store state they described is gone), and the server
-// resynchronizes to the given epochs.
+// resynchronizes to the given epochs. Like a non-nil ApplyDelta, it runs
+// only after a commit moved the epoch stamp.
 func (s *Server) InvalidateAll(leftEpoch, rightEpoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gen++
 	n := s.c.purge()
 	s.counters.Invalidated.Add(int64(n))
 	s.validStamp = leftEpoch + rightEpoch

@@ -24,10 +24,7 @@ func profileUID2(t *testing.T) []hypre.ScoredPred {
 func TestEvaluatorPredSetMatchesSQL(t *testing.T) {
 	ev := testEvaluator(t)
 	for _, p := range profileUID2(t) {
-		set, err := ev.PredSet(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		set := predSet(t, ev, p)
 		sql, err := ev.CountSQL(NewCombo(p))
 		if err != nil {
 			t.Fatal(err)
@@ -65,16 +62,22 @@ func TestEvaluatorComboMatchesSQL(t *testing.T) {
 func TestEvaluatorCaching(t *testing.T) {
 	ev := testEvaluator(t)
 	p := mustSP(t, `dblp.venue="VLDB"`, 0.5)
-	if _, err := ev.PredSet(p); err != nil {
-		t.Fatal(err)
-	}
+	predSet(t, ev, p)
 	q1 := ev.Queries
-	if _, err := ev.PredSet(p); err != nil {
+	predSet(t, ev, p)
+	if ev.Queries != q1 {
+		t.Error("cache miss on repeated PredBitmap")
+	}
+}
+
+// predSet is p's tuple set as a sorted slice, materializing p on first use.
+func predSet(t testing.TB, ev *Evaluator, p hypre.ScoredPred) IntSet {
+	t.Helper()
+	b, err := ev.PredBitmap(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Queries != q1 {
-		t.Error("cache miss on repeated PredSet")
-	}
+	return b.ToIntSet(ev.Dict())
 }
 
 func TestCombineTwoANDCounts(t *testing.T) {

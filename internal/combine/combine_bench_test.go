@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"hypre/internal/bitset"
 	"hypre/internal/hypre"
 	"hypre/internal/relstore"
 )
@@ -244,4 +245,47 @@ func BenchmarkPEPSShardedClasses(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkResidentDuringRefresh times Resident snapshots of a two-predicate
+// profile while a background loop refreshes 4k resident predicates over
+// every row of the store, back to back. A reader that waited out the
+// refresh in flight would pay for the refresh, not for its own lookup.
+func BenchmarkResidentDuringRefresh(b *testing.B) {
+	const preds = 4096
+	ev := NewEvaluator(benchDB(), baseQuery, "dblp.pid")
+	prefs := make([]hypre.ScoredPred, preds)
+	for i := range prefs {
+		prefs[i] = mustSPB(b, fmt.Sprintf("dblp.year>=2006 AND dblp.pid<>%d", i), 0.5)
+	}
+	if err := ev.MaterializeAll(prefs); err != nil {
+		b.Fatal(err)
+	}
+	touched := bitset.New()
+	touched.AddRange(0, ev.DB().Table("dblp").Len())
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, _, err := ev.RefreshRowSetDelta(touched, nil); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+	profile := prefs[:2]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ev.Resident(profile); !ok {
+			b.Fatal("profile not resident")
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	<-stopped
 }

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"hypre/internal/bitset"
 	"hypre/internal/predicate"
@@ -48,7 +46,10 @@ type MatchedRow struct {
 // every live row still holding a dropped pid, whose membership is then
 // restored from that row. Bitmaps are patched copy-on-write: previously
 // handed-out bitmaps stay consistent and the store swaps to the patched
-// clone. The returned delta is nil when no predicate is resident.
+// clone, and the patched bitmaps are published as one new version. The
+// returned delta is nil when no predicate is resident. It holds refresh
+// exclusively, so it waits out any materialization in flight, and readers
+// never wait for it.
 //
 // ok=false means the evaluator cannot refresh incrementally (its scan
 // plumbing fell back to pid collection at seed time); the caller must
@@ -59,10 +60,10 @@ type MatchedRow struct {
 // OR over its touched rows, so a delete+reinsert of the same pid within one
 // batch cannot clear a bit its replacement row still owns.
 func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d *RowDelta, ok bool, err error) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	ev.gen++
-	if !slices.ContainsFunc(ev.bits, func(b *Bitmap) bool { return b != nil }) {
+	ev.refresh.Lock()
+	defer ev.refresh.Unlock()
+	v := ev.cur.Load()
+	if !v.anyResident() {
 		return nil, true, nil // nothing resident, nothing stale
 	}
 	if !ev.seeded || ev.rowDense == nil {
@@ -149,9 +150,9 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 
 	// Parallel phase: one touched-row re-evaluation per resident
 	// predicate, fanned over a worker pool exactly like MaterializeAll —
-	// the workers only read the store and fields frozen under ev.mu.
+	// the workers only read the store and fields frozen under refresh.
 	var resident []int32
-	for id, b := range ev.bits {
+	for id, b := range v.bits {
 		if b != nil {
 			resident = append(resident, int32(id))
 		}
@@ -172,29 +173,11 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 	// Small refreshes run serially: each touched-row re-match is a few
 	// microseconds, so goroutine wake latency would dominate the pool.
 	const parallelRefreshMin = 32
-	if len(resident) < parallelRefreshMin {
-		for i := range resident {
-			scanOne(i)
-		}
-	} else {
-		workers := ev.workerCount(len(resident))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(resident) {
-						return
-					}
-					scanOne(i)
-				}
-			}()
-		}
-		wg.Wait()
+	workers := 1
+	if len(resident) >= parallelRefreshMin {
+		workers = ev.workerTarget()
 	}
+	parallelFor(workers, len(resident), scanOne)
 	for _, err := range errs {
 		if err != nil {
 			return nil, false, err
@@ -202,10 +185,12 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 	}
 
 	// Serial patch phase, in id order: a pid's desired membership is the OR
-	// over its touched rows; a bitmap is cloned on its first difference.
+	// over its touched rows; a bitmap is cloned on its first difference, and
+	// the next version's bitmap slice on the first moved predicate.
 	d = &RowDelta{}
+	var bits []*Bitmap
 	for i, id := range resident {
-		bm, sel := ev.bits[id], sels[i]
+		bm, sel := v.bits[id], sels[i]
 		if sel.IsEmpty() && !bm.Any(foot) {
 			continue // matched none of the batch before or after
 		}
@@ -232,10 +217,15 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 			}
 		}
 		if patched != nil {
-			ev.bits[id] = patched
-			delete(ev.sets, id) // the sorted view is stale; re-derive lazily
+			if bits == nil {
+				bits = slices.Clone(v.bits)
+			}
+			bits[id] = patched
 			d.Moved = append(d.Moved, id)
 		}
+	}
+	if bits != nil {
+		ev.publishLocked(bits)
 	}
 	for _, g := range groups {
 		d.PIDs = append(d.PIDs, g.pid)
@@ -257,11 +247,10 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 // ok=false means the evaluator has no incremental plumbing and the caller
 // must rebuild.
 func (ev *Evaluator) RemapRows(remap []int32, epoch uint64) (ok bool) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	ev.gen++
+	ev.refresh.Lock()
+	defer ev.refresh.Unlock()
 	if !ev.seeded {
-		return !slices.ContainsFunc(ev.bits, func(b *Bitmap) bool { return b != nil })
+		return !ev.cur.Load().anyResident()
 	}
 	if ev.rowDense == nil {
 		return false
@@ -299,17 +288,16 @@ func (ev *Evaluator) RemapRows(remap []int32, epoch uint64) (ok bool) {
 	return true
 }
 
-// Invalidate drops every cached predicate set and the scan plumbing, so the
-// next materialization rebuilds from the store's current state. The pid
-// dictionary and the predicate ids are retained: dense ids are stable
-// across rebuilds, which keeps previously handed-out bitmaps and trackers
-// dimensionally compatible, and an id keeps naming the same predicate.
+// Invalidate publishes a version with no predicate resident and drops the
+// scan plumbing, so the next materialization rebuilds from the store's
+// current state. The pid dictionary and the predicate ids are retained:
+// dense ids are stable across rebuilds, which keeps previously handed-out
+// bitmaps and trackers dimensionally compatible, and an id keeps naming the
+// same predicate.
 func (ev *Evaluator) Invalidate() {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	ev.gen++
-	ev.sets = make(map[int32]IntSet)
-	clear(ev.bits)
+	ev.refresh.Lock()
+	defer ev.refresh.Unlock()
+	ev.publishLocked(nil)
 	ev.seeded = false
 	ev.rowDense, ev.pidByRow = nil, nil
 	ev.seedFrom = ""

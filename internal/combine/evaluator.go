@@ -2,6 +2,7 @@ package combine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,15 +15,14 @@ import (
 // Evaluator answers combination queries. It materializes the distinct
 // tuple-id set of each atomic preference once (one vectorized relational
 // scan per predicate, like the pre-computed table of §5.5) as a dense
-// bitmap keyed by a shared pid dictionary (the sorted IntSet view is
-// derived lazily), and evaluates a Combo with word-parallel set algebra:
-// union within an OR group, intersection across AND groups. Bulk
-// materialization (MaterializeAll) fans the per-predicate scans out over a
-// worker pool; dense dictionary ids are then assigned serially in
-// first-seen order, so bitmaps stay as compact as serial materialization
-// produced. Results are exactly those of running the rewritten SQL query —
-// verified by tests against the relational engine — but pair/chain
-// enumeration no longer re-scans the store.
+// bitmap keyed by a shared pid dictionary, and evaluates a Combo with
+// word-parallel set algebra: union within an OR group, intersection across
+// AND groups. Bulk materialization (MaterializeAll) fans the per-predicate
+// scans out over a worker pool; dense dictionary ids are then assigned
+// serially in first-seen order, so bitmaps stay as compact as serial
+// materialization produced. Results are exactly those of running the
+// rewritten SQL query — verified by tests against the relational engine —
+// but pair/chain enumeration no longer re-scans the store.
 //
 // The bitmap cache is the serving tier's one predicate store. Every
 // predicate a served query names is materialized here once: MaterializeAll
@@ -32,32 +32,37 @@ import (
 // Predicates are named by dense int32 ids, interned on first sight and never
 // reused, so an id stays valid across Invalidate.
 //
-// Concurrency: ev.mu guards the predicate store and the row plumbing. A
-// refresh holds it exclusively across its re-match. MaterializeAll scans
-// without it and stores its bitmaps only if no refresh, remap or
-// invalidation ran meanwhile (gen held still), rescanning under the lock
-// otherwise, so a predicate is either stored before a refresh re-matches it
-// or scans a store state at least as new as the refresh's; a bitmap can
-// never miss a batch. PredBitmap holds the lock across its one scan. Once
-// every profile preference has been materialized, PredSet, PredBitmap, and
-// the bitmap algebra they feed are safe for concurrent readers — the
-// parallel pair-table build relies on this. The Queries counter is a plain
-// int and must only be touched from one goroutine at a time; the
-// concurrent paths avoid it.
+// Concurrency: the readable store is one immutable version — the bitmaps by
+// id and the dictionary's dense-id → pid prefix they index — behind an
+// atomic pointer, and ids are interned in a sync.Map written once per key.
+// Resident, MemStats and PredBitmap on a resident predicate are plain loads
+// and take no lock; the bitmap algebra they feed is safe for concurrent
+// readers, which the parallel pair-table build relies on. Writers follow
+// one rule. A Sync's RefreshRowSetDelta, RemapRows and Invalidate hold
+// refresh exclusively. A materialization holds its read side from plan to
+// publish, so materializations scan side by side but never overlap a
+// refresh: a predicate is either published before a refresh re-matches it,
+// or scans a store state at least as new as the refresh's, and a bitmap
+// never misses a batch. Seeding and the convert-and-publish step, which
+// write the dictionary, the row plumbing and the interning table, run under
+// pub, one materialization at a time. Each writer publishes a new version
+// and never edits one a reader may hold. Dict and the Queries counter are
+// not synchronized: read them only while nothing materializes or refreshes.
 type Evaluator struct {
 	db      *relstore.DB
 	base    func(predicate.Predicate) relstore.Query
 	keyAttr string
 
-	mu   sync.RWMutex
-	dict *PidDict
-	// ids interns each predicate key to its id; preds and bits are indexed
-	// by id. preds keeps the AST a refresh re-matches; bits[id] is nil
-	// while the predicate is not resident.
-	ids    map[string]int32
-	preds  []hypre.ScoredPred
-	bits   []*Bitmap
-	sets   map[int32]IntSet
+	cur atomic.Pointer[version]
+	// ids interns each predicate key to its int32 id; preds[id] keeps the
+	// AST a refresh re-matches.
+	ids   sync.Map
+	preds []hypre.ScoredPred
+
+	refresh sync.RWMutex
+	pub     sync.Mutex
+
+	dict   *PidDict
 	seeded bool // scan plumbing (pidByRow, join structures) built
 	// rowDense maps base-table row id -> dense dict index, assigned lazily
 	// in first-seen order (-1 = not assigned yet), so dense numbering stays
@@ -75,9 +80,6 @@ type Evaluator struct {
 	// at seed, moved by RemapRows): a row scan taken after a compaction
 	// past it names rows the plumbing does not, so scanSel discards it.
 	plumbEpoch uint64
-	// gen moves on every refresh, remap and invalidation: a materialization
-	// that scanned without ev.mu stores its bitmaps only if gen held still.
-	gen uint64
 
 	// Queries counts predicate materializations that had to touch the
 	// store (cache misses) plus explicit SQL-path queries (CountSQL), for
@@ -95,6 +97,32 @@ type Evaluator struct {
 	Workers int
 }
 
+// version is one published state of the predicate store. Nothing writes
+// it after it is published.
+type version struct {
+	// bits[id] is the predicate's bitmap, nil while it is not resident; ids
+	// interned after the version was published lie past its end.
+	bits []*Bitmap
+	// pids is the dictionary's dense-id → pid table as published: a prefix
+	// of an append-only slice, covering every id the bitmaps set.
+	pids []int64
+	// dictBytes is the dictionary's SizeBytes as published.
+	dictBytes int64
+}
+
+// bit returns the bitmap of id, nil when it is not resident.
+func (v *version) bit(id int32) *Bitmap {
+	if id < 0 || int(id) >= len(v.bits) {
+		return nil
+	}
+	return v.bits[id]
+}
+
+// anyResident reports whether some predicate is resident.
+func (v *version) anyResident() bool {
+	return slices.ContainsFunc(v.bits, func(b *Bitmap) bool { return b != nil })
+}
+
 // workerTarget is the configured fan-out width: ev.Workers, defaulting to
 // GOMAXPROCS.
 func (ev *Evaluator) workerTarget() int {
@@ -107,82 +135,90 @@ func (ev *Evaluator) workerTarget() int {
 // workerCount clamps the configured fan-out to the number of independent
 // work items of one stage.
 func (ev *Evaluator) workerCount(items int) int {
-	w := ev.workerTarget()
-	if w > items {
-		w = items
+	return max(1, min(ev.workerTarget(), items))
+}
+
+// parallelFor runs fn(i) for every i in [0, n) on up to workers goroutines,
+// each taking the next index from a shared counter, so uneven items balance
+// across the pool. One worker or one item runs inline.
+func parallelFor(workers, n int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
 	}
-	if w < 1 {
-		w = 1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
 	}
-	return w
+	wg.Wait()
 }
 
 // NewEvaluator builds an evaluator over a store. base maps a WHERE
 // predicate to the full query (typically workload.BaseQuery); keyAttr is
 // the distinct-counted attribute ("dblp.pid").
 func NewEvaluator(db *relstore.DB, base func(predicate.Predicate) relstore.Query, keyAttr string) *Evaluator {
-	return &Evaluator{
-		db:      db,
-		base:    base,
-		keyAttr: keyAttr,
-		dict:    NewPidDict(),
-		ids:     make(map[string]int32),
-		sets:    make(map[int32]IntSet),
+	ev := &Evaluator{db: db, base: base, keyAttr: keyAttr, dict: NewPidDict()}
+	ev.cur.Store(&version{})
+	return ev
+}
+
+// id returns p's interned id, or -1 when p was never interned.
+func (ev *Evaluator) id(p hypre.ScoredPred) int32 {
+	if id, ok := ev.ids.Load(p.Pred); ok {
+		return id.(int32)
 	}
+	return -1
 }
 
 // internLocked returns p's id, assigning the next one on first sight.
-// Caller holds ev.mu exclusively.
+// Caller holds pub.
 func (ev *Evaluator) internLocked(p hypre.ScoredPred) int32 {
-	id, ok := ev.ids[p.Pred]
-	if !ok {
-		id = int32(len(ev.preds))
-		ev.ids[p.Pred] = id
+	id, loaded := ev.ids.LoadOrStore(p.Pred, int32(len(ev.preds)))
+	if !loaded {
 		ev.preds = append(ev.preds, p)
-		ev.bits = append(ev.bits, nil)
 	}
-	return id
+	return id.(int32)
 }
 
-// residentLocked returns p's bitmap, or nil when p is not resident. Caller
-// holds ev.mu.
-func (ev *Evaluator) residentLocked(p hypre.ScoredPred) *Bitmap {
-	if id, ok := ev.ids[p.Pred]; ok {
-		return ev.bits[id]
-	}
-	return nil
+// publishLocked publishes bits, with the dictionary as it stands, as the
+// current version. Caller holds pub or refresh's write side.
+func (ev *Evaluator) publishLocked(bits []*Bitmap) *version {
+	v := &version{bits: bits, pids: ev.dict.pids, dictBytes: ev.dict.SizeBytes()}
+	ev.cur.Store(v)
+	return v
 }
 
-// Resident is a profile's predicates as the store held them at one
-// instant: per preference its id (-1 when never interned) and bitmap (nil
-// when not resident), plus the dictionary's dense-id → pid table, which
-// covers every id those bitmaps set. Bitmaps are copy-on-write and
-// dictionary entries are never rewritten, so the view stays exact after
-// the evaluator's lock is released.
+// Resident is a profile's predicates as one version of the store held them:
+// per preference its id (-1 when never interned) and bitmap (nil when not
+// resident), plus the dictionary's dense-id → pid table, which covers every
+// id those bitmaps set. Versions are never written once published, so the
+// view stays exact whatever is published after it.
 type Resident struct {
 	IDs  []int32
 	Bits []*Bitmap
 	PIDs []int64
 }
 
-// Resident snapshots the preferences under one read lock. ok reports that
-// every one of them is resident.
+// Resident snapshots the preferences from the current version, without a
+// lock. ok reports that every one of them is resident.
 func (ev *Evaluator) Resident(prefs []hypre.ScoredPred) (r Resident, ok bool) {
-	r.IDs = make([]int32, len(prefs))
-	r.Bits = make([]*Bitmap, len(prefs))
+	v := ev.cur.Load()
+	r = Resident{IDs: make([]int32, len(prefs)), Bits: make([]*Bitmap, len(prefs)), PIDs: v.pids}
 	ok = true
-	ev.mu.RLock()
-	defer ev.mu.RUnlock()
 	for i, p := range prefs {
-		id, known := ev.ids[p.Pred]
-		if !known {
-			r.IDs[i], ok = -1, false
-			continue
-		}
-		r.IDs[i], r.Bits[i] = id, ev.bits[id]
+		r.IDs[i] = ev.id(p)
+		r.Bits[i] = v.bit(r.IDs[i])
 		ok = ok && r.Bits[i] != nil
 	}
-	r.PIDs = ev.dict.pids
 	return r, ok
 }
 
@@ -207,72 +243,94 @@ func (ev *Evaluator) KeyAttr() string { return ev.keyAttr }
 // intermediate id slices, no per-row predicate interpretation), then a
 // serial conversion pass assigns dense dictionary ids lazily in first-seen
 // order — so dense numbering stays exactly as compact and deterministic as
-// the serial materialization it replaces. The sorted IntSet views are
-// derived lazily by PredSet.
-//
-// The scans run without ev.mu, so concurrent materializations and refreshes
-// proceed side by side. A refresh, remap or invalidation that lands
-// mid-scan may have re-matched its batch before these predicates were
-// resident, so their bitmaps are discarded and scanned once more with ev.mu
-// held throughout, which a stream of writes cannot starve.
+// the serial materialization it replaces — and publishes one version
+// holding them all. A profile already resident takes no lock.
 func (ev *Evaluator) MaterializeAll(prefs []hypre.ScoredPred) error {
-	stored, err := ev.materialize(prefs, false)
-	if err != nil || stored {
-		return err
-	}
-	_, err = ev.materialize(prefs, true)
+	_, err := ev.materialize(prefs)
 	return err
 }
 
-// materialize is one MaterializeAll attempt: hold says whether ev.mu stays
-// held across the scans. stored is false only when hold is false and gen
-// moved during the scans; nothing is stored then.
-func (ev *Evaluator) materialize(prefs []hypre.ScoredPred, hold bool) (stored bool, err error) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	pending := make([]hypre.ScoredPred, 0, len(prefs))
-	seen := make(map[string]bool, len(prefs))
+// materialize is MaterializeAll returning a version that holds every
+// preference.
+func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
+	if v := ev.cur.Load(); ev.holds(v, prefs) {
+		return v, nil
+	}
+	ev.refresh.RLock()
+	defer ev.refresh.RUnlock()
+	ev.pub.Lock()
+	v := ev.cur.Load()
+	pending := ev.pendingIn(v, prefs)
+	var err error
+	if len(pending) > 0 {
+		err = ev.seedLocked()
+	}
+	from, plumbed, epoch := ev.seedFrom, len(ev.rowDense), ev.plumbEpoch
+	ev.pub.Unlock()
+	if len(pending) == 0 || err != nil {
+		return v, err
+	}
+	sels, err := ev.scanAll(pending, from, plumbed, epoch)
+	if err != nil {
+		return nil, err
+	}
+
+	// Serial conversion: row selections become dense bitmaps, assigning
+	// dictionary slots on first sight in pending order. A predicate another
+	// materialization published meanwhile keeps its bitmap.
+	ev.pub.Lock()
+	defer ev.pub.Unlock()
+	v = ev.cur.Load()
+	ids := make([]int32, len(pending))
+	inside := false
+	for i, p := range pending {
+		ids[i] = ev.internLocked(p)
+		inside = inside || int(ids[i]) < len(v.bits) && v.bits[ids[i]] == nil
+	}
+	bits := v.bits
+	if inside {
+		// An invalidated predicate's slot lies inside v, which must not
+		// change: the next version gets a slice of its own.
+		bits = slices.Clone(bits)
+	}
+	// Every other new id lies past v's end, where no published version
+	// reads, so bits extends in place: a publish costs its new ids, not
+	// every id.
+	bits = append(bits, make([]*Bitmap, len(ev.preds)-len(bits))...)
+	for i, id := range ids {
+		if bits[id] == nil {
+			bits[id] = ev.convertLocked(sels[i].sel, sels[i].leftover)
+			ev.Queries++
+		}
+	}
+	return ev.publishLocked(bits), nil
+}
+
+// holds reports whether v holds every preference.
+func (ev *Evaluator) holds(v *version, prefs []hypre.ScoredPred) bool {
 	for _, p := range prefs {
-		if ev.residentLocked(p) != nil || seen[p.Pred] {
+		if v.bit(ev.id(p)) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// pendingIn returns the preferences v does not hold, each predicate once.
+func (ev *Evaluator) pendingIn(v *version, prefs []hypre.ScoredPred) []hypre.ScoredPred {
+	var pending []hypre.ScoredPred
+	var seen map[string]bool
+	for _, p := range prefs {
+		if v.bit(ev.id(p)) != nil || seen[p.Pred] {
 			continue
+		}
+		if seen == nil {
+			seen = make(map[string]bool, len(prefs))
 		}
 		seen[p.Pred] = true
 		pending = append(pending, p)
 	}
-	if len(pending) == 0 {
-		return true, nil
-	}
-	if err := ev.seedLocked(); err != nil {
-		return false, err
-	}
-	gen, from, plumbed, epoch := ev.gen, ev.seedFrom, len(ev.rowDense), ev.plumbEpoch
-	var sels []scanned
-	if hold {
-		sels, err = ev.scanAll(pending, from, plumbed, epoch)
-	} else {
-		func() {
-			ev.mu.Unlock()
-			defer ev.mu.Lock()
-			sels, err = ev.scanAll(pending, from, plumbed, epoch)
-		}()
-	}
-	if err != nil {
-		return false, err
-	}
-	if ev.gen != gen {
-		return false, nil
-	}
-	// Serial conversion: row selections become dense bitmaps, assigning
-	// dictionary slots on first sight in pending order. A predicate another
-	// materialization stored meanwhile keeps its bitmap.
-	for i, p := range pending {
-		if ev.residentLocked(p) != nil {
-			continue
-		}
-		ev.bits[ev.internLocked(p)] = ev.convertLocked(sels[i].sel, sels[i].leftover)
-		ev.Queries++
-	}
-	return true, nil
+	return pending
 }
 
 // scanned is one predicate's scan result: the matching base-table rows
@@ -287,27 +345,9 @@ type scanned struct {
 func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed int, epoch uint64) ([]scanned, error) {
 	out := make([]scanned, len(pending))
 	errs := make([]error, len(pending))
-	if len(pending) == 1 {
-		out[0].sel, out[0].leftover, errs[0] = ev.scanSel(pending[0], from, plumbed, epoch)
-		return out, errs[0]
-	}
-	workers := ev.workerCount(len(pending))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pending) {
-					return
-				}
-				out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], from, plumbed, epoch)
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(ev.workerTarget(), len(pending), func(i int) {
+		out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], from, plumbed, epoch)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -319,7 +359,8 @@ func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed in
 // seedLocked builds the one-time scan plumbing: the store's join access
 // structures, the dictionary's dense id table presized to the base table,
 // the row→dense remap (all unassigned), and the per-row key attribute cache
-// used to assign dense ids without re-reading the store.
+// used to assign dense ids without re-reading the store. Caller holds pub
+// under refresh's read side.
 func (ev *Evaluator) seedLocked() error {
 	if ev.seeded {
 		return nil
@@ -361,7 +402,7 @@ func (ev *Evaluator) seedLocked() error {
 // (the selection iterates ascending, exactly like the word walk it
 // replaces). Dense ids accumulate in a word scratch and compress in one
 // FromWords pass, so conversion costs word ops, not per-bit container
-// inserts.
+// inserts. Caller holds pub under refresh's read side.
 func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 	// Upper bound on the dense ids this bitmap can touch: every id already
 	// assigned plus one fresh slot per selected row and leftover pid.
@@ -396,7 +437,7 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 // collects raw pids instead. So does a row scan taken after a base-table
 // compaction past epoch, the one the plumbing describes: its row ids are
 // not the ones the plumbing maps. plumbed is the plumbing's row count. It
-// reads only the store and its arguments, so it may run without ev.mu.
+// reads only the store and its arguments, so it needs no lock.
 func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int, epoch uint64) (sel *bitset.Set, leftover []int64, err error) {
 	q := ev.base(p.P)
 	if q.From == from && plumbed > 0 {
@@ -419,66 +460,15 @@ func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int, epoch
 	return nil, leftover, err
 }
 
-// scanBitmapLocked runs one predicate's scan into a fresh dense bitmap.
-func (ev *Evaluator) scanBitmapLocked(p hypre.ScoredPred) (*Bitmap, error) {
-	sel, leftover, err := ev.scanSel(p, ev.seedFrom, len(ev.rowDense), ev.plumbEpoch)
-	if err != nil {
-		return nil, err
-	}
-	return ev.convertLocked(sel, leftover), nil
-}
-
-// PredSet returns the distinct tuple ids matching one preference as a
-// sorted slice. The slice view is derived lazily from the cached bitmap, so
-// bulk materialization never pays for sets nobody reads.
-func (ev *Evaluator) PredSet(p hypre.ScoredPred) (IntSet, error) {
-	ev.mu.RLock()
-	id, known := ev.ids[p.Pred]
-	s, ok := ev.sets[id]
-	ev.mu.RUnlock()
-	if known && ok {
-		return s, nil
-	}
-	b, err := ev.PredBitmap(p)
-	if err != nil {
-		return nil, err
-	}
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	id = ev.ids[p.Pred]
-	if s, ok := ev.sets[id]; ok {
-		return s, nil
-	}
-	s = b.ToIntSet(ev.dict)
-	ev.sets[id] = s
-	return s, nil
-}
-
 // PredBitmap returns the distinct tuple ids matching one preference in
-// dense-bitmap form, materializing and caching it on first use via the
-// vectorized scan.
+// dense-bitmap form, materializing it on first use. A resident predicate
+// costs two loads and no lock.
 func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*Bitmap, error) {
-	ev.mu.RLock()
-	b := ev.residentLocked(p)
-	ev.mu.RUnlock()
-	if b != nil {
-		return b, nil
-	}
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if b := ev.residentLocked(p); b != nil {
-		return b, nil
-	}
-	if err := ev.seedLocked(); err != nil {
-		return nil, err
-	}
-	b, err := ev.scanBitmapLocked(p)
+	v, err := ev.materialize([]hypre.ScoredPred{p})
 	if err != nil {
 		return nil, err
 	}
-	ev.bits[ev.internLocked(p)] = b
-	ev.Queries++
-	return b, nil
+	return v.bit(ev.id(p)), nil
 }
 
 // groupBitmap folds one OR group to its union. Single-member groups (the

@@ -10,3 +10,13 @@ var (
 
 // FarLen reports how many pids sit in the dictionary's far map.
 func (d *PidDict) FarLen() int { return len(d.far) }
+
+// RefreshWaiting reports whether a refresh, remap or invalidation holds or
+// waits for the evaluator's refresh lock.
+func (ev *Evaluator) RefreshWaiting() bool {
+	if ev.refresh.TryRLock() {
+		ev.refresh.RUnlock()
+		return false
+	}
+	return true
+}

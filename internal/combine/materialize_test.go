@@ -1,10 +1,13 @@
 package combine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"hypre/internal/bitset"
 	"hypre/internal/hypre"
+	"hypre/internal/predicate"
 )
 
 // materializeProfile is a profile wide enough to exercise the parallel
@@ -56,14 +59,7 @@ func TestMaterializeAllMatchesSerial(t *testing.T) {
 	}
 
 	for _, p := range profile {
-		ss, err := serial.PredSet(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs, err := bulk.PredSet(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss, bs := predSet(t, serial, p), predSet(t, bulk, p)
 		if len(ss) != len(bs) {
 			t.Fatalf("%s: serial %d pids, bulk %d", p.Pred, len(ss), len(bs))
 		}
@@ -132,14 +128,12 @@ func TestMaterializeAllConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for i, p := range profile {
-					if _, err := ev.PredBitmap(p); err != nil {
+					b, err := ev.PredBitmap(p)
+					if err != nil {
 						t.Error(err)
 						return
 					}
-					if _, err := ev.PredSet(p); err != nil {
-						t.Error(err)
-						return
-					}
+					b.ToIntSet(ev.Dict())
 					c := NewCombo(p).And(profile[(i+w)%len(profile)])
 					if _, err := ev.comboBitmap(c); err != nil {
 						t.Error(err)
@@ -150,4 +144,50 @@ func TestMaterializeAllConcurrentReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPublishedVersionsStayPut: no publish writes a version already
+// published, so a reader holding one keeps an exact view. The publishes are
+// a first-sight materialization, one that refills a slot Invalidate
+// emptied, one that extends the bitmap slice in place, and a refresh that
+// moves a bitmap.
+func TestPublishedVersionsStayPut(t *testing.T) {
+	db := testDB(t)
+	ev := NewEvaluator(db, baseQuery, "dblp.pid")
+	p := mustSP(t, `dblp_author.aid=2`, 0.5)
+	q := mustSP(t, `dblp.venue="VLDB"`, 0.5)
+	r := mustSP(t, `dblp.year>=2009`, 0.5)
+	var held []*version
+	var was [][]*Bitmap
+	hold := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := ev.cur.Load()
+		held, was = append(held, v), append(was, slices.Clone(v.bits))
+	}
+	hold(nil)
+	hold(ev.MaterializeAll([]hypre.ScoredPred{p, q}))
+	ev.Invalidate()
+	hold(nil)
+	hold(ev.MaterializeAll([]hypre.ScoredPred{p}))
+	hold(ev.MaterializeAll([]hypre.ScoredPred{q})) // q's slot lies inside the last version
+	hold(ev.MaterializeAll([]hypre.ScoredPred{r}))
+	// Paper 2 (dblp row 1) loses author 2, so the refresh moves p.
+	if err := db.Table("dblp_author").UpdateCol(2, "aid", predicate.Int(7)); err != nil {
+		t.Fatal(err)
+	}
+	touched := bitset.New()
+	touched.Add(1)
+	d, _, err := ev.RefreshRowSetDelta(touched, nil)
+	hold(err)
+	if d == nil || len(d.Moved) != 1 {
+		t.Fatalf("refresh delta %+v, want p moved", d)
+	}
+	for i, v := range held {
+		if !slices.Equal(v.bits, was[i]) {
+			t.Fatalf("version %d changed after it was published", i)
+		}
+	}
 }

@@ -25,13 +25,13 @@ type MemStats struct {
 	SparseDenseBytes      int64
 }
 
-// MemStats reports the current footprint of the evaluator's bitmap cache.
+// MemStats reports the footprint of the current version of the
+// evaluator's bitmap cache, without a lock.
 func (ev *Evaluator) MemStats() MemStats {
-	ev.mu.RLock()
-	defer ev.mu.RUnlock()
-	st := MemStats{DictEntries: ev.dict.Size(), DictBytes: ev.dict.SizeBytes()}
-	sparseCap := ev.dict.Size() / 16
-	for _, b := range ev.bits {
+	v := ev.cur.Load()
+	st := MemStats{DictEntries: len(v.pids), DictBytes: v.dictBytes}
+	sparseCap := len(v.pids) / 16
+	for _, b := range v.bits {
 		if b == nil {
 			continue
 		}

@@ -2,7 +2,6 @@ package combine
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"hypre/internal/bitset"
@@ -96,8 +95,8 @@ func triIndex(n, i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 // plain serial loop (whole-set AndCard per pair, no span slicing). With
 // more, tasks are (span, anchor) cells of the partition grid: the spans of
 // SpanUnion over every predicate bitmap times the n anchor rows, handed out
-// via an atomic counter so dense spans and long anchor rows balance across
-// the pool; each task popcounts container-local intersections and adds them
+// by parallelFor so dense spans and long anchor rows balance across the
+// pool; each task popcounts container-local intersections and adds them
 // into the shared triangular accumulator (summation is commutative, so the
 // totals are exact regardless of interleaving). Single-span domains — any
 // dictionary under 64k dense ids — degenerate to one task per anchor, i.e.
@@ -122,32 +121,15 @@ func buildPairCounts(bms []*Bitmap, workers int) []int64 {
 		}
 		return counts
 	}
-	tasks := len(spans) * n
-	if workers > tasks {
-		workers = tasks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					return
-				}
-				span, i := spans[t/n], t%n
-				si := sets[i]
-				for j := i + 1; j < n; j++ {
-					if c := si.AndCardSpan(sets[j], span); c != 0 {
-						atomic.AddInt64(&counts[triIndex(n, i, j)], int64(c))
-					}
-				}
+	parallelFor(workers, len(spans)*n, func(t int) {
+		span, i := spans[t/n], t%n
+		si := sets[i]
+		for j := i + 1; j < n; j++ {
+			if c := si.AndCardSpan(sets[j], span); c != 0 {
+				atomic.AddInt64(&counts[triIndex(n, i, j)], int64(c))
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return counts
 }
 

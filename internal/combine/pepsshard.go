@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"hypre/internal/bitset"
 	"hypre/internal/hypre"
@@ -308,19 +307,7 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 		shards[si] = st
 	}
 	runShards := func(fn func(st *classShard)) {
-		if len(shards) == 1 {
-			fn(shards[0])
-			return
-		}
-		var wg sync.WaitGroup
-		for _, st := range shards {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fn(st)
-			}()
-		}
-		wg.Wait()
+		parallelFor(len(shards), len(shards), func(i int) { fn(shards[i]) })
 	}
 
 	// Singles participate with their own intensity (f∧ of one member); an

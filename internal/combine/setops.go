@@ -161,26 +161,3 @@ func gallopSearch(large IntSet, from int, v int64) int {
 	}
 	return lo
 }
-
-// Union returns s ∪ o.
-func (s IntSet) Union(o IntSet) IntSet {
-	out := make(IntSet, 0, len(s)+len(o))
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] < o[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > o[j]:
-			out = append(out, o[j])
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	out = append(out, o[j:]...)
-	return out
-}

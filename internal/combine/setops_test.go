@@ -44,15 +44,14 @@ func TestIntSetOps(t *testing.T) {
 	if got := a.Intersect(b); got.Len() != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Union(b); got.Len() != 5 {
-		t.Errorf("Union = %v", got)
-	}
 	if got := a.Intersect(IntSet{}); got.Len() != 0 {
 		t.Errorf("empty intersect = %v", got)
 	}
-	if got := a.Union(IntSet{}); got.Len() != 4 {
-		t.Errorf("empty union = %v", got)
-	}
+}
+
+// unionSets is a ∪ b, the oracle Bitmap.Or is checked against.
+func unionSets(a, b IntSet) IntSet {
+	return NewIntSet(append(append([]int64(nil), a...), b...))
 }
 
 func toSet(m map[int64]bool) IntSet {
@@ -98,7 +97,7 @@ func TestIntSetAlgebraProperty(t *testing.T) {
 			}
 			return true
 		}
-		return eq(a.Intersect(b), inter) && eq(a.Union(b), union)
+		return eq(a.Intersect(b), inter) && eq(unionSets(a, b), union)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -125,7 +124,7 @@ func TestIntSetInvariantProperty(t *testing.T) {
 		}
 		a, b := NewIntSet(ax), NewIntSet(ay)
 		return sortedUnique(a) && sortedUnique(b) &&
-			sortedUnique(a.Intersect(b)) && sortedUnique(a.Union(b))
+			sortedUnique(a.Intersect(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

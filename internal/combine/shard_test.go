@@ -99,14 +99,7 @@ func bigShardEvaluator(tb testing.TB, db *relstore.DB, workers int) *Evaluator {
 func assertSamePredSets(t *testing.T, tag string, profile []hypre.ScoredPred, want, got *Evaluator) {
 	t.Helper()
 	for _, p := range profile {
-		ws, err := want.PredSet(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := got.PredSet(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws, gs := predSet(t, want, p), predSet(t, got, p)
 		if len(ws) != len(gs) {
 			t.Fatalf("%s: %s: %d pids, want %d", tag, p.Pred, len(gs), len(ws))
 		}

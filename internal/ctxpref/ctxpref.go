@@ -2,9 +2,8 @@
 // flavour of Definition 11 / Fig. 2 (Stefanidis & Pitoura) that Chapter 2
 // surveys and §8.2 names as HYPRE's natural extension: preferences
 // annotated with a context state over hierarchical dimensions (e.g.
-// (company=friends, weather=good, occasion=holidays)), organized in a DAG
-// whose edges connect each state to the states it tightly covers, and
-// resolved at query time to the most specific preferences matching the
+// (company=friends, weather=good, occasion=holidays)), grouped by state
+// and resolved at query time to the most specific preferences matching the
 // current context.
 package ctxpref
 
@@ -109,20 +108,6 @@ func (m *Model) Covers(general, specific State) bool {
 	return true
 }
 
-// TightCover reports whether a covers b and differs by exactly one
-// hierarchy step in exactly one dimension — the edge condition of
-// Definition 11.
-func (m *Model) TightCover(a, b State) bool {
-	if !m.Covers(a, b) {
-		return false
-	}
-	steps := 0
-	for i := range m.Dims {
-		steps += m.Dims[i].Depth(b[i]) - m.Dims[i].Depth(a[i])
-	}
-	return steps == 1
-}
-
 // Specificity is the total depth of the state (more = more specific).
 func (m *Model) Specificity(s State) int {
 	total := 0
@@ -142,14 +127,14 @@ type Entry struct {
 	Pref  hypre.ScoredPred
 }
 
-// Graph is the contextual preference graph PG_Pr = (V_Pr, E_Pr): one node
-// per distinct context state in the profile, an edge (vi, vj) when state(vi)
-// tightly covers state(vj).
+// Graph holds the nodes V_Pr of the contextual preference graph
+// PG_Pr = (V_Pr, E_Pr): one node per distinct context state in the profile,
+// with its preferences. Resolve reads coverage off the states directly, so
+// the tight-cover edges E_Pr are not stored.
 type Graph struct {
 	model   *Model
 	states  []State
 	prefs   map[string][]hypre.ScoredPred
-	edges   map[string][]string // tight-cover adjacency, general -> specific
 	indexOf map[string]int
 }
 
@@ -158,7 +143,6 @@ func Build(m *Model, entries []Entry) (*Graph, error) {
 	g := &Graph{
 		model:   m,
 		prefs:   map[string][]hypre.ScoredPred{},
-		edges:   map[string][]string{},
 		indexOf: map[string]int{},
 	}
 	for _, e := range entries {
@@ -171,16 +155,6 @@ func Build(m *Model, entries []Entry) (*Graph, error) {
 			g.states = append(g.states, append(State(nil), e.State...))
 		}
 		g.prefs[k] = append(g.prefs[k], e.Pref)
-	}
-	for _, a := range g.states {
-		for _, b := range g.states {
-			if a.Key() != b.Key() && m.TightCover(a, b) {
-				g.edges[a.Key()] = append(g.edges[a.Key()], b.Key())
-			}
-		}
-	}
-	for k := range g.edges {
-		sort.Strings(g.edges[k])
 	}
 	return g, nil
 }

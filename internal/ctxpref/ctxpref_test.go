@@ -1,6 +1,7 @@
 package ctxpref
 
 import (
+	"sort"
 	"testing"
 
 	"hypre/internal/hypre"
@@ -114,22 +115,53 @@ func TestModelValidateAndCovers(t *testing.T) {
 func TestTightCover(t *testing.T) {
 	m := fig2Model(t)
 	// One step in one dimension: tight.
-	if !m.TightCover(State{"friends", "good", "holidays"}, State{"friends", "good", "Easter"}) {
+	if !tightCover(m, State{"friends", "good", "holidays"}, State{"friends", "good", "Easter"}) {
 		t.Error("expected tight cover")
 	}
 	// Two steps (ALL -> Easter): not tight.
-	if m.TightCover(State{"friends", "good", All}, State{"friends", "good", "Easter"}) {
+	if tightCover(m, State{"friends", "good", All}, State{"friends", "good", "Easter"}) {
 		t.Error("two-step cover must not be tight")
 	}
 	// One step in each of two dimensions: not tight.
-	if m.TightCover(State{All, "good", All}, State{"friends", "good", "holidays"}) {
+	if tightCover(m, State{All, "good", All}, State{"friends", "good", "holidays"}) {
 		t.Error("two-dimension step must not be tight")
 	}
 	// Equal states: not tight.
 	s := State{"friends", "good", All}
-	if m.TightCover(s, s) {
+	if tightCover(m, s, s) {
 		t.Error("self cover must not be tight")
 	}
+}
+
+// tightCover reports whether a covers b and differs by exactly one
+// hierarchy step in exactly one dimension — the edge condition of
+// Definition 11.
+func tightCover(m *Model, a, b State) bool {
+	if !m.Covers(a, b) {
+		return false
+	}
+	steps := 0
+	for i := range m.Dims {
+		steps += m.Dims[i].Depth(b[i]) - m.Dims[i].Depth(a[i])
+	}
+	return steps == 1
+}
+
+// tightEdges derives the graph's tight-cover adjacency E_Pr, general →
+// specific, each list sorted by state key.
+func tightEdges(g *Graph) map[string][]string {
+	edges := map[string][]string{}
+	for _, a := range g.states {
+		for _, b := range g.states {
+			if a.Key() != b.Key() && tightCover(g.model, a, b) {
+				edges[a.Key()] = append(edges[a.Key()], b.Key())
+			}
+		}
+	}
+	for _, e := range edges {
+		sort.Strings(e)
+	}
+	return edges
 }
 
 func TestFig2GraphEdges(t *testing.T) {
@@ -137,20 +169,21 @@ func TestFig2GraphEdges(t *testing.T) {
 	if len(g.states) != 7 {
 		t.Fatalf("states = %d", len(g.states))
 	}
+	edges := tightEdges(g)
 	// Fig. 2's arrows include (friends, good, holidays) -> (friends, good,
 	// Easter) and (friends, good, ALL) -> (friends, good, holidays).
-	covered := g.edges[State{"friends", "good", "holidays"}.Key()]
+	covered := edges[State{"friends", "good", "holidays"}.Key()]
 	if len(covered) != 1 || covered[0] != (State{"friends", "good", "Easter"}).Key() {
 		t.Errorf("p1 covers %v", covered)
 	}
-	covered = g.edges[State{"friends", "good", All}.Key()]
+	covered = edges[State{"friends", "good", All}.Key()]
 	if len(covered) != 1 || covered[0] != (State{"friends", "good", "holidays"}).Key() {
 		t.Errorf("p2 covers %v", covered)
 	}
 	// The root (ALL,ALL,ALL) tightly covers the one-step specializations
 	// present: (ALL, ALL, holidays) is absent, so no tight edges from the
 	// root to deeper states.
-	if got := g.edges[State{All, All, All}.Key()]; len(got) != 0 {
+	if got := edges[State{All, All, All}.Key()]; len(got) != 0 {
 		t.Errorf("root covers %v", got)
 	}
 }

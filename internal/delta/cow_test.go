@@ -76,14 +76,15 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range prefs {
-			cur, err := ev.PredSet(p)
+			cb, err := ev.PredBitmap(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ev2.PredSet(p)
+			wb, err := ev2.PredBitmap(p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cur, want := cb.ToIntSet(ev.Dict()), wb.ToIntSet(ev2.Dict())
 			if len(cur) != len(want) {
 				t.Fatalf("seed %d: pred %d patched set has %d tuples, fresh store says %d",
 					seed, i, len(cur), len(want))

@@ -62,9 +62,12 @@ import (
 // mutations may race a Sync: every read Sync issues (change-log drains,
 // Value lookups, MatchLeftRowSet scans) takes the store's shared state
 // locks, and any mutation committed after the epochs captured at the top
-// of the call is simply replayed — idempotently — by the next Sync.
-// Mid-Sync the cached bitmaps may transiently mix pre- and post-mutation
-// rows; they converge on the next Sync once the logs quiesce.
+// of the call is simply replayed — idempotently — by the next Sync. Readers
+// never see a refresh half done: it publishes its patched bitmaps as one
+// evaluator version. A version may still hold rows of a commit the drain
+// missed (a touched row re-matched, or a first-sight scan, at the store's
+// current state); the next Sync replays that commit, and the serving
+// cache's epoch stamp keeps such a version out of its answers meanwhile.
 type Maintainer struct {
 	ev *combine.Evaluator
 	db *relstore.DB

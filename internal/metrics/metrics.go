@@ -40,26 +40,31 @@ func RecordUtility(r combine.Record, tupleCap int) float64 {
 // when every preference in the list is used independently (union of the
 // per-preference result sets).
 func Coverage(ev *combine.Evaluator, prefs []hypre.ScoredPred) (int, error) {
-	var acc combine.IntSet
-	for _, p := range prefs {
-		s, err := ev.PredSet(p)
-		if err != nil {
-			return 0, err
-		}
-		acc = acc.Union(s)
+	b, err := coverage(ev, prefs)
+	if err != nil {
+		return 0, err
 	}
-	return acc.Len(), nil
+	return b.Len(), nil
 }
 
 // CoverageSet is Coverage returning the tuple set itself.
 func CoverageSet(ev *combine.Evaluator, prefs []hypre.ScoredPred) (combine.IntSet, error) {
-	var acc combine.IntSet
+	b, err := coverage(ev, prefs)
+	if err != nil {
+		return nil, err
+	}
+	return b.ToIntSet(ev.Dict()), nil
+}
+
+// coverage folds the preferences' bitmaps into their union.
+func coverage(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*combine.Bitmap, error) {
+	acc := combine.NewBitmap()
 	for _, p := range prefs {
-		s, err := ev.PredSet(p)
+		b, err := ev.PredBitmap(p)
 		if err != nil {
 			return nil, err
 		}
-		acc = acc.Union(s)
+		acc = acc.Or(b)
 	}
 	return acc, nil
 }
