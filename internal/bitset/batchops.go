@@ -1,9 +1,7 @@
 package bitset
 
 // Batch intersection kernels: the run×array two-pointer fast paths that
-// replace per-element binary searches in the container ops, and the
-// AndCardInto batch-cardinality entry point the pair-table build and other
-// many-operand callers use to reuse one scratch slice across calls.
+// replace per-element binary searches in the container ops.
 
 // intersectArrayRuns appends arr ∩ runs to dst with a single forward merge
 // over both inputs — O(len(arr) + len(runs)) instead of the
@@ -51,29 +49,4 @@ func andCardArrayRuns(arr []uint16, runs []interval) int {
 		}
 	}
 	return n
-}
-
-// AndCardInto computes |s ∩ os[i]| for every operand into dst, growing and
-// returning it (pass dst[:0] of a retained scratch to stay allocation-free
-// across calls). One call prices a whole anchor row of the pair table; the
-// per-operand container walk matches AndCard exactly.
-func (s *Set) AndCardInto(os []*Set, dst []int) []int {
-	for _, o := range os {
-		n := 0
-		i, j := 0, 0
-		for i < len(s.keys) && j < len(o.keys) {
-			switch {
-			case s.keys[i] < o.keys[j]:
-				i++
-			case s.keys[i] > o.keys[j]:
-				j++
-			default:
-				n += andCardCtr(&s.cs[i], &o.cs[j])
-				i++
-				j++
-			}
-		}
-		dst = append(dst, n)
-	}
-	return dst
 }

@@ -100,36 +100,6 @@ func TestBatchKernelShapes(t *testing.T) {
 	}
 }
 
-// AndCardInto prices a whole operand row through one reused scratch slice;
-// the counts must match per-pair AndCard no matter how the scratch is
-// recycled across calls or how lopsided the operands are.
-func TestAndCardIntoScratchReuse(t *testing.T) {
-	const maxVal = 3 * containerSpan
-	rng := rand.New(rand.NewSource(99))
-	var scratch []int
-	for round := 0; round < 20; round++ {
-		anchor, _ := shapedSet(rng, maxVal)
-		ops := make([]*Set, 1+rng.Intn(6))
-		for i := range ops {
-			if rng.Intn(4) == 0 { // lopsided: near-empty operand
-				ops[i] = New()
-				ops[i].Add(rng.Intn(maxVal))
-			} else {
-				ops[i], _ = shapedSet(rng, maxVal)
-			}
-		}
-		scratch = anchor.AndCardInto(ops, scratch[:0])
-		if len(scratch) != len(ops) {
-			t.Fatalf("round %d: %d counts for %d operands", round, len(scratch), len(ops))
-		}
-		for i, o := range ops {
-			if want := anchor.AndCard(o); scratch[i] != want {
-				t.Fatalf("round %d op %d: AndCardInto=%d, AndCard=%d", round, i, scratch[i], want)
-			}
-		}
-	}
-}
-
 // Direct brute-force check of the array×run forward merges, including runs
 // touching 0 and 65535 and arrays denser than the run cover.
 func TestArrayRunsMergeBruteForce(t *testing.T) {

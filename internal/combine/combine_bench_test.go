@@ -10,6 +10,7 @@ import (
 	"hypre/internal/bitset"
 	"hypre/internal/hypre"
 	"hypre/internal/relstore"
+	"hypre/internal/workload"
 )
 
 func benchProfile(b *testing.B) ([]hypre.ScoredPred, *Evaluator) {
@@ -272,7 +273,7 @@ func BenchmarkResidentDuringRefresh(b *testing.B) {
 				return
 			default:
 			}
-			if _, _, err := ev.RefreshRowSetDelta(touched, nil); err != nil {
+			if _, err := ev.RefreshRowSetDelta(touched, nil); err != nil {
 				b.Error(err)
 				return
 			}
@@ -288,4 +289,46 @@ func BenchmarkResidentDuringRefresh(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	<-stopped
+}
+
+// BenchmarkRefreshResident times one Sync-sized refresh —
+// RefreshRowSetDelta over a fixed 16-row touched set of a generated
+// 4000-paper store — with 1k, 4k and 16k resident predicates: left-side
+// ranges and joined author equalities, each narrowed by a year. A refresh
+// re-matches every resident predicate at the touched rows, so its time
+// follows the predicates ever resident, not the batch; one that followed
+// the batch would read flat across the three sizes.
+func BenchmarkRefreshResident(b *testing.B) {
+	cfg := workload.DefaultConfig()
+	net, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	touched := bitset.New()
+	for i := range 16 {
+		touched.Add(i * cfg.NumPapers / 16)
+	}
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
+		b.Run(fmt.Sprintf("preds=%d", n), func(b *testing.B) {
+			ev := NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
+			prefs := make([]hypre.ScoredPred, n)
+			for i := range prefs {
+				j := i / 2
+				text := fmt.Sprintf("dblp.pid>=%d AND dblp.year>=%d", j%cfg.NumPapers, cfg.MinYear+j/cfg.NumPapers)
+				if i%2 == 1 {
+					text = fmt.Sprintf("dblp_author.aid=%d AND dblp.year>=%d", j%cfg.NumAuthors, cfg.MinYear+j/cfg.NumAuthors)
+				}
+				prefs[i] = mustSPB(b, text, 0.5)
+			}
+			if err := ev.MaterializeAll(prefs); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				if _, err := ev.RefreshRowSetDelta(touched, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

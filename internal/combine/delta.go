@@ -13,10 +13,10 @@ import (
 // This file is the evaluator half of incremental maintenance: given the
 // base-table rows a mutation batch touched and the pids a compaction
 // dropped, every resident predicate bitmap is repaired by re-evaluating
-// exactly those rows through relstore.MatchLeftRowSet (the compiled per-row
-// filter at the touched rows), instead of rematerializing the predicate
-// with a full scan. The delta subsystem in internal/delta drives it from
-// the tables' change logs.
+// exactly those rows through relstore.MatchLeftRowSet (the store's row
+// selection restricted to the touched rows), instead of rematerializing the
+// predicate with a full scan. The delta subsystem in internal/delta drives
+// it from the tables' change logs.
 
 // RowDelta is what one refresh learned, in the terms the result cache's
 // repair reads.
@@ -49,34 +49,25 @@ type MatchedRow struct {
 // clone, and the patched bitmaps are published as one new version. The
 // returned delta is nil when no predicate is resident. It holds refresh
 // exclusively, so it waits out any materialization in flight, and readers
-// never wait for it.
-//
-// ok=false means the evaluator cannot refresh incrementally (its scan
-// plumbing fell back to pid collection at seed time); the caller must
-// Invalidate and rematerialize.
+// never wait for it. A resident predicate implies a seeded row plumbing,
+// so every refresh is incremental.
 //
 // The patch is exact when the key attribute is unique per live base-table
 // row (dblp.pid is the table key): the desired membership of a pid is the
 // OR over its touched rows, so a delete+reinsert of the same pid within one
 // batch cannot clear a bit its replacement row still owns.
-func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d *RowDelta, ok bool, err error) {
+func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (*RowDelta, error) {
 	ev.refresh.Lock()
 	defer ev.refresh.Unlock()
 	v := ev.cur.Load()
 	if !v.anyResident() {
-		return nil, true, nil // nothing resident, nothing stale
-	}
-	if !ev.seeded || ev.rowDense == nil {
-		return nil, false, nil
-	}
-	tbl := ev.db.Table(ev.seedFrom)
-	if tbl == nil {
-		return nil, false, nil
+		return nil, nil // nothing resident, nothing stale
 	}
 	// Extend the row plumbing over rows inserted since the seed (or the
 	// last refresh): dense ids stay unassigned until a predicate matches.
+	tbl := ev.db.Table(ev.from)
 	if n := tbl.Len(); n > len(ev.rowDense) {
-		keyCol := ev.KeyColumn(ev.seedFrom)
+		keyCol := ev.KeyColumn(ev.from)
 		for lid := len(ev.rowDense); lid < n; lid++ {
 			ev.rowDense = append(ev.rowDense, -1)
 			ev.pidByRow = append(ev.pidByRow, tbl.Value(lid, keyCol).AsInt())
@@ -111,7 +102,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 		pairs = append(pairs, pidRow{pid, -1})
 	}
 	if len(pairs) == 0 {
-		return &RowDelta{}, true, nil
+		return &RowDelta{}, nil
 	}
 	slices.SortFunc(pairs, func(a, b pidRow) int { return cmp.Compare(a.pid, b.pid) })
 	var groups []pidRows
@@ -141,9 +132,9 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 	baseQ := ev.base(predicate.True{})
 	partnered := touched
 	if baseQ.Join != nil {
-		partnered, err = ev.db.MatchLeftRowSet(baseQ, touched)
-		if err != nil {
-			return nil, false, err
+		var err error
+		if partnered, err = ev.db.MatchLeftRowSet(baseQ, touched); err != nil {
+			return nil, err
 		}
 	}
 	joinless := relstore.Query{From: baseQ.From}
@@ -180,14 +171,14 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 	parallelFor(workers, len(resident), scanOne)
 	for _, err := range errs {
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 
 	// Serial patch phase, in id order: a pid's desired membership is the OR
 	// over its touched rows; a bitmap is cloned on its first difference, and
 	// the next version's bitmap slice on the first moved predicate.
-	d = &RowDelta{}
+	d := &RowDelta{}
 	var bits []*Bitmap
 	for i, id := range resident {
 		bm, sel := v.bits[id], sels[i]
@@ -233,7 +224,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 			d.Rows = append(d.Rows, MatchedRow{PID: g.pid, IDs: g.ids})
 		}
 	}
-	return d, true, nil
+	return d, nil
 }
 
 // RemapRows reindexes the evaluator's row-id plumbing through one
@@ -244,28 +235,22 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (d
 // after the last refresh) get a fresh slot with their pid read from the
 // compacted store. epoch is the base-table epoch the remap brings the
 // plumbing to: the caller read the compactions it composed as of then.
-// ok=false means the evaluator has no incremental plumbing and the caller
-// must rebuild.
-func (ev *Evaluator) RemapRows(remap []int32, epoch uint64) (ok bool) {
+// An evaluator not yet seeded has no plumbing to remap, and nothing
+// resident.
+func (ev *Evaluator) RemapRows(remap []int32, epoch uint64) {
 	ev.refresh.Lock()
 	defer ev.refresh.Unlock()
-	if !ev.seeded {
-		return !ev.cur.Load().anyResident()
-	}
 	if ev.rowDense == nil {
-		return false
+		return
 	}
-	tbl := ev.db.Table(ev.seedFrom)
-	if tbl == nil {
-		return false
-	}
+	tbl := ev.db.Table(ev.from)
 	live := 0
 	for _, nw := range remap {
 		if nw >= 0 {
 			live++
 		}
 	}
-	keyCol := ev.KeyColumn(ev.seedFrom)
+	keyCol := ev.KeyColumn(ev.from)
 	nd := make([]int32, live)
 	np := make([]int64, live)
 	for i := range nd {
@@ -285,7 +270,6 @@ func (ev *Evaluator) RemapRows(remap []int32, epoch uint64) (ok bool) {
 		}
 	}
 	ev.rowDense, ev.pidByRow, ev.plumbEpoch = nd, np, epoch
-	return true
 }
 
 // Invalidate publishes a version with no predicate resident and drops the
@@ -298,9 +282,7 @@ func (ev *Evaluator) Invalidate() {
 	ev.refresh.Lock()
 	defer ev.refresh.Unlock()
 	ev.publishLocked(nil)
-	ev.seeded = false
 	ev.rowDense, ev.pidByRow = nil, nil
-	ev.seedFrom = ""
 }
 
 // bindsOnlyBase reports whether every attribute of p resolves to the base

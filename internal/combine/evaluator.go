@@ -1,6 +1,7 @@
 package combine
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -32,6 +33,14 @@ import (
 // Predicates are named by dense int32 ids, interned on first sight and never
 // reused, so an id stays valid across Invalidate.
 //
+// Contract: every predicate's base query scans one base table, the one
+// base(TRUE) names, and the key attribute binds to a column of it. A
+// predicate is then materialized one way: relstore's row selection over
+// that table, mapped through the row plumbing (base row → pid, base row →
+// dense id). A base closure that routes a predicate elsewhere, or a key
+// attribute that does not bind to the base table, makes MaterializeAll
+// return an error and publish nothing.
+//
 // Concurrency: the readable store is one immutable version — the bitmaps by
 // id and the dictionary's dense-id → pid prefix they index — behind an
 // atomic pointer, and ids are interned in a sync.Map written once per key.
@@ -52,6 +61,7 @@ type Evaluator struct {
 	db      *relstore.DB
 	base    func(predicate.Predicate) relstore.Query
 	keyAttr string
+	from    string // the base table every predicate's query scans
 
 	cur atomic.Pointer[version]
 	// ids interns each predicate key to its int32 id; preds[id] keeps the
@@ -62,20 +72,15 @@ type Evaluator struct {
 	refresh sync.RWMutex
 	pub     sync.Mutex
 
-	dict   *PidDict
-	seeded bool // scan plumbing (pidByRow, join structures) built
+	dict *PidDict
 	// rowDense maps base-table row id -> dense dict index, assigned lazily
 	// in first-seen order (-1 = not assigned yet), so dense numbering stays
 	// as compact as serial materialization while scans set bits with one
-	// array read instead of a dictionary lookup.
+	// array read instead of a dictionary lookup. Non-nil once seeded.
 	rowDense []int32
 	// pidByRow caches the key attribute per base-table row, so dense-id
 	// assignment during bitmap conversion never re-reads the store.
 	pidByRow []int64
-	// seedFrom is the base table the row plumbing was built against; a base
-	// closure that routes a predicate to a different From table bypasses
-	// the row remap (its row ids would index the wrong pidByRow).
-	seedFrom string
 	// plumbEpoch is the base-table epoch the row plumbing describes (read
 	// at seed, moved by RemapRows): a row scan taken after a compaction
 	// past it names rows the plumbing does not, so scanSel discards it.
@@ -166,7 +171,7 @@ func parallelFor(workers, n int, fn func(i int)) {
 // predicate to the full query (typically workload.BaseQuery); keyAttr is
 // the distinct-counted attribute ("dblp.pid").
 func NewEvaluator(db *relstore.DB, base func(predicate.Predicate) relstore.Query, keyAttr string) *Evaluator {
-	ev := &Evaluator{db: db, base: base, keyAttr: keyAttr, dict: NewPidDict()}
+	ev := &Evaluator{db: db, base: base, keyAttr: keyAttr, from: base(predicate.True{}).From, dict: NewPidDict()}
 	ev.cur.Store(&version{})
 	return ev
 }
@@ -265,12 +270,12 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
 	if len(pending) > 0 {
 		err = ev.seedLocked()
 	}
-	from, plumbed, epoch := ev.seedFrom, len(ev.rowDense), ev.plumbEpoch
+	plumbed, epoch := len(ev.rowDense), ev.plumbEpoch
 	ev.pub.Unlock()
 	if len(pending) == 0 || err != nil {
 		return v, err
 	}
-	sels, err := ev.scanAll(pending, from, plumbed, epoch)
+	sels, err := ev.scanAll(pending, plumbed, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -342,11 +347,11 @@ type scanned struct {
 
 // scanAll scans every pending predicate, fanning the scans over a worker
 // pool. It reads only the store and the arguments, so it needs no lock.
-func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed int, epoch uint64) ([]scanned, error) {
+func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, plumbed int, epoch uint64) ([]scanned, error) {
 	out := make([]scanned, len(pending))
 	errs := make([]error, len(pending))
 	parallelFor(ev.workerTarget(), len(pending), func(i int) {
-		out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], from, plumbed, epoch)
+		out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], plumbed, epoch)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -359,41 +364,37 @@ func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, from string, plumbed in
 // seedLocked builds the one-time scan plumbing: the store's join access
 // structures, the dictionary's dense id table presized to the base table,
 // the row→dense remap (all unassigned), and the per-row key attribute cache
-// used to assign dense ids without re-reading the store. Caller holds pub
-// under refresh's read side.
+// used to assign dense ids without re-reading the store. The key cache is
+// one attr scan of the base table that spills every row, read joinless so
+// it covers every row whatever join a predicate's query takes; a key
+// attribute that does not bind to the base table fails it, and the
+// materialization with it. Caller holds pub under refresh's read side.
 func (ev *Evaluator) seedLocked() error {
-	if ev.seeded {
+	if ev.rowDense != nil {
 		return nil
 	}
-	base := ev.base(predicate.True{})
-	if err := ev.db.PrepareQuery(base); err != nil {
+	if err := ev.db.PrepareQuery(ev.base(predicate.True{})); err != nil {
 		return err
 	}
 	// PrepareQuery has already errored on an unknown base table.
-	tbl := ev.db.Table(base.From)
-	ev.plumbEpoch = tbl.Epoch()
+	tbl := ev.db.Table(ev.from)
+	epoch := tbl.Epoch()
 	n := tbl.Len()
-	ev.seedFrom = base.From
+	pidByRow := make([]int64, n)
+	seedQ := relstore.Query{From: ev.from, Where: predicate.True{}}
+	if _, err := ev.db.ScanAttrRowSet(seedQ, ev.keyAttr, 0, func(lid int, pid int64) {
+		if lid < n {
+			pidByRow[lid] = pid
+		}
+	}); err != nil {
+		return err
+	}
 	ev.dict.Reserve(n)
 	ev.rowDense = make([]int32, n)
 	for i := range ev.rowDense {
 		ev.rowDense[i] = -1
 	}
-	ev.pidByRow = make([]int64, n)
-	// The per-row key cache is read joinless so it covers every base-table
-	// row — a base closure that varies the join per predicate can still
-	// select rows the seeded join shape would have excluded.
-	seedQ := relstore.Query{From: base.From, Where: predicate.True{}}
-	if err := ev.db.ScanAttrRows(seedQ, ev.keyAttr, func(lid int, pid int64) {
-		if lid < n {
-			ev.pidByRow[lid] = pid
-		}
-	}); err != nil {
-		// A key attribute the row scan cannot serve: leave the plumbing
-		// empty; scans fall back to pid collection.
-		ev.rowDense, ev.pidByRow = nil, nil
-	}
-	ev.seeded = true
+	ev.pidByRow, ev.plumbEpoch = pidByRow, epoch
 	return nil
 }
 
@@ -429,35 +430,31 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 	return WrapSet(bitset.FromWords(words))
 }
 
-// scanSel runs one predicate's scan into a base-row selection set plus any
-// pids the row scan could not place. The row-set scan hands back the
-// container bitmap the store produced — no per-row emission, no
-// recompression; a different base table than from (the table the plumbing
-// was seeded against), or a key attribute the row scan cannot serve,
-// collects raw pids instead. So does a row scan taken after a base-table
-// compaction past epoch, the one the plumbing describes: its row ids are
-// not the ones the plumbing maps. plumbed is the plumbing's row count. It
-// reads only the store and its arguments, so it needs no lock.
-func (ev *Evaluator) scanSel(p hypre.ScoredPred, from string, plumbed int, epoch uint64) (sel *bitset.Set, leftover []int64, err error) {
+// scanSel runs one predicate's scan: one ScanAttrRowSet over the base
+// table, whose selection keeps the rows below plumbed (the rows the row
+// plumbing maps) and whose spill collects the pids of the rows inserted
+// since. A scan taken after a base-table compaction past epoch, the one the
+// plumbing describes, names rows the plumbing does not: it is made again
+// with every row spilled. A query on another table than the base table
+// breaks the evaluator's contract and is an error. It reads only the store
+// and its arguments, so it needs no lock.
+func (ev *Evaluator) scanSel(p hypre.ScoredPred, plumbed int, epoch uint64) (sel *bitset.Set, leftover []int64, err error) {
 	q := ev.base(p.P)
-	if q.From == from && plumbed > 0 {
-		// Rows inserted after the seed have no cached pid; the scan spills
-		// their key values under its own lock (one consistent epoch) while
-		// the selection keeps only the plumbed rows.
-		sel, err := ev.db.ScanAttrRowSet(q, ev.keyAttr, plumbed, func(_ int, pid int64) {
-			leftover = append(leftover, pid)
-		})
-		// Compactions only move forward, so none after epoch as of now
-		// means none before the scan either.
-		if comps, ok := ev.db.Table(from).CompactionsSince(epoch); err == nil && ok && len(comps) == 0 {
-			return sel, leftover, nil
-		}
-		leftover = nil
+	if q.From != ev.from {
+		return nil, nil, fmt.Errorf("combine: predicate %q scans table %q, not the base table %q", p.Pred, q.From, ev.from)
 	}
-	err = ev.db.ScanAttrInts(q, ev.keyAttr, func(pid int64) {
-		leftover = append(leftover, pid)
-	})
-	return nil, leftover, err
+	spill := func(_ int, pid int64) { leftover = append(leftover, pid) }
+	if sel, err = ev.db.ScanAttrRowSet(q, ev.keyAttr, plumbed, spill); err != nil {
+		return nil, nil, err
+	}
+	// Compactions only move forward, so none after epoch as of now means
+	// none before the scan either.
+	if comps, ok := ev.db.Table(ev.from).CompactionsSince(epoch); ok && len(comps) == 0 {
+		return sel, leftover, nil
+	}
+	leftover = leftover[:0]
+	sel, err = ev.db.ScanAttrRowSet(q, ev.keyAttr, 0, spill)
+	return sel, leftover, err
 }
 
 // PredBitmap returns the distinct tuple ids matching one preference in
@@ -544,8 +541,10 @@ func (ev *Evaluator) CountSQL(c Combo) (int, error) {
 			ps[i] = p.P
 		}
 		ev.Queries++
-		ids, err := ev.db.DistinctInts(ev.base(predicate.NewOr(ps...)), ev.keyAttr)
-		if err != nil {
+		var ids []int64
+		if _, err := ev.db.ScanAttrRowSet(ev.base(predicate.NewOr(ps...)), ev.keyAttr, 0, func(_ int, pid int64) {
+			ids = append(ids, pid)
+		}); err != nil {
 			return 0, err
 		}
 		gset := NewIntSet(ids)

@@ -180,7 +180,7 @@ func TestPublishedVersionsStayPut(t *testing.T) {
 	}
 	touched := bitset.New()
 	touched.Add(1)
-	d, _, err := ev.RefreshRowSetDelta(touched, nil)
+	d, err := ev.RefreshRowSetDelta(touched, nil)
 	hold(err)
 	if d == nil || len(d.Moved) != 1 {
 		t.Fatalf("refresh delta %+v, want p moved", d)

@@ -91,14 +91,13 @@ func BuildPairTable(prefs []hypre.ScoredPred, ev *Evaluator) (*PairTable, error)
 // upper-triangular count vector.
 func triIndex(n, i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 
-// buildPairCounts runs the pair-count sweep. With one worker it is the
-// plain serial loop (whole-set AndCard per pair, no span slicing). With
-// more, tasks are (span, anchor) cells of the partition grid: the spans of
-// SpanUnion over every predicate bitmap times the n anchor rows, handed out
-// by parallelFor so dense spans and long anchor rows balance across the
-// pool; each task popcounts container-local intersections and adds them
-// into the shared triangular accumulator (summation is commutative, so the
-// totals are exact regardless of interleaving). Single-span domains — any
+// buildPairCounts runs the pair-count sweep. Its tasks are (span, anchor)
+// cells of the partition grid: the spans of SpanUnion over every predicate
+// bitmap times the n anchor rows, handed out by parallelFor (inline for one
+// worker) so dense spans and long anchor rows balance across the pool;
+// each task popcounts container-local intersections and adds them into the
+// shared triangular accumulator (summation is commutative, so the totals
+// are exact regardless of interleaving). Single-span domains — any
 // dictionary under 64k dense ids — degenerate to one task per anchor, i.e.
 // plain anchor parallelism.
 func buildPairCounts(bms []*Bitmap, workers int) []int64 {
@@ -109,18 +108,6 @@ func buildPairCounts(bms []*Bitmap, workers int) []int64 {
 		sets[i] = b.s
 	}
 	spans := bitset.SpanUnion(sets...)
-	if workers <= 1 || len(spans) == 0 {
-		// Batch-count each anchor's row of the triangle in one AndCardInto
-		// call, reusing the scratch slice across anchors.
-		row := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			row = sets[i].AndCardInto(sets[i+1:], row[:0])
-			for jo, c := range row {
-				counts[triIndex(n, i, i+1+jo)] = int64(c)
-			}
-		}
-		return counts
-	}
 	parallelFor(workers, len(spans)*n, func(t int) {
 		span, i := spans[t/n], t%n
 		si := sets[i]

@@ -97,9 +97,9 @@ func TestPidSpaceInvariance(t *testing.T) {
 		for _, lid := range []int{1, 3, 7, row} {
 			touched.Add(lid)
 		}
-		d, ok, err := ev.RefreshRowSetDelta(touched, nil)
-		if err != nil || !ok {
-			t.Fatalf("refresh: ok=%v err=%v", ok, err)
+		d, err := ev.RefreshRowSetDelta(touched, nil)
+		if err != nil {
+			t.Fatalf("refresh: %v", err)
 		}
 		deltas[i] = d
 	}

@@ -15,7 +15,7 @@
 //     partnered with the OLD key are repaired too, not just the new one.
 //  3. Re-evaluate every resident predicate over exactly the touched base
 //     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet, the
-//     compiled per-row filter at the touched rows), patch the bitmaps
+//     store's row selection restricted to the touched rows), patch the bitmaps
 //     copy-on-write, and pass the resulting combine.RowDelta — the moved
 //     predicates, the touched pids, and what each live touched row now
 //     matches — to the cache. This is the only re-match a Sync runs.
@@ -31,13 +31,17 @@
 // the entries they left. Join-table compactions need none of this: nothing
 // the maintainer derives is keyed by join-table row ids.
 //
-// When a change log has been trimmed past the maintainer's last-synced
-// epoch, the compaction history has been evicted, or the evaluator cannot
-// refresh in place, Sync falls back loudly to a full rebuild:
-// Evaluator.Invalidate, after which predicates rematerialize from the
-// store's current state on next use. The fallback reports its cause
-// (SyncStats.RebuildCause, per-cause obs counters), so an operator can tell
-// an undersized change log from a key-column rewrite.
+// Sync falls back loudly to a full rebuild in three cases: a change log has
+// been trimmed past the maintainer's last-synced epoch (CauseLogOverflow),
+// the base table's compaction history has been evicted
+// (CauseCompactionLost), or a base row's key column was rewritten
+// (CauseKeyRewrite). The rebuild is Evaluator.Invalidate, after which
+// predicates rematerialize from the store's current state on next use. The
+// fallback reports its cause (SyncStats.RebuildCause, per-cause obs
+// counters), so an operator can tell an undersized change log from a
+// key-column rewrite. The evaluator itself always refreshes in place: its
+// contract (every predicate scans the base table, the key binds to it)
+// leaves it no mode without row plumbing.
 //
 // Requirements: the evaluator's key attribute must be a unique non-NULL
 // key of the base table (dblp.pid) — each base row then owns its dense
@@ -97,8 +101,8 @@ type Maintainer struct {
 // ("delta_touched_rows"), a full-rebuild counter ("delta_full_rebuilds"),
 // and — on demand, as fallbacks occur — one counter per rebuild cause
 // ("delta_rebuilds_log_overflow", "delta_rebuilds_key_rewrite",
-// "delta_rebuilds_compaction_lost", "delta_rebuilds_evaluator"). Call
-// before serving traffic, alongside AttachCache.
+// "delta_rebuilds_compaction_lost"). Call before serving traffic,
+// alongside AttachCache.
 func (m *Maintainer) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -145,9 +149,6 @@ const (
 	// CauseCompactionLost: the base table compacted more times than its
 	// bounded remap history retains since the last sync.
 	CauseCompactionLost = "compaction_lost"
-	// CauseEvaluator: the evaluator had no incremental plumbing to patch
-	// (never seeded, or running in a fallback mode).
-	CauseEvaluator = "evaluator"
 )
 
 // SyncStats reports what one Sync cost.
@@ -339,15 +340,12 @@ func (m *Maintainer) sync() (SyncStats, error) {
 	// evaluator's row plumbing through the composed remap; the refresh then
 	// clears the dropped pids' bits with the touched rows' re-match, so a
 	// pid a surviving row holds keeps its bit.
-	if len(ls.Compactions) > 0 && !m.ev.RemapRows(composeRemaps(ls.Compactions), lEpoch) {
-		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
+	if len(ls.Compactions) > 0 {
+		m.ev.RemapRows(composeRemaps(ls.Compactions), lEpoch)
 	}
-	d, ok, err := m.ev.RefreshRowSetDelta(touched, droppedPids)
+	d, err := m.ev.RefreshRowSetDelta(touched, droppedPids)
 	if err != nil {
 		return SyncStats{}, err
-	}
-	if !ok {
-		return m.rebuild(lEpoch, rEpoch, CauseEvaluator)
 	}
 	m.leftEpoch, m.rightEpoch = lEpoch, rEpoch
 	if m.cache != nil {

@@ -228,6 +228,20 @@ func valueKeySet(vals []predicate.Value) []string {
 	return out
 }
 
+// subsetKeys reports whether every value of a has a value of b with its key.
+func subsetKeys(a, b []predicate.Value) bool {
+	keys := map[string]bool{}
+	for _, v := range b {
+		keys[v.Key()] = true
+	}
+	for _, v := range a {
+		if !keys[v.Key()] {
+			return false
+		}
+	}
+	return true
+}
+
 func eqStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -361,64 +375,25 @@ func TestColumnarMatchesRowReferenceJoin(t *testing.T) {
 				t.Fatalf("seed %d q %d: CountDistinct = %d, want %d (%s)", seed, qi, cd, wantCD, where)
 			}
 
-			// The bulk scan APIs: distinct ints and at-most-once row visits.
-			wantInts := map[int64]bool{}
-			for _, v := range refDistinct(lref, rref, want, "lt.s") {
-				wantInts[v.AsInt()] = true
-			}
-			gotInts := map[int64]bool{}
-			if err := db.ScanAttrInts(q, "lt.s", func(v int64) { gotInts[v] = true }); err != nil {
-				t.Fatal(err)
-			}
-			if !eqInt64Sets(gotInts, wantInts) {
-				t.Fatalf("seed %d q %d: ScanAttrInts mismatch (%s)", seed, qi, where)
-			}
-			// What the row scan cannot serve — a right-table attr, a Limit —
-			// takes ScanAttrInts's own distinct path: each value once.
-			wantX := map[int64]bool{}
-			for _, v := range refDistinct(lref, rref, want, "rt.x") {
-				wantX[v.AsInt()] = true
-			}
+			// A right-table attr and a Limit: DistinctValues folds the joined
+			// rows, each value once (NaN, never equal to itself, each time).
+			wantX := refDistinct(lref, rref, want, "rt.x")
 			for _, limit := range []int{0, 2} {
 				ql := q
 				ql.Limit = limit
-				gotX := map[int64]bool{}
-				if err := db.ScanAttrInts(ql, "rt.x", func(v int64) {
-					if gotX[v] || !wantX[v] {
-						t.Fatalf("seed %d q %d: ScanAttrInts(rt.x) emitted %d twice or stray (%s)", seed, qi, v, where)
-					}
-					gotX[v] = true
-				}); err != nil {
+				dv, err := db.DistinctValues(ql, "rt.x")
+				if err != nil {
 					t.Fatal(err)
 				}
-				wantN := len(wantX)
-				if limit > 0 && wantN > limit {
-					wantN = limit
+				if limit == 0 && !eqStrings(valueKeySet(dv), valueKeySet(wantX)) {
+					t.Fatalf("seed %d q %d: DistinctValues(rt.x) mismatch (%s)", seed, qi, where)
 				}
-				if len(gotX) != wantN {
-					t.Fatalf("seed %d q %d: ScanAttrInts(rt.x, limit %d) = %d values, want %d (%s)",
-						seed, qi, limit, len(gotX), wantN, where)
+				if limit > 0 && (len(dv) != min(limit, len(wantX)) || !subsetKeys(dv, wantX)) {
+					t.Fatalf("seed %d q %d: DistinctValues(rt.x, limit %d) = %v, want %d of %v (%s)",
+						seed, qi, limit, dv, limit, wantX, where)
 				}
 			}
 			wantRows := refAttrRows(lref, want, "lt.s")
-			gotRows := map[int]bool{}
-			if err := db.ScanAttrRows(q, "lt.s", func(lid int, _ int64) {
-				if gotRows[lid] {
-					t.Fatalf("seed %d q %d: ScanAttrRows visited row %d twice", seed, qi, lid)
-				}
-				gotRows[lid] = true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(gotRows) != len(wantRows) {
-				t.Fatalf("seed %d q %d: ScanAttrRows rows = %d, want %d (%s)",
-					seed, qi, len(gotRows), len(wantRows), where)
-			}
-			for lid := range wantRows {
-				if !gotRows[lid] {
-					t.Fatalf("seed %d q %d: ScanAttrRows missed row %d (%s)", seed, qi, lid, where)
-				}
-			}
 			checkScanAttrRowSet(t, fmt.Sprintf("seed %d q %d (%s)", seed, qi, where),
 				db, q, "lt.s", nl, wantRows)
 		}
@@ -438,14 +413,15 @@ func refAttrRows(left *refTable, pairs [][2]int, attr string) map[int]int64 {
 	return out
 }
 
-// checkScanAttrRowSet probes the set-valued scan's splitAt/spill contract
-// against the reference rows (the rows ScanAttrRows visits): with spilling
-// off and with a split in the middle of the n-row table, the returned set
-// and the spilled rows partition exactly those rows at splitAt, and spills
-// arrive ascending with the reference values.
+// checkScanAttrRowSet probes the attr scan's splitAt/spill contract
+// against the reference rows (the matched rows whose attr converts): with
+// spilling off, with every row spilled, and with a split in the middle of
+// the n-row table, the returned set and the spilled rows partition exactly
+// those rows at splitAt, and spills arrive ascending with the reference
+// values.
 func checkScanAttrRowSet(t *testing.T, tag string, db *DB, q Query, attr string, n int, want map[int]int64) {
 	t.Helper()
-	for _, splitAt := range []int{-1, n / 2} {
+	for _, splitAt := range []int{-1, 0, n / 2} {
 		spilled := map[int]bool{}
 		prev := -1
 		sel, err := db.ScanAttrRowSet(q, attr, splitAt, func(lid int, v int64) {

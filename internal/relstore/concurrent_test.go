@@ -12,8 +12,8 @@ import (
 
 // TestConcurrentMutateAndScan is the race test for the epoch/snapshot
 // discipline: writers Insert/Update/Delete on both tables of a join while
-// readers run the full scan surface — counts, distinct scans, the bulk row
-// scan, set-valued attr scans, MatchLeftRowSet, lazy index builds and
+// readers run the full scan surface — counts, distinct values, attr scans
+// with and without a spill, MatchLeftRowSet, lazy index builds and
 // join-entry repairs. Every scan holds the tables'
 // shared state locks for its duration, so under -race this must be clean
 // and every scan must observe internally consistent state (no partial
@@ -117,11 +117,11 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := db.DistinctInts(q, "lt.a"); err != nil {
+				if _, err := db.DistinctValues(q, "lt.a"); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := db.ScanAttrRows(q, "lt.a", func(int, int64) {}); err != nil {
+				if _, err := db.ScanAttrRowSet(q, "lt.a", 0, func(int, int64) {}); err != nil {
 					t.Error(err)
 					return
 				}

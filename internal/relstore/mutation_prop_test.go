@@ -307,16 +307,15 @@ func TestMutationPropertySuite(t *testing.T) {
 			if cd1 != cd2 {
 				t.Fatalf("%s: CountDistinct %d != rebuilt %d", tag, cd1, cd2)
 			}
-			i1 := map[int64]bool{}
-			if err := db.ScanAttrInts(q, "lt.s", func(v int64) { i1[v] = true }); err != nil {
+			i1, i2 := map[int64]bool{}, map[int64]bool{}
+			if _, err := db.ScanAttrRowSet(q, "lt.s", 0, func(_ int, v int64) { i1[v] = true }); err != nil {
 				t.Fatal(err)
 			}
-			i2 := map[int64]bool{}
-			if err := rebuilt.ScanAttrInts(q, "lt.s", func(v int64) { i2[v] = true }); err != nil {
+			if _, err := rebuilt.ScanAttrRowSet(q, "lt.s", 0, func(_ int, v int64) { i2[v] = true }); err != nil {
 				t.Fatal(err)
 			}
 			if !eqInt64Sets(i1, i2) {
-				t.Fatalf("%s: ScanAttrInts %d values != rebuilt %d", tag, len(i1), len(i2))
+				t.Fatalf("%s: ScanAttrRowSet spilled %d values != rebuilt %d", tag, len(i1), len(i2))
 			}
 			checkScanAttrRowSet(t, tag, db, q, "lt.s", lt.Len(), refAttrRows(lref, wantPairs, "lt.s"))
 

@@ -80,7 +80,11 @@ func (db *DB) CountDistinct(q Query, attr string) (int, error) {
 func (db *DB) DistinctValues(q Query, attr string) ([]predicate.Value, error) {
 	seen := make(map[predicate.Value]struct{})
 	var out []predicate.Value
-	err := db.scanAttr(q, attr, func(v predicate.Value) bool {
+	err := db.scan(q, func(r JoinedRow) bool {
+		v, ok := r.Get(attr)
+		if !ok || v.IsNull() {
+			return true
+		}
 		k := indexKey(v)
 		if _, dup := seen[k]; !dup {
 			seen[k] = struct{}{}
@@ -91,177 +95,144 @@ func (db *DB) DistinctValues(q Query, attr string) ([]predicate.Value, error) {
 	return out, err
 }
 
-// DistinctInts returns the distinct non-NULL values of an integer attribute
-// (the tuple-id collection query behind every predicate-set
-// materialization), deduplicated without per-value key allocation. Values
-// are widened with AsInt, matching DistinctValues followed by AsInt on each
-// element.
-func (db *DB) DistinctInts(q Query, attr string) ([]int64, error) {
-	seen := make(map[int64]struct{})
-	var out []int64
-	err := db.scanAttr(q, attr, func(v predicate.Value) bool {
-		i := v.AsInt()
-		if _, dup := seen[i]; !dup {
-			seen[i] = struct{}{}
-			out = append(out, i)
-		}
-		return q.Limit <= 0 || len(out) < q.Limit
-	})
-	return out, err
-}
-
-// ScanAttrInts is the bulk materialization scan: it streams the integer
-// widening of a non-NULL left-table attribute for the rows matching q,
-// visiting each left row at most once no matter how many join partners it
-// has. Values may repeat only when distinct left rows share one (and never
-// for a key column like dblp.pid), so set-building callers dedupe — the
-// evaluator's bitmap does it for free. Queries with a Limit or a non-left
-// attribute fall back to the exact DistinctInts semantics.
-func (db *DB) ScanAttrInts(q Query, attr string, emit func(int64)) error {
-	left := db.Table(q.From)
-	if left == nil {
-		return fmt.Errorf("relstore: unknown table %q", q.From)
-	}
-	var right *Table
-	if q.Join != nil {
-		right = db.Table(q.Join.Table)
-	}
-	if q.Limit <= 0 {
-		if side, _ := bindAttr(attr, left, right); side == sideLeft {
-			return db.ScanAttrRows(q, attr, func(_ int, v int64) { emit(v) })
-		}
-	}
-	seen := make(map[int64]struct{})
-	cnt := 0
-	return db.scanAttr(q, attr, func(v predicate.Value) bool {
-		i := v.AsInt()
-		if _, dup := seen[i]; !dup {
-			seen[i] = struct{}{}
-			emit(i)
-			cnt++
-		}
-		return q.Limit <= 0 || cnt < q.Limit
-	})
-}
-
-// ScanAttrRows is the emit form of ScanAttrRowSet: every matching left row
-// is handed to emit exactly once, ascending, with the integer widening of its
-// attr (rows whose attr does not convert are skipped), all under the scan's
-// shared state locks. A caller that has precomputed a per-row mapping (the
-// evaluator's row→pid cache) can then skip value hashing entirely. attr must
-// bind to the left table and q.Limit must be 0.
-func (db *DB) ScanAttrRows(q Query, attr string, emit func(lid int, v int64)) error {
-	c, sel, unlock, err := db.scanAttrSel(q, attr)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	sel.ForEach(func(lid int) bool {
-		if v, ok := c.intAt(lid); ok {
-			emit(lid, v)
-		}
-		return true
-	})
-	return nil
-}
-
-// ScanAttrRowSet is the set-valued attr scan: the compressed selection of
-// left rows matching the query whose attr converts to an integer, with no
-// per-row emission — the consumer keeps the container bitmap the scan
-// produced instead of paying a decompress/recompress round trip. attr must
-// bind to the left table and q.Limit must be 0; anything else is an error
-// (ScanAttrInts serves those shapes).
+// ScanAttrRowSet is the attr scan: the compressed selection of left rows
+// matching the query whose attr converts to an integer, with no per-row
+// emission — the consumer keeps the container bitmap the scan produced
+// instead of paying a decompress/recompress round trip. attr must bind to
+// the left table and q.Limit must be 0; anything else is an error.
 //
 // Rows at or beyond splitAt are excluded from the selection and instead
 // passed to spill, ascending, with their attr value, read under the scan's
-// shared state lock — the same one-consistent-epoch guarantee ScanAttrRows's
-// emission has. splitAt < 0 disables spilling (the whole selection
-// returns). The evaluator uses this to collect pids of rows inserted
-// after its seed without a second, differently-timed store read.
+// shared state locks: one consistent epoch for the set and the spill.
+// splitAt 0 spills every row; splitAt < 0 spills none. The evaluator seeds
+// its row plumbing with splitAt 0 and collects the pids of rows inserted
+// after its seed with splitAt at the plumbed row count.
 func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid int, v int64)) (*bitset.Set, error) {
-	c, sel, unlock, err := db.scanAttrSel(q, attr)
+	left, right, leftPos, rightPos, where, err := db.resolveQuery(q)
 	if err != nil {
 		return nil, err
 	}
+	side, pos := bindAttr(attr, left, right)
+	if side != sideLeft {
+		return nil, fmt.Errorf("relstore: attr scans need a left-table attribute, got %q", attr)
+	}
+	if q.Limit > 0 {
+		return nil, fmt.Errorf("relstore: attr scans do not support Limit")
+	}
+	unlock := lockShared(left, right)
 	defer unlock()
-	// Drop rows whose attr does not convert (the rows ScanAttrRows does not
-	// emit) — one typed check per selected row, skipped entirely for fully
-	// convertible columns (every key column).
-	if c.nNoInt > 0 {
+	sel, _ := selectLocked(left, right, leftPos, rightPos, where, nil)
+	// One walk drops the rows whose attr does not convert (skipped entirely
+	// for fully convertible columns, every key column) and spills the rows
+	// at or beyond splitAt.
+	c := left.cols[pos]
+	if m, ok := sel.Max(); ok && (c.nNoInt > 0 || (splitAt >= 0 && m >= splitAt)) {
 		sel.Retain(func(lid int) bool {
-			_, ok := c.intAt(lid)
+			v, ok := c.intAt(lid)
+			if ok && splitAt >= 0 && lid >= splitAt {
+				spill(lid, v)
+				return false
+			}
 			return ok
 		})
-	}
-	if splitAt >= 0 {
-		if m, has := sel.Max(); has && m >= splitAt {
-			for lid, lok := sel.NextSet(splitAt); lok; lid, lok = sel.NextSet(lid + 1) {
-				if v, vok := c.intAt(lid); vok {
-					spill(lid, v)
-				}
-			}
-			sel.Retain(func(lid int) bool { return lid < splitAt })
-		}
 	}
 	return sel, nil
 }
 
-// scanAttrSel is the one core under ScanAttrRows and ScanAttrRowSet: it
-// validates the scan shape (left-bound attr, no Limit), takes the tables'
-// shared state locks, and computes the selection of live left rows matching
-// the query — the drain of a block scan plan, or, for a shape the plan
-// refuses, the row-at-a-time engine filling the same set. It returns the
-// attr column and the selection with the locks still held, so the caller
-// reads attr values at the same epoch; the caller must call unlock.
-func (db *DB) scanAttrSel(q Query, attr string) (c *column, sel *bitset.Set, unlock func(), err error) {
-	left, right, leftPos, rightPos, pos, where, err := db.resolveAttrRowScan(q, attr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	unlock = lockShared(left, right)
-	if p, ok := planScan(left, right, leftPos, rightPos, where); ok {
-		sel = p.drain()
-	} else {
-		// Distinct right rows reaching the same left row dedup in the set.
-		sel = bitset.New()
-		if err := db.scanIDsLocked(q, left, right, leftPos, rightPos, func(lid, _ int, _ bool) bool {
-			sel.Add(lid)
-			return true
-		}); err != nil {
-			unlock()
-			return nil, nil, nil, err
-		}
-	}
-	return left.cols[pos], sel, unlock, nil
-}
-
-// resolveAttrRowScan is the prologue of the attr-row scans: table/join
-// resolution, the left-bound-attribute and no-Limit constraints, and WHERE
-// defaulting.
-func (db *DB) resolveAttrRowScan(q Query, attr string) (left, right *Table,
-	leftPos, rightPos, attrPos int, where predicate.Predicate, err error) {
+// resolveQuery resolves the query's tables and join columns, and defaults
+// its WHERE to TRUE.
+func (db *DB) resolveQuery(q Query) (left, right *Table, leftPos, rightPos int, where predicate.Predicate, err error) {
 	left = db.Table(q.From)
 	if left == nil {
-		return nil, nil, 0, 0, 0, nil, fmt.Errorf("relstore: unknown table %q", q.From)
+		return nil, nil, 0, 0, nil, fmt.Errorf("relstore: unknown table %q", q.From)
 	}
 	if q.Join != nil {
-		right, leftPos, rightPos, err = db.resolveJoin(q)
-		if err != nil {
-			return nil, nil, 0, 0, 0, nil, err
+		if right = db.Table(q.Join.Table); right == nil {
+			return nil, nil, 0, 0, nil, fmt.Errorf("relstore: unknown join table %q", q.Join.Table)
 		}
-	}
-	side, pos := bindAttr(attr, left, right)
-	if side != sideLeft {
-		return nil, nil, 0, 0, 0, nil, fmt.Errorf("relstore: attr-row scans need a left-table attribute, got %q", attr)
-	}
-	if q.Limit > 0 {
-		return nil, nil, 0, 0, 0, nil, fmt.Errorf("relstore: attr-row scans do not support Limit")
+		if leftPos = left.ColumnIndex(q.Join.LeftCol); leftPos < 0 {
+			return nil, nil, 0, 0, nil, fmt.Errorf("relstore: %s has no column %q", q.From, q.Join.LeftCol)
+		}
+		if rightPos = right.ColumnIndex(q.Join.RightCol); rightPos < 0 {
+			return nil, nil, 0, 0, nil, fmt.Errorf("relstore: %s has no column %q", q.Join.Table, q.Join.RightCol)
+		}
 	}
 	where = q.Where
 	if where == nil {
 		where = predicate.True{}
 	}
-	return left, right, leftPos, rightPos, pos, where, nil
+	return left, right, leftPos, rightPos, where, nil
+}
+
+// selectLocked is relstore's one row selection: the live left rows that
+// have a matching partner pair — joined, a live right row with which the
+// pair satisfies where; joinless, the row alone — restricted to mask's rows
+// when mask is non-nil. Every read is this selection plus a fold.
+//
+// WHERE splits once by join side. Without a mask, a split WHERE that the
+// block evaluator accepts returns the drained scan plan. Anything else runs
+// the per-row loop over the mask's rows, or every row: left-only conjuncts
+// run on the row before the partner probe, so a rejected row never pays
+// the index lookup, and the pair tree — the right-side conjuncts, or a
+// WHERE that mixes sides, whole — runs per live partner. The loop never
+// touches the join entry, which a mutation stales, so a masked selection
+// costs the mask, not the tables.
+//
+// The pair tree is returned too (nil when every live partner of a selected
+// row matches): a caller walking the selected rows' partners filters each
+// by it. Callers hold the state locks of both tables; the returned set is
+// the caller's to mutate.
+func selectLocked(left, right *Table, leftPos, rightPos int, where predicate.Predicate, mask *bitset.Set) (*bitset.Set, predicate.Predicate) {
+	rowTree, pairTree, split := splitBySide(where, left, right)
+	if !split {
+		rowTree, pairTree = nil, where
+	} else if mask == nil {
+		if p, ok := planScan(left, right, leftPos, rightPos, rowTree, pairTree); ok {
+			return p.drain(), pairTree
+		}
+	}
+	out := bitset.New()
+	if mask != nil && mask.IsEmpty() {
+		return out, pairTree
+	}
+	var onRow, onPair idFilter
+	if rowTree != nil {
+		onRow = rowFilter(rowTree, left, right)
+	}
+	if pairTree != nil {
+		onPair = rowFilter(pairTree, left, right)
+	}
+	var rightIdx *hashIndex
+	if right != nil {
+		rightIdx = right.ensureIndex(rightPos)
+	}
+	visit := func(lid int) bool {
+		if lid >= left.n {
+			return false // mask bits are ascending; nothing left in range
+		}
+		if left.isDead(lid) || (onRow != nil && !onRow(lid, 0, false)) {
+			return true
+		}
+		if right == nil {
+			out.Add(lid)
+			return true
+		}
+		for _, rid := range rightIdx.rows(left.cols[leftPos].value(lid)) {
+			if !right.isDead(int(rid)) && (onPair == nil || onPair(lid, int(rid), true)) {
+				out.Add(lid)
+				break
+			}
+		}
+		return true
+	}
+	if mask != nil {
+		mask.ForEach(visit)
+	} else {
+		for lid := 0; lid < left.n; lid++ {
+			visit(lid)
+		}
+	}
+	return out, pairTree
 }
 
 // splitBySide splits the WHERE conjunction by join side: each conjunct must
@@ -334,15 +305,8 @@ func classifySide(p predicate.Predicate, left, right *Table) (attrSide, bool) {
 // use (join-column hash indexes and the join entry), so that a following
 // parallel materialization phase takes only read paths.
 func (db *DB) PrepareQuery(q Query) error {
-	left := db.Table(q.From)
-	if left == nil {
-		return fmt.Errorf("relstore: unknown table %q", q.From)
-	}
-	if q.Join == nil {
-		return nil
-	}
-	right, leftPos, rightPos, err := db.resolveJoin(q)
-	if err != nil {
+	left, right, leftPos, rightPos, _, err := db.resolveQuery(q)
+	if err != nil || right == nil {
 		return err
 	}
 	unlock := lockShared(left, right)
@@ -356,78 +320,22 @@ func (db *DB) PrepareQuery(q Query) error {
 // the query: touched is a compressed selection over left row ids, and the
 // result is a fresh selection ⊆ touched holding exactly the live touched
 // rows the query matches (for a join, rows with at least one matching
-// partner). This is the delta-maintenance primitive: after a mutation
-// batch, each cached predicate re-evaluates only the touched rows through
-// the compiled per-row filter — work proportional to the batch, independent
-// of the table sizes, and never touching the join entry a mutation stales
-// (the next scan repairs it from the change logs). touched is never mutated.
+// partner) — the row selection restricted to touched. This is the
+// delta-maintenance primitive: after a mutation batch, each cached
+// predicate re-evaluates only the touched rows, work proportional to the
+// batch and independent of the table sizes. touched is never mutated.
 func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error) {
-	left := db.Table(q.From)
-	if left == nil {
-		return nil, fmt.Errorf("relstore: unknown table %q", q.From)
+	left, right, leftPos, rightPos, where, err := db.resolveQuery(q)
+	if err != nil {
+		return nil, err
 	}
 	if q.Limit > 0 {
 		return nil, fmt.Errorf("relstore: MatchLeftRowSet does not support Limit")
 	}
-	var right *Table
-	var leftPos, rightPos int
-	if q.Join != nil {
-		var err error
-		right, leftPos, rightPos, err = db.resolveJoin(q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	where := q.Where
-	if where == nil {
-		where = predicate.True{}
-	}
 	unlock := lockShared(left, right)
 	defer unlock()
-
-	out := bitset.New()
-	if touched.IsEmpty() {
-		return out, nil
-	}
-	// Left-only conjuncts run on the row before the join probe, so a
-	// rejected row never pays the index lookup; right-side conjuncts run per
-	// live partner. A WHERE that does not split by side runs whole per
-	// partner.
-	var onRow, onPair idFilter
-	if leftTree, rightTree, ok := splitBySide(where, left, right); !ok {
-		onPair = rowFilter(where, left, right)
-	} else {
-		if leftTree != nil {
-			onRow = rowFilter(leftTree, left, right)
-		}
-		if rightTree != nil {
-			onPair = rowFilter(rightTree, left, right)
-		}
-	}
-	var rightIdx *hashIndex
-	if right != nil {
-		rightIdx = right.ensureIndex(rightPos)
-	}
-	touched.ForEach(func(lid int) bool {
-		if lid >= left.n {
-			return false // touched bits are ascending; nothing left in range
-		}
-		if left.isDead(lid) || (onRow != nil && !onRow(lid, 0, false)) {
-			return true
-		}
-		if right == nil {
-			out.Add(lid)
-			return true
-		}
-		for _, rid := range rightIdx.rows(left.cols[leftPos].value(lid)) {
-			if !right.isDead(int(rid)) && (onPair == nil || onPair(lid, int(rid), true)) {
-				out.Add(lid)
-				break
-			}
-		}
-		return true
-	})
-	return out, nil
+	sel, _ := selectLocked(left, right, leftPos, rightPos, where, touched)
+	return sel, nil
 }
 
 // LookupRowIDs returns the live row ids of table whose column equals v,
@@ -455,62 +363,17 @@ func (db *DB) LookupRowIDs(table, col string, v predicate.Value) ([]int, error) 
 	return out, nil
 }
 
-// resolveJoin validates the join spec and resolves its column positions.
-func (db *DB) resolveJoin(q Query) (right *Table, leftPos, rightPos int, err error) {
-	left := db.Table(q.From)
-	right = db.Table(q.Join.Table)
-	if right == nil {
-		return nil, 0, 0, fmt.Errorf("relstore: unknown join table %q", q.Join.Table)
-	}
-	leftPos = left.ColumnIndex(q.Join.LeftCol)
-	rightPos = right.ColumnIndex(q.Join.RightCol)
-	if leftPos < 0 {
-		return nil, 0, 0, fmt.Errorf("relstore: %s has no column %q", q.From, q.Join.LeftCol)
-	}
-	if rightPos < 0 {
-		return nil, 0, 0, fmt.Errorf("relstore: %s has no column %q", q.Join.Table, q.Join.RightCol)
-	}
-	return right, leftPos, rightPos, nil
-}
-
-// scanAttr streams the non-NULL values of attr for every matching row,
-// resolving the attribute to a (side, column) slot once instead of per row.
-func (db *DB) scanAttr(q Query, attr string, emit func(predicate.Value) bool) error {
-	left := db.Table(q.From)
-	if left == nil {
-		return fmt.Errorf("relstore: unknown table %q", q.From)
-	}
-	var right *Table
-	if q.Join != nil {
-		right = db.Table(q.Join.Table)
-	}
-	side, pos := bindAttr(attr, left, right)
-	return db.scanIDs(q, func(lid, rid int, hasRight bool) bool {
-		var v predicate.Value
-		switch {
-		case side == sideLeft:
-			v = left.cols[pos].value(lid)
-		case side == sideRight && hasRight:
-			v = right.cols[pos].value(rid)
-		default:
-			return true
-		}
-		if v.IsNull() {
-			return true
-		}
-		return emit(v)
-	})
-}
-
 // scan drives query execution, invoking emit for each matching row until
-// emit returns false or rows are exhausted.
+// emit returns false or rows are exhausted. It holds the tables' shared
+// state locks for the scan's duration: one consistent epoch per table.
 func (db *DB) scan(q Query, emit func(JoinedRow) bool) error {
-	left := db.Table(q.From)
-	var right *Table
-	if q.Join != nil && left != nil {
-		right = db.Table(q.Join.Table)
+	left, right, leftPos, rightPos, where, err := db.resolveQuery(q)
+	if err != nil {
+		return err
 	}
-	return db.scanIDs(q, func(lid, rid int, hasRight bool) bool {
+	unlock := lockShared(left, right)
+	defer unlock()
+	scanIDsLocked(left, right, leftPos, rightPos, where, func(lid, rid int, hasRight bool) bool {
 		row := JoinedRow{Left: left.Row(lid)}
 		if hasRight {
 			row.Right = right.Row(rid)
@@ -518,147 +381,38 @@ func (db *DB) scan(q Query, emit func(JoinedRow) bool) error {
 		}
 		return emit(row)
 	})
+	return nil
 }
 
-// scanIDs resolves the query's tables, takes their shared data locks for
-// the scan's duration (one consistent epoch per table), and runs the
-// locked core.
-func (db *DB) scanIDs(q Query, emit func(lid, rid int, hasRight bool) bool) error {
-	left := db.Table(q.From)
-	if left == nil {
-		return fmt.Errorf("relstore: unknown table %q", q.From)
-	}
-	var right *Table
-	var leftPos, rightPos int
-	if q.Join != nil {
-		var err error
-		right, leftPos, rightPos, err = db.resolveJoin(q)
-		if err != nil {
-			return err
-		}
-	}
-	unlock := lockShared(left, right)
-	defer unlock()
-	return db.scanIDsLocked(q, left, right, leftPos, rightPos, emit)
-}
-
-// scanIDsLocked is the row-id core of query execution: it streams the (left,
-// right) row-id pairs that satisfy the query. The WHERE tree is compiled
-// once into typed closures over the column vectors (no per-row
-// attribute-name resolution or Value boxing), and the access path is chosen
-// among: left-index candidates, a block scan (planScan) when the tree reads
-// only left columns, right-index candidates walked through the join (for
-// predicates that only constrain the joined table, e.g. dblp_author.aid=6),
-// and a full left scan. Tombstoned rows never reach emit. Callers hold the
+// scanIDsLocked streams the (left, right) row-id pairs that satisfy where:
+// the row selection, then, per selected row in ascending order, its live
+// partners that pass the pair tree (joinless, the row alone with hasRight
+// false). emit returning false stops the walk. Callers hold the
 // state locks of both tables.
-func (db *DB) scanIDsLocked(q Query, left, right *Table, leftPos, rightPos int,
-	emit func(lid, rid int, hasRight bool) bool) error {
-	where := q.Where
-	if where == nil {
-		where = predicate.True{}
+func scanIDsLocked(left, right *Table, leftPos, rightPos int, where predicate.Predicate,
+	emit func(lid, rid int, hasRight bool) bool) {
+	sel, pairTree := selectLocked(left, right, leftPos, rightPos, where, nil)
+	if right == nil {
+		sel.ForEach(func(lid int) bool { return emit(lid, 0, false) })
+		return
 	}
-	var rightIdx *hashIndex
-	if right != nil {
-		rightIdx = right.ensureIndex(rightPos)
+	var onPair idFilter
+	if pairTree != nil {
+		onPair = rowFilter(pairTree, left, right)
 	}
-
-	match := rowFilter(where, left, right)
-
-	emitLeft := func(lid int) bool {
-		if left.isDead(lid) {
-			return true
-		}
-		if right == nil {
-			if match(lid, 0, false) {
-				return emit(lid, 0, false)
-			}
-			return true
-		}
+	rightIdx := right.ensureIndex(rightPos)
+	sel.ForEach(func(lid int) bool {
 		for _, r := range rightIdx.rows(left.cols[leftPos].value(lid)) {
 			rid := int(r)
-			if right.isDead(rid) {
+			if right.isDead(rid) || (onPair != nil && !onPair(lid, rid, true)) {
 				continue
 			}
-			if match(lid, rid, true) {
-				if !emit(lid, rid, true) {
-					return false
-				}
+			if !emit(lid, rid, true) {
+				return false
 			}
 		}
 		return true
-	}
-
-	if leftIDs, ok := candidateIDs(left, where); ok {
-		for _, lid := range leftIDs {
-			if !emitLeft(int(lid)) {
-				return nil
-			}
-		}
-		return nil
-	}
-
-	// Block scan: when the WHERE tree reads only left columns, the drained
-	// scan plan is the whole live left selection; selected rows emit their
-	// join partners (if any) with no per-row re-evaluation. The partner walk
-	// below does the joining, so the plan is the joinless one.
-	if side, ok := classifySide(where, left, right); ok && side == sideLeft {
-		if p, ok := planScan(left, nil, 0, 0, where); ok {
-			p.drain().ForEach(func(lid int) bool {
-				if right == nil {
-					return emit(lid, 0, false)
-				}
-				for _, rid := range rightIdx.rows(left.cols[leftPos].value(lid)) {
-					if right.isDead(int(rid)) {
-						continue
-					}
-					if !emit(lid, int(rid), true) {
-						return false
-					}
-				}
-				return true
-			})
-			return nil
-		}
-	}
-
-	// Right-driven path: the predicate constrains only the joined table
-	// (no usable left index), but a right index narrows the right rows;
-	// walk them back through the join via the left join-column index.
-	// Candidates must come from attributes that actually *evaluate*
-	// against the right table (bindAttr, which resolves bare names
-	// left-first like JoinedRow.Get) — resolveColumn alone would happily
-	// match a bare name that both tables carry, under-approximating the
-	// result set.
-	if right != nil {
-		if rightIDs, ok := rightCandidateIDs(left, right, where); ok {
-			lidx := left.ensureIndex(leftPos)
-			for _, r := range rightIDs {
-				rid := int(r)
-				if right.isDead(rid) {
-					continue
-				}
-				for _, l := range lidx.rows(right.cols[rightPos].value(rid)) {
-					lid := int(l)
-					if left.isDead(lid) {
-						continue
-					}
-					if match(lid, rid, true) {
-						if !emit(lid, rid, true) {
-							return nil
-						}
-					}
-				}
-			}
-			return nil
-		}
-	}
-
-	for lid := 0; lid < left.n; lid++ {
-		if !emitLeft(lid) {
-			return nil
-		}
-	}
-	return nil
+	})
 }
 
 // attrSide tags which table a bound attribute lives in.
@@ -856,20 +610,14 @@ func rowFilter(p predicate.Predicate, left, right *Table) idFilter {
 	}
 }
 
-// candidateIDs inspects the predicate for index-usable equality conditions
-// on t's columns and, if any are found, returns a superset of the matching
-// row ids (sorted, deduplicated). The full predicate is still evaluated per
-// row afterwards, so over-approximation is safe; under-approximation is not.
-func candidateIDs(t *Table, p predicate.Predicate) ([]int32, bool) {
-	return candidateIDsResolve(t, p, func(attr string) int {
-		return resolveColumn(t, attr)
-	})
-}
-
-// rightCandidateIDs is candidateIDs for the joined table, resolving
-// attributes exactly as evaluation does (bare names bind left-first), so a
-// bare column name both tables carry never yields right-table candidates
-// for a predicate that semantically filters the left table.
+// rightCandidateIDs inspects the predicate for index-usable equality
+// conditions on the joined table's columns and, if any are found, returns a
+// superset of the matching right row ids (sorted, deduplicated); the caller
+// still evaluates the full predicate per row, so over-approximation is safe
+// and under-approximation is not. Attributes resolve exactly as evaluation
+// does (bare names bind left-first), so a bare column name both tables
+// carry never yields right-table candidates for a predicate that
+// semantically filters the left table.
 func rightCandidateIDs(left, right *Table, p predicate.Predicate) ([]int32, bool) {
 	return candidateIDsResolve(right, p, sideResolver(left, right, sideRight))
 }
@@ -940,18 +688,6 @@ func indexUsable(t *Table, pos int, lit predicate.Value) bool {
 		return false
 	}
 	return !t.cols[pos].anyNaN()
-}
-
-// resolveColumn maps an attribute reference (bare or table-qualified) to a
-// column position in t, or -1 when the attribute belongs to another table.
-func resolveColumn(t *Table, attr string) int {
-	if tbl, col, ok := splitQualified(attr); ok {
-		if tbl != t.schema.Name {
-			return -1
-		}
-		return t.ColumnIndex(col)
-	}
-	return t.ColumnIndex(attr)
 }
 
 func dedupeIDs(ids []int32) []int32 {

@@ -14,6 +14,15 @@
 // (see vecscan.go). The row-oriented API (Row, Value, Select) reboxes
 // values on demand.
 //
+// Every read is one row selection plus a fold (query.go): selectLocked
+// computes the live left rows that have a matching partner pair,
+// optionally restricted to a row mask — the drained block plan when the
+// WHERE allows it, a compiled per-row loop otherwise. ScanAttrRowSet folds
+// it into a row set with a spill of the rows past a split; MatchLeftRowSet
+// is it restricted to the rows a mutation batch touched; Select, Count and
+// DistinctValues walk each selected row's live partners that pass the
+// per-pair filter, in ascending left-row order.
+//
 // Equality lookups and joins go through per-column hash indexes
 // (index.go), built by BuildIndex or on first use: integer keys (integral floats folded onto
 // them) map to int32 row-id posting lists in a map keyed by the bare

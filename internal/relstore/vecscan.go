@@ -42,13 +42,12 @@ type scanPlan struct {
 	tmp      bitset.Block
 }
 
-// planScan plans WHERE over left, joined with right when right is non-nil.
-// ok=false means the shape defeats the block evaluator — a conjunct reading
-// both join sides, or a node vecOK refuses — and callers keep the row path.
-// Callers hold the state locks of both tables.
-func planScan(left, right *Table, leftPos, rightPos int, where predicate.Predicate) (*scanPlan, bool) {
-	leftTree, rightTree, ok := splitBySide(where, left, right)
-	if !ok || (leftTree != nil && !vecOK(leftTree)) || (rightTree != nil && !vecOK(rightTree)) {
+// planScan plans a WHERE already split by join side (splitBySide) over
+// left, joined with right when right is non-nil. ok=false means a node
+// vecOK refuses, and the caller keeps the row loop. Callers hold the state
+// locks of both tables.
+func planScan(left, right *Table, leftPos, rightPos int, leftTree, rightTree predicate.Predicate) (*scanPlan, bool) {
+	if (leftTree != nil && !vecOK(leftTree)) || (rightTree != nil && !vecOK(rightTree)) {
 		return nil, false
 	}
 	p := left.treePlan(leftTree, sideResolver(left, right, sideLeft))
