@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"hypre/internal/cache"
 	"hypre/internal/combine"
 	"hypre/internal/experiments"
+	"hypre/internal/hypre"
 	"hypre/internal/obs"
 	"hypre/internal/topk"
 	"hypre/internal/workload"
@@ -32,6 +34,12 @@ var (
 
 // benchSetup builds the shared workload once; its cost is excluded from
 // every benchmark via b.ResetTimer.
+// topK serves a raw profile the way hypred does: canonicalize it, then
+// TopKContext.
+func topK(srv *cache.Server, prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, cache.Outcome, error) {
+	return srv.TopKContext(context.Background(), combine.Canonicalize(prefs), k, tr)
+}
+
 func benchSetup(b *testing.B) *experiments.Lab {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -263,7 +271,7 @@ func BenchmarkCacheServeHitPath(b *testing.B) {
 	prof := l.ProfileFor(l.Modest, benchProfileCap)
 	run := func(b *testing.B, cfg cache.Config, traced bool) {
 		srv := cache.NewServer(l.Evaluator(), cfg)
-		if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil {
+		if _, _, err := topK(srv, prof, 10, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -272,7 +280,7 @@ func BenchmarkCacheServeHitPath(b *testing.B) {
 			if traced {
 				tr = obs.NewTrace()
 			}
-			_, out, err := srv.TopKTraced(prof, 10, tr)
+			_, out, err := topK(srv, prof, 10, tr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hypre/internal/core"
@@ -22,11 +24,27 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := run(os.Stdout, os.Args[1:])
+	if errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, `usage: hypre <stats|profile|enhance|topk|cypher|demo> [flags]
+run "hypre <subcommand> -h" for flags`)
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hypre:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a missing or unknown subcommand.
+var errUsage = errors.New("usage")
+
+// run runs the subcommand args[0] with the flags after it, printing to w.
+func run(w io.Writer, args []string) error {
+	if len(args) == 0 {
+		return errUsage
+	}
+	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
 		papers  = fs.Int("papers", 2000, "papers in the synthetic network")
@@ -37,7 +55,7 @@ func main() {
 		n       = fs.Int("n", 20, "preference count to display")
 		query   = fs.String("q", "", "Cypher query text")
 	)
-	fs.Parse(os.Args[2:])
+	fs.Parse(args[1:])
 
 	cfg := workload.DefaultConfig()
 	cfg.NumPapers = *papers
@@ -46,7 +64,7 @@ func main() {
 
 	sys, prefs, err := core.NewSystemWithWorkload(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *uid < 0 {
 		*uid, _ = prefs.PickUsers(170, 50)
@@ -54,41 +72,41 @@ func main() {
 
 	switch cmd {
 	case "stats":
-		fmt.Println("dataset:")
+		fmt.Fprintln(w, "dataset:")
 		for _, s := range sys.DB.Stats() {
-			fmt.Printf("  %-14s arity=%d cardinality=%d\n", s.Name, s.Arity, s.Cardinality)
+			fmt.Fprintf(w, "  %-14s arity=%d cardinality=%d\n", s.Name, s.Arity, s.Cardinality)
 		}
 		st := sys.Graph.GraphStats()
-		fmt.Printf("preference graph: %d nodes, %d edges (%d PREFERS, %d CYCLE, %d DISCARD)\n",
+		fmt.Fprintf(w, "preference graph: %d nodes, %d edges (%d PREFERS, %d CYCLE, %d DISCARD)\n",
 			st.Nodes, st.Edges, st.Prefers, st.Cycles, st.Discards)
-		fmt.Printf("users with preferences: %d\n", len(prefs.Users))
+		fmt.Fprintf(w, "users with preferences: %d\n", len(prefs.Users))
 
 	case "profile":
 		prof := sys.Profile(*uid)
-		fmt.Printf("profile of uid=%d (%d positive preferences):\n", *uid, len(prof))
+		fmt.Fprintf(w, "profile of uid=%d (%d positive preferences):\n", *uid, len(prof))
 		for i, p := range prof {
 			if i >= *n {
-				fmt.Printf("  ... %d more\n", len(prof)-i)
+				fmt.Fprintf(w, "  ... %d more\n", len(prof)-i)
 				break
 			}
-			fmt.Printf("  %8.4f  %s\n", p.Intensity, p.Pred)
+			fmt.Fprintf(w, "  %8.4f  %s\n", p.Intensity, p.Pred)
 		}
 
 	case "enhance":
 		text, intensity := sys.EnhancedQuery(*uid, *n)
-		fmt.Printf("SELECT * FROM dblp JOIN dblp_author ON dblp.pid = dblp_author.pid\nWHERE %s;\n", text)
-		fmt.Printf("-- combined intensity %.4f\n", intensity)
+		fmt.Fprintf(w, "SELECT * FROM dblp JOIN dblp_author ON dblp.pid = dblp_author.pid\nWHERE %s;\n", text)
+		fmt.Fprintf(w, "-- combined intensity %.4f\n", intensity)
 
 	case "topk":
 		top, err := sys.TopK(*uid, *k, core.Complete)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		base, err := sys.TopKBaseline(*uid, *k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("Top-%d for uid=%d (PEPS | TA baseline):\n", *k, *uid)
+		fmt.Fprintf(w, "Top-%d for uid=%d (PEPS | TA baseline):\n", *k, *uid)
 		for i := 0; i < *k; i++ {
 			left, right := "-", "-"
 			if i < len(top) {
@@ -98,73 +116,64 @@ func main() {
 			if i < len(base) {
 				right = fmt.Sprintf("%.4f pid=%d", base[i].Intensity, base[i].PID)
 			}
-			fmt.Printf("%3d. %-48s | %s\n", i+1, left, right)
+			fmt.Fprintf(w, "%3d. %-48s | %s\n", i+1, left, right)
 		}
 
 	case "cypher":
 		if *query == "" {
-			fatal(fmt.Errorf("cypher requires -q"))
+			return errors.New("cypher requires -q")
 		}
 		res, err := sys.Graph.Store().Query(*query)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, c := range res.Columns {
-			fmt.Printf("%-28s", c)
+			fmt.Fprintf(w, "%-28s", c)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, row := range res.Rows {
 			for _, v := range row {
-				fmt.Printf("%-28s", v.AsString())
+				fmt.Fprintf(w, "%-28s", v.AsString())
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		fmt.Printf("(%d rows)\n", len(res.Rows))
+		fmt.Fprintf(w, "(%d rows)\n", len(res.Rows))
 
 	case "demo":
-		demo(sys, prefs, *uid, *k)
+		return demo(w, sys, prefs, *uid, *k)
 
 	default:
-		usage()
-		os.Exit(2)
+		return errUsage
 	}
+	return nil
 }
 
-func demo(sys *core.System, prefs *workload.Prefs, uid int64, k int) {
-	fmt.Printf("== HYPRE demo: personalized paper search for uid=%d ==\n\n", uid)
+func demo(w io.Writer, sys *core.System, prefs *workload.Prefs, uid int64, k int) error {
+	fmt.Fprintf(w, "== HYPRE demo: personalized paper search for uid=%d ==\n\n", uid)
 	prof := sys.Profile(uid)
-	fmt.Printf("1. Profile: %d usable preferences after qualitative conversion.\n", len(prof))
+	fmt.Fprintf(w, "1. Profile: %d usable preferences after qualitative conversion.\n", len(prof))
 	show := len(prof)
 	if show > 5 {
 		show = 5
 	}
 	for _, p := range prof[:show] {
-		fmt.Printf("   %8.4f  %s\n", p.Intensity, p.Pred)
+		fmt.Fprintf(w, "   %8.4f  %s\n", p.Intensity, p.Pred)
 	}
 	qt, ql := prefs.UserPrefs(uid)
-	fmt.Printf("\n2. The user originally supplied %d quantitative and %d qualitative preferences;\n", len(qt), len(ql))
-	fmt.Printf("   intensity propagation (Eq 4.1/4.2) converted the qualitative ones into usable scores.\n")
+	fmt.Fprintf(w, "\n2. The user originally supplied %d quantitative and %d qualitative preferences;\n", len(qt), len(ql))
+	fmt.Fprintf(w, "   intensity propagation (Eq 4.1/4.2) converted the qualitative ones into usable scores.\n")
 
 	text, intensity := sys.EnhancedQuery(uid, 6)
-	fmt.Printf("\n3. Preference-enhanced query (mixed AND/OR semantics, intensity %.4f):\n   WHERE %s\n", intensity, text)
+	fmt.Fprintf(w, "\n3. Preference-enhanced query (mixed AND/OR semantics, intensity %.4f):\n   WHERE %s\n", intensity, text)
 
 	top, err := sys.TopK(uid, k, core.Complete)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\n4. Top-%d papers by combined intensity (PEPS):\n", k)
+	fmt.Fprintf(w, "\n4. Top-%d papers by combined intensity (PEPS):\n", k)
 	for i, tu := range top {
 		row, _ := sys.TupleByKey("dblp", "pid", tu.PID)
-		fmt.Printf("   %2d. %.4f  %s\n", i+1, tu.Intensity, core.DescribeTuple(row, "venue", "year", "title"))
+		fmt.Fprintf(w, "   %2d. %.4f  %s\n", i+1, tu.Intensity, core.DescribeTuple(row, "venue", "year", "title"))
 	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: hypre <stats|profile|enhance|topk|cypher|demo> [flags]
-run "hypre <subcommand> -h" for flags`)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hypre:", err)
-	os.Exit(1)
+	return nil
 }

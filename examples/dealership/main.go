@@ -7,8 +7,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hypre/internal/core"
 	"hypre/internal/predicate"
@@ -17,6 +20,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example to w. It takes no arguments.
+func run(w io.Writer, _ []string) error {
 	// The dealership relation of Table 8.
 	db := relstore.NewDB()
 	tbl, err := db.CreateTable("dealership",
@@ -26,7 +36,7 @@ func main() {
 		relstore.Column{Name: "make", Kind: predicate.KindString},
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cars := []struct {
 		id, price, mileage int64
@@ -39,7 +49,7 @@ func main() {
 	for _, c := range cars {
 		if _, err := tbl.Insert(predicate.Int(c.id), predicate.Int(c.price),
 			predicate.Int(c.mileage), predicate.String(c.make_)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -50,29 +60,33 @@ func main() {
 
 	// Example 6's preferences with intensities.
 	const buyer = int64(1)
-	must(sys.AddQuantitative(buyer, `price BETWEEN 7000 AND 16000`, 0.8))
-	must(sys.AddQuantitative(buyer, `mileage BETWEEN 20000 AND 50000`, 0.5))
-	must(sys.AddQuantitative(buyer, `make IN ("BMW","Honda")`, 0.2))
+	if err := errors.Join(
+		sys.AddQuantitative(buyer, `price BETWEEN 7000 AND 16000`, 0.8),
+		sys.AddQuantitative(buyer, `mileage BETWEEN 20000 AND 50000`, 0.5),
+		sys.AddQuantitative(buyer, `make IN ("BMW","Honda")`, 0.2),
+	); err != nil {
+		return err
+	}
 
-	fmt.Println("preferences:")
+	fmt.Fprintln(w, "preferences:")
 	for _, p := range sys.Profile(buyer) {
-		fmt.Printf("  %0.1f  %s\n", p.Intensity, p.Pred)
+		fmt.Fprintf(w, "  %0.1f  %s\n", p.Intensity, p.Pred)
 	}
 
 	top, err := sys.TopK(buyer, 3, core.Complete)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nHYPRE ranking (Table 9):")
+	fmt.Fprintln(w, "\nHYPRE ranking (Table 9):")
 	for i, t := range top {
 		row, _ := sys.TupleByKey("dealership", "id", t.PID)
-		fmt.Printf("  %d. t%d  intensity %.2f  (%s)\n", i+1, t.PID, t.Intensity,
+		fmt.Fprintf(w, "  %d. t%d  intensity %.2f  (%s)\n", i+1, t.PID, t.Intensity,
 			core.DescribeTuple(row, "price", "mileage", "make"))
 	}
 	if top[0].PID != 1 || top[1].PID != 2 || top[2].PID != 3 {
-		log.Fatalf("unexpected ranking: %+v", top)
+		return fmt.Errorf("unexpected ranking: %+v", top)
 	}
-	fmt.Println("\nexpected order t1 > t2 > t3 confirmed.")
+	fmt.Fprintln(w, "\nexpected order t1 > t2 > t3 confirmed.")
 
 	// Now the same preferences through Preference SQL (§2.5's PREFERRING
 	// clause) — which has no intensities, only a partial order.
@@ -82,26 +96,21 @@ func main() {
 	pareto := prefsql.And(price, mileage, makeP)
 	res, err := prefsql.Evaluate(db, relstore.Query{From: "dealership"}, pareto)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nPreference SQL, PREFERRING %s:\n", pareto)
+	fmt.Fprintf(w, "\nPreference SQL, PREFERRING %s:\n", pareto)
 	for li, level := range res.Levels {
-		fmt.Printf("  BMO level %d:", li)
+		fmt.Fprintf(w, "  BMO level %d:", li)
 		for _, r := range level {
 			v, _ := r.Get("id")
-			fmt.Printf(" t%d", v.AsInt())
+			fmt.Fprintf(w, " t%d", v.AsInt())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if lv2, lv3 := res.LevelOf("id", predicate.Int(2)), res.LevelOf("id", predicate.Int(3)); lv2 != lv3 {
-		log.Fatalf("expected t2 and t3 tied under Pareto, got levels %d/%d", lv2, lv3)
+		return fmt.Errorf("expected t2 and t3 tied under Pareto, got levels %d/%d", lv2, lv3)
 	}
-	fmt.Println("\nt2 and t3 land in the same BMO level: without intensity, Preference")
-	fmt.Println("SQL cannot decide between them — the ambiguity HYPRE resolves above.")
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintln(w, "\nt2 and t3 land in the same BMO level: without intensity, Preference")
+	fmt.Fprintln(w, "SQL cannot decide between them — the ambiguity HYPRE resolves above.")
+	return nil
 }

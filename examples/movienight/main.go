@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hypre/internal/core"
 	"hypre/internal/cpnet"
@@ -22,6 +25,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example to w. It takes no arguments.
+func run(w io.Writer, _ []string) error {
 	// --- The movie relation (Table 3, extended). ---
 	db := relstore.NewDB()
 	tbl, err := db.CreateTable("movies",
@@ -32,7 +42,7 @@ func main() {
 		relstore.Column{Name: "genre", Kind: predicate.KindString},
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	movies := []struct {
 		mid             int64
@@ -55,11 +65,15 @@ func main() {
 
 	// --- 1. Context: what applies tonight? ---
 	company := ctxpref.NewHierarchy("company")
-	must(company.Add("friends", ctxpref.All))
-	must(company.Add("family", ctxpref.All))
 	weather := ctxpref.NewHierarchy("weather")
-	must(weather.Add("good", ctxpref.All))
-	must(weather.Add("rainy", ctxpref.All))
+	if err := errors.Join(
+		company.Add("friends", ctxpref.All),
+		company.Add("family", ctxpref.All),
+		weather.Add("good", ctxpref.All),
+		weather.Add("rainy", ctxpref.All),
+	); err != nil {
+		return err
+	}
 	model := ctxpref.NewModel(company, weather)
 
 	entries := []ctxpref.Entry{
@@ -70,33 +84,37 @@ func main() {
 	}
 	cg, err := ctxpref.Build(model, entries)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tonight := ctxpref.State{"friends", "rainy"}
 	ctxPrefs, err := cg.Resolve(tonight)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("context %v activates %d preferences (most specific first):\n", tonight, len(ctxPrefs))
+	fmt.Fprintf(w, "context %v activates %d preferences (most specific first):\n", tonight, len(ctxPrefs))
 	for _, p := range ctxPrefs {
-		fmt.Printf("  %+0.2f  %s\n", p.Intensity, p.Pred)
+		fmt.Fprintf(w, "  %+0.2f  %s\n", p.Intensity, p.Pred)
 	}
 
 	// --- 2. CP-net: conditional taste (Fig. 3). ---
 	n := cpnet.New()
-	must(n.AddAttr("genre", "comedy", "drama"))
-	must(n.AddAttr("director", "W.Allen", "M.Curtiz"))
-	must(n.SetParents("director", "genre"))
-	must(n.SetCPT("genre", nil, "comedy", "drama"))
-	must(n.SetCPT("director", map[string]string{"genre": "comedy"}, "W.Allen", "M.Curtiz"))
-	must(n.SetCPT("director", map[string]string{"genre": "drama"}, "M.Curtiz", "W.Allen"))
+	if err := errors.Join(
+		n.AddAttr("genre", "comedy", "drama"),
+		n.AddAttr("director", "W.Allen", "M.Curtiz"),
+		n.SetParents("director", "genre"),
+		n.SetCPT("genre", nil, "comedy", "drama"),
+		n.SetCPT("director", map[string]string{"genre": "comedy"}, "W.Allen", "M.Curtiz"),
+		n.SetCPT("director", map[string]string{"genre": "drama"}, "M.Curtiz", "W.Allen"),
+	); err != nil {
+		return err
+	}
 	order, err := n.Order()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nCP-net outcome order (ceteris paribus):")
+	fmt.Fprintln(w, "\nCP-net outcome order (ceteris paribus):")
 	for i, o := range order {
-		fmt.Printf("  %d. %s by %s\n", i+1, o["genre"], o["director"])
+		fmt.Fprintf(w, "  %d. %s by %s\n", i+1, o["genre"], o["director"])
 	}
 
 	// --- 3. Group profile: merge the household's tastes in HYPRE. ---
@@ -107,50 +125,52 @@ func main() {
 	// Ana (1) follows tonight's context; the CP-net's top outcomes become
 	// her qualitative edge.
 	for _, p := range ctxPrefs {
-		must(sys.AddQuantitative(1, p.Pred, p.Intensity))
+		if err := sys.AddQuantitative(1, p.Pred, p.Intensity); err != nil {
+			return err
+		}
 	}
 	if _, err := sys.AddQualitative(1, `director="W.Allen"`, `director="M.Curtiz"`, 0.3); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Ben (2) is a Spielberg drama person who dislikes old movies.
-	must(sys.AddQuantitative(2, `director="S.Spielberg"`, 0.8))
-	must(sys.AddQuantitative(2, `genre="drama"`, 0.5))
-	must(sys.AddQuantitative(2, `year<1960`, -0.4))
+	if err := errors.Join(
+		sys.AddQuantitative(2, `director="S.Spielberg"`, 0.8),
+		sys.AddQuantitative(2, `genre="drama"`, 0.5),
+		sys.AddQuantitative(2, `year<1960`, -0.4),
+	); err != nil {
+		return err
+	}
 
 	group, err := sys.Graph.GroupProfile([]int64{1, 2}, hypre.GroupAverage)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\ngroup profile (average strategy):")
+	fmt.Fprintln(w, "\ngroup profile (average strategy):")
 	for _, p := range group {
-		fmt.Printf("  %+0.3f  %s\n", p.Intensity, p.Pred)
+		fmt.Fprintf(w, "  %+0.3f  %s\n", p.Intensity, p.Pred)
 	}
 
 	top, err := sys.GroupTopK([]int64{1, 2}, hypre.GroupAverage, 3, core.Complete)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\ntonight's top-3 for the household:")
+	fmt.Fprintln(w, "\ntonight's top-3 for the household:")
 	for i, t := range top {
 		row, _ := sys.TupleByKey("movies", "mid", t.PID)
-		fmt.Printf("  %d. %.4f  %s\n", i+1, t.Intensity,
+		fmt.Fprintf(w, "  %d. %.4f  %s\n", i+1, t.Intensity,
 			core.DescribeTuple(row, "title", "genre", "director", "year"))
 	}
 	if len(top) == 0 {
-		log.Fatal("no recommendation")
+		return errors.New("no recommendation")
 	}
+	return nil
 }
 
+// sp parses a literal preference; a malformed literal is a bug here.
 func sp(pred string, in float64) hypre.ScoredPred {
 	p, err := hypre.NewScoredPred(pred, in)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	return p
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

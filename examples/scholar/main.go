@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hypre/internal/core"
 	"hypre/internal/metrics"
@@ -17,34 +19,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example to w. It takes no arguments.
+func run(w io.Writer, _ []string) error {
 	cfg := workload.DefaultConfig()
 	cfg.NumPapers = 2000
 	cfg.NumAuthors = 600
 	sys, prefs, err := core.NewSystemWithWorkload(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Pick the "rich" exemplar scholar (the paper's uid=2 stand-in).
 	uid, _ := prefs.PickUsers(170, 50)
 	qt, ql := prefs.UserPrefs(uid)
-	fmt.Printf("scholar uid=%d: %d quantitative + %d qualitative extracted preferences\n",
+	fmt.Fprintf(w, "scholar uid=%d: %d quantitative + %d qualitative extracted preferences\n",
 		uid, len(qt), len(ql))
 
 	prof := sys.Profile(uid)
-	fmt.Printf("converted profile: %d usable preferences\n\n", len(prof))
+	fmt.Fprintf(w, "converted profile: %d usable preferences\n\n", len(prof))
 
 	const k = 100
 	peps, err := sys.TopK(uid, k, core.Complete)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ta, err := sys.TopKBaseline(uid, k)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-4s %-34s %-20s\n", "rank", "PEPS (hybrid profile)", "TA (quantitative only)")
+	fmt.Fprintf(w, "%-4s %-34s %-20s\n", "rank", "PEPS (hybrid profile)", "TA (quantitative only)")
 	for i := 0; i < k && (i < len(peps) || i < len(ta)); i++ {
 		var l, r string
 		if i < len(peps) {
@@ -54,13 +63,14 @@ func main() {
 		if i < len(ta) {
 			r = fmt.Sprintf("%.4f pid=%d", ta[i].Intensity, ta[i].PID)
 		}
-		fmt.Printf("%-4d %-34s %-20s\n", i+1, l, r)
+		fmt.Fprintf(w, "%-4d %-34s %-20s\n", i+1, l, r)
 	}
 
 	sim := metrics.Similarity(metrics.PIDs(peps), metrics.PIDs(ta))
 	ovl := metrics.Overlap(metrics.PIDs(peps), metrics.PIDs(ta))
-	fmt.Printf("\nsimilarity %.0f%%, pairwise order concordance on shared tuples %.0f%%\n", sim*100, ovl*100)
-	fmt.Println("PEPS diverges from TA where qualitative knowledge adds or boosts tuples")
-	fmt.Println("TA cannot see; on a purely quantitative profile the two agree exactly")
-	fmt.Println("(100% similarity and overlap — see the fig37 experiment).")
+	fmt.Fprintf(w, "\nsimilarity %.0f%%, pairwise order concordance on shared tuples %.0f%%\n", sim*100, ovl*100)
+	fmt.Fprintln(w, "PEPS diverges from TA where qualitative knowledge adds or boosts tuples")
+	fmt.Fprintln(w, "TA cannot see; on a purely quantitative profile the two agree exactly")
+	fmt.Fprintln(w, "(100% similarity and overlap — see the fig37 experiment).")
+	return nil
 }

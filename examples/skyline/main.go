@@ -8,8 +8,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hypre/internal/core"
 	"hypre/internal/predicate"
@@ -17,6 +20,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example to w. It takes no arguments.
+func run(w io.Writer, _ []string) error {
 	db := relstore.NewDB()
 	tbl, err := db.CreateTable("hotels",
 		relstore.Column{Name: "id", Kind: predicate.KindInt},
@@ -25,7 +35,7 @@ func main() {
 		relstore.Column{Name: "distance", Kind: predicate.KindInt}, // meters to beach
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hotels := []struct {
 		id              int64
@@ -42,7 +52,7 @@ func main() {
 	for _, h := range hotels {
 		if _, err := tbl.Insert(predicate.Int(h.id), predicate.String(h.name),
 			predicate.Int(h.price), predicate.Int(h.distance)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -54,28 +64,32 @@ func main() {
 
 	// The attribute preference <price, min> becomes a predicate ladder:
 	// cheaper buckets carry higher intensity.
-	must(sys.AddQuantitative(traveler, `price<=80`, 0.9))
-	must(sys.AddQuantitative(traveler, `price<=150`, 0.5))
-	must(sys.AddQuantitative(traveler, `price<=300`, 0.1))
-	// Likewise <distance, min>.
-	must(sys.AddQuantitative(traveler, `distance<=100`, 0.7))
-	must(sys.AddQuantitative(traveler, `distance<=500`, 0.4))
-	must(sys.AddQuantitative(traveler, `distance<=2500`, 0.05))
+	if err := errors.Join(
+		sys.AddQuantitative(traveler, `price<=80`, 0.9),
+		sys.AddQuantitative(traveler, `price<=150`, 0.5),
+		sys.AddQuantitative(traveler, `price<=300`, 0.1),
+		// Likewise <distance, min>.
+		sys.AddQuantitative(traveler, `distance<=100`, 0.7),
+		sys.AddQuantitative(traveler, `distance<=500`, 0.4),
+		sys.AddQuantitative(traveler, `distance<=2500`, 0.05),
+	); err != nil {
+		return err
+	}
 	// "Price is more important than distance": a qualitative edge between
 	// the two ladders' top rungs. The conflict machinery keeps the order
 	// consistent.
 	if _, err := sys.AddQualitative(traveler, `price<=80`, `distance<=100`, 0.2); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	top, err := sys.TopK(traveler, 6, core.Complete)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("skyline-style ranking (price dominates distance):")
+	fmt.Fprintln(w, "skyline-style ranking (price dominates distance):")
 	for i, t := range top {
 		row, _ := sys.TupleByKey("hotels", "id", t.PID)
-		fmt.Printf("  %d. %.4f  %s\n", i+1, t.Intensity,
+		fmt.Fprintf(w, "  %d. %.4f  %s\n", i+1, t.Intensity,
 			core.DescribeTuple(row, "name", "price", "distance"))
 	}
 
@@ -87,17 +101,12 @@ func main() {
 		rank[t.PID] = i
 	}
 	if rank[1] > rank[3] {
-		log.Fatal("Budget Beach should beat Grand Luxe")
+		return errors.New("Budget Beach should beat Grand Luxe")
 	}
 	if rank[4] > rank[6] {
-		log.Fatal("Cheap Inland should beat Pricey Far")
+		return errors.New("Cheap Inland should beat Pricey Far")
 	}
-	fmt.Println("\ndominance checks passed: cheaper hotels outrank pricier ones at")
-	fmt.Println("comparable distance, matching the skyline the user asked for.")
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintln(w, "\ndominance checks passed: cheaper hotels outrank pricier ones at")
+	fmt.Fprintln(w, "comparable distance, matching the skyline the user asked for.")
+	return nil
 }

@@ -467,9 +467,7 @@ func (s *Set) Optimize() {
 // SizeBytes returns the set's serialized footprint: container payloads
 // plus one metadata word per container plus a fixed set header — the
 // MemStats currency every layer rolls up. Like roaring's size accounting,
-// Go object headers are excluded; the matching dense baseline
-// (combine.Bitmap.DenseSizeBytes) excludes them too, so the
-// dense-over-compressed ratios compare representations one-to-one.
+// Go object headers are excluded.
 func (s *Set) SizeBytes() int64 {
 	n := int64(8)
 	for i := range s.cs {

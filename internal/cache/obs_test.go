@@ -22,7 +22,7 @@ func newEval(net *workload.Network) *combine.Evaluator {
 
 func mustOutcome(t *testing.T, srv *cache.Server, prof []hypre.ScoredPred, k int, want cache.Outcome) {
 	t.Helper()
-	_, out, err := srv.TopKTraced(prof, k, nil)
+	_, out, err := topK(srv, prof, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	// counts as repaired only if its answer changed.
 	before := map[int][]combine.ScoredTuple{}
 	for _, k := range []int{10, 25} {
-		got, out, err := srv.TopKTraced(prof, k, nil)
+		got, out, err := topK(srv, prof, k, nil)
 		if err != nil || out != cache.Miss {
 			t.Fatalf("k=%d cold ask: outcome %v err %v, want Miss", k, out, err)
 		}
@@ -70,7 +70,7 @@ func TestServerObsCounterInvariant(t *testing.T) {
 	}
 	wantRepaired := int64(0)
 	for _, k := range []int{10, 25} {
-		got, out, err := srv.TopKTraced(prof, k, nil)
+		got, out, err := topK(srv, prof, k, nil)
 		if err != nil || out != cache.Hit {
 			t.Fatalf("k=%d post-sync ask: outcome %v err %v, want the repaired Hit", k, out, err)
 		}
@@ -130,7 +130,7 @@ func TestServerTraceCoverage(t *testing.T) {
 
 	for _, route := range []string{"miss", "hit"} {
 		tr := obs.NewTrace()
-		if _, _, err := srv.TopKTraced(prof, 10, tr); err != nil {
+		if _, _, err := topK(srv, prof, 10, tr); err != nil {
 			t.Fatal(err)
 		}
 		if tr.Route != route {
@@ -149,7 +149,7 @@ func TestServerTraceCoverage(t *testing.T) {
 	// A fresh miss trace carries the execution decision, the resident
 	// ranking's span, and the query identity.
 	tr := obs.NewTrace()
-	if _, _, err := srv.TopKTraced(venueProfile(t, net, []int{5}, 0), 10, tr); err != nil {
+	if _, _, err := topK(srv, venueProfile(t, net, []int{5}, 0), 10, tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Exec != "resident" {
@@ -173,11 +173,11 @@ func TestServerSlowLogCapture(t *testing.T) {
 	srv := cache.NewServer(ev, cache.Config{SlowLog: slow})
 	prof := venueProfile(t, net, []int{1}, 1999)
 
-	if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil { // untraced miss
+	if _, _, err := topK(srv, prof, 10, nil); err != nil { // untraced miss
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace()
-	if _, _, err := srv.TopKTraced(prof, 10, tr); err != nil { // traced hit
+	if _, _, err := topK(srv, prof, 10, tr); err != nil { // traced hit
 		t.Fatal(err)
 	}
 
@@ -231,7 +231,7 @@ func TestServerTracedServeVsMutate(t *testing.T) {
 			prof := venueProfile(t, net, pool[g], 0)
 			for i := 0; i < rounds; i++ {
 				tr := obs.NewTrace()
-				if _, _, err := srv.TopKTraced(prof, 10, tr); err != nil {
+				if _, _, err := topK(srv, prof, 10, tr); err != nil {
 					t.Error(err)
 					return
 				}

@@ -178,7 +178,7 @@ func TestRepairOracleAdversarial(t *testing.T) {
 			}
 			askAll := func(tag string) {
 				for i, key := range keys {
-					got, _, err := srv.TopKTraced(key.prof, key.k, nil)
+					got, _, err := topK(srv, key.prof, key.k, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -342,7 +342,7 @@ func TestServerReadersVsRepairSwap(t *testing.T) {
 		pool = append(pool, venueProfile(t, net, []int{i, i + 4}, 1995+i))
 	}
 	for _, p := range pool {
-		if _, _, err := srv.TopKTraced(p, 10, nil); err != nil {
+		if _, _, err := topK(srv, p, 10, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,7 +359,7 @@ func TestServerReadersVsRepairSwap(t *testing.T) {
 					return
 				default:
 				}
-				got, _, err := srv.TopKTraced(pool[i%len(pool)], 10, nil)
+				got, _, err := topK(srv, pool[i%len(pool)], 10, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -376,7 +376,7 @@ func TestServerReadersVsRepairSwap(t *testing.T) {
 	for batch := 0; batch < 12; batch++ {
 		top, ok := srv.Peek(pool[batch%len(pool)], 10)
 		if !ok {
-			if top, _, err = srv.TopKTraced(pool[batch%len(pool)], 10, nil); err != nil {
+			if top, _, err = topK(srv, pool[batch%len(pool)], 10, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -389,7 +389,7 @@ func TestServerReadersVsRepairSwap(t *testing.T) {
 	wg.Wait()
 
 	for i, p := range pool {
-		got, _, err := srv.TopKTraced(p, 10, nil)
+		got, _, err := topK(srv, p, 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +462,7 @@ func TestServerFreshPredicatesVsSync(t *testing.T) {
 						// answer is served from the cache.
 						for out := cache.Miss; out != cache.Hit; {
 							var err error
-							if _, out, err = srv.TopKTraced(prof, k, nil); err != nil {
+							if _, out, err = topK(srv, prof, k, nil); err != nil {
 								t.Error(err)
 								return
 							}

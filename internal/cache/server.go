@@ -24,8 +24,8 @@ import (
 // Canonicalization happens at most once per request, and never on a stored
 // profile: TopKContext takes a combine.Canonical, which its caller built
 // once (the HTTP tier when a session is stored or an inline query arrives)
-// and which carries the fingerprint the cache keys on. TopKTraced is the
-// raw-profile wrapper: it canonicalizes for its caller.
+// and which carries the fingerprint the cache keys on. TopKTraced, which
+// canonicalizes for its caller, stays only for the benchmark module.
 //
 // The evaluator's bitmap store is the cache's only record of predicate
 // membership: a miss materializes the profile's non-resident predicates
@@ -176,25 +176,27 @@ func (s *Server) Cache() *Cache { return s.c }
 // Counters exposes the shared counter set.
 func (s *Server) Counters() *metrics.CacheCounters { return s.counters }
 
-// TopKTraced answers a top-k profile query through the cache. The answer
-// is byte-identical to BuildLists + TA on a fresh evaluator over the
-// canonical form of prefs (combine.CanonicalProfile) against the
-// last-synced store snapshot; the returned slice is the caller's to keep.
-// The route decision, contiguous stage spans, and the chosen path's engine
-// counters land in tr (nil = disabled). Latency histograms and the slow
-// log observe every call when attached, traced or not; with neither
-// attached and tr nil the serve path never reads the clock. It
-// canonicalizes prefs inside the request's canonicalize span.
+// TopKTraced is TopKContext over a raw profile and without cancellation:
+// it canonicalizes prefs inside the request's canonicalize span. Only the
+// benchmark module calls it.
 func (s *Server) TopKTraced(prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, Outcome, error) {
 	sp, started := s.begin(k, tr)
 	return s.serve(context.Background(), combine.Canonicalize(prefs), k, tr, sp, started)
 }
 
-// TopKContext serves a profile its caller has already canonicalized, with
-// request-scoped cancellation: a ctx that ends while this request is parked
-// behind another session's in-flight evaluation of the same fingerprint
-// unblocks immediately with ctx.Err() (outcome SharedMiss, nothing recorded
-// as served). Cancellation stops WAITING only — a single-flight leader's
+// TopKContext answers a top-k query for a canonical profile through the
+// cache. The answer is byte-identical to BuildLists + TA on a fresh
+// evaluator over the canonical profile against the last-synced store
+// snapshot; the returned slice is the caller's to keep. The route
+// decision, contiguous stage spans, and the chosen path's engine counters
+// land in tr (nil = disabled). Latency histograms and the slow log observe
+// every call when attached, traced or not; with neither attached and tr
+// nil the serve path never reads the clock.
+//
+// Cancellation is request-scoped: a ctx that ends while this request is
+// parked behind another session's in-flight evaluation of the same
+// fingerprint unblocks immediately with ctx.Err() (outcome SharedMiss,
+// nothing recorded as served). Cancellation stops WAITING only — a single-flight leader's
 // evaluation is shared work and always runs to completion and publishes, so
 // the canceled waiter's peers (and the next request) still get their
 // answer. The HTTP serving tier canonicalizes each profile once, when a

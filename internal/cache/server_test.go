@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -37,6 +38,12 @@ func newServer(t testing.TB, net *workload.Network) (*cache.Server, *combine.Eva
 	t.Helper()
 	ev := combine.NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
 	return cache.NewServer(ev, cache.Config{}), ev
+}
+
+// topK serves a raw profile the way hypred does: canonicalize it, then
+// TopKContext.
+func topK(srv *cache.Server, prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, cache.Outcome, error) {
+	return srv.TopKContext(context.Background(), combine.Canonicalize(prefs), k, tr)
 }
 
 func sp(t testing.TB, pred string, in float64) hypre.ScoredPred {
@@ -93,14 +100,14 @@ func TestServerHitIdentical(t *testing.T) {
 	srv, _ := newServer(t, net)
 	prof := venueProfile(t, net, []int{0, 2, 5}, 2001)
 
-	first, out1, err := srv.TopKTraced(prof, 10, nil)
+	first, out1, err := topK(srv, prof, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out1 != cache.Miss {
 		t.Fatalf("cold ask outcome = %v, want Miss", out1)
 	}
-	second, out2, err := srv.TopKTraced(prof, 10, nil)
+	second, out2, err := topK(srv, prof, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestServerHitIdentical(t *testing.T) {
 	}
 	// A permutation of the profile is the same fingerprint → same entry.
 	perm := []hypre.ScoredPred{prof[3], prof[1], prof[0], prof[2]}
-	permuted, out3, err := srv.TopKTraced(perm, 10, nil)
+	permuted, out3, err := topK(srv, perm, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestServerNewK(t *testing.T) {
 			}
 			for _, k := range []int{10, 25} {
 				tr := obs.NewTrace()
-				got, out, err := srv.TopKTraced(prof, k, tr)
+				got, out, err := topK(srv, prof, k, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -252,10 +259,10 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 
 	profA := venueProfile(t, net, []int{0}, 0) // venue[0] only
 	profB := venueProfile(t, net, []int{1}, 0) // venue[1] only
-	if _, _, err := srv.TopKTraced(profA, 10, nil); err != nil {
+	if _, _, err := topK(srv, profA, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.TopKTraced(profB, 10, nil); err != nil {
+	if _, _, err := topK(srv, profB, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,14 +275,14 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gotB, outB, err := srv.TopKTraced(profB, 10, nil)
+	gotB, outB, err := topK(srv, profB, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if outB != cache.Hit {
 		t.Fatalf("unrelated entry was invalidated (outcome %v)", outB)
 	}
-	gotA, outA, err := srv.TopKTraced(profA, 10, nil)
+	gotA, outA, err := topK(srv, profA, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +312,7 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	gotA, outA, err = srv.TopKTraced(profA, 10, nil)
+	gotA, outA, err = topK(srv, profA, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +325,7 @@ func TestServerDeltaInvalidationPrecision(t *testing.T) {
 	if inv := srv.Counters().Invalidated.Load(); inv != 1 {
 		t.Fatalf("Invalidated = %d, want the one entry that lost a member", inv)
 	}
-	if _, outB, err = srv.TopKTraced(profB, 10, nil); err != nil || outB != cache.Hit {
+	if _, outB, err = topK(srv, profB, 10, nil); err != nil || outB != cache.Hit {
 		t.Fatalf("unrelated entry after the delete: outcome %v err %v, want Hit", outB, err)
 	}
 }
@@ -335,7 +342,7 @@ func TestServerWriteFence(t *testing.T) {
 	}
 	m.AttachCache(srv)
 	prof := venueProfile(t, net, []int{0, 4}, 1995)
-	if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil {
+	if _, _, err := topK(srv, prof, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,11 +355,11 @@ func TestServerWriteFence(t *testing.T) {
 	err = srv.Write(func() error {
 		mutateVenue(t, net, net.Venues[3], net.Venues[0])
 		go func() {
-			got, out, err := srv.TopKTraced(prof, 10, nil)
+			got, out, err := topK(srv, prof, 10, nil)
 			done <- answer{got, out, err}
 		}()
 		go func() {
-			got, out, err := srv.TopKTraced(prof, 10, obs.NewTrace())
+			got, out, err := topK(srv, prof, 10, obs.NewTrace())
 			done <- answer{got, out, err}
 		}()
 		// Give both requests time to find the commit; neither may answer
@@ -494,7 +501,7 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 	}
 	// Make the two resident predicates resident.
 	prof, k, _ := profile(-1, 1)
-	if _, _, err := srv.TopKTraced(prof, k, nil); err != nil {
+	if _, _, err := topK(srv, prof, k, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -516,7 +523,7 @@ func TestServerResidentVsUnsyncedCommit(t *testing.T) {
 				default:
 				}
 				prof, k, class := profile(w, n)
-				got, _, err := srv.TopKTraced(prof, k, nil)
+				got, _, err := topK(srv, prof, k, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -613,7 +620,7 @@ func TestServerBypassVsCommitBurst(t *testing.T) {
 					return
 				default:
 				}
-				got, out, err := srv.TopKTraced(prof, k, nil)
+				got, out, err := topK(srv, prof, k, nil)
 				if n == 0 {
 					started.Done()
 				}
@@ -678,13 +685,13 @@ func TestServerStaleBypass(t *testing.T) {
 	}
 	m.AttachCache(srv)
 	prof := venueProfile(t, net, []int{0, 4}, 1995)
-	if _, _, err := srv.TopKTraced(prof, 10, nil); err != nil {
+	if _, _, err := topK(srv, prof, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	mutateVenue(t, net, net.Venues[3], net.Venues[0])
 	tr := obs.NewTrace()
-	got, out, err := srv.TopKTraced(prof, 10, tr)
+	got, out, err := topK(srv, prof, 10, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +704,7 @@ func TestServerStaleBypass(t *testing.T) {
 	if _, err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got, out, err = srv.TopKTraced(prof, 10, nil); err != nil || out != cache.Hit {
+	if got, out, err = topK(srv, prof, 10, nil); err != nil || out != cache.Hit {
 		t.Fatalf("post-sync ask = (%v, %v), want the repaired entry's Hit", out, err)
 	}
 	if want := uncached(t, net, prof, 10); !sameRanking(got, want) {
@@ -724,7 +731,7 @@ func TestServerSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			out, _, err := srv.TopKTraced(prof, 10, nil)
+			out, _, err := topK(srv, prof, 10, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -788,7 +795,7 @@ func TestServerEquivalenceRandomized(t *testing.T) {
 			ops := stream.PlanPartitions(1, 4*30)[0]
 			for batch := 0; batch < 4; batch++ {
 				for _, idx := range mix {
-					got, _, err := srv.TopKTraced(pool[idx], 10, nil)
+					got, _, err := topK(srv, pool[idx], 10, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -829,7 +836,7 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 	}
 	// Warm the cache.
 	for _, p := range pool {
-		if _, _, err := srv.TopKTraced(p, 10, nil); err != nil {
+		if _, _, err := topK(srv, p, 10, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -847,7 +854,7 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := srv.TopKTraced(pool[i%len(pool)], 10, nil); err != nil {
+				if _, _, err := topK(srv, pool[i%len(pool)], 10, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -869,7 +876,7 @@ func TestServerConcurrentServeAndMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pool {
-		got, _, err := srv.TopKTraced(p, 10, nil)
+		got, _, err := topK(srv, p, 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

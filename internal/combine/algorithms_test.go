@@ -77,7 +77,7 @@ func predSet(t testing.TB, ev *Evaluator, p hypre.ScoredPred) IntSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.ToIntSet(ev.Dict())
+	return ev.Dict().IntSet(b)
 }
 
 func TestCombineTwoANDCounts(t *testing.T) {

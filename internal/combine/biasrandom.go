@@ -3,6 +3,7 @@ package combine
 import (
 	"math/rand"
 
+	"hypre/internal/bitset"
 	"hypre/internal/hypre"
 )
 
@@ -35,19 +36,15 @@ func BiasRandom(prefs []hypre.ScoredPred, ev *Evaluator, rng *rand.Rand, bias fl
 	if bias < 0 {
 		bias = 0
 	}
-	bms := make([]*Bitmap, len(prefs))
-	for i, p := range prefs {
-		b, err := ev.PredBitmap(p)
-		if err != nil {
-			return res, err
-		}
-		bms[i] = b
+	bms, err := ev.predSets(prefs)
+	if err != nil {
+		return res, err
 	}
 	for first := 0; first < len(prefs); first++ {
 		remaining := indexListExcluding(len(prefs), first)
 		// Step 1–2: find an applicable seed pair (first AND second).
 		var cur Combo
-		var curBM *Bitmap
+		var curBM *bitset.Set
 		haveSeed := false
 		for len(remaining) > 0 {
 			pick := flipCoin(prefs, remaining, rng, bias)

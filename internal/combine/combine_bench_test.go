@@ -127,14 +127,14 @@ func BenchmarkIntSetIntersectGalloping(b *testing.B) {
 	}
 }
 
-func benchBitmapPair() (*Bitmap, *Bitmap) {
+func benchBitmapPair() (*bitset.Set, *bitset.Set) {
 	d := NewPidDict()
-	a, c := NewBitmap(), NewBitmap()
+	a, c := bitset.New(), bitset.New()
 	for i := 0; i < 2000; i++ {
-		a.Set(d.Add(int64(i * 2)))
+		a.Add(d.Add(int64(i * 2)))
 	}
 	for i := 0; i < 2000; i++ {
-		c.Set(d.Add(int64(i * 3)))
+		c.Add(d.Add(int64(i * 3)))
 	}
 	return a, c
 }

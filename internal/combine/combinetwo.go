@@ -1,6 +1,9 @@
 package combine
 
-import "hypre/internal/hypre"
+import (
+	"hypre/internal/bitset"
+	"hypre/internal/hypre"
+)
 
 // Semantics selects how Combine-Two joins a pair of predicates.
 type Semantics int
@@ -32,19 +35,15 @@ func (s Semantics) String() string {
 // Every predicate set is materialized once up front; the O(N²) pair loop
 // is then one word-parallel AND (or OR) per pair.
 func CombineTwo(prefs []hypre.ScoredPred, ev *Evaluator, sem Semantics) (Records, error) {
-	bms := make([]*Bitmap, len(prefs))
-	for i, p := range prefs {
-		b, err := ev.PredBitmap(p)
-		if err != nil {
-			return nil, err
-		}
-		bms[i] = b
+	bms, err := ev.predSets(prefs)
+	if err != nil {
+		return nil, err
 	}
 	var out Records
 	for i := 0; i < len(prefs); i++ {
 		for j := i + 1; j < len(prefs); j++ {
 			var c Combo
-			var bm *Bitmap
+			var bm *bitset.Set
 			p1, p2 := prefs[i], prefs[j]
 			if sem == SemanticsANDOR && p1.Attr != "" && p1.Attr == p2.Attr {
 				c = NewCombo(p1).Or(p2)

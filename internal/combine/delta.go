@@ -106,14 +106,14 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (*
 	}
 	slices.SortFunc(pairs, func(a, b pidRow) int { return cmp.Compare(a.pid, b.pid) })
 	var groups []pidRows
-	foot := NewBitmap()
+	foot := bitset.New()
 	for _, pr := range pairs {
 		if n := len(groups); n == 0 || groups[n-1].pid != pr.pid {
 			di, found := ev.dict.Find(pr.pid)
 			if !found {
 				di = -1
 			} else {
-				foot.Set(di)
+				foot.Add(di)
 			}
 			groups = append(groups, pidRows{pid: pr.pid, di: di})
 		}
@@ -179,13 +179,13 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (*
 	// over its touched rows; a bitmap is cloned on its first difference, and
 	// the next version's bitmap slice on the first moved predicate.
 	d := &RowDelta{}
-	var bits []*Bitmap
+	var bits []*bitset.Set
 	for i, id := range resident {
 		bm, sel := v.bits[id], sels[i]
-		if sel.IsEmpty() && !bm.Any(foot) {
+		if sel.IsEmpty() && !bm.Intersects(foot) {
 			continue // matched none of the batch before or after
 		}
-		var patched *Bitmap
+		var patched *bitset.Set
 		for gi := range groups {
 			g := &groups[gi]
 			want := slices.ContainsFunc(g.rows, sel.Contains)
@@ -202,9 +202,9 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (*
 				patched = bm.Clone()
 			}
 			if want {
-				patched.Set(g.di)
+				patched.Add(g.di)
 			} else {
-				patched.Clear(g.di)
+				patched.Remove(g.di)
 			}
 		}
 		if patched != nil {

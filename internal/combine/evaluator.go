@@ -15,10 +15,10 @@ import (
 
 // Evaluator answers combination queries. It materializes the distinct
 // tuple-id set of each atomic preference once (one vectorized relational
-// scan per predicate, like the pre-computed table of §5.5) as a dense
-// bitmap keyed by a shared pid dictionary, and evaluates a Combo with
-// word-parallel set algebra: union within an OR group, intersection across
-// AND groups. Bulk materialization (MaterializeAll) fans the per-predicate
+// scan per predicate, like the pre-computed table of §5.5) as a compressed
+// bitmap (bitset.Set) over a shared pid dictionary's dense ids, and
+// evaluates a Combo with word-parallel set algebra: union within an OR
+// group, intersection across AND groups. Bulk materialization (MaterializeAll) fans the per-predicate
 // scans out over a worker pool; dense dictionary ids are then assigned
 // serially in first-seen order, so bitmaps stay as compact as serial
 // materialization produced. Results are exactly those of running the
@@ -105,9 +105,9 @@ type Evaluator struct {
 // version is one published state of the predicate store. Nothing writes
 // it after it is published.
 type version struct {
-	// bits[id] is the predicate's bitmap, nil while it is not resident; ids
+	// bits[id] is the predicate's set, nil while it is not resident; ids
 	// interned after the version was published lie past its end.
-	bits []*Bitmap
+	bits []*bitset.Set
 	// pids is the dictionary's dense-id → pid table as published: a prefix
 	// of an append-only slice, covering every id the bitmaps set.
 	pids []int64
@@ -115,8 +115,8 @@ type version struct {
 	dictBytes int64
 }
 
-// bit returns the bitmap of id, nil when it is not resident.
-func (v *version) bit(id int32) *Bitmap {
+// bit returns the set of id, nil when it is not resident.
+func (v *version) bit(id int32) *bitset.Set {
 	if id < 0 || int(id) >= len(v.bits) {
 		return nil
 	}
@@ -125,7 +125,7 @@ func (v *version) bit(id int32) *Bitmap {
 
 // anyResident reports whether some predicate is resident.
 func (v *version) anyResident() bool {
-	return slices.ContainsFunc(v.bits, func(b *Bitmap) bool { return b != nil })
+	return slices.ContainsFunc(v.bits, func(b *bitset.Set) bool { return b != nil })
 }
 
 // workerTarget is the configured fan-out width: ev.Workers, defaulting to
@@ -196,7 +196,7 @@ func (ev *Evaluator) internLocked(p hypre.ScoredPred) int32 {
 
 // publishLocked publishes bits, with the dictionary as it stands, as the
 // current version. Caller holds pub or refresh's write side.
-func (ev *Evaluator) publishLocked(bits []*Bitmap) *version {
+func (ev *Evaluator) publishLocked(bits []*bitset.Set) *version {
 	v := &version{bits: bits, pids: ev.dict.pids, dictBytes: ev.dict.SizeBytes()}
 	ev.cur.Store(v)
 	return v
@@ -209,7 +209,7 @@ func (ev *Evaluator) publishLocked(bits []*Bitmap) *version {
 // view stays exact whatever is published after it.
 type Resident struct {
 	IDs  []int32
-	Bits []*Bitmap
+	Bits []*bitset.Set
 	PIDs []int64
 }
 
@@ -217,7 +217,7 @@ type Resident struct {
 // lock. ok reports that every one of them is resident.
 func (ev *Evaluator) Resident(prefs []hypre.ScoredPred) (r Resident, ok bool) {
 	v := ev.cur.Load()
-	r = Resident{IDs: make([]int32, len(prefs)), Bits: make([]*Bitmap, len(prefs)), PIDs: v.pids}
+	r = Resident{IDs: make([]int32, len(prefs)), Bits: make([]*bitset.Set, len(prefs)), PIDs: v.pids}
 	ok = true
 	for i, p := range prefs {
 		r.IDs[i] = ev.id(p)
@@ -301,7 +301,7 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
 	// Every other new id lies past v's end, where no published version
 	// reads, so bits extends in place: a publish costs its new ids, not
 	// every id.
-	bits = append(bits, make([]*Bitmap, len(ev.preds)-len(bits))...)
+	bits = append(bits, make([]*bitset.Set, len(ev.preds)-len(bits))...)
 	for i, id := range ids {
 		if bits[id] == nil {
 			bits[id] = ev.convertLocked(sels[i].sel, sels[i].leftover)
@@ -399,13 +399,13 @@ func (ev *Evaluator) seedLocked() error {
 }
 
 // convertLocked turns a base-row selection set (plus any stray pids) into a
-// container-backed bitmap, assigning dictionary slots in first-seen order
+// set of dense ids, assigning dictionary slots in first-seen order
 // (the selection iterates ascending, exactly like the word walk it
 // replaces). Dense ids accumulate in a word scratch and compress in one
 // FromWords pass, so conversion costs word ops, not per-bit container
 // inserts. Caller holds pub under refresh's read side.
-func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
-	// Upper bound on the dense ids this bitmap can touch: every id already
+func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *bitset.Set {
+	// Upper bound on the dense ids this set can touch: every id already
 	// assigned plus one fresh slot per selected row and leftover pid.
 	maxIDs := ev.dict.Size() + len(leftover)
 	if sel != nil {
@@ -427,7 +427,7 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *Bitmap {
 		di := ev.dict.Add(pid)
 		words[di>>6] |= 1 << (uint(di) & 63)
 	}
-	return WrapSet(bitset.FromWords(words))
+	return bitset.FromWords(words)
 }
 
 // scanSel runs one predicate's scan: one ScanAttrRowSet over the base
@@ -457,10 +457,10 @@ func (ev *Evaluator) scanSel(p hypre.ScoredPred, plumbed int, epoch uint64) (sel
 	return sel, leftover, err
 }
 
-// PredBitmap returns the distinct tuple ids matching one preference in
-// dense-bitmap form, materializing it on first use. A resident predicate
-// costs two loads and no lock.
-func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*Bitmap, error) {
+// PredBitmap returns the distinct tuple ids matching one preference as a
+// set of dense ids, materializing it on first use. A resident predicate
+// costs two loads and no lock. The set is shared: never mutate it.
+func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*bitset.Set, error) {
 	v, err := ev.materialize([]hypre.ScoredPred{p})
 	if err != nil {
 		return nil, err
@@ -468,10 +468,23 @@ func (ev *Evaluator) PredBitmap(p hypre.ScoredPred) (*Bitmap, error) {
 	return v.bit(ev.id(p)), nil
 }
 
+// predSets is PredBitmap over a profile, one set per preference.
+func (ev *Evaluator) predSets(prefs []hypre.ScoredPred) ([]*bitset.Set, error) {
+	sets := make([]*bitset.Set, len(prefs))
+	for i, p := range prefs {
+		s, err := ev.PredBitmap(p)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = s
+	}
+	return sets, nil
+}
+
 // groupBitmap folds one OR group to its union. Single-member groups (the
 // common case: every pure AND combination) return the cached predicate
-// bitmap itself — safe because bitmap operations never mutate operands.
-func (ev *Evaluator) groupBitmap(g []hypre.ScoredPred) (*Bitmap, error) {
+// set itself — safe because set operations never mutate operands.
+func (ev *Evaluator) groupBitmap(g []hypre.ScoredPred) (*bitset.Set, error) {
 	b, err := ev.PredBitmap(g[0])
 	if err != nil {
 		return nil, err
@@ -486,12 +499,12 @@ func (ev *Evaluator) groupBitmap(g []hypre.ScoredPred) (*Bitmap, error) {
 	return b, nil
 }
 
-// comboBitmap evaluates a combination to its dense tuple-id bitmap:
+// comboBitmap evaluates a combination to its set of dense tuple ids:
 // union within OR groups, intersection across AND groups, with an early
 // exit once the running intersection empties. It does not touch the work
 // counters, so concurrent readers may use it after materialization.
-func (ev *Evaluator) comboBitmap(c Combo) (*Bitmap, error) {
-	var acc *Bitmap
+func (ev *Evaluator) comboBitmap(c Combo) (*bitset.Set, error) {
+	var acc *bitset.Set
 	for _, g := range c.Groups {
 		gb, err := ev.groupBitmap(g)
 		if err != nil {
@@ -502,24 +515,24 @@ func (ev *Evaluator) comboBitmap(c Combo) (*Bitmap, error) {
 		} else {
 			acc = acc.And(gb)
 		}
-		if acc.Len() == 0 {
-			return NewBitmap(), nil
+		if acc.IsEmpty() {
+			return bitset.New(), nil
 		}
 	}
 	if acc == nil {
-		return NewBitmap(), nil
+		return bitset.New(), nil
 	}
 	return acc, nil
 }
 
 // record builds the Record row for an already-evaluated combination.
-func (ev *Evaluator) record(c Combo, b *Bitmap) Record {
+func (ev *Evaluator) record(c Combo, b *bitset.Set) Record {
 	return Record{
 		NumPreds:  c.NumPreds(),
 		NumTuples: b.Len(),
 		Intensity: c.Intensity(),
 		Combo:     c,
-		Tuples:    b.ToIntSet(ev.dict),
+		Tuples:    ev.dict.IntSet(b),
 	}
 }
 

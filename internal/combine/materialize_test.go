@@ -133,7 +133,7 @@ func TestMaterializeAllConcurrentReaders(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					b.ToIntSet(ev.Dict())
+					ev.Dict().IntSet(b)
 					c := NewCombo(p).And(profile[(i+w)%len(profile)])
 					if _, err := ev.comboBitmap(c); err != nil {
 						t.Error(err)
@@ -158,7 +158,7 @@ func TestPublishedVersionsStayPut(t *testing.T) {
 	q := mustSP(t, `dblp.venue="VLDB"`, 0.5)
 	r := mustSP(t, `dblp.year>=2009`, 0.5)
 	var held []*version
-	var was [][]*Bitmap
+	var was [][]*bitset.Set
 	hold := func(err error) {
 		t.Helper()
 		if err != nil {

@@ -53,16 +53,12 @@ func BuildPairTable(prefs []hypre.ScoredPred, ev *Evaluator) (*PairTable, error)
 	if err := ev.MaterializeAll(prefs); err != nil {
 		return nil, err
 	}
-	bms := make([]*Bitmap, n)
-	for i, p := range prefs {
-		b, err := ev.PredBitmap(p)
-		if err != nil {
-			return nil, err
-		}
-		bms[i] = b
+	sets, err := ev.predSets(prefs)
+	if err != nil {
+		return nil, err
 	}
 
-	counts := buildPairCounts(bms, ev.workerTarget())
+	counts := buildPairCounts(sets, ev.workerTarget())
 
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -100,13 +96,9 @@ func triIndex(n, i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 // are exact regardless of interleaving). Single-span domains — any
 // dictionary under 64k dense ids — degenerate to one task per anchor, i.e.
 // plain anchor parallelism.
-func buildPairCounts(bms []*Bitmap, workers int) []int64 {
-	n := len(bms)
+func buildPairCounts(sets []*bitset.Set, workers int) []int64 {
+	n := len(sets)
 	counts := make([]int64, n*(n-1)/2)
-	sets := make([]*bitset.Set, n)
-	for i, b := range bms {
-		sets[i] = b.s
-	}
 	spans := bitset.SpanUnion(sets...)
 	parallelFor(workers, len(spans)*n, func(t int) {
 		span, i := spans[t/n], t%n

@@ -1,6 +1,9 @@
 package combine
 
-import "hypre/internal/hypre"
+import (
+	"hypre/internal/bitset"
+	"hypre/internal/hypre"
+)
 
 // PartiallyCombineAll is Algorithm 4: it walks the preference list (sorted
 // descending by intensity) and grows combinations under three conditions:
@@ -33,13 +36,13 @@ import "hypre/internal/hypre"
 func PartiallyCombineAll(prefs []hypre.ScoredPred, ev *Evaluator) (Records, error) {
 	type liveCombo struct {
 		c  Combo
-		bm *Bitmap
+		bm *bitset.Set
 	}
 	var out Records
 	var combos []liveCombo // queriesRan, in run order
 	attributesUsed := map[string]bool{}
 
-	record := func(c Combo, bm *Bitmap) {
+	record := func(c Combo, bm *bitset.Set) {
 		out = append(out, ev.record(c, bm))
 		combos = append(combos, liveCombo{c: c, bm: bm})
 	}

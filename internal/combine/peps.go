@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"hypre/internal/bitset"
 	"hypre/internal/hypre"
 )
 
@@ -73,14 +74,15 @@ func newTopTracker(dict *PidDict) *topTracker {
 
 // update credits every tuple of bm with intensity if it beats the tuple's
 // current best.
-func (t *topTracker) update(bm *Bitmap, intensity float64) {
-	bm.ForEach(func(i int) {
+func (t *topTracker) update(bm *bitset.Set, intensity float64) {
+	bm.ForEach(func(i int) bool {
 		if t.best[i] < intensity {
 			if t.best[i] < 0 {
 				t.n++
 			}
 			t.best[i] = intensity
 		}
+		return true
 	})
 }
 
@@ -189,13 +191,9 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 
 	// One relational query per predicate, then everything below is pure
 	// bitmap algebra over the shared dictionary.
-	bms := make([]*Bitmap, len(prefs))
-	for i, p := range prefs {
-		b, err := ev.PredBitmap(p)
-		if err != nil {
-			return res, err
-		}
-		bms[i] = b
+	bms, err := ev.predSets(prefs)
+	if err != nil {
+		return res, err
 	}
 
 	// suffixBound[a] = f∧ over prefs[a:] — the best intensity any chain
@@ -218,10 +216,10 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 	// Per-depth scratch bitmaps for the chain DFS (one live chain per
 	// depth), shared across anchors so steady-state expansion allocates
 	// nothing.
-	var scratch []*Bitmap
-	scratchAt := func(depth int) *Bitmap {
+	var scratch []*bitset.Set
+	scratchAt := func(depth int) *bitset.Set {
 		for len(scratch) <= depth {
-			scratch = append(scratch, NewBitmap())
+			scratch = append(scratch, bitset.New())
 		}
 		return scratch[depth]
 	}
@@ -270,8 +268,8 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 		// one AND and one multiply, into a per-depth scratch bitmap (one
 		// live chain per depth), so expansion allocates nothing in steady
 		// state.
-		var dfs func(last int, bm *Bitmap, depth int, prod float64) error
-		dfs = func(last int, bm *Bitmap, depth int, prod float64) error {
+		var dfs func(last int, bm *bitset.Set, depth int, prod float64) error
+		dfs = func(last int, bm *bitset.Set, depth int, prod float64) error {
 			if expansions >= maxChainExpansions {
 				return nil
 			}

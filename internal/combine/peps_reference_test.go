@@ -311,7 +311,7 @@ func (ev *Evaluator) Applicable(c Combo) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return acc.Any(last), nil
+	return acc.Intersects(last), nil
 }
 
 // collectTuples assigns every tuple the best combined intensity among the

@@ -262,13 +262,9 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 		return res, nil
 	}
 
-	sets := make([]*bitset.Set, len(prefs))
-	for i, p := range prefs {
-		b, err := ev.PredBitmap(p)
-		if err != nil {
-			return res, err
-		}
-		sets[i] = b.s
+	sets, err := ev.predSets(prefs)
+	if err != nil {
+		return res, err
 	}
 	cp := classify(sets, ev.dict.Size())
 	classes := len(cp.weight)

@@ -5,17 +5,14 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hypre/internal/bitset"
 )
 
-func bitmapFromPids(d *PidDict, pids []int64) *Bitmap {
-	b := NewBitmap()
-	seen := map[int64]bool{}
+func bitmapFromPids(d *PidDict, pids []int64) *bitset.Set {
+	b := bitset.New()
 	for _, p := range pids {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		b.Set(d.Add(p))
+		b.Add(d.Add(p))
 	}
 	return b
 }
@@ -147,35 +144,38 @@ func TestBitmapBasicOps(t *testing.T) {
 	if got := a.Or(b).Len(); got != 5 {
 		t.Errorf("Or len = %d", got)
 	}
-	if !a.Any(b) {
-		t.Error("Any false negative")
+	if !a.Intersects(b) {
+		t.Error("Intersects false negative")
 	}
 	c := bitmapFromPids(d, []int64{9, 10})
-	if a.Any(c) {
-		t.Error("Any false positive")
+	if a.Intersects(c) {
+		t.Error("Intersects false positive")
 	}
-	if a.AndCard(NewBitmap()) != 0 || NewBitmap().Any(a) {
+	if a.AndCard(bitset.New()) != 0 || bitset.New().Intersects(a) {
 		t.Error("empty operand")
 	}
-	set := a.ToIntSet(d)
+	set := d.IntSet(a)
 	want := IntSet{1, 2, 3, 4}
 	if set.Len() != 4 {
-		t.Fatalf("ToIntSet = %v", set)
+		t.Fatalf("IntSet = %v", set)
 	}
 	for i := range want {
 		if set[i] != want[i] {
-			t.Fatalf("ToIntSet = %v, want %v", set, want)
+			t.Fatalf("IntSet = %v, want %v", set, want)
 		}
+	}
+	if got := d.IntSet(bitset.New()); got == nil || len(got) != 0 {
+		t.Fatalf("IntSet of the empty set = %#v, want an empty non-nil set", got)
 	}
 }
 
 // TestBitmapSetContains exercises growth across word boundaries and the
 // cardinality cache.
 func TestBitmapSetContains(t *testing.T) {
-	b := NewBitmap()
+	b := bitset.New()
 	for _, i := range []int{0, 63, 64, 127, 500} {
-		b.Set(i)
-		b.Set(i) // idempotent
+		b.Add(i)
+		b.Add(i) // idempotent
 	}
 	if b.Len() != 5 {
 		t.Fatalf("card = %d", b.Len())
@@ -193,10 +193,10 @@ func TestBitmapSetContains(t *testing.T) {
 }
 
 // TestBitmapMatchesIntSetProperty is the load-bearing agreement property of
-// the set layer: Bitmap and slice IntSet must produce identical results for
-// Union/Intersect and their cardinality over randomized inputs, including
-// operands built against a shared dictionary at different growth stages
-// (different word lengths).
+// the set layer: the dense-id sets, translated through PidDict.IntSet, and
+// slice IntSet must produce identical results for Union/Intersect and their
+// cardinality over randomized inputs, including operands built against a
+// shared dictionary at different growth stages (different word lengths).
 func TestBitmapMatchesIntSetProperty(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
 		ax := make([]int64, len(xs))
@@ -213,8 +213,8 @@ func TestBitmapMatchesIntSetProperty(t *testing.T) {
 		ba := bitmapFromPids(d, ax)
 		bb := bitmapFromPids(d, ay)
 
-		eq := func(bm *Bitmap, s IntSet) bool {
-			got := bm.ToIntSet(d)
+		eq := func(bm *bitset.Set, s IntSet) bool {
+			got := d.IntSet(bm)
 			if len(got) != len(s) || bm.Len() != s.Len() {
 				return false
 			}
@@ -227,7 +227,7 @@ func TestBitmapMatchesIntSetProperty(t *testing.T) {
 		}
 		return eq(ba.And(bb), sa.Intersect(sb)) &&
 			eq(ba.Or(bb), unionSets(sa, sb)) &&
-			ba.Any(bb) == (sa.Intersect(sb).Len() > 0) &&
+			ba.Intersects(bb) == (sa.Intersect(sb).Len() > 0) &&
 			ba.AndCard(bb) == sa.Intersect(sb).Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

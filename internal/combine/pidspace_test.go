@@ -174,9 +174,9 @@ func assertSameRanking(t *testing.T, tag string, profile []hypre.ScoredPred, nat
 	}
 }
 
-func denseIDs(b *combine.Bitmap) []int {
+func denseIDs(b *bitset.Set) []int {
 	var ids []int
-	b.ForEach(func(i int) { ids = append(ids, i) })
+	b.ForEach(func(i int) bool { ids = append(ids, i); return true })
 	return ids
 }
 

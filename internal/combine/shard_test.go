@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"hypre/internal/bitset"
 	"hypre/internal/hypre"
 	"hypre/internal/predicate"
 	"hypre/internal/relstore"
@@ -204,13 +203,9 @@ func TestShardedEvalMultiSpanMatchesSerial(t *testing.T) {
 	// members in both spans.
 	wideDB, wideProfile := bitsDB(t, 14, 65536+9000), bitsProfile(t, 14)
 	ev := bigShardEvaluator(t, wideDB, 1)
-	sets := make([]*bitset.Set, len(wideProfile))
-	for i, p := range wideProfile {
-		b, err := ev.PredBitmap(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets[i] = b.s
+	sets, err := ev.predSets(wideProfile)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if words := len(classify(sets, ev.Dict().Size()).masks[0]); words < 4*minShardWords {
 		t.Fatalf("fixture too narrow: class masks of %d words do not split four ways", words)

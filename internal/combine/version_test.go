@@ -82,7 +82,7 @@ func tupleSet(t *testing.T, db *relstore.DB, p hypre.ScoredPred) combine.IntSet 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.ToIntSet(ev.Dict())
+	return ev.Dict().IntSet(b)
 }
 
 // TestResidentDuringParkedRefresh parks a Sync's refresh inside its
@@ -175,7 +175,7 @@ func TestRefreshWaitsOutMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.ToIntSet(ev.Dict()); !slices.Equal(got, want) {
+	if got := ev.Dict().IntSet(b); !slices.Equal(got, want) {
 		t.Fatalf("%s after the Sync: %v, a fresh evaluator says %v", p.Pred, got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package delta_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestSyncThroughCompactionNoRebuilds(t *testing.T) {
 			assertSameRanking(t, tag, inc, freshTopK(t, net, prefs, k))
 			for i, sub := range subs {
 				for _, sk := range []int{5, k} {
-					got, out, err := srv.TopKTraced(sub, sk, nil)
+					got, out, err := topK(srv, sub, sk, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -125,7 +126,7 @@ func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
 	}
 	srv := cache.NewServer(ev, cache.Config{})
 	m.AttachCache(srv)
-	if _, _, err := srv.TopKTraced(prefs[:3], 10, nil); err != nil {
+	if _, _, err := topK(srv, prefs[:3], 10, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +152,7 @@ func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
 	}
 	for _, k := range []int{10, 1000} {
 		tr := obs.NewTrace()
-		got, out, err := srv.TopKTraced(fresh, k, tr)
+		got, out, err := topK(srv, fresh, k, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,6 +168,12 @@ func TestMaterializeAcrossUnsyncedCompaction(t *testing.T) {
 
 // uncachedTopK ranks the canonical form of prefs on a fresh evaluator with
 // BuildLists + TA: the answer the cache server must serve.
+// topK serves a raw profile the way hypred does: canonicalize it, then
+// TopKContext.
+func topK(srv *cache.Server, prefs []hypre.ScoredPred, k int, tr *obs.Trace) ([]combine.ScoredTuple, cache.Outcome, error) {
+	return srv.TopKContext(context.Background(), combine.Canonicalize(prefs), k, tr)
+}
+
 func uncachedTopK(t *testing.T, net *workload.Network, prefs []hypre.ScoredPred, k int) []combine.ScoredTuple {
 	t.Helper()
 	canon, _ := combine.CanonicalProfile(prefs)

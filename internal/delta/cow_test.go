@@ -3,6 +3,7 @@ package delta_test
 import (
 	"testing"
 
+	"hypre/internal/bitset"
 	"hypre/internal/combine"
 	"hypre/internal/delta"
 	"hypre/internal/workload"
@@ -26,7 +27,7 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 
 		// Snapshot the handed-out bitmaps and their tuple sets.
 		type snap struct {
-			bm   *combine.Bitmap
+			bm   *bitset.Set
 			pids combine.IntSet
 		}
 		snaps := make([]snap, len(prefs))
@@ -35,7 +36,7 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps[i] = snap{bm: bm, pids: bm.ToIntSet(ev.Dict())}
+			snaps[i] = snap{bm: bm, pids: ev.Dict().IntSet(bm)}
 		}
 
 		// Mutate the store and let the maintainer patch the caches.
@@ -56,7 +57,7 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 		// Old bitmaps must be byte-identical to their snapshots: the patch
 		// went through clones, never through the aliased containers.
 		for i := range snaps {
-			got := snaps[i].bm.ToIntSet(ev.Dict())
+			got := ev.Dict().IntSet(snaps[i].bm)
 			if len(got) != len(snaps[i].pids) {
 				t.Fatalf("seed %d: pred %d old bitmap mutated: %d tuples, had %d",
 					seed, i, len(got), len(snaps[i].pids))
@@ -84,7 +85,7 @@ func TestRefreshRowsCopyOnWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, want := cb.ToIntSet(ev.Dict()), wb.ToIntSet(ev2.Dict())
+			cur, want := ev.Dict().IntSet(cb), ev2.Dict().IntSet(wb)
 			if len(cur) != len(want) {
 				t.Fatalf("seed %d: pred %d patched set has %d tuples, fresh store says %d",
 					seed, i, len(cur), len(want))

@@ -158,13 +158,8 @@ type SyncStats struct {
 	// ChangedPreds is the number of resident predicates whose tuple set
 	// moved.
 	ChangedPreds int
-	// RecheckedChanges is the number of raw change-log entries drained.
-	RecheckedChanges int
 	// Compactions is the number of base-table compaction remaps absorbed.
 	Compactions int
-	// DroppedPids is the number of distinct pids cleared because compaction
-	// dropped their rows before this Sync could re-evaluate them.
-	DroppedPids int
 	// FullRebuild reports that the incremental path was unavailable and the
 	// caches were rebuilt from scratch; RebuildCause says why (one of the
 	// Cause* constants).
@@ -352,10 +347,8 @@ func (m *Maintainer) sync() (SyncStats, error) {
 		m.cache.ApplyDelta(d, lEpoch, rEpoch)
 	}
 	st := SyncStats{
-		TouchedRows:      touched.Len(),
-		RecheckedChanges: len(lch) + len(rch),
-		Compactions:      len(ls.Compactions),
-		DroppedPids:      len(droppedPids),
+		TouchedRows: touched.Len(),
+		Compactions: len(ls.Compactions),
 	}
 	if d != nil {
 		st.ChangedPreds = len(d.Moved)

@@ -2,17 +2,14 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
-	"os"
+	"fmt"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
+	"hypre/internal/golden"
 	"hypre/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/figures.golden from the current output")
 
 // TestFiguresGolden pins the paper's deterministic tables and figures to a
 // golden file: cmd/benchrunner -exp
@@ -26,33 +23,16 @@ func TestFiguresGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "figures.golden")
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
-		prev := runtime.GOMAXPROCS(procs)
-		var buf bytes.Buffer
-		err := Run(&buf, cfg, want, 10, 200, 100)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *update {
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			var buf bytes.Buffer
+			err := Run(&buf, cfg, want, 10, 200, 100)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		golden, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(buf.Bytes(), golden) {
-			continue
-		}
-		got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(golden), "\n")
-		for i := range min(len(got), len(exp)) {
-			if got[i] != exp[i] {
-				t.Fatalf("GOMAXPROCS=%d: line %d differs from %s:\n got %q\nwant %q", procs, i+1, path, got[i], exp[i])
-			}
-		}
-		t.Fatalf("GOMAXPROCS=%d: %d lines, %s has %d", procs, len(got), path, len(exp))
+			golden.Check(t, filepath.Join("testdata", "figures.golden"), buf.Bytes())
+		})
 	}
 }

@@ -6,6 +6,7 @@ package metrics
 import (
 	"math"
 
+	"hypre/internal/bitset"
 	"hypre/internal/combine"
 	"hypre/internal/hypre"
 )
@@ -53,12 +54,12 @@ func CoverageSet(ev *combine.Evaluator, prefs []hypre.ScoredPred) (combine.IntSe
 	if err != nil {
 		return nil, err
 	}
-	return b.ToIntSet(ev.Dict()), nil
+	return ev.Dict().IntSet(b), nil
 }
 
-// coverage folds the preferences' bitmaps into their union.
-func coverage(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*combine.Bitmap, error) {
-	acc := combine.NewBitmap()
+// coverage folds the preferences' sets into their union.
+func coverage(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*bitset.Set, error) {
+	acc := bitset.New()
 	for _, p := range prefs {
 		b, err := ev.PredBitmap(p)
 		if err != nil {

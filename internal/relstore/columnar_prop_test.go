@@ -254,9 +254,10 @@ func eqStrings(a, b []string) bool {
 	return true
 }
 
-// refDistinct computes the reference DISTINCT attr over the matched rows.
+// refDistinct computes the reference DISTINCT attr over the matched rows,
+// telling values apart by Value.Key (so every NaN is one value).
 func refDistinct(left, right *refTable, pairs [][2]int, attr string) []predicate.Value {
-	seen := map[predicate.Value]struct{}{}
+	seen := map[string]struct{}{}
 	var out []predicate.Value
 	for _, p := range pairs {
 		row := refRow{left: left, lrow: left.rows[p[0]]}
@@ -267,7 +268,7 @@ func refDistinct(left, right *refTable, pairs [][2]int, attr string) []predicate
 		if !ok || v.IsNull() {
 			continue
 		}
-		k := indexKey(v)
+		k := v.Key()
 		if _, dup := seen[k]; dup {
 			continue
 		}
@@ -376,7 +377,7 @@ func TestColumnarMatchesRowReferenceJoin(t *testing.T) {
 			}
 
 			// A right-table attr and a Limit: DistinctValues folds the joined
-			// rows, each value once (NaN, never equal to itself, each time).
+			// rows, each value once (every NaN one value, as Value.Key has it).
 			wantX := refDistinct(lref, rref, want, "rt.x")
 			for _, limit := range []int{0, 2} {
 				ql := q

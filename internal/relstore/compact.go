@@ -20,9 +20,8 @@ import "hypre/internal/bitset"
 // compaction committed at — a consumer synced to epoch e needs exactly the
 // records with Epoch > e, oldest first, composed in order.
 type Compaction struct {
-	Epoch  uint64
-	OldLen int
-	Remap  []int32
+	Epoch uint64
+	Remap []int32
 }
 
 // maxCompactions bounds the retained remap history. A consumer further
@@ -68,7 +67,6 @@ func (t *Table) compactLocked() {
 		}
 		t.cols[i] = nc
 	}
-	oldLen := t.n
 	t.n = live
 	t.nPublic.Store(int64(live))
 	t.dead = bitset.New()
@@ -106,7 +104,7 @@ func (t *Table) compactLocked() {
 	t.exists = nil
 	t.mu.Unlock()
 
-	t.comps = append(t.comps, Compaction{Epoch: epoch, OldLen: oldLen, Remap: remap})
+	t.comps = append(t.comps, Compaction{Epoch: epoch, Remap: remap})
 	if len(t.comps) > maxCompactions {
 		t.compactFloor = t.comps[0].Epoch
 		t.comps = append(t.comps[:0:0], t.comps[1:]...)

@@ -75,8 +75,8 @@ func (db *DB) CountDistinct(q Query, attr string) (int, error) {
 }
 
 // DistinctValues returns the distinct non-NULL values of attr over the query
-// result, in first-seen order. The similarity/overlap metrics and coverage
-// computation consume these sets.
+// result, in first-seen order. Values are told apart as Value.Key tells
+// them: an integral float is its int, and every NaN is one value.
 func (db *DB) DistinctValues(q Query, attr string) ([]predicate.Value, error) {
 	seen := make(map[predicate.Value]struct{})
 	var out []predicate.Value
@@ -86,6 +86,9 @@ func (db *DB) DistinctValues(q Query, attr string) ([]predicate.Value, error) {
 			return true
 		}
 		k := indexKey(v)
+		if math.IsNaN(v.AsFloat()) {
+			k = predicate.Null() // NaN never equals itself; NULL is never a key here
+		}
 		if _, dup := seen[k]; !dup {
 			seen[k] = struct{}{}
 			out = append(out, v)

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"testing"
 
 	"hypre/internal/predicate"
@@ -214,6 +215,31 @@ func TestDistinctValuesOrderAndDedup(t *testing.T) {
 	}
 	if len(vals) != 4 || vals[0].AsString() != "drama" || vals[1].AsString() != "horror" {
 		t.Fatalf("distinct values = %v", vals)
+	}
+}
+
+// TestDistinctNaNOnce: every NaN is one DISTINCT value, as Value.Key
+// encodes it.
+func TestDistinctNaNOnce(t *testing.T) {
+	db := NewDB()
+	tbl, err := db.CreateTable("m", Column{"x", predicate.KindFloat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []predicate.Value{f(math.NaN()), f(2), f(math.NaN()), f(2), f(2.5)} {
+		if _, err := tbl.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals, err := db.DistinctValues(Query{From: "m"}, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 3 || !math.IsNaN(vals[0].AsFloat()) || vals[1].AsFloat() != 2 || vals[2].AsFloat() != 2.5 {
+		t.Fatalf("distinct values = %v, want [NaN 2 2.5]", vals)
+	}
+	if n, err := db.CountDistinct(Query{From: "m"}, "x"); err != nil || n != 3 {
+		t.Fatalf("CountDistinct = %d, %v; want 3", n, err)
 	}
 }
 

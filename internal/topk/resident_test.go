@@ -83,7 +83,7 @@ func TestRankResidentMatchesTA(t *testing.T) {
 			matched := map[int]bool{}
 			for i, b := range r.Bits {
 				if slots[i] >= 0 {
-					b.ForEach(func(di int) { matched[di] = true })
+					b.ForEach(func(di int) bool { matched[di] = true; return true })
 				}
 			}
 			matches := len(matched)
@@ -129,13 +129,14 @@ func referenceRank(r combine.Resident, prefs []hypre.ScoredPred, k int) []combin
 		if slots[i] < 0 {
 			continue
 		}
-		r.Bits[i].ForEach(func(di int) {
+		r.Bits[i].ForEach(func(di int) bool {
 			g := grades[di]
 			if g == nil {
 				g = make([]float64, len(names))
 				grades[di] = g
 			}
 			g[slots[i]] = hypre.FAnd(g[slots[i]], p.Intensity)
+			return true
 		})
 	}
 	all := make([]combine.ScoredTuple, 0, len(grades))
@@ -200,7 +201,7 @@ func wideResident(rng *rand.Rand, n, nPrefs int) (combine.Resident, []hypre.Scor
 			}
 		}
 		r.IDs = append(r.IDs, int32(i))
-		r.Bits = append(r.Bits, combine.WrapSet(s))
+		r.Bits = append(r.Bits, s)
 		prefs = append(prefs, p)
 	}
 	return r, prefs
@@ -245,7 +246,7 @@ func TestRankResidentPanicLeavesPoolClean(t *testing.T) {
 	past := bitset.New()
 	past.Add(len(r.PIDs))
 	bad := combine.Resident{IDs: append(slices.Clone(r.IDs), 99),
-		Bits: append(slices.Clone(r.Bits), combine.WrapSet(past)), PIDs: r.PIDs}
+		Bits: append(slices.Clone(r.Bits), past), PIDs: r.PIDs}
 	badPrefs := append(slices.Clone(prefs), hypre.ScoredPred{Pred: "past", Attr: "venue", Intensity: 0.5})
 	for round := 0; round < 3; round++ {
 		func() {
@@ -290,7 +291,7 @@ func BenchmarkRankResident(b *testing.B) {
 			}
 		}
 		r.IDs = append(r.IDs, int32(i))
-		r.Bits = append(r.Bits, combine.WrapSet(s))
+		r.Bits = append(r.Bits, s)
 		prefs = append(prefs, p)
 	}
 	b.ReportAllocs()

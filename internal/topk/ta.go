@@ -194,24 +194,27 @@ func (l *Lists) TATraced(k int, tr *obs.Trace) []combine.ScoredTuple {
 func BuildLists(ev *combine.Evaluator, prefs []hypre.ScoredPred) (*Lists, error) {
 	slots, names := AttrSlots(prefs)
 	maps := make([]map[int64]float64, len(names))
+	dict := ev.Dict()
 	for s := range maps {
 		grades := map[int64]float64{}
 		for i, p := range prefs {
 			if slots[i] != s {
 				continue
 			}
-			// Iterate the cached dense bitmap directly: the TA baseline
-			// shares the evaluator's bitmap cache instead of materializing
+			// Iterate the resident set directly: the TA baseline shares
+			// the evaluator's predicate store instead of materializing
 			// IntSet slices of its own. Per-pid accumulation is
-			// order-insensitive, so dense-index iteration matches the
+			// order-insensitive, so dense-id iteration matches the
 			// sorted-slice walk exactly.
 			b, err := ev.PredBitmap(p)
 			if err != nil {
 				return nil, err
 			}
 			intensity := p.Intensity
-			b.ForEachPid(ev.Dict(), func(pid int64) {
+			b.ForEach(func(di int) bool {
+				pid := dict.PID(di)
 				grades[pid] = hypre.FAnd(grades[pid], intensity)
+				return true
 			})
 		}
 		maps[s] = grades
