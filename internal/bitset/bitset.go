@@ -159,13 +159,11 @@ func (s *Set) AddRange(lo, hi int) {
 // — cached sets handed to other goroutines are only ever patched through a
 // Clone, the same discipline the dense implementation required.
 func (s *Set) Clone() *Set {
-	out := &Set{
-		keys: append([]uint32(nil), s.keys...),
-		cs:   make([]container, len(s.cs)),
-		card: s.card,
-	}
+	out := New()
+	out.keys = append(out.keys, s.keys...)
+	out.card = s.card
 	for i := range s.cs {
-		out.cs[i] = s.cs[i].shared()
+		out.cs = append(out.cs, s.cs[i].shared())
 	}
 	return out
 }
@@ -374,28 +372,35 @@ func (s *Set) AndNotWith(o *Set) { s.replaceWith(s.AndNot(o)) }
 
 func (s *Set) replaceWith(o *Set) { *s = *o }
 
-// Retain keeps exactly the keys fn approves — the delta path's
-// drop-unpartnered filter. Containers re-encode to their smallest form.
+// Retain keeps exactly the keys fn approves, in place: s must be privately
+// owned (a Clone is; containers it shares are replaced, never written).
+// Kept containers re-encode to their smallest form; an array container's
+// survivors land in one allocation of its cardinality, made on the first.
 func (s *Set) Retain(fn func(i int) bool) {
-	out := New()
+	n := 0
+	s.card = 0
 	for i, hk := range s.keys {
 		base := int(hk) << 16
+		src := &s.cs[i]
 		kept := container{typ: ctArray}
-		s.cs[i].forEach(base, func(v int) bool {
+		src.forEach(base, func(v int) bool {
 			if fn(v) {
+				if kept.arr == nil && src.typ == ctArray {
+					kept.arr = make([]uint16, 0, src.card)
+				}
 				kept.arr = append(kept.arr, uint16(v-base))
 			}
 			return true
 		})
 		kept.card = int32(len(kept.arr))
 		if !kept.isEmpty() {
-			c := normalize(kept)
-			out.keys = append(out.keys, hk)
-			out.cs = append(out.cs, c)
-			out.card += int(c.card)
+			s.keys[n], s.cs[n] = hk, normalize(kept)
+			s.card += int(kept.card)
+			n++
 		}
 	}
-	s.replaceWith(out)
+	clear(s.cs[n:])
+	s.keys, s.cs = s.keys[:n], s.cs[:n]
 }
 
 // ForEach visits every set key ascending; fn returning false stops the walk.

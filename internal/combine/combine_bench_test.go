@@ -291,38 +291,54 @@ func BenchmarkResidentDuringRefresh(b *testing.B) {
 	<-stopped
 }
 
-// BenchmarkRefreshResident times one Sync-sized refresh —
-// RefreshRowSetDelta over a fixed 16-row touched set of a generated
-// 4000-paper store — with 1k, 4k and 16k resident predicates: left-side
-// ranges and joined author equalities, each narrowed by a year. A refresh
-// re-matches every resident predicate at the touched rows, so its time
-// follows the predicates ever resident, not the batch; one that followed
-// the batch would read flat across the three sizes.
-func BenchmarkRefreshResident(b *testing.B) {
+// refreshFixture is BenchmarkRefreshResident's store and 16-row touched
+// set: a generated 4000-paper store, touched rows spread evenly over it.
+func refreshFixture(tb testing.TB) (workload.Config, *workload.Network, *bitset.Set) {
+	tb.Helper()
 	cfg := workload.DefaultConfig()
 	net, err := workload.Generate(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	touched := bitset.New()
 	for i := range 16 {
 		touched.Add(i * cfg.NumPapers / 16)
 	}
+	return cfg, net, touched
+}
+
+// refreshResident returns an evaluator over net with n predicates resident:
+// left-side ranges and joined author equalities, each narrowed by a year.
+func refreshResident(tb testing.TB, cfg workload.Config, net *workload.Network, n int) *Evaluator {
+	tb.Helper()
+	ev := NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
+	prefs := make([]hypre.ScoredPred, n)
+	for i := range prefs {
+		j := i / 2
+		text := fmt.Sprintf("dblp.pid>=%d AND dblp.year>=%d", j%cfg.NumPapers, cfg.MinYear+j/cfg.NumPapers)
+		if i%2 == 1 {
+			text = fmt.Sprintf("dblp_author.aid=%d AND dblp.year>=%d", j%cfg.NumAuthors, cfg.MinYear+j/cfg.NumAuthors)
+		}
+		prefs[i] = mustSP(tb, text, 0.5)
+	}
+	if err := ev.MaterializeAll(prefs); err != nil {
+		tb.Fatal(err)
+	}
+	return ev
+}
+
+// BenchmarkRefreshResident times one Sync-sized refresh —
+// RefreshRowSetDelta over a fixed 16-row touched set of a generated
+// 4000-paper store — with 1k, 4k and 16k resident predicates (see
+// refreshResident). A refresh re-matches every resident predicate at the
+// touched rows, so its time follows the predicates ever resident, not the
+// batch; one that followed the batch would read flat across the three
+// sizes.
+func BenchmarkRefreshResident(b *testing.B) {
+	cfg, net, touched := refreshFixture(b)
 	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
 		b.Run(fmt.Sprintf("preds=%d", n), func(b *testing.B) {
-			ev := NewEvaluator(net.DB, workload.BaseQuery, "dblp.pid")
-			prefs := make([]hypre.ScoredPred, n)
-			for i := range prefs {
-				j := i / 2
-				text := fmt.Sprintf("dblp.pid>=%d AND dblp.year>=%d", j%cfg.NumPapers, cfg.MinYear+j/cfg.NumPapers)
-				if i%2 == 1 {
-					text = fmt.Sprintf("dblp_author.aid=%d AND dblp.year>=%d", j%cfg.NumAuthors, cfg.MinYear+j/cfg.NumAuthors)
-				}
-				prefs[i] = mustSPB(b, text, 0.5)
-			}
-			if err := ev.MaterializeAll(prefs); err != nil {
-				b.Fatal(err)
-			}
+			ev := refreshResident(b, cfg, net, n)
 			b.ResetTimer()
 			for range b.N {
 				if _, err := ev.RefreshRowSetDelta(touched, nil); err != nil {
@@ -330,5 +346,29 @@ func BenchmarkRefreshResident(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRefreshAllocsPerResident bounds what a Sync-sized refresh allocates
+// per resident predicate: each runs the plan compiled when it was first
+// materialized, and allocates at most its result set. A plan re-derived
+// per predicate per refresh costs about 15 allocations each, which the
+// bound catches.
+func TestRefreshAllocsPerResident(t *testing.T) {
+	const n = 1 << 10
+	cfg, net, touched := refreshFixture(t)
+	ev := refreshResident(t, cfg, net, n)
+	ev.Workers = 1
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, e := ev.RefreshRowSetDelta(touched, nil); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := allocs / n; per > 2 {
+		t.Fatalf("a refresh allocates %.0f times over %d resident predicates, %.2f each; want at most 2", allocs, n, per)
 	}
 }

@@ -7,13 +7,12 @@ import (
 
 	"hypre/internal/bitset"
 	"hypre/internal/predicate"
-	"hypre/internal/relstore"
 )
 
 // This file is the evaluator half of incremental maintenance: given the
 // base-table rows a mutation batch touched and the pids a compaction
 // dropped, every resident predicate bitmap is repaired by re-evaluating
-// exactly those rows through relstore.MatchLeftRowSet (the store's row
+// exactly those rows through its plan's MatchLeftRowSet (the store's row
 // selection restricted to the touched rows), instead of rematerializing the
 // predicate with a full scan. The delta subsystem in internal/delta drives
 // it from the tables' change logs.
@@ -125,23 +124,24 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (*
 
 	// Share the join-existence test across predicates: one probe pass
 	// computes the touched rows that are live and have a live join partner,
-	// and every predicate that reads only base-table columns then
-	// re-evaluates joinless against that pre-filtered mask — the join
-	// would only have re-asserted existence. Join-side predicates keep the
-	// full query.
-	baseQ := ev.base(predicate.True{})
-	partnered := touched
-	if baseQ.Join != nil {
-		var err error
-		if partnered, err = ev.db.MatchLeftRowSet(baseQ, touched); err != nil {
+	// and every joined plan re-matches over that pre-filtered mask; one
+	// whose WHERE reads only base-table columns skips the partner probe —
+	// the join would only have re-asserted existence.
+	var partnered *bitset.Set
+	if baseQ := ev.base(predicate.True{}); baseQ.Join != nil {
+		partners, err := ev.db.Compile(baseQ)
+		if err != nil {
+			return nil, err
+		}
+		if partnered, err = partners.MatchLeftRowSet(touched, nil); err != nil {
 			return nil, err
 		}
 	}
-	joinless := relstore.Query{From: baseQ.From}
 
-	// Parallel phase: one touched-row re-evaluation per resident
-	// predicate, fanned over a worker pool exactly like MaterializeAll —
-	// the workers only read the store and fields frozen under refresh.
+	// Parallel phase: one touched-row re-match per resident predicate, each
+	// running the plan compiled when it was first materialized, fanned over
+	// a worker pool exactly like MaterializeAll — the workers only read the
+	// store and fields frozen under refresh.
 	var resident []int32
 	for id, b := range v.bits {
 		if b != nil {
@@ -151,15 +151,7 @@ func (ev *Evaluator) RefreshRowSetDelta(touched *bitset.Set, dropped []int64) (*
 	sels := make([]*bitset.Set, len(resident))
 	errs := make([]error, len(resident))
 	scanOne := func(i int) {
-		p := ev.preds[resident[i]].P
-		q := ev.base(p)
-		mask := touched
-		if q.Join != nil && ev.bindsOnlyBase(p, q) {
-			q = joinless
-			q.Where = p
-			mask = partnered
-		}
-		sels[i], errs[i] = ev.db.MatchLeftRowSet(q, mask)
+		sels[i], errs[i] = ev.plans[resident[i]].MatchLeftRowSet(touched, partnered)
 	}
 	// Small refreshes run serially: each touched-row re-match is a few
 	// microseconds, so goroutine wake latency would dominate the pool.
@@ -283,42 +275,6 @@ func (ev *Evaluator) Invalidate() {
 	defer ev.refresh.Unlock()
 	ev.publishLocked(nil)
 	ev.rowDense, ev.pidByRow = nil, nil
-}
-
-// bindsOnlyBase reports whether every attribute of p resolves to the base
-// (left) table under the store's binding rules — qualified names bind to
-// the named table, bare names bind left-first — so the predicate's delta
-// re-evaluation can drop the join and rely on the shared partner mask.
-// Attributes that resolve to no table are constant-false under either query
-// shape, so they don't block the rewrite.
-func (ev *Evaluator) bindsOnlyBase(p predicate.Predicate, q relstore.Query) bool {
-	left := ev.db.Table(q.From)
-	if left == nil {
-		return false
-	}
-	var right *relstore.Table
-	if q.Join != nil {
-		right = ev.db.Table(q.Join.Table)
-	}
-	for _, a := range p.Attributes(nil) {
-		if i := strings.LastIndexByte(a, '.'); i >= 0 {
-			tbl, col := a[:i], a[i+1:]
-			if tbl == q.From {
-				continue // binds left (or nowhere): joinless-safe
-			}
-			if right != nil && tbl == q.Join.Table && right.ColumnIndex(col) >= 0 {
-				return false
-			}
-			continue
-		}
-		if left.ColumnIndex(a) >= 0 {
-			continue
-		}
-		if right != nil && right.ColumnIndex(a) >= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // KeyColumn resolves the key attribute to a bare column name of the given

@@ -64,10 +64,11 @@ type Evaluator struct {
 	from    string // the base table every predicate's query scans
 
 	cur atomic.Pointer[version]
-	// ids interns each predicate key to its int32 id; preds[id] keeps the
-	// AST a refresh re-matches.
+	// ids interns each predicate key to its int32 id; plans[id] is the plan
+	// compiled from the predicate's base query, which every scan and every
+	// refresh of the predicate runs for the evaluator's life.
 	ids   sync.Map
-	preds []hypre.ScoredPred
+	plans []*relstore.Plan
 
 	refresh sync.RWMutex
 	pub     sync.Mutex
@@ -184,14 +185,24 @@ func (ev *Evaluator) id(p hypre.ScoredPred) int32 {
 	return -1
 }
 
-// internLocked returns p's id, assigning the next one on first sight.
-// Caller holds pub.
-func (ev *Evaluator) internLocked(p hypre.ScoredPred) int32 {
-	id, loaded := ev.ids.LoadOrStore(p.Pred, int32(len(ev.preds)))
+// internLocked returns p's id, assigning the next one, with plan, on
+// first sight. Caller holds pub.
+func (ev *Evaluator) internLocked(p hypre.ScoredPred, plan *relstore.Plan) int32 {
+	id, loaded := ev.ids.LoadOrStore(p.Pred, int32(len(ev.plans)))
 	if !loaded {
-		ev.preds = append(ev.preds, p)
+		ev.plans = append(ev.plans, plan)
 	}
 	return id.(int32)
+}
+
+// compile compiles p's base query, which must scan the base table. It
+// reads only the store's schemas, so it needs no lock.
+func (ev *Evaluator) compile(p hypre.ScoredPred) (*relstore.Plan, error) {
+	q := ev.base(p.P)
+	if q.From != ev.from {
+		return nil, fmt.Errorf("combine: predicate %q scans table %q, not the base table %q", p.Pred, q.From, ev.from)
+	}
+	return ev.db.Compile(q)
 }
 
 // publishLocked publishes bits, with the dictionary as it stands, as the
@@ -266,6 +277,13 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
 	ev.pub.Lock()
 	v := ev.cur.Load()
 	pending := ev.pendingIn(v, prefs)
+	// A predicate interned before (one Invalidate emptied) keeps its plan.
+	plans := make([]*relstore.Plan, len(pending))
+	for i, p := range pending {
+		if id := ev.id(p); id >= 0 {
+			plans[i] = ev.plans[id]
+		}
+	}
 	var err error
 	if len(pending) > 0 {
 		err = ev.seedLocked()
@@ -275,7 +293,7 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
 	if len(pending) == 0 || err != nil {
 		return v, err
 	}
-	sels, err := ev.scanAll(pending, plumbed, epoch)
+	sels, err := ev.scanAll(pending, plans, plumbed, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +307,7 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
 	ids := make([]int32, len(pending))
 	inside := false
 	for i, p := range pending {
-		ids[i] = ev.internLocked(p)
+		ids[i] = ev.internLocked(p, plans[i])
 		inside = inside || int(ids[i]) < len(v.bits) && v.bits[ids[i]] == nil
 	}
 	bits := v.bits
@@ -301,7 +319,7 @@ func (ev *Evaluator) materialize(prefs []hypre.ScoredPred) (*version, error) {
 	// Every other new id lies past v's end, where no published version
 	// reads, so bits extends in place: a publish costs its new ids, not
 	// every id.
-	bits = append(bits, make([]*bitset.Set, len(ev.preds)-len(bits))...)
+	bits = append(bits, make([]*bitset.Set, len(ev.plans)-len(bits))...)
 	for i, id := range ids {
 		if bits[id] == nil {
 			bits[id] = ev.convertLocked(sels[i].sel, sels[i].leftover)
@@ -346,12 +364,18 @@ type scanned struct {
 }
 
 // scanAll scans every pending predicate, fanning the scans over a worker
-// pool. It reads only the store and the arguments, so it needs no lock.
-func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, plumbed int, epoch uint64) ([]scanned, error) {
+// pool; a predicate without a plan is compiled first, into plans. It reads
+// only the store and the arguments, so it needs no lock.
+func (ev *Evaluator) scanAll(pending []hypre.ScoredPred, plans []*relstore.Plan, plumbed int, epoch uint64) ([]scanned, error) {
 	out := make([]scanned, len(pending))
 	errs := make([]error, len(pending))
 	parallelFor(ev.workerTarget(), len(pending), func(i int) {
-		out[i].sel, out[i].leftover, errs[i] = ev.scanSel(pending[i], plumbed, epoch)
+		if plans[i] == nil {
+			if plans[i], errs[i] = ev.compile(pending[i]); errs[i] != nil {
+				return
+			}
+		}
+		out[i].sel, out[i].leftover, errs[i] = ev.scanSel(plans[i], plumbed, epoch)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -381,8 +405,11 @@ func (ev *Evaluator) seedLocked() error {
 	epoch := tbl.Epoch()
 	n := tbl.Len()
 	pidByRow := make([]int64, n)
-	seedQ := relstore.Query{From: ev.from, Where: predicate.True{}}
-	if _, err := ev.db.ScanAttrRowSet(seedQ, ev.keyAttr, 0, func(lid int, pid int64) {
+	seed, err := ev.db.Compile(relstore.Query{From: ev.from})
+	if err != nil {
+		return err
+	}
+	if _, err := seed.ScanAttrRowSet(ev.keyAttr, 0, func(lid int, pid int64) {
 		if lid < n {
 			pidByRow[lid] = pid
 		}
@@ -430,21 +457,16 @@ func (ev *Evaluator) convertLocked(sel *bitset.Set, leftover []int64) *bitset.Se
 	return bitset.FromWords(words)
 }
 
-// scanSel runs one predicate's scan: one ScanAttrRowSet over the base
+// scanSel runs one predicate's plan: one ScanAttrRowSet over the base
 // table, whose selection keeps the rows below plumbed (the rows the row
 // plumbing maps) and whose spill collects the pids of the rows inserted
 // since. A scan taken after a base-table compaction past epoch, the one the
 // plumbing describes, names rows the plumbing does not: it is made again
-// with every row spilled. A query on another table than the base table
-// breaks the evaluator's contract and is an error. It reads only the store
-// and its arguments, so it needs no lock.
-func (ev *Evaluator) scanSel(p hypre.ScoredPred, plumbed int, epoch uint64) (sel *bitset.Set, leftover []int64, err error) {
-	q := ev.base(p.P)
-	if q.From != ev.from {
-		return nil, nil, fmt.Errorf("combine: predicate %q scans table %q, not the base table %q", p.Pred, q.From, ev.from)
-	}
+// with every row spilled. It reads only the store and its arguments, so it
+// needs no lock.
+func (ev *Evaluator) scanSel(plan *relstore.Plan, plumbed int, epoch uint64) (sel *bitset.Set, leftover []int64, err error) {
 	spill := func(_ int, pid int64) { leftover = append(leftover, pid) }
-	if sel, err = ev.db.ScanAttrRowSet(q, ev.keyAttr, plumbed, spill); err != nil {
+	if sel, err = plan.ScanAttrRowSet(ev.keyAttr, plumbed, spill); err != nil {
 		return nil, nil, err
 	}
 	// Compactions only move forward, so none after epoch as of now means
@@ -453,7 +475,7 @@ func (ev *Evaluator) scanSel(p hypre.ScoredPred, plumbed int, epoch uint64) (sel
 		return sel, leftover, nil
 	}
 	leftover = leftover[:0]
-	sel, err = ev.db.ScanAttrRowSet(q, ev.keyAttr, 0, spill)
+	sel, err = plan.ScanAttrRowSet(ev.keyAttr, 0, spill)
 	return sel, leftover, err
 }
 
@@ -554,8 +576,12 @@ func (ev *Evaluator) CountSQL(c Combo) (int, error) {
 			ps[i] = p.P
 		}
 		ev.Queries++
+		plan, err := ev.db.Compile(ev.base(predicate.NewOr(ps...)))
+		if err != nil {
+			return 0, err
+		}
 		var ids []int64
-		if _, err := ev.db.ScanAttrRowSet(ev.base(predicate.NewOr(ps...)), ev.keyAttr, 0, func(_ int, pid int64) {
+		if _, err := plan.ScanAttrRowSet(ev.keyAttr, 0, func(_ int, pid int64) {
 			ids = append(ids, pid)
 		}); err != nil {
 			return 0, err

@@ -179,3 +179,61 @@ func TestRefreshWaitsOutMaterialization(t *testing.T) {
 		t.Fatalf("%s after the Sync: %v, a fresh evaluator says %v", p.Pred, got, want)
 	}
 }
+
+// TestPlansSharedByRefreshAndMaterialize runs each predicate's one plan
+// from many goroutines at once: two loops re-materialize an invalidated
+// profile, so their scans run the interned plans side by side, while a
+// third commits author changes and Syncs, re-matching the same plans over
+// a refresh's worker pool. Under -race it proves a run writes nothing into
+// a plan; afterwards every predicate must equal a fresh evaluation.
+func TestPlansSharedByRefreshAndMaterialize(t *testing.T) {
+	db := combine.BuildTestDBPids(func(pid int64) int64 { return pid })
+	ev := combine.NewEvaluator(db, combine.BaseQuery, "dblp.pid")
+	ev.Workers = 4
+	m, err := delta.NewMaintainer(ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := combine.MaterializeProfile(t)
+	if err := ev.MaterializeAll(profile); err != nil {
+		t.Fatal(err)
+	}
+	authors := db.Table("dblp_author")
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				ev.Invalidate()
+				if err := ev.MaterializeAll(profile); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := range 30 {
+		if err := authors.UpdateCol(i%authors.Len(), "aid", predicate.Int(int64(1+i%7))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if _, err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range profile {
+		b, err := ev.PredBitmap(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ev.Dict().IntSet(b), tupleSet(t, db, p); !slices.Equal(got, want) {
+			t.Fatalf("%s: %v, a fresh evaluator says %v", p.Pred, got, want)
+		}
+	}
+}

@@ -14,8 +14,9 @@
 //     key — using each change's pre-image for deletes and updates, so rows
 //     partnered with the OLD key are repaired too, not just the new one.
 //  3. Re-evaluate every resident predicate over exactly the touched base
-//     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet, the
-//     store's row selection restricted to the touched rows), patch the bitmaps
+//     rows (Evaluator.RefreshRowSetDelta → each resident plan's
+//     relstore.Plan.MatchLeftRowSet, the store's row selection restricted
+//     to the touched rows), patch the bitmaps
 //     copy-on-write, and pass the resulting combine.RowDelta — the moved
 //     predicates, the touched pids, and what each live touched row now
 //     matches — to the cache. This is the only re-match a Sync runs.

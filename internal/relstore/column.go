@@ -36,11 +36,6 @@ func (z *zone) pureInt() bool {
 	return z.hasInt && !z.hasFloat && !z.hasStr && !z.hasNull
 }
 
-// pureStr reports whether every row of the block is a string.
-func (z *zone) pureStr() bool {
-	return z.hasStr && !z.hasNum && !z.hasNull
-}
-
 // Adaptive dictionary thresholds: a column starts out dictionary-encoded,
 // but once it has seen dictAdaptMinDistinct distinct strings and more than
 // one string in dictAdaptRatioDen is distinct (i.e. the dictionary barely
@@ -321,19 +316,6 @@ func (c *column) value(row int) predicate.Value {
 		return predicate.String(c.strAt(row))
 	default:
 		return predicate.Null()
-	}
-}
-
-// numAt returns the row's numeric payload widened to float64, ok=false for
-// NULL/string rows.
-func (c *column) numAt(row int) (float64, bool) {
-	switch c.kinds[row] {
-	case predicate.KindInt:
-		return float64(int64(c.nums[row])), true
-	case predicate.KindFloat:
-		return math.Float64frombits(c.nums[row]), true
-	default:
-		return 0, false
 	}
 }
 

@@ -425,7 +425,7 @@ func checkScanAttrRowSet(t *testing.T, tag string, db *DB, q Query, attr string,
 	for _, splitAt := range []int{-1, 0, n / 2} {
 		spilled := map[int]bool{}
 		prev := -1
-		sel, err := db.ScanAttrRowSet(q, attr, splitAt, func(lid int, v int64) {
+		sel, err := compiled(t, db, q).ScanAttrRowSet(attr, splitAt, func(lid int, v int64) {
 			if splitAt < 0 || lid < splitAt {
 				t.Fatalf("%s: splitAt %d spilled row %d", tag, splitAt, lid)
 			}
@@ -455,6 +455,16 @@ func checkScanAttrRowSet(t *testing.T, tag string, db *DB, q Query, attr string,
 				tag, splitAt, sel.Len(), len(spilled), len(want))
 		}
 	}
+}
+
+// compiled compiles q, failing the test on an error.
+func compiled(t testing.TB, db *DB, q Query) *Plan {
+	t.Helper()
+	p, err := db.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func eqInt64Sets(a, b map[int64]bool) bool {

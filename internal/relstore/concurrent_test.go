@@ -121,14 +121,24 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := db.ScanAttrRowSet(q, "lt.a", 0, func(int, int64) {}); err != nil {
+				p, err := db.Compile(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := p.ScanAttrRowSet("lt.a", 0, func(int, int64) {}); err != nil {
 					t.Error(err)
 					return
 				}
 				// Set-valued scans over the joined query repair the join
 				// entry beside the writers.
 				for _, jq := range []Query{{From: "lt", Join: join, Where: where}, {From: "lt", Join: join}} {
-					if _, err := db.ScanAttrRowSet(jq, "lt.a", -1, nil); err != nil {
+					jp, err := db.Compile(jq)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := jp.ScanAttrRowSet("lt.a", -1, nil); err != nil {
 						t.Error(err)
 						return
 					}
@@ -137,7 +147,7 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					touched.Add(rng.Intn(lt.Len()))
 				}
-				if _, err := db.MatchLeftRowSet(q, touched); err != nil {
+				if _, err := p.MatchLeftRowSet(touched, nil); err != nil {
 					t.Error(err)
 					return
 				}

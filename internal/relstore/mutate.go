@@ -331,24 +331,29 @@ func (t *Table) SnapshotSince(since uint64) SyncSnapshot {
 
 // lockShared acquires the data locks of up to two tables shared, in
 // creation order (so concurrent scans over the same table pair can never
-// deadlock against a pending writer), and returns the matching unlock. b
+// deadlock against a pending writer), and returns what unlock releases. b
 // may be nil or equal to a.
-func lockShared(a, b *Table) func() {
+func lockShared(a, b *Table) sharedLocks {
 	if b == a {
 		b = nil
 	}
-	if b == nil {
-		a.state.RLock()
-		return a.state.RUnlock
+	if b != nil && b.seq < a.seq {
+		a, b = b, a
 	}
-	first, second := a, b
-	if b.seq < a.seq {
-		first, second = b, a
+	a.state.RLock()
+	if b != nil {
+		b.state.RLock()
 	}
-	first.state.RLock()
-	second.state.RLock()
-	return func() {
-		second.state.RUnlock()
-		first.state.RUnlock()
+	return sharedLocks{a, b}
+}
+
+// sharedLocks is the tables lockShared locked, in locking order; the
+// second is nil for one table. A value, so a hold costs no allocation.
+type sharedLocks [2]*Table
+
+func (l sharedLocks) unlock() {
+	if l[1] != nil {
+		l[1].state.RUnlock()
 	}
+	l[0].state.RUnlock()
 }

@@ -308,10 +308,10 @@ func TestMutationPropertySuite(t *testing.T) {
 				t.Fatalf("%s: CountDistinct %d != rebuilt %d", tag, cd1, cd2)
 			}
 			i1, i2 := map[int64]bool{}, map[int64]bool{}
-			if _, err := db.ScanAttrRowSet(q, "lt.s", 0, func(_ int, v int64) { i1[v] = true }); err != nil {
+			if _, err := compiled(t, db, q).ScanAttrRowSet("lt.s", 0, func(_ int, v int64) { i1[v] = true }); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rebuilt.ScanAttrRowSet(q, "lt.s", 0, func(_ int, v int64) { i2[v] = true }); err != nil {
+			if _, err := compiled(t, rebuilt, q).ScanAttrRowSet("lt.s", 0, func(_ int, v int64) { i2[v] = true }); err != nil {
 				t.Fatal(err)
 			}
 			if !eqInt64Sets(i1, i2) {
@@ -336,7 +336,7 @@ func TestMutationPropertySuite(t *testing.T) {
 				sparse.Add(rng.Intn(lt.Len()))
 			}
 			for _, touched := range []*bitset.Set{dense, sparse} {
-				got, err := db.MatchLeftRowSet(q, touched)
+				got, err := compiled(t, db, q).MatchLeftRowSet(touched, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

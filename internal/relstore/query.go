@@ -99,10 +99,11 @@ func (db *DB) DistinctValues(q Query, attr string) ([]predicate.Value, error) {
 }
 
 // ScanAttrRowSet is the attr scan: the compressed selection of left rows
-// matching the query whose attr converts to an integer, with no per-row
+// matching the plan whose attr converts to an integer, with no per-row
 // emission — the consumer keeps the container bitmap the scan produced
 // instead of paying a decompress/recompress round trip. attr must bind to
-// the left table and q.Limit must be 0; anything else is an error.
+// the left table and the compiled query's Limit must be 0; anything else
+// is an error.
 //
 // Rows at or beyond splitAt are excluded from the selection and instead
 // passed to spill, ascending, with their attr value, read under the scan's
@@ -110,25 +111,20 @@ func (db *DB) DistinctValues(q Query, attr string) ([]predicate.Value, error) {
 // splitAt 0 spills every row; splitAt < 0 spills none. The evaluator seeds
 // its row plumbing with splitAt 0 and collects the pids of rows inserted
 // after its seed with splitAt at the plumbed row count.
-func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid int, v int64)) (*bitset.Set, error) {
-	left, right, leftPos, rightPos, where, err := db.resolveQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	side, pos := bindAttr(attr, left, right)
+func (p *Plan) ScanAttrRowSet(attr string, splitAt int, spill func(lid int, v int64)) (*bitset.Set, error) {
+	side, pos := bindAttr(attr, p.left, p.right)
 	if side != sideLeft {
 		return nil, fmt.Errorf("relstore: attr scans need a left-table attribute, got %q", attr)
 	}
-	if q.Limit > 0 {
+	if p.limit > 0 {
 		return nil, fmt.Errorf("relstore: attr scans do not support Limit")
 	}
-	unlock := lockShared(left, right)
-	defer unlock()
-	sel, _ := selectLocked(left, right, leftPos, rightPos, where, nil)
+	defer lockShared(p.left, p.right).unlock()
+	sel := p.selectLocked(nil, nil)
 	// One walk drops the rows whose attr does not convert (skipped entirely
 	// for fully convertible columns, every key column) and spills the rows
 	// at or beyond splitAt.
-	c := left.cols[pos]
+	c := p.left.cols[pos]
 	if m, ok := sel.Max(); ok && (c.nNoInt > 0 || (splitAt >= 0 && m >= splitAt)) {
 		sel.Retain(func(lid int) bool {
 			v, ok := c.intAt(lid)
@@ -142,203 +138,90 @@ func (db *DB) ScanAttrRowSet(q Query, attr string, splitAt int, spill func(lid i
 	return sel, nil
 }
 
-// resolveQuery resolves the query's tables and join columns, and defaults
-// its WHERE to TRUE.
-func (db *DB) resolveQuery(q Query) (left, right *Table, leftPos, rightPos int, where predicate.Predicate, err error) {
-	left = db.Table(q.From)
-	if left == nil {
-		return nil, nil, 0, 0, nil, fmt.Errorf("relstore: unknown table %q", q.From)
+// MatchLeftRowSet reports which of the given left rows currently satisfy
+// the plan: touched is a compressed selection over left row ids, and the
+// result is a fresh selection ⊆ touched holding exactly the live touched
+// rows the plan matches (for a join, rows with at least one matching
+// partner) — the row selection restricted to touched. This is the
+// delta-maintenance primitive: after a mutation batch, each cached
+// predicate re-evaluates only the touched rows, work proportional to the
+// batch and independent of the table sizes. touched is never mutated.
+//
+// partnered, when non-nil, is what a plan of the same join with no WHERE
+// returned for touched: the touched rows that are live and have a live
+// partner. A joined plan then matches over it, and one whose WHERE reads
+// only the left table skips the partner probe — so a refresh of many
+// predicates pays the join once. A joinless plan ignores it.
+func (p *Plan) MatchLeftRowSet(touched, partnered *bitset.Set) (*bitset.Set, error) {
+	if p.limit > 0 {
+		return nil, fmt.Errorf("relstore: MatchLeftRowSet does not support Limit")
 	}
-	if q.Join != nil {
-		if right = db.Table(q.Join.Table); right == nil {
-			return nil, nil, 0, 0, nil, fmt.Errorf("relstore: unknown join table %q", q.Join.Table)
-		}
-		if leftPos = left.ColumnIndex(q.Join.LeftCol); leftPos < 0 {
-			return nil, nil, 0, 0, nil, fmt.Errorf("relstore: %s has no column %q", q.From, q.Join.LeftCol)
-		}
-		if rightPos = right.ColumnIndex(q.Join.RightCol); rightPos < 0 {
-			return nil, nil, 0, 0, nil, fmt.Errorf("relstore: %s has no column %q", q.Join.Table, q.Join.RightCol)
-		}
-	}
-	where = q.Where
-	if where == nil {
-		where = predicate.True{}
-	}
-	return left, right, leftPos, rightPos, where, nil
+	defer lockShared(p.left, p.right).unlock()
+	return p.selectLocked(touched, partnered), nil
 }
 
 // selectLocked is relstore's one row selection: the live left rows that
 // have a matching partner pair — joined, a live right row with which the
-// pair satisfies where; joinless, the row alone — restricted to mask's rows
-// when mask is non-nil. Every read is this selection plus a fold.
+// pair satisfies the WHERE; joinless, the row alone — restricted to mask's
+// rows when mask is non-nil. Every read is this selection plus a fold.
 //
-// WHERE splits once by join side. Without a mask, a split WHERE that the
-// block evaluator accepts returns the drained scan plan. Anything else runs
-// the per-row loop over the mask's rows, or every row: left-only conjuncts
-// run on the row before the partner probe, so a rejected row never pays
-// the index lookup, and the pair tree — the right-side conjuncts, or a
-// WHERE that mixes sides, whole — runs per live partner. The loop never
-// touches the join entry, which a mutation stales, so a masked selection
-// costs the mask, not the tables.
-//
-// The pair tree is returned too (nil when every live partner of a selected
-// row matches): a caller walking the selected rows' partners filters each
-// by it. Callers hold the state locks of both tables; the returned set is
-// the caller's to mutate.
-func selectLocked(left, right *Table, leftPos, rightPos int, where predicate.Predicate, mask *bitset.Set) (*bitset.Set, predicate.Predicate) {
-	rowTree, pairTree, split := splitBySide(where, left, right)
-	if !split {
-		rowTree, pairTree = nil, where
-	} else if mask == nil {
-		if p, ok := planScan(left, right, leftPos, rightPos, rowTree, pairTree); ok {
-			return p.drain(), pairTree
-		}
+// Without a mask, a plan the block path can run returns the drained block
+// scan. Anything else runs the row loop over the mask's rows, or every row:
+// the row tree runs on the row before the partner probe, so a rejected row
+// never pays the index lookup, and the pair tree runs per live partner. The
+// loop never touches the join entry, which a mutation stales, so a masked
+// selection costs the mask, not the tables. partnered is MatchLeftRowSet's.
+// Callers hold the state locks of both tables; the returned set is the
+// caller's to mutate.
+func (p *Plan) selectLocked(mask, partnered *bitset.Set) *bitset.Set {
+	if mask == nil && p.block {
+		return p.blockScan().drain()
 	}
-	out := bitset.New()
-	if mask != nil && mask.IsEmpty() {
-		return out, pairTree
+	left, right := p.left, p.right
+	probe := right != nil
+	if probe && partnered != nil {
+		mask, probe = partnered, p.pairTree != nil
 	}
-	var onRow, onPair idFilter
-	if rowTree != nil {
-		onRow = rowFilter(rowTree, left, right)
-	}
-	if pairTree != nil {
-		onPair = rowFilter(pairTree, left, right)
+	var sel *bitset.Set
+	if mask == nil {
+		sel = bitset.New()
+		sel.AddRange(0, left.n)
+	} else {
+		sel = mask.Clone()
 	}
 	var rightIdx *hashIndex
-	if right != nil {
-		rightIdx = right.ensureIndex(rightPos)
+	if probe {
+		rightIdx = right.ensureIndex(p.rightPos)
 	}
-	visit := func(lid int) bool {
-		if lid >= left.n {
-			return false // mask bits are ascending; nothing left in range
+	sel.Retain(func(lid int) bool {
+		if lid >= left.n || left.isDead(lid) || (p.rowTree != nil && !p.rowTree.row(lid, 0, false)) {
+			return false
 		}
-		if left.isDead(lid) || (onRow != nil && !onRow(lid, 0, false)) {
+		if !probe {
 			return true
 		}
-		if right == nil {
-			out.Add(lid)
-			return true
-		}
-		for _, rid := range rightIdx.rows(left.cols[leftPos].value(lid)) {
-			if !right.isDead(int(rid)) && (onPair == nil || onPair(lid, int(rid), true)) {
-				out.Add(lid)
-				break
+		for _, rid := range rightIdx.rows(left.cols[p.leftPos].value(lid)) {
+			if !right.isDead(int(rid)) && (p.pairTree == nil || p.pairTree.row(lid, int(rid), true)) {
+				return true
 			}
 		}
-		return true
-	}
-	if mask != nil {
-		mask.ForEach(visit)
-	} else {
-		for lid := 0; lid < left.n; lid++ {
-			visit(lid)
-		}
-	}
-	return out, pairTree
-}
-
-// splitBySide splits the WHERE conjunction by join side: each conjunct must
-// read only one table's columns for its kernel (or compiled filter) to run
-// against that table alone. A nil tree means no conjunct reads that side
-// (attribute-free conjuncts count as left); ok=false means some conjunct
-// mixes both sides. Joinless, the whole WHERE is the left tree.
-func splitBySide(where predicate.Predicate, left, right *Table) (leftTree, rightTree predicate.Predicate, ok bool) {
-	if right == nil {
-		return where, nil, true
-	}
-	var leftParts, rightParts []predicate.Predicate
-	for _, c := range flattenAnd(where) {
-		side, ok := classifySide(c, left, right)
-		if !ok {
-			return nil, nil, false
-		}
-		if side == sideRight {
-			rightParts = append(rightParts, c)
-		} else {
-			leftParts = append(leftParts, c)
-		}
-	}
-	if len(leftParts) > 0 {
-		leftTree = predicate.NewAnd(leftParts...)
-	}
-	if len(rightParts) > 0 {
-		rightTree = predicate.NewAnd(rightParts...)
-	}
-	return leftTree, rightTree, true
-}
-
-// flattenAnd returns the conjuncts of p (p itself when it is not an AND).
-func flattenAnd(p predicate.Predicate) []predicate.Predicate {
-	a, ok := p.(*predicate.And)
-	if !ok {
-		return []predicate.Predicate{p}
-	}
-	var out []predicate.Predicate
-	for _, k := range a.Kids {
-		out = append(out, flattenAnd(k)...)
-	}
-	return out
-}
-
-// classifySide reports which single table's columns a predicate subtree
-// reads: sideLeft (including attribute-free and unresolvable-only subtrees,
-// whose leaves are constant under either table) or sideRight. ok=false
-// means the subtree mixes both sides.
-func classifySide(p predicate.Predicate, left, right *Table) (attrSide, bool) {
-	hasL, hasR := false, false
-	for _, a := range p.Attributes(nil) {
-		switch side, _ := bindAttr(a, left, right); side {
-		case sideLeft:
-			hasL = true
-		case sideRight:
-			hasR = true
-		}
-	}
-	if hasL && hasR {
-		return sideNone, false
-	}
-	if hasR {
-		return sideRight, true
-	}
-	return sideLeft, true
+		return false
+	})
+	return sel
 }
 
 // PrepareQuery eagerly builds the lazy access structures the query's scans
 // use (join-column hash indexes and the join entry), so that a following
 // parallel materialization phase takes only read paths.
 func (db *DB) PrepareQuery(q Query) error {
-	left, right, leftPos, rightPos, _, err := db.resolveQuery(q)
-	if err != nil || right == nil {
+	p, err := db.Compile(q)
+	if err != nil || p.right == nil {
 		return err
 	}
-	unlock := lockShared(left, right)
-	defer unlock()
-	right.ensureIndex(rightPos)
-	left.joinEntry(right, leftPos, rightPos)
+	defer lockShared(p.left, p.right).unlock()
+	p.right.ensureIndex(p.rightPos)
+	p.left.joinEntry(p.right, p.leftPos, p.rightPos)
 	return nil
-}
-
-// MatchLeftRowSet reports which of the given left rows currently satisfy
-// the query: touched is a compressed selection over left row ids, and the
-// result is a fresh selection ⊆ touched holding exactly the live touched
-// rows the query matches (for a join, rows with at least one matching
-// partner) — the row selection restricted to touched. This is the
-// delta-maintenance primitive: after a mutation batch, each cached
-// predicate re-evaluates only the touched rows, work proportional to the
-// batch and independent of the table sizes. touched is never mutated.
-func (db *DB) MatchLeftRowSet(q Query, touched *bitset.Set) (*bitset.Set, error) {
-	left, right, leftPos, rightPos, where, err := db.resolveQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if q.Limit > 0 {
-		return nil, fmt.Errorf("relstore: MatchLeftRowSet does not support Limit")
-	}
-	unlock := lockShared(left, right)
-	defer unlock()
-	sel, _ := selectLocked(left, right, leftPos, rightPos, where, touched)
-	return sel, nil
 }
 
 // LookupRowIDs returns the live row ids of table whose column equals v,
@@ -366,20 +249,20 @@ func (db *DB) LookupRowIDs(table, col string, v predicate.Value) ([]int, error) 
 	return out, nil
 }
 
-// scan drives query execution, invoking emit for each matching row until
-// emit returns false or rows are exhausted. It holds the tables' shared
-// state locks for the scan's duration: one consistent epoch per table.
+// scan compiles and runs the query, invoking emit for each matching row
+// until emit returns false or rows are exhausted. It holds the tables'
+// shared state locks for the scan's duration: one consistent epoch per
+// table.
 func (db *DB) scan(q Query, emit func(JoinedRow) bool) error {
-	left, right, leftPos, rightPos, where, err := db.resolveQuery(q)
+	p, err := db.Compile(q)
 	if err != nil {
 		return err
 	}
-	unlock := lockShared(left, right)
-	defer unlock()
-	scanIDsLocked(left, right, leftPos, rightPos, where, func(lid, rid int, hasRight bool) bool {
-		row := JoinedRow{Left: left.Row(lid)}
+	defer lockShared(p.left, p.right).unlock()
+	p.pairsLocked(func(lid, rid int, hasRight bool) bool {
+		row := JoinedRow{Left: p.left.Row(lid)}
 		if hasRight {
-			row.Right = right.Row(rid)
+			row.Right = p.right.Row(rid)
 			row.HasRight = true
 		}
 		return emit(row)
@@ -387,27 +270,22 @@ func (db *DB) scan(q Query, emit func(JoinedRow) bool) error {
 	return nil
 }
 
-// scanIDsLocked streams the (left, right) row-id pairs that satisfy where:
-// the row selection, then, per selected row in ascending order, its live
-// partners that pass the pair tree (joinless, the row alone with hasRight
-// false). emit returning false stops the walk. Callers hold the
+// pairsLocked streams the (left, right) row-id pairs that satisfy the
+// plan: the row selection, then, per selected row in ascending order, its
+// live partners that pass the pair tree (joinless, the row alone with
+// hasRight false). emit returning false stops the walk. Callers hold the
 // state locks of both tables.
-func scanIDsLocked(left, right *Table, leftPos, rightPos int, where predicate.Predicate,
-	emit func(lid, rid int, hasRight bool) bool) {
-	sel, pairTree := selectLocked(left, right, leftPos, rightPos, where, nil)
-	if right == nil {
+func (p *Plan) pairsLocked(emit func(lid, rid int, hasRight bool) bool) {
+	sel := p.selectLocked(nil, nil)
+	if p.right == nil {
 		sel.ForEach(func(lid int) bool { return emit(lid, 0, false) })
 		return
 	}
-	var onPair idFilter
-	if pairTree != nil {
-		onPair = rowFilter(pairTree, left, right)
-	}
-	rightIdx := right.ensureIndex(rightPos)
+	rightIdx := p.right.ensureIndex(p.rightPos)
 	sel.ForEach(func(lid int) bool {
-		for _, r := range rightIdx.rows(left.cols[leftPos].value(lid)) {
+		for _, r := range rightIdx.rows(p.left.cols[p.leftPos].value(lid)) {
 			rid := int(r)
-			if right.isDead(rid) || (onPair != nil && !onPair(lid, rid, true)) {
+			if p.right.isDead(rid) || (p.pairTree != nil && !p.pairTree.row(lid, rid, true)) {
 				continue
 			}
 			if !emit(lid, rid, true) {
@@ -416,270 +294,6 @@ func scanIDsLocked(left, right *Table, leftPos, rightPos int, where predicate.Pr
 		}
 		return true
 	})
-}
-
-// attrSide tags which table a bound attribute lives in.
-type attrSide uint8
-
-const (
-	sideNone attrSide = iota
-	sideLeft
-	sideRight
-)
-
-// bindAttr resolves an attribute reference to a (side, column position)
-// slot, mirroring JoinedRow.Get's semantics exactly: qualified names bind
-// to the named table only, bare names bind left-first. sideNone means the
-// attribute resolves on neither side (lookups on it always miss).
-func bindAttr(attr string, left, right *Table) (attrSide, int) {
-	if tbl, col, ok := splitQualified(attr); ok {
-		if tbl == left.schema.Name {
-			if pos := left.ColumnIndex(col); pos >= 0 {
-				return sideLeft, pos
-			}
-			return sideNone, 0
-		}
-		if right != nil && tbl == right.schema.Name {
-			if pos := right.ColumnIndex(col); pos >= 0 {
-				return sideRight, pos
-			}
-		}
-		return sideNone, 0
-	}
-	if pos := left.ColumnIndex(attr); pos >= 0 {
-		return sideLeft, pos
-	}
-	if right != nil {
-		if pos := right.ColumnIndex(attr); pos >= 0 {
-			return sideRight, pos
-		}
-	}
-	return sideNone, 0
-}
-
-// sideResolver returns the attribute resolver the single-table evaluators
-// take for one side of a (possibly joined) query: the column position of an
-// attribute bindAttr places on that side, -1 for any other — which makes the
-// leaf constant false, exactly the row filter's collapsed semantics.
-func sideResolver(left, right *Table, want attrSide) func(string) int {
-	return func(a string) int {
-		if side, p := bindAttr(a, left, right); side == want {
-			return p
-		}
-		return -1
-	}
-}
-
-// idFilter evaluates a compiled predicate over (left row id, right row id)
-// pairs; hasRight is false for unjoined rows.
-type idFilter func(lid, rid int, hasRight bool) bool
-
-// compileIDFilter lowers a predicate tree to a closure tree with every
-// attribute pre-resolved to a typed column and every literal pre-analyzed,
-// so per-row evaluation touches the column vectors directly with no Value
-// boxing. Returns ok=false for node types it does not know, in which case
-// the caller falls back to Predicate.Eval. The compiled form replicates
-// Eval's collapsed three-valued logic: comparisons against NULL or
-// unresolvable attributes are false.
-func compileIDFilter(p predicate.Predicate, left, right *Table) (idFilter, bool) {
-	alwaysFalse := func(int, int, bool) bool { return false }
-	switch node := p.(type) {
-	case predicate.True:
-		return func(int, int, bool) bool { return true }, true
-	case *predicate.Cmp:
-		side, pos := bindAttr(node.Attr, left, right)
-		if side == sideNone {
-			return alwaysFalse, true
-		}
-		op, lit := node.Op, analyzeLit(node.Val)
-		if side == sideLeft {
-			c := left.cols[pos]
-			return func(lid, _ int, _ bool) bool {
-				c3, ok := c.cmp3At(lid, lit)
-				return ok && opMatch(c3, op)
-			}, true
-		}
-		c := right.cols[pos]
-		return func(_, rid int, hasRight bool) bool {
-			if !hasRight {
-				return false
-			}
-			c3, ok := c.cmp3At(rid, lit)
-			return ok && opMatch(c3, op)
-		}, true
-	case *predicate.Between:
-		side, pos := bindAttr(node.Attr, left, right)
-		if side == sideNone {
-			return alwaysFalse, true
-		}
-		lo, hi := analyzeLit(node.Lo), analyzeLit(node.Hi)
-		check := func(c *column, row int) bool {
-			cl, ok1 := c.cmp3At(row, lo)
-			ch, ok2 := c.cmp3At(row, hi)
-			return ok1 && ok2 && cl >= 0 && ch <= 0
-		}
-		if side == sideLeft {
-			c := left.cols[pos]
-			return func(lid, _ int, _ bool) bool { return check(c, lid) }, true
-		}
-		c := right.cols[pos]
-		return func(_, rid int, hasRight bool) bool { return hasRight && check(c, rid) }, true
-	case *predicate.In:
-		side, pos := bindAttr(node.Attr, left, right)
-		if side == sideNone {
-			return alwaysFalse, true
-		}
-		lits := make([]litVal, len(node.Vals))
-		for i, v := range node.Vals {
-			lits[i] = analyzeLit(v)
-		}
-		check := func(c *column, row int) bool {
-			for _, lv := range lits {
-				if c3, ok := c.cmp3At(row, lv); ok && c3 == 0 {
-					return true
-				}
-			}
-			return false
-		}
-		if side == sideLeft {
-			c := left.cols[pos]
-			return func(lid, _ int, _ bool) bool { return check(c, lid) }, true
-		}
-		c := right.cols[pos]
-		return func(_, rid int, hasRight bool) bool { return hasRight && check(c, rid) }, true
-	case *predicate.Not:
-		kid, ok := compileIDFilter(node.Kid, left, right)
-		if !ok {
-			return nil, false
-		}
-		return func(lid, rid int, hasRight bool) bool { return !kid(lid, rid, hasRight) }, true
-	case *predicate.And:
-		kids, ok := compileIDKids(node.Kids, left, right)
-		if !ok {
-			return nil, false
-		}
-		return func(lid, rid int, hasRight bool) bool {
-			for _, k := range kids {
-				if !k(lid, rid, hasRight) {
-					return false
-				}
-			}
-			return true
-		}, true
-	case *predicate.Or:
-		kids, ok := compileIDKids(node.Kids, left, right)
-		if !ok {
-			return nil, false
-		}
-		return func(lid, rid int, hasRight bool) bool {
-			for _, k := range kids {
-				if k(lid, rid, hasRight) {
-					return true
-				}
-			}
-			return false
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-func compileIDKids(ps []predicate.Predicate, left, right *Table) ([]idFilter, bool) {
-	out := make([]idFilter, len(ps))
-	for i, p := range ps {
-		k, ok := compileIDFilter(p, left, right)
-		if !ok {
-			return nil, false
-		}
-		out[i] = k
-	}
-	return out, true
-}
-
-// rowFilter lowers p to a per-row filter: the compiled typed closure tree
-// when every node compiles, boxed Predicate.Eval over materialized rows
-// otherwise.
-func rowFilter(p predicate.Predicate, left, right *Table) idFilter {
-	if f, ok := compileIDFilter(p, left, right); ok {
-		return f
-	}
-	return func(lid, rid int, hasRight bool) bool {
-		row := JoinedRow{Left: left.Row(lid)}
-		if hasRight {
-			row.Right = right.Row(rid)
-			row.HasRight = true
-		}
-		return p.Eval(row)
-	}
-}
-
-// rightCandidateIDs inspects the predicate for index-usable equality
-// conditions on the joined table's columns and, if any are found, returns a
-// superset of the matching right row ids (sorted, deduplicated); the caller
-// still evaluates the full predicate per row, so over-approximation is safe
-// and under-approximation is not. Attributes resolve exactly as evaluation
-// does (bare names bind left-first), so a bare column name both tables
-// carry never yields right-table candidates for a predicate that
-// semantically filters the left table.
-func rightCandidateIDs(left, right *Table, p predicate.Predicate) ([]int32, bool) {
-	return candidateIDsResolve(right, p, sideResolver(left, right, sideRight))
-}
-
-func candidateIDsResolve(t *Table, p predicate.Predicate, resolve func(string) int) ([]int32, bool) {
-	switch node := p.(type) {
-	case *predicate.Cmp:
-		if node.Op != predicate.OpEq {
-			return nil, false
-		}
-		pos := resolve(node.Attr)
-		if pos < 0 || !indexUsable(t, pos, node.Val) {
-			return nil, false
-		}
-		ids, ok := t.lookup(pos, node.Val)
-		return ids, ok
-	case *predicate.In:
-		pos := resolve(node.Attr)
-		if pos < 0 {
-			return nil, false
-		}
-		if _, ok := t.indexFor(pos); !ok {
-			return nil, false
-		}
-		var all []int32
-		for _, v := range node.Vals {
-			if !indexUsable(t, pos, v) {
-				return nil, false
-			}
-			ids, _ := t.lookup(pos, v)
-			all = append(all, ids...)
-		}
-		return dedupeIDs(all), true
-	case *predicate.And:
-		// Any single conjunct's candidates are a valid superset of the AND.
-		best := []int32(nil)
-		found := false
-		for _, k := range node.Kids {
-			if ids, ok := candidateIDsResolve(t, k, resolve); ok {
-				if !found || len(ids) < len(best) {
-					best, found = ids, true
-				}
-			}
-		}
-		return best, found
-	case *predicate.Or:
-		// All disjuncts must be index-usable for the union to be a superset.
-		var all []int32
-		for _, k := range node.Kids {
-			ids, ok := candidateIDsResolve(t, k, resolve)
-			if !ok {
-				return nil, false
-			}
-			all = append(all, ids...)
-		}
-		return dedupeIDs(all), true
-	default:
-		return nil, false
-	}
 }
 
 // indexUsable reports whether hash-index equality on (column pos, literal)

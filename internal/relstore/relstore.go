@@ -9,19 +9,21 @@
 // Storage is columnar: each table keeps one typed vector per attribute
 // (int64/float64 payload words, dictionary-encoded strings with an
 // adaptive raw-storage fallback for high-cardinality columns) with
-// per-block min/max zone maps, and predicates compile to vectorized
-// kernels that evaluate a whole block per step into selection bitmaps
-// (see vecscan.go). The row-oriented API (Row, Value, Select) reboxes
-// values on demand.
+// per-block min/max zone maps. A query compiles once into a Plan
+// (plan.go) whose nodes evaluate either one row pair or a whole block per
+// step into selection bitmaps (vecscan.go); a plan binds column positions,
+// not storage, so it stays valid across commits and compactions. The
+// row-oriented API (Row, Value, Select) reboxes values on demand.
 //
 // Every read is one row selection plus a fold (query.go): selectLocked
 // computes the live left rows that have a matching partner pair,
-// optionally restricted to a row mask — the drained block plan when the
-// WHERE allows it, a compiled per-row loop otherwise. ScanAttrRowSet folds
-// it into a row set with a spill of the rows past a split; MatchLeftRowSet
-// is it restricted to the rows a mutation batch touched; Select, Count and
-// DistinctValues walk each selected row's live partners that pass the
-// per-pair filter, in ascending left-row order.
+// optionally restricted to a row mask — the drained block scan when the
+// plan allows it, a loop of the plan's row methods otherwise. A plan's
+// ScanAttrRowSet folds it into a row set with a spill of the rows past a
+// split, and its MatchLeftRowSet is it restricted to the rows a mutation
+// batch touched; Select, Count and DistinctValues compile their query and
+// walk each selected row's live partners that pass the pair tree, in
+// ascending left-row order.
 //
 // Equality lookups and joins go through per-column hash indexes
 // (index.go), built by BuildIndex or on first use: integer keys (integral floats folded onto

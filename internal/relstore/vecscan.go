@@ -5,21 +5,23 @@ import (
 	"hypre/internal/predicate"
 )
 
-// This file is relstore's one scan core. A scan plan produces the selection
-// of live left rows matching a (possibly joined) WHERE one 1024-row block at
-// a time: the predicate tree evaluates per block into a bitset.Block, each
-// leaf asking the block's zone entry first (skip, bulk-accept, or run the
-// tight typed row loop), and AND/OR/NOT compose word-parallel. Join rows are
-// admitted only through the table pair's cached join entry — the existence
-// vector and right→left CSR that joinrepair.go keeps exact under mutation.
-// A scan is the plan's drain into a bitset.Builder, block by block.
+// This file is the block half of a compiled plan (plan.go). A block scan
+// produces the selection of live left rows matching a (possibly joined)
+// WHERE one 1024-row block at a time: the compiled tree evaluates per block
+// into a bitset.Block through its nodes' block methods — each leaf asks the
+// block's zone entry first (skip, bulk-accept, or run its kernel), and
+// AND/OR/NOT compose word-parallel. Join rows are admitted only through the
+// table pair's cached join entry — the existence vector and right→left CSR
+// that joinrepair.go keeps exact under mutation. A scan is the block scan's
+// drain into a bitset.Builder, block by block.
 
 // The kernels address rows block-relative through bitset.Block, so the two
 // packages must agree on the block width.
 var _ [bitset.BlockBits - blockSize]struct{}
 var _ [blockSize - bitset.BlockBits]struct{}
 
-// scanPlan is one planned scan over table t, in one of two modes:
+// blockScan is one run of a plan's block path over table t, in one of two
+// modes. It is the run's own scratch: the plan it runs stays untouched.
 //
 //   - scan mode (cand == nil): a zone prepass marks the blocks the tree can
 //     match; each surviving block is the tree's block selection ∧ the join
@@ -30,10 +32,9 @@ var _ [blockSize - bitset.BlockBits]struct{}
 //     rows up front and stitched them through the join entry's CSR into the
 //     set of admitted live left rows; each block is that set's window ∧ the
 //     tree. Work follows the answer, not the table.
-type scanPlan struct {
+type blockScan struct {
 	t        *Table
-	tree     predicate.Predicate // nil = every row
-	resolve  func(string) int
+	tree     node        // nil = every row
 	join     *bitset.Set // scan mode, existence-only join: left rows with a live partner
 	cand     *bitset.Set // candidate mode: admitted left rows; nil = scan mode
 	possible []bool      // scan mode: zone prepass verdict per block
@@ -42,56 +43,43 @@ type scanPlan struct {
 	tmp      bitset.Block
 }
 
-// planScan plans a WHERE already split by join side (splitBySide) over
-// left, joined with right when right is non-nil. ok=false means a node
-// vecOK refuses, and the caller keeps the row loop. Callers hold the state
-// locks of both tables.
-func planScan(left, right *Table, leftPos, rightPos int, leftTree, rightTree predicate.Predicate) (*scanPlan, bool) {
-	if (leftTree != nil && !vecOK(leftTree)) || (rightTree != nil && !vecOK(rightTree)) {
-		return nil, false
-	}
-	p := left.treePlan(leftTree, sideResolver(left, right, sideLeft))
-	if right != nil {
-		je := left.joinEntry(right, leftPos, rightPos)
-		if rightTree != nil {
-			p.cand = admitPartners(left, right, je, rightTree)
-			if m, ok := p.cand.Max(); ok {
-				p.maxBlock = m / blockSize
+// blockScan starts a run of the plan's block path (p.block must hold).
+// Callers hold the state locks of both tables.
+func (p *Plan) blockScan() *blockScan {
+	s := &blockScan{t: p.left, tree: p.rowTree, maxBlock: -1}
+	if p.right != nil {
+		je := p.left.joinEntry(p.right, p.leftPos, p.rightPos)
+		if p.pairTree != nil {
+			s.cand = p.admitPartners(je)
+			if m, ok := s.cand.Max(); ok {
+				s.maxBlock = m / blockSize
 			}
-			return p, true
+			return s
 		}
-		p.join = je.sel
+		s.join = je.sel
 	}
-	return p.zonePrepass(), true
+	return s.zonePrepass()
 }
 
-// treePlan is the joinless plan of tree over t; True and nil select every
-// row. zonePrepass (scan mode) or a candidate set must follow.
-func (t *Table) treePlan(tree predicate.Predicate, resolve func(string) int) *scanPlan {
-	if _, isTrue := tree.(predicate.True); isTrue {
-		tree = nil
-	}
-	return &scanPlan{t: t, tree: tree, resolve: resolve, maxBlock: -1}
-}
-
-// zonePrepass puts p in scan mode: one blockPossible verdict per block.
-func (p *scanPlan) zonePrepass() *scanPlan {
-	p.possible = make([]bool, (p.t.n+blockSize-1)/blockSize)
-	for bi := range p.possible {
-		if p.tree == nil || p.t.blockPossible(p.tree, p.resolve, bi) {
-			p.possible[bi] = true
-			p.maxBlock = bi
+// zonePrepass puts s in scan mode: one possible verdict per block.
+func (s *blockScan) zonePrepass() *blockScan {
+	s.possible = make([]bool, (s.t.n+blockSize-1)/blockSize)
+	for bi := range s.possible {
+		if s.tree == nil || s.tree.possible(bi) {
+			s.possible[bi] = true
+			s.maxBlock = bi
 		}
 	}
-	return p
+	return s
 }
 
-// admitPartners resolves a right-side restriction into the live left rows it
-// admits: the right rows satisfying rightTree — index candidates re-checked
-// per row when rightCandidateIDs applies, a drained right-side plan
-// otherwise — stitched through the join entry's right→left CSR. Distinct
-// right rows reaching one left row dedup in the set.
-func admitPartners(left, right *Table, je *existsEntry, rightTree predicate.Predicate) *bitset.Set {
+// admitPartners resolves the plan's right-side restriction into the live
+// left rows it admits: the right rows satisfying it — index candidates
+// re-checked per row when the indexes at hand can answer it, a drained
+// right-side block scan otherwise — stitched through the join entry's
+// right→left CSR. Distinct right rows reaching one left row dedup in the
+// set.
+func (p *Plan) admitPartners(je *existsEntry) *bitset.Set {
 	hit := bitset.New()
 	stitch := func(rid int) bool {
 		for _, lid := range je.partners(rid) {
@@ -99,41 +87,40 @@ func admitPartners(left, right *Table, je *existsEntry, rightTree predicate.Pred
 		}
 		return true
 	}
-	if rids, ok := rightCandidateIDs(left, right, rightTree); ok {
-		rf := rowFilter(rightTree, left, right)
+	if rids, ok := candidateIDs(p.pairTree); ok {
 		for _, rid := range rids {
-			if !right.isDead(int(rid)) && rf(0, int(rid), true) {
+			if !p.right.isDead(int(rid)) && p.pairTree.row(0, int(rid), true) {
 				stitch(int(rid))
 			}
 		}
 	} else {
-		right.treePlan(rightTree, sideResolver(left, right, sideRight)).zonePrepass().drain().ForEach(stitch)
+		(&blockScan{t: p.right, tree: p.pairTree, maxBlock: -1}).zonePrepass().drain().ForEach(stitch)
 	}
-	if left.nDead > 0 { // partner lists may keep tombstoned left rows
-		hit.AndNotWith(left.dead)
+	if p.left.nDead > 0 { // partner lists may keep tombstoned left rows
+		hit.AndNotWith(p.left.dead)
 	}
 	return hit
 }
 
 // next evaluates blocks from..maxBlock and returns the first whose selection
-// is non-empty, left in dst; ok=false when the plan is exhausted.
-func (p *scanPlan) next(from int, dst *bitset.Block) (int, bool) {
-	for b := from; b <= p.maxBlock; b++ {
-		if p.cand == nil {
-			if p.possible[b] && p.scanBlock(b, dst) {
+// is non-empty, left in dst; ok=false when the scan is exhausted.
+func (s *blockScan) next(from int, dst *bitset.Block) (int, bool) {
+	for b := from; b <= s.maxBlock; b++ {
+		if s.cand == nil {
+			if s.possible[b] && s.scanBlock(b, dst) {
 				return b, true
 			}
 			continue
 		}
-		nxt, ok := p.cand.NextSet(b * blockSize)
+		nxt, ok := s.cand.NextSet(b * blockSize)
 		if !ok {
 			break
 		}
 		b = nxt / blockSize
-		p.cand.ReadBlock(b*blockSize, dst)
-		if p.tree != nil {
-			p.t.evalBlock(p.tree, p.resolve, b, &p.tmp, &p.be)
-			dst.And(&p.tmp)
+		s.cand.ReadBlock(b*blockSize, dst)
+		if s.tree != nil {
+			s.tree.block(s.t, b, &s.tmp, &s.be)
+			dst.And(&s.tmp)
 		}
 		if dst.Any() {
 			return b, true
@@ -145,44 +132,43 @@ func (p *scanPlan) next(from int, dst *bitset.Block) (int, bool) {
 // scanBlock computes scan-mode block b into dst — tree ∧ join existence ∧
 // ¬tombstones — and reports whether it holds a row. Tombstones come off at
 // the root, never in a leaf: a NOT above the leaf would resurrect them.
-func (p *scanPlan) scanBlock(b int, dst *bitset.Block) bool {
-	t, base := p.t, b*blockSize
-	if p.tree == nil {
+func (s *blockScan) scanBlock(b int, dst *bitset.Block) bool {
+	t, base := s.t, b*blockSize
+	if s.tree == nil {
 		dst.Reset(base)
 		dst.SetRange(base, min(base+blockSize, t.n))
 	} else {
-		t.evalBlock(p.tree, p.resolve, b, dst, &p.be)
+		s.tree.block(t, b, dst, &s.be)
 		if !dst.Any() {
 			return false
 		}
 	}
-	if p.join != nil {
-		p.join.ReadBlock(base, &p.tmp)
-		dst.And(&p.tmp)
+	if s.join != nil {
+		s.join.ReadBlock(base, &s.tmp)
+		dst.And(&s.tmp)
 	}
 	if t.nDead > 0 {
-		t.dead.ReadBlock(base, &p.tmp)
-		dst.AndNot(&p.tmp)
+		t.dead.ReadBlock(base, &s.tmp)
+		dst.AndNot(&s.tmp)
 	}
 	return dst.Any()
 }
 
-// drain materializes the plan: every non-empty block ORed whole into one
-// compressed set. A candidate plan with no tree is its candidate set.
-func (p *scanPlan) drain() *bitset.Set {
-	if p.cand != nil && p.tree == nil {
-		return p.cand
+// drain materializes the scan: every non-empty block ORed whole into one
+// compressed set. A candidate scan with no tree is its candidate set.
+func (s *blockScan) drain() *bitset.Set {
+	if s.cand != nil && s.tree == nil {
+		return s.cand
 	}
-	b := bitset.NewBuilder(p.t.n)
+	b := bitset.NewBuilder(s.t.n)
 	var blk bitset.Block
-	for bi, ok := p.next(0, &blk); ok; bi, ok = p.next(bi+1, &blk) {
+	for bi, ok := s.next(0, &blk); ok; bi, ok = s.next(bi+1, &blk) {
 		b.AppendBlock(&blk)
 	}
 	return b.Finish()
 }
 
-// blockEval is the reusable scratch of the per-block tree evaluator: spare
-// Blocks for inner nodes.
+// blockEval is a run's scratch for inner nodes: spare Blocks.
 type blockEval struct {
 	free []*bitset.Block
 }
@@ -198,106 +184,91 @@ func (be *blockEval) get() *bitset.Block {
 
 func (be *blockEval) put(b *bitset.Block) { be.free = append(be.free, b) }
 
-// evalBlock evaluates a vecOK predicate tree over block bi into dst. resolve
-// maps attribute references to column positions; -1 means the attribute
-// does not bind to this table, which makes the leaf constant false — exactly
-// the collapsed three-valued semantics of the row filter. Leaves take the
-// zone verdict, then bulk-accept or run their row loop; inner nodes combine
-// word-parallel.
-func (t *Table) evalBlock(p predicate.Predicate, resolve func(string) int, bi int, dst *bitset.Block, be *blockEval) {
-	base := bi * blockSize
-	hi := min(base+blockSize, t.n)
-	dst.Reset(base)
-	switch node := p.(type) {
-	case predicate.True:
-		dst.SetRange(base, hi)
-	case *predicate.Cmp, *predicate.Between, *predicate.In:
-		switch c, v := t.leafZone(p, resolve, bi); v {
-		case zoneAll:
-			dst.SetRange(base, hi)
-		case zoneMaybe:
-			scanLeaf(p, c, base, hi, dst)
-		}
-	case *predicate.Not:
-		t.evalBlock(node.Kid, resolve, bi, dst, be)
-		dst.Not(t.n)
-	case *predicate.And:
-		if len(node.Kids) == 0 { // empty conjunction is TRUE
-			dst.SetRange(base, hi)
-			return
-		}
-		t.evalBlock(node.Kids[0], resolve, bi, dst, be)
-		tmp := be.get()
-		for _, k := range node.Kids[1:] {
-			if !dst.Any() {
-				break
-			}
-			t.evalBlock(k, resolve, bi, tmp, be)
-			dst.And(tmp)
-		}
-		be.put(tmp)
-	case *predicate.Or:
-		tmp := be.get()
-		for _, k := range node.Kids {
-			t.evalBlock(k, resolve, bi, tmp, be)
-			dst.Or(tmp)
-		}
-		be.put(tmp)
+// blockRange is block bi's row range in t.
+func blockRange(t *Table, bi int) (lo, hi int) {
+	lo = bi * blockSize
+	return lo, min(lo+blockSize, t.n)
+}
+
+// block takes the zone verdict, then bulk-accepts or runs the kernel.
+func (l *leaf) block(t *Table, bi int, dst *bitset.Block, _ *blockEval) {
+	lo, hi := blockRange(t, bi)
+	dst.Reset(lo)
+	c := l.t.cols[l.pos]
+	z := &c.zones[bi]
+	switch l.kind.verdict(z) {
+	case zoneAll:
+		dst.SetRange(lo, hi)
+	case zoneMaybe:
+		l.kind.kernel(c, z, lo, hi, dst)
 	}
 }
 
-// vecOK reports whether every node of p is one the block evaluator knows —
-// the one up-front refusal: a tree it rejects never starts a block scan.
-func vecOK(p predicate.Predicate) bool {
-	switch node := p.(type) {
-	case predicate.True, *predicate.Cmp, *predicate.Between, *predicate.In:
-		return true
-	case *predicate.Not:
-		return vecOK(node.Kid)
-	case *predicate.And:
-		for _, k := range node.Kids {
-			if !vecOK(k) {
-				return false
-			}
-		}
-		return true
-	case *predicate.Or:
-		for _, k := range node.Kids {
-			if !vecOK(k) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
+func (l *leaf) possible(bi int) bool {
+	return l.kind.verdict(&l.t.cols[l.pos].zones[bi]) != zoneNone
+}
+
+func (n constNode) block(t *Table, bi int, dst *bitset.Block, _ *blockEval) {
+	lo, hi := blockRange(t, bi)
+	dst.Reset(lo)
+	if n {
+		dst.SetRange(lo, hi)
 	}
 }
 
-// blockPossible is the zone prepass: can any row of block bi satisfy p?
-// Leaves answer with their zone verdict; a NOT can match rows its kid's
-// zones exclude, so it never prunes.
-func (t *Table) blockPossible(p predicate.Predicate, resolve func(string) int, bi int) bool {
-	switch node := p.(type) {
-	case *predicate.Cmp, *predicate.Between, *predicate.In:
-		_, v := t.leafZone(p, resolve, bi)
-		return v != zoneNone
-	case *predicate.And:
-		for _, k := range node.Kids {
-			if !t.blockPossible(k, resolve, bi) {
-				return false
-			}
-		}
-		return true
-	case *predicate.Or:
-		for _, k := range node.Kids {
-			if t.blockPossible(k, resolve, bi) {
-				return true
-			}
-		}
-		return false
-	default:
-		return true
+func (n constNode) possible(int) bool { return bool(n) }
+
+func (n notNode) block(t *Table, bi int, dst *bitset.Block, be *blockEval) {
+	n.kid.block(t, bi, dst, be)
+	dst.Not(t.n)
+}
+
+// possible is true: a NOT can match rows its kid's zones exclude.
+func (n notNode) possible(int) bool { return true }
+
+func (n andNode) block(t *Table, bi int, dst *bitset.Block, be *blockEval) {
+	if len(n) == 0 { // empty conjunction is TRUE
+		constNode(true).block(t, bi, dst, be)
+		return
 	}
+	n[0].block(t, bi, dst, be)
+	tmp := be.get()
+	for _, k := range n[1:] {
+		if !dst.Any() {
+			break
+		}
+		k.block(t, bi, tmp, be)
+		dst.And(tmp)
+	}
+	be.put(tmp)
+}
+
+func (n andNode) possible(bi int) bool {
+	for _, k := range n {
+		if !k.possible(bi) {
+			return false
+		}
+	}
+	return true
+}
+
+func (n orNode) block(t *Table, bi int, dst *bitset.Block, be *blockEval) {
+	constNode(false).block(t, bi, dst, be)
+	tmp := be.get()
+	for _, k := range n {
+		k.block(t, bi, tmp, be)
+		dst.Or(tmp)
+	}
+	be.put(tmp)
+}
+
+func (n orNode) possible(bi int) bool {
+	for _, k := range n {
+		if k.possible(bi) {
+			return true
+		}
+	}
+	return false
 }
 
 // zoneVerdict is what one block's zone entry proves about one leaf.
@@ -309,74 +280,54 @@ const (
 	zoneAll                      // every row of the block matches
 )
 
-// leafZone is the one zone test, shared by the prepass and the kernels: the
-// verdict of block bi's zone entry on a Cmp, Between or In leaf, with the
-// leaf's column. An attribute that does not bind to t, a NULL literal and
-// mixed-class BETWEEN bounds match nothing. zoneMaybe may over-approximate
-// (the row loop re-checks); zoneNone on a block holding a matching row
-// would be a wrong answer. A NaN row "equals" every number, so a block
-// holding one is never pruned or bulk-accepted on a numeric literal.
-func (t *Table) leafZone(p predicate.Predicate, resolve func(string) int, bi int) (*column, zoneVerdict) {
-	leafCol := func(attr string) (*column, *zone) {
-		if pos := resolve(attr); pos >= 0 {
-			c := t.cols[pos]
-			return c, &c.zones[bi]
-		}
-		return nil, nil
-	}
-	switch node := p.(type) {
-	case *predicate.Cmp:
-		c, z := leafCol(node.Attr)
-		if z == nil {
-			return nil, zoneNone
-		}
-		switch lit := analyzeLit(node.Val); {
-		case lit.isNum:
-			switch {
-			case !z.hasNum || (!z.hasNaN && zoneSkipCmp(z, node.Op, lit.f)):
-				return c, zoneNone
-			case z.pureNum() && zoneFullCmp(z, node.Op, lit.f):
-				return c, zoneAll
-			}
-			return c, zoneMaybe
-		case lit.isStr && z.hasStr:
-			return c, zoneMaybe
-		}
-		return c, zoneNone
-	case *predicate.Between:
-		c, z := leafCol(node.Attr)
-		if z == nil {
-			return nil, zoneNone
-		}
-		lo, hi := analyzeLit(node.Lo), analyzeLit(node.Hi)
+// The verdicts may over-approximate with zoneMaybe (the kernel re-checks);
+// zoneNone on a block holding a matching row would be a wrong answer. A
+// NULL literal and mixed-class BETWEEN bounds match nothing. A NaN row
+// "equals" every number, so a block holding one is never pruned or
+// bulk-accepted on a numeric literal.
+
+func (k *cmpLeaf) verdict(z *zone) zoneVerdict {
+	lit := k.lit
+	switch {
+	case lit.isNum:
 		switch {
-		case lo.isNum && hi.isNum:
-			switch {
-			case !z.hasNum || (!z.hasNaN && (z.max < lo.f || z.min > hi.f)):
-				return c, zoneNone
-			case z.pureNum() && z.min >= lo.f && z.max <= hi.f:
-				return c, zoneAll
-			}
-			return c, zoneMaybe
-		case lo.isStr && hi.isStr && z.hasStr:
-			return c, zoneMaybe
+		case !z.hasNum || (!z.hasNaN && zoneSkipCmp(z, k.op, lit.f)):
+			return zoneNone
+		case z.pureNum() && zoneFullCmp(z, k.op, lit.f):
+			return zoneAll
 		}
-		return c, zoneNone
-	case *predicate.In:
-		c, z := leafCol(node.Attr)
-		if z == nil {
-			return nil, zoneNone
-		}
-		for _, v := range node.Vals {
-			lv := analyzeLit(v)
-			if (lv.isStr && z.hasStr) || (lv.isNum && z.hasNum &&
-				(z.hasNaN || lv.f != lv.f || (lv.f >= z.min && lv.f <= z.max))) {
-				return c, zoneMaybe
-			}
-		}
-		return c, zoneNone
+		return zoneMaybe
+	case lit.isStr && z.hasStr:
+		return zoneMaybe
 	}
-	return nil, zoneMaybe
+	return zoneNone
+}
+
+func (k *betweenLeaf) verdict(z *zone) zoneVerdict {
+	lo, hi := k.lo, k.hi
+	switch {
+	case lo.isNum && hi.isNum:
+		switch {
+		case !z.hasNum || (!z.hasNaN && (z.max < lo.f || z.min > hi.f)):
+			return zoneNone
+		case z.pureNum() && z.min >= lo.f && z.max <= hi.f:
+			return zoneAll
+		}
+		return zoneMaybe
+	case lo.isStr && hi.isStr && z.hasStr:
+		return zoneMaybe
+	}
+	return zoneNone
+}
+
+func (k *inLeaf) verdict(z *zone) zoneVerdict {
+	for _, lv := range k.lits {
+		if (lv.isStr && z.hasStr) || (lv.isNum && z.hasNum &&
+			(z.hasNaN || lv.f != lv.f || (lv.f >= z.min && lv.f <= z.max))) {
+			return zoneMaybe
+		}
+	}
+	return zoneNone
 }
 
 // zoneSkipCmp reports that no numeric row of the block can match (valid only
@@ -420,155 +371,120 @@ func zoneFullCmp(z *zone, op predicate.Op, lit float64) bool {
 	}
 }
 
-// scanLeaf runs a leaf's row loop over rows [lo, hi) of one block whose zone
-// verdict is zoneMaybe.
-func scanLeaf(p predicate.Predicate, c *column, lo, hi int, dst *bitset.Block) {
-	z := &c.zones[lo/blockSize]
-	switch node := p.(type) {
-	case *predicate.Cmp:
-		scanCmp(c, z, node.Op, analyzeLit(node.Val), lo, hi, dst)
-	case *predicate.Between:
-		scanBetween(c, z, analyzeLit(node.Lo), analyzeLit(node.Hi), lo, hi, dst)
-	case *predicate.In:
-		scanIn(c, node.Vals, lo, hi, dst)
+// rowLoop is the generic kernel: the leaf's row match over rows [lo, hi).
+func rowLoop(k leafKind, c *column, lo, hi int, dst *bitset.Block) {
+	for r := lo; r < hi; r++ {
+		if k.match(c, r) {
+			dst.Set(r)
+		}
 	}
 }
 
-// scanCmp is the kernel for Attr Op Literal. The verdict guarantees the
-// literal is numeric, or a string over a block holding strings.
-func scanCmp(c *column, z *zone, op predicate.Op, lit litVal, lo, hi int, dst *bitset.Block) {
+// kernel runs the tight typed loops a pure-int block and string equality
+// allow, and the row match otherwise. String equality compares dictionary
+// codes — the literal's code is read here, at run time, so a string first
+// inserted after compilation still matches, and one absent from the
+// dictionary matches nothing — or raw strings once the column has left the
+// dictionary.
+func (k *cmpLeaf) kernel(c *column, z *zone, lo, hi int, dst *bitset.Block) {
+	lit := k.lit
 	switch {
 	case lit.isNum && z.pureInt():
 		for i, u := range c.nums[lo:hi] {
-			if opMatch(cmp3f(float64(int64(u)), lit.f), op) {
+			if opMatch(cmp3f(float64(int64(u)), lit.f), k.op) {
 				dst.Set(lo + i)
 			}
 		}
-	case lit.isNum:
-		for r := lo; r < hi; r++ {
-			if v, ok := c.numAt(r); ok && opMatch(cmp3f(v, lit.f), op) {
-				dst.Set(r)
-			}
-		}
-	case op == predicate.OpEq && !c.rawMode:
-		// Dictionary equality: one code comparison per row, and a literal
-		// absent from the dictionary matches nothing.
+	case lit.isStr && k.op == predicate.OpEq && !c.rawMode:
 		code, ok := c.dict.code(lit.s)
-		switch {
-		case !ok:
-		case z.pureStr():
-			for i, cd := range c.codes[lo:hi] {
-				if cd == code {
-					dst.Set(lo + i)
-				}
-			}
-		default:
-			for r := lo; r < hi; r++ {
-				if c.kinds[r] == predicate.KindString && c.codes[r] == code {
-					dst.Set(r)
-				}
+		if !ok {
+			return
+		}
+		for r, cd := range c.codes[lo:hi] {
+			if cd == code && c.kinds[lo+r] == predicate.KindString {
+				dst.Set(lo + r)
 			}
 		}
-	case op == predicate.OpEq && z.pureStr():
-		// Raw-mode equality: direct string comparison per row.
-		for i, s := range c.rawStrs[lo:hi] {
-			if s == lit.s {
-				dst.Set(lo + i)
-			}
-		}
-	case op == predicate.OpEq:
-		for r := lo; r < hi; r++ {
-			if c.kinds[r] == predicate.KindString && c.rawStrs[r] == lit.s {
-				dst.Set(r)
+	case lit.isStr && k.op == predicate.OpEq:
+		for r, s := range c.rawStrs[lo:hi] {
+			if s == lit.s && c.kinds[lo+r] == predicate.KindString {
+				dst.Set(lo + r)
 			}
 		}
 	default:
-		for r := lo; r < hi; r++ {
-			if c3, ok := c.cmp3At(r, lit); ok && opMatch(c3, op) {
-				dst.Set(r)
-			}
+		rowLoop(k, c, lo, hi, dst)
+	}
+}
+
+func (k *betweenLeaf) kernel(c *column, z *zone, lo, hi int, dst *bitset.Block) {
+	if !k.lo.isNum || !z.pureInt() {
+		rowLoop(k, c, lo, hi, dst)
+		return
+	}
+	for i, u := range c.nums[lo:hi] {
+		if v := float64(int64(u)); cmp3f(v, k.lo.f) >= 0 && cmp3f(v, k.hi.f) <= 0 {
+			dst.Set(lo + i)
 		}
 	}
 }
 
-// scanBetween is the kernel for Attr BETWEEN Lo AND Hi: a row matches when
-// it is comparable with both bounds and lies inside. The verdict guarantees
-// the bounds are both numeric or both strings.
-func scanBetween(c *column, z *zone, llo, lhi litVal, lo, hi int, dst *bitset.Block) {
-	in := func(v float64) bool { return cmp3f(v, llo.f) >= 0 && cmp3f(v, lhi.f) <= 0 }
-	switch {
-	case llo.isNum && z.pureInt():
-		for i, u := range c.nums[lo:hi] {
-			if in(float64(int64(u))) {
-				dst.Set(lo + i)
-			}
-		}
-	case llo.isNum:
-		for r := lo; r < hi; r++ {
-			if v, ok := c.numAt(r); ok && in(v) {
-				dst.Set(r)
-			}
-		}
-	default:
-		for r := lo; r < hi; r++ {
-			if c.kinds[r] == predicate.KindString {
-				if s := c.strAt(r); s >= llo.s && s <= lhi.s {
-					dst.Set(r)
-				}
-			}
-		}
-	}
+func (k *inLeaf) kernel(c *column, _ *zone, lo, hi int, dst *bitset.Block) {
+	rowLoop(k, c, lo, hi, dst)
 }
 
-// scanIn is the kernel for Attr IN (v1, ...): numeric members match by
-// widened three-way equality, string members resolve to dictionary codes
-// once (absent strings can never match) — or compare raw strings when the
-// column has migrated off the dictionary.
-func scanIn(c *column, vals []predicate.Value, lo, hi int, dst *bitset.Block) {
-	var nums []float64
-	var codes []uint32
-	var strs []string
-	for _, v := range vals {
-		lv := analyzeLit(v)
-		switch {
-		case lv.isNum:
-			nums = append(nums, lv.f)
-		case lv.isStr && c.rawMode:
-			strs = append(strs, lv.s)
-		case lv.isStr:
-			if code, ok := c.dict.code(lv.s); ok {
-				codes = append(codes, code)
+// candidateIDs inspects a right-side tree for equality leaves the right
+// table's hash indexes can answer and, if it finds them, returns a superset
+// of the matching right row ids (sorted, deduplicated); the caller still
+// runs the tree per row, so over-approximation is safe and
+// under-approximation is not. Which indexes exist and whether a column
+// holds a NaN are read here, at run time.
+func candidateIDs(n node) ([]int32, bool) {
+	switch n := n.(type) {
+	case *leaf:
+		t, pos := n.t, n.pos
+		switch k := n.kind.(type) {
+		case *cmpLeaf:
+			if k.op != predicate.OpEq || !indexUsable(t, pos, k.val) {
+				return nil, false
 			}
+			return t.lookup(pos, k.val)
+		case *inLeaf:
+			if _, ok := t.indexFor(pos); !ok {
+				return nil, false
+			}
+			var all []int32
+			for _, v := range k.vals {
+				if !indexUsable(t, pos, v) {
+					return nil, false
+				}
+				ids, _ := t.lookup(pos, v)
+				all = append(all, ids...)
+			}
+			return dedupeIDs(all), true
 		}
-	}
-	for r := lo; r < hi; r++ {
-		switch c.kinds[r] {
-		case predicate.KindInt, predicate.KindFloat:
-			v, _ := c.numAt(r)
-			for _, f := range nums {
-				if cmp3f(v, f) == 0 {
-					dst.Set(r)
-					break
-				}
-			}
-		case predicate.KindString:
-			if c.rawMode {
-				s := c.rawStrs[r]
-				for _, m := range strs {
-					if s == m {
-						dst.Set(r)
-						break
-					}
-				}
-				continue
-			}
-			cd := c.codes[r]
-			for _, code := range codes {
-				if cd == code {
-					dst.Set(r)
-					break
+	case andNode:
+		// Any single conjunct's candidates are a valid superset of the AND.
+		best := []int32(nil)
+		found := false
+		for _, k := range n {
+			if ids, ok := candidateIDs(k); ok {
+				if !found || len(ids) < len(best) {
+					best, found = ids, true
 				}
 			}
 		}
+		return best, found
+	case orNode:
+		// All disjuncts must be index-usable for the union to be a superset.
+		var all []int32
+		for _, k := range n {
+			ids, ok := candidateIDs(k)
+			if !ok {
+				return nil, false
+			}
+			all = append(all, ids...)
+		}
+		return dedupeIDs(all), true
 	}
+	return nil, false
 }
